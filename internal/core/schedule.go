@@ -192,7 +192,9 @@ func (s *Schedule) ObjectiveEnergy() float64 {
 // actual is indexed by instance index (plan.Instances order); each
 // instance's cycles are consumed across its pieces in execution order, up to
 // each piece's worst-case budget. It returns the energy and the worst
-// deadline overshoot in ms (0 when all deadlines hold).
+// deadline overshoot in ms (0 when all deadlines hold). A dead reservation
+// (WCWork ≤ DeadWork) still consumes its sliver of cycles but never runs, so
+// it has no deadline to meet (DESIGN.md §2).
 func (s *Schedule) EnergyUnder(actual []float64) (energy, worstOvershoot float64, err error) {
 	if len(actual) != len(s.Plan.Instances) {
 		return 0, 0, fmt.Errorf("core: got %d actual workloads for %d instances",
@@ -204,8 +206,8 @@ func (s *Schedule) EnergyUnder(actual []float64) (energy, worstOvershoot float64
 		su := &s.Plan.Subs[pos]
 		w := math.Min(remaining[su.InstanceIndex], s.WCWork[pos])
 		remaining[su.InstanceIndex] -= w
-		if w <= 0 {
-			continue // empty piece: executes nothing, no deadline to meet
+		if w <= 0 || s.WCWork[pos] <= deadWork {
+			continue // empty piece or dead reservation: executes nothing
 		}
 		s.evalStep(&st, pos, w)
 		if over := st.t - su.Deadline; over > worstOvershoot {
