@@ -88,6 +88,15 @@ func (sc *scenarioSet) rederiveInstance(s *Schedule, k, idx int) {
 // line searches cheap: moving end-time e_u re-evaluates pieces from u forward
 // only until the perturbation is absorbed by a release-bound start.
 //
+// A perturbation is usually absorbed sooner: a piece that runs its whole
+// budget finishes at its end-time whatever its start, so a trial walk often
+// reaches a position with the snapshot's entry time bit for bit. From there
+// on it is the snapshot's own walk, so it *re-joins* the snapshot: it adds the
+// snapshot's recorded per-piece increments up to the snapshot's next
+// release-bound position and exits there. The same values are added in the
+// same order as the walk would compute them, so the result is bit-identical
+// to walking on (DESIGN.md §3).
+//
 // The evaluator is embedded in the solver workspace and reset per sweep, so
 // the golden-section inner loop runs without heap allocations.
 type objEval struct {
@@ -98,8 +107,15 @@ type objEval struct {
 	// snapshot pass over load set i; snapSuf[i][q] is the energy of the order
 	// suffix [q, n) in that pass (snapSuf[i][n] == 0). Entries are absolute
 	// per-position values, so entries written by different passes compose.
-	snapT   [][]float64
-	snapSuf [][]float64
+	// snapInc[i][q] is the energy that pass added at q, and snapExit[i][q]
+	// the first work-bearing position at or after q whose entry is
+	// release-bound (n when none is): the re-join replays snapInc up to it.
+	// A pass boundary only ever falls on such a position, so the replayed
+	// increments always come from a single pass.
+	snapT    [][]float64
+	snapSuf  [][]float64
+	snapInc  [][]float64
+	snapExit [][]int
 	// snapFrom is the lowest position whose snapshot entries are consistent
 	// with the current committed solution: no commit at a position >= q has
 	// happened since entry q was last written, for every q >= snapFrom.
@@ -122,15 +138,15 @@ type objEval struct {
 }
 
 // step advances the recursion across position q, mirroring
-// Schedule.evalStep over the evaluator's flat arrays.
-func (e *objEval) step(st *evalState, q int, work float64) {
+// Schedule.evalStep over the evaluator's flat arrays, and returns the energy
+// it added.
+func (e *objEval) step(st *evalState, q int, work float64) float64 {
 	if !e.fastOK {
-		e.s.evalStep(st, q, work)
-		return
+		return e.s.evalStep(st, q, work)
 	}
 	w := e.wc[q]
 	if w <= deadWork || work <= 0 {
-		return
+		return 0
 	}
 	a := st.t
 	if r := e.rel[q]; r > a {
@@ -147,9 +163,17 @@ func (e *objEval) step(st *evalState, q int, work float64) {
 	} else {
 		v = e.k / tc
 	}
-	st.energy += e.ceff[q] * v * v * work
+	inc := pieceEnergy(e.ceff[q], v, work)
+	st.energy += inc
 	st.t = a + work*tc
+	return inc
 }
+
+// pieceEnergy is the energy one piece adds: every evaluation path computes
+// its increments here. The conversion rounds the product before it is added;
+// without it Go may fuse the last multiply into the caller's add, and a
+// fused walk would no longer add the exact values resnap recorded.
+func pieceEnergy(ceff, v, work float64) float64 { return float64(ceff * v * v * work) }
 
 // reset points the evaluator at the schedule's current objective and rebuilds
 // both the prefix caches and the suffix memo, reusing backing arrays.
@@ -176,17 +200,23 @@ func (e *objEval) reset(s *Schedule, sc *scenarioSet) {
 		e.prefixes = append(e.prefixes, nil)
 		e.snapT = append(e.snapT, nil)
 		e.snapSuf = append(e.snapSuf, nil)
+		e.snapInc = append(e.snapInc, nil)
+		e.snapExit = append(e.snapExit, nil)
 	}
 	for i := range e.loadSets {
 		if cap(e.prefixes[i]) < n+1 {
 			e.prefixes[i] = make([]evalState, n+1)
 			e.snapT[i] = make([]float64, n)
 			e.snapSuf[i] = make([]float64, n+1)
+			e.snapInc[i] = make([]float64, n)
+			e.snapExit[i] = make([]int, n)
 		}
 		e.prefixes[i] = e.prefixes[i][:n+1]
 		e.snapT[i] = e.snapT[i][:n]
 		e.snapSuf[i] = e.snapSuf[i][:n+1]
 		e.snapSuf[i][n] = 0
+		e.snapInc[i] = e.snapInc[i][:n]
+		e.snapExit[i] = e.snapExit[i][:n]
 	}
 	e.rebuild(0)
 	e.snapFrom = n // stale between sweeps: force the snapshot pass to run full
@@ -234,6 +264,10 @@ func (e *objEval) invalidate(pos int) {
 // itself uses the memo: it stops as soon as the recursion re-joins a
 // release-bound position whose existing snapshot entry is still consistent.
 // Requires the prefix cache at `from` to be valid for the committed solution.
+//
+// The pass does not stop where it merely re-joins the old snapshot: its
+// suffix energies must come out as the same sums they always did, and
+// those depend on where the pass started.
 func (e *objEval) resnap(from, stable int) {
 	n := len(e.s.Plan.Subs)
 	if stable < e.snapFrom {
@@ -243,7 +277,7 @@ func (e *objEval) resnap(from, stable int) {
 	wc := e.s.WCWork
 	for i, loads := range e.loadSets {
 		st := e.prefixes[i][from]
-		snapT, snapSuf := e.snapT[i], e.snapSuf[i]
+		snapT, snapSuf, snapInc, snapExit := e.snapT[i], e.snapSuf[i], e.snapInc[i], e.snapExit[i]
 		q := from
 		for ; q < n; q++ {
 			if q >= stable && wc[q] > deadWork && loads[q] > 0 &&
@@ -252,15 +286,19 @@ func (e *objEval) resnap(from, stable int) {
 			}
 			snapT[q] = st.t
 			snapSuf[q] = st.energy // accumulated-prefix energy, fixed up below
-			e.step(&st, q, loads[q])
+			snapInc[q] = e.step(&st, q, loads[q])
 		}
-		tail := 0.0
+		tail, exit := 0.0, n
 		if q < n {
-			tail = snapSuf[q]
+			tail, exit = snapSuf[q], q
 		}
 		total := st.energy
-		for p := from; p < q; p++ {
+		for p := q - 1; p >= from; p-- {
 			snapSuf[p] = total - snapSuf[p] + tail
+			if wc[p] > deadWork && loads[p] > 0 && snapT[p] <= rel[p] {
+				exit = p
+			}
+			snapExit[p] = exit
 		}
 	}
 	e.snapFrom = from
@@ -269,7 +307,8 @@ func (e *objEval) resnap(from, stable int) {
 // energyFrom evaluates the mean objective re-running positions [pos, n).
 // stable is the end of the caller's dirty region: no End, WCWork, or load
 // value at a position >= stable differs from the committed solution, so the
-// walk may early-exit into the suffix memo there.
+// walk may leave for the suffix memo there — at a release-bound piece, or
+// where it re-joins the snapshot's walk.
 func (e *objEval) energyFrom(pos, stable int) float64 {
 	if stable < e.snapFrom {
 		stable = e.snapFrom
@@ -293,11 +332,16 @@ func (e *objEval) energyFrom(pos, stable int) float64 {
 					continue
 				}
 				r := rel[q]
-				if t <= r {
-					if q >= stable && snapT[q] <= r {
+				if q >= stable {
+					if s := snapT[q]; t == s {
+						energy = e.rejoin(i, q, energy)
+						break
+					} else if t <= r && s <= r {
 						energy += snapSuf[q]
 						break
 					}
+				}
+				if t <= r {
 					t = r
 				}
 				window := end[q] - t
@@ -311,23 +355,39 @@ func (e *objEval) energyFrom(pos, stable int) float64 {
 				} else {
 					v = k / tc
 				}
-				energy += ceff[q] * v * v * work
+				energy += pieceEnergy(ceff[q], v, work)
 				t += work * tc
 			}
 			total += energy
 			continue
 		}
 		for q := pos; q < n; q++ {
-			if q >= stable && wc[q] > deadWork && loads[q] > 0 &&
-				st.t <= rel[q] && snapT[q] <= rel[q] {
-				st.energy += snapSuf[q]
-				break
+			if q >= stable && wc[q] > deadWork && loads[q] > 0 {
+				if s := snapT[q]; st.t == s {
+					st.energy = e.rejoin(i, q, st.energy)
+					break
+				} else if st.t <= rel[q] && s <= rel[q] {
+					st.energy += snapSuf[q]
+					break
+				}
 			}
 			e.step(&st, q, loads[q])
 		}
 		total += st.energy
 	}
 	return total / float64(len(e.loadSets))
+}
+
+// rejoin finishes a walk over load set i that reached position q with the
+// snapshot's entry time: it adds the snapshot's increments up to its next
+// release-bound position, then that position's suffix energy — what walking
+// on would add, value for value.
+func (e *objEval) rejoin(i, q int, energy float64) float64 {
+	inc, exit := e.snapInc[i], e.snapExit[i][q]
+	for ; q < exit; q++ {
+		energy += inc[q]
+	}
+	return energy + e.snapSuf[i][exit]
 }
 
 // full evaluates the mean objective from scratch without touching caches.

@@ -132,15 +132,16 @@ type evalState struct {
 // online dispatcher exactly: the runtime voltage is the lowest at which the
 // *worst-case* budget would still meet the static end-time from the actual
 // start (that is the deadline-safety contract), and the piece then runs only
-// `work` cycles at that voltage, finishing early and donating slack.
-func (s *Schedule) evalStep(st *evalState, pos int, work float64) {
+// `work` cycles at that voltage, finishing early and donating slack. It
+// returns the energy the piece added.
+func (s *Schedule) evalStep(st *evalState, pos int, work float64) float64 {
 	su := &s.Plan.Subs[pos]
 	a := st.t
 	if su.Release > a {
 		a = su.Release
 	}
 	if s.WCWork[pos] <= deadWork || work <= 0 {
-		return // empty reservation or no actual work: no time, no energy
+		return 0 // empty reservation or no actual work: no time, no energy
 	}
 	var v float64
 	if s.fastOK {
@@ -158,15 +159,16 @@ func (s *Schedule) evalStep(st *evalState, pos int, work float64) {
 		} else {
 			v = s.fastK / tc
 		}
-		ceff := s.Plan.Set.Tasks[su.TaskIndex].Ceff
-		st.energy += ceff * v * v * work
+		inc := pieceEnergy(s.Plan.Set.Tasks[su.TaskIndex].Ceff, v, work)
+		st.energy += inc
 		st.t = a + work*tc
-		return
+		return inc
 	}
 	v, _ = power.VoltageForWindow(s.Model, s.WCWork[pos], s.End[pos]-a)
-	ceff := s.Plan.Set.Tasks[su.TaskIndex].Ceff
-	st.energy += power.Energy(ceff, v, work)
+	inc := pieceEnergy(s.Plan.Set.Tasks[su.TaskIndex].Ceff, v, work)
+	st.energy += inc
 	st.t = a + work*s.Model.CycleTime(v)
+	return inc
 }
 
 // evalFrom runs the recursion over positions [from, len) using workloads

@@ -675,7 +675,8 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 // a whole run of ends later would pay. The push sweep explores exactly that
 // direction: it moves one end anywhere up to its own deadline and ripples
 // every downstream end forward by the minimum the worst-case chain requires,
-// rejecting the move if any ripple would cross a deadline.
+// rejecting the move if any ripple would cross a deadline. Each trial's
+// ripple dirties only [pos, lastMod], so the next trial restores only that.
 func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 	plan := s.Plan
 	n := len(plan.Subs)
@@ -696,27 +697,16 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 		hi := su.Deadline
 		if hi > lo+c.LineTolMs {
 			copy(saved[pos:], s.End[pos:])
+			settled := s.settledAfter(pos, tcMax)
 			// lastMod tracks the end of the most recent trial's ripple — the
 			// dirty region the suffix memo must not be consulted inside.
 			lastMod := pos
+			restore := func() { copy(s.End[pos:lastMod+1], saved[pos:lastMod+1]) }
 			eval := func(e float64) float64 {
-				copy(s.End[pos:], saved[pos:])
-				s.End[pos] = e
-				lastMod = pos
-				prev := e
-				for q := pos + 1; q < n; q++ {
-					if s.WCWork[q] <= deadWork {
-						continue
-					}
-					loQ := math.Max(prev, plan.Subs[q].Release) + s.WCWork[q]*tcMax
-					if s.End[q] < loQ {
-						if loQ > plan.Subs[q].Deadline+1e-9 {
-							return math.Inf(1) // ripple crosses a deadline
-						}
-						s.End[q] = loQ
-						lastMod = q
-					}
-					prev = s.End[q]
+				restore()
+				var ok bool
+				if lastMod, ok = s.ripple(pos, e, settled, tcMax); !ok {
+					return math.Inf(1) // ripple crosses a deadline
 				}
 				return ev.energyFrom(pos, lastMod+1)
 			}
@@ -724,7 +714,7 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 			best, bestF := opt.GoldenMin(eval, lo, hi, c.LineTolMs, 200)
 			if bestF < base-1e-15 && !math.IsInf(bestF, 1) {
 				if math.IsInf(eval(best), 1) { // re-apply; defensive
-					copy(s.End[pos:], saved[pos:])
+					restore()
 				} else {
 					// The accepted move rippled ends through lastMod: refresh
 					// the memo over the whole dirty region so later positions
@@ -732,13 +722,64 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 					ev.resnap(pos, lastMod+1)
 				}
 			} else {
-				copy(s.End[pos:], saved[pos:])
+				restore()
 			}
 		}
 		ev.advance(pos)
 		ev.invalidate(pos)
 		prevAlive = s.End[pos]
 	}
+}
+
+// chainLo is the earliest end constraint (9) allows work-bearing piece q
+// after a work-bearing predecessor ending at prev.
+func (s *Schedule) chainLo(prev float64, q int, tcMax float64) float64 {
+	return math.Max(prev, s.Plan.Subs[q].Release) + s.WCWork[q]*tcMax
+}
+
+// settledAfter returns the last work-bearing position past pos whose end
+// falls short of chainLo behind a work-bearing predecessor also past pos, or
+// pos when there is none: beyond it the chain after pos is consistent, so a
+// ripple there has nothing left to repair.
+func (s *Schedule) settledAfter(pos int, tcMax float64) int {
+	settled, prev := pos, -1
+	for q := pos + 1; q < len(s.End); q++ {
+		if s.WCWork[q] <= deadWork {
+			continue
+		}
+		if prev >= 0 && s.End[q] < s.chainLo(s.End[prev], q, tcMax) {
+			settled = q
+		}
+		prev = q
+	}
+	return settled
+}
+
+// ripple places end e at pos and moves every later work-bearing end forward
+// to chainLo behind its predecessor where it falls short. It stops at the
+// first work-bearing piece it leaves unmoved at or past settled (from
+// settledAfter: the rest of the chain already holds), or with ok false on a
+// move that would cross a deadline. lastMod is the last position it moved.
+func (s *Schedule) ripple(pos int, e float64, settled int, tcMax float64) (lastMod int, ok bool) {
+	s.End[pos] = e
+	lastMod = pos
+	prev := e
+	for q := pos + 1; q < len(s.End); q++ {
+		if s.WCWork[q] <= deadWork {
+			continue
+		}
+		if loQ := s.chainLo(prev, q, tcMax); s.End[q] < loQ {
+			if loQ > s.Plan.Subs[q].Deadline+1e-9 {
+				return lastMod, false
+			}
+			s.End[q] = loQ
+			lastMod = q
+		} else if q >= settled {
+			break
+		}
+		prev = s.End[q]
+	}
+	return lastMod, true
 }
 
 // deriveAvgWorkInstance recomputes the average workloads of one instance.

@@ -189,3 +189,78 @@ func TestObjEvalPrefixConsistency(t *testing.T) {
 		}
 	}
 }
+
+// rippleRef is sweepPush's ripple as it was before the early stop: it
+// repairs the chain all the way to the end of the order.
+func rippleRef(s *Schedule, pos int, e, tcMax float64) (lastMod int, ok bool) {
+	s.End[pos] = e
+	lastMod = pos
+	prev := e
+	for q := pos + 1; q < len(s.End); q++ {
+		if s.WCWork[q] <= deadWork {
+			continue
+		}
+		loQ := math.Max(prev, s.Plan.Subs[q].Release) + s.WCWork[q]*tcMax
+		if s.End[q] < loQ {
+			if loQ > s.Plan.Subs[q].Deadline+1e-9 {
+				return lastMod, false
+			}
+			s.End[q] = loQ
+			lastMod = q
+		}
+		prev = s.End[q]
+	}
+	return lastMod, true
+}
+
+// TestRippleStopMatchesFullRipple: sweepPush's ripple stops at the first
+// unmoved work-bearing piece past settledAfter. On solved schedules with
+// chain shortfalls injected — down to the single ulp float rounding leaves
+// behind — the stopped ripple must move exactly the ends rippleRef moves, to
+// the same bits, and report the same lastMod and deadline verdict.
+func TestRippleStopMatchesFullRipple(t *testing.T) {
+	for k := 1; k <= 4; k++ {
+		s, err := Build(splitSet(t, 66, k, 4, 0.5), Config{Objective: WorstCase})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcMax := s.Model.CycleTime(s.Model.VMax())
+		var alive []int
+		for pos := range s.End {
+			if s.WCWork[pos] > deadWork {
+				alive = append(alive, pos)
+			}
+		}
+		solved := append([]float64(nil), s.End...)
+		rng := stats.NewRNG(uint64(k))
+		for probe := 0; probe < 400; probe++ {
+			copy(s.End, solved)
+			for j := rng.Intn(4); j > 0; j-- {
+				a := 1 + rng.Intn(len(alive)-1)
+				q, prev := alive[a], alive[a-1]
+				s.End[q] = math.Nextafter(s.chainLo(s.End[prev], q, tcMax), math.Inf(-1))
+				if rng.Intn(2) == 0 {
+					s.End[q] -= rng.Float64() * 1e-3
+				}
+			}
+			pos := alive[rng.Intn(len(alive))]
+			e := s.End[pos] + (2*rng.Float64()-1)*math.Pow(10, -float64(rng.Intn(6)))
+			injected := append([]float64(nil), s.End...)
+
+			lastMod, ok := s.ripple(pos, e, s.settledAfter(pos, tcMax), tcMax)
+			stopped := append([]float64(nil), s.End...)
+			copy(s.End, injected)
+			wantLast, wantOK := rippleRef(s, pos, e, tcMax)
+			if lastMod != wantLast || ok != wantOK {
+				t.Fatalf("set %d probe %d: stopped ripple (lastMod %d, ok %v), full ripple (%d, %v)",
+					k, probe, lastMod, ok, wantLast, wantOK)
+			}
+			for q := range stopped {
+				if math.Float64bits(stopped[q]) != math.Float64bits(s.End[q]) {
+					t.Fatalf("set %d probe %d: end %d is %v after the stopped ripple, %v after the full one",
+						k, probe, q, stopped[q], s.End[q])
+				}
+			}
+		}
+	}
+}
