@@ -148,8 +148,7 @@ func probeEnergyFrom(t *testing.T, s *Schedule, sc *scenarioSet, rng *stats.RNG)
 		// Perturbations span nine orders of magnitude: the small ones are
 		// absorbed and re-join, the large ones reach release-bound exits.
 		scale := math.Pow(10, -float64(rng.Intn(9)))
-		from, stable := pos, pos+1
-		touched := []int{}
+		from, stable, touched := pos, pos+1, -1
 		switch probe % 3 {
 		case 0: // one end moved
 			if !alive(pos) {
@@ -169,7 +168,7 @@ func probeEnergyFrom(t *testing.T, s *Schedule, sc *scenarioSet, rng *stats.RNG)
 			s.WCWork[pa] += d
 			s.WCWork[pb] -= d
 			rederive(idx)
-			touched = append(touched, idx)
+			touched = idx
 			from, stable = pa, positions[len(positions)-1]+1
 		case 2: // end pushed later, rippling the chain
 			if !alive(pos) {
@@ -214,8 +213,8 @@ func probeEnergyFrom(t *testing.T, s *Schedule, sc *scenarioSet, rng *stats.RNG)
 		}
 		copy(s.End, ends)
 		copy(s.WCWork, work)
-		for _, idx := range touched {
-			rederive(idx)
+		if touched >= 0 {
+			rederive(touched)
 		}
 	}
 	return rejoined

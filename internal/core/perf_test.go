@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/task"
 	"repro/internal/workload"
 )
 
@@ -30,5 +31,27 @@ func TestSolvePerformance(t *testing.T) {
 	t.Logf("N=10: %d subs, %d sweeps, %v", len(s.Plan.Subs), s.Sweeps, elapsed)
 	if elapsed > 2*time.Minute {
 		t.Errorf("ACS solve took %v; expected well under 2 minutes", elapsed)
+	}
+}
+
+// BenchmarkSolvePair measures the solver work of a cold submit — WCS, then
+// ACS warm-started from it — over 8 fixed sets of the benchmark's cold_solve
+// shape (N=4, ratio 0.5, utilisation 0.7). One op solves all 8 pairs.
+func BenchmarkSolvePair(b *testing.B) {
+	sets := make([]*task.Set, 8)
+	for i := range sets {
+		sets[i] = splitSet(b, 2005, i+1, 4, 0.5)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, set := range sets {
+			wcs, err := Build(set, Config{Objective: WorstCase})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Build(set, Config{Objective: AverageCase, WarmStart: wcs}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

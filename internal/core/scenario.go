@@ -265,9 +265,10 @@ func (e *objEval) invalidate(pos int) {
 // release-bound position whose existing snapshot entry is still consistent.
 // Requires the prefix cache at `from` to be valid for the committed solution.
 //
-// The pass does not stop where it merely re-joins the old snapshot: its
-// suffix energies must come out as the same sums they always did, and
-// those depend on where the pass started.
+// It does not also stop where it merely re-joins the old snapshot's walk.
+// The entries past that point would stay valid, but their suffix energies
+// were rounded against another pass's running total, so the objective values
+// the line searches compare would move in their last bits.
 func (e *objEval) resnap(from, stable int) {
 	n := len(e.s.Plan.Subs)
 	if stable < e.snapFrom {
@@ -333,10 +334,12 @@ func (e *objEval) energyFrom(pos, stable int) float64 {
 				}
 				r := rel[q]
 				if q >= stable {
-					if s := snapT[q]; t == s {
+					s := snapT[q]
+					if t == s {
 						energy = e.rejoin(i, q, energy)
 						break
-					} else if t <= r && s <= r {
+					}
+					if t <= r && s <= r {
 						energy += snapSuf[q]
 						break
 					}
@@ -363,10 +366,12 @@ func (e *objEval) energyFrom(pos, stable int) float64 {
 		}
 		for q := pos; q < n; q++ {
 			if q >= stable && wc[q] > deadWork && loads[q] > 0 {
-				if s := snapT[q]; st.t == s {
+				s := snapT[q]
+				if st.t == s {
 					st.energy = e.rejoin(i, q, st.energy)
 					break
-				} else if st.t <= rel[q] && s <= rel[q] {
+				}
+				if st.t <= rel[q] && s <= rel[q] {
 					st.energy += snapSuf[q]
 					break
 				}

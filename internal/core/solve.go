@@ -693,7 +693,7 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 			ev.copyPrefix(pos)
 			continue
 		}
-		lo := math.Max(prevAlive, su.Release) + s.WCWork[pos]*tcMax
+		lo := s.chainLo(prevAlive, pos, tcMax)
 		hi := su.Deadline
 		if hi > lo+c.LineTolMs {
 			copy(saved[pos:], s.End[pos:])

@@ -307,19 +307,63 @@ func TestEnergyScalesWithWork(t *testing.T) {
 	}
 }
 
-// TestACECEnergyMatchesObjective: simulating with every instance pinned at
-// ACEC must reproduce the ACS objective value exactly — the simulator and
-// the NLP evaluator are the same recursion.
+// TestACECEnergyMatchesObjective cross-checks the simulator against the
+// solver's objective evaluator, two independent implementations of the
+// DESIGN.md §2 greedy-reclamation recursion: with every instance pinned at
+// ACEC the simulated energy per hyper-period must equal the ACS objective,
+// and at WCEC the WCS one, without a miss. The table holds generated sets
+// plus the two whose WCS once failed verification over a dead reservation
+// (the 19th and 636th Split of stats.NewRNG(100)).
 func TestACECEnergyMatchesObjective(t *testing.T) {
-	acs, _ := buildPair(t, 10, 5, 0.1)
-	r, err := Run(acs, Config{Hyperperiods: 3, Seed: 1, Dist: AlwaysACECDist})
-	if err != nil {
-		t.Fatal(err)
+	type pick struct {
+		seed     uint64
+		split, n int
+		ratio    float64
 	}
-	perHP := r.Energy / 3
-	if math.Abs(perHP-acs.Energy) > 1e-6*acs.Energy {
-		t.Errorf("simulated ACEC energy %g != objective %g", perHP, acs.Energy)
+	picks := []pick{{100, 19, 4, 0.5}, {100, 636, 4, 0.5}}
+	for k := 1; k <= 39; k++ {
+		picks = append(picks, pick{2005, k, 3 + k%3, []float64{0.1, 0.5, 0.9}[k%3]})
 	}
+	const hps = 3
+	var worstACS, worstWCS float64
+	for _, p := range picks {
+		master := stats.NewRNG(p.seed)
+		var rng *stats.RNG
+		for i := 0; i < p.split; i++ {
+			rng = master.Split()
+		}
+		set, err := workload.RandomFeasible(rng, workload.RandomConfig{
+			N: p.n, Ratio: p.ratio, Utilization: 0.7,
+		}, 50, func(s *task.Set) bool { return core.Feasible(s, core.Config{}) == nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		wcs, err := core.Build(set, core.Config{Objective: core.WorstCase})
+		if err != nil {
+			t.Fatalf("seed %d split %d: WCS: %v", p.seed, p.split, err)
+		}
+		acs, err := core.Build(set, core.Config{Objective: core.AverageCase, WarmStart: wcs})
+		if err != nil {
+			t.Fatalf("seed %d split %d: ACS: %v", p.seed, p.split, err)
+		}
+		for _, c := range []struct {
+			s     *core.Schedule
+			dist  Distribution
+			worst *float64
+		}{{acs, AlwaysACECDist, &worstACS}, {wcs, AlwaysWCECDist, &worstWCS}} {
+			r, err := Run(c.s, Config{Hyperperiods: hps, Seed: 1, Dist: c.dist})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gap := math.Abs(r.Energy/hps-c.s.Energy) / c.s.Energy
+			*c.worst = math.Max(*c.worst, gap)
+			if gap > 1e-9 || r.DeadlineMisses != 0 {
+				t.Errorf("seed %d split %d %v: simulated %g per hyper-period vs objective %g (gap %.2g), %d misses",
+					p.seed, p.split, c.s.Objective, r.Energy/hps, c.s.Energy, gap, r.DeadlineMisses)
+			}
+		}
+	}
+	t.Logf("worst relative gap over %d sets: ACS %.2g, WCS %.2g", len(picks), worstACS, worstWCS)
 }
 
 func TestOverheadAccounting(t *testing.T) {
