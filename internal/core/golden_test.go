@@ -87,8 +87,8 @@ func goldenSets(t *testing.T) []*task.Set {
 //
 // The default configuration runs on all 40 sets; the costlier variants on
 // a share each. Alpha runs the evaluator's generic (interface-dispatched)
-// walk, whose bisection voltage solve is two orders of magnitude slower, so
-// it takes only the small plans and a sweep cap. The pin holds on amd64;
+// walk, whose bisection voltage solve makes an uncapped solve take seconds,
+// so it takes only the small plans and a sweep cap. The pin holds on amd64;
 // other ports may fuse multiply-adds, which Go permits, and so round
 // differently.
 func TestSolverGolden(t *testing.T) {

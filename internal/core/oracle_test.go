@@ -8,8 +8,9 @@ import (
 )
 
 // energyFromRef is energyFrom as it was before the re-join exit: the walk
-// leaves for the suffix memo only at release-bound pieces. It is the oracle
-// energyFrom must match bit for bit.
+// leaves for the suffix memo only at release-bound pieces. Its increments go
+// through pieceEnergy like every other path's. It is the oracle energyFrom
+// must match bit for bit.
 func (e *objEval) energyFromRef(pos, stable int) float64 {
 	if stable < e.snapFrom {
 		stable = e.snapFrom
