@@ -89,8 +89,9 @@ func (sc *scenarioSet) rederiveInstance(s *Schedule, k, idx int) {
 // only until the perturbation is absorbed by a release-bound start.
 //
 // A perturbation is usually absorbed sooner: a piece that runs its whole
-// budget finishes at its end-time whatever its start, so a trial walk often
-// reaches a position with the snapshot's entry time bit for bit. From there
+// budget at an unclamped voltage finishes at its end-time whatever its start,
+// up to rounding, so a trial walk often reaches a position with the
+// snapshot's entry time bit for bit. From there
 // on it is the snapshot's own walk, so it *re-joins* the snapshot: it adds the
 // snapshot's recorded per-piece increments up to the snapshot's next
 // release-bound position and exits there. The same values are added in the
