@@ -59,7 +59,7 @@ func BenchmarkExperimentSuite(b *testing.B) {
 }
 
 // BenchmarkExperimentSuiteNoCache is the same suite with memoization
-// disabled — the denominator of the BENCH_grid.json trajectory.
+// disabled — the denominator of the memo's speed-up on the suite.
 func BenchmarkExperimentSuiteNoCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSuite(b, nil)

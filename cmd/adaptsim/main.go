@@ -11,9 +11,9 @@
 //	          bound: adaptation without detection or estimation lag)
 //
 // — and reports simulated energies, improvement percentages, re-solve
-// counts and swap points as JSON (the BENCH_adapt.json artefact). Every arm
-// sees byte-identical workloads; the whole report is a pure function of the
-// flags.
+// counts and swap points as JSON (to stdout, and to a file with -o). Every
+// arm sees byte-identical workloads; the whole report is a pure function of
+// the flags.
 //
 // The harness also closes the capture/replay loop (DESIGN.md §13):
 // -record writes each scenario's observed execution-cycle stream to a
@@ -25,7 +25,7 @@
 // Usage:
 //
 //	adaptsim
-//	adaptsim -scenarios modeswitch,drift -horizon 480 -seed 7 -o BENCH_adapt.json
+//	adaptsim -scenarios modeswitch,drift -horizon 480 -seed 7 -o adapt.json
 //	adaptsim -record traces/ -scenarios modeswitch -horizon 160
 //	adaptsim -replay traces/modeswitch.trace -chunk 10
 package main

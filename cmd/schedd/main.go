@@ -5,7 +5,7 @@
 // Usage:
 //
 //	schedd -addr :8372
-//	schedd -addr :8372 -cachemb 64 -batch 32 -batchwindow 1ms -starts 4
+//	schedd -addr :8372 -cachemb 64 -inflight 64 -starts 4
 //	schedd -addr :8371 -peers "p0=http://h0:8371,p1=http://h1:8371" -self p0
 //
 // With -peers/-self the daemon joins a fleet (internal/fleet, DESIGN.md §11):
@@ -28,13 +28,13 @@
 //	                                observations → "no change" or a re-solved
 //	                                schedule with its fingerprint
 //	GET  /v1/sessions/{id}          learned estimator and adaptation state
-//	GET  /v1/stats                  cache, batching, session and request counters
+//	GET  /v1/stats                  cache, session and request counters
 //	GET  /metrics                   Prometheus text exposition of the same
 //	                                registry /v1/stats reads (DESIGN.md §13)
 //	GET  /v1/healthz                liveness
 //
 // Responses to submit/get/compare are byte-deterministic per request body
-// regardless of batch composition, worker count, or cache state; session
+// regardless of concurrency, worker count, or cache state; session
 // schedule payloads are deterministic per (creation body, observation
 // history); see DESIGN.md §7–§8 for the contracts and cmd/schedload for the
 // matching load generator / throughput benchmark.
@@ -78,8 +78,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		addr        = fs.String("addr", ":8372", "listen address")
 		workers     = fs.Int("workers", 0, "grid worker-pool width (0 = GOMAXPROCS; responses identical for any value)")
 		cacheMB     = fs.Int64("cachemb", 256, "schedule/plan cache cap in MiB (LRU eviction; <0 = unbounded)")
-		batch       = fs.Int("batch", 16, "micro-batch size: max requests solved as one grid job set")
-		batchWindow = fs.Duration("batchwindow", 2*time.Millisecond, "micro-batch collection window")
 		starts      = fs.Int("starts", 0, "default solver multi-start count (0/1 = single)")
 		simWorkers  = fs.Int("simworkers", 0, "simulation workers per compare (0 = GOMAXPROCS; responses identical for any value)")
 		simReps     = fs.Int("hyperperiods", 200, "default hyper-periods per compare simulation")
@@ -110,8 +108,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	opts := server.Options{
 		Workers:         *workers,
 		MemoBytes:       memoBytes,
-		BatchSize:       *batch,
-		BatchWindow:     *batchWindow,
 		Starts:          *starts,
 		SimWorkers:      *simWorkers,
 		SimHyperperiods: *simReps,
@@ -260,8 +256,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "schedd listening on %s (batch %d/%v, cache %d MiB, workers %d)\n",
-		ln.Addr(), *batch, *batchWindow, *cacheMB, *workers)
+	fmt.Fprintf(stdout, "schedd listening on %s (cache %d MiB, workers %d)\n",
+		ln.Addr(), *cacheMB, *workers)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

@@ -25,7 +25,7 @@ func TestRunServeAndShutdown(t *testing.T) {
 	var out strings.Builder
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- run(ctx, []string{"-addr", "127.0.0.1:0", "-batchwindow", "1ms"}, &out, ready)
+		errCh <- run(ctx, []string{"-addr", "127.0.0.1:0"}, &out, ready)
 	}()
 
 	var addr string
@@ -144,9 +144,7 @@ func TestFleetModeSmoke(t *testing.T) {
 
 	stops := make(map[string]func())
 	for i, n := range names {
-		_, stop := bootDaemon(t, []string{
-			"-addr", addrs[i], "-peers", peers, "-self", n, "-batchwindow", "1ms",
-		})
+		_, stop := bootDaemon(t, []string{"-addr", addrs[i], "-peers", peers, "-self", n})
 		stops[n] = stop
 	}
 	defer func() {
@@ -209,7 +207,7 @@ func TestFleetModeSmoke(t *testing.T) {
 // the recovered disk log rather than a re-solve.
 func TestWarmRestartServesFromStore(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-addr", "127.0.0.1:0", "-batchwindow", "1ms", "-store-dir", dir}
+	args := []string{"-addr", "127.0.0.1:0", "-store-dir", dir}
 	body := `{"tasks":[{"name":"a","period_ms":10,"wcec":4,"acec":2,"bcec":1,"ceff":1},` +
 		`{"name":"b","period_ms":20,"wcec":6,"acec":3,"bcec":2,"ceff":1}]}`
 
@@ -279,8 +277,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	pprofAddr := freePorts(t, 1)[0]
 	traceDir := t.TempDir()
 	addr, stop := bootDaemon(t, []string{
-		"-addr", "127.0.0.1:0", "-batchwindow", "1ms",
-		"-pprof", pprofAddr, "-trace-dir", traceDir,
+		"-addr", "127.0.0.1:0", "-pprof", pprofAddr, "-trace-dir", traceDir,
 	})
 
 	body := `{"tasks":[{"name":"a","period_ms":10,"wcec":4,"acec":2,"bcec":1,"ceff":1},` +

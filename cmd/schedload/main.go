@@ -5,19 +5,18 @@
 // unique and repeated task sets — fires them at a server from N concurrent
 // clients, and reports throughput, latency percentiles and the server's
 // cache statistics as JSON. With no -addr it spins an in-process server, so
-// one invocation doubles as a self-contained benchmark (the numbers pinned
-// in BENCH_serve.json).
+// one invocation doubles as a self-contained benchmark; cmd/bench is the
+// repository's benchmark of record.
 //
 // Because the request stream is seeded and the serving path is
 // byte-deterministic, schedload also verifies the contract as it measures:
 // every repeated body must receive byte-identical response bytes, whatever
-// concurrency, batching, or cache state did in between. A mismatch fails the
-// run.
+// concurrency or cache state did in between. A mismatch fails the run.
 //
-// With -restart the run becomes a warm-restart benchmark (the numbers pinned
-// in BENCH_store.json): the stream is fired against an in-process server
-// backed by a persistent store, the server is fully stopped and reopened on
-// the same directory, and the identical stream is replayed. The report then
+// With -restart the run becomes a warm-restart benchmark: the stream is
+// fired against an in-process server backed by a persistent store, the
+// server is fully stopped and reopened on the same directory, and the
+// identical stream is replayed. The report then
 // carries a "restart" section comparing cold and warm solve counts — a
 // correct store makes the warm phase avoid (nearly) every re-solve — and the
 // determinism audit spans both phases, so restart-crossing byte drift fails
@@ -40,8 +39,8 @@
 // fleet mode, entered through peer 0. -killpeer I hard-kills peer I after a
 // third of the stream; the retry client and the surviving replicas must
 // absorb the rest with zero failed requests, and the determinism audit spans
-// the kill (the numbers pinned in BENCH_fleet.json). The report gains a
-// "fleet" section with the router's per-peer forwarding/failover counters.
+// the kill. The report gains a "fleet" section with the router's per-peer
+// forwarding/failover counters.
 //
 // Usage:
 //
@@ -199,8 +198,6 @@ func run(args []string, stdout io.Writer) error {
 		cores     = fs.Int("cores", 0, "submit partitioned requests onto this many cores (0/1 = single-core; sets are generated at util×cores total utilisation)")
 		workers   = fs.Int("workers", 0, "in-process server: grid worker-pool width")
 		cacheMB   = fs.Int64("cachemb", 256, "in-process server: cache cap in MiB (<0 = unbounded)")
-		batch     = fs.Int("batch", 16, "in-process server: micro-batch size")
-		window    = fs.Duration("batchwindow", 2*time.Millisecond, "in-process server: batch window")
 		storeDir  = fs.String("store-dir", "", "in-process server: persistent store directory (see schedd -store-dir)")
 		restart   = fs.Bool("restart", false, "measure warm-restart solve avoidance: fire the stream cold, stop the in-process server, reopen the same store, replay the identical stream (in-process only; -store-dir defaults to a temp dir)")
 		faults    = fs.String("faults", "", "fault-injection spec for the in-process server (comma-separated point=mode, e.g. \"fs.write=torn:0.5:0.3,fs.sync=err:0.2\")")
@@ -265,11 +262,7 @@ func run(args []string, stdout io.Writer) error {
 		memoBytes = -1
 	}
 	launch := func() (string, func() error, error) {
-		opts := server.Options{
-			Workers: *workers, MemoBytes: memoBytes,
-			BatchSize: *batch, BatchWindow: *window,
-			Faults: reg,
-		}
+		opts := server.Options{Workers: *workers, MemoBytes: memoBytes, Faults: reg}
 		var disk *store.Disk
 		if *storeDir != "" {
 			sopts := store.Options{}
@@ -302,7 +295,10 @@ func run(args []string, stdout io.Writer) error {
 		}
 		go hs.Serve(ln)
 		stop := func() error {
-			hs.Shutdown(context.Background())
+			// Every request has been answered when stop runs. Shutdown
+			// would also wait five seconds for any connection the client
+			// dialed but never used; Close does not.
+			hs.Close()
 			srv.Close()
 			if disk != nil {
 				return disk.Close()
@@ -317,10 +313,7 @@ func run(args []string, stdout io.Writer) error {
 	var fh *fleetHarness
 	if *fleetN > 0 {
 		var err error
-		fh, err = launchFleet(*fleetN, *replicas, *scheddBin, server.Options{
-			Workers: *workers, MemoBytes: memoBytes,
-			BatchSize: *batch, BatchWindow: *window,
-		})
+		fh, err = launchFleet(*fleetN, *replicas, *scheddBin, server.Options{Workers: *workers, MemoBytes: memoBytes})
 		if err != nil {
 			return err
 		}
@@ -755,7 +748,7 @@ func launchFleet(n, replicas int, bin string, sopts server.Options) (*fleetHarne
 			return p.hs.Close() // hard stop: in-flight connections die too
 		},
 		stopFn: func() {
-			rhs.Shutdown(context.Background())
+			rhs.Close() // not Shutdown: see launch's stop in run
 			cleanup()
 		},
 	}, nil
@@ -858,7 +851,7 @@ func scrapeMetrics(client *http.Client, base string) (*metricsReport, error) {
 	mr := &metricsReport{}
 	mr.SubmitsTotal, _ = obs.SampleValue(fams, "schedd_requests_total", obs.L("endpoint", "submit"))
 	for _, stage := range []string{
-		"admission_wait", "batch_assembly", "solve_wcs", "solve_acs",
+		"admission_wait", "solve_wcs", "solve_acs",
 		"solve_partition", "sim", "store_get", "store_put", "feedback_resolve",
 	} {
 		lab := obs.L("stage", stage)

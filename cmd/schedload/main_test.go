@@ -15,7 +15,7 @@ func TestRunInProcess(t *testing.T) {
 	leakcheck.Check(t)
 	var out strings.Builder
 	err := run([]string{"-requests", "12", "-concurrency", "3", "-unique", "0.3",
-		"-seed", "7", "-ntasks", "2", "-batchwindow", "1ms"}, &out)
+		"-seed", "7", "-ntasks", "2"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -111,8 +111,7 @@ func TestRunRestartReport(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
 	err := run([]string{"-restart", "-store-dir", dir, "-requests", "12",
-		"-concurrency", "3", "-unique", "0.3", "-seed", "7", "-ntasks", "2",
-		"-batchwindow", "1ms"}, &out)
+		"-concurrency", "3", "-unique", "0.3", "-seed", "7", "-ntasks", "2"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -179,7 +178,6 @@ func TestRunWithFaultsAndRestart(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-restart", "-store-dir", dir, "-requests", "16",
 		"-concurrency", "4", "-unique", "0.5", "-seed", "3", "-ntasks", "2",
-		"-batchwindow", "1ms",
 		"-faults", "fs.write=torn:0.5:0.3,fs.sync=err:0.2", "-faultseed", "7"}, &out)
 	if err != nil {
 		t.Fatalf("fault-injected restart run failed: %v\n%s", err, out.String())
@@ -222,8 +220,7 @@ func TestRunFleetInProcess(t *testing.T) {
 	leakcheck.Check(t)
 	var out strings.Builder
 	err := run([]string{"-fleet", "3", "-killpeer", "1", "-requests", "15",
-		"-concurrency", "3", "-unique", "0.4", "-seed", "5", "-ntasks", "2",
-		"-batchwindow", "1ms"}, &out)
+		"-concurrency", "3", "-unique", "0.4", "-seed", "5", "-ntasks", "2"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}

@@ -14,9 +14,8 @@ import (
 
 // BenchmarkClosedLoop measures one full adaptive run over a mode-switching
 // workload: scenario generation, chunked execution, observation folding,
-// drift detection and the warm-started re-solves. Trajectory in
-// BENCH_adapt.json; CI runs this at -benchtime 1x so the closed-loop harness
-// cannot rot.
+// drift detection and the warm-started re-solves. CI runs this at
+// -benchtime 1x so the closed-loop harness cannot rot.
 func BenchmarkClosedLoop(b *testing.B) {
 	rng := stats.NewRNG(1)
 	set, err := workload.RandomFeasible(rng, workload.RandomConfig{N: 4, Ratio: 0.1, Utilization: 0.7}, 50,

@@ -63,12 +63,12 @@ func (r *Runner) Memo() *Memo { return r.memo }
 // long-lived goroutines pull indices from a channel until it drains. fn must
 // communicate results through index-addressed storage (one slot per job).
 // Nested calls are safe — each invocation owns its goroutines and index
-// channel, so a job may fan out a sub-problem (the partition driver solves
-// per-core schedules from inside a dispatcher job this way); note the
-// concurrency of nested levels multiplies, the worker bound is per call, not
-// per runner. Because job identity is the index — never the goroutine or
-// completion order — any observable output assembled from the slots in index
-// order is independent of the worker count.
+// channel, so a job may fan out a sub-problem (the partition driver fans
+// out its per-core solves this way); note the concurrency of nested levels
+// multiplies, the worker bound is per call, not per runner. Because job
+// identity is the index — never the goroutine or completion order — any
+// observable output assembled from the slots in index order is independent
+// of the worker count.
 func (r *Runner) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return

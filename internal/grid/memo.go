@@ -26,7 +26,9 @@ import (
 //     lifetime, not the key's content, so it is never handed to the store.
 //   - Waiters retry under their own context: a waiter that receives a
 //     cancellation error from a build some other caller's context tore down
-//     retries against a fresh build as long as its own context is live.
+//     retries against a fresh build as long as its own context is live. A
+//     waiter whose own context ends stops waiting and returns its context's
+//     error; the build runs on for the requesters still waiting on it.
 //
 // Other build errors are cached alongside values: builds are pure, so a
 // failed (set, config) fails identically every time.
@@ -80,7 +82,8 @@ func (m *Memo) Store() Store { return m.store }
 // cancellation error from a build some other caller's context tore down
 // retries against a fresh build as long as its own context is live, so one
 // client abandoning a shared solve can never surface as an error to the
-// clients still waiting on it.
+// clients still waiting on it, and a waiter whose own context ends returns
+// at once instead of waiting out a build it no longer needs.
 func (m *Memo) schedule(ctx context.Context, key Key, build func() (*core.Schedule, error)) (*core.Schedule, error) {
 	return through(m, ctx, m.schedFlights, key, &m.schedHits, &m.schedMisses,
 		m.store.GetSchedule, m.store.PutSchedule, build)
@@ -111,7 +114,16 @@ func through[T any](
 		if f, ok := flights[key]; ok {
 			m.mu.Unlock()
 			hits.Add(1)
-			<-f.done
+			var gone <-chan struct{}
+			if ctx != nil {
+				gone = ctx.Done()
+			}
+			select {
+			case <-f.done:
+			case <-gone:
+				var zero T
+				return zero, ctx.Err()
+			}
 			if uncacheable(f.err) && ctx != nil && ctx.Err() == nil {
 				continue // victim of another requester's cancellation
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -139,8 +140,7 @@ func TestMemoWaiterRetriesAfterForeignCancellation(t *testing.T) {
 	build := func() (*core.Schedule, error) {
 		calls++
 		if calls == 1 {
-			// As if the joined context of the entry's original requesters
-			// fired mid-build.
+			// As if the building requester's context fired mid-build.
 			return nil, context.Canceled
 		}
 		return want, nil
@@ -164,6 +164,57 @@ func TestMemoWaiterRetriesAfterForeignCancellation(t *testing.T) {
 	}
 }
 
+// TestMemoWaiterLeavesWhenItsContextEnds: a waiter on another requester's
+// build returns its own context's error as soon as that context ends,
+// without waiting for the build, and the build still completes and caches
+// for everyone else.
+func TestMemoWaiterLeavesWhenItsContextEnds(t *testing.T) {
+	memo := NewMemo()
+	want := &core.Schedule{}
+	started, release := make(chan struct{}), make(chan struct{})
+	calls := 0
+	build := func() (*core.Schedule, error) {
+		calls++
+		close(started)
+		<-release
+		return want, nil
+	}
+	leader := make(chan error, 1)
+	go func() {
+		_, err := memo.schedule(context.Background(), Key{1}, build)
+		leader <- err
+	}()
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := memo.schedule(ctx, Key{1}, build)
+		waiter <- err
+	}()
+	cancel()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter whose context ended got %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("waiter still blocked on the build after its context ended")
+	}
+
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if s, err := memo.schedule(context.Background(), Key{1}, build); err != nil || s != want {
+		t.Fatalf("build not cached after the waiter left: %v, %v", s, err)
+	}
+	if calls != 1 {
+		t.Fatalf("want one build, got %d", calls)
+	}
+}
+
 // TestMemoPlanWaiterRetriesAfterForeignCancellation is the plan-side mirror
 // of the schedule-side retry regression: the compiled-plan path shares the
 // identical requester-context contract, so a waiter on a plan build torn down
@@ -176,8 +227,7 @@ func TestMemoPlanWaiterRetriesAfterForeignCancellation(t *testing.T) {
 	build := func() (*sim.CompiledPlan, error) {
 		calls++
 		if calls == 1 {
-			// As if the joined context of the entry's original requesters
-			// fired mid-build.
+			// As if the building requester's context fired mid-build.
 			return nil, context.Canceled
 		}
 		return want, nil

@@ -28,7 +28,7 @@ func BenchmarkPartitionSolve(b *testing.B) {
 }
 
 // BenchmarkPartitionSolveNoCache is the same pipeline with memoization
-// disabled — the denominator of the BENCH_partition.json sharing claim.
+// disabled — the denominator of the memo-sharing speed-up.
 func BenchmarkPartitionSolveNoCache(b *testing.B) {
 	set := benchSet(b, 4)
 	cfg := Config{Cores: 4, Moves: 2, Solver: solverCfg()}

@@ -3,17 +3,15 @@ package server
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestServerConcurrentDeterminism is the serving-path determinism pin (the
 // DESIGN.md §7 contract): N parallel clients submitting overlapping task
-// sets — through real HTTP, a wide batch window, and a shared bounded memo —
-// receive responses byte-identical to a serial replay on a fresh server, and
-// the whole storm costs exactly one WCS + one ACS solve per unique
-// fingerprint (in-batch singleflight plus cross-batch memoization). Run
-// under -race in CI, it doubles as the data-race check for the dispatcher,
-// the joined contexts, and the memo's LRU bookkeeping.
+// sets — through real HTTP and a shared bounded memo — receive responses
+// byte-identical to a serial replay on a fresh server, and the whole storm
+// costs exactly one WCS + one ACS solve per unique fingerprint (the memo's
+// per-key singleflight). Run under -race in CI, it doubles as the data-race
+// check for the request contexts and the memo's LRU bookkeeping.
 func TestServerConcurrentDeterminism(t *testing.T) {
 	const (
 		uniqueSets = 5
@@ -37,7 +35,7 @@ func TestServerConcurrentDeterminism(t *testing.T) {
 	}
 
 	// Concurrent storm against a fresh server.
-	s, ts := newTestServer(t, Options{BatchSize: 16, BatchWindow: 5 * time.Millisecond})
+	s, ts := newTestServer(t, Options{})
 	var wg sync.WaitGroup
 	results := make([][]string, clients)
 	transport := make(chan error, clients)
@@ -84,10 +82,9 @@ func TestServerConcurrentDeterminism(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentMixedEndpoints storms submit, get and compare at once;
-// every response class must match its own serial reference. This pins the
-// dispatcher's group keying (a compare and a submit of the same set must not
-// share a result).
+// TestServerConcurrentMixedEndpoints storms submit and compare at once;
+// every response class must match its own serial reference: a compare and a
+// submit of the same set share memoized solves but never a response.
 func TestServerConcurrentMixedEndpoints(t *testing.T) {
 	const clients = 6
 	body := smallBody(1)
@@ -96,7 +93,7 @@ func TestServerConcurrentMixedEndpoints(t *testing.T) {
 	_, wantSubmit := post(t, serialTS.URL+"/v1/schedules", body)
 	_, wantCompare := post(t, serialTS.URL+"/v1/compare", body)
 
-	_, ts := newTestServer(t, Options{SimHyperperiods: 10, BatchSize: 8, BatchWindow: 5 * time.Millisecond})
+	_, ts := newTestServer(t, Options{SimHyperperiods: 10})
 	var wg sync.WaitGroup
 	errs := make(chan string, clients*2)
 	for c := 0; c < clients; c++ {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -199,6 +200,106 @@ func TestSessionTakeoverAndRefresh(t *testing.T) {
 	}
 	_ = srvA
 	_ = srvC
+}
+
+// TestDamagedSessionCheckpoint feeds a truncated checkpoint, one that names
+// another session and one whose controller state is invalid (a negative
+// observation count) through the three paths that decode checkpoints. Each
+// counts the damage once and answers its own way: boot restore skips the
+// session, takeover answers 404, and refresh keeps the resident fold, so the
+// observe's position check answers 409. Refresh does not restore the
+// negative count, which is not ahead of its fold, and so counts nothing.
+func TestDamagedSessionCheckpoint(t *testing.T) {
+	// Valid checkpoints to damage, from a donor server.
+	donorBlobs := store.NewMemBlobs()
+	_, donor := newTestServer(t, Options{Checkpoints: donorBlobs})
+	victimBody, rows := sessionRows(t, 4, "victim", 30)
+	otherBody, otherRows := sessionRows(t, 5, "other", 20)
+	for _, c := range []struct {
+		id, body string
+		rows     [][]float64
+	}{{"victim", victimBody, rows[:10]}, {"other", otherBody, otherRows}} {
+		if code, resp := post(t, donor.URL+"/v1/sessions", c.body); code != http.StatusOK {
+			t.Fatalf("donor create %s: %d %s", c.id, code, resp)
+		}
+		if code, resp := post(t, donor.URL+"/v1/sessions/"+c.id+"/observe", observeAtBody(t, c.rows, 0)); code != http.StatusOK {
+			t.Fatalf("donor observe %s: %d %s", c.id, code, resp)
+		}
+	}
+	victim, _, _ := donorBlobs.GetBlob("session-victim")
+	other, _, _ := donorBlobs.GetBlob("session-other")
+	negative := bytes.Replace(victim, []byte(`"observed":10,`), []byte(`"observed":-1,`), 1)
+	if bytes.Equal(negative, victim) {
+		t.Fatal("victim checkpoint has no observed count to damage")
+	}
+
+	paths := []struct {
+		name string
+		// want is the path's answer: an HTTP status, or for boot, which
+		// answers none, the number of sessions RestoreSessions restored.
+		want  int
+		drive func(t *testing.T, damaged []byte) (answer int, errs int64)
+	}{
+		{"boot", 0, func(t *testing.T, damaged []byte) (int, int64) {
+			blobs := store.NewMemBlobs()
+			blobs.PutBlob("session-victim", damaged)
+			s, ts := newTestServer(t, Options{Checkpoints: blobs})
+			n, err := s.RestoreSessions(context.Background())
+			if err != nil {
+				t.Fatalf("boot restore: %v", err)
+			}
+			return n, statsOf(t, ts.URL).CheckpointErrors
+		}},
+		{"takeover", http.StatusNotFound, func(t *testing.T, damaged []byte) (int, int64) {
+			blobs := store.NewMemBlobs()
+			blobs.PutBlob("session-victim", damaged)
+			_, ts := newTestServer(t, Options{Checkpoints: blobs})
+			code, _ := get(t, ts.URL+"/v1/sessions/victim")
+			return code, statsOf(t, ts.URL).CheckpointErrors
+		}},
+		{"refresh", http.StatusConflict, func(t *testing.T, damaged []byte) (int, int64) {
+			blobs := store.NewMemBlobs()
+			s, ts := newTestServer(t, Options{Checkpoints: blobs})
+			if code, resp := post(t, ts.URL+"/v1/sessions", victimBody); code != http.StatusOK {
+				t.Fatalf("create: %d %s", code, resp)
+			}
+			if code, resp := post(t, ts.URL+"/v1/sessions/victim/observe", observeAtBody(t, rows[:10], 0)); code != http.StatusOK {
+				t.Fatalf("observe: %d %s", code, resp)
+			}
+			before := statsOf(t, ts.URL).CheckpointErrors
+			blobs.PutBlob("session-victim", damaged)
+			// A position ahead of the resident fold triggers the refresh.
+			code, _ := post(t, ts.URL+"/v1/sessions/victim/observe", observeAtBody(t, rows[20:30], 20))
+			if n := s.session("victim").ctrl.Observed(); n != 10 {
+				t.Errorf("resident fold at %d after a damaged refresh, want 10", n)
+			}
+			return code, statsOf(t, ts.URL).CheckpointErrors - before
+		}},
+	}
+	for _, d := range []struct {
+		name string
+		blob []byte
+		// stale marks a blob that parses but is not ahead of the resident
+		// fold: refresh leaves it alone and counts no error.
+		stale bool
+	}{
+		{"truncated", victim[:len(victim)/2], false},
+		{"id-mismatched", other, false},
+		{"negative-observed", negative, true},
+	} {
+		for _, p := range paths {
+			t.Run(d.name+"/"+p.name, func(t *testing.T) {
+				answer, errs := p.drive(t, d.blob)
+				wantErrs := int64(1)
+				if d.stale && p.name == "refresh" {
+					wantErrs = 0
+				}
+				if answer != p.want || errs != wantErrs {
+					t.Errorf("answered %d with %d checkpoint errors, want %d with %d", answer, errs, p.want, wantErrs)
+				}
+			})
+		}
+	}
 }
 
 func TestInternalBlobEndpoints(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 // stats endpoint reads the same registry values /metrics exposes, so the
 // two surfaces cannot disagree. Counters the server owns are obs.Counters
 // incremented on the request path; accounting that already lives in
-// another layer (dispatcher batches, memo hit/miss/eviction, store
-// occupancy, breaker position) is bridged with CounterFunc/GaugeFunc
+// another layer (memo hit/miss/eviction, store occupancy, breaker
+// position) is bridged with CounterFunc/GaugeFunc
 // reads at scrape time — storage stays where it is, the registry is a
 // view.
 
@@ -21,7 +21,6 @@ import (
 // feedback controller's OnResolve hook.
 var stageNames = []string{
 	"admission_wait",
-	"batch_assembly",
 	"solve_wcs",
 	"solve_acs",
 	"solve_partition",
@@ -148,8 +147,6 @@ func endpointOf(path string) string {
 // dependency is constructed.
 func (s *Server) registerDerived() {
 	reg := s.m.reg
-	reg.CounterFunc("schedd_batches_total", "Micro-batches dispatched.", s.disp.batches.Load)
-	reg.CounterFunc("schedd_coalesced_total", "Requests coalesced into an already-grouped batch job.", s.disp.coalesced.Load)
 	reg.GaugeFunc("schedd_inflight", "Currently admitted solving requests.", func() float64 { return float64(len(s.admit)) })
 	reg.GaugeFunc("schedd_sessions", "Resident feedback sessions.", func() float64 {
 		s.mu.Lock()

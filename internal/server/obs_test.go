@@ -54,7 +54,7 @@ func sampleOr(t *testing.T, fams []obs.Family, name string, labels ...obs.Label)
 }
 
 // mixedWorkload drives every counted request kind through the server:
-// submits (with a duplicate for the memo/coalescing path), a get, a
+// submits (with a duplicate for the memo-hit path), a get, a
 // compare, and a drift-firing observation stream on one session.
 func mixedWorkload(t *testing.T, ts string) {
 	t.Helper()
@@ -134,8 +134,6 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		{"schedd_requests_total", float64(st.Compares), []obs.Label{obs.L("endpoint", "compare")}},
 		{"schedd_requests_total", float64(st.SessionCreates), []obs.Label{obs.L("endpoint", "session_create")}},
 		{"schedd_requests_total", float64(st.Observes), []obs.Label{obs.L("endpoint", "observe")}},
-		{"schedd_batches_total", float64(st.Batches), nil},
-		{"schedd_coalesced_total", float64(st.Coalesced), nil},
 		{"schedd_sessions", float64(st.Sessions), nil},
 		{"schedd_stored_requests", float64(st.Stored), nil},
 		{"schedd_sessions_restored_total", float64(st.RestoredSessions), nil},
@@ -173,7 +171,6 @@ func TestMetricsCoverageAndHistograms(t *testing.T) {
 
 	for _, name := range []string{
 		"schedd_requests_total", "schedd_request_seconds", "schedd_stage_seconds",
-		"schedd_batches_total", "schedd_coalesced_total",
 		"schedd_memo_hits_total", "schedd_memo_misses_total", "schedd_memo_evictions_total",
 		"schedd_memo_bytes_used", "schedd_memo_bytes_cap",
 		"schedd_store_tier_hits_total", "schedd_store_breaker_state",
@@ -187,9 +184,9 @@ func TestMetricsCoverageAndHistograms(t *testing.T) {
 		}
 	}
 
-	// Stage histograms: the solve, batch-assembly, and feedback paths all
-	// ran, so their spans must have landed.
-	for _, stage := range []string{"solve_wcs", "solve_acs", "sim", "batch_assembly", "feedback_resolve"} {
+	// Stage histograms: the solve and feedback paths all ran, so their
+	// spans must have landed.
+	for _, stage := range []string{"solve_wcs", "solve_acs", "sim", "feedback_resolve"} {
 		if n := sampleOr(t, fams, "schedd_stage_seconds_count", obs.L("stage", stage)); n == 0 {
 			t.Errorf("stage %s histogram empty after mixed workload", stage)
 		}

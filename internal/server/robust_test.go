@@ -314,9 +314,10 @@ func TestSolveBudgetDegradesToWCS(t *testing.T) {
 	}
 }
 
-// TestPanicIsolation pins both recovery layers: an injected panic in the
-// HTTP handler and one in the solve pipeline each cost exactly their own
-// request a 500 and a counter bump; the daemon keeps serving.
+// TestPanicIsolation pins the one recovery layer, the HTTP middleware: an
+// injected panic in the handler and one in the solve pipeline, which runs on
+// the handler's goroutine, each cost exactly their own request a 500, a
+// counter bump and a logged stack; the daemon keeps serving.
 func TestPanicIsolation(t *testing.T) {
 	leakcheck.Check(t)
 	reg := fault.NewRegistry(1)
@@ -422,6 +423,75 @@ func (f *failingBlobs) PutBlob(string, []byte) error {
 func (f *failingBlobs) GetBlob(string) ([]byte, bool, error) { return nil, false, nil }
 func (f *failingBlobs) ListBlobs() ([]string, error)         { return nil, nil }
 
+// countingBlobs is an in-memory BlobStore that counts its writes.
+type countingBlobs struct {
+	*store.MemBlobs
+	puts atomic.Int64
+}
+
+func (c *countingBlobs) PutBlob(name string, data []byte) error {
+	c.puts.Add(1)
+	return c.MemBlobs.PutBlob(name, data)
+}
+
+// TestClosedServerRefusesRequests pins Close's promise: afterwards every
+// submit, get, compare, session create, observe and session GET answers 503
+// with Retry-After — even where the memo or a resident session could answer
+// without consulting a context — and an observe folds and checkpoints
+// nothing.
+func TestClosedServerRefusesRequests(t *testing.T) {
+	blobs := &countingBlobs{MemBlobs: store.NewMemBlobs()}
+	s, ts := newTestServer(t, Options{SimHyperperiods: 10, Checkpoints: blobs})
+	body := smallBody(0)
+	code, resp := post(t, ts.URL+"/v1/schedules", body)
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d %s", code, resp)
+	}
+	var sr ScheduleResponse
+	if err := json.Unmarshal([]byte(resp), &sr); err != nil {
+		t.Fatal(err)
+	}
+	if code, resp := post(t, ts.URL+"/v1/compare", body); code != http.StatusOK {
+		t.Fatalf("compare: %d %s", code, resp)
+	}
+	sessBody, rows := sessionRows(t, 3, "closing", 10)
+	if code, resp := post(t, ts.URL+"/v1/sessions", sessBody); code != http.StatusOK {
+		t.Fatalf("session create: %d %s", code, resp)
+	}
+	plainSessBody, _ := sessionBody(t, 3) // same content, server-allocated id
+
+	s.Close()
+	puts := blobs.puts.Load()
+	for _, rq := range []struct{ name, method, path, body string }{
+		{"submit", http.MethodPost, "/v1/schedules", body},
+		{"get", http.MethodGet, "/v1/schedules/" + sr.Fingerprint, ""},
+		{"compare", http.MethodPost, "/v1/compare", body},
+		{"session create", http.MethodPost, "/v1/sessions", plainSessBody},
+		{"observe", http.MethodPost, "/v1/sessions/closing/observe", observeBody(t, rows)},
+		{"session get", http.MethodGet, "/v1/sessions/closing", ""},
+	} {
+		req, err := http.NewRequest(rq.method, ts.URL+rq.path, strings.NewReader(rq.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusServiceUnavailable || res.Header.Get("Retry-After") == "" {
+			t.Errorf("%s after Close: status %d, Retry-After %q; want 503 with Retry-After",
+				rq.name, res.StatusCode, res.Header.Get("Retry-After"))
+		}
+	}
+	if n := s.session("closing").ctrl.Observed(); n != 0 {
+		t.Errorf("closed server folded %d hyper-periods", n)
+	}
+	if n := blobs.puts.Load() - puts; n != 0 {
+		t.Errorf("closed server wrote %d blobs", n)
+	}
+}
+
 // TestCheckpointFailuresStillServe is the satellite-3 regression: a session
 // whose checkpoint writes always fail still serves every observation, every
 // failure is counted, and the failure is logged once — not once per observe.
@@ -479,8 +549,8 @@ func TestCheckpointFailuresStillServe(t *testing.T) {
 }
 
 // TestServerCloseReleasesGoroutines pins the shutdown contract directly: a
-// server that has done real work (solves, sessions, batches) leaves no
-// goroutines behind after Close — checked by the shared leakcheck helper.
+// server that has done real work leaves no goroutines behind after Close —
+// checked by the shared leakcheck helper.
 func TestServerCloseReleasesGoroutines(t *testing.T) {
 	leakcheck.Check(t)
 	_, ts := newTestServer(t, Options{})

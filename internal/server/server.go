@@ -13,32 +13,31 @@
 //	POST /v1/sessions               open a feedback session (internal/feedback)
 //	POST /v1/sessions/{id}/observe  stream execution observations → adaptation
 //	GET  /v1/sessions/{id}          session estimator/adaptation state
-//	GET  /v1/stats                  cache, batching and request counters
+//	GET  /v1/stats                  cache, session and request counters
 //	GET  /v1/healthz                liveness probe
 //	GET  /metrics                   Prometheus text exposition (DESIGN.md §13)
 //
 // Determinism contract: the response body of every submit, get and compare
 // request is a pure function of the request body — byte-identical regardless
-// of batch composition, worker count, or cache state (the /v1/stats and
+// of concurrency, worker count, or cache state (the /v1/stats and
 // /v1/healthz endpoints report operational state and are exempt; the
 // stateful session endpoints carry the controller's history-determinism
 // contract instead — see sessions.go). This
 // extends the grid engine's determinism contract (DESIGN.md §6) to the
 // serving path and is pinned by TestServerConcurrentDeterminism.
 //
-// Requests are coalesced by a micro-batching dispatcher (collect up to
-// BatchSize requests or BatchWindow, whichever first) and deduplicated by
-// content fingerprint, so a thundering herd submitting the same task set
-// pays for one solve; the shared grid.Memo behind the runner is bounded
-// (LRU, byte-accounted), so a resident daemon's cache cannot grow without
-// limit.
+// Each request runs its pipeline on its own handler goroutine. Solves go
+// through the shared grid.Memo, whose per-key singleflight makes a
+// thundering herd submitting the same task set pay for one solve; the memo
+// is bounded (LRU, byte-accounted), so a resident daemon's cache cannot grow
+// without limit.
 //
 // Overload and failure degrade, never crash (DESIGN.md §10): solving
 // requests pass a bounded admission queue and are shed with 503 +
 // Retry-After past saturation; a submit whose ACS refinement exhausts the
 // per-request solve budget is answered with the WCS fallback schedule marked
-// "degraded": true (worst-case feasible, so always deadline-safe); handler
-// and solve-pipeline panics are isolated to a 500 for the one request; and a
+// "degraded": true (worst-case feasible, so always deadline-safe); a panic
+// anywhere in a request is isolated to a 500 for that request; and a
 // store.Tiered backend with a tripped disk breaker silently serves
 // memory-only. Every one of these events is accounted in /v1/stats.
 package server
@@ -75,13 +74,6 @@ type Options struct {
 	// bytes, LRU eviction). 0 selects the 256 MiB default; negative means
 	// unbounded (not recommended for a resident daemon).
 	MemoBytes int64
-	// BatchSize is the micro-batching dispatcher's maximum batch (default
-	// 16): the dispatcher collects up to this many requests, or for
-	// BatchWindow, whichever fills first, then solves the batch as one
-	// index-addressed grid job set.
-	BatchSize int
-	// BatchWindow is the micro-batch collection deadline (default 2ms).
-	BatchWindow time.Duration
 	// Starts is the default solver multi-start count for requests that do
 	// not set their own (0/1 = single start).
 	Starts int
@@ -174,12 +166,6 @@ func (o Options) withDefaults() Options {
 	if o.MemoBytes == 0 {
 		o.MemoBytes = 256 << 20
 	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 16
-	}
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 2 * time.Millisecond
-	}
 	if o.SimHyperperiods <= 0 {
 		o.SimHyperperiods = 200
 	}
@@ -210,7 +196,6 @@ type Server struct {
 	opts   Options
 	runner *grid.Runner
 	memo   *grid.Memo
-	disp   *dispatcher
 	mux    *http.ServeMux
 
 	base   context.Context
@@ -268,11 +253,6 @@ func New(opts Options) *Server {
 	}); ok {
 		so.SetObserver(s.m.observeTier)
 	}
-	s.disp = newDispatcher(base, s.runner, o.BatchSize, o.BatchWindow)
-	s.disp.onPanic = func(p any) {
-		s.m.panics.Inc()
-		s.logf("panic in solve pipeline: %v\n%s", p, debug.Stack())
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/schedules", s.handleSubmit)
 	mux.HandleFunc("GET /v1/schedules/{fp}", s.handleGet)
@@ -291,14 +271,13 @@ func New(opts Options) *Server {
 }
 
 // Handler returns the service's HTTP handler: the mux wrapped in panic
-// isolation — a panicking handler costs its request a 500 and bumps a
-// counter; it never kills the daemon (solve-pipeline panics are recovered
-// one level down, in the dispatcher) — plus the observability middleware:
-// a per-request trace (the inbound X-Trace-Id is honoured, otherwise one
-// is minted; it is echoed on the response) whose spans feed the per-stage
-// latency histograms, and an end-to-end request-latency observation.
-// Traces travel in context values and headers only, never in bodies, so
-// the byte-determinism contract is untouched.
+// isolation — a panic in a handler or in the solve pipeline it runs costs
+// its request a 500 and bumps a counter; it never kills the daemon — plus
+// the observability middleware: a per-request trace (the inbound X-Trace-Id
+// is honoured, otherwise one is minted; it is echoed on the response) whose
+// spans feed the per-stage latency histograms, and an end-to-end
+// request-latency observation. Traces travel in context values and headers
+// only, never in bodies, so the byte-determinism contract is untouched.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		cw := &committedWriter{ResponseWriter: w}
@@ -346,6 +325,24 @@ func (w *committedWriter) Write(p []byte) (int, error) {
 // next sweep boundary and new requests are refused with 503.
 func (s *Server) Close() { s.cancel() }
 
+// requestContext derives the context a request's work runs under: the
+// request's own context (so it carries the trace, and a client that goes
+// away stops its solve), canceled as well when Close shuts the server down.
+// context.AfterFunc ties the two without a watcher goroutine. Once the
+// server is closed it answers 503 instead: a memo hit or a session fold never
+// consults the context, so cancellation alone would not refuse them.
+func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, *apiError) {
+	if s.base.Err() != nil {
+		return nil, nil, errorf(http.StatusServiceUnavailable, "shutting down")
+	}
+	ctx, cancel := context.WithCancel(r.Context())
+	stop := context.AfterFunc(s.base, cancel)
+	return ctx, func() {
+		stop()
+		cancel()
+	}, nil
+}
+
 // logf emits an operational log line through Options.Logf (discarded when
 // unset).
 func (s *Server) logf(format string, args ...any) {
@@ -376,8 +373,7 @@ func (s *Server) noteCheckpointErr(err error) {
 // acquire claims a seat in the bounded admission queue, waiting up to
 // QueueWait when the server is saturated. It returns a release closure, or
 // the 503 the request must be shed with. The semaphore spans the whole
-// request (solve + response assembly), so MaxInflight bounds real work, not
-// just dispatch.
+// request (solve + response assembly), so MaxInflight bounds real work.
 func (s *Server) acquire(ctx context.Context) (func(), *apiError) {
 	select {
 	case s.admit <- struct{}{}:
@@ -558,14 +554,11 @@ type CompareResponse struct {
 // StatsResponse is the /v1/stats body. It reports operational state and is
 // exempt from the byte-determinism contract.
 type StatsResponse struct {
-	Submits   int64 `json:"submits"`
-	Gets      int64 `json:"gets"`
-	Compares  int64 `json:"compares"`
-	Batches   int64 `json:"batches"`
-	Coalesced int64 `json:"coalesced"`
-	Stored    int   `json:"stored_requests"`
-	Workers   int   `json:"workers"`
-	BatchSize int   `json:"batch_size"`
+	Submits  int64 `json:"submits"`
+	Gets     int64 `json:"gets"`
+	Compares int64 `json:"compares"`
+	Stored   int   `json:"stored_requests"`
+	Workers  int   `json:"workers"`
 	// Sessions is the number of resident feedback sessions;
 	// SessionCreates counts creation attempts (like Submits, it includes
 	// rejected ones) and Observes the observation calls across all
@@ -937,14 +930,13 @@ type storedRequest struct {
 	Cores     int         `json:"cores,omitempty"`
 }
 
-// remember stores cr for later GETs, evicting the oldest stored request
-// beyond StoreLimit, and mirrors newly-seen requests into the checkpoint
-// store so GET /v1/schedules/{fp} survives a restart.
-func (s *Server) remember(fp string, cr *canonicalRequest) {
+// cache stores cr for later GETs, evicting the oldest stored request beyond
+// StoreLimit. It reports whether fp is new.
+func (s *Server) cache(fp string, cr *canonicalRequest) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.requests[fp]; ok {
-		s.mu.Unlock()
-		return
+		return false
 	}
 	s.requests[fp] = cr
 	s.fifo = append(s.fifo, fp)
@@ -952,8 +944,13 @@ func (s *Server) remember(fp string, cr *canonicalRequest) {
 		delete(s.requests, s.fifo[0])
 		s.fifo = s.fifo[1:]
 	}
-	s.mu.Unlock()
-	if s.opts.Checkpoints == nil {
+	return true
+}
+
+// remember caches cr and mirrors a newly-seen request into the checkpoint
+// store so GET /v1/schedules/{fp} survives a restart.
+func (s *Server) remember(fp string, cr *canonicalRequest) {
+	if !s.cache(fp, cr) || s.opts.Checkpoints == nil {
 		return
 	}
 	obj := "acs"
@@ -1007,7 +1004,10 @@ func (s *Server) lookup(fp string) *canonicalRequest {
 	if got, e := cr.fingerprint(); e != nil || got != fp {
 		return nil // rotted or tampered blob: treat as absent
 	}
-	s.remember(fp, cr)
+	// Re-cache only: the blob was just read, and writing it back would be a
+	// synchronous push to every replica in a fleet, or a checkpoint error on
+	// a failing disk, on a read path.
+	s.cache(fp, cr)
 	return cr
 }
 
@@ -1061,7 +1061,13 @@ func writeResult(w http.ResponseWriter, v any) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.m.submits.Inc()
 	s.failpoint("handler.panic")
-	release, e := s.acquire(r.Context())
+	ctx, cancel, e := s.requestContext(r)
+	if e != nil {
+		writeResult(w, e)
+		return
+	}
+	defer cancel()
+	release, e := s.acquire(ctx)
 	if e != nil {
 		writeResult(w, e)
 		return
@@ -1083,19 +1089,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.remember(fp, cr)
-	v, err := s.disp.run(r.Context(), "submit:"+fp, func(ctx context.Context) any {
-		return s.buildScheduleResponse(ctx, cr, fp)
-	})
-	if err != nil {
-		writeResult(w, solveError("dispatch", err))
-		return
-	}
-	writeResult(w, v)
+	writeResult(w, s.buildScheduleResponse(ctx, cr, fp))
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.m.gets.Inc()
-	release, e := s.acquire(r.Context())
+	ctx, cancel, e := s.requestContext(r)
+	if e != nil {
+		writeResult(w, e)
+		return
+	}
+	defer cancel()
+	release, e := s.acquire(ctx)
 	if e != nil {
 		writeResult(w, e)
 		return
@@ -1110,19 +1115,18 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	// Recompute through the same pipeline as submit: with the memo warm it
 	// is a cache hit, after eviction it is a rebuild — byte-identical either
 	// way, so GET returns exactly the bytes submit did.
-	v, err := s.disp.run(r.Context(), "submit:"+fp, func(ctx context.Context) any {
-		return s.buildScheduleResponse(ctx, cr, fp)
-	})
-	if err != nil {
-		writeResult(w, solveError("dispatch", err))
-		return
-	}
-	writeResult(w, v)
+	writeResult(w, s.buildScheduleResponse(ctx, cr, fp))
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	s.m.compares.Inc()
-	release, e := s.acquire(r.Context())
+	ctx, cancel, e := s.requestContext(r)
+	if e != nil {
+		writeResult(w, e)
+		return
+	}
+	defer cancel()
+	release, e := s.acquire(ctx)
 	if e != nil {
 		writeResult(w, e)
 		return
@@ -1166,15 +1170,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = stats.SeedFromString(fp)
 	}
-	jobKey := fmt.Sprintf("compare:%s:%d:%d", fp, h, seed)
-	v, err := s.disp.run(r.Context(), jobKey, func(ctx context.Context) any {
-		return s.buildCompareResponse(ctx, cr, fp, h, seed)
-	})
-	if err != nil {
-		writeResult(w, solveError("dispatch", err))
-		return
-	}
-	writeResult(w, v)
+	writeResult(w, s.buildCompareResponse(ctx, cr, fp, h, seed))
 }
 
 // handleStats reports operational counters. Every value here is a read
@@ -1189,11 +1185,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Submits:          s.m.submits.Value(),
 		Gets:             s.m.gets.Value(),
 		Compares:         s.m.compares.Value(),
-		Batches:          s.disp.batches.Load(),
-		Coalesced:        s.disp.coalesced.Load(),
 		Stored:           stored,
 		Workers:          s.runner.Workers(),
-		BatchSize:        s.opts.BatchSize,
 		Sessions:         sessions,
 		SessionCreates:   s.m.sessionCreates.Value(),
 		Observes:         s.m.observes.Value(),

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // smallBody returns a tiny feasible two-task submit body; i perturbs the
@@ -332,11 +331,11 @@ func TestStoreLimitEviction(t *testing.T) {
 	}
 }
 
-// TestBatchWindowCoalescing: requests arriving inside one batch window with
-// the same fingerprint run the pipeline once (visible as coalesced jobs or
-// memo hits, never extra solves).
-func TestBatchWindowCoalescing(t *testing.T) {
-	s, ts := newTestServer(t, Options{BatchSize: 8, BatchWindow: 50 * time.Millisecond})
+// TestConcurrentIdenticalSubmitsSolveOnce: concurrent requests with the same
+// fingerprint receive identical bytes and pay for one solve per objective —
+// the memo's per-key singleflight turns the rest into hits.
+func TestConcurrentIdenticalSubmitsSolveOnce(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
 	done := make(chan string, 4)
 	for i := 0; i < 4; i++ {
 		go func() {
@@ -347,7 +346,7 @@ func TestBatchWindowCoalescing(t *testing.T) {
 	first := <-done
 	for i := 0; i < 3; i++ {
 		if b := <-done; b != first {
-			t.Fatal("coalesced responses differ")
+			t.Fatal("concurrent identical submits got different responses")
 		}
 	}
 	// Exactly one WCS + one ACS solve for the unique fingerprint.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -165,43 +166,77 @@ func (s *Server) RestoreSessions(ctx context.Context) (int, error) {
 			s.m.checkpointErrs.Inc()
 			continue
 		}
-		var cp sessionCheckpoint
-		if json.Unmarshal(blob, &cp) != nil || cp.Controller == nil ||
-			cp.ID == "" || "session-"+cp.ID != name {
-			s.m.checkpointErrs.Inc()
-			continue
-		}
-		sess := &serverSession{
-			id: cp.ID, starts: cp.Starts, subCap: cp.SubCap, bins: cp.Bins,
-			driftDelta: cp.DriftDelta, driftLambda: cp.DriftLambda,
-			minSamples: cp.MinSamples, relearnEvery: cp.Relearn,
-			lastAt: cp.LastAt, lastResp: cp.LastResp,
-		}
-		ctrl, err := feedback.RestoreController(ctx, cp.Controller, s.sessionOptions(sess))
+		sess, err := s.restoreSession(ctx, strings.TrimPrefix(name, "session-"), blob)
 		if err != nil {
-			if ctx != nil && ctx.Err() != nil {
+			if !errors.Is(err, errDamagedCheckpoint) && ctx != nil && ctx.Err() != nil {
 				return restored, err // canceled boot, not a bad checkpoint
 			}
 			s.m.checkpointErrs.Inc()
 			continue
 		}
-		sess.ctrl = ctrl
-		var seq int64
-		fmt.Sscanf(cp.ID, "s%d", &seq)
-		s.mu.Lock()
-		if len(s.sessions) >= s.opts.SessionLimit {
-			s.mu.Unlock()
-			continue
+		if s.adoptSession(sess) {
+			restored++
 		}
-		s.sessions[cp.ID] = sess
-		if seq > s.sessionSeq {
-			s.sessionSeq = seq
-		}
-		s.mu.Unlock()
-		restored++
-		s.m.restored.Inc()
 	}
 	return restored, nil
+}
+
+// errDamagedCheckpoint reports a session checkpoint blob that does not parse
+// or that names another session.
+var errDamagedCheckpoint = errors.New("server: damaged session checkpoint")
+
+// decodeSessionCheckpoint parses blob as session id's checkpoint, failing
+// with errDamagedCheckpoint. It checks the framing only; the controller
+// state is validated by feedback.RestoreController.
+func decodeSessionCheckpoint(id string, blob []byte) (*sessionCheckpoint, error) {
+	var cp sessionCheckpoint
+	if json.Unmarshal(blob, &cp) != nil || cp.Controller == nil || cp.ID == "" || cp.ID != id {
+		return nil, errDamagedCheckpoint
+	}
+	return &cp, nil
+}
+
+// restoreSession rebuilds session id from its checkpoint blob, for boot
+// restore, lazy takeover and stale-owner refresh alike: the creation knobs,
+// the idempotency window and a controller restored through
+// feedback.RestoreController. It returns a session or an error, never
+// neither; the caller owns the accounting of every failure.
+func (s *Server) restoreSession(ctx context.Context, id string, blob []byte) (*serverSession, error) {
+	cp, err := decodeSessionCheckpoint(id, blob)
+	if err != nil {
+		return nil, err
+	}
+	sess := &serverSession{
+		id: id, starts: cp.Starts, subCap: cp.SubCap, bins: cp.Bins,
+		driftDelta: cp.DriftDelta, driftLambda: cp.DriftLambda,
+		minSamples: cp.MinSamples, relearnEvery: cp.Relearn,
+		lastAt: cp.LastAt, lastResp: cp.LastResp,
+	}
+	ctrl, err := feedback.RestoreController(ctx, cp.Controller, s.sessionOptions(sess))
+	if err != nil {
+		return nil, err
+	}
+	sess.ctrl = ctrl
+	return sess, nil
+}
+
+// adoptSession makes a restored session resident and resumes the session-id
+// sequence past its id. It reports false, leaving the session out, when the
+// session limit is reached.
+func (s *Server) adoptSession(sess *serverSession) bool {
+	var seq int64
+	fmt.Sscanf(sess.id, "s%d", &seq)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.sessions) >= s.opts.SessionLimit {
+		return false
+	}
+	s.sessions[sess.id] = sess
+	if seq > s.sessionSeq {
+		s.sessionSeq = seq
+	}
+	s.m.restored.Inc()
+	return true
 }
 
 // SessionRequest is the POST /v1/sessions body: a submit body plus the
@@ -328,7 +363,13 @@ func (s *Server) sessionLimitError() *apiError {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.m.sessionCreates.Inc()
-	release, e := s.acquire(r.Context())
+	ctx, cancel, e := s.requestContext(r)
+	if e != nil {
+		writeResult(w, e)
+		return
+	}
+	defer cancel()
+	release, e := s.acquire(ctx)
 	if e != nil {
 		writeResult(w, e)
 		return
@@ -378,9 +419,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		driftDelta: req.DriftDelta, driftLambda: req.DriftLambda,
 		minSamples: req.MinSamples, relearnEvery: req.Relearn,
 	}
-	ctx, cancel := joinContexts(s.base, []context.Context{r.Context()})
 	ctrl, err := feedback.NewController(ctx, cr.set, s.sessionOptions(sess))
-	cancel()
 	if err != nil {
 		writeResult(w, solveError("session synthesis", err))
 		return
@@ -477,39 +516,17 @@ func (s *Server) sessionOrRestore(ctx context.Context, id string) (*serverSessio
 	if err != nil || !ok {
 		return nil, nil
 	}
-	var cp sessionCheckpoint
-	if json.Unmarshal(blob, &cp) != nil || cp.Controller == nil || cp.ID != id {
-		s.m.checkpointErrs.Inc()
-		return nil, nil
-	}
-	sess := &serverSession{
-		id: id, starts: cp.Starts, subCap: cp.SubCap, bins: cp.Bins,
-		driftDelta: cp.DriftDelta, driftLambda: cp.DriftLambda,
-		minSamples: cp.MinSamples, relearnEvery: cp.Relearn,
-		lastAt: cp.LastAt, lastResp: cp.LastResp,
-	}
-	ctrl, err := feedback.RestoreController(ctx, cp.Controller, s.sessionOptions(sess))
+	sess, err := s.restoreSession(ctx, id, blob)
 	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
+		if !errors.Is(err, errDamagedCheckpoint) && ctx != nil && ctx.Err() != nil {
 			return nil, errorf(http.StatusServiceUnavailable, "session restore canceled")
 		}
 		s.m.checkpointErrs.Inc()
 		return nil, nil
 	}
-	sess.ctrl = ctrl
-	s.mu.Lock()
-	if len(s.sessions) >= s.opts.SessionLimit {
-		s.mu.Unlock()
+	if !s.adoptSession(sess) {
 		return nil, s.sessionLimitError()
 	}
-	s.sessions[id] = sess
-	var seq int64
-	fmt.Sscanf(id, "s%d", &seq)
-	if seq > s.sessionSeq {
-		s.sessionSeq = seq
-	}
-	s.mu.Unlock()
-	s.m.restored.Inc()
 	return sess, nil
 }
 
@@ -529,34 +546,36 @@ func (s *Server) refreshSessionLocked(ctx context.Context, sess *serverSession) 
 	if err != nil || !ok {
 		return
 	}
-	var cp sessionCheckpoint
-	if json.Unmarshal(blob, &cp) != nil || cp.Controller == nil || cp.ID != sess.id {
+	cp, err := decodeSessionCheckpoint(sess.id, blob)
+	if err != nil {
 		s.m.checkpointErrs.Inc()
 		return
 	}
 	if cp.Controller.Observed <= sess.ctrl.Observed() {
-		return
+		return // not ahead of the resident fold: no restore solve
 	}
-	ctrl, err := feedback.RestoreController(ctx, cp.Controller, s.sessionOptions(sess))
+	fresh, err := s.restoreSession(ctx, sess.id, blob)
 	if err != nil {
 		return
 	}
-	sess.ctrl = ctrl
-	sess.lastAt = cp.LastAt
-	sess.lastResp = cp.LastResp
+	sess.ctrl, sess.lastAt, sess.lastResp = fresh.ctrl, fresh.lastAt, fresh.lastResp
 	s.m.restored.Inc()
 }
 
 func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 	s.m.observes.Inc()
-	release, e := s.acquire(r.Context())
+	ctx, cancel, e := s.requestContext(r)
+	if e != nil {
+		writeResult(w, e)
+		return
+	}
+	defer cancel()
+	release, e := s.acquire(ctx)
 	if e != nil {
 		writeResult(w, e)
 		return
 	}
 	defer release()
-	ctx, cancel := joinContexts(s.base, []context.Context{r.Context()})
-	defer cancel()
 	sess, e := s.sessionOrRestore(ctx, r.PathValue("id"))
 	if e != nil {
 		writeResult(w, e)
@@ -654,7 +673,11 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := joinContexts(s.base, []context.Context{r.Context()})
+	ctx, cancel, e := s.requestContext(r)
+	if e != nil {
+		writeResult(w, e)
+		return
+	}
 	defer cancel()
 	sess, e := s.sessionOrRestore(ctx, r.PathValue("id"))
 	if e != nil {

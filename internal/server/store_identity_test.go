@@ -276,6 +276,34 @@ func TestStoreRestartIdentity(t *testing.T) {
 	}
 }
 
+// TestGetAfterRestartOnlyReadsRequestBlob: a GET that recovers its request
+// from the checkpoint store after a restart answers the submit's bytes and
+// writes nothing back — in a fleet, a write there would be a synchronous
+// push to every replica on a read path.
+func TestGetAfterRestartOnlyReadsRequestBlob(t *testing.T) {
+	blobs := &countingBlobs{MemBlobs: store.NewMemBlobs()}
+	_, ts1 := newTestServer(t, Options{Checkpoints: blobs})
+	code, submitted := post(t, ts1.URL+"/v1/schedules", smallBody(0))
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d %s", code, submitted)
+	}
+	var sr ScheduleResponse
+	if err := json.Unmarshal([]byte(submitted), &sr); err != nil {
+		t.Fatal(err)
+	}
+
+	// The restarted daemon shares only the checkpoint store.
+	_, ts2 := newTestServer(t, Options{Checkpoints: blobs})
+	puts := blobs.puts.Load()
+	code, got := get(t, ts2.URL+"/v1/schedules/"+sr.Fingerprint)
+	if code != http.StatusOK || got != submitted {
+		t.Fatalf("GET after restart: %d %s, want the submit's bytes", code, got)
+	}
+	if n := blobs.puts.Load() - puts; n != 0 {
+		t.Errorf("GET after restart made %d PutBlob calls, want 0", n)
+	}
+}
+
 // s2httpAddr serves s once more to read its stats (the restart closure owns
 // the live test server; stats are operational so a fresh listener is fine).
 func s2httpAddr(t *testing.T, s *Server) string {
