@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	var (
 		addr        = fs.String("addr", ":8372", "listen address")
 		workers     = fs.Int("workers", 0, "grid worker-pool width (0 = GOMAXPROCS; responses identical for any value)")
-		cacheMB     = fs.Int64("cachemb", 256, "schedule/plan cache cap in MiB (LRU eviction; <0 = unbounded)")
+		cacheMB     = fs.Int64("cachemb", 256, "memo cache cap in MiB: schedules, plans and comparisons (LRU eviction; <0 = unbounded)")
 		starts      = fs.Int("starts", 0, "default solver multi-start count (0/1 = single)")
 		simWorkers  = fs.Int("simworkers", 0, "simulation workers per compare (0 = GOMAXPROCS; responses identical for any value)")
 		simReps     = fs.Int("hyperperiods", 200, "default hyper-periods per compare simulation")

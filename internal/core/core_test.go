@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -208,7 +209,10 @@ func TestMoreSweepsNeverWorse(t *testing.T) {
 }
 
 // TestInfeasibleSetRejected: utilisation above 1 at Vmax cannot be
-// scheduled and must be reported, not silently mangled.
+// scheduled and must be reported, not silently mangled. Every build over
+// such a set — either objective, single- or multi-start — fails with the
+// *InfeasibleError Feasible reports, text for text, which is what lets a
+// server use the WCS build as its admission check.
 func TestInfeasibleSetRejected(t *testing.T) {
 	tasks := []task.Task{
 		{Name: "a", Period: 10, WCEC: 30, ACEC: 15, BCEC: 5, Ceff: 1},
@@ -219,11 +223,17 @@ func TestInfeasibleSetRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// U = 60 cycles per 10ms at max rate 4/ms = 40 cycles per 10ms: U=1.5.
-	if _, err := Build(set, Config{Objective: WorstCase}); err == nil {
-		t.Error("unschedulable set accepted")
+	ferr := Feasible(set, Config{})
+	var inf *InfeasibleError
+	if !errors.As(ferr, &inf) {
+		t.Fatalf("Feasible returned %v, want an *InfeasibleError", ferr)
 	}
-	if err := Feasible(set, Config{}); err == nil {
-		t.Error("Feasible passed an unschedulable set")
+	for _, cfg := range []Config{{Objective: WorstCase}, {Objective: AverageCase}, {Objective: WorstCase, Starts: 3}} {
+		_, err := Build(set, cfg)
+		if !errors.As(err, &inf) || err.Error() != ferr.Error() {
+			t.Errorf("Build(%v, starts %d) = %v, want the *InfeasibleError %q",
+				cfg.Objective, cfg.Starts, err, ferr)
+		}
 	}
 }
 

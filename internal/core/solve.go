@@ -109,14 +109,25 @@ func (c *Config) withDefaults() Config {
 // share a cache key.
 func (c Config) Canonical() Config { return c.withDefaults() }
 
+// InfeasibleError reports a task set that admits no schedule: its
+// fully-preemptive expansion failed, or the all-Vmax ASAP chain misses a
+// deadline under every worst-case split the solver starts from. Feasible
+// reports exactly these failures, and a build over such a set returns the
+// same one before any optimisation sweep runs, so a caller may let the build
+// be its admission check. Error is the cause's text, unchanged.
+type InfeasibleError struct{ Err error }
+
+func (e *InfeasibleError) Error() string { return e.Err.Error() }
+func (e *InfeasibleError) Unwrap() error { return e.Err }
+
 // Build expands set into its fully-preemptive schedule and solves the static
-// voltage schedule for cfg's objective. It fails if the task set cannot meet
-// its deadlines even at the maximum voltage (the feasibility precondition of
-// the whole approach).
+// voltage schedule for cfg's objective. It fails with an *InfeasibleError if
+// the task set cannot meet its deadlines even at the maximum voltage (the
+// feasibility precondition of the whole approach).
 func Build(set *task.Set, cfg Config) (*Schedule, error) {
 	plan, err := preempt.BuildWith(set, cfg.Preempt)
 	if err != nil {
-		return nil, err
+		return nil, &InfeasibleError{Err: err}
 	}
 	return Solve(plan, cfg)
 }
@@ -244,12 +255,13 @@ func warmCompatible(warm *Schedule, plan *preempt.Schedule) bool {
 // Feasible reports whether the task set admits any schedule at all on the
 // model: the all-Vmax ASAP chain over the fully-preemptive plan must meet
 // every deadline. It is the cheap pre-filter the experiment harness uses
-// before paying for a full solve.
+// before paying for a full solve. A failure is an *InfeasibleError, the
+// same one Build returns for the set.
 func Feasible(set *task.Set, cfg Config) error {
 	c := cfg.withDefaults()
 	plan, err := preempt.BuildWith(set, c.Preempt)
 	if err != nil {
-		return err
+		return &InfeasibleError{Err: err}
 	}
 	n := len(plan.Subs)
 	s := &Schedule{
@@ -260,16 +272,32 @@ func Feasible(set *task.Set, cfg Config) error {
 		AvgWork: make([]float64, n),
 	}
 	s.initFastModel()
-	ends := make([]float64, n)
+	_, err = s.vmaxStart(make([]float64, n))
+	return err
+}
+
+// vmaxStart assigns worst-case splits under which the all-Vmax ASAP chain
+// meets every deadline and writes that chain's end-times into dst (length
+// n). Splits proportional to segment length come first (they keep every
+// piece work-bearing, preserving the whole split-optimisation space); when
+// they are chain-infeasible — tight interleavings like GAP, where
+// higher-priority load saturates some segments entirely — the exact
+// fixed-priority Vmax execution (rmVmaxSplits) follows. The RM splits are
+// feasible whenever the task set is schedulable at Vmax at all, so the
+// *InfeasibleError this returns means the set is genuinely unschedulable.
+func (s *Schedule) vmaxStart(dst []float64) ([]float64, error) {
 	s.proportionalSplits()
-	if _, err := s.asapEnds(ends); err == nil {
-		return nil
+	if ends, err := s.asapEnds(dst); err == nil {
+		return ends, nil
 	}
 	if err := s.rmVmaxSplits(); err != nil {
-		return err
+		return nil, &InfeasibleError{Err: err}
 	}
-	_, err = s.asapEnds(ends)
-	return err
+	ends, err := s.asapEnds(dst)
+	if err != nil {
+		return nil, &InfeasibleError{Err: err}
+	}
+	return ends, nil
 }
 
 // proportionalSplits assigns each piece a share of its instance's WCEC
@@ -290,29 +318,15 @@ func (s *Schedule) proportionalSplits() {
 	}
 }
 
-// initialize produces a feasible starting point, then places end-times
-// between the earliest (all-Vmax ASAP) and latest (ALAP) feasible positions
-// by cfg.InitBlend.
-//
-// Worst-case splits are tried in two flavours: proportional to segment
-// length first (it keeps every piece work-bearing, preserving the whole
-// split-optimisation space), falling back to the exact fixed-priority Vmax
-// execution (rmVmaxSplits) when proportional is chain-infeasible — which
-// happens for tight interleavings like GAP, where higher-priority load
-// saturates some segments entirely. The RM splits are feasible whenever the
-// task set is schedulable at Vmax at all, so initialise fails only for
-// genuinely unschedulable sets.
+// initialize produces a feasible starting point (vmaxStart: the check
+// Feasible makes, failing with the same *InfeasibleError), then places
+// end-times between the earliest (all-Vmax ASAP) and latest (ALAP) feasible
+// positions by cfg.InitBlend.
 func (s *Schedule) initialize(c Config, ws *workspace) error {
 	plan := s.Plan
-	s.proportionalSplits()
-	eMin, err := s.asapEnds(ws.eMin)
+	eMin, err := s.vmaxStart(ws.eMin)
 	if err != nil {
-		if rmErr := s.rmVmaxSplits(); rmErr != nil {
-			return rmErr
-		}
-		if eMin, err = s.asapEnds(ws.eMin); err != nil {
-			return err
-		}
+		return err
 	}
 	deriveAvgWork(plan, s.WCWork, s.AvgWork)
 	eMax := s.alapEnds(ws.eMax)

@@ -12,15 +12,17 @@
 //
 //   - A content-addressed memo store (Memo) keyed by the canonical hash of
 //     (task-set fingerprint, solver config, processor-model identity) that
-//     caches solved core.Schedules and compiled sim plans. Solves are pure
-//     functions of their config (see internal/experiments' package doc), so
-//     harnesses that derive the same task set and vary only a runtime
-//     parameter — slack policy, transition overhead, discrete levels — share
-//     one WCS/ACS solve instead of re-running it.
+//     caches solved core.Schedules and compiled sim plans, plus the
+//     simulated comparisons the serving layer computes from them. Solves
+//     are pure functions of their config (see internal/experiments' package
+//     doc), so harnesses that derive the same task set and vary only a
+//     runtime parameter — slack policy, transition overhead, discrete
+//     levels — share one WCS/ACS solve instead of re-running it.
 //
-// Cached schedules and plans are shared across callers and must be treated
-// as immutable; callers that need to mutate one must core.CloneSchedule it
-// first (the discrete-level ablation does exactly that).
+// Cached schedules, plans and comparisons are shared across callers and must
+// be treated as immutable; callers that need to mutate a schedule must
+// core.CloneSchedule it first (the discrete-level ablation does exactly
+// that).
 package grid
 
 import (
@@ -190,4 +192,31 @@ func (r *Runner) CompileScheduleContext(ctx context.Context, s *core.Schedule) (
 	return r.memo.plan(ctx, key, func() (*sim.CompiledPlan, error) {
 		return sim.Compile(s)
 	})
+}
+
+// Comparison is a memoized sim.ComparePlans outcome: the energy improvement
+// of plan A over plan B (percent) and both runs' results. It is shared
+// between callers — treat it as immutable.
+type Comparison struct {
+	ImprovementPct float64
+	A, B           *sim.Result
+}
+
+// Compare returns the comparison cfg describes of the plan pair fingerprint
+// determines, through the memo under CompareKey(fingerprint, cfg): build
+// runs at most once per key while resident and must return exactly
+// sim.ComparePlans(a, b, cfg) for that pair, so a hit answers with no solve,
+// compilation or simulation at all. ctx is the requester's context, with the
+// singleflight retry contract of BuildScheduleContext; a canceled build is
+// never cached, while any other build error is. Runners without a memo and
+// configs CompareKey cannot encode run build directly.
+func (r *Runner) Compare(ctx context.Context, fingerprint string, cfg sim.Config, build func() (*Comparison, error)) (*Comparison, error) {
+	if r.memo == nil {
+		return build()
+	}
+	key, ok := CompareKey(fingerprint, cfg)
+	if !ok {
+		return build()
+	}
+	return r.memo.comparison(ctx, key, build)
 }

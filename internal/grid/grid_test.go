@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -167,6 +168,53 @@ func TestScheduleKeyContract(t *testing.T) {
 	}
 }
 
+// TestCompareKeyContract pins what a simulated comparison is keyed on: the
+// request fingerprint and the run-relevant sim.Config fields, never the
+// worker count or the context, and nothing at all for a config carrying a
+// function value.
+func TestCompareKeyContract(t *testing.T) {
+	const fp = "f00d"
+	base := sim.Config{Policy: sim.Greedy, Hyperperiods: 20, Seed: 7}
+	k0, ok := CompareKey(fp, base)
+	if !ok {
+		t.Fatal("base config not hashable")
+	}
+	scoped := base
+	scoped.Workers = 4
+	scoped.Ctx = context.Background()
+	if k1, _ := CompareKey(fp, scoped); k1 != k0 {
+		t.Error("Workers/Ctx changed the key but cannot change the result")
+	}
+	seen := map[Key]string{k0: "base"}
+	for name, c := range map[string]struct {
+		fp  string
+		cfg sim.Config
+	}{
+		"fingerprint":  {"beef", base},
+		"Policy":       {fp, sim.Config{Policy: sim.Static, Hyperperiods: 20, Seed: 7}},
+		"Hyperperiods": {fp, sim.Config{Policy: sim.Greedy, Hyperperiods: 21, Seed: 7}},
+		"Seed":         {fp, sim.Config{Policy: sim.Greedy, Hyperperiods: 20, Seed: 8}},
+		"Overhead":     {fp, sim.Config{Policy: sim.Greedy, Hyperperiods: 20, Seed: 7, Overhead: sim.Overhead{EnergyPerSwitch: 1}}},
+	} {
+		k, ok := CompareKey(c.fp, c.cfg)
+		if !ok {
+			t.Fatalf("%s config not hashable", name)
+		}
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s variant collides with %s", name, prev)
+		}
+		seen[k] = name
+	}
+	withDist, withObserver := base, base
+	withDist.Dist = sim.UniformDist
+	withObserver.Observer = func(int, []float64) {}
+	for name, cfg := range map[string]sim.Config{"Dist": withDist, "Observer": withObserver} {
+		if _, ok := CompareKey(fp, cfg); ok {
+			t.Errorf("a config with %s hashed as cacheable", name)
+		}
+	}
+}
+
 type unknownModel struct{}
 
 func (unknownModel) CycleTime(v float64) float64            { return 1 / v }
@@ -176,8 +224,9 @@ func (unknownModel) VMax() float64                          { return 2 }
 
 // TestConfigFieldsGuard pins the field sets the cache key contract was
 // written against. If this test fails, a field was added to core.Config,
-// preempt.Options, or task.Task: decide whether it affects solve results,
-// extend ScheduleKey (and DESIGN.md §6) accordingly, then update the lists.
+// preempt.Options, task.Task or sim.Config: decide whether it affects solve
+// or simulation results, extend ScheduleKey or CompareKey (and DESIGN.md
+// §6) accordingly, then update the lists.
 func TestConfigFieldsGuard(t *testing.T) {
 	want := map[string][]string{
 		// ctx is excluded from ScheduleKey by design: it scopes the work
@@ -188,16 +237,19 @@ func TestConfigFieldsGuard(t *testing.T) {
 			"Scenarios", "ScenarioSeed", "Starts", "StartWorkers", "StartSeed", "ctx"},
 		"preempt.Options": {"MaxSubsPerInstance", "EDF"},
 		"task.Task":       {"Name", "Period", "WCEC", "ACEC", "BCEC", "Ceff"},
-		// sim.Config is guarded even though simulation results are never
-		// memoized (PlanKey covers only what sim.Compile reads — the
-		// schedule's content). The memoization hazard is indirect: the
-		// feedback subsystem's adaptive re-solves are keyed through
-		// ScheduleKey on the *adapted task set* (ACEC moves, WCEC/BCEC do
-		// not), so any new sim.Config field that influenced solve inputs
-		// would have to be routed into the task set or core.Config — never
-		// smuggled through simulation state. Workers/Ctx are wall-clock
-		// scoped; Observer never perturbs draws (pinned by
-		// TestObserverOrderAndNonPerturbation); reference is test-only.
+		// sim.Config is guarded for CompareKey, which memoizes simulated
+		// comparisons: it hashes Policy, Hyperperiods, Seed and the three
+		// Overhead fields; a Dist or an Observer makes the config
+		// uncacheable (function values have no canonical encoding, and a
+		// hit would skip the observer); Workers/Ctx are wall-clock scoped
+		// and stay out (results are bit-identical for any worker count);
+		// reference is test-only. A new field must join the key or be
+		// shown not to change a Result. The guard also covers an indirect
+		// hazard: the feedback subsystem's adaptive re-solves are keyed
+		// through ScheduleKey on the *adapted task set* (ACEC moves,
+		// WCEC/BCEC do not), so a sim-side knob that influenced solve
+		// inputs would have to be routed into the task set or core.Config
+		// — never smuggled through simulation state.
 		"sim.Config": {"Policy", "Hyperperiods", "Seed", "Overhead", "Dist",
 			"Workers", "Ctx", "Observer", "reference"},
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -210,5 +211,31 @@ func PlanKey(s *core.Schedule) (Key, bool) {
 	if !h.schedule(s) {
 		return Key{}, false
 	}
+	return h.sum(), true
+}
+
+// CompareKey returns the content address of a simulated comparison of the
+// plan pair a request fingerprint determines (for the server, the ACS and
+// WCS schedules of one canonical request): the fingerprint plus exactly the
+// sim.Config fields a run is a function of — Policy, Hyperperiods (as given:
+// 0 runs like the engine's default of 100 but keys apart, a lost hit and
+// never a wrong one), Seed, and the three Overhead fields. Excluded by
+// design: Workers (results are bit-identical for any worker count) and Ctx
+// (it scopes the work, never the result). ok is false when cfg sets Dist or
+// Observer: a function value has no canonical encoding, and a hit would skip
+// the observer's calls, so such runs bypass the memo.
+func CompareKey(fingerprint string, cfg sim.Config) (Key, bool) {
+	if cfg.Dist != nil || cfg.Observer != nil {
+		return Key{}, false
+	}
+	h := newHasher()
+	h.str("compare/v1")
+	h.str(fingerprint)
+	h.u64(uint64(cfg.Policy))
+	h.i64(int64(cfg.Hyperperiods))
+	h.u64(cfg.Seed)
+	h.f64(cfg.Overhead.TimeMs)
+	h.f64(cfg.Overhead.EnergyPerSwitch)
+	h.f64(cfg.Overhead.Epsilon)
 	return h.sum(), true
 }

@@ -11,12 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Memo is the content-addressed cache behind a Runner: solved schedules and
-// compiled plans keyed by their canonical content hash. It is the
-// store-agnostic singleflight layer — residency itself is delegated to a
-// Store backend (the in-memory bounded LRU, the crash-safe disk log in
-// internal/store, or a tiered composition of both), while Memo owns the
-// request-stream semantics every backend must inherit identically:
+// Memo is the content-addressed cache behind a Runner: solved schedules,
+// compiled plans and simulated comparisons keyed by their canonical content
+// hash. It is the store-agnostic singleflight layer — residency itself is
+// delegated to a Store backend (the in-memory bounded LRU, the crash-safe
+// disk log in internal/store, or a tiered composition of both), while Memo
+// owns the request-stream semantics every backend must inherit identically:
 //
 //   - One build per key: concurrent requests for the same absent key are
 //     collapsed into one build (singleflight), so a worker pool hammering one
@@ -40,12 +40,14 @@ import (
 type Memo struct {
 	store Store
 
-	mu           sync.Mutex // guards the flight maps
-	schedFlights map[Key]*flight[*core.Schedule]
-	planFlights  map[Key]*flight[*sim.CompiledPlan]
+	mu             sync.Mutex // guards the flight maps
+	schedFlights   map[Key]*flight[*core.Schedule]
+	planFlights    map[Key]*flight[*sim.CompiledPlan]
+	compareFlights map[Key]*flight[*Comparison]
 
-	schedHits, schedMisses atomic.Int64
-	planHits, planMisses   atomic.Int64
+	schedHits, schedMisses     atomic.Int64
+	planHits, planMisses       atomic.Int64
+	compareHits, compareMisses atomic.Int64
 }
 
 // flight is one in-progress build: waiters block on done and read val/err.
@@ -68,9 +70,10 @@ func NewBoundedMemo(capBytes int64) *Memo { return NewMemoOn(NewMemStore(capByte
 // completed artefacts.
 func NewMemoOn(store Store) *Memo {
 	return &Memo{
-		store:        store,
-		schedFlights: make(map[Key]*flight[*core.Schedule]),
-		planFlights:  make(map[Key]*flight[*sim.CompiledPlan]),
+		store:          store,
+		schedFlights:   make(map[Key]*flight[*core.Schedule]),
+		planFlights:    make(map[Key]*flight[*sim.CompiledPlan]),
+		compareFlights: make(map[Key]*flight[*Comparison]),
 	}
 }
 
@@ -94,6 +97,13 @@ func (m *Memo) schedule(ctx context.Context, key Key, build func() (*core.Schedu
 func (m *Memo) plan(ctx context.Context, key Key, build func() (*sim.CompiledPlan, error)) (*sim.CompiledPlan, error) {
 	return through(m, ctx, m.planFlights, key, &m.planHits, &m.planMisses,
 		m.store.GetPlan, m.store.PutPlan, build)
+}
+
+// comparison is schedule for the simulated-comparison side, with the
+// identical requester-context retry contract.
+func (m *Memo) comparison(ctx context.Context, key Key, build func() (*Comparison, error)) (*Comparison, error) {
+	return through(m, ctx, m.compareFlights, key, &m.compareHits, &m.compareMisses,
+		m.store.GetComparison, m.store.PutComparison, build)
 }
 
 // through is the shared singleflight-over-store path. The flight is
@@ -177,6 +187,8 @@ type Stats struct {
 	ScheduleMisses int64 `json:"schedule_misses"`
 	PlanHits       int64 `json:"plan_hits"`
 	PlanMisses     int64 `json:"plan_misses"`
+	CompareHits    int64 `json:"compare_hits"`
+	CompareMisses  int64 `json:"compare_misses"`
 	// Evictions counts entries dropped to respect the memory tier's byte cap.
 	Evictions int64 `json:"evictions"`
 	// BytesUsed is the estimated resident size of the memory tier;
@@ -218,5 +230,7 @@ func (m *Memo) Stats() Stats {
 	st.ScheduleMisses = m.schedMisses.Load()
 	st.PlanHits = m.planHits.Load()
 	st.PlanMisses = m.planMisses.Load()
+	st.CompareHits = m.compareHits.Load()
+	st.CompareMisses = m.compareMisses.Load()
 	return st
 }

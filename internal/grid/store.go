@@ -10,11 +10,11 @@ import (
 )
 
 // Store is the residency backend behind a Memo: a passive keyed store for
-// solved schedules and compiled plans, addressed by their canonical content
-// hash. A Store holds completed artefacts only — the singleflight contract
-// ("one build per key, canceled builds never cached, waiters retry under
-// their own context") lives one level up in Memo, so every backend inherits
-// it for free.
+// solved schedules, compiled plans and simulated comparisons, addressed by
+// their canonical content hash. A Store holds completed artefacts only —
+// the singleflight contract ("one build per key, canceled builds never
+// cached, waiters retry under their own context") lives one level up in
+// Memo, so every backend inherits it for free.
 //
 // The contract a backend must honour (DESIGN.md §9):
 //
@@ -45,6 +45,11 @@ type Store interface {
 	// on demand) report every GetPlan as a miss and ignore PutPlan.
 	GetPlan(key Key) (p *sim.CompiledPlan, err error, ok bool)
 	PutPlan(key Key, p *sim.CompiledPlan, err error)
+	// GetComparison and PutComparison are the simulated-comparison side,
+	// held like plans: a backend that does not keep comparisons reports
+	// every GetComparison as a miss and ignores PutComparison.
+	GetComparison(key Key) (c *Comparison, err error, ok bool)
+	PutComparison(key Key, c *Comparison, err error)
 	// Stats reports the backend's accounting. Hit/miss counters for the
 	// request stream are owned by Memo; a backend fills only the fields it is
 	// authoritative for (eviction/byte accounting for the memory tier, disk
@@ -55,18 +60,19 @@ type Store interface {
 // MemStore is the in-memory Store: entries kept in least-recently-used order
 // and charged an estimated byte cost, evicted from the cold end whenever the
 // resident total exceeds the cap. Eviction removes only the store's reference
-// — callers already holding an evicted schedule or plan keep a valid
-// immutable value — and never changes results, only hit rates: builds are
-// pure functions of their key, so a re-miss rebuilds the identical artefact
-// (pinned by TestBoundedMemoEvictionIdentity).
+// — callers already holding an evicted artefact keep a valid immutable value
+// — and never changes results, only hit rates: builds are pure functions of
+// their key, so a re-miss rebuilds the identical artefact (pinned by
+// TestBoundedMemoEvictionIdentity).
 type MemStore struct {
-	mu        sync.Mutex
-	schedules map[Key]*memEntry[*core.Schedule]
-	plans     map[Key]*memEntry[*sim.CompiledPlan]
-	capBytes  int64 // <= 0: unbounded
-	usedBytes int64
-	lru       list.List // of *lruItem; front = most recently used
-	evictions atomic.Int64
+	mu          sync.Mutex
+	schedules   map[Key]*memEntry[*core.Schedule]
+	plans       map[Key]*memEntry[*sim.CompiledPlan]
+	comparisons map[Key]*memEntry[*Comparison]
+	capBytes    int64 // <= 0: unbounded
+	usedBytes   int64
+	lru         list.List // of *lruItem; front = most recently used
+	evictions   atomic.Int64
 }
 
 // memEntry is one resident artefact (or cached build failure).
@@ -76,10 +82,19 @@ type memEntry[T any] struct {
 	elem *list.Element
 }
 
+// artefactKind names the map an LRU seat's key lives in.
+type artefactKind uint8
+
+const (
+	kindSchedule artefactKind = iota
+	kindPlan
+	kindComparison
+)
+
 // lruItem is one resident entry's seat in the eviction order.
 type lruItem struct {
 	key   Key
-	plan  bool // which map the key lives in
+	kind  artefactKind
 	bytes int64
 }
 
@@ -88,64 +103,71 @@ type lruItem struct {
 // finite; a resident daemon should bound it.
 func NewMemStore(capBytes int64) *MemStore {
 	return &MemStore{
-		schedules: make(map[Key]*memEntry[*core.Schedule]),
-		plans:     make(map[Key]*memEntry[*sim.CompiledPlan]),
-		capBytes:  capBytes,
+		schedules:   make(map[Key]*memEntry[*core.Schedule]),
+		plans:       make(map[Key]*memEntry[*sim.CompiledPlan]),
+		comparisons: make(map[Key]*memEntry[*Comparison]),
+		capBytes:    capBytes,
 	}
 }
 
 // GetSchedule implements Store; a hit refreshes the entry's LRU seat.
 func (m *MemStore) GetSchedule(key Key) (*core.Schedule, error, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.schedules[key]
-	if !ok {
-		return nil, nil, false
-	}
-	m.lru.MoveToFront(e.elem)
-	return e.val, e.err, true
+	return memGet(m, m.schedules, key)
 }
 
 // PutSchedule implements Store. A duplicate put refreshes the LRU seat and
 // keeps the resident entry (equal keys imply equal content).
 func (m *MemStore) PutSchedule(key Key, s *core.Schedule, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.schedules[key]; ok {
-		m.lru.MoveToFront(e.elem)
-		return
-	}
-	e := &memEntry[*core.Schedule]{val: s, err: err}
-	e.elem = m.lru.PushFront(&lruItem{key: key, bytes: scheduleBytes(s)})
-	m.schedules[key] = e
-	m.usedBytes += e.elem.Value.(*lruItem).bytes
-	m.evict()
+	memPut(m, m.schedules, kindSchedule, key, s, err, scheduleBytes(s))
 }
 
 // GetPlan implements Store.
 func (m *MemStore) GetPlan(key Key) (*sim.CompiledPlan, error, bool) {
+	return memGet(m, m.plans, key)
+}
+
+// PutPlan implements Store.
+func (m *MemStore) PutPlan(key Key, p *sim.CompiledPlan, err error) {
+	memPut(m, m.plans, kindPlan, key, p, err, planBytes(p))
+}
+
+// GetComparison implements Store.
+func (m *MemStore) GetComparison(key Key) (*Comparison, error, bool) {
+	return memGet(m, m.comparisons, key)
+}
+
+// PutComparison implements Store; comparisons share the byte cap and the
+// LRU order with schedules and plans.
+func (m *MemStore) PutComparison(key Key, c *Comparison, err error) {
+	memPut(m, m.comparisons, kindComparison, key, c, err, comparisonBytes)
+}
+
+// memGet is the Get of every kind: a hit refreshes the entry's LRU seat.
+func memGet[T any](m *MemStore, entries map[Key]*memEntry[T], key Key) (T, error, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.plans[key]
+	e, ok := entries[key]
 	if !ok {
-		return nil, nil, false
+		var zero T
+		return zero, nil, false
 	}
 	m.lru.MoveToFront(e.elem)
 	return e.val, e.err, true
 }
 
-// PutPlan implements Store.
-func (m *MemStore) PutPlan(key Key, p *sim.CompiledPlan, err error) {
+// memPut is the Put of every kind: a new entry takes the front LRU seat and
+// is charged bytes, then the cold end is evicted to fit the cap.
+func memPut[T any](m *MemStore, entries map[Key]*memEntry[T], kind artefactKind, key Key, v T, err error, bytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.plans[key]; ok {
+	if e, ok := entries[key]; ok {
 		m.lru.MoveToFront(e.elem)
 		return
 	}
-	e := &memEntry[*sim.CompiledPlan]{val: p, err: err}
-	e.elem = m.lru.PushFront(&lruItem{key: key, plan: true, bytes: planBytes(p)})
-	m.plans[key] = e
-	m.usedBytes += e.elem.Value.(*lruItem).bytes
+	e := &memEntry[T]{val: v, err: err}
+	e.elem = m.lru.PushFront(&lruItem{key: key, kind: kind, bytes: bytes})
+	entries[key] = e
+	m.usedBytes += bytes
 	m.evict()
 }
 
@@ -163,10 +185,13 @@ func (m *MemStore) evict() {
 		it := back.Value.(*lruItem)
 		m.lru.Remove(back)
 		m.usedBytes -= it.bytes
-		if it.plan {
-			delete(m.plans, it.key)
-		} else {
+		switch it.kind {
+		case kindSchedule:
 			delete(m.schedules, it.key)
+		case kindPlan:
+			delete(m.plans, it.key)
+		case kindComparison:
+			delete(m.comparisons, it.key)
 		}
 		m.evictions.Add(1)
 	}
@@ -209,3 +234,7 @@ func planBytes(p *sim.CompiledPlan) int64 {
 	}
 	return entryOverhead + int64(p.Pieces())*(10*8+4) + int64(p.Instances())*3*8
 }
+
+// comparisonBytes is the resident cost charged to a cached comparison: the
+// entry overhead plus two fixed-size sim.Results.
+const comparisonBytes = 512 + 2*128

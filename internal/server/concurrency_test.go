@@ -84,7 +84,9 @@ func TestServerConcurrentDeterminism(t *testing.T) {
 
 // TestServerConcurrentMixedEndpoints storms submit and compare at once;
 // every response class must match its own serial reference: a compare and a
-// submit of the same set share memoized solves but never a response.
+// submit of the same set share memoized solves but never a response. The
+// concurrent identical compares cost one simulation between them: the
+// compare memo's singleflight turns the rest into hits.
 func TestServerConcurrentMixedEndpoints(t *testing.T) {
 	const clients = 6
 	body := smallBody(1)
@@ -93,7 +95,7 @@ func TestServerConcurrentMixedEndpoints(t *testing.T) {
 	_, wantSubmit := post(t, serialTS.URL+"/v1/schedules", body)
 	_, wantCompare := post(t, serialTS.URL+"/v1/compare", body)
 
-	_, ts := newTestServer(t, Options{SimHyperperiods: 10})
+	s, ts := newTestServer(t, Options{SimHyperperiods: 10})
 	var wg sync.WaitGroup
 	errs := make(chan string, clients*2)
 	for c := 0; c < clients; c++ {
@@ -116,5 +118,9 @@ func TestServerConcurrentMixedEndpoints(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+	if st := s.memo.Stats(); st.CompareMisses != 1 || st.CompareHits != clients-1 {
+		t.Errorf("%d identical compares: %d compare misses and %d hits, want 1 and %d",
+			clients, st.CompareMisses, st.CompareHits, clients-1)
 	}
 }

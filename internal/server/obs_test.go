@@ -54,8 +54,9 @@ func sampleOr(t *testing.T, fams []obs.Family, name string, labels ...obs.Label)
 }
 
 // mixedWorkload drives every counted request kind through the server:
-// submits (with a duplicate for the memo-hit path), a get, a
-// compare, and a drift-firing observation stream on one session.
+// submits (with a duplicate for the memo-hit path), a get, two identical
+// compares (the second a compare-memo hit), and a drift-firing observation
+// stream on one session.
 func mixedWorkload(t *testing.T, ts string) {
 	t.Helper()
 	for _, i := range []int{0, 1, 0} { // i=0 twice: second is a memo hit
@@ -71,8 +72,10 @@ func mixedWorkload(t *testing.T, ts string) {
 	if code, body := get(t, ts+"/v1/schedules/"+sub.Fingerprint); code != http.StatusOK {
 		t.Fatalf("get: %d %s", code, body)
 	}
-	if code, body := post(t, ts+"/v1/compare", smallBody(2)); code != http.StatusOK {
-		t.Fatalf("compare: %d %s", code, body)
+	for i := 0; i < 2; i++ {
+		if code, body := post(t, ts+"/v1/compare", smallBody(2)); code != http.StatusOK {
+			t.Fatalf("compare %d: %d %s", i, code, body)
+		}
 	}
 
 	sessBody, set := sessionBody(t, 1)
@@ -146,6 +149,8 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		{"schedd_memo_misses_total", float64(st.Memo.ScheduleMisses), []obs.Label{obs.L("kind", "schedule")}},
 		{"schedd_memo_hits_total", float64(st.Memo.PlanHits), []obs.Label{obs.L("kind", "plan")}},
 		{"schedd_memo_misses_total", float64(st.Memo.PlanMisses), []obs.Label{obs.L("kind", "plan")}},
+		{"schedd_memo_hits_total", float64(st.Memo.CompareHits), []obs.Label{obs.L("kind", "compare")}},
+		{"schedd_memo_misses_total", float64(st.Memo.CompareMisses), []obs.Label{obs.L("kind", "compare")}},
 		{"schedd_memo_evictions_total", float64(st.Memo.Evictions), nil},
 		{"schedd_memo_bytes_used", float64(st.Memo.BytesUsed), nil},
 		{"schedd_store_breaker_state", breakerStateNum(st.Memo.BreakerState), nil},
@@ -156,7 +161,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		}
 	}
 	// Sanity: the workload actually exercised the interesting paths.
-	if st.Submits < 4 || st.Memo.ScheduleHits == 0 || st.Observes == 0 {
+	if st.Submits < 4 || st.Memo.ScheduleHits == 0 || st.Memo.CompareHits == 0 || st.Observes == 0 {
 		t.Fatalf("workload too thin to make the comparison meaningful: %+v", st)
 	}
 }
@@ -181,6 +186,16 @@ func TestMetricsCoverageAndHistograms(t *testing.T) {
 	} {
 		if obs.FindFamily(fams, name) == nil {
 			t.Errorf("family %s missing from /metrics", name)
+		}
+	}
+
+	// The two identical compares: one simulation, then a compare-memo hit.
+	for _, c := range []struct {
+		name string
+		want float64
+	}{{"schedd_memo_misses_total", 1}, {"schedd_memo_hits_total", 1}} {
+		if got := sampleOr(t, fams, c.name, obs.L("kind", "compare")); got != c.want {
+			t.Errorf(`%s{kind="compare"} = %v, want %v`, c.name, got, c.want)
 		}
 	}
 

@@ -70,9 +70,9 @@ type Options struct {
 	// Workers is the grid worker-pool width (0 = GOMAXPROCS). Responses
 	// never depend on it.
 	Workers int
-	// MemoBytes caps the shared schedule/plan cache (estimated resident
-	// bytes, LRU eviction). 0 selects the 256 MiB default; negative means
-	// unbounded (not recommended for a resident daemon).
+	// MemoBytes caps the shared schedule/plan/comparison cache (estimated
+	// resident bytes, LRU eviction). 0 selects the 256 MiB default;
+	// negative means unbounded (not recommended for a resident daemon).
 	MemoBytes int64
 	// Starts is the default solver multi-start count for requests that do
 	// not set their own (0/1 = single start).
@@ -98,7 +98,7 @@ type Options struct {
 	// MaxObserveBatch bounds hyper-periods per observe call (default 4096).
 	MaxObserveBatch int
 	// Store, when non-nil, supplies the residency backend for the shared
-	// schedule/plan cache instead of the MemoBytes-bounded in-memory default —
+	// memo cache instead of the MemoBytes-bounded in-memory default —
 	// typically a store.Tiered (memory over the crash-safe disk log), which
 	// makes solves survive restarts. The byte-determinism contract makes the
 	// swap invisible: every backend yields identical response bytes
@@ -403,14 +403,17 @@ func (s *Server) acquire(ctx context.Context) (func(), *apiError) {
 
 // apiError is a deterministic JSON error response. retryAfter carries the
 // Retry-After header value for 503s; writeResult defaults it to 1s so every
-// 503 the server emits is explicitly retryable.
+// 503 the server emits is explicitly retryable. cause, when set, is the
+// pipeline failure the response reports (see solveError).
 type apiError struct {
 	status     int
 	msg        string
 	retryAfter int // seconds; 0 = writeResult's default for 503
+	cause      error
 }
 
 func (e *apiError) Error() string { return e.msg }
+func (e *apiError) Unwrap() error { return e.cause }
 
 func errorf(status int, format string, args ...any) *apiError {
 	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
@@ -587,8 +590,9 @@ type StatsResponse struct {
 }
 
 // canonicalize validates a submit body into its canonical form. All
-// admission rejections happen here or in the feasibility check — both before
-// any solver time is spent.
+// admission rejections happen here or in the WCS build's all-Vmax check
+// (core.InfeasibleError, mapped by solveError) — both before any
+// optimisation sweep runs.
 func (s *Server) canonicalize(req *SubmitRequest) (*canonicalRequest, *apiError) {
 	return canonicalizeSubmit(req, s.opts.Starts, s.opts.MaxTasks)
 }
@@ -698,18 +702,16 @@ func (cr *canonicalRequest) fingerprint() (string, *apiError) {
 	return key.String(), nil
 }
 
-// buildScheduleResponse is the submit pipeline: admission feasibility check,
-// WCS synthesis, ACS synthesis warm-started from WCS (for the ACS
-// objective), response assembly. It is a pure function of cr — every field
-// of the response is derived from solver output, never from timing or cache
-// state.
+// buildScheduleResponse is the submit pipeline: WCS synthesis, whose
+// all-Vmax check is the admission test (an infeasible set is a cached build
+// failure, so a repeat does no admission work either), then ACS synthesis
+// warm-started from WCS (for the ACS objective) and response assembly. It
+// is a pure function of cr — every field of the response is derived from
+// solver output, never from timing or cache state.
 func (s *Server) buildScheduleResponse(ctx context.Context, cr *canonicalRequest, fp string) any {
 	s.failpoint("pipeline.panic")
 	if cr.cores > 1 {
 		return s.buildPartitionResponse(ctx, cr, fp)
-	}
-	if err := core.Feasible(cr.set, cr.config(core.WorstCase)); err != nil {
-		return errorf(http.StatusUnprocessableEntity, "admission: %v", err)
 	}
 	wcsDone := obs.StartSpan(ctx, "solve_wcs")
 	wcs, err := s.runner.BuildScheduleContext(ctx, cr.set, cr.config(core.WorstCase))
@@ -860,16 +862,50 @@ func (s *Server) buildPartitionResponse(ctx context.Context, cr *canonicalReques
 
 // buildCompareResponse solves both objectives and simulates them under
 // identical workload draws — the Fig. 6 quantity, as a service. Pure
-// function of (cr, hyperperiods, seed).
+// function of (cr, hyperperiods, seed), so the comparison is memoized under
+// the fingerprint and the simulation config (grid.CompareKey): a repeat
+// answers from the memo without solving, compiling or simulating, and an
+// infeasible set's admission 422 is cached the same way.
 func (s *Server) buildCompareResponse(ctx context.Context, cr *canonicalRequest, fp string, hyperperiods int, seed uint64) any {
-	if err := core.Feasible(cr.set, cr.config(core.WorstCase)); err != nil {
-		return errorf(http.StatusUnprocessableEntity, "admission: %v", err)
+	cfg := sim.Config{
+		Policy:       sim.Greedy,
+		Hyperperiods: hyperperiods,
+		Seed:         seed,
+		Workers:      s.opts.SimWorkers,
+		Ctx:          ctx,
 	}
+	c, err := s.runner.Compare(ctx, fp, cfg, func() (*grid.Comparison, error) {
+		return s.simulatePair(ctx, cr, cfg)
+	})
+	if err != nil {
+		var e *apiError
+		if !errors.As(err, &e) {
+			// A waiter whose own context ended gets that context's error.
+			e = solveError("comparison", err)
+		}
+		return e
+	}
+	return &CompareResponse{
+		Fingerprint:    fp,
+		Hyperperiods:   hyperperiods,
+		Seed:           seed,
+		ImprovementPct: c.ImprovementPct,
+		ACS:            PolicyResult{Energy: c.A.Energy, DeadlineMisses: c.A.DeadlineMisses, Switches: c.A.Switches, MeanVoltage: c.A.MeanVoltage},
+		WCS:            PolicyResult{Energy: c.B.Energy, DeadlineMisses: c.B.DeadlineMisses, Switches: c.B.Switches, MeanVoltage: c.B.MeanVoltage},
+	}
+}
+
+// simulatePair is the comparison build: WCS synthesis (the admission test,
+// as in buildScheduleResponse), ACS warm-started from it, both compiled, and
+// simulated under cfg with A = ACS and B = WCS. Every failure is returned
+// as the *apiError the response reports; its cause tells the memo whether
+// it may be cached.
+func (s *Server) simulatePair(ctx context.Context, cr *canonicalRequest, cfg sim.Config) (*grid.Comparison, error) {
 	wcsDone := obs.StartSpan(ctx, "solve_wcs")
 	wcs, err := s.runner.BuildScheduleContext(ctx, cr.set, cr.config(core.WorstCase))
 	wcsDone()
 	if err != nil {
-		return solveError("wcs synthesis", err)
+		return nil, solveError("wcs synthesis", err)
 	}
 	acsCfg := cr.config(core.AverageCase)
 	acsCfg.WarmStart = wcs
@@ -877,46 +913,45 @@ func (s *Server) buildCompareResponse(ctx context.Context, cr *canonicalRequest,
 	acs, err := s.runner.BuildScheduleContext(ctx, cr.set, acsCfg)
 	acsDone()
 	if err != nil {
-		return solveError("acs synthesis", err)
+		return nil, solveError("acs synthesis", err)
 	}
 	pa, err := s.runner.CompileScheduleContext(ctx, acs)
 	if err != nil {
-		return solveError("acs compile", err)
+		return nil, solveError("acs compile", err)
 	}
 	pb, err := s.runner.CompileScheduleContext(ctx, wcs)
 	if err != nil {
-		return solveError("wcs compile", err)
+		return nil, solveError("wcs compile", err)
 	}
 	simDone := obs.StartSpan(ctx, "sim")
-	imp, ra, rb, err := sim.ComparePlans(pa, pb, sim.Config{
-		Policy:       sim.Greedy,
-		Hyperperiods: hyperperiods,
-		Seed:         seed,
-		Workers:      s.opts.SimWorkers,
-		Ctx:          ctx,
-	})
+	imp, ra, rb, err := sim.ComparePlans(pa, pb, cfg)
 	simDone()
 	if err != nil {
-		return solveError("simulation", err)
+		return nil, solveError("simulation", err)
 	}
-	return &CompareResponse{
-		Fingerprint:    fp,
-		Hyperperiods:   hyperperiods,
-		Seed:           seed,
-		ImprovementPct: imp,
-		ACS:            PolicyResult{Energy: ra.Energy, DeadlineMisses: ra.DeadlineMisses, Switches: ra.Switches, MeanVoltage: ra.MeanVoltage},
-		WCS:            PolicyResult{Energy: rb.Energy, DeadlineMisses: rb.DeadlineMisses, Switches: rb.Switches, MeanVoltage: rb.MeanVoltage},
-	}
+	return &grid.Comparison{ImprovementPct: imp, A: ra, B: rb}, nil
 }
 
 // solveError maps pipeline failures: cancellation (the requester went away
-// or the server is shutting down) becomes 503, everything else is a
-// deterministic 422 — solve failures are properties of the request content.
+// or the server is shutting down) becomes 503; a set the WCS build found
+// unschedulable at Vmax (core.InfeasibleError) becomes the admission 422,
+// with the check's own text; everything else is a deterministic 422 —
+// solve failures are properties of the request content. The failure stays
+// the response's cause, so the memo can tell a cancellation (never cached)
+// from a cacheable failure.
 func solveError(stage string, err error) *apiError {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return errorf(http.StatusServiceUnavailable, "%s canceled", stage)
+	var e *apiError
+	var inf *core.InfeasibleError
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		e = errorf(http.StatusServiceUnavailable, "%s canceled", stage)
+	case errors.As(err, &inf):
+		e = errorf(http.StatusUnprocessableEntity, "admission: %v", inf)
+	default:
+		e = errorf(http.StatusUnprocessableEntity, "%s: %v", stage, err)
 	}
-	return errorf(http.StatusUnprocessableEntity, "%s: %v", stage, err)
+	e.cause = err
+	return e
 }
 
 // storedRequest is the persisted form of a canonical request: the canonical

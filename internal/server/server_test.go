@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -70,7 +71,7 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestSubmitAndGetRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	srv, ts := newTestServer(t, Options{})
 	code, body := post(t, ts.URL+"/v1/schedules", smallBody(0))
 	if code != http.StatusOK {
 		t.Fatalf("submit: status %d: %s", code, body)
@@ -93,13 +94,29 @@ func TestSubmitAndGetRoundTrip(t *testing.T) {
 			resp.PredictedEnergy, *resp.WCSAvgEnergy)
 	}
 
-	// GET must return byte-identical content.
-	code2, body2 := get(t, ts.URL+"/v1/schedules/"+resp.Fingerprint)
-	if code2 != http.StatusOK {
-		t.Fatalf("get: status %d: %s", code2, body2)
-	}
-	if body2 != body {
-		t.Errorf("GET differs from submit response:\n%s\nvs\n%s", body2, body)
+	// GET and a resubmit must return byte-identical content, and each, being
+	// resident, is exactly two schedule-memo hits (WCS, then ACS) and no
+	// miss: the admission check rides inside the WCS build, so nothing is
+	// looked up or checked twice.
+	for _, tc := range []struct {
+		name string
+		send func() (int, string)
+	}{
+		{"get", func() (int, string) { return get(t, ts.URL+"/v1/schedules/"+resp.Fingerprint) }},
+		{"resubmit", func() (int, string) { return post(t, ts.URL+"/v1/schedules", smallBody(0)) }},
+	} {
+		before := srv.memo.Stats()
+		code2, body2 := tc.send()
+		after := srv.memo.Stats()
+		if code2 != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, code2, body2)
+		}
+		if body2 != body {
+			t.Errorf("%s differs from submit response:\n%s\nvs\n%s", tc.name, body2, body)
+		}
+		if hits, misses := after.ScheduleHits-before.ScheduleHits, after.ScheduleMisses-before.ScheduleMisses; hits != 2 || misses != 0 {
+			t.Errorf("resident %s: %d schedule hits and %d misses, want 2 and 0", tc.name, hits, misses)
+		}
 	}
 
 	if code, _ := get(t, ts.URL+"/v1/schedules/deadbeef"); code != http.StatusNotFound {
@@ -128,29 +145,41 @@ func TestSubmitWCSObjective(t *testing.T) {
 
 func TestSubmitRejections(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxTasks: 2})
+	// 10 cycles/ms on a unit-K model needs v=10 > Vmax=4: unschedulable.
+	const infeasible = `{"tasks":[{"name":"a","period_ms":10,"wcec":100,"acec":60,"bcec":50,"ceff":1}]}`
+	// The full admission body: the all-Vmax check's own text, byte for byte.
+	const infeasibleBody = `{"error":"admission: core: a#0 unschedulable at Vmax: 60 cycles never scheduled"}` + "\n"
 	cases := []struct {
-		name, body string
-		status     int
+		name, path, body string
+		status           int
+		want             string // the full response body, when pinned
 	}{
-		{"bad json", `{`, http.StatusBadRequest},
-		{"unknown field", `{"tasks":[],"nope":1}`, http.StatusBadRequest},
-		{"empty set", `{"tasks":[]}`, http.StatusUnprocessableEntity},
-		{"bad objective", `{"tasks":[{"name":"a","period_ms":10,"wcec":4,"acec":2,"bcec":1,"ceff":1}],"objective":"xxx"}`, http.StatusUnprocessableEntity},
-		{"invalid task", `{"tasks":[{"name":"a","period_ms":10,"wcec":-4,"acec":2,"bcec":1,"ceff":1}]}`, http.StatusUnprocessableEntity},
-		{"too many tasks", `{"tasks":[` +
+		{"bad json", "/v1/schedules", `{`, http.StatusBadRequest, ""},
+		{"unknown field", "/v1/schedules", `{"tasks":[],"nope":1}`, http.StatusBadRequest, ""},
+		{"empty set", "/v1/schedules", `{"tasks":[]}`, http.StatusUnprocessableEntity, ""},
+		{"bad objective", "/v1/schedules", `{"tasks":[{"name":"a","period_ms":10,"wcec":4,"acec":2,"bcec":1,"ceff":1}],"objective":"xxx"}`, http.StatusUnprocessableEntity, ""},
+		{"invalid task", "/v1/schedules", `{"tasks":[{"name":"a","period_ms":10,"wcec":-4,"acec":2,"bcec":1,"ceff":1}]}`, http.StatusUnprocessableEntity, ""},
+		{"too many tasks", "/v1/schedules", `{"tasks":[` +
 			`{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1},` +
 			`{"name":"b","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1},` +
-			`{"name":"c","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}`, http.StatusUnprocessableEntity},
-		// 10 cycles/ms on a unit-K model needs v=10 > Vmax=4: unschedulable.
-		{"infeasible", `{"tasks":[{"name":"a","period_ms":10,"wcec":100,"acec":60,"bcec":50,"ceff":1}]}`, http.StatusUnprocessableEntity},
+			`{"name":"c","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}`, http.StatusUnprocessableEntity, ""},
+		{"infeasible", "/v1/schedules", infeasible, http.StatusUnprocessableEntity, infeasibleBody},
+		{"infeasible compare", "/v1/compare", infeasible, http.StatusUnprocessableEntity, infeasibleBody},
 	}
-	for _, tc := range cases {
-		code, body := post(t, ts.URL+"/v1/schedules", tc.body)
-		if code != tc.status {
-			t.Errorf("%s: want %d, got %d (%s)", tc.name, tc.status, code, body)
-		}
-		if !strings.Contains(body, `"error"`) {
-			t.Errorf("%s: error body missing error field: %s", tc.name, body)
+	// The second round repeats every request: an infeasible set is then a
+	// cached build failure, which must answer the same bytes.
+	for round := 0; round < 2; round++ {
+		for _, tc := range cases {
+			code, body := post(t, ts.URL+tc.path, tc.body)
+			if code != tc.status {
+				t.Errorf("%s (round %d): want %d, got %d (%s)", tc.name, round, tc.status, code, body)
+			}
+			if !strings.Contains(body, `"error"`) {
+				t.Errorf("%s (round %d): error body missing error field: %s", tc.name, round, body)
+			}
+			if tc.want != "" && body != tc.want {
+				t.Errorf("%s (round %d): body %q, want %q", tc.name, round, body, tc.want)
+			}
 		}
 	}
 }
@@ -183,7 +212,7 @@ func TestSubmitDeterministicAcrossCacheStates(t *testing.T) {
 }
 
 func TestCompareEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{SimHyperperiods: 20})
+	s, ts := newTestServer(t, Options{SimHyperperiods: 20})
 	body := `{"tasks":[` +
 		`{"name":"a","period_ms":10,"wcec":4,"acec":2,"bcec":1,"ceff":1},` +
 		`{"name":"b","period_ms":20,"wcec":6,"acec":3,"bcec":2,"ceff":1}]}`
@@ -230,6 +259,58 @@ func TestCompareEndpoint(t *testing.T) {
 	}
 	if resp3.Seed != 7 || resp3.Hyperperiods != 10 {
 		t.Errorf("explicit sim params not honoured: %+v", resp3)
+	}
+
+	// Each simulation dimension keys its own compare-memo entry: a new
+	// variant is one miss, its repeat a hit with the same bytes. The bytes
+	// also match an evicting server (every entry dropped as it lands) and
+	// servers simulating on 1 and 4 workers.
+	_, evicting := newTestServer(t, Options{SimHyperperiods: 20, MemoBytes: 1, SimWorkers: 1})
+	_, wide := newTestServer(t, Options{SimHyperperiods: 20, SimWorkers: 4})
+	for i, v := range []string{
+		body, // already simulated above
+		strings.TrimSuffix(body, "}") + `,"seed":7}`,
+		strings.TrimSuffix(body, "}") + `,"hyperperiods":10}`,
+		strings.TrimSuffix(body, "}") + `,"seed":7,"hyperperiods":10}`, // already simulated above
+		strings.TrimSuffix(body, "}") + `,"seed":8,"hyperperiods":10}`,
+	} {
+		before := s.memo.Stats()
+		_, first := post(t, ts.URL+"/v1/compare", v)
+		_, again := post(t, ts.URL+"/v1/compare", v)
+		after := s.memo.Stats()
+		wantMisses := int64(1)
+		if i == 0 || i == 3 {
+			wantMisses = 0
+		}
+		if misses, hits := after.CompareMisses-before.CompareMisses, after.CompareHits-before.CompareHits; misses != wantMisses || hits != 2-wantMisses {
+			t.Errorf("variant %d: %d compare misses and %d hits, want %d and %d", i, misses, hits, wantMisses, 2-wantMisses)
+		}
+		if again != first {
+			t.Errorf("variant %d: memo hit changed bytes:\n%s\nvs\n%s", i, again, first)
+		}
+		for name, url := range map[string]string{"evicting": evicting.URL, "4-worker": wide.URL} {
+			if _, other := post(t, url+"/v1/compare", v); other != first {
+				t.Errorf("variant %d: %s server disagrees:\n%s\nvs\n%s", i, name, other, first)
+			}
+		}
+	}
+
+	// A compare whose context is already canceled answers 503 and leaves no
+	// entry behind — a cached 503 would poison the key — so the next
+	// identical compare simulates afresh and answers 200.
+	fresh, freshTS := newTestServer(t, Options{SimHyperperiods: 20})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	fresh.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/compare", strings.NewReader(body)).WithContext(ctx))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("compare under a canceled context: %d %s, want 503", rec.Code, rec.Body)
+	}
+	if code, after := post(t, freshTS.URL+"/v1/compare", body); code != http.StatusOK || after != got {
+		t.Errorf("compare after a canceled one: %d %s, want 200 and the reference bytes", code, after)
+	}
+	if st := fresh.memo.Stats(); st.CompareMisses != 2 || st.CompareHits != 0 {
+		t.Errorf("canceled then live compare: %d compare misses and %d hits, want 2 and 0", st.CompareMisses, st.CompareHits)
 	}
 }
 

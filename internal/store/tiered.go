@@ -22,11 +22,11 @@ var ErrDegraded = errors.New("store: disk degraded, serving memory-only")
 // warm-up pass (warm restarts repopulate on demand). Writes land in both
 // tiers — memory for the next request, disk for the next process.
 //
-// Plans live in the memory tier only: the disk log persists schedules and
-// plans are recompiled from them, so a plan lookup that misses memory is an
-// honest miss. Cached failures likewise stay memory-only (the disk backend
-// skips them), preserving the contract that losing any tier changes hit
-// rates, never results.
+// Plans and comparisons live in the memory tier only: the disk log persists
+// schedules and both are rebuilt from them, so a lookup that misses memory
+// is an honest miss. Cached failures likewise stay memory-only (the disk
+// backend skips them), preserving the contract that losing any tier changes
+// hit rates, never results.
 //
 // Graceful degradation (DESIGN.md §10): every disk operation flows through a
 // circuit breaker. Persistent device failures trip it open, and the store
@@ -156,6 +156,16 @@ func (t *Tiered) GetPlan(key grid.Key) (*sim.CompiledPlan, error, bool) {
 // PutPlan implements grid.Store; plans are memory-only.
 func (t *Tiered) PutPlan(key grid.Key, p *sim.CompiledPlan, err error) {
 	t.mem.PutPlan(key, p, err)
+}
+
+// GetComparison implements grid.Store; comparisons are memory-only.
+func (t *Tiered) GetComparison(key grid.Key) (*grid.Comparison, error, bool) {
+	return t.mem.GetComparison(key)
+}
+
+// PutComparison implements grid.Store; comparisons are memory-only.
+func (t *Tiered) PutComparison(key grid.Key, c *grid.Comparison, err error) {
+	t.mem.PutComparison(key, c, err)
 }
 
 // PutBlob implements server.BlobStore through the breaker: with the disk
