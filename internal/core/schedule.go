@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/power"
 	"repro/internal/preempt"
+	"repro/internal/task"
 )
 
 // Objective selects what the static schedule optimises.
@@ -118,6 +119,44 @@ func deriveAvgWork(plan *preempt.Schedule, wc, avg []float64) {
 			remaining -= w
 		}
 	}
+}
+
+// Retarget returns the worst-case schedule s bound to set, a task set that
+// differs from s's own only in ACEC and BCEC. A WCS solve reads those
+// fields only to fill the derived AvgWork: the plan expansion, the Vmax
+// start, the WCWork-load objective and the sweeps see only periods, WCEC and
+// Ceff. So for a WCS built without a warm start the result equals
+// Build(set, cfg) field for field: the plan is a shallow copy with Set
+// swapped, End, WCWork, Energy and Sweeps are shared, and AvgWork is
+// re-derived from set's ACEC. ok is false for an
+// AverageCase schedule, whose objective reads ACEC, and for a set that
+// differs in anything else (names, periods, WCEC, Ceff or task count).
+func (s *Schedule) Retarget(set *task.Set) (*Schedule, bool) {
+	if s.Objective != WorstCase || set == nil || !sameWorstCase(s.Plan.Set, set) {
+		return nil, false
+	}
+	plan := *s.Plan
+	plan.Set = set
+	out := *s
+	out.Plan = &plan
+	out.AvgWork = make([]float64, len(s.WCWork))
+	deriveAvgWork(&plan, out.WCWork, out.AvgWork)
+	return &out, true
+}
+
+// sameWorstCase reports whether a and b agree task for task on every field
+// but ACEC and BCEC.
+func sameWorstCase(a, b *task.Set) bool {
+	if len(a.Tasks) != len(b.Tasks) {
+		return false
+	}
+	for i := range a.Tasks {
+		x, y := &a.Tasks[i], &b.Tasks[i]
+		if x.Name != y.Name || x.Period != y.Period || x.WCEC != y.WCEC || x.Ceff != y.Ceff {
+			return false
+		}
+	}
+	return true
 }
 
 // evalState carries the greedy-reclamation recursion so sweeps can resume

@@ -133,7 +133,10 @@ func restoreSetEstimator(set *task.Set, states []TaskEstimatorState) (*SetEstima
 // The model is re-solved through opts.Runner — a content-store hit on a warm
 // restart, a fresh solve otherwise, bit-identical either way — and every
 // fold counter is restored, so the controller continues the observation
-// stream exactly where the snapshot left it. ctx bounds the re-solve.
+// stream exactly where the snapshot left it. A model that is not the base
+// set with other ACEC and BCEC is refused: no controller writes one, and
+// the re-solve retargets the base set's WCS to the model. ctx bounds the
+// re-solve.
 func RestoreController(ctx context.Context, st *ControllerState, opts Options) (*Controller, error) {
 	if st == nil {
 		return nil, fmt.Errorf("feedback: nil controller snapshot")
@@ -151,9 +154,6 @@ func RestoreController(ctx context.Context, st *ControllerState, opts Options) (
 	model, err := task.NewSet(append([]task.Task(nil), st.Model...))
 	if err != nil {
 		return nil, fmt.Errorf("feedback: snapshot model set: %w", err)
-	}
-	if model.N() != base.N() {
-		return nil, fmt.Errorf("feedback: snapshot model has %d tasks, base %d", model.N(), base.N())
 	}
 	o := opts.withDefaults()
 	if err := o.Drift.validate(); err != nil {

@@ -129,6 +129,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		"empty base set":      func(st *ControllerState) { st.Base = nil },
 		"model task mismatch": func(st *ControllerState) { st.Model = st.Model[1:] },
 		"invalid model task":  func(st *ControllerState) { st.Model[0].WCEC = -1 },
+		"model wcec moved":    func(st *ControllerState) { st.Model[0].WCEC *= 1.5 },
 	}
 	for name, mutate := range damage {
 		var st *ControllerState

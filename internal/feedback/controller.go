@@ -20,9 +20,9 @@ type Options struct {
 	// unmemoized runner — semantically identical, never cached.
 	Runner *grid.Runner
 	// Solver is the base solver configuration. Objective and WarmStart are
-	// managed by the controller (WCS first, ACS warm-started from it — the
-	// same pipeline the serving layer uses); every other field passes
-	// through to each re-solve unchanged.
+	// managed by the controller (the base set's WCS, then ACS warm-started
+	// from it — the bytes the serving layer's pipeline gives); every other
+	// field passes through to each re-solve unchanged.
 	Solver core.Config
 	// Bins is the estimator histogram resolution (default 32).
 	Bins int
@@ -37,7 +37,7 @@ type Options struct {
 	// its estimated mean to replace its ACEC in a re-solve (default 8).
 	MinCount int64
 	// OnResolve, when set, is called with the wall-clock duration of every
-	// solve pipeline (WCS + warm ACS + compile), including the initial
+	// solve pipeline (WCS lookup + warm ACS + compile), including the initial
 	// solve. Purely observational — it must not mutate the controller and
 	// has no effect on results.
 	OnResolve func(d time.Duration)
@@ -169,8 +169,12 @@ func NewController(ctx context.Context, set *task.Set, opts Options) (*Controlle
 	return c, nil
 }
 
-// resolve builds WCS and warm-started ACS for model through the runner,
-// compiles the plan, and installs all three.
+// resolve builds warm-started ACS for model through the runner, compiles
+// the plan, and installs both. The warm start is the base set's WCS
+// retargeted to model: adaptation moves only ACEC, which a WCS solve reads
+// only for its derived AvgWork, so on a memoized runner every re-solve
+// reuses the WCS the first solve built, and the ACS key is the one a WCS
+// built on model would give.
 func (c *Controller) resolve(ctx context.Context, model *task.Set) error {
 	if c.opts.OnResolve != nil {
 		t0 := time.Now()
@@ -179,9 +183,13 @@ func (c *Controller) resolve(ctx context.Context, model *task.Set) error {
 	wcsCfg := c.opts.Solver
 	wcsCfg.Objective = core.WorstCase
 	wcsCfg.WarmStart = nil
-	wcs, err := c.opts.Runner.BuildScheduleContext(ctx, model, wcsCfg)
+	baseWCS, err := c.opts.Runner.BuildScheduleContext(ctx, c.base, wcsCfg)
 	if err != nil {
 		return fmt.Errorf("feedback: wcs re-solve: %w", err)
+	}
+	wcs, ok := baseWCS.Retarget(model)
+	if !ok {
+		return fmt.Errorf("feedback: the model differs from the base set beyond ACEC and BCEC")
 	}
 	acsCfg := c.opts.Solver
 	acsCfg.Objective = core.AverageCase

@@ -234,6 +234,52 @@ func TestObserveChunkingTransparent(t *testing.T) {
 	}
 }
 
+// TestResolveReusesBaseWCS: a re-solve looks up the base set's WCS, which
+// the controller's first solve left in the memo, and builds only the ACS of
+// the adapted model — one schedule hit and one schedule miss per re-solve,
+// and no schedule lookup at all between re-solves.
+func TestResolveReusesBaseWCS(t *testing.T) {
+	set := loopSet(t)
+	sc, err := workload.NewScenario(set, workload.ScenarioConfig{Kind: workload.ModeSwitch, Seed: 3, SwitchEvery: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := grid.NewMemo()
+	ctrl, err := NewController(context.Background(), set, Options{Runner: grid.New(1, memo)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := memo.Stats(); st.ScheduleMisses != 2 || st.ScheduleHits != 0 {
+		t.Fatalf("session create: %d schedule misses, %d hits; want the base WCS and ACS built once",
+			st.ScheduleMisses, st.ScheduleHits)
+	}
+	rows, err := sc.Actuals(160, ctrl.TaskOf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := memo.Stats()
+	for i, row := range rows {
+		d, err := ctrl.ObserveChunk(context.Background(), [][]float64{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := memo.Stats()
+		hits, misses := st.ScheduleHits-prev.ScheduleHits, st.ScheduleMisses-prev.ScheduleMisses
+		want := int64(0)
+		if d.Resolved {
+			want = 1
+		}
+		if hits != want || misses != want {
+			t.Errorf("hyper-period %d (resolved %v): %d schedule hits, %d misses; want %d and %d",
+				i, d.Resolved, hits, misses, want, want)
+		}
+		prev = st
+	}
+	if ctrl.Resolves() < 2 {
+		t.Fatalf("%d re-solves; the stream must adapt more than once", ctrl.Resolves())
+	}
+}
+
 func TestControllerValidation(t *testing.T) {
 	if _, err := NewController(context.Background(), nil, Options{}); err == nil {
 		t.Error("nil set accepted")

@@ -29,6 +29,8 @@ import (
 //     retries against a fresh build as long as its own context is live. A
 //     waiter whose own context ends stops waiting and returns its context's
 //     error; the build runs on for the requesters still waiting on it.
+//   - A panicking build strands nobody: its flight closes with an uncacheable
+//     error before the panic goes on up, so waiters rebuild on their own.
 //
 // Other build errors are cached alongside values: builds are pure, so a
 // failed (set, config) fails identically every time.
@@ -151,7 +153,7 @@ func through[T any](
 			f.val, f.err = v, err
 		} else {
 			misses.Add(1)
-			f.val, f.err = build()
+			buildFlight(m, flights, key, f, build)
 			if !uncacheable(f.err) {
 				putDone := obs.StartSpan(ctx, "store_put")
 				put(key, f.val, f.err)
@@ -169,11 +171,34 @@ func through[T any](
 	}
 }
 
+// buildFlight runs the miss-path build of flight f. A panicking build
+// leaves errBuildPanicked on the flight, unregisters it and releases its
+// waiters before the panic goes on up, so they rebuild under their own
+// context instead of waiting on a flight nobody will close.
+func buildFlight[T any](m *Memo, flights map[Key]*flight[T], key Key, f *flight[T], build func() (T, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			f.err = errBuildPanicked
+			m.mu.Lock()
+			delete(flights, key)
+			m.mu.Unlock()
+			close(f.done)
+			panic(r)
+		}
+	}()
+	f.val, f.err = build()
+}
+
+// errBuildPanicked is what a panicking build leaves its waiters. Like a
+// cancellation it says nothing about the key, so it is never stored.
+var errBuildPanicked = errors.New("grid: build panicked")
+
 // uncacheable reports build errors that reflect the requesting caller's
-// lifetime rather than the key's content; caching one would poison the key
-// for every later caller.
+// lifetime (or a panic) rather than the key's content; caching one would
+// poison the key for every later caller.
 func uncacheable(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, errBuildPanicked)
 }
 
 // Stats is a snapshot of the memo's accounting. A "miss" is the first request

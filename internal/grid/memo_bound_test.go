@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -212,6 +214,68 @@ func TestMemoWaiterLeavesWhenItsContextEnds(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("want one build, got %d", calls)
+	}
+}
+
+// TestMemoPanickingBuildReleasesWaiters: a build that panics closes its
+// flight on the way out. A waiter parked on that flight returns while its
+// context is still live — here by rebuilding, and that build panics too —
+// nothing is stored, and the next request for the key builds afresh.
+func TestMemoPanickingBuildReleasesWaiters(t *testing.T) {
+	memo := NewMemo()
+	started, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	panicking := func() (*core.Schedule, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		panic("solver bug")
+	}
+	request := func(ctx context.Context) (panicked any) {
+		defer func() { panicked = recover() }()
+		memo.schedule(ctx, Key{1}, panicking)
+		return nil
+	}
+	leader := make(chan any, 1)
+	go func() { leader <- request(context.Background()) }()
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	waiter := make(chan any, 1)
+	go func() { waiter <- request(ctx) }()
+	for memo.Stats().ScheduleHits == 0 {
+		runtime.Gosched() // until the waiter has joined the leader's flight
+	}
+	close(release)
+	if p := <-leader; p == nil {
+		t.Fatal("the leader's panic did not reach its caller")
+	}
+	select {
+	case p := <-waiter:
+		if p == nil {
+			t.Fatal("the waiter returned without rebuilding")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still parked on the panicked build's flight")
+	}
+	if ctx.Err() != nil {
+		t.Fatal("the waiter's context ended; it must return while live")
+	}
+	if calls.Load() != 2 {
+		t.Errorf("%d builds; want the leader's and the waiter's own", calls.Load())
+	}
+	if _, _, ok := memo.store.GetSchedule(Key{1}); ok {
+		t.Fatal("a panicked build was stored")
+	}
+	want := &core.Schedule{}
+	s, err := memo.schedule(context.Background(), Key{1}, func() (*core.Schedule, error) { return want, nil })
+	if err != nil || s != want {
+		t.Fatalf("next request after the panics: %v, %v", s, err)
+	}
+	if st := memo.Stats(); st.ScheduleMisses != 3 || st.ScheduleHits != 1 {
+		t.Errorf("%d misses, %d hits; want 3 builds and the waiter's one hit", st.ScheduleMisses, st.ScheduleHits)
 	}
 }
 

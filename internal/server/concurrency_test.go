@@ -1,6 +1,9 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 )
@@ -123,4 +126,101 @@ func TestServerConcurrentMixedEndpoints(t *testing.T) {
 		t.Errorf("%d identical compares: %d compare misses and %d hits, want 1 and %d",
 			clients, st.CompareMisses, st.CompareHits, clients-1)
 	}
+}
+
+// TestConcurrentSessionsShareOneSolvePerKey: two sessions created from one
+// body share the base set's WCS, so their re-solves can meet on one memo
+// flight. Driven concurrently through the same mode-switch stream, they
+// answer identical payload trajectories, and the memo builds each distinct
+// schedule key once: the base WCS, plus one warm-started ACS per distinct
+// model the sessions solved.
+func TestConcurrentSessionsShareOneSolvePerKey(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	body, rows := sessionRows(t, 2, "", 130)
+	ids := []string{"left", "right"}
+	trajectories := make([][]string, len(ids))
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(i int, id string) {
+			defer wg.Done()
+			trajectories[i], errs[i] = driveSession(ts.URL, id, `{"session_id":"`+id+`",`+body[1:], rows, 13)
+		}(i, id)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fmt.Sprint(trajectories[0]) != fmt.Sprint(trajectories[1]) {
+		t.Fatalf("session trajectories differ:\n%v\nvs\n%v", trajectories[0], trajectories[1])
+	}
+	fingerprints := map[string]bool{}
+	resolves := 0
+	for _, payload := range trajectories[0] {
+		var ob ObserveResponse
+		if err := json.Unmarshal([]byte(payload), &ob); err != nil {
+			t.Fatal(err)
+		}
+		if ob.Schedule != nil {
+			fingerprints[ob.Schedule.Fingerprint] = true
+		}
+		if ob.Resolved {
+			resolves++
+		}
+	}
+	if resolves == 0 {
+		t.Fatal("the stream triggered no re-solves; the sessions never met on a key")
+	}
+	// Every create and every re-solve looks up two schedules: the base WCS
+	// and the ACS of the session's model.
+	st := s.memo.Stats()
+	if want := int64(1 + len(fingerprints)); st.ScheduleMisses != want {
+		t.Errorf("%d schedule misses, want %d: the base WCS and one ACS per distinct model", st.ScheduleMisses, want)
+	}
+	if want := int64(2 * len(ids) * (1 + resolves)); st.ScheduleHits+st.ScheduleMisses != want {
+		t.Errorf("%d schedule lookups, want %d", st.ScheduleHits+st.ScheduleMisses, want)
+	}
+}
+
+// driveSession creates session id from body and observes rows in chunks of
+// chunk hyper-periods. It returns every answer with the session id blanked:
+// the create answer's schedule, then each observe answer.
+func driveSession(base, id, body string, rows [][]float64, chunk int) ([]string, error) {
+	code, resp, err := tryPost(base+"/v1/sessions", body)
+	if err != nil || code != http.StatusOK {
+		return nil, fmt.Errorf("create %s: %d %s %v", id, code, resp, err)
+	}
+	var created SessionResponse
+	if err := json.Unmarshal([]byte(resp), &created); err != nil {
+		return nil, err
+	}
+	first, err := json.Marshal(ObserveResponse{State: created.State, Schedule: &created.Schedule})
+	if err != nil {
+		return nil, err
+	}
+	out := []string{string(first)}
+	for lo := 0; lo < len(rows); lo += chunk {
+		batch, err := json.Marshal(ObserveRequest{Hyperperiods: rows[lo:min(lo+chunk, len(rows))]})
+		if err != nil {
+			return nil, err
+		}
+		code, resp, err := tryPost(base+"/v1/sessions/"+id+"/observe", string(batch))
+		if err != nil || code != http.StatusOK {
+			return nil, fmt.Errorf("observe %s at %d: %d %s %v", id, lo, code, resp, err)
+		}
+		var ob ObserveResponse
+		if err := json.Unmarshal([]byte(resp), &ob); err != nil {
+			return nil, err
+		}
+		ob.SessionID = ""
+		b, err := json.Marshal(ob)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, string(b))
+	}
+	return out, nil
 }

@@ -232,6 +232,17 @@ func TestDamagedSessionCheckpoint(t *testing.T) {
 	if bytes.Equal(negative, victim) {
 		t.Fatal("victim checkpoint has no observed count to damage")
 	}
+	// A model whose WCEC left its base: a valid set, but not one adaptation
+	// can reach, so the re-solve has no base WCS to retarget to it.
+	var cp sessionCheckpoint
+	if err := json.Unmarshal(victim, &cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Controller.Model[0].WCEC *= 1.5
+	wcecMoved, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	paths := []struct {
 		name string
@@ -286,6 +297,7 @@ func TestDamagedSessionCheckpoint(t *testing.T) {
 		{"truncated", victim[:len(victim)/2], false},
 		{"id-mismatched", other, false},
 		{"negative-observed", negative, true},
+		{"wcec-moved", wcecMoved, true},
 	} {
 		for _, p := range paths {
 			t.Run(d.name+"/"+p.name, func(t *testing.T) {

@@ -410,10 +410,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeResult(w, s.sessionLimitError())
 		return
 	}
-	if err := core.Feasible(cr.set, cr.config(core.WorstCase)); err != nil {
-		writeResult(w, errorf(http.StatusUnprocessableEntity, "admission: %v", err))
-		return
-	}
 	sess := &serverSession{
 		starts: cr.starts, subCap: cr.subCap, bins: req.Bins,
 		driftDelta: req.DriftDelta, driftLambda: req.DriftLambda,

@@ -253,6 +253,15 @@ func TestSessionRejections(t *testing.T) {
 		strings.Replace(body, `{"tasks":`, `{"objective":"wcs","tasks":`, 1)); code != http.StatusUnprocessableEntity {
 		t.Errorf("wcs objective: %d %s", code, resp)
 	}
+	// The controller's first WCS build is the admission check: the same
+	// full body a submit of the set answers, again once the failure is cached.
+	const infeasible = `{"tasks":[{"name":"a","period_ms":10,"wcec":100,"acec":60,"bcec":50,"ceff":1}]}`
+	const infeasibleBody = `{"error":"admission: core: a#0 unschedulable at Vmax: 60 cycles never scheduled"}` + "\n"
+	for round := 0; round < 2; round++ {
+		if code, resp := post(t, ts.URL+"/v1/sessions", infeasible); code != http.StatusUnprocessableEntity || resp != infeasibleBody {
+			t.Errorf("infeasible set (round %d): %d %q, want 422 %q", round, code, resp, infeasibleBody)
+		}
+	}
 
 	code, resp := post(t, ts.URL+"/v1/sessions", body)
 	if code != http.StatusOK {
