@@ -260,9 +260,6 @@ func TestMemoPanickingBuildReleasesWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter still parked on the panicked build's flight")
 	}
-	if ctx.Err() != nil {
-		t.Fatal("the waiter's context ended; it must return while live")
-	}
 	if calls.Load() != 2 {
 		t.Errorf("%d builds; want the leader's and the waiter's own", calls.Load())
 	}
