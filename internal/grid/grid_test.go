@@ -62,20 +62,30 @@ func TestCollectOrdersResultsByIndex(t *testing.T) {
 func TestCollectErrFailsFast(t *testing.T) {
 	r := New(2, nil)
 	var started atomic.Int32
+	running := make(chan struct{})
 	_, err := CollectErr(r, 1000, func(i int) (int, error) {
 		started.Add(1)
-		if i == 3 {
-			return 0, fmt.Errorf("job %d failed", i)
+		switch {
+		case i < 3:
+			return i, nil
+		case i == 3:
+			close(running)
+		default:
+			// Job 3 was handed out before any later job; wait until it runs,
+			// so its failure is recorded and, as the lowest, returned.
+			<-running
 		}
-		return i, nil
+		return 0, fmt.Errorf("job %d failed", i)
 	})
-	if err == nil {
-		t.Fatal("error swallowed")
+	if err == nil || err.Error() != "job 3 failed" {
+		t.Fatalf("err = %v, want job 3's failure", err)
 	}
-	// After the failure the dispatcher stops handing out indices; only the
-	// jobs already in flight may still have run.
-	if n := started.Load(); n == 1000 {
-		t.Error("all jobs ran to completion despite an early failure")
+	// Every job from 3 on fails, and a worker records its failure before it
+	// takes another index, so each worker starts at most one of them. (With
+	// one failing job the other worker could still drain every index while
+	// the failing one stalls between its job's return and that record.)
+	if n, most := started.Load(), int32(3+r.Workers()); n > most {
+		t.Errorf("%d jobs started despite failures from job 3 on, want at most %d", n, most)
 	}
 
 	// Success path: every result present, in order.

@@ -1046,10 +1046,18 @@ func (s *Server) lookup(fp string) *canonicalRequest {
 	return cr
 }
 
+// maxRequestBody caps every JSON request body decode reads.
+const maxRequestBody = 4 << 20
+
 // decode reads a JSON body strictly: unknown fields are rejected so that a
 // mistyped request cannot silently alias a different canonical form.
 func decode(r *http.Request, into any) *apiError {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 4<<20))
+	return decodeJSON(http.MaxBytesReader(nil, r.Body, maxRequestBody), into)
+}
+
+// decodeJSON is decode's encoding/json path over an already limited reader.
+func decodeJSON(body io.Reader, into any) *apiError {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		return errorf(http.StatusBadRequest, "parsing request: %v", err)

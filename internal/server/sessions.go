@@ -582,7 +582,7 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ObserveRequest
-	if e := decode(r, &req); e != nil {
+	if e := decodeObserve(r, &req); e != nil {
 		writeResult(w, e)
 		return
 	}

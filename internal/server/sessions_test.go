@@ -14,7 +14,7 @@ import (
 )
 
 // sessionBody builds a session-create body over a seeded feasible set.
-func sessionBody(t *testing.T, seed uint64) (string, *task.Set) {
+func sessionBody(t testing.TB, seed uint64) (string, *task.Set) {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	set, err := workload.RandomFeasible(rng, workload.RandomConfig{N: 3, Ratio: 0.1, Utilization: 0.7}, 50,
@@ -244,7 +244,7 @@ func TestSessionFingerprintMatchesSubmit(t *testing.T) {
 
 func TestSessionRejections(t *testing.T) {
 	_, ts := newTestServer(t, Options{SessionLimit: 1, MaxObserveBatch: 4})
-	body, _ := sessionBody(t, 3)
+	body, set := sessionBody(t, 3)
 
 	if code, resp := post(t, ts.URL+"/v1/sessions", `{"tasks":[]}`); code != http.StatusUnprocessableEntity {
 		t.Errorf("empty set: %d %s", code, resp)
@@ -293,5 +293,66 @@ func TestSessionRejections(t *testing.T) {
 	// Wrong observation width is a 422 from the controller.
 	if code, resp := post(t, obs, `{"hyperperiods":[[1,2]]}`); code != http.StatusUnprocessableEntity {
 		t.Errorf("wrong-width observe: %d %s", code, resp)
+	}
+
+	// Bodies the observe decode fast path declines, each with the full
+	// answer encoding/json gives it, in order (each 200 folds one row).
+	ins, err := set.Instances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, len(ins))
+	for j, in := range ins {
+		row[j] = set.Tasks[in.TaskIndex].ACEC
+	}
+	rb, err := json.Marshal(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := append(observeEdges(string(rb)), observeEdge{"over 4 MiB",
+		`{"hyperperiods":[[` + strings.Repeat("1,", 2<<20) + `1]]}`, http.StatusBadRequest,
+		`{"error":"parsing request: http: request body too large"}`})
+	for _, e := range edges {
+		if code, resp := post(t, obs, e.body); code != e.code || resp != e.resp+"\n" {
+			t.Errorf("%s: %d %q, want %d %q", e.name, code, resp, e.code, e.resp+"\n")
+		}
+	}
+}
+
+// observeEdge is an observe body whose shape the decode fast path declines,
+// with the status and response body (less its newline) a session answers
+// it with in TestSessionRejections's sequence.
+type observeEdge struct {
+	name, body string
+	code       int
+	resp       string
+}
+
+// observeEdges lists the declined shapes around row, one hyper-period of
+// valid observations, rendered as json.Marshal renders it. encoding/json
+// accepts some of them: a key in another case, swapped or repeated keys,
+// whitespace, bytes after the object and a null "at" each fold the row.
+func observeEdges(row string) []observeEdge {
+	folded := func(n int) string {
+		return fmt.Sprintf(`{"session_id":"s1","observed_hyperperiods":%d,"drift":false,"resolved":false,"state":"tracking"}`, n)
+	}
+	rejected := func(msg string) string { return `{"error":"parsing request: ` + msg + `"}` }
+	const bad = http.StatusBadRequest
+	return []observeEdge{
+		{"unknown key", `{"hyperperiods":[` + row + `],"extra":1}`, bad, rejected(`json: unknown field \"extra\"`)},
+		{"upper-case key", `{"Hyperperiods":[` + row + `]}`, http.StatusOK, folded(1)},
+		{"swapped keys", `{"at":1,"hyperperiods":[` + row + `]}`, http.StatusOK, folded(2)},
+		{"duplicate key", `{"hyperperiods":[[1]],"hyperperiods":[` + row + `]}`, http.StatusOK, folded(3)},
+		{"whitespace", `{"hyperperiods": [` + row + `]}`, http.StatusOK, folded(4)},
+		{"trailing bytes", `{"hyperperiods":[` + row + `]}]`, http.StatusOK, folded(5)},
+		{"plus sign", `{"hyperperiods":[[+1]]}`, bad, rejected("invalid character '+' looking for beginning of value")},
+		{"bare fraction", `{"hyperperiods":[[.5]]}`, bad, rejected("invalid character '.' looking for beginning of value")},
+		{"leading zero", `{"hyperperiods":[[01]]}`, bad, rejected("invalid character '1' after array element")},
+		{"out of range", `{"hyperperiods":[[1e400]]}`, bad,
+			rejected("json: cannot unmarshal number 1e400 into Go struct field ObserveRequest.hyperperiods of type float64")},
+		{"NaN", `{"hyperperiods":[[NaN]]}`, bad, rejected("invalid character 'N' looking for beginning of value")},
+		{"fractional at", `{"hyperperiods":[[1]],"at":1.5}`, bad,
+			rejected("json: cannot unmarshal number 1.5 into Go struct field ObserveRequest.at of type int64")},
+		{"null at", `{"hyperperiods":[` + row + `],"at":null}`, http.StatusOK, folded(6)},
 	}
 }

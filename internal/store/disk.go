@@ -60,9 +60,12 @@ type Options struct {
 	// (default 64 MiB). Only the active segment is ever appended to;
 	// completed segments are immutable.
 	SegmentBytes int64
-	// Sync fsyncs after every append. Off by default: the log is a cache,
-	// so losing the OS write-back window costs re-solves, not correctness —
-	// the recovery scan drops whatever tail didn't make it to the platter.
+	// Sync fsyncs after every append, and makes every PutBlob durable
+	// before it returns. Off by default: the log is a cache, so losing the
+	// OS write-back window costs re-solves, not correctness — the recovery
+	// scan drops whatever tail didn't make it to the platter. Blobs (request
+	// bodies, session checkpoints) cannot be rebuilt, so a deployment that
+	// must survive a power loss turns it on.
 	Sync bool
 	// FS supplies the filesystem (nil = the real OS). Tests and the chaos
 	// harness pass fault.Inject(fault.OS(), registry) to subject every
@@ -423,23 +426,61 @@ var blobNameRe = regexp.MustCompile(`^[a-zA-Z0-9._-]+$`)
 
 // PutBlob atomically replaces the named blob: the bytes land in a temp file
 // first and are renamed over the target, so a concurrent GetBlob (or a
-// crash) observes the old content or the new, never a mix.
+// crash) observes the old content or the new, never a mix. Under
+// Options.Sync the temp file is fsynced before the rename and blobs/ after
+// it, so a blob PutBlob acknowledged survives a power loss too; without it,
+// a process crash cannot lose the blob, but the OS may still lose its
+// write-back window.
 func (d *Disk) PutBlob(name string, data []byte) error {
 	if !blobNameRe.MatchString(name) {
 		return fmt.Errorf("store: invalid blob name %q", name)
 	}
-	path := filepath.Join(d.dir, "blobs", name)
-	tmp := path + ".tmp"
-	if err := d.fs.WriteFile(tmp, data, 0o644); err != nil {
-		d.writeErrs.Add(1)
-		return fmt.Errorf("store: %w", err)
+	dir := filepath.Join(d.dir, "blobs")
+	tmp := filepath.Join(dir, name+".tmp")
+	err := d.writeBlobFile(tmp, data)
+	if err == nil {
+		err = d.fs.Rename(tmp, filepath.Join(dir, name))
 	}
-	if err := d.fs.Rename(tmp, path); err != nil {
+	if err == nil && d.opts.Sync {
+		err = d.syncDir(dir)
+	}
+	if err != nil {
 		d.fs.Remove(tmp)
 		d.writeErrs.Add(1)
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
+}
+
+// writeBlobFile writes a blob's temp file, fsynced under Options.Sync.
+func (d *Disk) writeBlobFile(tmp string, data []byte) error {
+	if !d.opts.Sync {
+		return d.fs.WriteFile(tmp, data, 0o644)
+	}
+	f, err := d.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.WriteAt(data, 0); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the renames in it durable.
+func (d *Disk) syncDir(dir string) error {
+	f, err := d.fs.OpenFile(dir, os.O_RDONLY, 0)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // GetBlob returns the named blob's content and whether it exists.

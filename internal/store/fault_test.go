@@ -2,6 +2,8 @@ package store
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -180,5 +182,59 @@ func TestTieredBreakerDegradeAndRecover(t *testing.T) {
 	}
 	if got := tiered.Stats(); got.BreakerState != "open" || got.BreakerTrips != 3 {
 		t.Fatalf("failed probe did not re-open: %+v", got)
+	}
+}
+
+// TestPutBlobSync: under Options.Sync a blob put fsyncs its temp file and
+// then blobs/, both through the fs.sync failpoint, and either sync failing
+// fails the put, counts a write error and leaves no temp file behind;
+// without Sync a put never syncs.
+func TestPutBlobSync(t *testing.T) {
+	for _, sync := range []bool{false, true} {
+		reg := fault.NewRegistry(13)
+		reg.Arm("fs.sync", fault.Spec{}) // never fires; counts the calls
+		d := mustOpen(t, t.TempDir(), Options{Sync: sync, FS: fault.Inject(fault.OS(), reg)})
+		for _, v := range []string{"one", "two", "three"} {
+			if err := d.PutBlob("session-s1", []byte(v)); err != nil {
+				t.Fatalf("sync=%v: %v", sync, err)
+			}
+		}
+		want := int64(0)
+		if sync {
+			want = 6
+		}
+		if got := reg.Snapshot()["fs.sync"].Calls; got != want {
+			t.Errorf("sync=%v: 3 puts made %d syncs, want %d", sync, got, want)
+		}
+	}
+
+	dir := t.TempDir()
+	reg := fault.NewRegistry(14)
+	d := mustOpen(t, dir, Options{Sync: true, FS: fault.Inject(fault.OS(), reg)})
+	if err := d.PutBlob("session-s1", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	reg.Arm("fs.sync", fault.Spec{Prob: 1, Err: true})
+	if err := d.PutBlob("session-s1", []byte("new")); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("put with a failing file sync: err = %v, want ErrInjected", err)
+	}
+	if got, _, _ := d.GetBlob("session-s1"); string(got) != "old" {
+		t.Errorf("a put whose file sync failed replaced the blob: %q", got)
+	}
+	reg.Arm("fs.sync", fault.Spec{Prob: 1, Err: true, After: 1}) // the directory's sync
+	if err := d.PutBlob("session-s1", []byte("newer")); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("put with a failing directory sync: err = %v, want ErrInjected", err)
+	}
+	if st := d.Stats(); st.DiskWriteErrs != 2 {
+		t.Errorf("write errs = %d, want 2", st.DiskWriteErrs)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == ".tmp" {
+			t.Errorf("failed put left %s behind", e.Name())
+		}
 	}
 }
