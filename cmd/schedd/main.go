@@ -28,9 +28,9 @@
 //	                                observations → "no change" or a re-solved
 //	                                schedule with its fingerprint
 //	GET  /v1/sessions/{id}          learned estimator and adaptation state
-//	GET  /v1/stats                  cache, session and request counters
-//	GET  /metrics                   Prometheus text exposition of the same
-//	                                registry /v1/stats reads (DESIGN.md §13)
+//	GET  /metrics                   Prometheus text exposition: every cache,
+//	                                session and request counter, plus a
+//	                                fleet peer's routing counters (DESIGN.md §13)
 //	GET  /v1/healthz                liveness
 //
 // Responses to submit/get/compare are byte-deterministic per request body

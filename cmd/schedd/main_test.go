@@ -184,6 +184,12 @@ func TestFleetModeSmoke(t *testing.T) {
 		t.Fatalf("get via p2: %d %s", resp.StatusCode, viaOther)
 	}
 
+	// The front end's routing counters are series on the peer's own
+	// /metrics.
+	if obs.FindFamily(scrape(t, "http://"+addrs[0]), "schedd_fleet_forwards_total") == nil {
+		t.Error("fleet peer /metrics carries no routing counters")
+	}
+
 	// Kill one peer; the fleet keeps answering, byte-identically.
 	stops["p1"]()
 	stops["p1"] = nil
@@ -243,28 +249,30 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	if string(second) != string(first) {
 		t.Fatalf("restart changed the response bytes:\n%s\nvs\n%s", second, first)
 	}
-	resp, err = http.Get("http://" + addr + "/v1/stats")
+	fams := scrape(t, "http://"+addr)
+	if n, _ := obs.SampleValue(fams, "schedd_memo_misses_total", obs.L("kind", "schedule")); n != 0 {
+		t.Errorf("warm restart re-solved %g schedules, want 0", n)
+	}
+	diskHits, _ := obs.SampleValue(fams, "schedd_store_tier_hits_total", obs.L("tier", "disk"))
+	recovered, _ := obs.SampleValue(fams, "schedd_store_recovered_entries")
+	if diskHits == 0 || recovered == 0 {
+		t.Errorf("warm restart did not serve from the recovered log: %g disk hits, %g recovered entries", diskHits, recovered)
+	}
+}
+
+// scrape GETs base's /metrics and parses it strictly.
+func scrape(t *testing.T, base string) []obs.Family {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	statsBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var st struct {
-		Memo struct {
-			ScheduleMisses   int64 `json:"schedule_misses"`
-			DiskHits         int64 `json:"disk_hits"`
-			RecoveredEntries int64 `json:"recovered_entries"`
-		} `json:"memo"`
+	defer resp.Body.Close()
+	fams, err := obs.ParseExposition(resp.Body)
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("metrics on %s: status %d, parse: %v", base, resp.StatusCode, err)
 	}
-	if err := json.Unmarshal(statsBody, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Memo.ScheduleMisses != 0 {
-		t.Errorf("warm restart re-solved %d schedules, want 0: %s", st.Memo.ScheduleMisses, statsBody)
-	}
-	if st.Memo.DiskHits == 0 || st.Memo.RecoveredEntries == 0 {
-		t.Errorf("warm restart did not serve from the recovered log: %s", statsBody)
-	}
+	return fams
 }
 
 // TestObservabilityEndpoints boots the daemon with the pprof sidecar and
@@ -330,15 +338,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	// /metrics on the serving port: strictly valid exposition with the
 	// request counter moving.
 	for _, base := range []string{addr, pprofAddr} {
-		resp, err = http.Get("http://" + base + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fams, perr := obs.ParseExposition(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || perr != nil {
-			t.Fatalf("metrics on %s: status %d, parse: %v", base, resp.StatusCode, perr)
-		}
+		fams := scrape(t, "http://"+base)
 		if v, ok := obs.SampleValue(fams, "schedd_requests_total", obs.L("endpoint", "submit")); !ok || v < 1 {
 			t.Errorf("metrics on %s: submit counter = %v (present %v)", base, v, ok)
 		}

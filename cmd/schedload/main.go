@@ -4,9 +4,9 @@
 // It generates a seeded stream of submit requests — a configurable mix of
 // unique and repeated task sets — fires them at a server from N concurrent
 // clients, and reports throughput, latency percentiles and the server's
-// cache statistics as JSON. With no -addr it spins an in-process server, so
-// one invocation doubles as a self-contained benchmark; cmd/bench is the
-// repository's benchmark of record.
+// memo counters, read from its /metrics, as JSON. With no -addr it spins an
+// in-process server, so one invocation doubles as a self-contained
+// benchmark; cmd/bench is the repository's benchmark of record.
 //
 // Because the request stream is seeded and the serving path is
 // byte-deterministic, schedload also verifies the contract as it measures:
@@ -17,15 +17,16 @@
 // fired against an in-process server backed by a persistent store, the
 // server is fully stopped and reopened on the same directory, and the
 // identical stream is replayed. The report then
-// carries a "restart" section comparing cold and warm solve counts — a
-// correct store makes the warm phase avoid (nearly) every re-solve — and the
-// determinism audit spans both phases, so restart-crossing byte drift fails
-// the run.
+// carries a "restart" section comparing cold and warm solve counts, read
+// from a /metrics scrape after each phase — a correct store makes the warm
+// phase avoid (nearly) every re-solve — and the determinism audit spans both
+// phases, so restart-crossing byte drift fails the run.
 //
 // With -faults the in-process server's store runs over a fault-injected
 // filesystem (internal/fault; the spec grammar is point=err:P, point=torn:F:P,
-// point=slow:D:P — e.g. "fs.write=torn:0.5:0.3,fs.sync=err:0.2") and the
-// server's own failpoints can be armed by the same string. The client retries
+// point=slow:D:P — e.g. "fs.write=torn:0.5:0.3,fs.sync=err:0.2") with sync
+// on, so every fs.* point can fire, and the server's own failpoints can be
+// armed by the same string. The client retries
 // shed 503s with seeded-jitter exponential backoff and the report counts
 // sheds, retries, and degraded responses. Degraded bodies are excluded from
 // the determinism audit (they sit outside the byte contract by design), so
@@ -39,8 +40,8 @@
 // fleet mode, entered through peer 0. -killpeer I hard-kills peer I after a
 // third of the stream; the retry client and the surviving replicas must
 // absorb the rest with zero failed requests, and the determinism audit spans
-// the kill. The report gains a "fleet" section with the router's per-peer
-// forwarding/failover counters.
+// the kill. The report gains a "fleet" section with the failover and
+// transport-error counts the fleet front end's /metrics reports.
 //
 // Usage:
 //
@@ -106,15 +107,13 @@ type report struct {
 	// counts 503 responses observed (each retried with backoff), Retries the
 	// re-sent requests, Degraded the 200s served from the WCS fallback —
 	// excluded from the determinism audit.
-	Shed     int64           `json:"shed_503s"`
-	Retries  int64           `json:"retries"`
-	Degraded int64           `json:"degraded_responses"`
-	Faults   string          `json:"faults,omitempty"`
-	Cache    *cacheReport    `json:"cache,omitempty"`
-	Restart  *restartReport  `json:"restart,omitempty"`
-	Fleet    *fleetReport    `json:"fleet,omitempty"`
-	Metrics  *metricsReport  `json:"metrics,omitempty"`
-	Server   json.RawMessage `json:"server_stats,omitempty"`
+	Shed     int64          `json:"shed_503s"`
+	Retries  int64          `json:"retries"`
+	Degraded int64          `json:"degraded_responses"`
+	Faults   string         `json:"faults,omitempty"`
+	Restart  *restartReport `json:"restart,omitempty"`
+	Fleet    *fleetReport   `json:"fleet,omitempty"`
+	Metrics  *metricsReport `json:"metrics,omitempty"`
 }
 
 // metricsStage summarises one server-side stage latency histogram
@@ -130,22 +129,30 @@ type metricsStage struct {
 
 // metricsReport is the parsed end-of-run /metrics scrape: where the
 // report's latency_ms section measures the client's wall clock, this one
-// breaks the server's side down by pipeline stage. The scrape is also a
-// format gate — unparseable exposition fails the whole run.
+// reads the server's side — its submit count, its memo's schedule hits,
+// misses and eviction/byte accounting (so a load run shows whether its cache
+// cap actually bound), and each pipeline stage. The scrape is also a format
+// gate — unparseable exposition fails the whole run.
 type metricsReport struct {
-	SubmitsTotal float64        `json:"submit_requests_total"`
-	Stages       []metricsStage `json:"stages,omitempty"`
+	SubmitsTotal   float64        `json:"submit_requests_total"`
+	ScheduleHits   float64        `json:"schedule_hits"`
+	ScheduleMisses float64        `json:"schedule_misses"`
+	Evictions      float64        `json:"evictions"`
+	BytesUsed      float64        `json:"bytes_used"`
+	BytesCap       float64        `json:"bytes_cap"`
+	Stages         []metricsStage `json:"stages,omitempty"`
 }
 
 // fleetReport describes a -fleet run: the topology, which peer (if any) was
-// killed mid-stream, and the router's per-peer forwarding/failover counters
-// captured at the end of the run.
+// killed mid-stream, and the router's failovers and transport errors summed
+// over peers, from the front end's end-of-run /metrics scrape.
 type fleetReport struct {
-	Peers       int             `json:"peers"`
-	Replicas    int             `json:"replicas"`
-	Processes   bool            `json:"processes"`
-	KilledPeer  int             `json:"killed_peer"` // -1 = none
-	RouterStats json.RawMessage `json:"router_stats,omitempty"`
+	Peers      int     `json:"peers"`
+	Replicas   int     `json:"replicas"`
+	Processes  bool    `json:"processes"`
+	KilledPeer int     `json:"killed_peer"` // -1 = none
+	Failovers  float64 `json:"failovers"`
+	Errors     float64 `json:"errors"`
 }
 
 // restartReport compares the cold phase (empty store, every unique set
@@ -164,24 +171,6 @@ type restartReport struct {
 	WarmDurationMs     float64 `json:"warm_duration_ms"`
 	ColdP50Ms          float64 `json:"cold_p50_ms"`
 	WarmP50Ms          float64 `json:"warm_p50_ms"`
-}
-
-// cacheReport lifts the server memo's full accounting — hit/miss counters
-// *and* the bounded store's eviction/byte-occupancy state — into first-class
-// report fields, so a load run shows whether its cache cap actually bound.
-// grid.Stats is embedded so new counters appear on the wire automatically.
-type cacheReport struct {
-	grid.Stats
-	ScheduleHitRate float64 `json:"schedule_hit_rate"`
-}
-
-// newCacheReport derives the report section from the memo stats snapshot.
-func newCacheReport(m grid.Stats) *cacheReport {
-	c := &cacheReport{Stats: m}
-	if total := m.ScheduleHits + m.ScheduleMisses; total > 0 {
-		c.ScheduleHitRate = float64(m.ScheduleHits) / float64(total)
-	}
-	return c
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -267,7 +256,8 @@ func run(args []string, stdout io.Writer) error {
 		if *storeDir != "" {
 			sopts := store.Options{}
 			if reg != nil {
-				sopts.FS = fault.Inject(fault.OS(), reg)
+				// Sync on, so the fs.sync point has syncs to fail.
+				sopts = store.Options{Sync: true, FS: fault.Inject(fault.OS(), reg)}
 			}
 			d, err := store.Open(*storeDir, sopts)
 			if err != nil {
@@ -377,32 +367,23 @@ func run(args []string, stdout io.Writer) error {
 	} else {
 		cold = firePhase(rc, base, bodies, assignment, *conc, *faultSeed)
 	}
-	var coldStats *statsCapture
-	if fh == nil {
-		coldStats = fetchStats(client, base)
-	}
-
 	var warm *phaseResult
-	var warmStats *statsCapture
+	var coldFams []obs.Family
 	if *restart {
-		if coldStats == nil || coldStats.parsed == nil {
-			return fmt.Errorf("cold phase yielded no server stats; cannot measure restart")
+		var err error
+		if coldFams, err = scrape(client, base); err != nil {
+			return fmt.Errorf("scraping the cold phase's /metrics: %w", err)
 		}
 		if err := stop(); err != nil {
 			return fmt.Errorf("stopping cold server: %w", err)
 		}
 		stop = nil
-		var err error
 		base, stop, err = launch()
 		if err != nil {
 			return fmt.Errorf("relaunching on %s: %w", *storeDir, err)
 		}
 		w := firePhase(rc, base, bodies, assignment, *conc, *faultSeed+1)
 		warm = &w
-		warmStats = fetchStats(client, base)
-		if warmStats == nil || warmStats.parsed == nil {
-			return fmt.Errorf("warm phase yielded no server stats")
-		}
 	}
 
 	// Determinism audit — spanning BOTH phases: a body must receive identical
@@ -433,10 +414,8 @@ func run(args []string, stdout io.Writer) error {
 	// The headline numbers describe the measured phase: the warm replay when
 	// -restart, the single pass otherwise.
 	measured := cold
-	snap := coldStats
 	if warm != nil {
 		measured = *warm
-		snap = warmStats
 	}
 	errCount := cold.errCount
 	if warm != nil {
@@ -462,62 +441,38 @@ func run(args []string, stdout io.Writer) error {
 	rep.LatencyMs.P90 = measured.percentile(0.90)
 	rep.LatencyMs.P99 = measured.percentile(0.99)
 	rep.LatencyMs.Max = measured.percentile(1)
-	if snap != nil {
-		rep.Server = snap.raw
-		if snap.parsed != nil {
-			rep.Cache = newCacheReport(snap.parsed.Memo)
-		}
+	// End-of-run /metrics scrape (DESIGN.md §13) of whatever the stream
+	// entered through: the server, or the fleet front end. It must parse as
+	// strict exposition format. Against the clean in-process server the
+	// submit counter must equal exactly what this client sent: the initial
+	// stream plus every retry (the server counts shed requests too — both
+	// sides see the same wire).
+	fams, err := scrape(client, base)
+	if err != nil {
+		return fmt.Errorf("scraping /metrics: %w", err)
 	}
-	if warm != nil {
-		cm, wm := coldStats.parsed.Memo, warmStats.parsed.Memo
-		rr := &restartReport{
-			ColdScheduleMisses: cm.ScheduleMisses,
-			WarmScheduleMisses: wm.ScheduleMisses,
-			WarmMemHits:        wm.MemHits,
-			WarmDiskHits:       wm.DiskHits,
-			RecoveredEntries:   wm.RecoveredEntries,
-			TornRecordsDropped: wm.TornRecordsDropped,
-			ColdDurationMs:     float64(cold.elapsed.Nanoseconds()) / 1e6,
-			WarmDurationMs:     float64(warm.elapsed.Nanoseconds()) / 1e6,
-			ColdP50Ms:          cold.percentile(0.50),
-			WarmP50Ms:          warm.percentile(0.50),
+	if fh != nil {
+		if obs.FindFamily(fams, "schedd_fleet_failovers_total") == nil {
+			return fmt.Errorf("the fleet front end's /metrics carries no routing counters")
 		}
-		if cm.ScheduleMisses > 0 {
-			rr.SolveAvoidancePct = 100 * (1 - float64(wm.ScheduleMisses)/float64(cm.ScheduleMisses))
+		rep.Fleet = &fleetReport{
+			Peers: *fleetN, Replicas: *replicas,
+			Processes: *scheddBin != "", KilledPeer: *killPeer,
+			Failovers: sumSeries(fams, "schedd_fleet_failovers_total"),
+			Errors:    sumSeries(fams, "schedd_fleet_errors_total"),
 		}
-		rep.Restart = rr
-	}
-	// End-of-run /metrics scrape (DESIGN.md §13). Single-server targets only
-	// — the in-process fleet router has no registry of its own. The scrape
-	// must parse as strict exposition format, and against the clean
-	// in-process server the submit counter must equal exactly what this
-	// client sent: the initial stream plus every retry (the server counts
-	// shed requests too — both sides see the same wire).
-	if fh == nil {
-		mr, err := scrapeMetrics(client, base)
-		if err != nil {
-			return fmt.Errorf("scraping /metrics: %w", err)
-		}
-		rep.Metrics = mr
+	} else {
+		rep.Metrics = newMetricsReport(fams)
 		if *addr == "" && warm == nil {
 			want := float64(*requests) + float64(cold.retries)
-			if mr.SubmitsTotal != want {
+			if rep.Metrics.SubmitsTotal != want {
 				return fmt.Errorf("metrics cross-check: server counted %g submit requests, client sent %g (%d requests + %d retries)",
-					mr.SubmitsTotal, want, *requests, cold.retries)
+					rep.Metrics.SubmitsTotal, want, *requests, cold.retries)
 			}
 		}
 	}
-	if fh != nil {
-		fr := &fleetReport{
-			Peers: *fleetN, Replicas: *replicas,
-			Processes: *scheddBin != "", KilledPeer: *killPeer,
-		}
-		// The front end's /v1/stats is the router's per-peer accounting in
-		// fleet mode: forwards, hedges, failovers, takeovers, breaker states.
-		if sc := fetchStats(client, base); sc != nil {
-			fr.RouterStats = sc.raw
-		}
-		rep.Fleet = fr
+	if warm != nil {
+		rep.Restart = newRestartReport(coldFams, fams, cold, *warm)
 	}
 
 	enc := json.NewEncoder(stdout)
@@ -728,12 +683,19 @@ func launchFleet(n, replicas int, bin string, sopts server.Options) (*fleetHarne
 		peers = append(peers, &peerProc{srv: srv, hs: hs, alive: true})
 	}
 	router := fleet.NewRouter(fleet.Options{Ring: ring, Topology: topo, Replicas: replicas})
+	// The front end serves the router's counters on /metrics, as a schedd
+	// fleet peer does.
+	reg := obs.NewRegistry()
+	router.RegisterMetrics(reg)
+	front := http.NewServeMux()
+	front.Handle("GET /metrics", reg)
+	front.Handle("/", router)
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		cleanup()
 		return nil, err
 	}
-	rhs := &http.Server{Handler: router, ReadHeaderTimeout: 10 * time.Second,
+	rhs := &http.Server{Handler: front, ReadHeaderTimeout: 10 * time.Second,
 		WriteTimeout: 2 * time.Minute, IdleTimeout: 2 * time.Minute}
 	go rhs.Serve(rln)
 	return &fleetHarness{
@@ -831,11 +793,10 @@ func launchFleetProcs(names []string, replicas int, bin string) (*fleetHarness, 
 	}, nil
 }
 
-// scrapeMetrics fetches and strictly parses the server's /metrics, then
-// lifts the stage latency histograms into quantile summaries. Any
-// exposition-format violation is an error — the load run doubles as the
-// format smoke for the metrics surface.
-func scrapeMetrics(client *http.Client, base string) (*metricsReport, error) {
+// scrape fetches and strictly parses base's /metrics. Any exposition-format
+// violation is an error — the load run doubles as the format smoke for the
+// metrics surface.
+func scrape(client *http.Client, base string) ([]obs.Family, error) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return nil, err
@@ -848,8 +809,38 @@ func scrapeMetrics(client *http.Client, base string) (*metricsReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invalid exposition format: %w", err)
 	}
-	mr := &metricsReport{}
-	mr.SubmitsTotal, _ = obs.SampleValue(fams, "schedd_requests_total", obs.L("endpoint", "submit"))
+	return fams, nil
+}
+
+// sample reads one series of a scrape; an absent series reads 0.
+func sample(fams []obs.Family, name string, labels ...obs.Label) float64 {
+	v, _ := obs.SampleValue(fams, name, labels...)
+	return v
+}
+
+// sumSeries adds up every series of a counter family (e.g. one per peer).
+func sumSeries(fams []obs.Family, name string) float64 {
+	var n float64
+	if f := obs.FindFamily(fams, name); f != nil {
+		for _, sm := range f.Samples {
+			n += sm.Value
+		}
+	}
+	return n
+}
+
+// newMetricsReport lifts the submit counter, the memo's schedule accounting
+// and the stage latency histograms out of a server scrape.
+func newMetricsReport(fams []obs.Family) *metricsReport {
+	schedule := obs.L("kind", "schedule")
+	mr := &metricsReport{
+		SubmitsTotal:   sample(fams, "schedd_requests_total", obs.L("endpoint", "submit")),
+		ScheduleHits:   sample(fams, "schedd_memo_hits_total", schedule),
+		ScheduleMisses: sample(fams, "schedd_memo_misses_total", schedule),
+		Evictions:      sample(fams, "schedd_memo_evictions_total"),
+		BytesUsed:      sample(fams, "schedd_memo_bytes_used"),
+		BytesCap:       sample(fams, "schedd_memo_bytes_cap"),
+	}
 	for _, stage := range []string{
 		"admission_wait", "solve_wcs", "solve_acs",
 		"solve_partition", "sim", "store_get", "store_put", "feedback_resolve",
@@ -871,33 +862,29 @@ func scrapeMetrics(client *http.Client, base string) (*metricsReport, error) {
 		}
 		mr.Stages = append(mr.Stages, ms)
 	}
-	return mr, nil
+	return mr
 }
 
-// statsCapture is one /v1/stats snapshot: the raw bytes for the report plus
-// the parsed form for the cache and restart sections.
-type statsCapture struct {
-	raw    json.RawMessage
-	parsed *server.StatsResponse
-}
-
-// fetchStats snapshots the server's /v1/stats; nil if unreachable.
-func fetchStats(client *http.Client, base string) *statsCapture {
-	resp, err := client.Get(base + "/v1/stats")
-	if err != nil {
-		return nil
+// newRestartReport compares the cold server's scrape, taken just before it
+// stopped, with the warm server's end-of-run scrape.
+func newRestartReport(coldFams, warmFams []obs.Family, cold, warm phaseResult) *restartReport {
+	schedule := obs.L("kind", "schedule")
+	rr := &restartReport{
+		ColdScheduleMisses: int64(sample(coldFams, "schedd_memo_misses_total", schedule)),
+		WarmScheduleMisses: int64(sample(warmFams, "schedd_memo_misses_total", schedule)),
+		WarmMemHits:        int64(sample(warmFams, "schedd_store_tier_hits_total", obs.L("tier", "mem"))),
+		WarmDiskHits:       int64(sample(warmFams, "schedd_store_tier_hits_total", obs.L("tier", "disk"))),
+		RecoveredEntries:   int64(sample(warmFams, "schedd_store_recovered_entries")),
+		TornRecordsDropped: int64(sample(warmFams, "schedd_store_torn_records_dropped")),
+		ColdDurationMs:     float64(cold.elapsed.Nanoseconds()) / 1e6,
+		WarmDurationMs:     float64(warm.elapsed.Nanoseconds()) / 1e6,
+		ColdP50Ms:          cold.percentile(0.50),
+		WarmP50Ms:          warm.percentile(0.50),
 	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return nil
+	if rr.ColdScheduleMisses > 0 {
+		rr.SolveAvoidancePct = 100 * (1 - float64(rr.WarmScheduleMisses)/float64(rr.ColdScheduleMisses))
 	}
-	sc := &statsCapture{raw: json.RawMessage(b)}
-	var st server.StatsResponse
-	if json.Unmarshal(b, &st) == nil {
-		sc.parsed = &st
-	}
-	return sc
+	return rr
 }
 
 // buildBodies generates the unique request bodies: max(1, requests·unique)

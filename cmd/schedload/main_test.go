@@ -32,27 +32,25 @@ func TestRunInProcess(t *testing.T) {
 	if rep.Throughput <= 0 || rep.LatencyMs.Max <= 0 {
 		t.Errorf("missing measurements: %+v", rep)
 	}
-	if len(rep.Server) == 0 {
-		t.Error("server stats not captured")
-	}
 	// Regression: the report surfaces the memo's eviction/byte accounting as
-	// first-class fields, not just hit/miss rates buried in the raw blob.
-	if rep.Cache == nil {
-		t.Fatal("report has no cache section")
+	// first-class fields, not just hit/miss counts.
+	m := rep.Metrics
+	if m == nil {
+		t.Fatal("report has no metrics section")
 	}
-	if rep.Cache.ScheduleMisses == 0 {
-		t.Error("cache section recorded no solves")
+	if m.ScheduleMisses == 0 {
+		t.Error("metrics section recorded no solves")
 	}
-	if rep.Cache.BytesCap != 256<<20 {
-		t.Errorf("cache section bytes cap %d, want default 256 MiB", rep.Cache.BytesCap)
+	if m.BytesCap != 256<<20 {
+		t.Errorf("metrics section bytes cap %g, want default 256 MiB", m.BytesCap)
 	}
-	if rep.Cache.BytesUsed <= 0 {
-		t.Error("cache section shows no resident bytes after solves")
+	if m.BytesUsed <= 0 {
+		t.Error("metrics section shows no resident bytes after solves")
 	}
-	if rep.Cache.ScheduleHitRate <= 0 || rep.Cache.ScheduleHitRate >= 1 {
-		t.Errorf("hit rate %g implausible for a repeat mix", rep.Cache.ScheduleHitRate)
+	if rate := m.ScheduleHits / (m.ScheduleHits + m.ScheduleMisses); rate <= 0 || rate >= 1 {
+		t.Errorf("hit rate %g implausible for a repeat mix", rate)
 	}
-	for _, field := range []string{`"evictions"`, `"bytes_used"`, `"bytes_cap"`, `"schedule_hit_rate"`} {
+	for _, field := range []string{`"evictions"`, `"bytes_used"`, `"bytes_cap"`, `"schedule_hits"`, `"schedule_misses"`} {
 		if !strings.Contains(out.String(), field) {
 			t.Errorf("report body missing %s", field)
 		}
@@ -141,14 +139,14 @@ func TestRunRestartReport(t *testing.T) {
 	if rr.ColdDurationMs <= 0 || rr.WarmDurationMs <= 0 {
 		t.Errorf("missing phase durations: %+v", rr)
 	}
-	// The headline cache section must be the WARM snapshot: by then every
+	// The headline metrics section must be the WARM scrape: by then every
 	// schedule is served from some tier, never re-solved.
-	if rep.Cache == nil || rep.Cache.ScheduleMisses != 0 {
-		t.Errorf("headline cache section is not the warm phase: %+v", rep.Cache)
+	if rep.Metrics == nil || rep.Metrics.ScheduleMisses != 0 {
+		t.Errorf("headline metrics section is not the warm phase: %+v", rep.Metrics)
 	}
 	for _, field := range []string{`"restart"`, `"cold_schedule_misses"`,
-		`"warm_schedule_misses"`, `"solve_avoidance_pct"`, `"mem_hits"`,
-		`"disk_hits"`, `"recovered_entries"`, `"torn_records_dropped"`} {
+		`"warm_schedule_misses"`, `"solve_avoidance_pct"`, `"warm_mem_hits"`,
+		`"warm_disk_hits"`, `"recovered_entries"`, `"torn_records_dropped"`} {
 		if !strings.Contains(out.String(), field) {
 			t.Errorf("report body missing %s", field)
 		}
@@ -215,7 +213,7 @@ func TestRunFaultsFlagErrors(t *testing.T) {
 // TestRunFleetInProcess: a -fleet run with a peer killed mid-stream finishes
 // with zero errors and zero determinism mismatches — the replicas absorbed
 // the dead peer's keys byte-identically — and the report carries the fleet
-// section with the router's counters.
+// section with the router's counters, scraped from the front end's /metrics.
 func TestRunFleetInProcess(t *testing.T) {
 	leakcheck.Check(t)
 	var out strings.Builder
@@ -237,25 +235,8 @@ func TestRunFleetInProcess(t *testing.T) {
 	if rep.Fleet.Peers != 3 || rep.Fleet.Replicas != 2 || rep.Fleet.KilledPeer != 1 || rep.Fleet.Processes {
 		t.Errorf("fleet section wrong: %+v", rep.Fleet)
 	}
-	if len(rep.Fleet.RouterStats) == 0 {
-		t.Error("router stats not captured")
-	}
 	// The router's accounting must show the dead peer's keys failing over.
-	var rs struct {
-		Peers []struct {
-			Failovers int64 `json:"failovers"`
-			Errors    int64 `json:"errors"`
-		} `json:"peers"`
-	}
-	if err := json.Unmarshal(rep.Fleet.RouterStats, &rs); err != nil {
-		t.Fatal(err)
-	}
-	var failovers, errors int64
-	for _, p := range rs.Peers {
-		failovers += p.Failovers
-		errors += p.Errors
-	}
-	if failovers == 0 && errors == 0 {
+	if rep.Fleet.Failovers == 0 && rep.Fleet.Errors == 0 {
 		t.Error("a peer died mid-run but the router recorded no failovers or errors")
 	}
 }

@@ -22,7 +22,7 @@ const (
 	BreakerHalfOpen
 )
 
-// String renders the state for /v1/stats.
+// String names the state, as grid.Stats.BreakerState reports it.
 func (s BreakerState) String() string {
 	switch s {
 	case BreakerOpen:
@@ -144,23 +144,4 @@ func (b *Breaker) Recloses() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.recloses
-}
-
-// BreakerSnapshot is a point-in-time view of one breaker, shaped for stats
-// endpoints (the fleet router reports one per peer).
-type BreakerSnapshot struct {
-	State    string `json:"state"`
-	Trips    int64  `json:"trips"`
-	Recloses int64  `json:"recloses"`
-}
-
-// Snapshot captures the breaker's position and lifetime counters in one lock
-// acquisition (advancing open → half-open like State does).
-func (b *Breaker) Snapshot() BreakerSnapshot {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cooldown {
-		b.state = BreakerHalfOpen
-	}
-	return BreakerSnapshot{State: b.state.String(), Trips: b.trips, Recloses: b.recloses}
 }

@@ -158,16 +158,12 @@ func TestFleetChaos(t *testing.T) {
 	}
 	t.Logf("chaos: %d submits ok, %d shed", oks, sheds)
 
-	st := f.stats()
-	var takeovers, failovers int64
-	for i := range st.Peers {
-		takeovers += st.Peers[i].Takeovers
-		failovers += st.Peers[i].Failovers
-	}
+	takeovers := f.metric("schedd_fleet_takeovers_total")
 	if takeovers == 0 {
 		t.Error("the session owner died mid-stream and the stream continued, but no takeover was counted")
 	}
-	t.Logf("chaos: takeovers=%d failovers=%d fleet503s=%d", takeovers, failovers, st.Fleet503s)
+	t.Logf("chaos: takeovers=%g failovers=%g fleet503s=%g", takeovers,
+		f.metric("schedd_fleet_failovers_total"), f.metric("schedd_fleet_503s_total"))
 
 	// The healed fleet agrees with the reference on the final position.
 	code, resp, _ := doReq(t, http.MethodGet, f.rts.URL+"/v1/sessions/"+id, "")

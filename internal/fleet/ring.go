@@ -29,7 +29,6 @@ import (
 // router and every peer computing the same ring agree on ownership without
 // coordination (pinned by TestRingOwnershipPinned).
 type Ring struct {
-	vnodes int
 	names  []string // sorted peer names
 	points []ringPoint
 }
@@ -52,7 +51,7 @@ func NewRing(names []string, vnodes int) *Ring {
 	}
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
-	r := &Ring{vnodes: vnodes, names: sorted}
+	r := &Ring{names: sorted}
 	for i, name := range sorted {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", name, v)), peer: i})

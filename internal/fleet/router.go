@@ -22,8 +22,8 @@ import (
 // key's owner, and walks the replicas on failure — breaker-gated, with
 // seeded-jitter retry passes between full walks and hedged reads for
 // content-addressed GETs. It serves the same API surface as one schedd, so
-// clients cannot tell a fleet from a node (except through /v1/stats, which
-// reports per-peer routing counters instead of solver counters).
+// clients cannot tell a fleet from a node; its per-peer routing counters
+// are metric series (RegisterMetrics).
 //
 // Determinism: the router never builds a response body of its own except
 // the fleet-originated 503 (every replica dead or shedding) — everything
@@ -103,7 +103,6 @@ func NewRouter(opts Options) *Router {
 	mux.HandleFunc("POST /v1/sessions", r.handleSessionCreate)
 	mux.HandleFunc("POST /v1/sessions/{id}/observe", r.handleSessionPath)
 	mux.HandleFunc("GET /v1/sessions/{id}", r.handleSessionPath)
-	mux.HandleFunc("GET /v1/stats", r.handleStats)
 	mux.HandleFunc("GET /v1/healthz", r.handleHealthz)
 	r.mux = mux
 	return r
@@ -425,67 +424,10 @@ func writeJSONError(w http.ResponseWriter, status int, msg string, retryAfterSec
 	w.Write(append(buf, '\n'))
 }
 
-// PeerStats is one peer's routing accounting in the fleet /v1/stats body.
-type PeerStats struct {
-	Name string `json:"name"`
-	URL  string `json:"url"`
-	// PeerState is the peer's circuit-breaker position: closed, open, or
-	// half-open.
-	PeerState string `json:"peer_state"`
-	Trips     int64  `json:"trips"`
-	Recloses  int64  `json:"recloses"`
-	// Forwards counts requests this peer served; Hedges, hedged reads
-	// launched at it; Failovers, non-owner serves; Takeovers, non-owner
-	// serves on session paths (a replica continuing a dead owner's stream);
-	// Errors, transport-level failures talking to it.
-	Forwards  int64 `json:"forwards"`
-	Hedges    int64 `json:"hedges"`
-	Failovers int64 `json:"failovers"`
-	Takeovers int64 `json:"takeovers"`
-	Errors    int64 `json:"errors"`
-}
-
-// StatsResponse is the router's /v1/stats body. Operational state — exempt
-// from the byte-determinism contract like every stats endpoint.
-type StatsResponse struct {
-	Replicas  int         `json:"replicas"`
-	Vnodes    int         `json:"vnodes"`
-	Fleet503s int64       `json:"fleet_503s"`
-	Peers     []PeerStats `json:"peers"`
-}
-
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	resp := &StatsResponse{
-		Replicas:  r.opts.Replicas,
-		Vnodes:    r.ring.vnodes,
-		Fleet503s: r.fleet503s.Load(),
-	}
-	for _, name := range r.ring.Peers() {
-		c := r.counters[name]
-		snap := r.topo.Breaker(name).Snapshot()
-		resp.Peers = append(resp.Peers, PeerStats{
-			Name:      name,
-			URL:       r.topo.URL(name),
-			PeerState: snap.State,
-			Trips:     snap.Trips,
-			Recloses:  snap.Recloses,
-			Forwards:  c.forwards.Load(),
-			Hedges:    c.hedges.Load(),
-			Failovers: c.failovers.Load(),
-			Takeovers: c.takeovers.Load(),
-			Errors:    c.errors.Load(),
-		})
-	}
-	buf, _ := json.Marshal(resp)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(buf, '\n'))
-}
-
 // RegisterMetrics bridges the router's routing counters into a metric
 // registry (typically the co-located server's, so one /metrics scrape
-// covers both the solver and the fleet front end). Scrape-time reads of
-// the same atomics /v1/stats reports — the surfaces cannot disagree.
+// covers both the solver and the fleet front end) as scrape-time reads of
+// the router's atomics and each peer's breaker.
 func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("schedd_fleet_503s_total", "Fleet-originated 503s (every replica dead or shedding).", r.fleet503s.Load)
 	for _, name := range r.ring.Peers() {
@@ -498,15 +440,10 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 		reg.CounterFunc("schedd_fleet_errors_total", "Transport-level failures talking to this peer.", c.errors.Load, peer)
 		br := r.topo.Breaker(name)
 		reg.GaugeFunc("schedd_fleet_peer_state", "Peer circuit-breaker position: 0 closed, 1 open, 2 half-open.", func() float64 {
-			switch br.Snapshot().State {
-			case "open":
-				return 1
-			case "half-open":
-				return 2
-			default:
-				return 0
-			}
+			return float64(br.State())
 		}, peer)
+		reg.CounterFunc("schedd_fleet_peer_trips_total", "Peer circuit-breaker open transitions.", br.Trips, peer)
+		reg.CounterFunc("schedd_fleet_peer_recloses_total", "Peer circuit-breaker completed recoveries.", br.Recloses, peer)
 	}
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/retry"
 	"repro/internal/server"
 	"repro/internal/stats"
@@ -41,7 +43,9 @@ type testFleet struct {
 	peers  map[string]*testPeer
 	wrap   func(name string, h http.Handler) http.Handler
 	router *Router
-	rts    *httptest.Server
+	// rts is the front end: the router, with its counters on /metrics as a
+	// schedd fleet peer serves them.
+	rts *httptest.Server
 }
 
 type testFleetOptions struct {
@@ -72,7 +76,12 @@ func newTestFleet(t *testing.T, names []string, opts testFleetOptions) *testFlee
 		HedgeDelay: opts.hedgeDelay,
 		Sleep:      func(time.Duration) {},
 	})
-	f.rts = httptest.NewServer(f.router)
+	reg := obs.NewRegistry()
+	f.router.RegisterMetrics(reg)
+	front := http.NewServeMux()
+	front.Handle("GET /metrics", reg)
+	front.Handle("/", f.router)
+	f.rts = httptest.NewServer(front)
 	t.Cleanup(func() {
 		f.rts.Close()
 		f.router.Close()
@@ -119,20 +128,22 @@ func (f *testFleet) restart(name string) {
 	f.startPeer(name, f.peers[name].blobs)
 }
 
-func (f *testFleet) stats() *StatsResponse {
+// metric scrapes the front end's /metrics and sums every series of one
+// family (one series per peer, or the single fleet-wide one).
+func (f *testFleet) metric(name string) float64 {
 	f.t.Helper()
-	_, body, _ := doReq(f.t, http.MethodGet, f.rts.URL+"/v1/stats", "")
-	var st StatsResponse
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		f.t.Fatalf("stats: %v in %s", err, body)
+	code, body, _ := doReq(f.t, http.MethodGet, f.rts.URL+"/metrics", "")
+	fams, err := obs.ParseExposition(strings.NewReader(body))
+	if code != http.StatusOK || err != nil {
+		f.t.Fatalf("/metrics: %d, %v", code, err)
 	}
-	return &st
-}
-
-func (f *testFleet) sumPeers(pick func(*PeerStats) int64) int64 {
-	var n int64
-	for i := range f.stats().Peers {
-		n += pick(&f.stats().Peers[i])
+	fam := obs.FindFamily(fams, name)
+	if fam == nil {
+		f.t.Fatalf("metric %s missing from /metrics", name)
+	}
+	var n float64
+	for _, sm := range fam.Samples {
+		n += sm.Value
 	}
 	return n
 }
@@ -299,10 +310,10 @@ func TestFleetFailoverDeadPeer(t *testing.T) {
 	if code != http.StatusOK || gotGet != wantGet {
 		t.Fatalf("failover get: %d, bytes diverged\n got %s\nwant %s", code, gotGet, wantGet)
 	}
-	if n := f.sumPeers(func(p *PeerStats) int64 { return p.Failovers }); n == 0 {
+	if f.metric("schedd_fleet_failovers_total") == 0 {
 		t.Error("owner died and a replica served, but no failover was counted")
 	}
-	if n := f.sumPeers(func(p *PeerStats) int64 { return p.Errors }); n == 0 {
+	if f.metric("schedd_fleet_errors_total") == 0 {
 		t.Error("talking to a dead peer counted no transport errors")
 	}
 }
@@ -326,8 +337,37 @@ func TestFleet503RetryAfter(t *testing.T) {
 	if !strings.Contains(body, `"error"`) {
 		t.Errorf("fleet 503 body %q is not the standard error shape", body)
 	}
-	if f.stats().Fleet503s == 0 {
-		t.Error("fleet-originated 503 not counted in stats")
+	if f.metric("schedd_fleet_503s_total") == 0 {
+		t.Error("fleet-originated 503 not counted on /metrics")
+	}
+}
+
+// TestRouterMetrics: every routing counter the front end keeps, each
+// peer's breaker trips and recloses included, is a /metrics series.
+func TestRouterMetrics(t *testing.T) {
+	leakcheck.Check(t)
+	f := newTestFleet(t, []string{"p0", "p1"}, testFleetOptions{})
+	now := time.Unix(0, 0)
+	br := f.topo.Breaker("p0")
+	br.SetClock(func() time.Time { return now })
+	for i := 0; i < 5; i++ {
+		br.Record(errors.New("peer down"))
+	}
+	if state, trips := f.metric("schedd_fleet_peer_state"), f.metric("schedd_fleet_peer_trips_total"); state != 1 || trips != 1 {
+		t.Errorf("after a trip: peer state sum %g, trips %g; want 1 and 1", state, trips)
+	}
+	now = now.Add(time.Hour)
+	if !br.Allow() {
+		t.Fatal("breaker did not half-open after its cooldown")
+	}
+	br.Record(nil)
+	if state, recloses := f.metric("schedd_fleet_peer_state"), f.metric("schedd_fleet_peer_recloses_total"); state != 0 || recloses != 1 {
+		t.Errorf("after a reclose: peer state sum %g, recloses %g; want 0 and 1", state, recloses)
+	}
+	for _, name := range []string{"schedd_fleet_forwards_total", "schedd_fleet_hedges_total",
+		"schedd_fleet_failovers_total", "schedd_fleet_takeovers_total", "schedd_fleet_errors_total",
+		"schedd_fleet_503s_total"} {
+		f.metric(name) // fails the test if the family is missing
 	}
 }
 
@@ -375,7 +415,7 @@ func TestHedgedReadNoLeak(t *testing.T) {
 	if elapsed >= 2*time.Second {
 		t.Errorf("hedged get took %v — waited out the slow owner instead of hedging", elapsed)
 	}
-	if n := f.sumPeers(func(p *PeerStats) int64 { return p.Hedges }); n == 0 {
+	if f.metric("schedd_fleet_hedges_total") == 0 {
 		t.Error("slow owner, fast answer, but no hedge was counted")
 	}
 	slowPeer.Store("")
@@ -426,7 +466,7 @@ func TestSessionTakeoverThroughRouter(t *testing.T) {
 	if code, resp := observe(1); code != http.StatusOK || resp != want[1] {
 		t.Fatalf("takeover batch 2: %d, bytes diverged\n got %s\nwant %s", code, resp, want[1])
 	}
-	if n := f.sumPeers(func(p *PeerStats) int64 { return p.Takeovers }); n == 0 {
+	if f.metric("schedd_fleet_takeovers_total") == 0 {
 		t.Error("replica continued a dead owner's session, but no takeover was counted")
 	}
 	// Owner revives with a stale local checkpoint; boot-time restore reads

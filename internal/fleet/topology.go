@@ -82,16 +82,6 @@ func (t *Topology) SetURL(name, url string) {
 	ps.url.Store(url)
 }
 
-// URL returns the peer's current base URL ("" when unknown).
-func (t *Topology) URL(name string) string {
-	if ps := t.peer(name); ps != nil {
-		if u, ok := ps.url.Load().(string); ok {
-			return u
-		}
-	}
-	return ""
-}
-
 // Breaker returns the peer's circuit breaker (nil for unknown peers).
 func (t *Topology) Breaker(name string) *fault.Breaker {
 	if ps := t.peer(name); ps != nil {

@@ -88,6 +88,65 @@ func TestSessionCustomID(t *testing.T) {
 	}
 }
 
+// TestAllocatedSessionIDSkipsNamedSession: server id allocation never
+// replaces a session a caller named "s1". The next unnamed create gets its
+// own id, and both sessions keep their own state and checkpoint.
+func TestAllocatedSessionIDSkipsNamedSession(t *testing.T) {
+	blobs := store.NewMemBlobs()
+	_, ts := newTestServer(t, Options{Checkpoints: blobs})
+	namedBody, namedRows := sessionRows(t, 3, "s1", 10)
+	plainBody, _ := sessionBody(t, 4)
+	var ids []string
+	created := make(map[string]SessionResponse)
+	for _, body := range []string{namedBody, plainBody} {
+		code, resp := post(t, ts.URL+"/v1/sessions", body)
+		if code != http.StatusOK {
+			t.Fatalf("create: %d %s", code, resp)
+		}
+		var sr SessionResponse
+		if err := json.Unmarshal([]byte(resp), &sr); err != nil {
+			t.Fatal(err)
+		}
+		if _, dup := created[sr.SessionID]; dup {
+			t.Fatalf("two creates both answered session %q", sr.SessionID)
+		}
+		ids = append(ids, sr.SessionID)
+		created[sr.SessionID] = sr
+	}
+	if ids[0] != "s1" {
+		t.Fatalf("named create answered %q, want s1", ids[0])
+	}
+	if created[ids[0]].Schedule.Fingerprint == created[ids[1]].Schedule.Fingerprint {
+		t.Fatal("the two sessions' sets share a fingerprint, so the test cannot tell them apart")
+	}
+	if code, resp := post(t, ts.URL+"/v1/sessions/s1/observe", observeBody(t, namedRows)); code != http.StatusOK {
+		t.Fatalf("observe s1: %d %s", code, resp)
+	}
+	for _, c := range []struct {
+		id       string
+		observed int64
+	}{{ids[0], int64(len(namedRows))}, {ids[1], 0}} {
+		code, resp := get(t, ts.URL+"/v1/sessions/"+c.id)
+		if code != http.StatusOK {
+			t.Fatalf("status %s: %d %s", c.id, code, resp)
+		}
+		var st SessionStatusResponse
+		if err := json.Unmarshal([]byte(resp), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Observed != c.observed {
+			t.Errorf("session %s observed %d hyper-periods, want %d", c.id, st.Observed, c.observed)
+		}
+		if c.observed == 0 && st.Schedule.Fingerprint != created[c.id].Schedule.Fingerprint {
+			t.Errorf("session %s serves fingerprint %s, want its own %s", c.id, st.Schedule.Fingerprint, created[c.id].Schedule.Fingerprint)
+		}
+		blob, ok, _ := blobs.GetBlob("session-" + c.id)
+		if n, pok := SessionCheckpointObserved(blob); !ok || !pok || n != c.observed {
+			t.Errorf("session %s checkpoint: present %v, observed %d, want %d", c.id, ok, n, c.observed)
+		}
+	}
+}
+
 // TestObserveIdempotency: `at` makes the observe stream safe to retry — an
 // exact replay of the last acked batch returns the stored bytes, and any
 // other position mismatch is a deterministic 409.
@@ -259,14 +318,14 @@ func TestDamagedSessionCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("boot restore: %v", err)
 			}
-			return n, statsOf(t, ts.URL).CheckpointErrors
+			return n, checkpointErrs(t, ts.URL)
 		}},
 		{"takeover", http.StatusNotFound, func(t *testing.T, damaged []byte) (int, int64) {
 			blobs := store.NewMemBlobs()
 			blobs.PutBlob("session-victim", damaged)
 			_, ts := newTestServer(t, Options{Checkpoints: blobs})
 			code, _ := get(t, ts.URL+"/v1/sessions/victim")
-			return code, statsOf(t, ts.URL).CheckpointErrors
+			return code, checkpointErrs(t, ts.URL)
 		}},
 		{"refresh", http.StatusConflict, func(t *testing.T, damaged []byte) (int, int64) {
 			blobs := store.NewMemBlobs()
@@ -277,14 +336,14 @@ func TestDamagedSessionCheckpoint(t *testing.T) {
 			if code, resp := post(t, ts.URL+"/v1/sessions/victim/observe", observeAtBody(t, rows[:10], 0)); code != http.StatusOK {
 				t.Fatalf("observe: %d %s", code, resp)
 			}
-			before := statsOf(t, ts.URL).CheckpointErrors
+			before := checkpointErrs(t, ts.URL)
 			blobs.PutBlob("session-victim", damaged)
 			// A position ahead of the resident fold triggers the refresh.
 			code, _ := post(t, ts.URL+"/v1/sessions/victim/observe", observeAtBody(t, rows[20:30], 20))
 			if n := s.session("victim").ctrl.Observed(); n != 10 {
 				t.Errorf("resident fold at %d after a damaged refresh, want 10", n)
 			}
-			return code, statsOf(t, ts.URL).CheckpointErrors - before
+			return code, checkpointErrs(t, ts.URL) - before
 		}},
 	}
 	for _, d := range []struct {
@@ -312,6 +371,12 @@ func TestDamagedSessionCheckpoint(t *testing.T) {
 			})
 		}
 	}
+}
+
+// checkpointErrs reads schedd_checkpoint_errors_total from base's /metrics.
+func checkpointErrs(t *testing.T, base string) int64 {
+	t.Helper()
+	return int64(metric(t, base, "schedd_checkpoint_errors_total"))
 }
 
 func TestInternalBlobEndpoints(t *testing.T) {

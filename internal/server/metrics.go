@@ -6,15 +6,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Metric surface (DESIGN.md §13). The server owns one obs.Registry and is
-// the single source of truth for every counter /v1/stats reports: the
-// stats endpoint reads the same registry values /metrics exposes, so the
-// two surfaces cannot disagree. Counters the server owns are obs.Counters
-// incremented on the request path; accounting that already lives in
-// another layer (memo hit/miss/eviction, store occupancy, breaker
-// position) is bridged with CounterFunc/GaugeFunc
-// reads at scrape time — storage stays where it is, the registry is a
-// view.
+// Metric surface (DESIGN.md §13). The server owns one obs.Registry, served
+// on GET /metrics: the only place a counter is read. Counters the server
+// owns are obs.Counters incremented on the request path; accounting that
+// already lives in another layer (memo hit/miss/eviction, store occupancy,
+// breaker position) is bridged with CounterFunc/GaugeFunc reads at scrape
+// time — storage stays where it is, the registry is a view.
 
 // stageNames enumerates the per-stage latency histograms
 // (schedd_stage_seconds{stage=...}) fed by request-trace spans and the
@@ -36,15 +33,14 @@ var stageNames = []string{
 var endpointNames = []string{
 	"submit", "get", "compare",
 	"session_create", "observe", "session_get",
-	"stats", "metrics", "healthz", "blob", "other",
+	"metrics", "healthz", "blob", "other",
 }
 
 // serverMetrics is the server's owned metric set.
 type serverMetrics struct {
 	reg *obs.Registry
 
-	// Request counters — the one source of truth behind both
-	// /v1/stats and schedd_requests_total.
+	// Request counters: schedd_requests_total by endpoint.
 	submits, gets, compares, sessionCreates, observes *obs.Counter
 
 	shed, degraded, panics      *obs.Counter
@@ -65,7 +61,7 @@ func newServerMetrics() *serverMetrics {
 		tiers:    make(map[[2]string]*obs.Histogram, 4),
 	}
 	req := func(endpoint string) *obs.Counter {
-		return reg.Counter("schedd_requests_total", "Requests received, by endpoint (counted before admission, like /v1/stats).", obs.L("endpoint", endpoint))
+		return reg.Counter("schedd_requests_total", "Requests received, by endpoint (counted before admission).", obs.L("endpoint", endpoint))
 	}
 	m.submits = req("submit")
 	m.gets = req("get")
@@ -129,8 +125,6 @@ func endpointOf(path string) string {
 			return "observe"
 		}
 		return "session_get"
-	case path == "/v1/stats":
-		return "stats"
 	case path == "/metrics":
 		return "metrics"
 	case path == "/v1/healthz":

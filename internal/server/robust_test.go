@@ -19,20 +19,6 @@ import (
 	"repro/internal/store"
 )
 
-// statsOf fetches and decodes /v1/stats.
-func statsOf(t *testing.T, url string) StatsResponse {
-	t.Helper()
-	code, body := get(t, url+"/v1/stats")
-	if code != http.StatusOK {
-		t.Fatalf("stats: %d %s", code, body)
-	}
-	var st StatsResponse
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
 // TestChaos is the fault-injection harness (ISSUE: robustness): a randomized
 // fault schedule — disk write/read/sync errors, torn writes, injected handler
 // and pipeline panics — runs against a concurrent request stream, and the
@@ -196,8 +182,9 @@ func TestChaos(t *testing.T) {
 			t.Fatalf("submit during disk failure: %d %s", code, resp)
 		}
 	}
-	if st := statsOf(t, ts.URL); st.Memo.BreakerState != "open" || !st.Memo.MemDegraded {
-		t.Fatalf("breaker did not trip under persistent write failure: %+v", st.Memo)
+	fams := scrape(t, ts.URL)
+	if state, degraded := sampleOr(t, fams, "schedd_store_breaker_state"), sampleOr(t, fams, "schedd_store_mem_degraded"); state != 1 || degraded != 1 {
+		t.Fatalf("breaker did not trip under persistent write failure: state %g, mem_degraded %g", state, degraded)
 	}
 
 	// Faults clear: after the cooldown, solve traffic doubles as the reopen
@@ -210,15 +197,16 @@ func TestChaos(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("submit during recovery: %d %s", code, resp)
 		}
-		st := statsOf(t, ts.URL)
-		if st.Memo.BreakerState == "closed" && !st.Memo.MemDegraded {
-			if st.Memo.BreakerRecloses == 0 {
-				t.Fatalf("breaker closed without counting a re-close: %+v", st.Memo)
+		fams := scrape(t, ts.URL)
+		state, degraded := sampleOr(t, fams, "schedd_store_breaker_state"), sampleOr(t, fams, "schedd_store_mem_degraded")
+		if state == 0 && degraded == 0 {
+			if sampleOr(t, fams, "schedd_store_breaker_recloses_total") == 0 {
+				t.Fatal("breaker closed without counting a re-close")
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never re-closed after faults cleared: %+v", st.Memo)
+			t.Fatalf("breaker never re-closed after faults cleared: state %g, mem_degraded %g", state, degraded)
 		}
 	}
 
@@ -287,8 +275,8 @@ func TestSolveBudgetDegradesToWCS(t *testing.T) {
 	if deg.WCSAvgEnergy != nil || deg.ImprovementPct != nil {
 		t.Error("degraded response carries ACS-only baseline fields")
 	}
-	if st := statsOf(t, ts.URL); st.Degraded != 1 {
-		t.Errorf("degraded counter = %d, want 1", st.Degraded)
+	if n := metric(t, ts.URL, "schedd_degraded_total"); n != 1 {
+		t.Errorf("degraded counter = %g, want 1", n)
 	}
 
 	// The fallback must be the WCS schedule itself: a direct WCS submit of
@@ -343,8 +331,8 @@ func TestPanicIsolation(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s: daemon did not survive the panic: %d %s", point, code, body)
 		}
-		if st := statsOf(t, ts.URL); st.Panics != int64(i+1) {
-			t.Errorf("%s: panic counter = %d, want %d", point, st.Panics, i+1)
+		if n := metric(t, ts.URL, "schedd_panics_total"); n != float64(i+1) {
+			t.Errorf("%s: panic counter = %g, want %d", point, n, i+1)
 		}
 	}
 	mu.Lock()
@@ -361,7 +349,7 @@ func TestPanicIsolation(t *testing.T) {
 
 // TestAdmissionShedsWithRetryAfter pins the overload contract: with every
 // seat taken and the queue wait expired, a solving request is shed with 503
-// and a Retry-After header, counted in /v1/stats; a freed seat restores
+// and a Retry-After header, counted on /metrics; a freed seat restores
 // service.
 func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	leakcheck.Check(t)
@@ -379,8 +367,9 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("shed 503 carries no Retry-After header")
 	}
-	if st := statsOf(t, ts.URL); st.Shed != 1 || st.Inflight != 1 {
-		t.Errorf("shed/inflight = %d/%d, want 1/1", st.Shed, st.Inflight)
+	fams := scrape(t, ts.URL)
+	if shed, inflight := sampleOr(t, fams, "schedd_shed_total"), sampleOr(t, fams, "schedd_inflight"); shed != 1 || inflight != 1 {
+		t.Errorf("shed/inflight = %g/%g, want 1/1", shed, inflight)
 	}
 
 	<-s.admit // free the seat
@@ -534,9 +523,9 @@ func TestCheckpointFailuresStillServe(t *testing.T) {
 		}
 	}
 
-	st := statsOf(t, ts.URL)
-	if want := fb.puts.Load(); st.CheckpointErrors != want || want < batches {
-		t.Errorf("checkpoint errors = %d, want %d (>= %d observes)", st.CheckpointErrors, want, batches)
+	errs := metric(t, ts.URL, "schedd_checkpoint_errors_total")
+	if want := fb.puts.Load(); errs != float64(want) || want < batches {
+		t.Errorf("checkpoint errors = %g, want %d (>= %d observes)", errs, want, batches)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -545,6 +534,47 @@ func TestCheckpointFailuresStillServe(t *testing.T) {
 	}
 	if !strings.Contains(logs[0], "checkpoint") {
 		t.Errorf("log line does not identify the checkpoint path: %s", logs[0])
+	}
+}
+
+// TestMalformedBlobNameSparesBreaker: a name the disk refuses is the
+// client's error, not the device's. Ten GETs of a malformed fingerprint
+// leave a tiered store's breaker closed, so the next session still
+// checkpoints, and the peer blob door answers such a name 422 without
+// counting a checkpoint error.
+func TestMalformedBlobNameSparesBreaker(t *testing.T) {
+	disk, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	tiered := store.NewTiered(grid.NewMemStore(0), disk)
+	_, ts := newTestServer(t, Options{Store: tiered, Checkpoints: tiered, InternalBlobs: tiered})
+
+	for i := 0; i < 10; i++ {
+		if code, body := get(t, ts.URL+"/v1/schedules/!"); code != http.StatusNotFound {
+			t.Fatalf("GET of a malformed fingerprint: %d %s, want 404", code, body)
+		}
+	}
+	if state := metric(t, ts.URL, "schedd_store_breaker_state"); state != 0 {
+		t.Fatalf("malformed fingerprints moved the disk breaker to state %g, want 0 (closed)", state)
+	}
+	body, _ := sessionBody(t, 5)
+	if code, resp := post(t, ts.URL+"/v1/sessions", body); code != http.StatusOK {
+		t.Fatalf("session create: %d %s", code, resp)
+	}
+	if n := checkpointErrs(t, ts.URL); n != 0 {
+		t.Errorf("session create counted %d checkpoint errors, want 0", n)
+	}
+
+	if code, resp := putBlob(t, ts.URL, "!", []byte("x")); code != http.StatusUnprocessableEntity {
+		t.Errorf("PUT of a malformed blob name: %d %s, want 422", code, resp)
+	}
+	if code, resp := get(t, ts.URL+"/v1/internal/blobs/!"); code != http.StatusUnprocessableEntity {
+		t.Errorf("GET of a malformed blob name: %d %s, want 422", code, resp)
+	}
+	if n := checkpointErrs(t, ts.URL); n != 0 {
+		t.Errorf("the blob door counted %d checkpoint errors for a malformed name, want 0", n)
 	}
 }
 

@@ -13,13 +13,13 @@
 //	POST /v1/sessions               open a feedback session (internal/feedback)
 //	POST /v1/sessions/{id}/observe  stream execution observations → adaptation
 //	GET  /v1/sessions/{id}          session estimator/adaptation state
-//	GET  /v1/stats                  cache, session and request counters
 //	GET  /v1/healthz                liveness probe
-//	GET  /metrics                   Prometheus text exposition (DESIGN.md §13)
+//	GET  /metrics                   Prometheus text exposition: every cache,
+//	                                session and request counter (DESIGN.md §13)
 //
 // Determinism contract: the response body of every submit, get and compare
 // request is a pure function of the request body — byte-identical regardless
-// of concurrency, worker count, or cache state (the /v1/stats and
+// of concurrency, worker count, or cache state (the /metrics and
 // /v1/healthz endpoints report operational state and are exempt; the
 // stateful session endpoints carry the controller's history-determinism
 // contract instead — see sessions.go). This
@@ -39,7 +39,7 @@
 // "degraded": true (worst-case feasible, so always deadline-safe); a panic
 // anywhere in a request is isolated to a 500 for that request; and a
 // store.Tiered backend with a tripped disk breaker silently serves
-// memory-only. Every one of these events is accounted in /v1/stats.
+// memory-only. Every one of these events is counted on /metrics.
 package server
 
 import (
@@ -61,6 +61,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/task"
 )
 
@@ -215,8 +216,8 @@ type Server struct {
 	// restore solve per missing session, not one per racing request.
 	restoreMu sync.Mutex
 
-	// m owns the metric registry: every counter /v1/stats reports and
-	// GET /metrics exposes (one source of truth — see metrics.go).
+	// m owns the metric registry: every counter GET /metrics exposes
+	// (see metrics.go).
 	m           *serverMetrics
 	ckptLogOnce sync.Once
 }
@@ -246,8 +247,8 @@ func New(opts Options) *Server {
 		sessions: make(map[string]*serverSession),
 		m:        newServerMetrics(),
 	}
-	// A tiered store backend gains per-tier latency histograms; the
-	// assertion keeps server decoupled from internal/store.
+	// A store backend with an observer hook (store.Tiered) gains per-tier
+	// latency histograms.
 	if so, ok := o.Store.(interface {
 		SetObserver(func(tier, op string, seconds float64))
 	}); ok {
@@ -260,7 +261,6 @@ func New(opts Options) *Server {
 	mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
 	mux.HandleFunc("POST /v1/sessions/{id}/observe", s.handleSessionObserve)
 	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionGet)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", s.m.reg)
 	mux.HandleFunc("PUT /v1/internal/blobs/{name}", s.handleBlobPut)
@@ -552,41 +552,6 @@ type CompareResponse struct {
 	ImprovementPct float64      `json:"improvement_pct"`
 	ACS            PolicyResult `json:"acs"`
 	WCS            PolicyResult `json:"wcs"`
-}
-
-// StatsResponse is the /v1/stats body. It reports operational state and is
-// exempt from the byte-determinism contract.
-type StatsResponse struct {
-	Submits  int64 `json:"submits"`
-	Gets     int64 `json:"gets"`
-	Compares int64 `json:"compares"`
-	Stored   int   `json:"stored_requests"`
-	Workers  int   `json:"workers"`
-	// Sessions is the number of resident feedback sessions;
-	// SessionCreates counts creation attempts (like Submits, it includes
-	// rejected ones) and Observes the observation calls across all
-	// sessions.
-	Sessions       int   `json:"sessions"`
-	SessionCreates int64 `json:"session_creates"`
-	Observes       int64 `json:"observes"`
-	// RestoredSessions counts sessions rebuilt from checkpoints at boot;
-	// CheckpointErrors counts failed checkpoint/request-blob writes (the
-	// affected state simply won't survive the next restart).
-	RestoredSessions int64 `json:"restored_sessions"`
-	CheckpointErrors int64 `json:"checkpoint_errors"`
-	// Robustness accounting (DESIGN.md §10). Inflight is the number of
-	// currently admitted solving requests (gauge); Shed counts requests
-	// rejected 503 by the admission queue; Degraded counts submit/get
-	// responses served from the WCS fallback after the ACS budget expired;
-	// Panics counts handler/pipeline panics isolated to a single request.
-	Inflight int   `json:"inflight"`
-	Shed     int64 `json:"shed"`
-	Degraded int64 `json:"degraded"`
-	Panics   int64 `json:"panics"`
-	// Memo carries the grid store's full accounting — hit/miss counters and
-	// the bounded store's eviction/byte-occupancy counters (evictions,
-	// bytes_used, bytes_cap).
-	Memo grid.Stats `json:"memo"`
 }
 
 // canonicalize validates a submit body into its canonical form. All
@@ -1216,33 +1181,6 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	writeResult(w, s.buildCompareResponse(ctx, cr, fp, h, seed))
 }
 
-// handleStats reports operational counters. Every value here is a read
-// of the same registry /metrics scrapes (see metrics.go) — one source of
-// truth, pinned by TestStatsMatchesMetrics.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	stored := len(s.requests)
-	sessions := len(s.sessions)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, &StatsResponse{
-		Submits:          s.m.submits.Value(),
-		Gets:             s.m.gets.Value(),
-		Compares:         s.m.compares.Value(),
-		Stored:           stored,
-		Workers:          s.runner.Workers(),
-		Sessions:         sessions,
-		SessionCreates:   s.m.sessionCreates.Value(),
-		Observes:         s.m.observes.Value(),
-		RestoredSessions: s.m.restored.Value(),
-		CheckpointErrors: s.m.checkpointErrs.Value(),
-		Inflight:         len(s.admit),
-		Shed:             s.m.shed.Value(),
-		Degraded:         s.m.degraded.Value(),
-		Panics:           s.m.panics.Value(),
-		Memo:             s.memo.Stats(),
-	})
-}
-
 // handleBlobPut is the peer-replication write door: a fleet peer pushing a
 // replicated blob (session checkpoint or schedule record) stores it in this
 // instance's local blob store. Deliberately outside the admission semaphore —
@@ -1265,6 +1203,10 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.opts.InternalBlobs.PutBlob(name, data); err != nil {
+		if errors.Is(err, store.ErrBadBlobName) {
+			writeResult(w, errorf(http.StatusUnprocessableEntity, "bad blob name"))
+			return
+		}
 		s.noteCheckpointErr(err)
 		writeResult(w, errorf(http.StatusInternalServerError, "storing blob: %v", err))
 		return
@@ -1282,6 +1224,10 @@ func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	data, ok, err := s.opts.InternalBlobs.GetBlob(r.PathValue("name"))
+	if errors.Is(err, store.ErrBadBlobName) {
+		writeResult(w, errorf(http.StatusUnprocessableEntity, "bad blob name"))
+		return
+	}
 	if err != nil {
 		writeResult(w, errorf(http.StatusInternalServerError, "reading blob: %v", err))
 		return

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // smallBody returns a tiny feasible two-task submit body; i perturbs the
@@ -322,22 +324,16 @@ func TestStatsAndHealth(t *testing.T) {
 	}
 	post(t, ts.URL+"/v1/schedules", smallBody(0))
 	post(t, ts.URL+"/v1/schedules", smallBody(0))
-	code, body = get(t, ts.URL+"/v1/stats")
-	if code != http.StatusOK {
-		t.Fatalf("stats: %d %s", code, body)
+	fams := scrape(t, ts.URL)
+	submits := sampleOr(t, fams, "schedd_requests_total", obs.L("endpoint", "submit"))
+	if stored := sampleOr(t, fams, "schedd_stored_requests"); submits != 2 || stored != 1 {
+		t.Errorf("want 2 submits of 1 stored set, got %g submits, %g stored", submits, stored)
 	}
-	var st StatsResponse
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Submits != 2 || st.Stored != 1 {
-		t.Errorf("want 2 submits of 1 stored set, got %+v", st)
-	}
-	if st.Memo.ScheduleMisses == 0 {
+	if sampleOr(t, fams, "schedd_memo_misses_total", obs.L("kind", "schedule")) == 0 {
 		t.Error("no schedule solves recorded in memo stats")
 	}
-	if st.Memo.BytesCap != 256<<20 {
-		t.Errorf("default memo cap not applied: %d", st.Memo.BytesCap)
+	if c := sampleOr(t, fams, "schedd_memo_bytes_cap"); c != 256<<20 {
+		t.Errorf("default memo cap not applied: %g", c)
 	}
 
 	s.Close()
@@ -349,10 +345,10 @@ func TestStatsAndHealth(t *testing.T) {
 }
 
 // TestStatsExposesEvictionCounters is the regression for the bounded-memo
-// visibility contract: /v1/stats must surface the store's eviction and
-// byte-accounting counters (not just hit/miss rates), both as typed fields
-// and under their wire names, and they must move when eviction pressure is
-// real.
+// visibility contract: /metrics must surface the store's eviction and
+// byte-accounting counters (not just hit/miss rates) under their series
+// names, equal to the memo's own accounting, and they must move when
+// eviction pressure is real.
 func TestStatsExposesEvictionCounters(t *testing.T) {
 	// A cap of a few KiB fits roughly one schedule+plan pair, so distinct
 	// submits evict each other.
@@ -362,30 +358,35 @@ func TestStatsExposesEvictionCounters(t *testing.T) {
 			t.Fatalf("submit %d: %d %s", i, code, body)
 		}
 	}
-	code, body := get(t, ts.URL+"/v1/stats")
-	if code != http.StatusOK {
-		t.Fatalf("stats: %d %s", code, body)
-	}
-	for _, field := range []string{`"evictions"`, `"bytes_used"`, `"bytes_cap"`, `"schedule_hits"`, `"schedule_misses"`} {
-		if !strings.Contains(body, field) {
-			t.Errorf("stats body missing %s:\n%s", field, body)
+	fams := scrape(t, ts.URL)
+	st := s.memo.Stats()
+	for _, c := range []struct {
+		name string
+		lab  []obs.Label
+		want int64
+	}{
+		{"schedd_memo_evictions_total", nil, st.Evictions},
+		{"schedd_memo_bytes_used", nil, st.BytesUsed},
+		{"schedd_memo_bytes_cap", nil, st.BytesCap},
+		{"schedd_memo_hits_total", []obs.Label{obs.L("kind", "schedule")}, st.ScheduleHits},
+		{"schedd_memo_misses_total", []obs.Label{obs.L("kind", "schedule")}, st.ScheduleMisses},
+		{"schedd_memo_hits_total", []obs.Label{obs.L("kind", "plan")}, st.PlanHits},
+		{"schedd_memo_misses_total", []obs.Label{obs.L("kind", "plan")}, st.PlanMisses},
+		{"schedd_memo_hits_total", []obs.Label{obs.L("kind", "compare")}, st.CompareHits},
+		{"schedd_memo_misses_total", []obs.Label{obs.L("kind", "compare")}, st.CompareMisses},
+	} {
+		if got := sampleOr(t, fams, c.name, c.lab...); got != float64(c.want) {
+			t.Errorf("%s%v = %g, diverges from memo accounting %d", c.name, c.lab, got, c.want)
 		}
 	}
-	var st StatsResponse
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
+	if st.BytesCap != 4<<10 {
+		t.Errorf("bytes cap %d, want %d", st.BytesCap, 4<<10)
 	}
-	if st.Memo.BytesCap != 4<<10 {
-		t.Errorf("bytes cap %d, want %d", st.Memo.BytesCap, 4<<10)
-	}
-	if st.Memo.Evictions == 0 {
+	if st.Evictions == 0 {
 		t.Error("no evictions under a few-KiB cap and 4 distinct submits")
 	}
-	if st.Memo.BytesUsed <= 0 || st.Memo.BytesUsed > st.Memo.BytesCap {
-		t.Errorf("bytes used %d outside (0, cap]", st.Memo.BytesUsed)
-	}
-	if want := s.memo.Stats(); want != st.Memo {
-		t.Errorf("stats body %+v diverges from memo accounting %+v", st.Memo, want)
+	if st.BytesUsed <= 0 || st.BytesUsed > st.BytesCap {
+		t.Errorf("bytes used %d outside (0, cap]", st.BytesUsed)
 	}
 }
 
@@ -434,5 +435,80 @@ func TestConcurrentIdenticalSubmitsSolveOnce(t *testing.T) {
 	if st := s.memo.Stats(); st.ScheduleMisses != 2 {
 		t.Errorf("want exactly 2 solves (WCS+ACS), got %d misses / %d hits",
 			st.ScheduleMisses, st.ScheduleHits)
+	}
+}
+
+// TestSubmitPermutationInvariance is the metamorphic pin on SubmitRequest's
+// ordering contract. For named and for unnamed tasks with distinct periods,
+// every permutation of a body answers byte-identical submit and compare
+// responses, fingerprint included. Swapping two equal-period tasks changes
+// the fingerprint, because submission order is their priority tie-break.
+func TestSubmitPermutationInvariance(t *testing.T) {
+	_, ts := newTestServer(t, Options{SimHyperperiods: 10})
+	// body renders tasks in the given order; named tasks keep the name of
+	// their index in tasks, whatever their position.
+	body := func(tasks []string, named bool, order []int) string {
+		parts := make([]string, len(order))
+		for i, j := range order {
+			name := ""
+			if named {
+				name = fmt.Sprintf(`"name":"t%d",`, j)
+			}
+			parts[i] = "{" + name + tasks[j] + "}"
+		}
+		return `{"tasks":[` + strings.Join(parts, ",") + `]}`
+	}
+	distinct := []string{
+		`"period_ms":10,"wcec":3,"acec":2,"bcec":1,"ceff":1`,
+		`"period_ms":20,"wcec":6,"acec":3,"bcec":2,"ceff":1`,
+		`"period_ms":40,"wcec":4,"acec":2,"bcec":1,"ceff":1`,
+	}
+	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, named := range []bool{true, false} {
+		var wantSubmit, wantCompare string
+		for _, order := range perms {
+			b := body(distinct, named, order)
+			code, sub := post(t, ts.URL+"/v1/schedules", b)
+			if code != http.StatusOK {
+				t.Fatalf("named=%v order %v: submit %d %s", named, order, code, sub)
+			}
+			code, cmp := post(t, ts.URL+"/v1/compare", b)
+			if code != http.StatusOK {
+				t.Fatalf("named=%v order %v: compare %d %s", named, order, code, cmp)
+			}
+			if wantSubmit == "" {
+				wantSubmit, wantCompare = sub, cmp
+				continue
+			}
+			if sub != wantSubmit {
+				t.Errorf("named=%v order %v: submit bytes differ from order %v:\n got %s\nwant %s", named, order, perms[0], sub, wantSubmit)
+			}
+			if cmp != wantCompare {
+				t.Errorf("named=%v order %v: compare bytes differ from order %v:\n got %s\nwant %s", named, order, perms[0], cmp, wantCompare)
+			}
+		}
+	}
+
+	equal := []string{
+		`"period_ms":10,"wcec":2,"acec":1,"bcec":1,"ceff":1`,
+		`"period_ms":10,"wcec":3,"acec":2,"bcec":1,"ceff":1`,
+		`"period_ms":20,"wcec":4,"acec":2,"bcec":1,"ceff":1`,
+	}
+	for _, named := range []bool{true, false} {
+		fps := make(map[string]bool)
+		for _, order := range [][]int{{0, 1, 2}, {1, 0, 2}} {
+			var req SubmitRequest
+			if err := json.Unmarshal([]byte(body(equal, named, order)), &req); err != nil {
+				t.Fatal(err)
+			}
+			fp, ok := SubmitFingerprint(&req, 0, 0)
+			if !ok {
+				t.Fatalf("named=%v order %v: no fingerprint", named, order)
+			}
+			fps[fp] = true
+		}
+		if len(fps) != 2 {
+			t.Errorf("named=%v: swapping two equal-period tasks kept the fingerprint", named)
+		}
 	}
 }

@@ -244,7 +244,8 @@ func (s *Server) adoptSession(sess *serverSession) bool {
 type SessionRequest struct {
 	SubmitRequest
 	// SessionID, when set, names the session instead of the server's
-	// allocation-order default ("s1", "s2", …): 1–64 characters of
+	// allocation-order default ("s1", "s2", …, skipping any id a resident
+	// session already holds): 1–64 characters of
 	// [A-Za-z0-9._-]. The fleet router injects one so a session's identity —
 	// and therefore its ring position — is fixed before any peer sees the
 	// request; a create whose id is already resident answers 409. Creation
@@ -448,8 +449,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		sess.id = req.SessionID
 	} else {
-		s.sessionSeq++
-		sess.id = fmt.Sprintf("s%d", s.sessionSeq)
+		// Skip ids a caller already named: allocation never replaces a
+		// resident session.
+		for sess.id == "" || s.sessions[sess.id] != nil {
+			s.sessionSeq++
+			sess.id = fmt.Sprintf("s%d", s.sessionSeq)
+		}
 	}
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -209,7 +210,7 @@ func TestStoreRestartIdentity(t *testing.T) {
 	}
 	s1 := New(Options{Store: store.NewTiered(grid.NewMemStore(0), d1), Checkpoints: d1})
 	ts1 := httptest.NewServer(s1.Handler())
-	var s2 *Server
+	var ts2 *httptest.Server
 	got := drive(t, ts1, func() *httptest.Server {
 		ts1.Close()
 		s1.Close()
@@ -221,7 +222,7 @@ func TestStoreRestartIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d2.Close() })
-		s2 = New(Options{Store: store.NewTiered(grid.NewMemStore(0), d2), Checkpoints: d2})
+		s2 := New(Options{Store: store.NewTiered(grid.NewMemStore(0), d2), Checkpoints: d2})
 		t.Cleanup(s2.Close)
 		n, err := s2.RestoreSessions(context.Background())
 		if err != nil {
@@ -230,7 +231,7 @@ func TestStoreRestartIdentity(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("restored %d sessions, want 1", n)
 		}
-		ts2 := httptest.NewServer(s2.Handler())
+		ts2 = httptest.NewServer(s2.Handler())
 		t.Cleanup(ts2.Close)
 		return ts2
 	})
@@ -257,22 +258,18 @@ func TestStoreRestartIdentity(t *testing.T) {
 
 	// The restarted daemon must have served from the recovered store, and its
 	// operational counters must say so.
-	var st StatsResponse
-	_, statsBody := get(t, "http://"+s2httpAddr(t, s2)+"/v1/stats")
-	if err := json.Unmarshal([]byte(statsBody), &st); err != nil {
-		t.Fatal(err)
+	fams := scrape(t, ts2.URL)
+	if n := sampleOr(t, fams, "schedd_sessions_restored_total"); n != 1 {
+		t.Errorf("schedd_sessions_restored_total = %g, want 1", n)
 	}
-	if st.RestoredSessions != 1 {
-		t.Errorf("stats restored_sessions = %d, want 1", st.RestoredSessions)
+	if n := sampleOr(t, fams, "schedd_checkpoint_errors_total"); n != 0 {
+		t.Errorf("checkpoint errors: %g", n)
 	}
-	if st.CheckpointErrors != 0 {
-		t.Errorf("checkpoint errors: %d", st.CheckpointErrors)
-	}
-	if st.Memo.DiskHits == 0 {
+	if sampleOr(t, fams, "schedd_store_tier_hits_total", obs.L("tier", "disk")) == 0 {
 		t.Error("restarted daemon never hit the disk tier — warm restart did not engage")
 	}
-	if st.Memo.RecoveredEntries == 0 {
-		t.Error("stats report no recovered entries after restart")
+	if sampleOr(t, fams, "schedd_store_recovered_entries") == 0 {
+		t.Error("metrics report no recovered entries after restart")
 	}
 }
 
@@ -302,13 +299,4 @@ func TestGetAfterRestartOnlyReadsRequestBlob(t *testing.T) {
 	if n := blobs.puts.Load() - puts; n != 0 {
 		t.Errorf("GET after restart made %d PutBlob calls, want 0", n)
 	}
-}
-
-// s2httpAddr serves s once more to read its stats (the restart closure owns
-// the live test server; stats are operational so a fresh listener is fine).
-func s2httpAddr(t *testing.T, s *Server) string {
-	t.Helper()
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return ts.Listener.Addr().String()
 }

@@ -16,6 +16,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -424,6 +425,11 @@ func (d *Disk) Close() error {
 
 var blobNameRe = regexp.MustCompile(`^[a-zA-Z0-9._-]+$`)
 
+// ErrBadBlobName reports a blob name outside [a-zA-Z0-9._-]+. The name is the
+// caller's input, so the error says nothing about the device: Tiered does
+// not score it on the breaker.
+var ErrBadBlobName = errors.New("store: invalid blob name")
+
 // PutBlob atomically replaces the named blob: the bytes land in a temp file
 // first and are renamed over the target, so a concurrent GetBlob (or a
 // crash) observes the old content or the new, never a mix. Under
@@ -433,7 +439,7 @@ var blobNameRe = regexp.MustCompile(`^[a-zA-Z0-9._-]+$`)
 // write-back window.
 func (d *Disk) PutBlob(name string, data []byte) error {
 	if !blobNameRe.MatchString(name) {
-		return fmt.Errorf("store: invalid blob name %q", name)
+		return fmt.Errorf("%w %q", ErrBadBlobName, name)
 	}
 	dir := filepath.Join(d.dir, "blobs")
 	tmp := filepath.Join(dir, name+".tmp")
@@ -486,7 +492,7 @@ func (d *Disk) syncDir(dir string) error {
 // GetBlob returns the named blob's content and whether it exists.
 func (d *Disk) GetBlob(name string) ([]byte, bool, error) {
 	if !blobNameRe.MatchString(name) {
-		return nil, false, fmt.Errorf("store: invalid blob name %q", name)
+		return nil, false, fmt.Errorf("%w %q", ErrBadBlobName, name)
 	}
 	data, err := d.fs.ReadFile(filepath.Join(d.dir, "blobs", name))
 	if os.IsNotExist(err) {

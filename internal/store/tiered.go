@@ -35,8 +35,8 @@ var ErrDegraded = errors.New("store: disk degraded, serving memory-only")
 // durability, never a failed request. After the cooldown the breaker
 // half-opens and the next disk operation doubles as the reopen probe: one
 // success re-closes the breaker and full tiered residency resumes. The
-// transition is visible in Stats (breaker_state, mem_degraded) and therefore
-// in /v1/stats.
+// transition is visible in Stats (BreakerState, MemDegraded) and therefore
+// on the server's /metrics.
 type Tiered struct {
 	mem     grid.Store
 	disk    *Disk
@@ -170,13 +170,17 @@ func (t *Tiered) PutComparison(key grid.Key, c *grid.Comparison, err error) {
 
 // PutBlob implements server.BlobStore through the breaker: with the disk
 // degraded the checkpoint fails fast (the server counts it and keeps
-// serving) instead of grinding against a dead device.
+// serving) instead of grinding against a dead device. A refused name
+// (ErrBadBlobName) is the caller's input, not device health, so it is not
+// scored.
 func (t *Tiered) PutBlob(name string, data []byte) error {
 	if !t.breaker.Allow() {
 		return ErrDegraded
 	}
 	err := t.disk.PutBlob(name, data)
-	t.breaker.Record(err)
+	if !errors.Is(err, ErrBadBlobName) {
+		t.breaker.Record(err)
+	}
 	return err
 }
 
@@ -188,9 +192,10 @@ func (t *Tiered) GetBlob(name string) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	data, ok, err := t.disk.GetBlob(name)
-	if err != nil || ok {
-		// A clean "not exists" never touched the platter meaningfully enough
-		// to count as recovery evidence; score only real reads and failures.
+	if (err != nil || ok) && !errors.Is(err, ErrBadBlobName) {
+		// A clean "not exists" or a refused name never touched the platter
+		// meaningfully enough to count as evidence; score only real reads
+		// and failures.
 		t.breaker.Record(err)
 	}
 	return data, ok, err

@@ -78,13 +78,16 @@ type Set struct {
 	Tasks []Task `json:"tasks"`
 }
 
-// NewSet validates the tasks, sorts them into RM priority order (stable, so
-// equal periods keep caller order), and returns the set.
+// NewSet sorts the tasks into RM priority order (stable, so equal periods
+// keep caller order), names each unnamed task "T<i>" by its sorted position,
+// validates them, and returns the set. Naming after the sort keeps a
+// permutation of distinct-period tasks the same set, named or not.
 func NewSet(tasks []Task) (*Set, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("task: a set needs at least one task")
 	}
 	ts := append([]Task(nil), tasks...)
+	sort.SliceStable(ts, func(i, j int) bool { return ts[i].Period < ts[j].Period })
 	for i := range ts {
 		if ts[i].Name == "" {
 			ts[i].Name = fmt.Sprintf("T%d", i+1)
@@ -100,7 +103,6 @@ func NewSet(tasks []Task) (*Set, error) {
 		}
 		names[ts[i].Name] = true
 	}
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].Period < ts[j].Period })
 	s := &Set{Tasks: ts}
 	if _, err := s.Hyperperiod(); err != nil {
 		return nil, err
