@@ -98,7 +98,7 @@ func run(args []string, stdout io.Writer) error {
 		driftOver = fs.Int("driftover", 200, "drift transition length in hyper-periods")
 		simWork   = fs.Int("simworkers", 0, "simulation workers (0 = GOMAXPROCS; results identical for any value)")
 		workers   = fs.Int("workers", 0, "grid worker-pool width for solves (0 = GOMAXPROCS)")
-		noCache   = fs.Bool("nocache", false, "disable the schedule/plan memo (identical results, more solves)")
+		noCache   = fs.Bool("nocache", false, "disable the schedule memo (identical results, more solves)")
 		out       = fs.String("o", "", "also write the JSON report to this file")
 		record    = fs.String("record", "", "record each scenario's observation stream to DIR/<scenario>.trace")
 		replay    = fs.String("replay", "", "replay a recorded .trace file (static vs adaptive arms) instead of generating scenarios")
@@ -251,7 +251,7 @@ func runOracle(ctx context.Context, runner *grid.Runner, set *task.Set, sc *work
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			if plan, err = runner.CompileSchedule(acs); err != nil {
+			if plan, err = sim.Compile(acs); err != nil {
 				return 0, 0, 0, err
 			}
 			fSolved = f

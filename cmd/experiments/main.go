@@ -48,7 +48,7 @@ func run(args []string, stdout io.Writer) error {
 		workers    = fs.Int("workers", 0, "grid worker-pool width (0 = GOMAXPROCS; results identical for any value)")
 		starts     = fs.Int("starts", 0, "solver multi-start count per schedule build (0/1 = single)")
 		simWork    = fs.Int("simworkers", 0, "parallel hyper-period simulation workers per sim run (0 = GOMAXPROCS; results identical for any value; harnesses whose per-set grid jobs already saturate the pool — fig6a and the random-set ablations — pin their inner sims serial and ignore this)")
-		cache      = fs.Bool("cache", true, "memoize schedule solves and plan compilations across experiments (results identical either way)")
+		cache      = fs.Bool("cache", true, "memoize schedule solves across experiments (results identical either way)")
 		csvDir     = fs.String("csv", "", "directory to write CSV results into")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the regeneration to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile (after a final GC) to this file")
@@ -222,8 +222,7 @@ func run(args []string, stdout io.Writer) error {
 
 	if memo != nil {
 		st := memo.Stats()
-		fmt.Fprintf(stdout, "\ngrid cache: %d schedule solves shared %d times, %d plan compiles shared %d times\n",
-			st.ScheduleMisses, st.ScheduleHits, st.PlanMisses, st.PlanHits)
+		fmt.Fprintf(stdout, "\ngrid cache: %d schedule solves shared %d times\n", st.ScheduleMisses, st.ScheduleHits)
 	}
 
 	if *memprofile != "" {

@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	var (
 		addr        = fs.String("addr", ":8372", "listen address")
 		workers     = fs.Int("workers", 0, "grid worker-pool width (0 = GOMAXPROCS; responses identical for any value)")
-		cacheMB     = fs.Int64("cachemb", 256, "memo cache cap in MiB: schedules, plans and comparisons (LRU eviction; <0 = unbounded)")
+		cacheMB     = fs.Int64("cachemb", 256, "memo cache cap in MiB: schedules and comparisons (LRU eviction; <0 = unbounded)")
 		starts      = fs.Int("starts", 0, "default solver multi-start count (0/1 = single)")
 		simWorkers  = fs.Int("simworkers", 0, "simulation workers per compare (0 = GOMAXPROCS; responses identical for any value)")
 		simReps     = fs.Int("hyperperiods", 200, "default hyper-periods per compare simulation")
@@ -151,6 +151,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	// back to this very server via the forwarded-marker header.
 	var ring *fleet.Ring
 	var topo *fleet.Topology
+	var repl *fleet.ReplicatedBlobs
 	if *peersFlag != "" {
 		urls, err := parseFleetPeers(*peersFlag)
 		if err != nil {
@@ -171,10 +172,11 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		if blobLocal == nil {
 			blobLocal = store.NewMemBlobs()
 		}
-		opts.Checkpoints = fleet.NewReplicatedBlobs(fleet.ReplicatedBlobsOptions{
+		repl = fleet.NewReplicatedBlobs(fleet.ReplicatedBlobsOptions{
 			Local: blobLocal, Self: *selfFlag, Ring: ring, Topo: topo,
 			Replicas: *replicas, Logf: log.Printf,
 		})
+		opts.Checkpoints = repl
 		opts.InternalBlobs = blobLocal
 	} else if *selfFlag != "" {
 		return fmt.Errorf("-self requires -peers")
@@ -199,9 +201,10 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 			Starts: *starts, MaxTasks: *maxTasks, Logf: log.Printf,
 		})
 		// One /metrics scrape per peer covers both surfaces: the fleet
-		// router's routing counters register into the local server's
-		// registry.
+		// router's routing counters and the replication counters register
+		// into the local server's registry.
 		router.RegisterMetrics(srv.Metrics())
+		repl.RegisterMetrics(srv.Metrics())
 		local := srv.Handler()
 		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			// Already-routed traffic, peer replication, and metrics scrapes

@@ -184,10 +184,14 @@ func TestFleetModeSmoke(t *testing.T) {
 		t.Fatalf("get via p2: %d %s", resp.StatusCode, viaOther)
 	}
 
-	// The front end's routing counters are series on the peer's own
-	// /metrics.
-	if obs.FindFamily(scrape(t, "http://"+addrs[0]), "schedd_fleet_forwards_total") == nil {
+	// The front end's routing counters and the replication counters are
+	// series on the peer's own /metrics.
+	fams := scrape(t, "http://"+addrs[0])
+	if obs.FindFamily(fams, "schedd_fleet_forwards_total") == nil {
 		t.Error("fleet peer /metrics carries no routing counters")
+	}
+	if obs.FindFamily(fams, "schedd_fleet_blob_push_errors_total") == nil {
+		t.Error("fleet peer /metrics carries no replication counters")
 	}
 
 	// Kill one peer; the fleet keeps answering, byte-identically.

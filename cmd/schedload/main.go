@@ -661,11 +661,13 @@ func launchFleet(n, replicas int, bin string, sopts server.Options) (*fleetHarne
 	for _, name := range names {
 		blobs := store.NewMemBlobs()
 		po := sopts
-		po.Checkpoints = fleet.NewReplicatedBlobs(fleet.ReplicatedBlobsOptions{
+		repl := fleet.NewReplicatedBlobs(fleet.ReplicatedBlobsOptions{
 			Local: blobs, Self: name, Ring: ring, Topo: topo, Replicas: replicas,
 		})
+		po.Checkpoints = repl
 		po.InternalBlobs = blobs
 		srv := server.New(po)
+		repl.RegisterMetrics(srv.Metrics())
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			srv.Close()

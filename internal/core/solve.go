@@ -67,9 +67,9 @@ type Config struct {
 
 	// ctx, when non-nil, lets a long solve abort early: the sweep loop
 	// checks it between coordinate-descent sweeps and returns ctx's error.
-	// It is set only through BuildContext/SolveContext (callers cannot
-	// reach it), scopes the work rather than the result, and is therefore
-	// excluded from the grid cache key by construction.
+	// It is set only through BuildContext (callers cannot reach it), scopes
+	// the work rather than the result, and is therefore excluded from the
+	// grid cache key by construction.
 	ctx context.Context
 }
 
@@ -151,12 +151,6 @@ func Solve(plan *preempt.Schedule, cfg Config) (*Schedule, error) {
 	}
 	s, _, err := solveSingle(plan, c)
 	return s, err
-}
-
-// SolveContext is Solve with the cancellation semantics of BuildContext.
-func SolveContext(ctx context.Context, plan *preempt.Schedule, cfg Config) (*Schedule, error) {
-	cfg.ctx = ctx
-	return Solve(plan, cfg)
 }
 
 // solveSingle runs one coordinate-descent solve from c's starting point.

@@ -62,11 +62,11 @@ func SlackPolicyAblation(c Common, n int, ratio float64) ([]SlackCell, error) {
 			return nil, err
 		}
 		simSeed := rng.Uint64()
-		acsPlan, err := g.CompileSchedule(acs)
+		acsPlan, err := sim.Compile(acs)
 		if err != nil {
 			return nil, err
 		}
-		wcsPlan, err := g.CompileSchedule(wcs)
+		wcsPlan, err := sim.Compile(wcs)
 		if err != nil {
 			return nil, err
 		}
@@ -222,11 +222,11 @@ func TransitionOverheadAblation(c Common, n int, ratio float64, overheads []sim.
 		if err != nil {
 			return setRes{}, err
 		}
-		acsPlan, err := g.CompileSchedule(acs)
+		acsPlan, err := sim.Compile(acs)
 		if err != nil {
 			return setRes{}, err
 		}
-		wcsPlan, err := g.CompileSchedule(wcs)
+		wcsPlan, err := sim.Compile(wcs)
 		if err != nil {
 			return setRes{}, err
 		}
@@ -313,12 +313,12 @@ func DiscreteLevelAblation(c Common, n int, ratio float64, levelCounts []int) ([
 		for li, l := range levelCounts {
 			var imp float64
 			if l == 0 {
-				// Continuous: run the memoized compiled plans directly.
-				acsPlan, err := g.CompileSchedule(acs)
+				// Continuous: run the compiled plans directly.
+				acsPlan, err := sim.Compile(acs)
 				if err != nil {
 					return nil, err
 				}
-				wcsPlan, err := g.CompileSchedule(wcs)
+				wcsPlan, err := sim.Compile(wcs)
 				if err != nil {
 					return nil, err
 				}

@@ -168,18 +168,17 @@ func solvePair(g *grid.Runner, set *task.Set, c Common, pre core.Config) (acs, w
 
 // compareOnSet builds ACS and WCS for one task set and simulates both under
 // identical stochastic workloads, returning the Fig. 6 improvement
-// percentage and the sub-instance count. Solves and plan compilations go
-// through the grid memo.
+// percentage and the sub-instance count. Solves go through the grid memo.
 func compareOnSet(g *grid.Runner, set *task.Set, c Common, seed uint64, pre core.Config) (impPct float64, subs int, err error) {
 	acs, wcs, err := solvePair(g, set, c, pre)
 	if err != nil {
 		return 0, 0, err
 	}
-	acsPlan, err := g.CompileSchedule(acs)
+	acsPlan, err := sim.Compile(acs)
 	if err != nil {
 		return 0, 0, err
 	}
-	wcsPlan, err := g.CompileSchedule(wcs)
+	wcsPlan, err := sim.Compile(wcs)
 	if err != nil {
 		return 0, 0, err
 	}

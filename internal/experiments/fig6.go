@@ -111,7 +111,7 @@ type AppCell struct {
 // SeedReps simulations (bounded by Common.Sets) and reports their spread.
 //
 // Cells are the flat job unit (the solve dominates; the per-seed loop reuses
-// the memoized compiled plans). Per-seed streams are derived from the full
+// the cell's compiled plans). Per-seed streams are derived from the full
 // (app, ratio, k) coordinate — ratio included, so no two cells of an app
 // share workload draws. That derivation changed in PR 3: absolute simulated
 // energies differ from PR 2, which keyed streams by (app, k) only and fed
@@ -148,11 +148,11 @@ func Fig6b(cfg Fig6bConfig) ([]AppCell, error) {
 		if err != nil {
 			return AppCell{}, fmt.Errorf("%s ratio %g: %w", app, ratio, err)
 		}
-		acsPlan, err := g.CompileSchedule(acs)
+		acsPlan, err := sim.Compile(acs)
 		if err != nil {
 			return AppCell{}, err
 		}
-		wcsPlan, err := g.CompileSchedule(wcs)
+		wcsPlan, err := sim.Compile(wcs)
 		if err != nil {
 			return AppCell{}, err
 		}

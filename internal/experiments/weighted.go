@@ -63,7 +63,7 @@ func WeightedObjectiveAblation(c Common, n int, ratio float64, scenarioCounts []
 		// ExpectedEnergy prediction: the solver ORs ScenarioSeed with 1, so
 		// pre-set that bit and pass the same value to both.
 		scenSeed := rng.Uint64() | 1
-		wcsPlan, err := g.CompileSchedule(wcs)
+		wcsPlan, err := sim.Compile(wcs)
 		if err != nil {
 			return setRes{}, err
 		}
@@ -86,7 +86,7 @@ func WeightedObjectiveAblation(c Common, n int, ratio float64, scenarioCounts []
 			if err != nil {
 				return setRes{}, err
 			}
-			acsPlan, err := g.CompileSchedule(acs)
+			acsPlan, err := sim.Compile(acs)
 			if err != nil {
 				return setRes{}, err
 			}

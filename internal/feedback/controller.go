@@ -14,10 +14,11 @@ import (
 
 // Options configures a Controller.
 type Options struct {
-	// Runner supplies the solve/compile path. All re-solves flow through it,
-	// so a memoized runner makes revisited regimes (a mode switch returning
-	// to a previously-learned workload) cache hits. nil constructs a private
-	// unmemoized runner — semantically identical, never cached.
+	// Runner supplies the solve path. All re-solves flow through it, so a
+	// memoized runner makes revisited regimes (a mode switch returning to a
+	// previously-learned workload) cache hits; the controller compiles each
+	// solved schedule itself. nil constructs a private unmemoized runner —
+	// semantically identical, never cached.
 	Runner *grid.Runner
 	// Solver is the base solver configuration. Objective and WarmStart are
 	// managed by the controller (the base set's WCS, then ACS warm-started
@@ -198,7 +199,7 @@ func (c *Controller) resolve(ctx context.Context, model *task.Set) error {
 	if err != nil {
 		return fmt.Errorf("feedback: acs re-solve: %w", err)
 	}
-	plan, err := c.opts.Runner.CompileSchedule(acs)
+	plan, err := sim.Compile(acs)
 	if err != nil {
 		return fmt.Errorf("feedback: plan compile: %w", err)
 	}

@@ -96,9 +96,6 @@ func (e *TaskEstimator) Std() float64 { return math.Sqrt(e.Variance()) }
 func (e *TaskEstimator) Min() float64 { return e.min }
 func (e *TaskEstimator) Max() float64 { return e.max }
 
-// Support returns the estimator's [lo, hi] support.
-func (e *TaskEstimator) Support() (lo, hi float64) { return e.lo, e.hi }
-
 // Histogram returns a copy of the bin counts.
 func (e *TaskEstimator) Histogram() []int64 {
 	return append([]int64(nil), e.bins...)

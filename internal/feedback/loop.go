@@ -56,17 +56,9 @@ func RunClosedLoop(ctx context.Context, ctrl *Controller, sc *workload.Scenario,
 	if horizon <= 0 {
 		return nil, fmt.Errorf("feedback: horizon must be positive, got %d", horizon)
 	}
-	if chunk <= 0 {
-		chunk = 10
-	}
 	taskOf := ctrl.TaskOf()
-	out := &LoopResult{Fingerprints: []string{ctrl.Fingerprint()}}
-	rows := make([][]float64, 0, chunk)
-	for lo := 0; lo < horizon; lo += chunk {
-		hi := lo + chunk
-		if hi > horizon {
-			hi = horizon
-		}
+	var rows [][]float64
+	return driveLoop(ctx, ctrl, horizon, chunk, simCfg, func(lo, hi int) ([][]float64, error) {
 		rows = rows[:0]
 		for h := lo; h < hi; h++ {
 			row := make([]float64, len(taskOf))
@@ -74,6 +66,26 @@ func RunClosedLoop(ctx context.Context, ctrl *Controller, sc *workload.Scenario,
 				return nil, err
 			}
 			rows = append(rows, row)
+		}
+		return rows, nil
+	})
+}
+
+// driveLoop is the cycle RunClosedLoop and RunReplay share. For each chunk
+// [lo, hi) of the horizon (chunk <= 0 selects 10 hyper-periods) it executes
+// rowsOf(lo, hi) on the controller's current plan, feeds the same rows back
+// as observations, and records any re-solved plan that enters execution at
+// hi.
+func driveLoop(ctx context.Context, ctrl *Controller, horizon, chunk int, simCfg sim.Config, rowsOf func(lo, hi int) ([][]float64, error)) (*LoopResult, error) {
+	if chunk <= 0 {
+		chunk = 10
+	}
+	out := &LoopResult{Fingerprints: []string{ctrl.Fingerprint()}}
+	for lo := 0; lo < horizon; lo += chunk {
+		hi := min(lo+chunk, horizon)
+		rows, err := rowsOf(lo, hi)
+		if err != nil {
+			return nil, err
 		}
 		res, err := ctrl.Plan().RunActuals(simCfg, rows)
 		if err != nil {

@@ -26,39 +26,13 @@ func RunReplay(ctx context.Context, ctrl *Controller, rows [][]float64, chunk in
 	if horizon == 0 {
 		return nil, fmt.Errorf("feedback: replay needs a non-empty observation stream")
 	}
-	if chunk <= 0 {
-		chunk = 10
-	}
 	width := len(ctrl.TaskOf())
 	for i, row := range rows {
 		if len(row) != width {
 			return nil, fmt.Errorf("feedback: replay row %d has %d instances, want %d", i, len(row), width)
 		}
 	}
-	out := &LoopResult{Fingerprints: []string{ctrl.Fingerprint()}}
-	for lo := 0; lo < horizon; lo += chunk {
-		hi := lo + chunk
-		if hi > horizon {
-			hi = horizon
-		}
-		res, err := ctrl.Plan().RunActuals(simCfg, rows[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		out.Energy += res.Energy
-		out.DeadlineMisses += res.DeadlineMisses
-		out.Switches += res.Switches
-		out.BusyTime += res.BusyTime
-		d, err := ctrl.ObserveChunk(ctx, rows[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		if d.Resolved && hi < horizon {
-			out.Fingerprints = append(out.Fingerprints, d.Fingerprint)
-			out.SwapHyperperiods = append(out.SwapHyperperiods, int64(hi))
-		}
-	}
-	out.Resolves = ctrl.Resolves()
-	out.Drifts = ctrl.DriftsFired()
-	return out, nil
+	return driveLoop(ctx, ctrl, horizon, chunk, simCfg, func(lo, hi int) ([][]float64, error) {
+		return rows[lo:hi], nil
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -180,6 +181,11 @@ func (b *ReplicatedBlobs) ListBlobs() ([]string, error) {
 	return b.local.ListBlobs()
 }
 
-// PushErrors reports how many replication pushes have failed (operational
-// accounting; responses never depend on it).
-func (b *ReplicatedBlobs) PushErrors() int64 { return b.pushErrs.Load() }
+// RegisterMetrics bridges the replication counters into a metric registry
+// (the co-located server's, so a peer losing redundancy shows on its own
+// /metrics) as scrape-time reads of the atomics.
+func (b *ReplicatedBlobs) RegisterMetrics(reg *obs.Registry) {
+	reg.CounterFunc("schedd_fleet_blob_pushes_total", "Blob pushes to the key's other ring owners.", b.pushes.Load)
+	reg.CounterFunc("schedd_fleet_blob_push_errors_total", "Blob pushes that failed (the replica lacks that write).", b.pushErrs.Load)
+	reg.CounterFunc("schedd_fleet_blob_remote_gets_total", "Blob reads sent to the key's other ring owners.", b.remoteGets.Load)
+}

@@ -12,14 +12,16 @@
 //
 //   - A content-addressed memo store (Memo) keyed by the canonical hash of
 //     (task-set fingerprint, solver config, processor-model identity) that
-//     caches solved core.Schedules and compiled sim plans, plus the
-//     simulated comparisons the serving layer computes from them. Solves
-//     are pure functions of their config (see internal/experiments' package
-//     doc), so harnesses that derive the same task set and vary only a
-//     runtime parameter — slack policy, transition overhead, discrete
-//     levels — share one WCS/ACS solve instead of re-running it.
+//     caches solved core.Schedules, plus the simulated comparisons the
+//     serving layer computes from them. Solves are pure functions of their
+//     config (see internal/experiments' package doc), so harnesses that
+//     derive the same task set and vary only a runtime parameter — slack
+//     policy, transition overhead, discrete levels — share one WCS/ACS solve
+//     instead of re-running it. Compiled sim plans are not cached: callers
+//     run sim.Compile themselves, which costs about what hashing the
+//     schedule into a key would.
 //
-// Cached schedules, plans and comparisons are shared across callers and must
+// Cached schedules and comparisons are shared across callers and must
 // be treated as immutable; callers that need to mutate a schedule must
 // core.CloneSchedule it first (the discrete-level ablation does exactly
 // that).
@@ -37,17 +39,17 @@ import (
 )
 
 // Runner executes flat jobs on a bounded pool and routes schedule solves and
-// plan compilations through an optional shared memo store. The zero value is
-// not useful; construct with New.
+// simulated comparisons through an optional shared memo store. The zero
+// value is not useful; construct with New.
 type Runner struct {
 	workers int
 	memo    *Memo
 }
 
 // New returns a Runner with the given pool width (<= 0 selects GOMAXPROCS)
-// and memo store. A nil memo disables caching: every Build/Compile call runs
-// from scratch, which is semantically identical (and what the determinism
-// regression test pins).
+// and memo store. A nil memo disables caching: every Build and Compare call
+// runs from scratch, which is semantically identical (and what the
+// determinism regression test pins).
 func New(workers int, memo *Memo) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -165,32 +167,6 @@ func (r *Runner) BuildScheduleContext(ctx context.Context, set *task.Set, cfg co
 	}
 	return r.memo.schedule(ctx, key, func() (*core.Schedule, error) {
 		return core.BuildContext(ctx, set, cfg)
-	})
-}
-
-// CompileSchedule flattens s for the online engine through the memo, keyed
-// by the schedule's full content (everything sim.Compile reads), so repeated
-// compilations of equal schedules — across ablations, policies, seeds —
-// share one plan. The returned plan is immutable by construction.
-func (r *Runner) CompileSchedule(s *core.Schedule) (*sim.CompiledPlan, error) {
-	return r.CompileScheduleContext(context.Background(), s)
-}
-
-// CompileScheduleContext is CompileSchedule carrying the requester's context
-// into the memo's singleflight layer: a waiter on a plan build torn down by
-// another caller's cancellation retries under its own context, exactly like
-// the schedule side. (Compilation itself is not cancelable — it is cheap and
-// allocation-bound — so ctx scopes only the waiting semantics.)
-func (r *Runner) CompileScheduleContext(ctx context.Context, s *core.Schedule) (*sim.CompiledPlan, error) {
-	if r.memo == nil {
-		return sim.Compile(s)
-	}
-	key, ok := PlanKey(s)
-	if !ok {
-		return sim.Compile(s)
-	}
-	return r.memo.plan(ctx, key, func() (*sim.CompiledPlan, error) {
-		return sim.Compile(s)
 	})
 }
 

@@ -329,37 +329,19 @@ func TestMemoScheduleHitAndMiss(t *testing.T) {
 	}
 }
 
-func TestMemoPlanHitAndSingleflight(t *testing.T) {
+// TestMemoScheduleSingleflight: concurrent requests for one uncached key
+// build exactly once.
+func TestMemoScheduleSingleflight(t *testing.T) {
 	set := testSet(t)
 	memo := NewMemo()
-	r := New(4, memo)
-	s, err := r.BuildSchedule(set, core.Config{Objective: core.WorstCase})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p1, err := r.CompileSchedule(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := r.CompileSchedule(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("plan cache hit returned a different plan")
-	}
-
-	// Concurrent requests for one uncached key build exactly once.
-	memo2 := NewMemo()
-	r2 := New(8, memo2)
+	r := New(8, memo)
 	var wg sync.WaitGroup
 	got := make([]*core.Schedule, 16)
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], _ = r2.BuildSchedule(set, core.Config{Objective: core.AverageCase})
+			got[i], _ = r.BuildSchedule(set, core.Config{Objective: core.AverageCase})
 		}(i)
 	}
 	wg.Wait()
@@ -368,7 +350,7 @@ func TestMemoPlanHitAndSingleflight(t *testing.T) {
 			t.Fatal("concurrent builds for one key returned distinct schedules")
 		}
 	}
-	if st := memo2.Stats(); st.ScheduleMisses != 1 {
+	if st := memo.Stats(); st.ScheduleMisses != 1 {
 		t.Errorf("concurrent singleflight built %d times", st.ScheduleMisses)
 	}
 }

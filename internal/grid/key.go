@@ -121,9 +121,9 @@ func (h *hasher) model(m power.Model) bool {
 	}
 }
 
-// schedule writes the full content of a solved schedule: everything
-// sim.Compile (and a WarmStart consumer) reads — the task set, the model,
-// the plan's sub-instance structure, and the solved End/WCWork vectors.
+// schedule writes the full content of a solved schedule: everything a
+// WarmStart consumer reads — the task set, the model, the plan's
+// sub-instance structure, and the solved End/WCWork vectors.
 func (h *hasher) schedule(s *core.Schedule) bool {
 	h.str("sched")
 	h.taskSet(s.Plan.Set)
@@ -195,21 +195,6 @@ func ScheduleKey(set *task.Set, cfg core.Config) (Key, bool) {
 		if !h.schedule(c.WarmStart) {
 			return Key{}, false
 		}
-	}
-	return h.sum(), true
-}
-
-// PlanKey returns the content address of sim.Compile(s): the schedule's full
-// content. ok is false when the schedule's model cannot be canonically
-// encoded.
-func PlanKey(s *core.Schedule) (Key, bool) {
-	if s == nil || s.Plan == nil || s.Plan.Set == nil {
-		return Key{}, false
-	}
-	h := newHasher()
-	h.str("plan/v1")
-	if !h.schedule(s) {
-		return Key{}, false
 	}
 	return h.sum(), true
 }

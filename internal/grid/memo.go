@@ -8,15 +8,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
-// Memo is the content-addressed cache behind a Runner: solved schedules,
-// compiled plans and simulated comparisons keyed by their canonical content
-// hash. It is the store-agnostic singleflight layer — residency itself is
-// delegated to a Store backend (the in-memory bounded LRU, the crash-safe
-// disk log in internal/store, or a tiered composition of both), while Memo
-// owns the request-stream semantics every backend must inherit identically:
+// Memo is the content-addressed cache behind a Runner: solved schedules and
+// simulated comparisons keyed by their canonical content hash. It is the
+// store-agnostic singleflight layer — residency itself is delegated to a
+// Store backend (the in-memory bounded LRU, the crash-safe disk log in
+// internal/store, or a tiered composition of both), while Memo owns the
+// request-stream semantics every backend must inherit identically:
 //
 //   - One build per key: concurrent requests for the same absent key are
 //     collapsed into one build (singleflight), so a worker pool hammering one
@@ -44,11 +43,9 @@ type Memo struct {
 
 	mu             sync.Mutex // guards the flight maps
 	schedFlights   map[Key]*flight[*core.Schedule]
-	planFlights    map[Key]*flight[*sim.CompiledPlan]
 	compareFlights map[Key]*flight[*Comparison]
 
 	schedHits, schedMisses     atomic.Int64
-	planHits, planMisses       atomic.Int64
 	compareHits, compareMisses atomic.Int64
 }
 
@@ -74,7 +71,6 @@ func NewMemoOn(store Store) *Memo {
 	return &Memo{
 		store:          store,
 		schedFlights:   make(map[Key]*flight[*core.Schedule]),
-		planFlights:    make(map[Key]*flight[*sim.CompiledPlan]),
 		compareFlights: make(map[Key]*flight[*Comparison]),
 	}
 }
@@ -92,13 +88,6 @@ func (m *Memo) Store() Store { return m.store }
 func (m *Memo) schedule(ctx context.Context, key Key, build func() (*core.Schedule, error)) (*core.Schedule, error) {
 	return through(m, ctx, m.schedFlights, key, &m.schedHits, &m.schedMisses,
 		m.store.GetSchedule, m.store.PutSchedule, build)
-}
-
-// plan is schedule for the compiled-plan side, with the identical
-// requester-context retry contract.
-func (m *Memo) plan(ctx context.Context, key Key, build func() (*sim.CompiledPlan, error)) (*sim.CompiledPlan, error) {
-	return through(m, ctx, m.planFlights, key, &m.planHits, &m.planMisses,
-		m.store.GetPlan, m.store.PutPlan, build)
 }
 
 // comparison is schedule for the simulated-comparison side, with the
@@ -210,8 +199,6 @@ func uncacheable(err error) bool {
 type Stats struct {
 	ScheduleHits   int64 `json:"schedule_hits"`
 	ScheduleMisses int64 `json:"schedule_misses"`
-	PlanHits       int64 `json:"plan_hits"`
-	PlanMisses     int64 `json:"plan_misses"`
 	CompareHits    int64 `json:"compare_hits"`
 	CompareMisses  int64 `json:"compare_misses"`
 	// Evictions counts entries dropped to respect the memory tier's byte cap.
@@ -253,8 +240,6 @@ func (m *Memo) Stats() Stats {
 	st := m.store.Stats()
 	st.ScheduleHits = m.schedHits.Load()
 	st.ScheduleMisses = m.schedMisses.Load()
-	st.PlanHits = m.planHits.Load()
-	st.PlanMisses = m.planMisses.Load()
 	st.CompareHits = m.compareHits.Load()
 	st.CompareMisses = m.compareMisses.Load()
 	return st

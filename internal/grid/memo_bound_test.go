@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -273,47 +272,6 @@ func TestMemoPanickingBuildReleasesWaiters(t *testing.T) {
 	}
 	if st := memo.Stats(); st.ScheduleMisses != 3 || st.ScheduleHits != 1 {
 		t.Errorf("%d misses, %d hits; want 3 builds and the waiter's one hit", st.ScheduleMisses, st.ScheduleHits)
-	}
-}
-
-// TestMemoPlanWaiterRetriesAfterForeignCancellation is the plan-side mirror
-// of the schedule-side retry regression: the compiled-plan path shares the
-// identical requester-context contract, so a waiter on a plan build torn down
-// by another caller's cancellation retries instead of surfacing the foreign
-// error, while a requester whose own context is dead keeps it.
-func TestMemoPlanWaiterRetriesAfterForeignCancellation(t *testing.T) {
-	memo := NewMemo()
-	want := &sim.CompiledPlan{}
-	calls := 0
-	build := func() (*sim.CompiledPlan, error) {
-		calls++
-		if calls == 1 {
-			// As if the building requester's context fired mid-build.
-			return nil, context.Canceled
-		}
-		return want, nil
-	}
-	p, err := memo.plan(context.Background(), Key{1}, build)
-	if err != nil || p != want {
-		t.Fatalf("live requester must retry past a foreign cancellation: %v, %v", p, err)
-	}
-	if calls != 2 {
-		t.Fatalf("want exactly one retry, got %d build calls", calls)
-	}
-
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls = 0
-	if _, err := memo.plan(dead, Key{2}, build); !errors.Is(err, context.Canceled) {
-		t.Fatalf("dead requester keeps the cancellation: got %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("dead requester must not retry, got %d build calls", calls)
-	}
-	// The canceled attempt must not have poisoned the key: the next live
-	// requester rebuilds and caches.
-	if p, err := memo.plan(context.Background(), Key{2}, build); err != nil || p != want {
-		t.Fatalf("canceled plan build poisoned the key: %v, %v", p, err)
 	}
 }
 

@@ -6,15 +6,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // Store is the residency backend behind a Memo: a passive keyed store for
-// solved schedules, compiled plans and simulated comparisons, addressed by
-// their canonical content hash. A Store holds completed artefacts only —
-// the singleflight contract ("one build per key, canceled builds never
-// cached, waiters retry under their own context") lives one level up in
-// Memo, so every backend inherits it for free.
+// solved schedules and simulated comparisons, addressed by their canonical
+// content hash. A Store holds completed artefacts only — the singleflight
+// contract ("one build per key, canceled builds never cached, waiters retry
+// under their own context") lives one level up in Memo, so every backend
+// inherits it for free.
 //
 // The contract a backend must honour (DESIGN.md §9):
 //
@@ -40,14 +39,9 @@ type Store interface {
 	// PutSchedule makes a completed build resident. err is nil for a value,
 	// non-nil for a cacheable failure (never a cancellation).
 	PutSchedule(key Key, s *core.Schedule, err error)
-	// GetPlan and PutPlan are the compiled-plan side. Backends that cannot
-	// persist plans (they are pure functions of schedules and are recompiled
-	// on demand) report every GetPlan as a miss and ignore PutPlan.
-	GetPlan(key Key) (p *sim.CompiledPlan, err error, ok bool)
-	PutPlan(key Key, p *sim.CompiledPlan, err error)
-	// GetComparison and PutComparison are the simulated-comparison side,
-	// held like plans: a backend that does not keep comparisons reports
-	// every GetComparison as a miss and ignores PutComparison.
+	// GetComparison and PutComparison are the simulated-comparison side. A
+	// backend that does not keep comparisons reports every GetComparison as
+	// a miss and ignores PutComparison.
 	GetComparison(key Key) (c *Comparison, err error, ok bool)
 	PutComparison(key Key, c *Comparison, err error)
 	// Stats reports the backend's accounting. Hit/miss counters for the
@@ -67,7 +61,6 @@ type Store interface {
 type MemStore struct {
 	mu          sync.Mutex
 	schedules   map[Key]*memEntry[*core.Schedule]
-	plans       map[Key]*memEntry[*sim.CompiledPlan]
 	comparisons map[Key]*memEntry[*Comparison]
 	capBytes    int64 // <= 0: unbounded
 	usedBytes   int64
@@ -87,7 +80,6 @@ type artefactKind uint8
 
 const (
 	kindSchedule artefactKind = iota
-	kindPlan
 	kindComparison
 )
 
@@ -104,7 +96,6 @@ type lruItem struct {
 func NewMemStore(capBytes int64) *MemStore {
 	return &MemStore{
 		schedules:   make(map[Key]*memEntry[*core.Schedule]),
-		plans:       make(map[Key]*memEntry[*sim.CompiledPlan]),
 		comparisons: make(map[Key]*memEntry[*Comparison]),
 		capBytes:    capBytes,
 	}
@@ -121,23 +112,13 @@ func (m *MemStore) PutSchedule(key Key, s *core.Schedule, err error) {
 	memPut(m, m.schedules, kindSchedule, key, s, err, scheduleBytes(s))
 }
 
-// GetPlan implements Store.
-func (m *MemStore) GetPlan(key Key) (*sim.CompiledPlan, error, bool) {
-	return memGet(m, m.plans, key)
-}
-
-// PutPlan implements Store.
-func (m *MemStore) PutPlan(key Key, p *sim.CompiledPlan, err error) {
-	memPut(m, m.plans, kindPlan, key, p, err, planBytes(p))
-}
-
 // GetComparison implements Store.
 func (m *MemStore) GetComparison(key Key) (*Comparison, error, bool) {
 	return memGet(m, m.comparisons, key)
 }
 
 // PutComparison implements Store; comparisons share the byte cap and the
-// LRU order with schedules and plans.
+// LRU order with schedules.
 func (m *MemStore) PutComparison(key Key, c *Comparison, err error) {
 	memPut(m, m.comparisons, kindComparison, key, c, err, comparisonBytes)
 }
@@ -188,8 +169,6 @@ func (m *MemStore) evict() {
 		switch it.kind {
 		case kindSchedule:
 			delete(m.schedules, it.key)
-		case kindPlan:
-			delete(m.plans, it.key)
 		case kindComparison:
 			delete(m.comparisons, it.key)
 		}
@@ -223,16 +202,6 @@ func scheduleBytes(s *core.Schedule) int64 {
 	return entryOverhead +
 		n*(3*8+64) + // End/WCWork/AvgWork + preempt.Sub
 		inst*(32+8) // instance records + ByInstance positions
-}
-
-// planBytes estimates the resident cost of a cached compiled plan: eleven
-// per-piece float/index columns plus three per-instance parameter columns.
-func planBytes(p *sim.CompiledPlan) int64 {
-	const entryOverhead = 512
-	if p == nil {
-		return entryOverhead
-	}
-	return entryOverhead + int64(p.Pieces())*(10*8+4) + int64(p.Instances())*3*8
 }
 
 // comparisonBytes is the resident cost charged to a cached comparison: the

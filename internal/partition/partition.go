@@ -59,18 +59,6 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode parses the CLI spelling of a packing mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "ffd":
-		return FirstFitDecreasing, nil
-	case "worstfit":
-		return WorstFit, nil
-	default:
-		return 0, fmt.Errorf("partition: unknown mode %q (want ffd or worstfit)", s)
-	}
-}
-
 // Config tunes the partitioner and the per-core solves.
 type Config struct {
 	// Cores is the number of identical cores (required, >= 1).
@@ -182,7 +170,8 @@ type CoreSolve struct {
 	ACS *core.Schedule
 	// Key is the grid content address of the schedule the core serves —
 	// identical to the fingerprint a direct single-core submit of the same
-	// subset and config would get.
+	// subset and config would get (for a degraded core, which serves its
+	// WCS, that of a WorstCase submit).
 	Key string
 	// Degraded reports that the core's ACS budget expired and WCS is
 	// served in its place.
@@ -423,6 +412,9 @@ func solveCore(ctx context.Context, r *grid.Runner, set *task.Set, idxs []int, c
 		}
 	}
 
+	// The warm start is a solver accelerant, not part of the sub-problem's
+	// identity: keyed without it, Key is a single-core submit's fingerprint.
+	servedCfg.WarmStart = nil
 	if key, ok := grid.ScheduleKey(sub, servedCfg); ok {
 		cs.Key = key.String()
 	}

@@ -76,7 +76,8 @@ func TestPartitionM1ByteIdentity(t *testing.T) {
 			t.Fatalf("seed %d: direct acs: %v", seed, err)
 		}
 
-		key, ok := grid.ScheduleKey(set, acsCfg)
+		// The single-core fingerprint: the request's config, no warm start.
+		key, ok := grid.ScheduleKey(set, solverCfg())
 		if !ok {
 			t.Fatalf("seed %d: config not encodable", seed)
 		}

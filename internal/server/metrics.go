@@ -157,9 +157,7 @@ func (s *Server) registerDerived() {
 
 	memo := s.memo
 	reg.CounterFunc("schedd_memo_hits_total", "Memo hits, by artefact kind.", func() int64 { return memo.Stats().ScheduleHits }, obs.L("kind", "schedule"))
-	reg.CounterFunc("schedd_memo_hits_total", "Memo hits, by artefact kind.", func() int64 { return memo.Stats().PlanHits }, obs.L("kind", "plan"))
 	reg.CounterFunc("schedd_memo_misses_total", "Memo misses (paid for a build), by artefact kind.", func() int64 { return memo.Stats().ScheduleMisses }, obs.L("kind", "schedule"))
-	reg.CounterFunc("schedd_memo_misses_total", "Memo misses (paid for a build), by artefact kind.", func() int64 { return memo.Stats().PlanMisses }, obs.L("kind", "plan"))
 	reg.CounterFunc("schedd_memo_hits_total", "Memo hits, by artefact kind.", func() int64 { return memo.Stats().CompareHits }, obs.L("kind", "compare"))
 	reg.CounterFunc("schedd_memo_misses_total", "Memo misses (paid for a build), by artefact kind.", func() int64 { return memo.Stats().CompareMisses }, obs.L("kind", "compare"))
 	reg.CounterFunc("schedd_memo_evictions_total", "Entries evicted to respect the memory tier's byte cap.", func() int64 { return memo.Stats().Evictions })

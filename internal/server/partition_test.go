@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/leakcheck"
 	"repro/internal/power"
+	"repro/internal/task"
 )
 
 // partBody builds a submit body of n equal-period tasks, each at the given
@@ -99,6 +101,68 @@ func TestPartitionSubmit(t *testing.T) {
 	code, again := post(t, ts.URL+"/v1/schedules", body)
 	if code != http.StatusOK || again != resp {
 		t.Errorf("resubmit not byte-identical: %d", code)
+	}
+}
+
+// TestPartitionCoreFingerprintIsSingleCore pins what a per-core fingerprint
+// means: for each occupied core, a single-core submit of exactly that core's
+// tasks gets the same fingerprint and the same schedule, and GET answers the
+// per-core fingerprint once that submit has run.
+func TestPartitionCoreFingerprintIsSingleCore(t *testing.T) {
+	leakcheck.Check(t)
+	_, ts := newTestServer(t, Options{})
+
+	body := partBody(4, 0.45, `,"cores":2`)
+	var req SubmitRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]task.Task{}
+	for _, tk := range req.Tasks {
+		byName[tk.Name] = tk
+	}
+	code, resp := post(t, ts.URL+"/v1/schedules", body)
+	if code != http.StatusOK {
+		t.Fatalf("partitioned submit: %d %s", code, resp)
+	}
+	var sr ScheduleResponse
+	if err := json.Unmarshal([]byte(resp), &sr); err != nil {
+		t.Fatal(err)
+	}
+	occupied := 0
+	for _, pc := range sr.PerCore {
+		if len(pc.TaskNames) == 0 {
+			continue
+		}
+		occupied++
+		var one SubmitRequest
+		for _, name := range pc.TaskNames {
+			one.Tasks = append(one.Tasks, byName[name])
+		}
+		oneBody, err := json.Marshal(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, single := post(t, ts.URL+"/v1/schedules", string(oneBody))
+		if code != http.StatusOK {
+			t.Fatalf("core %d: single-core submit: %d %s", pc.Core, code, single)
+		}
+		var sc ScheduleResponse
+		if err := json.Unmarshal([]byte(single), &sc); err != nil {
+			t.Fatal(err)
+		}
+		if pc.Fingerprint != sc.Fingerprint {
+			t.Errorf("core %d: fingerprint %s, single-core submit of %v got %s", pc.Core, pc.Fingerprint, pc.TaskNames, sc.Fingerprint)
+		}
+		if pc.PredictedEnergy != sc.PredictedEnergy || !reflect.DeepEqual(pc.EndMs, sc.EndMs) {
+			t.Errorf("core %d: schedule differs from the single-core submit's", pc.Core)
+		}
+		if code, got := get(t, ts.URL+"/v1/schedules/"+pc.Fingerprint); code != http.StatusOK || got != single {
+			t.Errorf("core %d: GET of its fingerprint: %d %s", pc.Core, code, got)
+		}
+	}
+	if occupied != 2 {
+		t.Fatalf("want both cores occupied, got %d", occupied)
 	}
 }
 

@@ -71,7 +71,7 @@ type Options struct {
 	// Workers is the grid worker-pool width (0 = GOMAXPROCS). Responses
 	// never depend on it.
 	Workers int
-	// MemoBytes caps the shared schedule/plan/comparison cache (estimated
+	// MemoBytes caps the shared schedule and comparison cache (estimated
 	// resident bytes, LRU eviction). 0 selects the 256 MiB default;
 	// negative means unbounded (not recommended for a resident daemon).
 	MemoBytes int64
@@ -521,8 +521,8 @@ type CoreScheduleResponse struct {
 	TaskNames []string `json:"task_names"`
 	// Fingerprint is the grid content address of the core's sub-problem —
 	// identical to the fingerprint a single-core submit of exactly these
-	// tasks would get, which is what lets the memo share per-core solves
-	// across repartitions.
+	// tasks would get (an "objective":"wcs" submit's for a degraded core),
+	// so GET answers it once such a submit has been stored.
 	Fingerprint     string    `json:"fingerprint,omitempty"`
 	Pieces          int       `json:"pieces,omitempty"`
 	Sweeps          int       `json:"sweeps,omitempty"`
@@ -880,11 +880,11 @@ func (s *Server) simulatePair(ctx context.Context, cr *canonicalRequest, cfg sim
 	if err != nil {
 		return nil, solveError("acs synthesis", err)
 	}
-	pa, err := s.runner.CompileScheduleContext(ctx, acs)
+	pa, err := sim.Compile(acs)
 	if err != nil {
 		return nil, solveError("acs compile", err)
 	}
-	pb, err := s.runner.CompileScheduleContext(ctx, wcs)
+	pb, err := sim.Compile(wcs)
 	if err != nil {
 		return nil, solveError("wcs compile", err)
 	}

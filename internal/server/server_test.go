@@ -350,8 +350,8 @@ func TestStatsAndHealth(t *testing.T) {
 // names, equal to the memo's own accounting, and they must move when
 // eviction pressure is real.
 func TestStatsExposesEvictionCounters(t *testing.T) {
-	// A cap of a few KiB fits roughly one schedule+plan pair, so distinct
-	// submits evict each other.
+	// A cap of a few KiB holds only a few schedules, so distinct submits
+	// evict each other.
 	s, ts := newTestServer(t, Options{MemoBytes: 4 << 10})
 	for i := 0; i < 4; i++ {
 		if code, body := post(t, ts.URL+"/v1/schedules", smallBody(i)); code != http.StatusOK {
@@ -370,8 +370,6 @@ func TestStatsExposesEvictionCounters(t *testing.T) {
 		{"schedd_memo_bytes_cap", nil, st.BytesCap},
 		{"schedd_memo_hits_total", []obs.Label{obs.L("kind", "schedule")}, st.ScheduleHits},
 		{"schedd_memo_misses_total", []obs.Label{obs.L("kind", "schedule")}, st.ScheduleMisses},
-		{"schedd_memo_hits_total", []obs.Label{obs.L("kind", "plan")}, st.PlanHits},
-		{"schedd_memo_misses_total", []obs.Label{obs.L("kind", "plan")}, st.PlanMisses},
 		{"schedd_memo_hits_total", []obs.Label{obs.L("kind", "compare")}, st.CompareHits},
 		{"schedd_memo_misses_total", []obs.Label{obs.L("kind", "compare")}, st.CompareMisses},
 	} {

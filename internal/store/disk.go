@@ -5,13 +5,12 @@
 // and composes with the in-memory tier through Tiered.
 //
 // Durability model: schedules are the expensive artefact (a solve), so only
-// they are persisted; compiled plans and simulated comparisons are pure
-// functions of schedules and are rebuilt on demand. Every record carries its
-// own length and CRC-32C, so a crash mid-append costs at most the record
-// being written: the recovery scan on Open truncates the log at the first
-// torn record and everything before it survives. Blobs are written
-// tmp+rename, so a reader sees either the old bytes or the new bytes, never
-// a mix.
+// they are persisted; simulated comparisons are pure functions of schedules
+// and are rebuilt on demand. Every record carries its own length and
+// CRC-32C, so a crash mid-append costs at most the record being written:
+// the recovery scan on Open truncates the log at the first torn record and
+// everything before it survives. Blobs are written tmp+rename, so a reader
+// sees either the old bytes or the new bytes, never a mix.
 package store
 
 import (
@@ -29,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/grid"
-	"repro/internal/sim"
 )
 
 // Log record layout, little-endian:
@@ -92,11 +90,10 @@ type entryLoc struct {
 }
 
 // Disk is the persistent grid.Store: schedules in an append-only segmented
-// log, plans and comparisons never resident (rebuilt on demand). All
-// methods are safe for concurrent use. Losing any suffix of the log — a
-// crash, a torn record, a deleted segment — changes hit rates, never
-// results: keys are content addresses and the decode path re-verifies
-// structure end to end.
+// log, comparisons never resident (rebuilt on demand). All methods are safe
+// for concurrent use. Losing any suffix of the log — a crash, a torn record,
+// a deleted segment — changes hit rates, never results: keys are content
+// addresses and the decode path re-verifies structure end to end.
 type Disk struct {
 	dir  string
 	opts Options
@@ -373,16 +370,9 @@ func (d *Disk) TryPutSchedule(key grid.Key, s *core.Schedule, err error) error {
 	return nil
 }
 
-// GetPlan implements grid.Store: plans are never persisted (they are pure
-// functions of schedules, recompiled on demand), so every lookup misses.
-func (d *Disk) GetPlan(grid.Key) (*sim.CompiledPlan, error, bool) { return nil, nil, false }
-
-// PutPlan implements grid.Store as a no-op; see GetPlan.
-func (d *Disk) PutPlan(grid.Key, *sim.CompiledPlan, error) {}
-
 // GetComparison implements grid.Store: comparisons are never persisted
-// (like plans, they are rebuilt from the persisted schedules on demand), so
-// every lookup misses.
+// (they are rebuilt from the persisted schedules on demand), so every lookup
+// misses.
 func (d *Disk) GetComparison(grid.Key) (*grid.Comparison, error, bool) { return nil, nil, false }
 
 // PutComparison implements grid.Store as a no-op; see GetComparison.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/grid"
-	"repro/internal/sim"
 )
 
 // ErrDegraded reports a durable operation refused because the breaker holds
@@ -22,9 +21,9 @@ var ErrDegraded = errors.New("store: disk degraded, serving memory-only")
 // warm-up pass (warm restarts repopulate on demand). Writes land in both
 // tiers — memory for the next request, disk for the next process.
 //
-// Plans and comparisons live in the memory tier only: the disk log persists
-// schedules and both are rebuilt from them, so a lookup that misses memory
-// is an honest miss. Cached failures likewise stay memory-only (the disk
+// Comparisons live in the memory tier only: the disk log persists schedules
+// and comparisons are rebuilt from them, so a lookup that misses memory is
+// an honest miss. Cached failures likewise stay memory-only (the disk
 // backend skips them), preserving the contract that losing any tier changes
 // hit rates, never results.
 //
@@ -146,16 +145,6 @@ func (t *Tiered) PutSchedule(key grid.Key, s *core.Schedule, err error) {
 	putErr := t.disk.TryPutSchedule(key, s, err)
 	diskDone()
 	t.breaker.Record(putErr)
-}
-
-// GetPlan implements grid.Store; plans are memory-only.
-func (t *Tiered) GetPlan(key grid.Key) (*sim.CompiledPlan, error, bool) {
-	return t.mem.GetPlan(key)
-}
-
-// PutPlan implements grid.Store; plans are memory-only.
-func (t *Tiered) PutPlan(key grid.Key, p *sim.CompiledPlan, err error) {
-	t.mem.PutPlan(key, p, err)
 }
 
 // GetComparison implements grid.Store; comparisons are memory-only.

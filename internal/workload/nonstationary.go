@@ -247,13 +247,6 @@ func (s *Scenario) MeanFrac(h int) float64 {
 	}
 }
 
-// TaskMean returns task t's regime mean in cycles at hyper-period h — what a
-// clairvoyant oracle would install as the task's ACEC.
-func (s *Scenario) TaskMean(h, t int) float64 {
-	tk := &s.set.Tasks[t]
-	return tk.BCEC + s.MeanFrac(h)*(tk.WCEC-tk.BCEC)
-}
-
 // FillActuals fills buf with hyper-period h's per-instance draws: taskOf[i]
 // names the task owning instance i (the preemptive plan's Instances order
 // downstream), and buf[i] receives that instance's actual cycles, always
