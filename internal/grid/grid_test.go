@@ -178,6 +178,29 @@ func TestScheduleKeyContract(t *testing.T) {
 	}
 }
 
+// TestScheduleKeyUncappedSubCap pins that every non-positive
+// MaxSubsPerInstance shares the zero cap's key: the expansion caps pieces
+// only for a positive value, so a negative cap is uncapped too.
+func TestScheduleKeyUncappedSubCap(t *testing.T) {
+	set := testSet(t)
+	key := func(capN int) Key {
+		k, ok := ScheduleKey(set, core.Config{Preempt: preempt.Options{MaxSubsPerInstance: capN}})
+		if !ok {
+			t.Fatalf("cap %d not hashable", capN)
+		}
+		return k
+	}
+	uncapped := key(0)
+	for _, capN := range []int{-1, -12} {
+		if key(capN) != uncapped {
+			t.Errorf("cap %d keys apart from the uncapped config", capN)
+		}
+	}
+	if key(2) == uncapped {
+		t.Error("a positive cap shares the uncapped key")
+	}
+}
+
 // TestCompareKeyContract pins what a simulated comparison is keyed on: the
 // request fingerprint and the run-relevant sim.Config fields, never the
 // worker count or the context, and nothing at all for a config carrying a

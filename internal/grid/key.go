@@ -149,8 +149,9 @@ func (h *hasher) schedule(s *core.Schedule) bool {
 // fingerprint, the model identity, and exactly the core.Config fields a
 // solve is a function of: Objective, MaxSweeps, Tol, NoSplitOpt, InitBlend,
 // LineTolMs, Preempt (MaxSubsPerInstance, EDF), Scenarios, ScenarioSeed,
-// Starts, StartSeed (dormant seeds — ScenarioSeed without Scenarios,
-// StartSeed without multi-start — are zeroed so they cannot split keys),
+// Starts, StartSeed (dormant values — a non-positive MaxSubsPerInstance,
+// ScenarioSeed without Scenarios, StartSeed without multi-start — are
+// zeroed so they cannot split keys),
 // and the WarmStart schedule's full content. Excluded by
 // design: StartWorkers (wall-clock only, never the result — pinned by the
 // solver's determinism contract) and OptimizeSplits (derived from NoSplitOpt
@@ -172,7 +173,9 @@ func ScheduleKey(set *task.Set, cfg core.Config) (Key, bool) {
 	h.flag(c.NoSplitOpt)
 	h.f64(c.InitBlend)
 	h.f64(c.LineTolMs)
-	h.i64(int64(c.Preempt.MaxSubsPerInstance))
+	// The expansion caps pieces only for a positive cap; every other value
+	// is uncapped and hashes as 0, so a negative cap cannot split keys.
+	h.i64(int64(max(c.Preempt.MaxSubsPerInstance, 0)))
 	h.flag(c.Preempt.EDF)
 	// Scenario draws only exist when Scenarios > 0; a dormant ScenarioSeed
 	// must not split keys.

@@ -39,6 +39,15 @@ func BenchmarkPartitionSolveNoCache(b *testing.B) {
 	}
 }
 
+// clone deep-copies the assignment.
+func (a Assignment) clone() Assignment {
+	out := make(Assignment, len(a))
+	for i, idxs := range a {
+		out[i] = append([]int(nil), idxs...)
+	}
+	return out
+}
+
 // BenchmarkPartitionRepartition measures the memo-reuse contract end to
 // end: each iteration re-solves an assignment that differs from the warmed
 // one on exactly one core, so only that core's WCS+ACS run — the cost a
@@ -53,7 +62,7 @@ func BenchmarkPartitionRepartition(b *testing.B) {
 	}
 	// Move one task between the two least-loaded cores to build the
 	// "changed" assignment; fall back to the warmed one if infeasible.
-	alt := res.Assignment.Clone()
+	alt := res.Assignment.clone()
 	moved := false
 	for from := range alt {
 		if moved || len(alt[from]) < 2 {
@@ -63,11 +72,11 @@ func BenchmarkPartitionRepartition(b *testing.B) {
 			if to == from || moved {
 				continue
 			}
-			cand := alt.Clone()
+			cand := alt.clone()
 			t := cand[from][len(cand[from])-1]
 			cand[from] = without(cand[from], t)
 			cand[to] = with(cand[to], t)
-			if _, err := SolveAssignment(context.Background(), r, set, cand, cfg); err == nil {
+			if _, bad, err := solveCores(context.Background(), r, set, cand, cfg); err == nil && bad < 0 {
 				alt = cand
 				moved = true
 			}
@@ -76,7 +85,26 @@ func BenchmarkPartitionRepartition(b *testing.B) {
 	assignments := []Assignment{res.Assignment, alt}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveAssignment(context.Background(), r, set, assignments[i%2], cfg); err != nil {
+		if _, bad, err := solveCores(context.Background(), r, set, assignments[i%2], cfg); err != nil || bad >= 0 {
+			b.Fatalf("core %d infeasible, err %v", bad, err)
+		}
+	}
+}
+
+// BenchmarkPartitionOneCoreHit measures a one-core Solve whose WCS and ACS
+// are both resident in the memo: the solve cost of a single-core submit or
+// GET the server answers from the memo.
+func BenchmarkPartitionOneCoreHit(b *testing.B) {
+	set := genSet(b, 9, 4, 1)
+	cfg := Config{Cores: 1, Solver: solverCfg()}
+	r := grid.New(0, grid.NewMemo())
+	if _, err := Solve(context.Background(), r, set, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Solve(context.Background(), r, set, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,9 @@
 // repartitions that leave a core's assignment untouched hit the memo and
 // re-solve nothing.
 //
+// One core is the single-processor solve itself: nothing is packed, the
+// whole set is core 0, and that core's WCS build is the admission test.
+//
 // Everything here is deterministic for any grid worker count and cache
 // state: admission is a pure function of the task set and config, the
 // per-core fan-out is index-addressed, and the cross-core improvement loop
@@ -108,15 +111,6 @@ func (c Config) withDefaults() Config {
 // set.Tasks) of the tasks placed on it. It is a partition: every task index
 // appears on exactly one core; cores may be empty.
 type Assignment [][]int
-
-// Clone deep-copies the assignment.
-func (a Assignment) Clone() Assignment {
-	out := make(Assignment, len(a))
-	for i, idxs := range a {
-		out[i] = append([]int(nil), idxs...)
-	}
-	return out
-}
 
 // Validate checks that a is a partition of [0, n) with each core's list
 // sorted ascending.
@@ -223,9 +217,6 @@ type Result struct {
 	Energy float64
 	// AcceptedMoves counts improvement-loop moves applied.
 	AcceptedMoves int
-	// Rollbacks counts admission retries forced by a core's WCS build
-	// reporting infeasibility.
-	Rollbacks int
 }
 
 // Degraded reports whether any core degraded to its WCS schedule.
@@ -343,6 +334,16 @@ func admit(set *task.Set, c Config, banned map[[2]int]bool) (Assignment, [][2]in
 	return asg, placed, nil
 }
 
+// BuildError is a core's failed WCS or ACS build. Its text is the build's
+// own; Objective names which of the two builds failed.
+type BuildError struct {
+	Objective core.Objective
+	Err       error
+}
+
+func (e *BuildError) Error() string { return e.Err.Error() }
+func (e *BuildError) Unwrap() error { return e.Err }
+
 // coreOut separates a core solve's three outcomes: solved, infeasible on
 // this core (→ admission rollback), or a hard failure (cancellation, model
 // errors) that aborts the whole solve.
@@ -354,15 +355,19 @@ type coreOut struct {
 
 // solveCore solves one core's subset: WCS (never budgeted — it is the
 // degraded-mode floor), then ACS warm-started from WCS under the core's
-// budget when the objective is AverageCase.
+// budget when the objective is AverageCase. A core holding every task
+// solves the set itself.
 func solveCore(ctx context.Context, r *grid.Runner, set *task.Set, idxs []int, coreIdx int, c Config) coreOut {
 	cs := CoreSolve{Core: coreIdx, TaskIdx: append([]int(nil), idxs...)}
 	if len(idxs) == 0 {
 		return coreOut{cs: cs}
 	}
-	sub, err := subSet(set, idxs)
-	if err != nil {
-		return coreOut{fatal: fmt.Errorf("partition: core %d subset: %w", coreIdx, err)}
+	sub := set
+	if len(idxs) < set.N() {
+		var err error
+		if sub, err = subSet(set, idxs); err != nil {
+			return coreOut{fatal: fmt.Errorf("partition: core %d subset: %w", coreIdx, err)}
+		}
 	}
 	cs.Set = sub
 
@@ -373,10 +378,11 @@ func solveCore(ctx context.Context, r *grid.Runner, set *task.Set, idxs []int, c
 	wcs, err := r.BuildScheduleContext(ctx, sub, wcsCfg)
 	wcsDone()
 	if err != nil {
+		err = &BuildError{Objective: core.WorstCase, Err: err}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return coreOut{fatal: err}
 		}
-		return coreOut{infeasible: fmt.Errorf("core %d: %w", coreIdx, err)}
+		return coreOut{infeasible: err}
 	}
 	cs.WCS = wcs
 	servedCfg := wcsCfg
@@ -408,7 +414,7 @@ func solveCore(ctx context.Context, r *grid.Runner, set *task.Set, idxs []int, c
 			// serve its WCS schedule, marked degraded.
 			cs.Degraded = true
 		default:
-			return coreOut{fatal: err}
+			return coreOut{fatal: &BuildError{Objective: core.AverageCase, Err: err}}
 		}
 	}
 
@@ -452,42 +458,23 @@ func totalEnergy(cores []CoreSolve) float64 {
 	return sum
 }
 
-// SolveAssignment solves an explicit assignment (no admission, no
-// improvement loop): per-core WCS + warm-started ACS through the runner,
-// global energy as the sum. A core whose WCS is infeasible is an error
-// here — rollback is Solve's job.
-func SolveAssignment(ctx context.Context, r *grid.Runner, set *task.Set, asg Assignment, cfg Config) (*Result, error) {
-	c := cfg.withDefaults()
-	if len(asg) == 0 {
-		return nil, fmt.Errorf("partition: empty assignment")
-	}
-	if err := asg.Validate(set.N()); err != nil {
-		return nil, err
-	}
-	cores, badCore, err := solveCores(ctx, r, set, asg, c)
-	if err != nil {
-		return nil, err
-	}
-	if badCore >= 0 {
-		return nil, fmt.Errorf("partition: core %d assignment is not schedulable", badCore)
-	}
-	return &Result{
-		Assignment: asg.Clone(),
-		Cores:      cores,
-		Energy:     totalEnergy(cores),
-	}, nil
-}
-
 // Solve partitions set onto cfg.Cores cores and solves every core: admit →
 // parallel per-core WCS/ACS → (optionally) the cross-core improvement
 // loop. When a core's WCS build reports infeasibility despite passing the
 // admission test's schedulability check (split caps and expansion limits
 // can diverge), the most recent placement on that core is banned and the
 // packing retried — the rollback rule.
+//
+// One core packs nothing: the whole set is core 0, its WCS build is the
+// admission test, and a failed build comes back as a *BuildError around
+// the build's own error (a *core.InfeasibleError for an unschedulable set).
 func Solve(ctx context.Context, r *grid.Runner, set *task.Set, cfg Config) (*Result, error) {
 	c := cfg.withDefaults()
 	if c.Solver.WarmStart != nil {
 		return nil, fmt.Errorf("partition: Solver.WarmStart must be nil (the driver manages warm starts)")
+	}
+	if c.Cores == 1 {
+		return solveOneCore(ctx, r, set, c)
 	}
 	banned := make(map[[2]int]bool)
 	rollbacks := 0
@@ -523,7 +510,6 @@ func Solve(ctx context.Context, r *grid.Runner, set *task.Set, cfg Config) (*Res
 			Assignment: asg,
 			Cores:      cores,
 			Energy:     totalEnergy(cores),
-			Rollbacks:  rollbacks,
 		}
 		if c.Moves > 0 && c.Cores > 1 && !res.Degraded() {
 			if err := improve(ctx, r, set, c, res); err != nil {
@@ -532,6 +518,24 @@ func Solve(ctx context.Context, r *grid.Runner, set *task.Set, cfg Config) (*Res
 		}
 		return res, nil
 	}
+}
+
+// solveOneCore is Solve on one core: the whole set is core 0 as it is, with
+// no packing and no rollback, so the core's failed build fails the solve.
+func solveOneCore(ctx context.Context, r *grid.Runner, set *task.Set, c Config) (*Result, error) {
+	all := make([]int, set.N())
+	for i := range all {
+		all[i] = i
+	}
+	o := solveCore(ctx, r, set, all, 0, c)
+	if o.fatal != nil {
+		return nil, o.fatal
+	}
+	if o.infeasible != nil {
+		return nil, o.infeasible
+	}
+	cores := []CoreSolve{o.cs}
+	return &Result{Assignment: Assignment{all}, Cores: cores, Energy: totalEnergy(cores)}, nil
 }
 
 // move is one improvement-loop candidate: a migration of task t from core
@@ -701,7 +705,8 @@ func improve(ctx context.Context, r *grid.Runner, set *task.Set, c Config, res *
 // ACSBudget (and the test-only budget hook) are load policy, not problem
 // content, and are excluded, mirroring the server's SolveBudget. Dormant
 // move knobs (MoveSeed, Candidates when Moves == 0) hash as zero so
-// configs that cannot diverge share a fingerprint. ok=false mirrors
+// configs that cannot diverge share a fingerprint. One core has no knobs
+// to add: its fingerprint is the single-core key itself. ok=false mirrors
 // grid.ScheduleKey: the config is not canonically encodable.
 func Fingerprint(set *task.Set, cfg Config) (string, bool) {
 	c := cfg.withDefaults()
@@ -710,6 +715,9 @@ func Fingerprint(set *task.Set, cfg Config) (string, bool) {
 	key, ok := grid.ScheduleKey(set, solver)
 	if !ok {
 		return "", false
+	}
+	if c.Cores == 1 {
+		return key.String(), true
 	}
 	h := sha256.New()
 	h.Write([]byte("partition/v1"))

@@ -3,6 +3,7 @@ package partition
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -127,8 +128,8 @@ func TestPartitionSolveSharing(t *testing.T) {
 	}
 
 	// Re-solving the identical assignment must be all memo hits.
-	if _, err := SolveAssignment(context.Background(), r, set, res.Assignment, cfg); err != nil {
-		t.Fatal(err)
+	if _, bad, err := solveCores(context.Background(), r, set, res.Assignment, cfg); err != nil || bad >= 0 {
+		t.Fatalf("identical re-solve: core %d infeasible, err %v", bad, err)
 	}
 	if got := memo.Stats().ScheduleMisses; got != base {
 		t.Fatalf("identical re-solve: misses %d → %d, want no new solves", base, got)
@@ -172,8 +173,8 @@ func TestPartitionSolveSharing(t *testing.T) {
 	for c := range asg2 {
 		sort.Ints(asg2[c])
 	}
-	if _, err := SolveAssignment(context.Background(), r, set2, asg2, cfg); err != nil {
-		t.Fatal(err)
+	if _, bad, err := solveCores(context.Background(), r, set2, asg2, cfg); err != nil || bad >= 0 {
+		t.Fatalf("one-core repartition: core %d infeasible, err %v", bad, err)
 	}
 	if got, want := memo.Stats().ScheduleMisses, base+2; got != want {
 		t.Fatalf("one-core repartition: misses %d, want %d (only the touched core re-solves)", got, want)
@@ -352,5 +353,51 @@ func TestPartitionFingerprint(t *testing.T) {
 	moving.Moves = 2
 	if fp(moving) == ref {
 		t.Error("Moves must change the fingerprint")
+	}
+}
+
+// TestPartitionOneCoreFingerprint pins the one-core rule for fingerprints:
+// one core packs nothing, so the fingerprint is the single-core schedule
+// key, and the packing mode and move knobs cannot split it.
+func TestPartitionOneCoreFingerprint(t *testing.T) {
+	set := genSet(t, 2, 5, 1)
+	cfg := solverCfg()
+	key, ok := grid.ScheduleKey(set, cfg)
+	if !ok {
+		t.Fatal("config not encodable")
+	}
+	for _, c := range []Config{
+		{Cores: 1, Solver: cfg},
+		{Cores: 1, Mode: WorstFit, Moves: 2, Solver: cfg},
+	} {
+		fp, ok := Fingerprint(set, c)
+		if !ok || fp != key.String() {
+			t.Errorf("Fingerprint(%+v) = %s, want the single-core key %s", c, fp, key)
+		}
+	}
+}
+
+// TestPartitionOneCoreInfeasible pins the one-core rule for admission: the
+// core's WCS build is the admission test, so an unschedulable set fails
+// with the build's own all-Vmax text after one schedule miss, not with a
+// packing error.
+func TestPartitionOneCoreInfeasible(t *testing.T) {
+	// 10 cycles/ms on a unit-K model needs v=10 > Vmax=4.
+	set, err := task.NewSet([]task.Task{{Name: "a", Period: 10, WCEC: 100, ACEC: 60, BCEC: 50, Ceff: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := grid.NewMemo()
+	_, err = Solve(context.Background(), grid.New(2, memo), set, Config{Cores: 1, Solver: solverCfg()})
+	var inf *core.InfeasibleError
+	if !errors.As(err, &inf) {
+		t.Fatalf("one-core Solve of an infeasible set: %v, want a *core.InfeasibleError", err)
+	}
+	const want = "core: a#0 unschedulable at Vmax: 60 cycles never scheduled"
+	if err.Error() != want || inf.Error() != want {
+		t.Errorf("error %q (infeasible %q), want %q", err, inf, want)
+	}
+	if got := memo.Stats().ScheduleMisses; got != 1 {
+		t.Errorf("%d schedule misses, want 1 (the WCS build alone)", got)
 	}
 }

@@ -26,8 +26,11 @@
 // extends the grid engine's determinism contract (DESIGN.md §6) to the
 // serving path and is pinned by TestServerConcurrentDeterminism.
 //
-// Each request runs its pipeline on its own handler goroutine. Solves go
-// through the shared grid.Memo, whose per-key singleflight makes a
+// Each request runs its pipeline on its own handler goroutine. Every
+// schedule a submit, get or compare serves is built by partition.Solve: a
+// single-core request is its one-core solve, whose WCS build is the
+// admission test, and a "cores" request packs the set first (DESIGN.md §12).
+// Solves go through the shared grid.Memo, whose per-key singleflight makes a
 // thundering herd submitting the same task set pay for one solve; the memo
 // is bounded (LRU, byte-accounted), so a resident daemon's cache cannot grow
 // without limit.
@@ -426,10 +429,10 @@ type canonicalRequest struct {
 	objective core.Objective
 	starts    int
 	subCap    int
-	// cores > 1 selects the partitioned pipeline (internal/partition);
-	// 0 is the single-core path. An explicit "cores":1 normalizes to 0 at
-	// canonicalization so it aliases the single-core request exactly —
-	// same fingerprint, same bytes.
+	// cores > 1 packs the set onto that many cores (internal/partition);
+	// 0 is the single-core request, solved on one core. An explicit
+	// "cores":1 normalizes to 0 at canonicalization so it aliases the
+	// single-core request exactly — same fingerprint, same bytes.
 	cores int
 }
 
@@ -627,154 +630,87 @@ func SubmitFingerprint(req *SubmitRequest, defaultStarts, maxTasks int) (fp stri
 	return fp, true
 }
 
-// config returns the solver configuration for objective o.
-func (cr *canonicalRequest) config(o core.Objective) core.Config {
-	cfg := core.Config{Objective: o, Starts: cr.starts}
-	cfg.Preempt.MaxSubsPerInstance = cr.subCap
-	return cfg
-}
-
-// partitionConfig is the fixed server policy for partitioned submits:
-// first-fit-decreasing admission, no improvement loop (moves are an offline
-// refinement, not a serving-path cost), per-core solver = the request's
-// solver config. The per-core ACS budget is load policy and is applied at
-// solve time, not here — it is excluded from the fingerprint like
-// SolveBudget is for single-core requests.
-func (cr *canonicalRequest) partitionConfig() partition.Config {
+// config is the request's solve: the request's solver knobs on cr.cores
+// cores (one when unset), packed first-fit-decreasing with no improvement
+// loop (moves are an offline refinement, not a serving-path cost). The ACS
+// budget is load policy, applied at solve time and excluded from the
+// fingerprint.
+func (cr *canonicalRequest) config() partition.Config {
+	solver := core.Config{Objective: cr.objective, Starts: cr.starts}
+	solver.Preempt.MaxSubsPerInstance = cr.subCap
 	return partition.Config{
-		Cores:  cr.cores,
+		Cores:  max(cr.cores, 1),
 		Mode:   partition.FirstFitDecreasing,
-		Solver: cr.config(cr.objective),
+		Solver: solver,
 	}
 }
 
-// fingerprint content-addresses the canonical request through the grid cache
-// key: the task-set fingerprint, the model identity, and every solver field
-// a solve is a function of. Partitioned requests extend the key with the
-// partition knobs (core count, packing mode).
+// fingerprint content-addresses the canonical request: the grid schedule key
+// of its set and solver config (task-set fingerprint, model identity, every
+// solver field a solve is a function of), extended with the partition knobs
+// when it has more than one core (partition.Fingerprint).
 func (cr *canonicalRequest) fingerprint() (string, *apiError) {
-	if cr.cores > 1 {
-		fp, ok := partition.Fingerprint(cr.set, cr.partitionConfig())
-		if !ok {
-			return "", errorf(http.StatusInternalServerError, "fingerprint: config not canonically encodable")
-		}
-		return fp, nil
-	}
-	key, ok := grid.ScheduleKey(cr.set, cr.config(cr.objective))
+	fp, ok := partition.Fingerprint(cr.set, cr.config())
 	if !ok {
 		return "", errorf(http.StatusInternalServerError, "fingerprint: config not canonically encodable")
 	}
-	return key.String(), nil
+	return fp, nil
 }
 
-// buildScheduleResponse is the submit pipeline: WCS synthesis, whose
-// all-Vmax check is the admission test (an infeasible set is a cached build
-// failure, so a repeat does no admission work either), then ACS synthesis
-// warm-started from WCS (for the ACS objective) and response assembly. It
-// is a pure function of cr — every field of the response is derived from
-// solver output, never from timing or cache state.
+// solve runs the request's solve through partition.Solve, the only code
+// that builds a served schedule, with each core's ACS refinement bounded by
+// budget (0 = unbounded). One core is WCS synthesis, whose all-Vmax check
+// is the admission test (an infeasible set is a cached build failure, so a
+// repeat does no admission work), then ACS warm-started from it; M cores
+// add FFD admission and run that pair per core (DESIGN.md §12), timed as
+// one solve_partition stage. A failure is the apiError the response reports.
+func (s *Server) solve(ctx context.Context, cr *canonicalRequest, budget time.Duration) (*partition.Result, *apiError) {
+	pcfg := cr.config()
+	pcfg.ACSBudget = budget
+	done := func() {}
+	if pcfg.Cores > 1 {
+		done = obs.StartSpan(ctx, "solve_partition")
+	}
+	res, err := partition.Solve(ctx, s.runner, cr.set, pcfg)
+	done()
+	if err != nil {
+		return nil, solveError(solveStage(pcfg.Cores, err), err)
+	}
+	return res, nil
+}
+
+// solveStage names a failed solve in its response: a partitioned solve as a
+// whole, a one-core solve by the build that failed.
+func solveStage(cores int, err error) string {
+	var be *partition.BuildError
+	switch {
+	case cores > 1:
+		return "partitioned synthesis"
+	case errors.As(err, &be) && be.Objective == core.AverageCase:
+		return "acs synthesis"
+	default:
+		return "wcs synthesis"
+	}
+}
+
+// buildScheduleResponse is the submit pipeline: the request's solve under
+// the solve budget, then response assembly. A single-core response carries
+// core 0 in its flat fields; a partitioned one lists every core in per_core
+// and sums them in the flat fields. A core whose budget expired serves its
+// WCS schedule, marked degraded, and so is the whole response, without the
+// ACS-only baseline fields — budget-truncated ACS never reaches a
+// non-degraded 200. Every other response is a pure function of cr: each
+// field derives from solver output, never from timing or cache state.
 func (s *Server) buildScheduleResponse(ctx context.Context, cr *canonicalRequest, fp string) any {
 	s.failpoint("pipeline.panic")
-	if cr.cores > 1 {
-		return s.buildPartitionResponse(ctx, cr, fp)
-	}
-	wcsDone := obs.StartSpan(ctx, "solve_wcs")
-	wcs, err := s.runner.BuildScheduleContext(ctx, cr.set, cr.config(core.WorstCase))
-	wcsDone()
-	if err != nil {
-		return solveError("wcs synthesis", err)
-	}
-	final := wcs
-	resp := &ScheduleResponse{
-		Fingerprint: fp,
-		Objective:   cr.objective.String(),
-		Tasks:       cr.set.N(),
-	}
-	if cr.objective == core.AverageCase {
-		// The ACS refinement runs under the per-request solve budget; the
-		// WCS baseline above did not — it is the degraded-mode fallback, so
-		// it must exist before the budget can be allowed to expire.
-		acsCtx, cancel := ctx, context.CancelFunc(nil)
-		if s.opts.SolveBudget > 0 {
-			acsCtx, cancel = context.WithTimeout(ctx, s.opts.SolveBudget)
-		}
-		acsCfg := cr.config(core.AverageCase)
-		acsCfg.WarmStart = wcs
-		acsDone := obs.StartSpan(acsCtx, "solve_acs")
-		acs, err := s.runner.BuildScheduleContext(acsCtx, cr.set, acsCfg)
-		acsDone()
-		if cancel != nil {
-			cancel()
-		}
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-				// Budget exhausted, requester still here: serve the WCS
-				// schedule — worst-case feasible, deadline-safe — marked
-				// degraded instead of failing the request.
-				s.m.degraded.Inc()
-				resp.Degraded = true
-				resp.Pieces = len(wcs.Plan.Subs)
-				resp.Sweeps = wcs.Sweeps
-				resp.PredictedEnergy = wcs.Energy
-				resp.EndMs = wcs.End
-				resp.WCWorkCycles = wcs.WCWork
-				if h, herr := cr.set.Hyperperiod(); herr == nil {
-					resp.HyperperiodMs = h
-				}
-				return resp
-			}
-			return solveError("acs synthesis", err)
-		}
-		final = acs
-		avg := make([]float64, len(wcs.Plan.Instances))
-		for i := range avg {
-			avg[i] = wcs.Plan.Set.Tasks[wcs.Plan.Instances[i].TaskIndex].ACEC
-		}
-		wcsAvg, _, err := wcs.EnergyUnder(avg)
-		if err != nil {
-			return solveError("wcs baseline evaluation", err)
-		}
-		imp := 0.0
-		if wcsAvg > 0 {
-			imp = 100 * (wcsAvg - acs.Energy) / wcsAvg
-		}
-		resp.WCSAvgEnergy = &wcsAvg
-		resp.ImprovementPct = &imp
-	}
-	if h, err := cr.set.Hyperperiod(); err == nil {
-		resp.HyperperiodMs = h
-	}
-	resp.Pieces = len(final.Plan.Subs)
-	resp.Sweeps = final.Sweeps
-	resp.PredictedEnergy = final.Energy
-	resp.EndMs = final.End
-	resp.WCWorkCycles = final.WCWork
-	return resp
-}
-
-// buildPartitionResponse is the partitioned submit pipeline (DESIGN.md
-// §12): FFD admission under the exact per-core schedulability test, then
-// per-core WCS + warm-started ACS fanned through the shared grid runner —
-// each core a content-addressed sub-problem, so repartitions re-solve only
-// the cores they touch. The per-core ACS budget is the server's
-// SolveBudget; a core whose budget expires serves its WCS schedule and
-// marks the core and the whole response degraded — budget-truncated ACS
-// never reaches a non-degraded 200. Non-degraded responses are pure
-// functions of cr, like the single-core pipeline.
-func (s *Server) buildPartitionResponse(ctx context.Context, cr *canonicalRequest, fp string) any {
-	pcfg := cr.partitionConfig()
-	pcfg.ACSBudget = s.opts.SolveBudget
-	solveDone := obs.StartSpan(ctx, "solve_partition")
-	res, err := partition.Solve(ctx, s.runner, cr.set, pcfg)
-	solveDone()
-	if err != nil {
-		return solveError("partitioned synthesis", err)
+	res, e := s.solve(ctx, cr, s.opts.SolveBudget)
+	if e != nil {
+		return e
 	}
 	resp := &ScheduleResponse{
 		Fingerprint: fp,
 		Objective:   cr.objective.String(),
 		Tasks:       cr.set.N(),
-		Cores:       pcfg.Cores,
 	}
 	if h, err := cr.set.Hyperperiod(); err == nil {
 		resp.HyperperiodMs = h
@@ -782,19 +718,17 @@ func (s *Server) buildPartitionResponse(ctx context.Context, cr *canonicalReques
 	wcsAvgTotal := 0.0
 	for i := range res.Cores {
 		cs := &res.Cores[i]
-		pc := CoreScheduleResponse{Core: cs.Core, TaskNames: []string{}}
-		if cs.Set != nil {
+		pc := CoreScheduleResponse{Core: cs.Core, TaskNames: []string{}, Degraded: cs.Degraded}
+		if sched := cs.Schedule(); sched != nil {
 			for j := range cs.Set.Tasks {
 				pc.TaskNames = append(pc.TaskNames, cs.Set.Tasks[j].Name)
 			}
-			sched := cs.Schedule()
 			pc.Fingerprint = cs.Key
 			pc.Pieces = len(sched.Plan.Subs)
 			pc.Sweeps = sched.Sweeps
-			pc.PredictedEnergy = cs.Energy()
+			pc.PredictedEnergy = sched.Energy
 			pc.EndMs = sched.End
 			pc.WCWorkCycles = sched.WCWork
-			pc.Degraded = cs.Degraded
 			resp.Pieces += pc.Pieces
 			resp.Sweeps += pc.Sweeps
 			if cr.objective == core.AverageCase && !cs.Degraded {
@@ -805,10 +739,15 @@ func (s *Server) buildPartitionResponse(ctx context.Context, cr *canonicalReques
 				wcsAvgTotal += wcsAvg
 			}
 		}
-		if cs.Degraded {
-			resp.Degraded = true
-		}
+		resp.Degraded = resp.Degraded || cs.Degraded
 		resp.PerCore = append(resp.PerCore, pc)
+	}
+	if cr.cores > 1 {
+		resp.Cores = cr.cores
+	} else {
+		// One core answers in the flat single-core shape.
+		resp.EndMs, resp.WCWorkCycles = resp.PerCore[0].EndMs, resp.PerCore[0].WCWorkCycles
+		resp.PerCore = nil
 	}
 	resp.PredictedEnergy = res.Energy
 	if cr.objective == core.AverageCase && !resp.Degraded {
@@ -860,31 +799,21 @@ func (s *Server) buildCompareResponse(ctx context.Context, cr *canonicalRequest,
 	}
 }
 
-// simulatePair is the comparison build: WCS synthesis (the admission test,
-// as in buildScheduleResponse), ACS warm-started from it, both compiled, and
-// simulated under cfg with A = ACS and B = WCS. Every failure is returned
-// as the *apiError the response reports; its cause tells the memo whether
-// it may be cached.
+// simulatePair is the comparison build: the request's unbudgeted one-core
+// solve, as in buildScheduleResponse, then core 0's ACS and WCS schedules
+// compiled and simulated under cfg with A = ACS and B = WCS. Every failure
+// is returned as the *apiError the response reports; its cause tells the
+// memo whether it may be cached.
 func (s *Server) simulatePair(ctx context.Context, cr *canonicalRequest, cfg sim.Config) (*grid.Comparison, error) {
-	wcsDone := obs.StartSpan(ctx, "solve_wcs")
-	wcs, err := s.runner.BuildScheduleContext(ctx, cr.set, cr.config(core.WorstCase))
-	wcsDone()
-	if err != nil {
-		return nil, solveError("wcs synthesis", err)
+	res, e := s.solve(ctx, cr, 0)
+	if e != nil {
+		return nil, e
 	}
-	acsCfg := cr.config(core.AverageCase)
-	acsCfg.WarmStart = wcs
-	acsDone := obs.StartSpan(ctx, "solve_acs")
-	acs, err := s.runner.BuildScheduleContext(ctx, cr.set, acsCfg)
-	acsDone()
-	if err != nil {
-		return nil, solveError("acs synthesis", err)
-	}
-	pa, err := sim.Compile(acs)
+	pa, err := sim.Compile(res.Cores[0].ACS)
 	if err != nil {
 		return nil, solveError("acs compile", err)
 	}
-	pb, err := sim.Compile(wcs)
+	pb, err := sim.Compile(res.Cores[0].WCS)
 	if err != nil {
 		return nil, solveError("wcs compile", err)
 	}

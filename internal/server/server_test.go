@@ -436,6 +436,29 @@ func TestConcurrentIdenticalSubmitsSolveOnce(t *testing.T) {
 	}
 }
 
+// TestSubmitUncappedSubcapAliases pins that every non-positive subcap is the
+// uncapped request: the expansion caps pieces only for a positive value, so
+// "subcap":0 and "subcap":-1 answer the uncapped body's bytes, fingerprint
+// included, from the memo entries that body already built.
+func TestSubmitUncappedSubcapAliases(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	plain := smallBody(3)
+	code, want := post(t, ts.URL+"/v1/schedules", plain)
+	if code != http.StatusOK {
+		t.Fatalf("plain submit: %d %s", code, want)
+	}
+	for _, subcap := range []string{`,"subcap":0`, `,"subcap":-1`} {
+		before := s.memo.Stats().ScheduleMisses
+		code, got := post(t, ts.URL+"/v1/schedules", strings.TrimSuffix(plain, "}")+subcap+"}")
+		if code != http.StatusOK || got != want {
+			t.Errorf("%s: %d %s\nwant the uncapped bytes %s", subcap, code, got, want)
+		}
+		if misses := s.memo.Stats().ScheduleMisses - before; misses != 0 {
+			t.Errorf("%s: %d new schedule misses, want 0", subcap, misses)
+		}
+	}
+}
+
 // TestSubmitPermutationInvariance is the metamorphic pin on SubmitRequest's
 // ordering contract. For named and for unnamed tasks with distinct periods,
 // every permutation of a body answers byte-identical submit and compare

@@ -62,17 +62,16 @@ type serverSession struct {
 // the single definition both create and restore flow through, so a restored
 // controller solves under byte-identical configuration.
 func (s *Server) sessionOptions(sess *serverSession) feedback.Options {
-	cr := &canonicalRequest{starts: sess.starts, subCap: sess.subCap}
+	cr := &canonicalRequest{objective: core.AverageCase, starts: sess.starts, subCap: sess.subCap}
 	opts := feedback.Options{
 		Runner: s.runner,
-		Solver: cr.config(core.AverageCase),
+		Solver: cr.config().Solver,
 		Bins:   sess.bins,
 		Drift: feedback.DriftConfig{
 			Delta: sess.driftDelta, Lambda: sess.driftLambda, MinSamples: sess.minSamples,
 		},
 		Relearn: sess.relearnEvery,
 	}
-	opts.Solver.WarmStart = nil // managed by the controller
 	// Feed every solve-pipeline run into the feedback_resolve stage
 	// histogram. Adaptation *counters* come from controller deltas around
 	// ObserveChunk instead, so the initial session-create solve is timed

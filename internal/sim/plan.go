@@ -120,9 +120,6 @@ func Compile(s *core.Schedule) (*CompiledPlan, error) {
 	return p, nil
 }
 
-// Pieces returns the number of executable pieces per hyper-period.
-func (p *CompiledPlan) Pieces() int { return len(p.wcWork) }
-
 // Instances returns the number of task instances per hyper-period.
 func (p *CompiledPlan) Instances() int { return len(p.bcec) }
 

@@ -161,8 +161,8 @@ func TestSwitchesFirstPieceFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := Compile(s); p.Pieces() != 1 {
-		t.Fatalf("single-task schedule compiled to %d pieces, want 1", p.Pieces())
+	if p, _ := Compile(s); len(p.wcWork) != 1 {
+		t.Fatalf("single-task schedule compiled to %d pieces, want 1", len(p.wcWork))
 	}
 	base, err := Run(s, Config{Hyperperiods: 20, Seed: 4})
 	if err != nil {
