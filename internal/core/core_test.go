@@ -497,34 +497,6 @@ func TestRuntimeVoltagesWithinRange(t *testing.T) {
 	}
 }
 
-// TestTaskEnergyShareSumsToTotal: the per-task breakdown conserves energy.
-func TestTaskEnergyShareSumsToTotal(t *testing.T) {
-	set := feasibleRandom(t, 31, 4, 0.3)
-	s, err := Build(set, Config{Objective: AverageCase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := make([]float64, len(s.Plan.Instances))
-	for i, in := range s.Plan.Instances {
-		avg[i] = set.Tasks[in.TaskIndex].ACEC
-	}
-	total, _, err := s.EnergyUnder(avg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	share, err := s.TaskEnergyShare(avg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, e := range share {
-		sum += e
-	}
-	if math.Abs(sum-total) > 1e-9*total {
-		t.Errorf("shares sum %g != total %g", sum, total)
-	}
-}
-
 // TestRMSplitsMatchPreemptiveExecution: on a hand-checkable two-task set
 // the RM-simulation splits are exactly the classic preemptive trace.
 func TestRMSplitsMatchPreemptiveExecution(t *testing.T) {

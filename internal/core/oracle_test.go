@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -69,44 +71,87 @@ func (e *objEval) energyFromRef(pos, stable int) float64 {
 	return total / float64(len(e.loadSets))
 }
 
-// TestEnergyFromMatchesReference: the re-join exit changes how much of the
-// order energyFrom walks, never what it returns. Randomized probes take the
-// three shapes the sweeps probe with — one end moved (sweepEnds), a split
-// transfer re-deriving a whole instance (sweepSplits), and an end pushed with
-// its ripple (sweepPush) — over point and scenario load sets, on sets holding
+// oracleSets are the generator coordinates (seed, split) of the sets the
+// evaluator's oracle checks probe. The first two are the ones whose WCS
+// holds dead reservations (TestDeadReservationHasNoDeadline).
+var oracleSets = [][2]uint64{{100, 19}, {100, 636}, {64, 1}, {65, 1}}
+
+var (
+	oracleMu    sync.Mutex
+	oraclePairs [][2]*Schedule // per oracle set: WCS, warm-started ACS
+)
+
+// oracleSchedules solves the oracle sets once per process.
+func oracleSchedules(tb testing.TB) [][2]*Schedule {
+	tb.Helper()
+	oracleMu.Lock()
+	defer oracleMu.Unlock()
+	if oraclePairs == nil {
+		var pairs [][2]*Schedule
+		for _, sd := range oracleSets {
+			set := splitSet(tb, sd[0], int(sd[1]), 4, 0.5)
+			wcs, err := Build(set, Config{Objective: WorstCase})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			acs, err := Build(set, Config{Objective: AverageCase, WarmStart: wcs})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			pairs = append(pairs, [2]*Schedule{wcs, acs})
+		}
+		oraclePairs = pairs
+	}
+	return oraclePairs
+}
+
+// probeCounts tallies which memo paths a run of probes took.
+type probeCounts struct {
+	rejoined [3]int // probes per shape that took the re-join exit
+	replayed int    // split probes that replayed inside their dirty region
+}
+
+// probeVariant probes a copy of one oracle set's schedule under load
+// variant 0 (WCS), 1 (ACS) or 2 (ACS over three scenarios).
+func probeVariant(t *testing.T, pair [2]*Schedule, variant int, rng *stats.RNG, probes int) probeCounts {
+	t.Helper()
+	s := CloneSchedule(pair[min(variant, 1)])
+	var sc *scenarioSet
+	if variant == 2 {
+		sc = s.buildScenarios(3, 9)
+	}
+	return probeEnergyFrom(t, s, sc, rng, probes)
+}
+
+// TestEnergyFromMatchesReference: the re-join exit and the in-region replay
+// change how much of the order energyFrom walks, never what it returns.
+// Randomized probes take the three shapes the sweeps probe with — one end
+// moved (sweepEnds), a split transfer re-deriving a whole instance and
+// naming the positions it changed (sweepSplits), and an end pushed with its
+// ripple (sweepPush) — over point and scenario load sets, on sets holding
 // dead pieces. A quarter of the probes are committed, through resnap or
 // invalidate, so the memo mixes entries of many passes as it does mid-sweep.
-// energyFrom must equal the pre-re-join walk bit for bit, and every shape
-// must have re-joined somewhere.
+// energyFrom must equal the walk without either replay bit for bit, on the
+// specialised walk and on the interface walk; every shape must have
+// re-joined somewhere, and split probes of every load variant must have
+// replayed inside their dirty region.
 func TestEnergyFromMatchesReference(t *testing.T) {
 	dead := 0
 	var rejoined [3]int // per probe shape
-	// The first two sets are the ones whose WCS holds dead reservations
-	// (TestDeadReservationHasNoDeadline).
-	for _, sd := range [][2]uint64{{100, 19}, {100, 636}, {64, 1}, {65, 1}} {
-		set := splitSet(t, sd[0], int(sd[1]), 4, 0.5)
-		wcs, err := Build(set, Config{Objective: WorstCase})
-		if err != nil {
-			t.Fatal(err)
-		}
-		acs, err := Build(set, Config{Objective: AverageCase, WarmStart: wcs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range acs.WCWork {
+	var replayed [3]int // per load variant
+	for set, pair := range oracleSchedules(t) {
+		for _, w := range pair[1].WCWork {
 			if w <= deadWork {
 				dead++
 			}
 		}
-		for variant, base := range []*Schedule{wcs, acs, acs} {
-			s := CloneSchedule(base)
-			var sc *scenarioSet
-			if variant == 2 {
-				sc = s.buildScenarios(3, 9)
-			}
-			for shape, k := range probeEnergyFrom(t, s, sc, stats.NewRNG(sd[0]*31+sd[1]+uint64(variant))) {
+		sd := oracleSets[set]
+		for variant := range replayed {
+			c := probeVariant(t, pair, variant, stats.NewRNG(sd[0]*31+sd[1]+uint64(variant)), 600)
+			for shape, k := range c.rejoined {
 				rejoined[shape] += k
 			}
+			replayed[variant] += c.replayed
 		}
 	}
 	if dead == 0 {
@@ -117,12 +162,32 @@ func TestEnergyFromMatchesReference(t *testing.T) {
 			t.Errorf("no probe of shape %d re-joined the snapshot", shape)
 		}
 	}
-	t.Logf("re-joins per shape: %v", rejoined)
+	for variant, k := range replayed {
+		if k == 0 {
+			t.Errorf("no split probe of load variant %d replayed inside its dirty region", variant)
+		}
+	}
+	t.Logf("re-joins per shape: %v; in-region replays per load variant: %v", rejoined, replayed)
+}
+
+// FuzzEnergyFrom runs the probes of TestEnergyFromMatchesReference from a
+// fuzzer-chosen RNG seed and load variant over each of the four oracle
+// sets, which are solved once per process.
+func FuzzEnergyFrom(f *testing.F) {
+	for variant := range uint8(3) {
+		f.Add(uint64(2005), variant)
+	}
+	f.Add(uint64(9127), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, variant uint8) {
+		for _, pair := range oracleSchedules(t) {
+			probeVariant(t, pair, int(variant%3), stats.NewRNG(seed), 150)
+		}
+	})
 }
 
 // probeEnergyFrom runs randomized probes against one schedule and load
-// configuration, returning how many of each shape took the re-join exit.
-func probeEnergyFrom(t *testing.T, s *Schedule, sc *scenarioSet, rng *stats.RNG) [3]int {
+// configuration and counts the memo paths they took.
+func probeEnergyFrom(t *testing.T, s *Schedule, sc *scenarioSet, rng *stats.RNG, probes int) probeCounts {
 	t.Helper()
 	plan := s.Plan
 	n := len(plan.Subs)
@@ -143,13 +208,14 @@ func probeEnergyFrom(t *testing.T, s *Schedule, sc *scenarioSet, rng *stats.RNG)
 	}
 	alive := func(pos int) bool { return s.WCWork[pos] > deadWork }
 
-	var rejoined [3]int
-	for probe := 0; probe < 600; probe++ {
+	var c probeCounts
+	for probe := 0; probe < probes; probe++ {
 		pos := rng.Intn(n)
 		// Perturbations span nine orders of magnitude: the small ones are
 		// absorbed and re-join, the large ones reach release-bound exits.
 		scale := math.Pow(10, -float64(rng.Intn(9)))
 		from, stable, touched := pos, pos+1, -1
+		var mods []int
 		switch probe % 3 {
 		case 0: // one end moved
 			if !alive(pos) {
@@ -171,6 +237,13 @@ func probeEnergyFrom(t *testing.T, s *Schedule, sc *scenarioSet, rng *stats.RNG)
 			rederive(idx)
 			touched = idx
 			from, stable = pa, positions[len(positions)-1]+1
+			// The positions sweepSplits names: the pair under WCS, whose
+			// loads are WCWork, and every re-derived load from pa on under
+			// ACS.
+			mods = positions[k:]
+			if s.Objective == WorstCase {
+				mods = []int{pa, pb}
+			}
 		case 2: // end pushed later, rippling the chain
 			if !alive(pos) {
 				continue
@@ -190,13 +263,24 @@ func probeEnergyFrom(t *testing.T, s *Schedule, sc *scenarioSet, rng *stats.RNG)
 			stable = lastMod + 1
 		}
 
-		got, want := ev.energyFrom(from, stable), ev.energyFromRef(from, stable)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("probe %d (shape %d, pos %d, stable %d): energyFrom %v != reference %v",
-				probe, probe%3, from, stable, got, want)
+		for _, fast := range []bool{true, false} {
+			// The interface walk runs where the model is not SimpleInverse;
+			// on this model it computes the same values, so it must match
+			// the reference's interface walk bit for bit too.
+			ev.fastOK = fast
+			got, want := ev.energyFrom(from, stable, mods...), ev.energyFromRef(from, stable)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("probe %d (shape %d, pos %d, stable %d, mods %v, fast %v): energyFrom %v != reference %v",
+					probe, probe%3, from, stable, mods, fast, got, want)
+			}
 		}
-		if rejoinsAt(&ev, from, stable) {
-			rejoined[probe%3]++
+		ev.fastOK = s.fastOK
+		replays, rejoins := memoPaths(&ev, from, stable, mods)
+		if rejoins {
+			c.rejoined[probe%3]++
+		}
+		if replays {
+			c.replayed++
 		}
 
 		if rng.Intn(4) == 0 {
@@ -218,30 +302,38 @@ func probeEnergyFrom(t *testing.T, s *Schedule, sc *scenarioSet, rng *stats.RNG)
 			rederive(touched)
 		}
 	}
-	return rejoined
+	return c
 }
 
-// rejoinsAt reports whether a walk from pos with dirty region ending at
-// stable leaves through the re-join exit in some load set: it reaches a
-// work-bearing position past stable, not release-bound, with the snapshot's
-// entry time.
-func rejoinsAt(e *objEval, pos, stable int) bool {
+// memoPaths reports which memo paths a walk from pos with dirty region
+// ending at stable takes in some load set. It replays inside the region when
+// it reaches a work-bearing position at or past snapFrom, before stable and
+// outside mods, with the snapshot's entry time (only when mods names the
+// region's changes). It re-joins when it reaches a work-bearing position
+// past stable, not release-bound, with the snapshot's entry time.
+func memoPaths(e *objEval, pos, stable int, mods []int) (replays, rejoins bool) {
 	if stable < e.snapFrom {
 		stable = e.snapFrom
 	}
 	for i, loads := range e.loadSets {
 		st := e.prefixes[i][pos]
 		for q := pos; q < len(loads); q++ {
-			if q >= stable && e.wc[q] > deadWork && loads[q] > 0 {
-				if st.t <= e.rel[q] && e.snapT[i][q] <= e.rel[q] {
-					break
-				}
-				if st.t == e.snapT[i][q] {
-					return true
+			if e.wc[q] > deadWork && loads[q] > 0 {
+				s := e.snapT[i][q]
+				if q >= stable {
+					if st.t <= e.rel[q] && s <= e.rel[q] {
+						break
+					}
+					if st.t == s {
+						rejoins = true
+						break
+					}
+				} else if mods != nil && q >= e.snapFrom && st.t == s && !slices.Contains(mods, q) {
+					replays = true
 				}
 			}
 			e.step(&st, q, loads[q])
 		}
 	}
-	return false
+	return replays, rejoins
 }

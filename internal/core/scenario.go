@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/preempt"
 	"repro/internal/stats"
@@ -62,12 +61,7 @@ func (sc *scenarioSet) rederiveAll(s *Schedule) {
 
 // rederiveInstance recomputes one instance's pieces in one scenario.
 func (sc *scenarioSet) rederiveInstance(s *Schedule, k, idx int) {
-	remaining := sc.cycles[k][idx]
-	for _, pos := range s.Plan.ByInstance[idx] {
-		w := math.Min(remaining, s.WCWork[pos])
-		sc.loads[k][pos] = w
-		remaining -= w
-	}
+	deriveLoads(s.Plan.ByInstance[idx], sc.cycles[k][idx], s.WCWork, sc.loads[k])
 }
 
 // objEval evaluates the solver objective over one or more load vectors with
@@ -98,6 +92,12 @@ func (sc *scenarioSet) rederiveInstance(s *Schedule, k, idx int) {
 // same order as the walk would compute them, so the result is bit-identical
 // to walking on (DESIGN.md §3).
 //
+// A split trial changes only a few positions of its dirty region, so its
+// walk re-joins the snapshot inside the region too: at an untouched position
+// entered with the snapshot's entry time it replays the recorded increments
+// up to the next changed position, and resumes there with the time the
+// snapshot recorded after the position before it.
+//
 // The evaluator is embedded in the solver workspace and reset per sweep, so
 // the golden-section inner loop runs without heap allocations.
 type objEval struct {
@@ -108,14 +108,16 @@ type objEval struct {
 	// snapshot pass over load set i; snapSuf[i][q] is the energy of the order
 	// suffix [q, n) in that pass (snapSuf[i][n] == 0). Entries are absolute
 	// per-position values, so entries written by different passes compose.
-	// snapInc[i][q] is the energy that pass added at q, and snapExit[i][q]
-	// the first work-bearing position at or after q whose entry is
-	// release-bound (n when none is): the re-join replays snapInc up to it.
-	// A pass boundary only ever falls on such a position, so the replayed
-	// increments always come from a single pass.
+	// snapInc[i][q] is the energy that pass added at q and snapOut[i][q]
+	// the recursion's time after q; snapExit[i][q] is the first
+	// work-bearing position at or after q whose entry is release-bound (n
+	// when none is): the re-join replays snapInc up to it. A pass boundary
+	// only ever falls on such a position, which starts at its release in
+	// both passes, so a replay across one adds the values a walk would.
 	snapT    [][]float64
 	snapSuf  [][]float64
 	snapInc  [][]float64
+	snapOut  [][]float64
 	snapExit [][]int
 	// snapFrom is the lowest position whose snapshot entries are consistent
 	// with the current committed solution: no commit at a position >= q has
@@ -202,6 +204,7 @@ func (e *objEval) reset(s *Schedule, sc *scenarioSet) {
 		e.snapT = append(e.snapT, nil)
 		e.snapSuf = append(e.snapSuf, nil)
 		e.snapInc = append(e.snapInc, nil)
+		e.snapOut = append(e.snapOut, nil)
 		e.snapExit = append(e.snapExit, nil)
 	}
 	for i := range e.loadSets {
@@ -210,6 +213,7 @@ func (e *objEval) reset(s *Schedule, sc *scenarioSet) {
 			e.snapT[i] = make([]float64, n)
 			e.snapSuf[i] = make([]float64, n+1)
 			e.snapInc[i] = make([]float64, n)
+			e.snapOut[i] = make([]float64, n)
 			e.snapExit[i] = make([]int, n)
 		}
 		e.prefixes[i] = e.prefixes[i][:n+1]
@@ -217,6 +221,7 @@ func (e *objEval) reset(s *Schedule, sc *scenarioSet) {
 		e.snapSuf[i] = e.snapSuf[i][:n+1]
 		e.snapSuf[i][n] = 0
 		e.snapInc[i] = e.snapInc[i][:n]
+		e.snapOut[i] = e.snapOut[i][:n]
 		e.snapExit[i] = e.snapExit[i][:n]
 	}
 	e.rebuild(0)
@@ -280,6 +285,7 @@ func (e *objEval) resnap(from, stable int) {
 	for i, loads := range e.loadSets {
 		st := e.prefixes[i][from]
 		snapT, snapSuf, snapInc, snapExit := e.snapT[i], e.snapSuf[i], e.snapInc[i], e.snapExit[i]
+		snapOut := e.snapOut[i]
 		q := from
 		for ; q < n; q++ {
 			if q >= stable && wc[q] > deadWork && loads[q] > 0 &&
@@ -289,6 +295,7 @@ func (e *objEval) resnap(from, stable int) {
 			snapT[q] = st.t
 			snapSuf[q] = st.energy // accumulated-prefix energy, fixed up below
 			snapInc[q] = e.step(&st, q, loads[q])
+			snapOut[q] = st.t
 		}
 		tail, exit := 0.0, n
 		if q < n {
@@ -310,17 +317,29 @@ func (e *objEval) resnap(from, stable int) {
 // stable is the end of the caller's dirty region: no End, WCWork, or load
 // value at a position >= stable differs from the committed solution, so the
 // walk may leave for the suffix memo there — at a release-bound piece, or
-// where it re-joins the snapshot's walk.
-func (e *objEval) energyFrom(pos, stable int) float64 {
+// where it re-joins the snapshot's walk. mods, when the caller names any,
+// lists in ascending order every position of [pos, stable) whose inputs
+// differ; at any other position of the region where the walk meets the
+// snapshot's entry time, it replays the snapshot up to the next of them.
+// With none named, the whole region counts as changed.
+func (e *objEval) energyFrom(pos, stable int, mods ...int) float64 {
 	if stable < e.snapFrom {
 		stable = e.snapFrom
+	}
+	// lo is the first position whose snapshot entry the walk may use: past
+	// the dirty region, or from snapFrom on when the region's changes are
+	// named.
+	lo := stable
+	if mods != nil {
+		lo = e.snapFrom
 	}
 	n := len(e.s.Plan.Subs)
 	rel, wc := e.rel, e.wc
 	var total float64
 	for i, loads := range e.loadSets {
 		st := e.prefixes[i][pos]
-		snapT, snapSuf := e.snapT[i], e.snapSuf[i]
+		snapT, snapSuf, snapOut := e.snapT[i], e.snapSuf[i], e.snapOut[i]
+		next := modCursor{mods: mods, end: stable}
 		if e.fastOK {
 			// Specialised walk: this is the solver's innermost loop — every
 			// golden-section probe of every line search lands here.
@@ -334,15 +353,23 @@ func (e *objEval) energyFrom(pos, stable int) float64 {
 					continue
 				}
 				r := rel[q]
-				if q >= stable {
+				if q >= lo {
 					s := snapT[q]
-					if t == s {
-						energy = e.rejoin(i, q, energy)
-						break
-					}
-					if t <= r && s <= r {
-						energy += snapSuf[q]
-						break
+					if q >= stable {
+						if t == s {
+							energy = e.rejoin(i, q, energy)
+							break
+						}
+						if t <= r && s <= r {
+							energy += snapSuf[q]
+							break
+						}
+					} else if t == s {
+						if m := next.from(q); m > q {
+							energy = e.replay(i, q, m, energy)
+							t, q = snapOut[m-1], m-1
+							continue
+						}
 					}
 				}
 				if t <= r {
@@ -366,15 +393,23 @@ func (e *objEval) energyFrom(pos, stable int) float64 {
 			continue
 		}
 		for q := pos; q < n; q++ {
-			if q >= stable && wc[q] > deadWork && loads[q] > 0 {
+			if q >= lo && wc[q] > deadWork && loads[q] > 0 {
 				s := snapT[q]
-				if st.t == s {
-					st.energy = e.rejoin(i, q, st.energy)
-					break
-				}
-				if st.t <= rel[q] && s <= rel[q] {
-					st.energy += snapSuf[q]
-					break
+				if q >= stable {
+					if st.t == s {
+						st.energy = e.rejoin(i, q, st.energy)
+						break
+					}
+					if st.t <= rel[q] && s <= rel[q] {
+						st.energy += snapSuf[q]
+						break
+					}
+				} else if st.t == s {
+					if m := next.from(q); m > q {
+						st.energy = e.replay(i, q, m, st.energy)
+						st.t, q = snapOut[m-1], m-1
+						continue
+					}
 				}
 			}
 			e.step(&st, q, loads[q])
@@ -384,16 +419,41 @@ func (e *objEval) energyFrom(pos, stable int) float64 {
 	return total / float64(len(e.loadSets))
 }
 
+// modCursor follows a trial's modified positions in step with a walk.
+type modCursor struct {
+	mods []int
+	end  int // the dirty region's end, standing in past the last of mods
+}
+
+// from returns the first modified position at or after q, or end.
+func (c *modCursor) from(q int) int {
+	for len(c.mods) > 0 && c.mods[0] < q {
+		c.mods = c.mods[1:]
+	}
+	if len(c.mods) > 0 {
+		return c.mods[0]
+	}
+	return c.end
+}
+
+// replay adds load set i's snapshot increments over [q, m) to energy: a
+// walk that enters untouched position q with the snapshot's entry time
+// adds exactly these until it reaches a changed position m, and leaves
+// q..m-1 with snapOut[m-1].
+func (e *objEval) replay(i, q, m int, energy float64) float64 {
+	for _, inc := range e.snapInc[i][q:m] {
+		energy += inc
+	}
+	return energy
+}
+
 // rejoin finishes a walk over load set i that reached position q with the
 // snapshot's entry time: it adds the snapshot's increments up to its next
 // release-bound position, then that position's suffix energy — what walking
 // on would add, value for value.
 func (e *objEval) rejoin(i, q int, energy float64) float64 {
-	inc, exit := e.snapInc[i], e.snapExit[i][q]
-	for ; q < exit; q++ {
-		energy += inc[q]
-	}
-	return energy + e.snapSuf[i][exit]
+	exit := e.snapExit[i][q]
+	return e.replay(i, q, exit, energy) + e.snapSuf[i][exit]
 }
 
 // full evaluates the mean objective from scratch without touching caches.

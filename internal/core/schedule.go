@@ -111,13 +111,8 @@ func (s *Schedule) initFastModel() {
 // min(remaining ACEC, R̂); later pieces run only the residue (possibly zero —
 // they exist purely as worst-case reservations).
 func deriveAvgWork(plan *preempt.Schedule, wc, avg []float64) {
-	for idx, positions := range plan.ByInstance {
-		remaining := plan.Set.Tasks[plan.Instances[idx].TaskIndex].ACEC
-		for _, pos := range positions {
-			w := math.Min(remaining, wc[pos])
-			avg[pos] = w
-			remaining -= w
-		}
+	for idx := range plan.ByInstance {
+		deriveAvgWorkInstance(plan, wc, avg, idx)
 	}
 }
 
@@ -245,7 +240,7 @@ func (s *Schedule) EnergyUnder(actual []float64) (energy, worstOvershoot float64
 	var st evalState
 	for pos := range s.Plan.Subs {
 		su := &s.Plan.Subs[pos]
-		w := math.Min(remaining[su.InstanceIndex], s.WCWork[pos])
+		w := min(remaining[su.InstanceIndex], s.WCWork[pos])
 		remaining[su.InstanceIndex] -= w
 		if w <= 0 || s.WCWork[pos] <= deadWork {
 			continue // empty piece or dead reservation: executes nothing
@@ -298,7 +293,7 @@ func (s *Schedule) Verify(tol float64) error {
 		if s.End[pos] > su.Deadline+tol {
 			return fmt.Errorf("core: sub %d end %g violates deadline %g", pos, s.End[pos], su.Deadline)
 		}
-		start := math.Max(prevEnd, su.Release)
+		start := max(prevEnd, su.Release)
 		if need := s.WCWork[pos] * tcMax; s.End[pos]-start < need-tol {
 			return fmt.Errorf("core: sub %d worst-case chain violated: window %g < %g at Vmax",
 				pos, s.End[pos]-start, need)
@@ -343,35 +338,14 @@ func (s *Schedule) RuntimeVoltages(actual []float64) ([]float64, error) {
 	var st evalState
 	for pos := range s.Plan.Subs {
 		su := &s.Plan.Subs[pos]
-		w := math.Min(remaining[su.InstanceIndex], s.WCWork[pos])
+		w := min(remaining[su.InstanceIndex], s.WCWork[pos])
 		remaining[su.InstanceIndex] -= w
 		if s.WCWork[pos] > 0 && w > 0 {
-			a := math.Max(st.t, su.Release)
+			a := max(st.t, su.Release)
 			v, _ := power.VoltageForWindow(s.Model, s.WCWork[pos], s.End[pos]-a)
 			volts[pos] = v
 		}
 		s.evalStep(&st, pos, w)
 	}
 	return volts, nil
-}
-
-// TaskEnergyShare returns per-task energy under the given actual workloads,
-// for diagnostic breakdowns.
-func (s *Schedule) TaskEnergyShare(actual []float64) ([]float64, error) {
-	if len(actual) != len(s.Plan.Instances) {
-		return nil, fmt.Errorf("core: got %d actual workloads for %d instances",
-			len(actual), len(s.Plan.Instances))
-	}
-	remaining := append([]float64(nil), actual...)
-	share := make([]float64, s.Plan.Set.N())
-	var st evalState
-	for pos := range s.Plan.Subs {
-		su := &s.Plan.Subs[pos]
-		w := math.Min(remaining[su.InstanceIndex], s.WCWork[pos])
-		remaining[su.InstanceIndex] -= w
-		before := st.energy
-		s.evalStep(&st, pos, w)
-		share[su.TaskIndex] += st.energy - before
-	}
-	return share, nil
 }

@@ -22,12 +22,9 @@ type Config struct {
 	// Tol is the relative objective-improvement convergence threshold per
 	// sweep (default 1e-6).
 	Tol float64
-	// OptimizeSplits enables the worst-case workload split optimisation
-	// between adjacent pieces of an instance (§3.2's R̂ assignment). It
-	// defaults to true for ACS; for WCS splits barely matter but are still
-	// optimised when set.
-	OptimizeSplits bool
-	// NoSplitOpt force-disables split optimisation (used by ablations).
+	// NoSplitOpt disables the worst-case workload split optimisation between
+	// adjacent pieces of an instance (§3.2's R̂ assignment), which both
+	// objectives otherwise run (used by ablations).
 	NoSplitOpt bool
 	// InitBlend places the initial end-times between the earliest feasible
 	// (0) and latest feasible (1) positions; default 0.7.
@@ -93,17 +90,12 @@ func (c *Config) withDefaults() Config {
 	if out.StartSeed == 0 {
 		out.StartSeed = 2005
 	}
-	// Both objectives optimise splits by default: the paper's WCS baseline
-	// is the worst-case-*optimal* static schedule, which fixes how WCEC
-	// distributes across preemption segments; leaving WCS with naive
-	// proportional splits would hand ACS a phantom advantage.
-	out.OptimizeSplits = !out.NoSplitOpt
 	return out
 }
 
 // Canonical returns the config with every defaulted field resolved to the
 // value the solver actually uses (Model, MaxSweeps, Tol, InitBlend,
-// LineTolMs, StartSeed, and the OptimizeSplits = !NoSplitOpt derivation).
+// LineTolMs and StartSeed).
 // Two configs with equal Canonical forms solve identically; the grid memo
 // hashes the canonical form so a zero config and an explicitly-defaulted one
 // share a cache key.
@@ -198,14 +190,14 @@ func solveSingle(plan *preempt.Schedule, c Config) (*Schedule, float64, error) {
 			return nil, 0, altErr
 		}
 		alt.Energy = alt.ObjectiveEnergy()
-		if altObj < obj && alt.Verify(1e-6*math.Max(1, plan.Hyperperiod)) == nil {
+		if altObj < obj && alt.Verify(1e-6*max(1, plan.Hyperperiod)) == nil {
 			alt.Sweeps += s.Sweeps
 			s = alt
 			obj = altObj
 		}
 	}
 
-	if err := s.Verify(1e-6 * math.Max(1, plan.Hyperperiod)); err != nil {
+	if err := s.Verify(1e-6 * max(1, plan.Hyperperiod)); err != nil {
 		return nil, 0, fmt.Errorf("core: solver produced an invalid schedule: %w", err)
 	}
 	return s, obj, nil
@@ -332,7 +324,7 @@ func (s *Schedule) initialize(c Config, ws *workspace) error {
 			return fmt.Errorf("core: infeasible at sub %d: ASAP end %g exceeds ALAP end %g",
 				pos, eMin[pos], eMax[pos])
 		}
-		s.End[pos] = eMin[pos] + c.InitBlend*(math.Max(eMax[pos], eMin[pos])-eMin[pos])
+		s.End[pos] = eMin[pos] + c.InitBlend*(max(eMax[pos], eMin[pos])-eMin[pos])
 	}
 	// The blended ends satisfy deadlines but may violate the forward chain
 	// (each pos's blend is independent); one forward repair pass restores
@@ -342,10 +334,10 @@ func (s *Schedule) initialize(c Config, ws *workspace) error {
 	tcMax := s.Model.CycleTime(s.Model.VMax())
 	for pos := range s.End {
 		if s.WCWork[pos] <= deadWork {
-			s.End[pos] = math.Max(prev, plan.Subs[pos].Release)
+			s.End[pos] = max(prev, plan.Subs[pos].Release)
 			continue
 		}
-		lo := math.Max(prev, plan.Subs[pos].Release) + s.WCWork[pos]*tcMax
+		lo := max(prev, plan.Subs[pos].Release) + s.WCWork[pos]*tcMax
 		if s.End[pos] < lo {
 			s.End[pos] = lo
 		}
@@ -367,10 +359,10 @@ func (s *Schedule) asapEnds(dst []float64) ([]float64, error) {
 	t := 0.0
 	for pos, su := range s.Plan.Subs {
 		if s.WCWork[pos] <= deadWork {
-			ends[pos] = math.Max(t, su.Release)
+			ends[pos] = max(t, su.Release)
 			continue
 		}
-		start := math.Max(t, su.Release)
+		start := max(t, su.Release)
 		t = start + s.WCWork[pos]*tcMax
 		if t > su.Deadline+1e-9 {
 			return nil, fmt.Errorf("core: task set unschedulable at Vmax: %s misses deadline %g (needs %g)",
@@ -396,14 +388,14 @@ func (s *Schedule) alapEnds(dst []float64) []float64 {
 	for pos := n - 1; pos >= 0; pos-- {
 		su := s.Plan.Subs[pos]
 		if s.WCWork[pos] <= deadWork {
-			ends[pos] = math.Min(capNext, su.Deadline) // cosmetic only
+			ends[pos] = min(capNext, su.Deadline) // cosmetic only
 			continue
 		}
-		hi := math.Min(su.Deadline, capNext)
+		hi := min(su.Deadline, capNext)
 		ends[pos] = hi
 		// A predecessor may end later than (hi − exec) only when it ends at
 		// or before this piece's release (then this piece is release-bound).
-		capNext = math.Max(su.Release, hi-s.WCWork[pos]*tcMax)
+		capNext = max(su.Release, hi-s.WCWork[pos]*tcMax)
 	}
 	return ends
 }
@@ -434,13 +426,18 @@ func (s *Schedule) optimize(c Config, ws *workspace) (float64, error) {
 		// caps are released from the back — which is exactly what the
 		// backward pass does.
 		s.sweepEnds(c, sc, ws, sweep%2 == 1)
-		if c.OptimizeSplits {
+		// Both objectives optimise splits unless an ablation turns them
+		// off: the paper's WCS baseline is the worst-case-*optimal* static
+		// schedule, which fixes how WCEC distributes across preemption
+		// segments; leaving WCS with naive proportional splits would hand
+		// ACS a phantom advantage.
+		if !c.NoSplitOpt {
 			s.sweepSplits(c, sc, ws)
 		}
 		s.sweepPush(c, sc, ws)
 		obj = ws.ev.full()
 		s.Sweeps = sweep + 1
-		if prevObj-obj <= c.Tol*math.Max(prevObj, 1e-12) && sweep >= 2 {
+		if prevObj-obj <= c.Tol*max(prevObj, 1e-12) && sweep >= 2 {
 			break
 		}
 		prevObj = obj
@@ -480,7 +477,7 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 	nextCap[n] = math.Inf(1)
 	for pos := n - 1; pos >= 0; pos-- {
 		if s.WCWork[pos] > deadWork {
-			nextCap[pos] = math.Max(plan.Subs[pos].Release, s.End[pos]-s.WCWork[pos]*tcMax)
+			nextCap[pos] = max(plan.Subs[pos].Release, s.End[pos]-s.WCWork[pos]*tcMax)
 		} else {
 			nextCap[pos] = nextCap[pos+1]
 		}
@@ -496,7 +493,7 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 			// Dead piece: keep a consistent bookkeeping end on the chain.
 			// Its end never enters the objective (evalStep skips pieces at
 			// or below deadWork), so no memo invalidation is needed.
-			s.End[pos] = math.Max(prevAlive[pos], su.Release)
+			s.End[pos] = max(prevAlive[pos], su.Release)
 			if !backward {
 				prevAlive[pos+1] = prevAlive[pos]
 				ev.copyPrefix(pos)
@@ -505,8 +502,8 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 			}
 			continue
 		}
-		lo := math.Max(prevAlive[pos], su.Release) + s.WCWork[pos]*tcMax
-		hi := math.Min(su.Deadline, nextCap[pos+1])
+		lo := max(prevAlive[pos], su.Release) + s.WCWork[pos]*tcMax
+		hi := min(su.Deadline, nextCap[pos+1])
 		if hi > lo+c.LineTolMs {
 			orig := s.End[pos]
 			eval := func(e float64) float64 {
@@ -533,7 +530,7 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 			ev.invalidate(pos)
 			prevAlive[pos+1] = s.End[pos]
 		} else {
-			nextCap[pos] = math.Max(su.Release, s.End[pos]-s.WCWork[pos]*tcMax)
+			nextCap[pos] = max(su.Release, s.End[pos]-s.WCWork[pos]*tcMax)
 			// Refresh the memo behind the commit: the next (earlier)
 			// position's line search exits into entries at [pos, n].
 			ev.resnap(pos, pos+1)
@@ -544,13 +541,16 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 // sweepSplits optimises the worst-case workload split between each adjacent
 // pair of pieces of every multi-piece instance: a scalar transfer δ moves
 // work from the later piece to the earlier one within the bounds set by
-// non-negativity and each position's worst-case chain slack. Average
-// workloads are re-derived after every accepted move, so the objective sees
-// the case-1/case-2 redistribution immediately. Pairs are visited in total
-// order of their earlier position (precomputed in the workspace) so a prefix
-// cache of the recursion can be advanced monotonically; a pair's evaluation
-// then only re-runs the order suffix starting at that position, up to the
-// first release-bound piece past the instance's last position.
+// non-negativity and each position's worst-case chain slack. Under ACS every
+// probe re-derives the loads the objective reads from the earlier piece on,
+// so the objective sees the case-1/case-2 redistribution immediately; an
+// accepted move re-derives every load of the instance. Pairs are visited in
+// total order of their earlier position (precomputed in the workspace) so a
+// prefix cache of the recursion can be advanced monotonically; a pair's
+// evaluation then only re-runs the order suffix starting at that position,
+// replaying the snapshot where the walk meets it at a position the transfer
+// left alone, up to the first release-bound piece past the instance's last
+// position.
 func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 	plan := s.Plan
 	tcMax := s.Model.CycleTime(s.Model.VMax())
@@ -569,7 +569,7 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 		caps[n] = math.Inf(1)
 		for pos := n - 1; pos >= 0; pos-- {
 			if s.WCWork[pos] > deadWork {
-				caps[pos] = math.Max(plan.Subs[pos].Release, s.End[pos]-s.WCWork[pos]*tcMax)
+				caps[pos] = max(plan.Subs[pos].Release, s.End[pos]-s.WCWork[pos]*tcMax)
 			} else {
 				caps[pos] = caps[pos+1]
 			}
@@ -585,9 +585,9 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 	// its end.
 	limitFor := func(pos int) float64 {
 		if s.WCWork[pos] <= deadWork {
-			return math.Min(plan.Subs[pos].Deadline, caps[pos+1])
+			return min(plan.Subs[pos].Deadline, caps[pos+1])
 		}
-		return math.Min(s.End[pos], plan.Subs[pos].Deadline)
+		return min(s.End[pos], plan.Subs[pos].Deadline)
 	}
 
 	// chainSlack is how many extra worst-case cycles piece pos could absorb
@@ -601,7 +601,7 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 				break
 			}
 		}
-		window := limitFor(pos) - math.Max(prevEnd, plan.Subs[pos].Release)
+		window := limitFor(pos) - max(prevEnd, plan.Subs[pos].Release)
 		return window/tcMax - s.WCWork[pos]
 	}
 
@@ -621,28 +621,51 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 			}
 		}
 	}
+	// left[i] is the workload load set i leaves for the current pair's
+	// instance from pa on: ACEC, or scenario i's draw, less what the pieces
+	// before pa take. Those pieces do not change while pa and pb trade
+	// work, so an ACS probe re-derives its loads from pa only.
+	if cap(ws.left) < len(ev.loadSets) {
+		ws.left = make([]float64, len(ev.loadSets))
+	}
+	left := ws.left[:len(ev.loadSets)]
 
 	for _, p := range ws.pairs {
 		advance(p.pa)
 		// δ > 0 moves workload from the later piece pb to pa.
-		dLo := math.Max(-s.WCWork[p.pa], -chainSlack(p.pb))
-		dHi := math.Min(s.WCWork[p.pb], chainSlack(p.pa))
+		dLo := max(-s.WCWork[p.pa], -chainSlack(p.pb))
+		dHi := min(s.WCWork[p.pb], chainSlack(p.pa))
 		if dHi-dLo < 1e-9 {
 			continue
 		}
-		// A trial transfer re-derives loads across the whole instance, so
-		// the dirty region of every evaluation ends after the instance's
-		// last position.
+		// A committed transfer re-derives loads across the whole instance,
+		// so the dirty region of every evaluation ends after the instance's
+		// last position. Within it a probe changes only mods: the pair
+		// itself under WCS, whose objective reads only WCWork, and under
+		// ACS every load from pa on.
 		positions := plan.ByInstance[p.idx]
 		stable := positions[len(positions)-1] + 1
+		mods := positions[p.k:]
+		if s.Objective == WorstCase {
+			mods = []int{p.pa, p.pb}
+		} else {
+			for i, loads := range ev.loadSets {
+				total := plan.Set.Tasks[plan.Instances[p.idx].TaskIndex].ACEC
+				if sc != nil {
+					total = sc.cycles[i][p.idx]
+				}
+				left[i] = loadLeft(total, positions[:p.k], loads)
+			}
+		}
 		wa, wb := s.WCWork[p.pa], s.WCWork[p.pb]
 		ea, eb := s.End[p.pa], s.End[p.pb]
 		limA, limB := limitFor(p.pa), limitFor(p.pb)
-		// apply installs the trial state for transfer d. A transfer that
-		// revives a dead piece re-places its end at the window limit the
-		// slack bound was computed against — the stale bookkeeping end may
-		// sit past the deadline and must be neither kept (it would violate
-		// constraint (7)) nor credited with energy by the evaluation below.
+		// apply installs the trial state for transfer d and re-derives the
+		// loads the objective reads. A transfer that revives a dead piece
+		// re-places its end at the window limit the slack bound was computed
+		// against — the stale bookkeeping end may sit past the deadline and
+		// must be neither kept (it would violate constraint (7)) nor
+		// credited with energy by the evaluation below.
 		apply := func(d float64) {
 			s.WCWork[p.pa] = wa + d
 			s.WCWork[p.pb] = wb - d
@@ -654,17 +677,22 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 			if wb <= deadWork && s.WCWork[p.pb] > deadWork {
 				s.End[p.pb] = limB
 			}
-			rederive(p.idx)
+			if s.Objective != WorstCase {
+				for i, loads := range ev.loadSets {
+					deriveLoads(mods, left[i], s.WCWork, loads)
+				}
+			}
 		}
 		eval := func(d float64) float64 {
 			apply(d)
-			return ev.energyFrom(p.pa, stable)
+			return ev.energyFrom(p.pa, stable, mods...)
 		}
 		base := eval(0)
 		best, bestF := opt.GoldenMin(eval, dLo, dHi, 1e-6*(dHi-dLo)+1e-12, 200)
 		changed := bestF < base-1e-15
 		if changed {
 			apply(best)
+			rederive(p.idx)
 			// Refresh the memo behind the committed transfer so later pairs
 			// (whose dirty regions may end before this instance's last
 			// position) can still exit into consistent entries, and refresh
@@ -697,7 +725,7 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 	for pos := 0; pos < n; pos++ {
 		su := &plan.Subs[pos]
 		if s.WCWork[pos] <= deadWork {
-			s.End[pos] = math.Max(prevAlive, su.Release)
+			s.End[pos] = max(prevAlive, su.Release)
 			ev.copyPrefix(pos)
 			continue
 		}
@@ -742,7 +770,7 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 // chainLo is the earliest end constraint (9) allows work-bearing piece q
 // after a work-bearing predecessor ending at prev.
 func (s *Schedule) chainLo(prev float64, q int, tcMax float64) float64 {
-	return math.Max(prev, s.Plan.Subs[q].Release) + s.WCWork[q]*tcMax
+	return max(prev, s.Plan.Subs[q].Release) + s.WCWork[q]*tcMax
 }
 
 // settledAfter returns the last work-bearing position past pos whose end
@@ -792,10 +820,26 @@ func (s *Schedule) ripple(pos int, e float64, settled int, tcMax float64) (lastM
 
 // deriveAvgWorkInstance recomputes the average workloads of one instance.
 func deriveAvgWorkInstance(plan *preempt.Schedule, wc, avg []float64, idx int) {
-	remaining := plan.Set.Tasks[plan.Instances[idx].TaskIndex].ACEC
-	for _, pos := range plan.ByInstance[idx] {
-		w := math.Min(remaining, wc[pos])
-		avg[pos] = w
-		remaining -= w
+	deriveLoads(plan.ByInstance[idx], plan.Set.Tasks[plan.Instances[idx].TaskIndex].ACEC, wc, avg)
+}
+
+// deriveLoads fills loads over an instance's positions, in execution order,
+// from the workload left for them: each piece takes min(left, R̂) (the
+// case-1/case-2 rule of deriveAvgWork).
+func deriveLoads(positions []int, left float64, wc, loads []float64) {
+	for _, pos := range positions {
+		w := min(left, wc[pos])
+		loads[pos] = w
+		left -= w
 	}
+}
+
+// loadLeft is the workload deriveLoads leaves after positions: total less
+// each of their loads, subtracted in the same order, so it is bit for bit
+// the value deriveLoads carries past them.
+func loadLeft(total float64, positions []int, loads []float64) float64 {
+	for _, pos := range positions {
+		total -= loads[pos]
+	}
+	return total
 }

@@ -17,6 +17,7 @@ type workspace struct {
 	prevAlive []float64 // forward chain scratch, length n+1 (sweepEnds)
 	nextCap   []float64 // backward chain scratch, length n+1 (sweepEnds)
 	saved     []float64 // end-time save buffer (sweepPush)
+	left      []float64 // per-load-set workload left at a pair (sweepSplits)
 	pairs     []splitPair
 	ev        objEval
 }
@@ -41,8 +42,8 @@ func (e *objEval) fillEvalArrays(plan *preempt.Schedule) {
 }
 
 // splitPair is one workload-transfer coordinate of sweepSplits: adjacent
-// pieces (pa, pb) of instance idx.
-type splitPair struct{ pa, pb, idx int }
+// pieces (pa, pb) of instance idx, pa at index k of its positions.
+type splitPair struct{ pa, pb, idx, k int }
 
 func newWorkspace(plan *preempt.Schedule) *workspace {
 	n := len(plan.Subs)
@@ -59,7 +60,7 @@ func newWorkspace(plan *preempt.Schedule) *workspace {
 	// across instances, so the sort order is total and deterministic.
 	for idx, positions := range plan.ByInstance {
 		for k := 0; k+1 < len(positions); k++ {
-			ws.pairs = append(ws.pairs, splitPair{positions[k], positions[k+1], idx})
+			ws.pairs = append(ws.pairs, splitPair{positions[k], positions[k+1], idx, k})
 		}
 	}
 	slices.SortFunc(ws.pairs, func(a, b splitPair) int { return a.pa - b.pa })

@@ -178,6 +178,63 @@ func TestScheduleKeyContract(t *testing.T) {
 	}
 }
 
+// TestScheduleKeyPinned pins literal keys. A key is the wire form of a
+// fingerprint, a store path and a fleet routing key, so any change to the
+// bytes the hasher writes must show here as a reviewed diff. The set and the
+// warm start are fixed by hand (the key hashes a warm start's content and
+// never solves it), so no solver change can move these values. It also
+// bounds the allocations of one ScheduleKey, plain and warm.
+func TestScheduleKeyPinned(t *testing.T) {
+	set, err := task.NewSet([]task.Task{
+		{Name: "alpha", Period: 10, WCEC: 2, ACEC: 1.25, BCEC: 0.5, Ceff: 1},
+		{Name: "beta", Period: 20, WCEC: 4, ACEC: 2.5, BCEC: 1, Ceff: 1.5},
+		{Name: "gamma", Period: 40, WCEC: 6, ACEC: 3, BCEC: 2, Ceff: 0.75},
+		{Name: "delta", Period: 80, WCEC: 8, ACEC: 5, BCEC: 3, Ceff: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := preempt.Build(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(plan.Subs)
+	warm := &core.Schedule{Plan: plan, Model: power.DefaultModel(), Objective: core.WorstCase,
+		End: make([]float64, n), WCWork: make([]float64, n), AvgWork: make([]float64, n)}
+	for i := range plan.Subs {
+		warm.End[i] = plan.Subs[i].SegEnd
+		warm.WCWork[i] = 0.125 * float64(i+1)
+	}
+	plain := core.Config{Objective: core.WorstCase}
+	warmCfg := core.Config{Objective: core.AverageCase, WarmStart: warm}
+	key := func(cfg core.Config) Key {
+		k, ok := ScheduleKey(set, cfg)
+		if !ok {
+			t.Fatal("a known model hashed as uncacheable")
+		}
+		return k
+	}
+	plainKey, warmKey := key(plain), key(warmCfg)
+	cmpKey, ok := CompareKey(plainKey.String(), sim.Config{Policy: sim.Greedy, Hyperperiods: 20, Seed: 7})
+	if !ok {
+		t.Fatal("a plain sim config hashed as uncacheable")
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"ScheduleKey", plainKey.String(), "aa7b5523f6ff4eeb5967c870b94f2712e70e546a0046847d4f328997ffd1211d"},
+		{"ScheduleKey with a warm start", warmKey.String(), "2580477c8aa13a036232c4f05419a682132b045ad2c02ffcff0ae4f9727c61dd"},
+		{"CompareKey", cmpKey.String(), "3b72573c0313f9cb0ca81c722c1ec6155ec87affbee031d71d3ab775a1e129d9"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, pinned %s", c.name, c.got, c.want)
+		}
+	}
+	for name, cfg := range map[string]core.Config{"plain": plain, "warm": warmCfg} {
+		if a := testing.AllocsPerRun(50, func() { ScheduleKey(set, cfg) }); a > 6 {
+			t.Errorf("%s ScheduleKey allocates %v times, want at most 6", name, a)
+		}
+	}
+}
+
 // TestScheduleKeyUncappedSubCap pins that every non-positive
 // MaxSubsPerInstance shares the zero cap's key: the expansion caps pieces
 // only for a positive value, so a negative cap is uncapped too.
@@ -265,7 +322,7 @@ func TestConfigFieldsGuard(t *testing.T) {
 		// ctx is excluded from ScheduleKey by design: it scopes the work
 		// (cancellation), never the result, and cancelled builds are not
 		// cached at all.
-		"core.Config": {"Model", "Objective", "MaxSweeps", "Tol", "OptimizeSplits",
+		"core.Config": {"Model", "Objective", "MaxSweeps", "Tol",
 			"NoSplitOpt", "InitBlend", "LineTolMs", "Preempt", "WarmStart",
 			"Scenarios", "ScenarioSeed", "Starts", "StartWorkers", "StartSeed", "ctx"},
 		"preempt.Options": {"MaxSubsPerInstance", "EDF"},

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"io"
 	"math"
 
 	"repro/internal/core"
@@ -31,6 +30,9 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 type hasher struct {
 	h   hash.Hash
 	buf [8]byte
+	// scratch carries strings to the digest, which takes only []byte:
+	// reusing one slice spares a copy per string hashed.
+	scratch []byte
 }
 
 func newHasher() *hasher { return &hasher{h: sha256.New()} }
@@ -53,7 +55,8 @@ func (h *hasher) flag(v bool) {
 
 func (h *hasher) str(s string) {
 	h.u64(uint64(len(s)))
-	io.WriteString(h.h, s)
+	h.scratch = append(h.scratch[:0], s...)
+	h.h.Write(h.scratch)
 }
 
 func (h *hasher) f64s(xs []float64) {
@@ -154,8 +157,7 @@ func (h *hasher) schedule(s *core.Schedule) bool {
 // zeroed so they cannot split keys),
 // and the WarmStart schedule's full content. Excluded by
 // design: StartWorkers (wall-clock only, never the result — pinned by the
-// solver's determinism contract) and OptimizeSplits (derived from NoSplitOpt
-// by the solver's defaulting). Defaulted fields are resolved through
+// solver's determinism contract). Defaulted fields are resolved through
 // core.Config.Canonical first, so a zero config and an explicitly-defaulted
 // one share a key. ok is false when the config cannot be canonically encoded
 // (an unknown model implementation); callers then bypass the memo.
