@@ -15,7 +15,8 @@ import (
 // ratio and utilisation. The seed corpus spans the paper's sweep — the cells
 // of Fig. 6(a) plus the frozen input of the split-revival regression — and
 // runs as ordinary unit tests on every `go test`; `go test -fuzz` explores
-// beyond it (CI runs a short -fuzztime smoke).
+// beyond it (CI runs a short -fuzztime smoke). WCS is also checked against
+// the YDS optimum (assertYDSOracle), an independent implementation.
 //
 // The workload generator, not the raw bytes, defines the search space: every
 // input decodes to a generator configuration, so each fuzz execution
@@ -60,5 +61,6 @@ func FuzzBuildSchedule(f *testing.F) {
 		assertScheduleInvariants(t, "ACS", acs, seed)
 		assertScheduleInvariants(t, "WCS", wcs, seed)
 		assertPairInvariants(t, "pair", acs, wcs)
+		assertYDSOracle(t, "WCS", wcs, cfg)
 	})
 }

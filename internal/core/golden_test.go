@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/power"
@@ -36,11 +37,14 @@ func splitSet(t testing.TB, seed uint64, k, n int, ratio float64) *task.Set {
 // TestDeadReservationHasNoDeadline: the verifier must not charge a dead
 // reservation (0 < WCWork ≤ DeadWork) with a deadline. evalStep never runs
 // one and the simulator drops it, so comparing the previous piece's finish
-// against its deadline is a false positive. On these two sets the WCS solve
-// used to fail its own Verify with a 1.74 ms and a 1.15 ms "overshoot" on a
-// piece with WCWork 9.998e-10.
+// against its deadline is a false positive. The WCS solve of split 636 used
+// to fail its own Verify that way, with an "overshoot" of over a millisecond
+// on a piece with WCWork 9.998e-10. Split 19 did too, but its WCS is now the
+// certified YDS optimum, which holds no dead reservation; split 1287, found
+// by searching the same stream, takes its place. Both sets fall back to
+// coordinate descent, whose WCS holds one.
 func TestDeadReservationHasNoDeadline(t *testing.T) {
-	for _, k := range []int{19, 636} {
+	for _, k := range []int{636, 1287} {
 		set := splitSet(t, 100, k, 4, 0.5)
 		wcs, err := Build(set, Config{Objective: WorstCase})
 		if err != nil {
@@ -80,16 +84,24 @@ func goldenSets(t *testing.T) []*task.Set {
 	return sets
 }
 
+// goldenFallback lists the golden sets whose WCS the YDS seed does not
+// certify (TestWCSMatchesYDS checks the list), so their builds run
+// coordinate descent from the usual start.
+var goldenFallback = []int{1, 10, 13, 15, 16, 23, 24, 27, 28, 30, 34, 35, 37}
+
 // TestSolverGolden pins the solver's output bit for bit across versions: a
 // SHA-256 over the encoded bytes, sweep count and energy bits of WCS and
 // warm-started ACS on fixed generated sets. A change meant to leave the
 // schedules alone (a speed-up, a refactor) must leave every hash unchanged.
 //
 // The default configuration runs on all 40 sets; the costlier variants on
-// a share each. Alpha runs the evaluator's generic (interface-dispatched)
-// walk, whose bisection voltage solve makes an uncapped solve take seconds,
-// so it takes only the small plans and a sweep cap. The pin holds on amd64;
-// other ports may fuse multiply-adds, which Go permits, and so round
+// a share each. Fallback is the default configuration on the sets the seed
+// does not certify: its hash is the one the solver had before the seed
+// existed, so it pins that descent byte for byte. Alpha runs the
+// evaluator's generic (interface-dispatched) walk, whose bisection voltage
+// solve makes an uncapped solve take seconds, so it takes only the small
+// plans and a sweep cap; the seed never applies to it. The pin holds on
+// amd64; other ports may fuse multiply-adds, which Go permits, and so round
 // differently.
 func TestSolverGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -107,11 +119,13 @@ func TestSolverGolden(t *testing.T) {
 		hash string
 	}{
 		{"default", Config{}, func(int, int) bool { return true },
-			"3e53a3c9a5a60ac74581099dea6ddefb1b3940191938f2dbd5ec01ea4ef01270"},
+			"8c60a33a5d3faa1117a0399e78b96e6003a41f57e63bef57e7f4c3e5fc51bc38"},
 		{"scenarios", Config{Scenarios: 5, ScenarioSeed: 7}, func(i, _ int) bool { return i%4 == 1 },
-			"bece22fb2db5bcfaa5fa9a5ce0fa0fe08986934bc954e9328590b28f42693d16"},
+			"e7ec12d91d26574d656fd747d9007f1db525f3eb720e8b2e1e0a989395b6c606"},
 		{"starts", Config{Starts: 3}, func(i, _ int) bool { return i%4 == 2 },
-			"38ee381a6c61bd30ea41384f3e96695500b556a66e615af375f199d005960dfe"},
+			"c1caeaffd1b9723d1dc6070c85f7ccaf669bb557ee00c716e2989be990b759bc"},
+		{"fallback", Config{}, func(i, _ int) bool { return slices.Contains(goldenFallback, i) },
+			"b14d3c078973395dbeb4880ec5e6ab16e612885f7d5767098f33d174928cd083"},
 		{"alpha", Config{Model: alpha, MaxSweeps: 3}, func(_, pieces int) bool { return pieces <= 24 },
 			"9a1d74120a834a4497288388e34e634da456e7d92f6e3584d04b3735ccc8fabf"},
 	} {

@@ -26,10 +26,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/task"
 	"repro/internal/workload"
+	"repro/internal/yds"
 )
 
 // solvePair builds WCS and the WCS-warm-started ACS for set — the pipeline
@@ -130,6 +132,41 @@ func assertPairInvariants(t testing.TB, label string, acs, wcs *core.Schedule) {
 	}
 }
 
+// assertYDSOracle checks WCS against the YDS optimum of its worst-case jobs,
+// computed by internal/yds from the task set. With one Ceff on the
+// SimpleInverse model no feasible schedule is cheaper, so WCS sits at or
+// above the bound, and where the seed certifies (core.Solve) it equals the
+// bound to 1e-12. Sets outside those conditions have no such bound.
+func assertYDSOracle(t testing.TB, label string, wcs *core.Schedule, cfg core.Config) {
+	t.Helper()
+	if _, ok := wcs.Model.(*power.SimpleInverse); !ok {
+		return
+	}
+	for _, tk := range wcs.Plan.Set.Tasks {
+		if tk.Ceff != wcs.Plan.Set.Tasks[0].Ceff {
+			return
+		}
+	}
+	jobs, err := yds.FromTaskSet(wcs.Plan.Set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ys, err := yds.Build(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := ys.Energy(wcs.Model)
+	if err != nil {
+		t.Fatalf("%s: YDS energy: %v", label, err)
+	}
+	if wcs.Energy < bound*(1-1e-12) {
+		t.Errorf("%s: WCS energy %.17g below the YDS bound %.17g", label, wcs.Energy, bound)
+	}
+	if core.SeedCertifies(wcs.Plan, cfg) && math.Abs(wcs.Energy-bound) > 1e-12*bound {
+		t.Errorf("%s: certified WCS energy %.17g, YDS bound %.17g", label, wcs.Energy, bound)
+	}
+}
+
 // TestSolverPropertiesRandomSets sweeps the properties over a deterministic
 // grid of generated task sets — small enough for every `go test`, wide
 // enough to cover the (N, ratio) space the paper sweeps.
@@ -153,6 +190,7 @@ func TestSolverPropertiesRandomSets(t *testing.T) {
 				assertScheduleInvariants(t, label+" ACS", acs, seed)
 				assertScheduleInvariants(t, label+" WCS", wcs, seed)
 				assertPairInvariants(t, label, acs, wcs)
+				assertYDSOracle(t, label+" WCS", wcs, core.Config{})
 			}
 		}
 	}
@@ -186,6 +224,7 @@ func TestSolverPropertiesRealLifeSets(t *testing.T) {
 			assertScheduleInvariants(t, label+" ACS", acs, 11)
 			assertScheduleInvariants(t, label+" WCS", wcs, 11)
 			assertPairInvariants(t, label, acs, wcs)
+			assertYDSOracle(t, label+" WCS", wcs, cfg)
 		}
 	}
 }

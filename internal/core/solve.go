@@ -9,6 +9,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/preempt"
 	"repro/internal/task"
+	"repro/internal/yds"
 )
 
 // Config tunes the static-schedule solver.
@@ -135,9 +136,18 @@ func BuildContext(ctx context.Context, set *task.Set, cfg Config) (*Schedule, er
 }
 
 // Solve computes the static schedule over an existing fully-preemptive plan.
-// With Config.Starts > 1 it dispatches to the parallel multi-start driver.
+// A WorstCase build whose optimum the YDS seed certifies returns it
+// (solveSeeded); every other build runs coordinate descent from the usual
+// start, and with Config.Starts > 1 dispatches to the parallel multi-start
+// driver.
 func Solve(plan *preempt.Schedule, cfg Config) (*Schedule, error) {
 	c := cfg.withDefaults()
+	if len(plan.Subs) == 0 {
+		return nil, fmt.Errorf("core: plan has no sub-instances")
+	}
+	if s, err := solveSeeded(plan, c); s != nil || err != nil {
+		return s, err
+	}
 	if c.Starts > 1 {
 		return solveMultiStart(plan, c)
 	}
@@ -145,16 +155,10 @@ func Solve(plan *preempt.Schedule, cfg Config) (*Schedule, error) {
 	return s, err
 }
 
-// solveSingle runs one coordinate-descent solve from c's starting point.
-// c must already carry defaults. It returns the schedule together with the
-// optimised objective value (the scenario mean when Config.Scenarios is
-// active), which the multi-start driver compares across starts.
-func solveSingle(plan *preempt.Schedule, c Config) (*Schedule, float64, error) {
+// newSchedule returns an unsolved schedule over plan for c's objective and
+// model, its vectors zeroed.
+func newSchedule(plan *preempt.Schedule, c Config) *Schedule {
 	n := len(plan.Subs)
-	if n == 0 {
-		return nil, 0, fmt.Errorf("core: plan has no sub-instances")
-	}
-	ws := newWorkspace(plan)
 	s := &Schedule{
 		Plan:      plan,
 		Model:     c.Model,
@@ -164,6 +168,75 @@ func solveSingle(plan *preempt.Schedule, c Config) (*Schedule, float64, error) {
 		Objective: c.Objective,
 	}
 	s.initFastModel()
+	return s
+}
+
+// solveSeeded returns the worst-case-optimal schedule when it can prove it
+// found one, and nil otherwise. It applies to a WorstCase build without a
+// warm start, with split optimisation on, on the SimpleInverse model and
+// with one Ceff for every task. There a piece costs Ceff·max(Vmin, K·s)²
+// per cycle at speed s, a convex function, so no feasible schedule beats
+// the YDS energy of the plan's instances. The seed replays the plan's
+// priority order with every instance at its YDS speed (ydsSeed); when that
+// replay is valid and the descent from it ends within 1e-12 relative of the
+// YDS energy, the result is the optimum. Anything else returns nil, and the
+// caller runs the usual solve, unchanged. The error is ctx's, from a solve
+// cancelled during the descent.
+func solveSeeded(plan *preempt.Schedule, c Config) (*Schedule, error) {
+	if c.Objective != WorstCase || c.WarmStart != nil || c.NoSplitOpt {
+		return nil, nil
+	}
+	if _, ok := c.Model.(*power.SimpleInverse); !ok {
+		return nil, nil
+	}
+	jobs := make([]yds.Job, len(plan.Instances))
+	for idx, in := range plan.Instances {
+		t := &plan.Set.Tasks[in.TaskIndex]
+		if t.Ceff != plan.Set.Tasks[0].Ceff {
+			return nil, nil
+		}
+		jobs[idx] = yds.Job{Release: in.Release, Deadline: in.Deadline, Work: t.WCEC, Ceff: t.Ceff}
+	}
+	ys, err := yds.Build(jobs)
+	if err != nil {
+		return nil, nil
+	}
+	bound, err := ys.Energy(c.Model)
+	if err != nil {
+		return nil, nil
+	}
+	speed := make([]float64, len(jobs))
+	for _, iv := range ys.Intervals {
+		for _, idx := range iv.Index {
+			speed[idx] = iv.Speed
+		}
+	}
+	s := newSchedule(plan, c)
+	if !s.ydsSeed(speed) {
+		return nil, nil
+	}
+	deriveAvgWork(plan, s.WCWork, s.AvgWork)
+	tol := 1e-6 * max(1, plan.Hyperperiod)
+	if s.Verify(tol) != nil {
+		return nil, nil
+	}
+	if _, err := s.optimize(c, newWorkspace(plan)); err != nil {
+		return nil, err
+	}
+	s.Energy = s.ObjectiveEnergy()
+	if math.Abs(s.Energy-bound) > 1e-12*bound || s.Verify(tol) != nil {
+		return nil, nil
+	}
+	return s, nil
+}
+
+// solveSingle runs one coordinate-descent solve from c's starting point.
+// c must already carry defaults. It returns the schedule together with the
+// optimised objective value (the scenario mean when Config.Scenarios is
+// active), which the multi-start driver compares across starts.
+func solveSingle(plan *preempt.Schedule, c Config) (*Schedule, float64, error) {
+	ws := newWorkspace(plan)
+	s := newSchedule(plan, c)
 
 	if err := s.initialize(c, ws); err != nil {
 		return nil, 0, err
@@ -175,15 +248,9 @@ func solveSingle(plan *preempt.Schedule, c Config) (*Schedule, float64, error) {
 	s.Energy = s.ObjectiveEnergy()
 
 	if warm := c.WarmStart; warmCompatible(warm, plan) {
-		alt := &Schedule{
-			Plan:      plan,
-			Model:     c.Model,
-			End:       append([]float64(nil), warm.End...),
-			WCWork:    append([]float64(nil), warm.WCWork...),
-			AvgWork:   make([]float64, n),
-			Objective: c.Objective,
-		}
-		alt.initFastModel()
+		alt := newSchedule(plan, c)
+		copy(alt.End, warm.End)
+		copy(alt.WCWork, warm.WCWork)
 		deriveAvgWork(plan, alt.WCWork, alt.AvgWork)
 		altObj, altErr := alt.optimize(c, ws)
 		if altErr != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -395,6 +396,8 @@ type CrossCheckResult struct {
 	PenaltyViolation float64
 	// WCSEnergy is the worst-case static energy of the WCS schedule and
 	// YDSLower the optimal preemptive-EDF lower bound for the same jobs.
+	// Render prints "=" where they agree to 1e-12 relative: the WCS build
+	// certified its YDS seed (core.Solve).
 	WCSEnergy float64
 	YDSLower  float64
 }
@@ -468,6 +471,10 @@ func (r *CrossCheckResult) Render() string {
 	fmt.Fprintf(&b, "  coordinate descent:   %.6g\n", r.CD)
 	fmt.Fprintf(&b, "  Nelder-Mead ref:      %.6g\n", r.NM)
 	fmt.Fprintf(&b, "  penalty-method ref:   %.6g (violation %.2g)\n", r.Penalty, r.PenaltyViolation)
-	fmt.Fprintf(&b, "  WCS worst-case energy %.6g  >=  YDS lower bound %.6g\n", r.WCSEnergy, r.YDSLower)
+	rel := ">="
+	if math.Abs(r.WCSEnergy-r.YDSLower) <= 1e-12*r.YDSLower {
+		rel = "="
+	}
+	fmt.Fprintf(&b, "  WCS worst-case energy %.6g  %s  YDS lower bound %.6g\n", r.WCSEnergy, rel, r.YDSLower)
 	return b.String()
 }

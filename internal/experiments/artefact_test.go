@@ -36,15 +36,15 @@ func TestArtefactTable(t *testing.T) {
 	}
 
 	want := map[string]float64{
-		"fig6a N=2 ratio=0.1": 21.07,
-		"fig6a N=2 ratio=0.5": 12.37,
-		"fig6a N=2 ratio=0.9": 0.61,
-		"fig6a N=4 ratio=0.1": 15.20,
-		"fig6a N=4 ratio=0.5": 8.42,
-		"fig6a N=4 ratio=0.9": 1.51,
-		"CNC ratio=0.1":       18.63,
-		"CNC ratio=0.5":       11.14,
-		"CNC ratio=0.9":       2.65,
+		"fig6a N=2 ratio=0.1": 26.55,
+		"fig6a N=2 ratio=0.5": 15.98,
+		"fig6a N=2 ratio=0.9": 0.56,
+		"fig6a N=4 ratio=0.1": 29.15,
+		"fig6a N=4 ratio=0.5": 14.29,
+		"fig6a N=4 ratio=0.9": 1.56,
+		"CNC ratio=0.1":       14.13,
+		"CNC ratio=0.5":       3.63,
+		"CNC ratio=0.9":       1.47,
 		"GAP ratio=0.1":       8.83,
 		"GAP ratio=0.5":       7.34,
 		"GAP ratio=0.9":       1.55,

@@ -65,9 +65,13 @@ func replayCorpus(t *testing.T, s *trace.Stream, set *task.Set, workers, simWork
 // regression: the committed mode-switch recording must keep adapting —
 // drift detected, one re-solve, plan swapped at the recorded boundary —
 // and must keep beating the static schedule by a healthy margin. The
-// floor (10%) sits under the recorded 12.9% with room for legitimate
-// estimator tuning, but a regression that stops the controller adapting
-// (0%) or breaks the solver fails loudly.
+// floor (6.1%) sits under the recorded 7.9% in the same proportion the
+// earlier floor of 10% sat under 12.9%, with room for legitimate estimator
+// tuning, but a regression that stops the controller adapting (0%) or
+// breaks the solver fails loudly. The static plan is measured against a
+// worst-case-optimal WCS since the YDS seed (it fell from 103,296 to 93,016
+// units and the gain from 12.9% to 7.9%), so the adaptive energy is also
+// held to the 90,015.4 units it reached against the older baseline.
 func TestReplayCorpusPinsAdaptiveGain(t *testing.T) {
 	s, set := loadCorpus(t)
 	if len(s.Rows) != 160 || set.N() != 4 {
@@ -91,8 +95,11 @@ func TestReplayCorpusPinsAdaptiveGain(t *testing.T) {
 		t.Fatalf("degenerate energies: static=%v adaptive=%v", static, lr.Energy)
 	}
 	gain := 100 * (static - lr.Energy) / static
-	if gain < 10 {
-		t.Errorf("adaptive gain over static = %.2f%%, want >= 10%% (corpus recorded 12.9%%)", gain)
+	if gain < 6.1 {
+		t.Errorf("adaptive gain over static = %.2f%%, want >= 6.1%% (corpus recorded 7.9%%)", gain)
+	}
+	if lr.Energy > 90015.4 {
+		t.Errorf("adaptive energy %.1f, want at most 90015.4", lr.Energy)
 	}
 }
 

@@ -164,7 +164,10 @@ func (h *hasher) schedule(s *core.Schedule) bool {
 func ScheduleKey(set *task.Set, cfg core.Config) (Key, bool) {
 	c := cfg.Canonical()
 	h := newHasher()
-	h.str("schedule/v1")
+	// The domain's version names the solver's output: v2 since WorstCase
+	// builds start at their YDS seed, so a store or peer holding older
+	// output never answers under these keys.
+	h.str("schedule/v2")
 	h.taskSet(set)
 	if !h.model(c.Model) {
 		return Key{}, false

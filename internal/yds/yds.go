@@ -28,11 +28,13 @@ type Job struct {
 }
 
 // Interval is one critical interval of the optimal schedule: all jobs
-// assigned to it run at the same Speed (cycles per ms).
+// assigned to it run at the same Speed (cycles per ms). Index[k] is the
+// position of Jobs[k] in the slice Build was given.
 type Interval struct {
 	Start, End float64
 	Speed      float64
 	Jobs       []Job
+	Index      []int
 }
 
 // Schedule is the YDS result.
@@ -73,29 +75,37 @@ func Build(jobs []Job) (*Schedule, error) {
 		}
 	}
 	remaining := append([]Job(nil), jobs...)
+	ids := make([]int, len(jobs)) // ids[k] is remaining[k]'s position in jobs
+	for i := range ids {
+		ids[i] = i
+	}
 	var out Schedule
 
 	for len(remaining) > 0 {
-		z1, z2, speed, inside := criticalInterval(remaining)
+		z1, z2, speed := criticalInterval(remaining)
 		if speed <= 0 {
 			// Only zero-work jobs remain; they consume no energy.
 			break
 		}
-		out.Intervals = append(out.Intervals, Interval{
-			Start: z1, End: z2, Speed: speed, Jobs: inside,
-		})
-		// Remove the critical jobs and compress time: windows overlapping
-		// [z1, z2] shrink by the overlap; times after z2 shift left.
-		var next []Job
-		for _, j := range remaining {
+		iv := Interval{Start: z1, End: z2, Speed: speed}
+		// Move the critical jobs into the interval and compress time for the
+		// rest: windows overlapping [z1, z2] shrink by the overlap; times
+		// after z2 shift left. The filter runs in place, writing slot k only
+		// after reading it.
+		next, nextIDs := remaining[:0], ids[:0]
+		for k, j := range remaining {
 			if j.Release >= z1 && j.Deadline <= z2 {
-				continue // scheduled in this interval
+				iv.Jobs = append(iv.Jobs, j)
+				iv.Index = append(iv.Index, ids[k])
+				continue
 			}
 			j.Release = compress(j.Release, z1, z2)
 			j.Deadline = compress(j.Deadline, z1, z2)
 			next = append(next, j)
+			nextIDs = append(nextIDs, ids[k])
 		}
-		remaining = next
+		out.Intervals = append(out.Intervals, iv)
+		remaining, ids = next, nextIDs
 		// Interval Start/End after the first extraction live in compressed
 		// time; they are kept for ordering and diagnostics only. Energy and
 		// feasibility depend solely on Speed and Jobs, which compression
@@ -121,7 +131,7 @@ func compress(t, z1, z2 float64) float64 {
 
 // criticalInterval scans all release/deadline pairs for the interval with
 // maximum intensity: Σ work of fully contained jobs / length.
-func criticalInterval(jobs []Job) (z1, z2, speed float64, inside []Job) {
+func criticalInterval(jobs []Job) (z1, z2, speed float64) {
 	points := make([]float64, 0, 2*len(jobs))
 	for _, j := range jobs {
 		points = append(points, j.Release, j.Deadline)
@@ -150,14 +160,9 @@ func criticalInterval(jobs []Job) (z1, z2, speed float64, inside []Job) {
 		}
 	}
 	if best <= 0 {
-		return 0, 0, 0, nil
+		return 0, 0, 0
 	}
-	for _, j := range jobs {
-		if j.Release >= z1 && j.Deadline <= z2 {
-			inside = append(inside, j)
-		}
-	}
-	return z1, z2, best, inside
+	return z1, z2, best
 }
 
 func dedupe(xs []float64) []float64 {
