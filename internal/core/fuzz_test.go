@@ -37,6 +37,10 @@ func FuzzBuildSchedule(f *testing.F) {
 	// The split-revival regression's generator coordinates (see
 	// TestSplitRevivalKeepsDeadlines).
 	f.Add(uint64(0x99cd), uint8(0x3b%6+2), 0.5, 0.7)
+	// A set whose WCS falls back to the descent and holds a dead
+	// reservation: its energy sits 1.7e-11 relative under the YDS bound,
+	// because the reservation's cycles are never charged.
+	f.Add(uint64(101), uint8('#'), -1572.75, 0.15)
 
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, ratio, util float64) {
 		n := int(nRaw%8) + 1

@@ -26,12 +26,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/task"
 	"repro/internal/workload"
-	"repro/internal/yds"
 )
 
 // solvePair builds WCS and the WCS-warm-started ACS for set — the pipeline
@@ -135,31 +133,20 @@ func assertPairInvariants(t testing.TB, label string, acs, wcs *core.Schedule) {
 // assertYDSOracle checks WCS against the YDS optimum of its worst-case jobs,
 // computed by internal/yds from the task set. With one Ceff on the
 // SimpleInverse model no feasible schedule is cheaper, so WCS sits at or
-// above the bound, and where the seed certifies (core.Solve) it equals the
-// bound to 1e-12. Sets outside those conditions have no such bound.
+// above the bound (core.YDSBound's floor, which also allows for cycles a
+// dead reservation leaves uncharged), and where the seed certifies
+// (core.Solve) it equals the bound to 1e-12. Sets outside those conditions
+// have no such bound.
 func assertYDSOracle(t testing.TB, label string, wcs *core.Schedule, cfg core.Config) {
 	t.Helper()
-	if _, ok := wcs.Model.(*power.SimpleInverse); !ok {
+	bound, floor, ok, err := core.YDSBound(wcs)
+	if err != nil {
+		t.Fatalf("%s: YDS bound: %v", label, err)
+	}
+	if !ok {
 		return
 	}
-	for _, tk := range wcs.Plan.Set.Tasks {
-		if tk.Ceff != wcs.Plan.Set.Tasks[0].Ceff {
-			return
-		}
-	}
-	jobs, err := yds.FromTaskSet(wcs.Plan.Set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ys, err := yds.Build(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err := ys.Energy(wcs.Model)
-	if err != nil {
-		t.Fatalf("%s: YDS energy: %v", label, err)
-	}
-	if wcs.Energy < bound*(1-1e-12) {
+	if wcs.Energy < floor {
 		t.Errorf("%s: WCS energy %.17g below the YDS bound %.17g", label, wcs.Energy, bound)
 	}
 	if core.SeedCertifies(wcs.Plan, cfg) && math.Abs(wcs.Energy-bound) > 1e-12*bound {

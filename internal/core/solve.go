@@ -203,7 +203,7 @@ func solveSeeded(plan *preempt.Schedule, c Config) (*Schedule, error) {
 	}
 	bound, err := ys.Energy(c.Model)
 	if err != nil {
-		return nil, nil
+		return nil, nil // a speed above Vmax: the usual start reports the set infeasible
 	}
 	speed := make([]float64, len(jobs))
 	for _, iv := range ys.Intervals {

@@ -3,11 +3,16 @@
 // "Scheduling for reduced CPU energy"): the minimum-energy continuous-speed
 // schedule for independent jobs with release times and deadlines under EDF.
 //
-// In this repository YDS serves as an independent lower bound: the energy of
-// any feasible worst-case static schedule — including core's WCS — is at
-// least the YDS energy of the same job set (with per-job capacitance folded
-// in under a convex power function), which tests exploit to validate the
-// structured solver.
+// In this repository YDS plays two parts. It seeds core's WCS solver: when
+// every job has the same capacitance and the energy per cycle is convex in
+// the speed (the SimpleInverse model), no feasible schedule of the jobs is
+// cheaper than YDS, so the solver replays its fixed-priority order with each
+// instance at its YDS speed (Interval.Index maps speeds back to jobs) and
+// returns the result when it reaches the YDS energy. And it is the
+// independent bound tests and E9 check WCS against: at or above it (less
+// the cycles core's dead reservations leave uncharged), and equal to it
+// wherever that seed certifies. With mixed capacitances Energy still prices
+// each job at its interval's speed, but the result is no longer a bound.
 package yds
 
 import (
