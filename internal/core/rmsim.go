@@ -95,7 +95,7 @@ func (s *Schedule) ydsSeed(speed []float64) bool {
 			if in.Release > a+1e-12 {
 				continue
 			}
-			if in.Deadline < b-1e-12 || speed[idx] <= 0 {
+			if in.Deadline < b-1e-12 {
 				return false
 			}
 			pos, err := s.pieceAt(idx, a)
