@@ -158,10 +158,6 @@ func TestInjectFSErrAndTorn(t *testing.T) {
 	if err := f.Sync(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("sync err = %v, want ErrInjected", err)
 	}
-	reg.Arm("fs.rename", Spec{Prob: 1, Err: true})
-	if err := ifs.Rename(path, path+"2"); !errors.Is(err, ErrInjected) {
-		t.Fatal("rename not intercepted")
-	}
 	reg.Arm("fs.open", Spec{Prob: 1, Err: true})
 	if _, err := ifs.OpenFile(path, os.O_RDONLY, 0); !errors.Is(err, ErrInjected) {
 		t.Fatal("open not intercepted")

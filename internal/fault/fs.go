@@ -14,8 +14,6 @@ type FS interface {
 	ReadDir(name string) ([]fs.DirEntry, error)
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	ReadFile(name string) ([]byte, error)
-	WriteFile(name string, data []byte, perm os.FileMode) error
-	Rename(oldpath, newpath string) error
 	Remove(name string) error
 }
 
@@ -37,11 +35,7 @@ type osFS struct{}
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
-func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
-func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
@@ -51,17 +45,16 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 //
 //	fs.open    OpenFile
 //	fs.read    ReadAt, ReadFile, ReadDir
-//	fs.write   WriteAt, WriteFile (Spec.Torn persists a prefix first)
+//	fs.write   WriteAt (Spec.Torn persists a prefix first)
 //	fs.sync    Sync
-//	fs.rename  Rename
 //
 // A fired point imposes its latency, then (for Err points) fails the
 // operation with ErrInjected. A torn WriteAt persists the configured prefix
-// through the inner file before failing, modelling a crash mid-append; a
-// torn WriteFile persists a prefix of the blob the same way. Truncate,
-// Close, Stat, MkdirAll and Remove pass through unwrapped: the store's
-// failure handling for them is exercised via the open/read/write points,
-// and injecting into cleanup paths only makes chaos runs leak temp state.
+// through the inner file before failing, modelling a crash mid-append or in
+// the middle of overwriting a blob's slot file. Truncate, Close, Stat,
+// MkdirAll and Remove pass through unwrapped: the store's failure handling
+// for them is exercised via the open/read/write points, and injecting into
+// cleanup paths only makes chaos runs leave debris behind.
 func Inject(inner FS, reg *Registry) FS {
 	return &injectFS{inner: inner, reg: reg}
 }
@@ -97,23 +90,6 @@ func (f *injectFS) ReadFile(name string) ([]byte, error) {
 		return nil, out.Err
 	}
 	return f.inner.ReadFile(name)
-}
-
-func (f *injectFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	if out := f.eval("fs.write"); out.Err != nil {
-		if n := int(out.Torn * float64(len(data))); n > 0 {
-			f.inner.WriteFile(name, data[:n], perm)
-		}
-		return out.Err
-	}
-	return f.inner.WriteFile(name, data, perm)
-}
-
-func (f *injectFS) Rename(oldpath, newpath string) error {
-	if out := f.eval("fs.rename"); out.Err != nil {
-		return out.Err
-	}
-	return f.inner.Rename(oldpath, newpath)
 }
 
 func (f *injectFS) Remove(name string) error { return f.inner.Remove(name) }

@@ -159,7 +159,8 @@ type Options struct {
 
 // BlobStore is the named-blob persistence the server checkpoints into. Puts
 // must be atomic (a concurrent reader or a crash sees old or new content,
-// never a mix); store.Disk satisfies this with tmp+rename.
+// never a mix); store.Disk satisfies this with two CRC-framed slot files per
+// blob, overwriting the older one in place.
 type BlobStore interface {
 	PutBlob(name string, data []byte) error
 	GetBlob(name string) (data []byte, ok bool, err error)

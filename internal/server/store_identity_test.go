@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/grid"
@@ -298,5 +300,134 @@ func TestGetAfterRestartOnlyReadsRequestBlob(t *testing.T) {
 	}
 	if n := blobs.puts.Load() - puts; n != 0 {
 		t.Errorf("GET after restart made %d PutBlob calls, want 0", n)
+	}
+}
+
+// bootOnDir opens the store at dir and a tiered daemon over it, restores the
+// checkpointed sessions and returns the daemon's URL and the restored count.
+// Its cleanup stops the daemon and closes the store.
+func bootOnDir(t *testing.T, dir string) (url string, restored int) {
+	t.Helper()
+	d, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	s := New(Options{Store: store.NewTiered(grid.NewMemStore(0), d), Checkpoints: d})
+	t.Cleanup(s.Close)
+	n, err := s.RestoreSessions(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL, n
+}
+
+// TestTmpSuffixedSessionSurvivesRestart: session ids may contain '.', so
+// caller-named sessions a and a.tmp checkpoint into the blobs session-a and
+// session-a.tmp. Both observe, the daemon restarts on the same directory,
+// and both answer their pre-restart state and go on folding.
+func TestTmpSuffixedSessionSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	d1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New(Options{Store: store.NewTiered(grid.NewMemStore(0), d1), Checkpoints: d1})
+	ts1 := httptest.NewServer(s1.Handler())
+	ids := []string{"a.tmp", "a"} // a's checkpoints come after a.tmp's
+	status := map[string]string{}
+	rows := map[string][][]float64{}
+	for i, id := range ids {
+		body, r := sessionRows(t, uint64(6+i), id, 20)
+		rows[id] = r
+		if code, resp := post(t, ts1.URL+"/v1/sessions", body); code != http.StatusOK {
+			t.Fatalf("create %s: %d %s", id, code, resp)
+		}
+	}
+	for _, id := range ids {
+		for lo := 0; lo < 10; lo += 5 {
+			if code, resp := post(t, ts1.URL+"/v1/sessions/"+id+"/observe", observeBody(t, rows[id][lo:lo+5])); code != http.StatusOK {
+				t.Fatalf("observe %s: %d %s", id, code, resp)
+			}
+		}
+		_, status[id] = get(t, ts1.URL+"/v1/sessions/"+id)
+	}
+	ts1.Close()
+	s1.Close()
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	url, n := bootOnDir(t, dir)
+	if n != len(ids) {
+		t.Fatalf("restored %d sessions, want %d", n, len(ids))
+	}
+	for _, id := range ids {
+		if code, got := get(t, url+"/v1/sessions/"+id); code != http.StatusOK || got != status[id] {
+			t.Errorf("session %s after restart: %d %s, want %s", id, code, got, status[id])
+		}
+		if code, resp := post(t, url+"/v1/sessions/"+id+"/observe", observeBody(t, rows[id][10:])); code != http.StatusOK {
+			t.Errorf("observe %s after restart: %d %s", id, code, resp)
+		}
+	}
+}
+
+// TestParentLayoutStoreRestores: stores written before blobs moved to slot
+// files hold each blob as one plain file, blobs/<name>. A daemon booted on
+// such a directory restores its sessions, which then fold on byte for byte
+// as on the daemon that wrote them, and answers GETs of its stored requests.
+func TestParentLayoutStoreRestores(t *testing.T) {
+	// The donor writes the checkpoint and request blobs whose bytes the
+	// plain files then hold.
+	donor := store.NewMemBlobs()
+	_, ts := newTestServer(t, Options{Checkpoints: donor})
+	body, rows := sessionRows(t, 4, "old", 20)
+	if code, resp := post(t, ts.URL+"/v1/sessions", body); code != http.StatusOK {
+		t.Fatalf("create: %d %s", code, resp)
+	}
+	if code, resp := post(t, ts.URL+"/v1/sessions/old/observe", observeBody(t, rows[:10])); code != http.StatusOK {
+		t.Fatalf("observe: %d %s", code, resp)
+	}
+	_, status := get(t, ts.URL+"/v1/sessions/old")
+	code, submitted := post(t, ts.URL+"/v1/schedules", smallBody(1))
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d %s", code, submitted)
+	}
+	var sr ScheduleResponse
+	if err := json.Unmarshal([]byte(submitted), &sr); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	names, _ := donor.ListBlobs()
+	if len(names) != 2 { // the session's checkpoint and the submit's request
+		t.Fatalf("donor wrote blobs %v, want 2", names)
+	}
+	for _, name := range names {
+		blob, _, _ := donor.GetBlob(name)
+		if err := os.WriteFile(filepath.Join(dir, "blobs", name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	url, n := bootOnDir(t, dir)
+	if n != 1 {
+		t.Fatalf("restored %d sessions, want 1", n)
+	}
+	if code, got := get(t, url+"/v1/sessions/old"); code != http.StatusOK || got != status {
+		t.Errorf("restored session: %d %s, want %s", code, got, status)
+	}
+	if code, got := get(t, url+"/v1/schedules/"+sr.Fingerprint); code != http.StatusOK || got != submitted {
+		t.Errorf("GET of a stored request: %d %s, want the submit's bytes", code, got)
+	}
+	next := observeBody(t, rows[10:])
+	_, want := post(t, ts.URL+"/v1/sessions/old/observe", next)
+	if code, got := post(t, url+"/v1/sessions/old/observe", next); code != http.StatusOK || got != want {
+		t.Errorf("observe on the restored session: %d %s, want %s", code, got, want)
 	}
 }

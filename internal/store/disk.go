@@ -1,16 +1,18 @@
 // Package store is the crash-safe persistent tier of the content-addressed
 // schedule cache (DESIGN.md §9): an append-only log of encoded schedules
 // keyed by their grid.Key, plus a small atomic blob area for session
-// checkpoints. It implements grid.Store, so a Memo can run directly on disk,
-// and composes with the in-memory tier through Tiered.
+// checkpoints and request bodies. It implements grid.Store, so a Memo can
+// run directly on disk, and composes with the in-memory tier through Tiered.
 //
 // Durability model: schedules are the expensive artefact (a solve), so only
 // they are persisted; simulated comparisons are pure functions of schedules
 // and are rebuilt on demand. Every record carries its own length and
 // CRC-32C, so a crash mid-append costs at most the record being written:
 // the recovery scan on Open truncates the log at the first torn record and
-// everything before it survives. Blobs are written tmp+rename, so a reader
-// sees either the old bytes or the new bytes, never a mix.
+// everything before it survives. Each blob has two slot files, each holding
+// one CRC-framed record with a sequence number; a put overwrites the older
+// slot in place, so a reader sees either the old bytes or the new bytes,
+// never a mix.
 package store
 
 import (
@@ -18,10 +20,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -60,11 +65,13 @@ type Options struct {
 	// completed segments are immutable.
 	SegmentBytes int64
 	// Sync fsyncs after every append, and makes every PutBlob durable
-	// before it returns. Off by default: the log is a cache, so losing the
-	// OS write-back window costs re-solves, not correctness — the recovery
-	// scan drops whatever tail didn't make it to the platter. Blobs (request
-	// bodies, session checkpoints) cannot be rebuilt, so a deployment that
-	// must survive a power loss turns it on.
+	// before it returns: one fsync of the slot file it wrote, plus one of
+	// blobs/ when the put created that file (a name's first two puts). Off
+	// by default: the log is a cache, so losing the OS write-back window
+	// costs re-solves, not correctness — the recovery scan drops whatever
+	// tail didn't make it to the platter. Blobs (request bodies, session
+	// checkpoints) cannot be rebuilt, so a deployment that must survive a
+	// power loss turns it on.
 	Sync bool
 	// FS supplies the filesystem (nil = the real OS). Tests and the chaos
 	// harness pass fault.Inject(fault.OS(), registry) to subject every
@@ -114,6 +121,9 @@ type Disk struct {
 
 	recovered int64 // records indexed by the recovery scan at Open
 	torn      int64 // truncation events the scan performed
+
+	blobSeed maphash.Seed
+	blobMu   [64]sync.Mutex // see blobLock
 }
 
 var segmentRe = regexp.MustCompile(`^seg-(\d{6})\.log$`)
@@ -133,11 +143,12 @@ func Open(dir string, opts Options) (*Disk, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	d := &Disk{
-		dir:   dir,
-		opts:  opts,
-		fs:    opts.FS,
-		index: make(map[grid.Key]entryLoc),
-		files: make(map[int]fault.File),
+		dir:      dir,
+		opts:     opts,
+		fs:       opts.FS,
+		index:    make(map[grid.Key]entryLoc),
+		files:    make(map[int]fault.File),
+		blobSeed: maphash.MakeSeed(),
 	}
 	names, err := opts.FS.ReadDir(dir)
 	if err != nil {
@@ -420,53 +431,180 @@ var blobNameRe = regexp.MustCompile(`^[a-zA-Z0-9._-]+$`)
 // not score it on the breaker.
 var ErrBadBlobName = errors.New("store: invalid blob name")
 
-// PutBlob atomically replaces the named blob: the bytes land in a temp file
-// first and are renamed over the target, so a concurrent GetBlob (or a
-// crash) observes the old content or the new, never a mix. Under
-// Options.Sync the temp file is fsynced before the rename and blobs/ after
-// it, so a blob PutBlob acknowledged survives a power loss too; without it,
-// a process crash cannot lose the blob, but the OS may still lose its
-// write-back window.
+// Blob slot record layout, little-endian, at offset 0 of a slot file:
+//
+//	magic  u32   slotMagic
+//	seq    u64   the name's put sequence number
+//	plen   u32   payload length
+//	crc    u32   CRC-32C (Castagnoli) over seq ‖ plen ‖ payload
+//	payload      the blob
+//
+// Every blob has two slot files, blobs/<name>~0 and blobs/<name>~1; '~' is
+// outside blobNameRe's alphabet, so no blob name is ever a slot file's. A
+// put overwrites the slot that does not hold the newest valid record, so
+// the other one keeps the previous bytes. Bytes past a record are what a
+// longer earlier record left behind: they are ignored, and no slot file is
+// ever truncated.
+const (
+	slotMagic      = 0x53424C42 // "SBLB"
+	slotHeaderSize = 4 + 8 + 4 + 4
+)
+
+// slotSuffixes name a blob's two slot files.
+var slotSuffixes = [2]string{"~0", "~1"}
+
+// slot is one slot file as a read found it.
+type slot struct {
+	exists  bool   // the file is there
+	valid   bool   // it holds a record that passed its CRC
+	seq     uint64 // the record's sequence number, if valid
+	payload []byte
+}
+
+// newest returns the index of the slot holding the newest valid record, or
+// -1 when neither does. Equal sequence numbers, which no put writes, go to
+// slot 0.
+func newest(s *[2]slot) int {
+	switch {
+	case s[1].valid && (!s[0].valid || s[1].seq > s[0].seq):
+		return 1
+	case s[0].valid:
+		return 0
+	}
+	return -1
+}
+
+// slotRecord frames data as the slot record with sequence number seq.
+func slotRecord(seq uint64, data []byte) []byte {
+	rec := make([]byte, slotHeaderSize+len(data))
+	binary.LittleEndian.PutUint32(rec[0:], slotMagic)
+	binary.LittleEndian.PutUint64(rec[4:], seq)
+	binary.LittleEndian.PutUint32(rec[12:], uint32(len(data)))
+	copy(rec[slotHeaderSize:], data)
+	crc := crc32.Update(0, crcTable, rec[4:16])
+	binary.LittleEndian.PutUint32(rec[16:], crc32.Update(crc, crcTable, data))
+	return rec
+}
+
+// parseSlot verifies the record at the start of data.
+func parseSlot(data []byte) (seq uint64, payload []byte, ok bool) {
+	if len(data) < slotHeaderSize || binary.LittleEndian.Uint32(data) != slotMagic {
+		return 0, nil, false
+	}
+	n := binary.LittleEndian.Uint32(data[12:])
+	if uint64(n) > uint64(len(data)-slotHeaderSize) {
+		return 0, nil, false
+	}
+	end := slotHeaderSize + int(n)
+	crc := crc32.Update(0, crcTable, data[4:16])
+	if crc32.Update(crc, crcTable, data[slotHeaderSize:end]) != binary.LittleEndian.Uint32(data[16:]) {
+		return 0, nil, false
+	}
+	return binary.LittleEndian.Uint64(data[4:]), data[slotHeaderSize:end:end], true
+}
+
+// blobPath returns the path of a blob's plain file (the layout stores kept
+// before slot files) with suffix "", or of one of its slot files.
+func (d *Disk) blobPath(name, suffix string) string {
+	return filepath.Join(d.dir, "blobs", name+suffix)
+}
+
+// readSlots reads both of name's slot files. A missing file is an empty
+// slot and a record that fails its framing an invalid one; only an I/O
+// error is an error.
+func (d *Disk) readSlots(name string) (s [2]slot, err error) {
+	for i, suffix := range slotSuffixes {
+		data, err := d.fs.ReadFile(d.blobPath(name, suffix))
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return s, err
+		}
+		s[i].exists = true
+		s[i].seq, s[i].payload, s[i].valid = parseSlot(data)
+	}
+	return s, nil
+}
+
+// blobLock serializes the puts and gets of one name; names share one of
+// len(d.blobMu) locks by hash, so the store keeps no per-name state.
+func (d *Disk) blobLock(name string) *sync.Mutex {
+	return &d.blobMu[maphash.String(d.blobSeed, name)%uint64(len(d.blobMu))]
+}
+
+// PutBlob atomically replaces the named blob. It overwrites, in place and
+// with one WriteAt at offset 0, the slot file that does not hold the newest
+// valid record, writing a record one sequence number above it; the other
+// slot keeps the previous bytes. A crash mid-write, or a concurrent reader
+// in another process, finds the torn record failing its CRC and the other
+// slot answering, so a reader sees the old content or the new, never a mix.
+//
+// Without Options.Sync the record has reached the kernel when PutBlob
+// returns, so a process crash cannot lose it, though the OS may still lose
+// its write-back window. With it the slot file is fsynced, and blobs/ too
+// when this put created the file, so an acknowledged blob survives a power
+// loss as well. A failed write or sync zeroes the record's magic, or
+// removes the slot file if this put created it, and fails the put; the
+// other slot still holds the previous bytes. A put that creates a slot file
+// removes the name's plain file, which only older stores hold.
 func (d *Disk) PutBlob(name string, data []byte) error {
 	if !blobNameRe.MatchString(name) {
 		return fmt.Errorf("%w %q", ErrBadBlobName, name)
 	}
-	dir := filepath.Join(d.dir, "blobs")
-	tmp := filepath.Join(dir, name+".tmp")
-	err := d.writeBlobFile(tmp, data)
-	if err == nil {
-		err = d.fs.Rename(tmp, filepath.Join(dir, name))
-	}
-	if err == nil && d.opts.Sync {
-		err = d.syncDir(dir)
-	}
+	mu := d.blobLock(name)
+	mu.Lock()
+	defer mu.Unlock()
+	slots, err := d.readSlots(name)
 	if err != nil {
-		d.fs.Remove(tmp)
+		d.readErrs.Add(1)
+		return fmt.Errorf("store: %w", err)
+	}
+	target, seq := 0, uint64(1)
+	if n := newest(&slots); n >= 0 {
+		target, seq = 1-n, slots[n].seq+1
+	}
+	created := !slots[target].exists
+	if err := d.writeSlot(d.blobPath(name, slotSuffixes[target]), slotRecord(seq, data), created); err != nil {
 		d.writeErrs.Add(1)
 		return fmt.Errorf("store: %w", err)
+	}
+	if created {
+		// The new slot shadows the plain file; ENOENT is the usual answer.
+		d.fs.Remove(d.blobPath(name, ""))
 	}
 	return nil
 }
 
-// writeBlobFile writes a blob's temp file, fsynced under Options.Sync.
-func (d *Disk) writeBlobFile(tmp string, data []byte) error {
-	if !d.opts.Sync {
-		return d.fs.WriteFile(tmp, data, 0o644)
-	}
-	f, err := d.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// writeSlot writes rec over the start of the slot file at path, fsyncing it
+// (and blobs/, when created says the file is new) under Options.Sync. On
+// failure the record is made unreadable: a new file is removed, an old one
+// gets its magic zeroed.
+func (d *Disk) writeSlot(path string, rec []byte, created bool) error {
+	f, err := d.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err = f.WriteAt(data, 0); err == nil {
+	_, err = f.WriteAt(rec, 0)
+	if err == nil && d.opts.Sync {
 		err = f.Sync()
+	}
+	if err == nil && d.opts.Sync && created {
+		err = d.syncDir(filepath.Dir(path))
+	}
+	if err != nil && !created {
+		f.WriteAt(make([]byte, 4), 0) // best effort: if this fails too, a torn record still fails its CRC
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err != nil && created {
+		d.fs.Remove(path)
+	}
 	return err
 }
 
-// syncDir fsyncs a directory, making the renames in it durable.
+// syncDir fsyncs a directory, making the files created in it durable.
 func (d *Disk) syncDir(dir string) error {
 	f, err := d.fs.OpenFile(dir, os.O_RDONLY, 0)
 	if err != nil {
@@ -479,13 +617,26 @@ func (d *Disk) syncDir(dir string) error {
 	return err
 }
 
-// GetBlob returns the named blob's content and whether it exists.
+// GetBlob returns the named blob's content and whether it exists: the valid
+// slot record with the higher sequence number or, when neither slot holds
+// one, the name's plain file, which only older stores hold.
 func (d *Disk) GetBlob(name string) ([]byte, bool, error) {
 	if !blobNameRe.MatchString(name) {
 		return nil, false, fmt.Errorf("%w %q", ErrBadBlobName, name)
 	}
-	data, err := d.fs.ReadFile(filepath.Join(d.dir, "blobs", name))
-	if os.IsNotExist(err) {
+	mu := d.blobLock(name)
+	mu.Lock()
+	defer mu.Unlock()
+	slots, err := d.readSlots(name)
+	if err != nil {
+		d.readErrs.Add(1)
+		return nil, false, fmt.Errorf("store: %w", err)
+	}
+	if n := newest(&slots); n >= 0 {
+		return slots[n].payload, true, nil
+	}
+	data, err := d.fs.ReadFile(d.blobPath(name, ""))
+	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
@@ -495,8 +646,9 @@ func (d *Disk) GetBlob(name string) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// ListBlobs returns the existing blob names in sorted order, skipping
-// in-flight temp files.
+// ListBlobs returns the names behind the slot files and the plain files in
+// sorted order, each once. It skips plain *.tmp files: older stores wrote
+// blobs to a temp file and renamed it, so those are a crash's leftovers.
 func (d *Disk) ListBlobs() ([]string, error) {
 	entries, err := d.fs.ReadDir(filepath.Join(d.dir, "blobs"))
 	if err != nil {
@@ -505,11 +657,19 @@ func (d *Disk) ListBlobs() ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) == ".tmp" {
+		name := e.Name()
+		if e.IsDir() {
 			continue
 		}
-		names = append(names, e.Name())
+		if base, ok := strings.CutSuffix(name, slotSuffixes[0]); ok {
+			name = base
+		} else if base, ok := strings.CutSuffix(name, slotSuffixes[1]); ok {
+			name = base
+		} else if filepath.Ext(name) == ".tmp" {
+			continue
+		}
+		names = append(names, name)
 	}
-	sort.Strings(names)
-	return names, nil
+	slices.Sort(names)
+	return slices.Compact(names), nil
 }

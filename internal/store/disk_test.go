@@ -366,7 +366,8 @@ func TestBlobs(t *testing.T) {
 	if _, ok, err := d.GetBlob("absent"); ok || err != nil {
 		t.Fatalf("absent blob: ok=%v err=%v", ok, err)
 	}
-	// An in-flight temp file is invisible to listings.
+	// A temp file an older store's interrupted put left behind is invisible
+	// to listings.
 	if err := os.WriteFile(filepath.Join(dir, "blobs", "session-s3.tmp"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}

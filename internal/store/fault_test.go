@@ -185,10 +185,13 @@ func TestTieredBreakerDegradeAndRecover(t *testing.T) {
 	}
 }
 
-// TestPutBlobSync: under Options.Sync a blob put fsyncs its temp file and
-// then blobs/, both through the fs.sync failpoint, and either sync failing
-// fails the put, counts a write error and leaves no temp file behind;
-// without Sync a put never syncs.
+// TestPutBlobSync: under Options.Sync a blob put fsyncs the slot file it
+// wrote, and blobs/ too when it created that file, all through the fs.sync
+// failpoint; without Sync a put never syncs. A put whose write or file sync
+// fails counts a write error and leaves GetBlob on the previous bytes; one
+// that created its slot file removes it, so a failing directory sync on a
+// name's first put leaves no slot file behind, and the next put creates the
+// file again and syncs blobs/ again.
 func TestPutBlobSync(t *testing.T) {
 	for _, sync := range []bool{false, true} {
 		reg := fault.NewRegistry(13)
@@ -201,7 +204,7 @@ func TestPutBlobSync(t *testing.T) {
 		}
 		want := int64(0)
 		if sync {
-			want = 6
+			want = 5 // 2 + 2 + 1: the first two puts each create a slot file
 		}
 		if got := reg.Snapshot()["fs.sync"].Calls; got != want {
 			t.Errorf("sync=%v: 3 puts made %d syncs, want %d", sync, got, want)
@@ -211,30 +214,84 @@ func TestPutBlobSync(t *testing.T) {
 	dir := t.TempDir()
 	reg := fault.NewRegistry(14)
 	d := mustOpen(t, dir, Options{Sync: true, FS: fault.Inject(fault.OS(), reg)})
-	if err := d.PutBlob("session-s1", []byte("old")); err != nil {
-		t.Fatal(err)
+	wantBlob := func(want string) {
+		t.Helper()
+		got, ok, err := d.GetBlob("session-s1")
+		if err != nil || ok != (want != "") || string(got) != want {
+			t.Fatalf("GetBlob = %q ok=%v err=%v, want %q", got, ok, err, want)
+		}
+	}
+
+	reg.Arm("fs.sync", fault.Spec{Prob: 1, Err: true, After: 1}) // the directory's sync
+	if err := d.PutBlob("session-s1", []byte("lost")); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("first put with a failing directory sync: err = %v, want ErrInjected", err)
+	}
+	if names := blobFiles(t, dir); len(names) != 0 {
+		t.Fatalf("failed first put left %v behind", names)
+	}
+	wantBlob("")
+	reg.Disarm("fs.sync")
+
+	for _, v := range []string{"v1", "v2"} {
+		if err := d.PutBlob("session-s1", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reg.Arm("fs.sync", fault.Spec{Prob: 1, Err: true})
-	if err := d.PutBlob("session-s1", []byte("new")); !errors.Is(err, fault.ErrInjected) {
+	if err := d.PutBlob("session-s1", []byte("v3-synced-never")); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("put with a failing file sync: err = %v, want ErrInjected", err)
 	}
-	if got, _, _ := d.GetBlob("session-s1"); string(got) != "old" {
-		t.Errorf("a put whose file sync failed replaced the blob: %q", got)
+	wantBlob("v2")
+	reg.Disarm("fs.sync")
+	reg.Arm("fs.write", fault.Spec{Prob: 1, Err: true})
+	if err := d.PutBlob("session-s1", []byte("v4-written-never")); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("put with a failing write: err = %v, want ErrInjected", err)
 	}
-	reg.Arm("fs.sync", fault.Spec{Prob: 1, Err: true, After: 1}) // the directory's sync
-	if err := d.PutBlob("session-s1", []byte("newer")); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("put with a failing directory sync: err = %v, want ErrInjected", err)
+	wantBlob("v2")
+	reg.Disarm("fs.write")
+	if err := d.PutBlob("session-s1", []byte("v5")); err != nil {
+		t.Fatal(err)
 	}
-	if st := d.Stats(); st.DiskWriteErrs != 2 {
-		t.Errorf("write errs = %d, want 2", st.DiskWriteErrs)
+	wantBlob("v5")
+
+	// A failed put that created its slot file removes it; the next put
+	// creates it again and syncs blobs/ again.
+	if err := d.PutBlob("session-s2", []byte("a")); err != nil {
+		t.Fatal(err)
 	}
+	reg.Arm("fs.write", fault.Spec{Prob: 1, Err: true})
+	if err := d.PutBlob("session-s2", []byte("b")); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("put creating slot ~1 with a failing write: err = %v, want ErrInjected", err)
+	}
+	reg.Disarm("fs.write")
+	if _, err := os.Stat(filepath.Join(dir, "blobs", "session-s2~1")); !os.IsNotExist(err) {
+		t.Fatalf("failed put left its new slot file: stat err = %v", err)
+	}
+	reg.Arm("fs.sync", fault.Spec{}) // counts the calls
+	if err := d.PutBlob("session-s2", []byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot()["fs.sync"].Calls; got != 2 {
+		t.Errorf("put recreating a slot file made %d syncs, want 2", got)
+	}
+	if got, _, _ := d.GetBlob("session-s2"); string(got) != "c" {
+		t.Errorf("GetBlob(session-s2) = %q, want c", got)
+	}
+	if st := d.Stats(); st.DiskWriteErrs != 4 {
+		t.Errorf("write errs = %d, want 4", st.DiskWriteErrs)
+	}
+}
+
+// blobFiles lists the file names under dir's blobs/.
+func blobFiles(t *testing.T, dir string) []string {
+	t.Helper()
 	entries, err := os.ReadDir(filepath.Join(dir, "blobs"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var names []string
 	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".tmp" {
-			t.Errorf("failed put left %s behind", e.Name())
-		}
+		names = append(names, e.Name())
 	}
+	return names
 }
