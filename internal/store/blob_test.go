@@ -283,20 +283,32 @@ func FuzzBlobSlots(f *testing.F) {
 	f.Add(torn[:len(torn)-4], rec(2, []byte("two")), []byte("plain"), uint8(7))
 	f.Add(rec(5, []byte("same-seq-0")), rec(5, []byte("same-seq-1")), []byte(nil), uint8(3))
 	f.Add(append(rec(1, []byte("stale-tail")), "garbage past the record"...), []byte{}, []byte("plain"), uint8(5))
-	f.Add([]byte{0x42, 0x4c, 0x42, 0x53, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, []byte(nil), []byte("plain"), uint8(5))
+	huge := rec(1, nil) // a length no file holds
+	binary.LittleEndian.PutUint32(huge[12:], 0xffffffff)
+	f.Add(huge, []byte(nil), []byte("plain"), uint8(5))
 	f.Add([]byte(nil), []byte(nil), []byte("only-plain"), uint8(4))
 	f.Add([]byte(nil), []byte(nil), []byte(nil), uint8(0))
+	// One store serves every input: each starts by removing the name's
+	// files, which keeps an execution to a few file operations.
+	const name = "session-f"
+	dir := f.TempDir()
+	d, err := Open(dir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { d.Close() })
 	f.Fuzz(func(t *testing.T, s0, s1, plain []byte, present uint8) {
-		const name = "session-f"
-		dir := t.TempDir()
-		d := mustOpen(t, dir, Options{})
 		files := [3]struct {
 			suffix string
 			data   []byte
 		}{{"~0", s0}, {"~1", s1}, {"", plain}}
 		for i, file := range files {
+			path := filepath.Join(dir, "blobs", name+file.suffix)
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
 			if present&(1<<i) != 0 {
-				if err := os.WriteFile(filepath.Join(dir, "blobs", name+file.suffix), file.data, 0o644); err != nil {
+				if err := os.WriteFile(path, file.data, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -214,22 +214,14 @@ func TestPutBlobSync(t *testing.T) {
 	dir := t.TempDir()
 	reg := fault.NewRegistry(14)
 	d := mustOpen(t, dir, Options{Sync: true, FS: fault.Inject(fault.OS(), reg)})
-	wantBlob := func(want string) {
-		t.Helper()
-		got, ok, err := d.GetBlob("session-s1")
-		if err != nil || ok != (want != "") || string(got) != want {
-			t.Fatalf("GetBlob = %q ok=%v err=%v, want %q", got, ok, err, want)
-		}
-	}
-
 	reg.Arm("fs.sync", fault.Spec{Prob: 1, Err: true, After: 1}) // the directory's sync
 	if err := d.PutBlob("session-s1", []byte("lost")); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("first put with a failing directory sync: err = %v, want ErrInjected", err)
 	}
-	if names := blobFiles(t, dir); len(names) != 0 {
-		t.Fatalf("failed first put left %v behind", names)
+	if entries, err := os.ReadDir(filepath.Join(dir, "blobs")); err != nil || len(entries) != 0 {
+		t.Fatalf("failed first put left %v behind (err %v)", entries, err)
 	}
-	wantBlob("")
+	wantBlob(t, d, "session-s1", "")
 	reg.Disarm("fs.sync")
 
 	for _, v := range []string{"v1", "v2"} {
@@ -241,18 +233,18 @@ func TestPutBlobSync(t *testing.T) {
 	if err := d.PutBlob("session-s1", []byte("v3-synced-never")); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("put with a failing file sync: err = %v, want ErrInjected", err)
 	}
-	wantBlob("v2")
+	wantBlob(t, d, "session-s1", "v2")
 	reg.Disarm("fs.sync")
 	reg.Arm("fs.write", fault.Spec{Prob: 1, Err: true})
 	if err := d.PutBlob("session-s1", []byte("v4-written-never")); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("put with a failing write: err = %v, want ErrInjected", err)
 	}
-	wantBlob("v2")
+	wantBlob(t, d, "session-s1", "v2")
 	reg.Disarm("fs.write")
 	if err := d.PutBlob("session-s1", []byte("v5")); err != nil {
 		t.Fatal(err)
 	}
-	wantBlob("v5")
+	wantBlob(t, d, "session-s1", "v5")
 
 	// A failed put that created its slot file removes it; the next put
 	// creates it again and syncs blobs/ again.
@@ -274,24 +266,8 @@ func TestPutBlobSync(t *testing.T) {
 	if got := reg.Snapshot()["fs.sync"].Calls; got != 2 {
 		t.Errorf("put recreating a slot file made %d syncs, want 2", got)
 	}
-	if got, _, _ := d.GetBlob("session-s2"); string(got) != "c" {
-		t.Errorf("GetBlob(session-s2) = %q, want c", got)
-	}
+	wantBlob(t, d, "session-s2", "c")
 	if st := d.Stats(); st.DiskWriteErrs != 4 {
 		t.Errorf("write errs = %d, want 4", st.DiskWriteErrs)
 	}
-}
-
-// blobFiles lists the file names under dir's blobs/.
-func blobFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	entries, err := os.ReadDir(filepath.Join(dir, "blobs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	return names
 }
