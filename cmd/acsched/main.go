@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -22,6 +23,8 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/grid"
+	"repro/internal/partition"
 	"repro/internal/trace"
 )
 
@@ -69,18 +72,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return fmt.Errorf("unknown objective %q (want acs or wcs)", *objective)
 	}
 
-	if cfg.Objective == core.AverageCase {
-		// Warm-start ACS from WCS, as the experiments do.
-		wcsCfg := cfg
-		wcsCfg.Objective = core.WorstCase
-		if wcs, err := core.Build(set, wcsCfg); err == nil {
-			cfg.WarmStart = wcs
-		}
-	}
-	s, err := core.Build(set, cfg)
+	// ACS is warm-started from WCS, as the experiments and the server do.
+	res, err := partition.Solve(context.Background(), grid.New(1, nil), set,
+		partition.Config{Cores: 1, Solver: cfg})
 	if err != nil {
 		return err
 	}
+	s := res.Cores[0].Schedule()
 
 	switch *format {
 	case "table":

@@ -44,6 +44,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/feedback"
 	"repro/internal/grid"
+	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/task"
@@ -243,15 +244,11 @@ func runOracle(ctx context.Context, runner *grid.Runner, set *task.Set, sc *work
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			wcs, err := runner.BuildScheduleContext(ctx, oset, core.Config{Objective: core.WorstCase})
+			res, err := partition.Solve(ctx, runner, oset, partition.Config{Cores: 1})
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			acs, err := runner.BuildScheduleContext(ctx, oset, core.Config{Objective: core.AverageCase, WarmStart: wcs})
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			if plan, err = sim.Compile(acs); err != nil {
+			if plan, err = sim.Compile(res.Cores[0].ACS); err != nil {
 				return 0, 0, 0, err
 			}
 			fSolved = f

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -18,6 +19,8 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/grid"
+	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -70,21 +73,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
-	pre := core.Config{Starts: *starts}
-	pre.Preempt.MaxSubsPerInstance = *subCap
-	wcsCfg := pre
-	wcsCfg.Objective = core.WorstCase
-	wcs, err := core.Build(set, wcsCfg)
+	solver := core.Config{Starts: *starts}
+	solver.Preempt.MaxSubsPerInstance = *subCap
+	res, err := partition.Solve(context.Background(), grid.New(1, nil), set,
+		partition.Config{Cores: 1, Solver: solver})
 	if err != nil {
-		return fmt.Errorf("WCS: %w", err)
+		return err
 	}
-	acsCfg := pre
-	acsCfg.Objective = core.AverageCase
-	acsCfg.WarmStart = wcs
-	acs, err := core.Build(set, acsCfg)
-	if err != nil {
-		return fmt.Errorf("ACS: %w", err)
-	}
+	acs, wcs := res.Cores[0].ACS, res.Cores[0].WCS
 
 	workers := *simWork
 	if workers <= 0 {

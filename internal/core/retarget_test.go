@@ -61,8 +61,9 @@ func requireSameSchedule(t *testing.T, what string, a, b *Schedule) {
 // TestRetargetMatchesBuild: a WCS retargeted to its own set, or to one that
 // differs only in ACEC and BCEC, is the WCS a build of that set returns, and
 // ACS warm-started from either is the same schedule. The golden helper's sets
-// cover ratios 0.1, 0.5 and 0.9; multi-start and the Alpha model take a few
-// sets each.
+// cover ratios 0.1, 0.5 and 0.9; multi-start, the Alpha model, Fig. 6(b)'s
+// piece cap and NoSplitOpt (which skips the YDS seed) take a few sets each.
+// The grid memo serves every WCS this way (grid.Runner.BuildScheduleContext).
 func TestRetargetMatchesBuild(t *testing.T) {
 	alpha, err := power.NewAlpha(0.2, 0.3, 1.5, 0.7, 4.0)
 	if err != nil {
@@ -77,6 +78,8 @@ func TestRetargetMatchesBuild(t *testing.T) {
 		{"single start", Config{Starts: 1}, func(i, _ int) bool { return i < 3 }},
 		{"starts", Config{Starts: 3}, func(i, _ int) bool { return i >= 1 && i <= 3 }},
 		{"alpha", Config{Model: alpha, MaxSweeps: 1}, func(i, pieces int) bool { return pieces <= 16 && i < 20 }},
+		{"subcap 12", Config{Preempt: preempt.Options{MaxSubsPerInstance: 12}}, func(i, _ int) bool { return i < 4 }},
+		{"no split opt", Config{NoSplitOpt: true}, func(i, _ int) bool { return i < 3 }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			ran := 0

@@ -127,7 +127,7 @@ func deriveAvgWork(plan *preempt.Schedule, wc, avg []float64) {
 // AverageCase schedule, whose objective reads ACEC, and for a set that
 // differs in anything else (names, periods, WCEC, Ceff or task count).
 func (s *Schedule) Retarget(set *task.Set) (*Schedule, bool) {
-	if s.Objective != WorstCase || set == nil || !sameWorstCase(s.Plan.Set, set) {
+	if s.Objective != WorstCase || set == nil || !task.SameWorstCase(s.Plan.Set, set) {
 		return nil, false
 	}
 	plan := *s.Plan
@@ -137,21 +137,6 @@ func (s *Schedule) Retarget(set *task.Set) (*Schedule, bool) {
 	out.AvgWork = make([]float64, len(s.WCWork))
 	deriveAvgWork(&plan, out.WCWork, out.AvgWork)
 	return &out, true
-}
-
-// sameWorstCase reports whether a and b agree task for task on every field
-// but ACEC and BCEC.
-func sameWorstCase(a, b *task.Set) bool {
-	if len(a.Tasks) != len(b.Tasks) {
-		return false
-	}
-	for i := range a.Tasks {
-		x, y := &a.Tasks[i], &b.Tasks[i]
-		if x.Name != y.Name || x.Period != y.Period || x.WCEC != y.WCEC || x.Ceff != y.Ceff {
-			return false
-		}
-	}
-	return true
 }
 
 // evalState carries the greedy-reclamation recursion so sweeps can resume

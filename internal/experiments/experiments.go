@@ -15,6 +15,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -22,6 +23,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/partition"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -137,33 +139,24 @@ func randomCellSet(c Common, n int, ratio float64, i int) (*task.Set, *stats.RNG
 }
 
 // solvePair builds the WCS baseline and the warm-started ACS schedule for
-// one task set through the grid runner — the pipeline every comparison
-// harness uses. Warm-starting ACS from the WCS solution guarantees ACS can
-// never converge to a point worse (on its own objective) than the baseline
-// it is compared against. Identical (set, config, model) pipelines across
-// harnesses resolve to one solve via the memo; the returned schedules are
-// shared and must be treated as immutable.
+// one task set — the pipeline every comparison harness uses — as a one-core
+// partition.Solve through the grid runner. Warm-starting ACS from the WCS
+// solution guarantees ACS can never converge to a point worse (on its own
+// objective) than the baseline it is compared against. Identical (set,
+// config, model) pipelines across harnesses resolve to one solve via the
+// memo, and sets that differ only in ACEC and BCEC share one WCS; the
+// returned schedules are shared and must be treated as immutable.
 func solvePair(g *grid.Runner, set *task.Set, c Common, pre core.Config) (acs, wcs *core.Schedule, err error) {
-	wcsCfg := pre
-	wcsCfg.Model = c.Model
-	wcsCfg.Objective = core.WorstCase
-	wcsCfg.Starts = c.Starts
-	wcsCfg.StartWorkers = 1 // the grid pool already saturates the host
-	wcs, err = g.BuildSchedule(set, wcsCfg)
+	solver := pre
+	solver.Model = c.Model
+	solver.Objective = core.AverageCase
+	solver.Starts = c.Starts
+	solver.StartWorkers = 1 // the grid pool already saturates the host
+	res, err := partition.Solve(context.Background(), g, set, partition.Config{Cores: 1, Solver: solver})
 	if err != nil {
-		return nil, nil, fmt.Errorf("WCS: %w", err)
+		return nil, nil, err
 	}
-	acsCfg := pre
-	acsCfg.Model = c.Model
-	acsCfg.Objective = core.AverageCase
-	acsCfg.WarmStart = wcs
-	acsCfg.Starts = c.Starts
-	acsCfg.StartWorkers = 1
-	acs, err = g.BuildSchedule(set, acsCfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ACS: %w", err)
-	}
-	return acs, wcs, nil
+	return res.Cores[0].ACS, res.Cores[0].WCS, nil
 }
 
 // compareOnSet builds ACS and WCS for one task set and simulates both under

@@ -135,8 +135,8 @@ func restoreSetEstimator(set *task.Set, states []TaskEstimatorState) (*SetEstima
 // fold counter is restored, so the controller continues the observation
 // stream exactly where the snapshot left it. A model that is not the base
 // set with other ACEC and BCEC is refused: no controller writes one, and
-// the re-solve retargets the base set's WCS to the model. ctx bounds the
-// re-solve.
+// the estimators, one per base task, index the model's tasks. ctx bounds
+// the re-solve.
 func RestoreController(ctx context.Context, st *ControllerState, opts Options) (*Controller, error) {
 	if st == nil {
 		return nil, fmt.Errorf("feedback: nil controller snapshot")
@@ -154,6 +154,9 @@ func RestoreController(ctx context.Context, st *ControllerState, opts Options) (
 	model, err := task.NewSet(append([]task.Task(nil), st.Model...))
 	if err != nil {
 		return nil, fmt.Errorf("feedback: snapshot model set: %w", err)
+	}
+	if !task.SameWorstCase(base, model) {
+		return nil, fmt.Errorf("feedback: the model differs from the base set beyond ACEC and BCEC")
 	}
 	o := opts.withDefaults()
 	if err := o.Drift.validate(); err != nil {

@@ -130,6 +130,15 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		"model task mismatch": func(st *ControllerState) { st.Model = st.Model[1:] },
 		"invalid model task":  func(st *ControllerState) { st.Model[0].WCEC = -1 },
 		"model wcec moved":    func(st *ControllerState) { st.Model[0].WCEC *= 1.5 },
+		"model period moved":  func(st *ControllerState) { st.Model[0].Period *= 2 },
+		"model ceff moved":    func(st *ControllerState) { st.Model[1].Ceff *= 2 },
+		"model task renamed":  func(st *ControllerState) { st.Model[1].Name += "x" },
+		"model task added": func(st *ControllerState) {
+			extra := st.Model[len(st.Model)-1]
+			extra.Name += "x"
+			extra.WCEC, extra.ACEC, extra.BCEC = extra.WCEC/100, extra.ACEC/100, extra.BCEC/100
+			st.Model = append(st.Model, extra)
+		},
 	}
 	for name, mutate := range damage {
 		var st *ControllerState

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -21,8 +22,9 @@ type Options struct {
 	// semantically identical, never cached.
 	Runner *grid.Runner
 	// Solver is the base solver configuration. Objective and WarmStart are
-	// managed by the controller (the base set's WCS, then ACS warm-started
-	// from it — the bytes the serving layer's pipeline gives); every other
+	// managed by the controller: every solve is partition.Solve on one core
+	// with the AverageCase objective (WCS, then ACS warm-started from it —
+	// the serving layer's own pipeline, so the same bytes); every other
 	// field passes through to each re-solve unchanged.
 	Solver core.Config
 	// Bins is the estimator histogram resolution (default 32).
@@ -170,51 +172,30 @@ func NewController(ctx context.Context, set *task.Set, opts Options) (*Controlle
 	return c, nil
 }
 
-// resolve builds warm-started ACS for model through the runner, compiles
-// the plan, and installs both. The warm start is the base set's WCS
-// retargeted to model: adaptation moves only ACEC, which a WCS solve reads
-// only for its derived AvgWork, so on a memoized runner every re-solve
-// reuses the WCS the first solve built, and the ACS key is the one a WCS
-// built on model would give.
+// resolve solves model through the runner, compiles the plan, and installs
+// both. The solve is partition.Solve on one core, the pipeline a
+// /v1/schedules submit runs: WCS, then ACS warm-started from it.
+// Adaptation moves only ACEC, so on a memoized runner every re-solve's WCS
+// is the one the first solve built, retargeted to model (grid's worst-case
+// key), and only the ACS is new. The fingerprint is that submit's.
 func (c *Controller) resolve(ctx context.Context, model *task.Set) error {
 	if c.opts.OnResolve != nil {
 		t0 := time.Now()
 		defer func() { c.opts.OnResolve(time.Since(t0)) }()
 	}
-	wcsCfg := c.opts.Solver
-	wcsCfg.Objective = core.WorstCase
-	wcsCfg.WarmStart = nil
-	baseWCS, err := c.opts.Runner.BuildScheduleContext(ctx, c.base, wcsCfg)
+	solver := c.opts.Solver
+	solver.Objective = core.AverageCase
+	solver.WarmStart = nil
+	res, err := partition.Solve(ctx, c.opts.Runner, model, partition.Config{Cores: 1, Solver: solver})
 	if err != nil {
-		return fmt.Errorf("feedback: wcs re-solve: %w", err)
+		return fmt.Errorf("feedback: re-solve: %w", err)
 	}
-	wcs, ok := baseWCS.Retarget(model)
-	if !ok {
-		return fmt.Errorf("feedback: the model differs from the base set beyond ACEC and BCEC")
-	}
-	acsCfg := c.opts.Solver
-	acsCfg.Objective = core.AverageCase
-	acsCfg.WarmStart = wcs
-	acs, err := c.opts.Runner.BuildScheduleContext(ctx, model, acsCfg)
-	if err != nil {
-		return fmt.Errorf("feedback: acs re-solve: %w", err)
-	}
+	acs := res.Cores[0].ACS
 	plan, err := sim.Compile(acs)
 	if err != nil {
 		return fmt.Errorf("feedback: plan compile: %w", err)
 	}
-	c.model, c.acs, c.plan = model, acs, plan
-	// The fingerprint is the same content address the serving layer's
-	// submit path derives for this (set, config): WarmStart is stripped
-	// first — it is a solver accelerant the controller manages, not part of
-	// the request's identity — so a session's schedule and a /v1/schedules
-	// submit of the same model share one address space.
-	fpCfg := acsCfg
-	fpCfg.WarmStart = nil
-	c.fingerprint = ""
-	if key, ok := grid.ScheduleKey(model, fpCfg); ok {
-		c.fingerprint = key.String()
-	}
+	c.model, c.acs, c.plan, c.fingerprint = model, acs, plan, res.Cores[0].Key
 	// The drift statistic is the standardized total-work ratio: predSum is
 	// Σ model ACEC over the hyper-period's instances, predSigma the σ of
 	// the ratio the solved-against model predicts under the paper's

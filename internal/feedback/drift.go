@@ -94,9 +94,6 @@ func (d *PageHinkley) Add(x float64) bool {
 	return d.up > d.cfg.Lambda || d.down > d.cfg.Lambda
 }
 
-// Evidence returns the current accumulated evidence per direction.
-func (d *PageHinkley) Evidence() (up, down float64) { return d.up, d.down }
-
 // Samples returns the number of inputs folded since the last Reset.
 func (d *PageHinkley) Samples() int64 { return d.n }
 

@@ -90,7 +90,7 @@ func TestPageHinkleyMinSamples(t *testing.T) {
 	if d.Samples() != 0 {
 		t.Error("reset kept samples")
 	}
-	if up, down := d.Evidence(); up != 0 || down != 0 {
+	if d.up != 0 || d.down != 0 {
 		t.Error("reset kept evidence")
 	}
 	if d.Add(100) {

@@ -4,8 +4,9 @@
 // observations, a deterministic drift detector decides when the learned
 // distribution has diverged from the one the current schedule was solved
 // against, and an adaptation controller rebuilds the task set's average-case
-// model and triggers a warm-started ACS re-solve through the grid engine,
-// hot-swapping the compiled plan at a hyper-period boundary.
+// model and re-solves it with the serving layer's own pipeline (a one-core
+// partition.Solve: the shared WCS, then a warm-started ACS), hot-swapping
+// the compiled plan at a hyper-period boundary.
 //
 // Everything in the package is deterministic: estimators and the drift
 // detector are pure fold functions of the observation sequence, and the

@@ -30,6 +30,7 @@ package grid
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -157,17 +158,36 @@ func (r *Runner) BuildSchedule(set *task.Set, cfg core.Config) (*core.Schedule, 
 // ctx's error. A cancelled build is never cached (the memo drops it), so an
 // abandoned request cannot poison the key for later callers. ctx does not
 // enter the cache key — it scopes the work, never the result.
+//
+// A WorstCase build without a warm start is memoized under wcsKey, which
+// leaves out ACEC and BCEC: one WCS serves every set with the same
+// worst-case fields. A hit built for the caller's own set comes back as it
+// is; one built for other ACEC or BCEC comes back retargeted to set, which
+// equals a direct build of set. Every other build is memoized under
+// ScheduleKey.
 func (r *Runner) BuildScheduleContext(ctx context.Context, set *task.Set, cfg core.Config) (*core.Schedule, error) {
+	build := func() (*core.Schedule, error) { return core.BuildContext(ctx, set, cfg) }
 	if r.memo == nil {
-		return core.BuildContext(ctx, set, cfg)
+		return build()
 	}
-	key, ok := ScheduleKey(set, cfg)
+	if cfg.Objective != core.WorstCase || cfg.WarmStart != nil {
+		key, ok := ScheduleKey(set, cfg)
+		if !ok {
+			return build()
+		}
+		return r.memo.schedule(ctx, key, build)
+	}
+	key, ok := wcsKey(set, cfg)
 	if !ok {
-		return core.BuildContext(ctx, set, cfg)
+		return build()
 	}
-	return r.memo.schedule(ctx, key, func() (*core.Schedule, error) {
-		return core.BuildContext(ctx, set, cfg)
-	})
+	s, err := r.memo.schedule(ctx, key, build)
+	if err != nil || slices.Equal(s.Plan.Set.Tasks, set.Tasks) {
+		return s, err
+	}
+	// Equal wcsKeys mean equal worst-case fields, which Retarget accepts.
+	out, _ := s.Retarget(set)
+	return out, nil
 }
 
 // Comparison is a memoized sim.ComparePlans outcome: the energy improvement

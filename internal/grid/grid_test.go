@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -25,6 +26,23 @@ func testSet(t testing.TB) *task.Set {
 		t.Fatal(err)
 	}
 	return set
+}
+
+// withRatio returns a copy of set whose tasks have BCEC = ratio·WCEC and
+// ACEC the mean of BCEC and WCEC: the same worst-case fields, other
+// average-case ones.
+func withRatio(t testing.TB, set *task.Set, ratio float64) *task.Set {
+	t.Helper()
+	ts := append([]task.Task(nil), set.Tasks...)
+	for i := range ts {
+		ts[i].BCEC = ratio * ts[i].WCEC
+		ts[i].ACEC = 0.5 * (ts[i].BCEC + ts[i].WCEC)
+	}
+	out, err := task.NewSet(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestForEachRunsEveryJobOnceBounded(t *testing.T) {
@@ -164,11 +182,7 @@ func TestScheduleKeyContract(t *testing.T) {
 	}
 
 	// A different task set splits the key.
-	set2, err := set.WithRatio(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1, _ := ScheduleKey(set2, base); k1 == k0 {
+	if k1, _ := ScheduleKey(withRatio(t, set, 0.9), base); k1 == k0 {
 		t.Error("different task sets share a key")
 	}
 
@@ -434,5 +448,121 @@ func TestMemoScheduleSingleflight(t *testing.T) {
 	}
 	if st := memo.Stats(); st.ScheduleMisses != 1 {
 		t.Errorf("concurrent singleflight built %d times", st.ScheduleMisses)
+	}
+}
+
+// TestWorstCaseKeySharesWCS: WorstCase builds of sets that differ only in
+// ACEC and BCEC share one memo entry. A hit built for other ACEC comes back
+// retargeted, byte-equal to a direct build of the caller's set and as good a
+// warm start; a hit built for the caller's own content is the cached
+// schedule itself; an infeasible set's cached error answers its variants
+// with a direct build's text; and concurrent variants meet on one build.
+func TestWorstCaseKeySharesWCS(t *testing.T) {
+	encode := func(s *core.Schedule) []byte {
+		t.Helper()
+		b, err := core.EncodeSchedule(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	wcsCfg := core.Config{Objective: core.WorstCase}
+	base := testSet(t)
+	variant := withRatio(t, base, 0.9)
+	memo := NewMemo()
+	r := New(1, memo)
+	first, err := r.BuildSchedule(base, wcsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.BuildSchedule(variant, wcsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := memo.Stats(); st.ScheduleMisses != 1 || st.ScheduleHits != 1 {
+		t.Fatalf("two ACEC variants: %d misses, %d hits; want 1 and 1", st.ScheduleMisses, st.ScheduleHits)
+	}
+	want, err := core.Build(variant, wcsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Plan.Set != variant || !bytes.Equal(encode(got), encode(want)) {
+		t.Error("the variant's hit is not its own direct build")
+	}
+	acsCfg := core.Config{Objective: core.AverageCase, WarmStart: got}
+	fromGot, err := core.Build(variant, acsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acsCfg.WarmStart = want
+	fromWant, err := core.Build(variant, acsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(fromGot), encode(fromWant)) {
+		t.Error("ACS warm-started from the hit differs from one warm-started from a direct build")
+	}
+
+	same, err := task.NewSet(base.Tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := r.BuildSchedule(same, wcsCfg); err != nil || again != first {
+		t.Errorf("a hit for the builder's own content is not the cached schedule (err %v)", err)
+	}
+
+	bad, err := task.NewSet([]task.Task{
+		{Name: "a", Period: 10, WCEC: 40, ACEC: 20, BCEC: 10, Ceff: 1},
+		{Name: "b", Period: 20, WCEC: 8, ACEC: 4, BCEC: 2, Ceff: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badVariant := withRatio(t, bad, 0.9)
+	_, direct := core.Build(badVariant, wcsCfg)
+	if direct == nil {
+		t.Fatal("the over-utilised set built")
+	}
+	if _, err := r.BuildSchedule(bad, wcsCfg); err == nil {
+		t.Fatal("the over-utilised set built through the memo")
+	}
+	before := memo.Stats()
+	_, cached := r.BuildSchedule(badVariant, wcsCfg)
+	if cached == nil || cached.Error() != direct.Error() {
+		t.Errorf("cached error %v, want a direct build's %v", cached, direct)
+	}
+	if st := memo.Stats(); st.ScheduleHits != before.ScheduleHits+1 || st.ScheduleMisses != before.ScheduleMisses {
+		t.Errorf("the infeasible variant was not a hit: %+v", st)
+	}
+
+	variants := make([]*task.Set, 8)
+	wants := make([][]byte, len(variants))
+	for i := range variants {
+		variants[i] = withRatio(t, base, 0.1*float64(i+1))
+		w, err := core.Build(variants[i], wcsCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = encode(w)
+	}
+	memo = NewMemo()
+	r = New(1, memo)
+	gots := make([]*core.Schedule, len(variants))
+	var wg sync.WaitGroup
+	for i := range variants {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			gots[i], _ = r.BuildSchedule(variants[i], wcsCfg)
+		}(i)
+	}
+	wg.Wait()
+	for i, s := range gots {
+		if s == nil || !bytes.Equal(encode(s), wants[i]) {
+			t.Errorf("concurrent variant %d is not its direct build", i)
+		}
+	}
+	if st := memo.Stats(); st.ScheduleMisses != 1 {
+		t.Errorf("%d concurrent ACEC variants built %d times, want once", len(variants), st.ScheduleMisses)
 	}
 }

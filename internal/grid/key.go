@@ -26,20 +26,34 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // hasher accumulates the canonical encoding. Every primitive is written as
 // fixed-width little-endian bytes (floats by their IEEE-754 bit pattern, so
 // the encoding is exact, not a decimal rendering); strings and slices are
-// length-prefixed so adjacent fields cannot alias.
+// length-prefixed so adjacent fields cannot alias. Writes fill block, and
+// the digest takes it whole, four SHA-256 blocks at a time, instead of one
+// Write per field; sum hands it the rest.
 type hasher struct {
-	h   hash.Hash
-	buf [8]byte
-	// scratch carries strings to the digest, which takes only []byte:
-	// reusing one slice spares a copy per string hashed.
-	scratch []byte
+	h     hash.Hash
+	n     int // bytes of block in use
+	block [256]byte
 }
 
 func newHasher() *hasher { return &hasher{h: sha256.New()} }
 
+// fill copies p into block, handing the digest each block it fills.
+func fill[S []byte | string](h *hasher, p S) {
+	for len(p) > 0 {
+		c := copy(h.block[h.n:], p)
+		h.n += c
+		p = p[c:]
+		if h.n == len(h.block) {
+			h.h.Write(h.block[:])
+			h.n = 0
+		}
+	}
+}
+
 func (h *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(h.buf[:], v)
-	h.h.Write(h.buf[:])
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	fill(h, b[:])
 }
 
 func (h *hasher) i64(v int64)   { h.u64(uint64(v)) }
@@ -55,8 +69,7 @@ func (h *hasher) flag(v bool) {
 
 func (h *hasher) str(s string) {
 	h.u64(uint64(len(s)))
-	h.scratch = append(h.scratch[:0], s...)
-	h.h.Write(h.scratch)
+	fill(h, s)
 }
 
 func (h *hasher) f64s(xs []float64) {
@@ -67,6 +80,7 @@ func (h *hasher) f64s(xs []float64) {
 }
 
 func (h *hasher) sum() Key {
+	h.h.Write(h.block[:h.n])
 	var k Key
 	h.h.Sum(k[:0])
 	return k
@@ -161,6 +175,9 @@ func (h *hasher) schedule(s *core.Schedule) bool {
 // core.Config.Canonical first, so a zero config and an explicitly-defaulted
 // one share a key. ok is false when the config cannot be canonically encoded
 // (an unknown model implementation); callers then bypass the memo.
+//
+// It is the public fingerprint of every request. The memo keys a WorstCase
+// build without a warm start under wcsKey instead.
 func ScheduleKey(set *task.Set, cfg core.Config) (Key, bool) {
 	c := cfg.Canonical()
 	h := newHasher()
@@ -169,8 +186,47 @@ func ScheduleKey(set *task.Set, cfg core.Config) (Key, bool) {
 	// output never answers under these keys.
 	h.str("schedule/v2")
 	h.taskSet(set)
-	if !h.model(c.Model) {
+	if !h.config(c) {
 		return Key{}, false
+	}
+	if c.WarmStart != nil {
+		h.str("warm")
+		if !h.schedule(c.WarmStart) {
+			return Key{}, false
+		}
+	}
+	return h.sum(), true
+}
+
+// wcsKey is the memo key of a WorstCase build without a warm start. Such a
+// build reads a task's ACEC and BCEC only to derive AvgWork, which
+// core.Schedule.Retarget re-derives for another set, so the key hashes each
+// task's Name, Period, WCEC and Ceff and ScheduleKey's config fields: every
+// set with the same worst-case fields shares one entry. Its domain version
+// moves with ScheduleKey's.
+func wcsKey(set *task.Set, cfg core.Config) (Key, bool) {
+	h := newHasher()
+	h.str("wcs/v1")
+	h.u64(uint64(len(set.Tasks)))
+	for i := range set.Tasks {
+		t := &set.Tasks[i]
+		h.str(t.Name)
+		h.i64(t.Period)
+		h.f64(t.WCEC)
+		h.f64(t.Ceff)
+	}
+	if !h.config(cfg.Canonical()) {
+		return Key{}, false
+	}
+	return h.sum(), true
+}
+
+// config writes the model identity and every canonical core.Config field a
+// solve is a function of, WarmStart aside; see ScheduleKey. It reports false
+// for a model it cannot encode.
+func (h *hasher) config(c core.Config) bool {
+	if !h.model(c.Model) {
+		return false
 	}
 	h.u64(uint64(c.Objective))
 	h.i64(int64(c.MaxSweeps))
@@ -198,13 +254,7 @@ func ScheduleKey(set *task.Set, cfg core.Config) (Key, bool) {
 	}
 	h.i64(int64(starts))
 	h.u64(startSeed)
-	if c.WarmStart != nil {
-		h.str("warm")
-		if !h.schedule(c.WarmStart) {
-			return Key{}, false
-		}
-	}
-	return h.sum(), true
+	return true
 }
 
 // CompareKey returns the content address of a simulated comparison of the

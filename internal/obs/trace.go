@@ -80,16 +80,6 @@ func (t *Trace) Record(stage string, seconds float64) {
 	t.mu.Unlock()
 }
 
-// Spans returns a copy of the recorded spans.
-func (t *Trace) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
-}
-
 type traceKey struct{}
 
 // ContextWithTrace attaches t to ctx. Attaching nil returns ctx

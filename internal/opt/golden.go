@@ -7,8 +7,6 @@
 // (experiment E9).
 package opt
 
-import "math"
-
 // invPhi = 1/φ, the golden-section step ratio.
 const invPhi = 0.6180339887498949
 
@@ -62,37 +60,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Bisect finds a root of the monotone function g on [lo, hi] to absolute
-// tolerance tol, assuming g(lo) and g(hi) bracket zero; if they do not, the
-// endpoint with the smaller |g| is returned. Used by power-model inverses in
-// tests.
-func Bisect(g func(float64) float64, lo, hi, tol float64) float64 {
-	glo, ghi := g(lo), g(hi)
-	if glo == 0 {
-		return lo
-	}
-	if ghi == 0 {
-		return hi
-	}
-	if (glo > 0) == (ghi > 0) {
-		if math.Abs(glo) < math.Abs(ghi) {
-			return lo
-		}
-		return hi
-	}
-	for hi-lo > tol {
-		mid := 0.5 * (lo + hi)
-		gm := g(mid)
-		if gm == 0 {
-			return mid
-		}
-		if (gm > 0) == (glo > 0) {
-			lo, glo = mid, gm
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi)
 }

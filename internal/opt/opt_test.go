@@ -71,23 +71,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	root := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
-	if math.Abs(root-math.Sqrt2) > 1e-9 {
-		t.Errorf("Bisect sqrt2 = %g", root)
-	}
-	// Decreasing function.
-	root = Bisect(func(x float64) float64 { return 1 - x }, 0, 3, 1e-12)
-	if math.Abs(root-1) > 1e-9 {
-		t.Errorf("Bisect decreasing = %g", root)
-	}
-	// No bracket: closest endpoint.
-	root = Bisect(func(x float64) float64 { return x + 10 }, 0, 1, 1e-12)
-	if root != 0 {
-		t.Errorf("no-bracket Bisect = %g", root)
-	}
-}
-
 func TestNelderMeadRosenbrock(t *testing.T) {
 	rosen := func(x []float64) float64 {
 		return 100*math.Pow(x[1]-x[0]*x[0], 2) + math.Pow(1-x[0], 2)

@@ -84,39 +84,3 @@ func (d *Discrete) Levels() []float64 { return append([]float64(nil), d.levels..
 // Base returns the continuous model the levels quantise. Together with
 // Levels it is the model's full identity, which the grid memo fingerprints.
 func (d *Discrete) Base() Model { return d.base }
-
-// TwoLevelSplit computes the Ishihara–Yasuura (ISLPED'98) optimal execution
-// of a workload on a discrete-level processor: run c1 cycles at the level
-// just below the ideal continuous voltage and cycles−c1 at the level just
-// above, so the work finishes exactly at the window boundary. It returns the
-// two levels, the cycle split, and the resulting energy. When the ideal
-// voltage coincides with a level (or falls outside the level range) the
-// split degenerates to a single level.
-func TwoLevelSplit(d *Discrete, ceff, cycles, window float64) (vLo, vHi, cyclesAtLo, energy float64) {
-	if cycles <= 0 {
-		return d.VMin(), d.VMin(), 0, 0
-	}
-	ideal := d.base.VoltageForCycleTime(window / cycles)
-	i := sort.SearchFloat64s(d.levels, ideal)
-	switch {
-	case i >= len(d.levels):
-		// Even the top level is too slow: run flat out.
-		v := d.levels[len(d.levels)-1]
-		return v, v, cycles, Energy(ceff, v, cycles)
-	case i == 0 || d.levels[i] == ideal:
-		v := d.levels[i]
-		return v, v, cycles, Energy(ceff, v, cycles)
-	}
-	vLo, vHi = d.levels[i-1], d.levels[i]
-	tLo, tHi := d.base.CycleTime(vLo), d.base.CycleTime(vHi)
-	// Solve c1·tLo + (cycles−c1)·tHi = window for c1, clamped to [0, cycles].
-	c1 := (window - cycles*tHi) / (tLo - tHi)
-	if c1 < 0 {
-		c1 = 0
-	}
-	if c1 > cycles {
-		c1 = cycles
-	}
-	energy = Energy(ceff, vLo, c1) + Energy(ceff, vHi, cycles-c1)
-	return vLo, vHi, c1, energy
-}

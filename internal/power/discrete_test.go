@@ -1,7 +1,6 @@
 package power
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -92,47 +91,5 @@ func TestUniformLevels(t *testing.T) {
 	one, err := UniformLevels(base, 1)
 	if err != nil || len(one) != 1 || one[0] != base.VMax() {
 		t.Errorf("single level %v err=%v", one, err)
-	}
-}
-
-// TestTwoLevelSplitExactness: the Ishihara–Yasuura split must finish the
-// work exactly at the window boundary and cost no more than rounding up.
-func TestTwoLevelSplitExactness(t *testing.T) {
-	d := mustDiscrete(t, []float64{1, 2, 4})
-	ceff, cycles, window := 1.0, 30.0, 20.0 // ideal V = 1.5
-	vLo, vHi, cLo, energy := TwoLevelSplit(d, ceff, cycles, window)
-	if vLo != 1 || vHi != 2 {
-		t.Fatalf("split levels %g/%g, want 1/2", vLo, vHi)
-	}
-	dur := cLo*d.CycleTime(vLo) + (cycles-cLo)*d.CycleTime(vHi)
-	if math.Abs(dur-window) > 1e-9 {
-		t.Errorf("split duration %g, want %g", dur, window)
-	}
-	// Energy must not exceed running everything at the upper level, and
-	// must be at least the continuous-ideal energy.
-	if up := Energy(ceff, vHi, cycles); energy > up+1e-9 {
-		t.Errorf("split energy %g worse than upper level %g", energy, up)
-	}
-	ideal := Energy(ceff, 1.5, cycles)
-	if energy < ideal-1e-9 {
-		t.Errorf("split energy %g beats the continuous ideal %g", energy, ideal)
-	}
-}
-
-func TestTwoLevelSplitDegenerate(t *testing.T) {
-	d := mustDiscrete(t, []float64{1, 2, 4})
-	// Zero work.
-	if _, _, c, e := TwoLevelSplit(d, 1, 0, 10); c != 0 || e != 0 {
-		t.Errorf("zero work split: c=%g e=%g", c, e)
-	}
-	// Ideal above the top level: run flat out.
-	vLo, vHi, cLo, _ := TwoLevelSplit(d, 1, 100, 1)
-	if vLo != 4 || vHi != 4 || cLo != 100 {
-		t.Errorf("overload split %g/%g c=%g", vLo, vHi, cLo)
-	}
-	// Ideal below the bottom level: single lowest level.
-	vLo, vHi, _, _ = TwoLevelSplit(d, 1, 1, 100)
-	if vLo != 1 || vHi != 1 {
-		t.Errorf("underload split %g/%g", vLo, vHi)
 	}
 }

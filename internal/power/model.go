@@ -36,10 +36,6 @@ type Model interface {
 	VMax() float64
 }
 
-// EnergyPerCycle returns the dynamic switching energy of one cycle at
-// voltage v for effective capacitance ceff: E = ceff · v² (paper eq. (3)).
-func EnergyPerCycle(ceff, v float64) float64 { return ceff * v * v }
-
 // Energy returns the dynamic energy of executing cycles cycles at voltage v.
 func Energy(ceff, v, cycles float64) float64 { return ceff * v * v * cycles }
 
@@ -60,9 +56,6 @@ func VoltageForWindow(m Model, cycles, window float64) (v float64, fits bool) {
 	// allow a hair of float slack so exact solutions round-trip.
 	return v, cycles*m.CycleTime(v) <= window*(1+1e-9)
 }
-
-// ExecTime returns the execution time of cycles cycles at voltage v.
-func ExecTime(m Model, cycles, v float64) float64 { return cycles * m.CycleTime(v) }
 
 // SimpleInverse is the simplified model of the paper's motivational example:
 // "the clock cycle time is inversely proportional to the supply voltage".

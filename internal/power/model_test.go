@@ -162,16 +162,6 @@ func TestEnergyQuadraticInVoltage(t *testing.T) {
 	if e := Energy(2, 3, 10); e != 180 {
 		t.Errorf("Energy(2,3,10) = %g, want 180", e)
 	}
-	if e := EnergyPerCycle(1.5, 2); e != 6 {
-		t.Errorf("EnergyPerCycle(1.5,2) = %g, want 6", e)
-	}
-}
-
-func TestExecTime(t *testing.T) {
-	m := mustSimple(t)
-	if d := ExecTime(m, 10, 2); d != 5 {
-		t.Errorf("ExecTime(10, 2V) = %g, want 5", d)
-	}
 }
 
 func TestDefaultModel(t *testing.T) {

@@ -242,17 +242,6 @@ func (su SubInstance) ID(set *task.Set) string {
 	return fmt.Sprintf("%s,%d,%d", set.Tasks[su.TaskIndex].Name, su.InstanceNumber, su.SubIndex)
 }
 
-// MaxSubInstances returns the largest number of pieces any instance has.
-func (s *Schedule) MaxSubInstances() int {
-	m := 0
-	for _, ps := range s.ByInstance {
-		if len(ps) > m {
-			m = len(ps)
-		}
-	}
-	return m
-}
-
 // Validate checks the structural invariants the rest of the system relies
 // on; it is called by tests and by the core scheduler in debug paths.
 func (s *Schedule) Validate() error {

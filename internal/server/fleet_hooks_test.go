@@ -292,7 +292,7 @@ func TestDamagedSessionCheckpoint(t *testing.T) {
 		t.Fatal("victim checkpoint has no observed count to damage")
 	}
 	// A model whose WCEC left its base: a valid set, but not one adaptation
-	// can reach, so the re-solve has no base WCS to retarget to it.
+	// can reach, so the restore check refuses it.
 	var cp sessionCheckpoint
 	if err := json.Unmarshal(victim, &cp); err != nil {
 		t.Fatal(err)

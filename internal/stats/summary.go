@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates streaming summary statistics (Welford's online
@@ -96,104 +95,4 @@ func Std(xs []float64) float64 {
 	var s Summary
 	s.AddAll(xs)
 	return s.Std()
-}
-
-// Percentile returns the p-quantile (p in [0,1]) of xs using linear
-// interpolation between order statistics. It copies xs and does not mutate
-// the caller's slice. Empty input returns 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	pos := p * float64(len(ys)-1)
-	i := int(math.Floor(pos))
-	frac := pos - float64(i)
-	if i+1 >= len(ys) {
-		return ys[len(ys)-1]
-	}
-	return ys[i]*(1-frac) + ys[i+1]*frac
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi]; observations
-// outside the range are clamped into the edge bins so mass is never lost.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	n      int
-}
-
-// NewHistogram returns a histogram with bins equal-width bins over [lo, hi].
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bin, got %d", bins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram range [%g, %g] is empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	b := int(float64(len(h.Bins)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.Bins) {
-		b = len(h.Bins) - 1
-	}
-	h.Bins[b]++
-	h.n++
-}
-
-// N returns the number of recorded observations.
-func (h *Histogram) N() int { return h.n }
-
-// Mode returns the midpoint of the most populated bin (ties resolve to the
-// lowest bin). Empty histograms return the range midpoint.
-func (h *Histogram) Mode() float64 {
-	best, bi := -1, 0
-	for i, c := range h.Bins {
-		if c > best {
-			best, bi = c, i
-		}
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + w*(float64(bi)+0.5)
-}
-
-// ASCII renders the histogram as a bar chart, one row per bin, scaled to
-// width columns. It is used by cmd/experiments for terminal output.
-func (h *Histogram) ASCII(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	maxc := 0
-	for _, c := range h.Bins {
-		if c > maxc {
-			maxc = c
-		}
-	}
-	out := ""
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	for i, c := range h.Bins {
-		bar := 0
-		if maxc > 0 {
-			bar = c * width / maxc
-		}
-		out += fmt.Sprintf("[%8.3g,%8.3g) %6d ", h.Lo+w*float64(i), h.Lo+w*float64(i+1), c)
-		for j := 0; j < bar; j++ {
-			out += "#"
-		}
-		out += "\n"
-	}
-	return out
 }

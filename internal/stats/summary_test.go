@@ -59,67 +59,6 @@ func TestSummaryMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%g) = %g, want %g", c.p, got, c.want)
-		}
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0.5, 3, 5, 9.9, 42} {
-		h.Add(x)
-	}
-	if h.N() != 6 {
-		t.Errorf("N = %d", h.N())
-	}
-	if h.Bins[0] != 2 { // -1 clamps into the first bin alongside 0.5
-		t.Errorf("first bin = %d, want 2", h.Bins[0])
-	}
-	if h.Bins[4] != 2 { // 42 clamps into the last bin alongside 9.9
-		t.Errorf("last bin = %d, want 2", h.Bins[4])
-	}
-	if s := h.ASCII(20); s == "" {
-		t.Error("ASCII render is empty")
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h, _ := NewHistogram(0, 10, 10)
-	for i := 0; i < 5; i++ {
-		h.Add(7.3)
-	}
-	h.Add(1)
-	if m := h.Mode(); math.Abs(m-7.5) > 1e-9 {
-		t.Errorf("Mode = %g, want 7.5", m)
-	}
-}
-
 func TestStdHelper(t *testing.T) {
 	if s := Std([]float64{1, 1, 1}); s != 0 {
 		t.Errorf("Std of constants = %g", s)

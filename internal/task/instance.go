@@ -63,16 +63,3 @@ func sortInstances(ins []Instance) {
 		return a.Number < b.Number
 	})
 }
-
-// InstanceCount returns the total number of instances in one hyper-period.
-func (s *Set) InstanceCount() (int, error) {
-	h, err := s.Hyperperiod()
-	if err != nil {
-		return 0, err
-	}
-	n := int64(0)
-	for i := range s.Tasks {
-		n += h / s.Tasks[i].Period
-	}
-	return int(n), nil
-}

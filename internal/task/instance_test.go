@@ -20,10 +20,6 @@ func TestInstancesCountAndWindows(t *testing.T) {
 	if len(ins) != 3 {
 		t.Fatalf("got %d instances, want 3", len(ins))
 	}
-	n, err := s.InstanceCount()
-	if err != nil || n != 3 {
-		t.Fatalf("InstanceCount = %d, err %v", n, err)
-	}
 	for _, in := range ins {
 		p := float64(s.Tasks[in.TaskIndex].Period)
 		if in.Deadline-in.Release != p {

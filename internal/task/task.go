@@ -154,29 +154,19 @@ func (s *Set) ScaleWCEC(factor float64) (*Set, error) {
 	return NewSet(ts)
 }
 
-// WithRatio returns a copy of the set in which every task's BCEC is set to
-// ratio·WCEC and ACEC to the distribution mean (BCEC+WCEC)/2, the
-// configuration the paper sweeps in Fig. 6 (ratio = BCEC/WCEC ∈ {0.1 … 0.9}).
-func (s *Set) WithRatio(ratio float64) (*Set, error) {
-	if ratio < 0 || ratio > 1 {
-		return nil, fmt.Errorf("task: BCEC/WCEC ratio must lie in [0, 1], got %g", ratio)
+// SameWorstCase reports whether a and b agree task for task on every field
+// but ACEC and BCEC: the fields a worst-case schedule is a function of.
+func SameWorstCase(a, b *Set) bool {
+	if len(a.Tasks) != len(b.Tasks) {
+		return false
 	}
-	ts := append([]Task(nil), s.Tasks...)
-	for i := range ts {
-		ts[i].BCEC = ratio * ts[i].WCEC
-		ts[i].ACEC = 0.5 * (ts[i].BCEC + ts[i].WCEC)
-	}
-	return NewSet(ts)
-}
-
-// ByName returns the task with the given name, or nil.
-func (s *Set) ByName(name string) *Task {
-	for i := range s.Tasks {
-		if s.Tasks[i].Name == name {
-			return &s.Tasks[i]
+	for i := range a.Tasks {
+		x, y := &a.Tasks[i], &b.Tasks[i]
+		if x.Name != y.Name || x.Period != y.Period || x.WCEC != y.WCEC || x.Ceff != y.Ceff {
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 // MarshalJSON renders the set as {"tasks": [...]}.

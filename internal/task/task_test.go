@@ -170,34 +170,6 @@ func TestUtilizationAndScale(t *testing.T) {
 	}
 }
 
-func TestWithRatio(t *testing.T) {
-	s, err := NewSet([]Task{valid("a", 10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.WithRatio(0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk := r.Tasks[0]
-	if tk.BCEC != 3 || tk.ACEC != 6.5 {
-		t.Errorf("ratio 0.3: BCEC=%g ACEC=%g", tk.BCEC, tk.ACEC)
-	}
-	if _, err := s.WithRatio(1.5); err == nil {
-		t.Error("ratio > 1 accepted")
-	}
-}
-
-func TestByName(t *testing.T) {
-	s, _ := NewSet([]Task{valid("a", 10), valid("b", 20)})
-	if s.ByName("b") == nil || s.ByName("b").Name != "b" {
-		t.Error("ByName(b) failed")
-	}
-	if s.ByName("zzz") != nil {
-		t.Error("ByName of missing task returned non-nil")
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	s, err := NewSet([]Task{valid("a", 40), valid("b", 10)})
 	if err != nil {

@@ -6,7 +6,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -110,48 +109,4 @@ func Gantt(s *core.Schedule, width int) string {
 	}
 	fmt.Fprintf(&b, "%-*s 0%s%.0fms\n", nameW, "", strings.Repeat(" ", width-1), h)
 	return b.String()
-}
-
-// VoltageProfile summarises the runtime voltage of each task under the given
-// actual workloads: min/mean/max across its executing sub-instances.
-func VoltageProfile(s *core.Schedule, actual []float64) (string, error) {
-	volts, err := s.RuntimeVoltages(actual)
-	if err != nil {
-		return "", err
-	}
-	type agg struct {
-		min, max, sum float64
-		n             int
-	}
-	per := make([]agg, s.Plan.Set.N())
-	for pos, v := range volts {
-		if v <= 0 {
-			continue
-		}
-		a := &per[s.Plan.Subs[pos].TaskIndex]
-		if a.n == 0 || v < a.min {
-			a.min = v
-		}
-		if v > a.max {
-			a.max = v
-		}
-		a.sum += v
-		a.n++
-	}
-	var b strings.Builder
-	b.WriteString("task,pieces,vmin,vmean,vmax\n")
-	for i, t := range s.Plan.Set.Tasks {
-		a := per[i]
-		mean := 0.0
-		if a.n > 0 {
-			mean = a.sum / float64(a.n)
-		}
-		fmt.Fprintf(&b, "%s,%d,%.3f,%.3f,%.3f\n", t.Name, a.n, a.min, mean, a.max)
-	}
-	return b.String(), nil
-}
-
-// SortRowsByEnd orders export rows by static end-time (stable for ties).
-func SortRowsByEnd(rows []Row) {
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].End < rows[j].End })
 }

@@ -81,33 +81,3 @@ func TestGanttRender(t *testing.T) {
 		t.Error("default width render failed")
 	}
 }
-
-func TestVoltageProfile(t *testing.T) {
-	s := buildSchedule(t)
-	actual := make([]float64, len(s.Plan.Instances))
-	for i, in := range s.Plan.Instances {
-		actual[i] = s.Plan.Set.Tasks[in.TaskIndex].ACEC
-	}
-	p, err := VoltageProfile(s, actual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(p), "\n")
-	if len(lines) != s.Plan.Set.N()+1 {
-		t.Errorf("%d profile lines", len(lines))
-	}
-	if _, err := VoltageProfile(s, actual[:1]); err == nil {
-		t.Error("short actual vector accepted")
-	}
-}
-
-func TestSortRowsByEnd(t *testing.T) {
-	s := buildSchedule(t)
-	rows := Rows(s)
-	SortRowsByEnd(rows)
-	for i := 1; i < len(rows); i++ {
-		if rows[i].End < rows[i-1].End {
-			t.Fatal("rows not sorted by end")
-		}
-	}
-}

@@ -199,26 +199,3 @@ func (s *Schedule) Energy(m power.Model) (float64, error) {
 	}
 	return total, nil
 }
-
-// MaxSpeed returns the largest interval speed (cycles/ms), the schedule's
-// feasibility requirement.
-func (s *Schedule) MaxSpeed() float64 {
-	m := 0.0
-	for _, iv := range s.Intervals {
-		if iv.Speed > m {
-			m = iv.Speed
-		}
-	}
-	return m
-}
-
-// TotalWork sums the work of all scheduled jobs.
-func (s *Schedule) TotalWork() float64 {
-	var w float64
-	for _, iv := range s.Intervals {
-		for _, j := range iv.Jobs {
-			w += j.Work
-		}
-	}
-	return w
-}

@@ -29,7 +29,11 @@
 package repro
 
 import (
+	"context"
+
 	"repro/internal/core"
+	"repro/internal/grid"
+	"repro/internal/partition"
 	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -102,23 +106,18 @@ func BuildSchedule(set *TaskSet, cfg ScheduleConfig) (*Schedule, error) {
 
 // BuildBoth solves the WCS baseline first and then ACS warm-started from it,
 // which guarantees the ACS solution is never worse than the baseline on the
-// average-case objective. This is the pairing every experiment uses.
+// average-case objective. This is the pairing every experiment and the
+// server use: a one-core partitioned solve, unmemoized. cfg's Objective and
+// WarmStart are ignored.
 func BuildBoth(set *TaskSet, cfg ScheduleConfig) (acs, wcs *Schedule, err error) {
-	wcsCfg := cfg
-	wcsCfg.Objective = core.WorstCase
-	wcsCfg.WarmStart = nil
-	wcs, err = core.Build(set, wcsCfg)
+	cfg.Objective = core.AverageCase
+	cfg.WarmStart = nil
+	res, err := partition.Solve(context.Background(), grid.New(1, nil), set,
+		partition.Config{Cores: 1, Solver: cfg})
 	if err != nil {
 		return nil, nil, err
 	}
-	acsCfg := cfg
-	acsCfg.Objective = core.AverageCase
-	acsCfg.WarmStart = wcs
-	acs, err = core.Build(set, acsCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return acs, wcs, nil
+	return res.Cores[0].ACS, res.Cores[0].WCS, nil
 }
 
 // Runtime simulator re-exports.
