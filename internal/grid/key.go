@@ -176,8 +176,8 @@ func (h *hasher) schedule(s *core.Schedule) bool {
 // one share a key. ok is false when the config cannot be canonically encoded
 // (an unknown model implementation); callers then bypass the memo.
 //
-// It is the public fingerprint of every request. The memo keys a WorstCase
-// build without a warm start under wcsKey instead.
+// Every public fingerprint is built on it (partition.Fingerprint). The memo
+// keys a WorstCase build without a warm start under wcsKey instead.
 func ScheduleKey(set *task.Set, cfg core.Config) (Key, bool) {
 	c := cfg.Canonical()
 	h := newHasher()
