@@ -508,7 +508,7 @@ func TestWorstCaseKeySharesWCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	if again, err := r.BuildSchedule(same, wcsCfg); err != nil || again != first {
-		t.Errorf("a hit for the builder's own content is not the cached schedule (err %v)", err)
+		t.Errorf("a hit for the cached set's own content is not the cached schedule (err %v)", err)
 	}
 
 	bad, err := task.NewSet([]task.Task{
