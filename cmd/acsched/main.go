@@ -44,7 +44,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		subCap    = fs.Int("subcap", 0, "max sub-instances per instance (0 = unlimited)")
 		sweeps    = fs.Int("sweeps", 0, "max coordinate-descent sweeps (0 = default)")
 		starts    = fs.Int("starts", 1, "multi-start count (>1 runs parallel solver starts)")
-		workers   = fs.Int("workers", 0, "multi-start worker pool (0 = GOMAXPROCS; result is identical either way)")
 		startSeed = fs.Uint64("startseed", 0, "multi-start blend jitter seed (0 = default)")
 	)
 	if err := cliutil.ParseFlags(fs, args); err != nil {
@@ -57,10 +56,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	cfg := core.Config{
-		MaxSweeps:    *sweeps,
-		Starts:       *starts,
-		StartWorkers: *workers,
-		StartSeed:    *startSeed,
+		MaxSweeps: *sweeps,
+		Starts:    *starts,
+		StartSeed: *startSeed,
 	}
 	cfg.Preempt.MaxSubsPerInstance = *subCap
 	switch *objective {

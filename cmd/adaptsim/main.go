@@ -97,8 +97,6 @@ func run(args []string, stdout io.Writer) error {
 		chunk     = fs.Int("chunk", 10, "hyper-periods per execution chunk (plan swaps land on chunk boundaries)")
 		swEvery   = fs.Int("switchevery", 80, "modeswitch regime length in hyper-periods")
 		driftOver = fs.Int("driftover", 200, "drift transition length in hyper-periods")
-		simWork   = fs.Int("simworkers", 0, "simulation workers (0 = GOMAXPROCS; results identical for any value)")
-		workers   = fs.Int("workers", 0, "grid worker-pool width for solves (0 = GOMAXPROCS)")
 		noCache   = fs.Bool("nocache", false, "disable the schedule memo (identical results, more solves)")
 		out       = fs.String("o", "", "also write the JSON report to this file")
 		record    = fs.String("record", "", "record each scenario's observation stream to DIR/<scenario>.trace")
@@ -114,7 +112,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("horizon and chunk must be positive")
 	}
 	if *replay != "" {
-		return runReplay(*replay, *chunk, *simWork, *workers, !*noCache, *out, stdout)
+		return runReplay(*replay, *chunk, !*noCache, *out, stdout)
 	}
 	kinds, err := parseKinds(*scenarios)
 	if err != nil {
@@ -132,7 +130,7 @@ func run(args []string, stdout io.Writer) error {
 	if !*noCache {
 		memo = grid.NewMemo()
 	}
-	runner := grid.New(*workers, memo)
+	runner := grid.New(0, memo)
 	rep := &report{Tasks: *n, Ratio: *ratio, Util: *util, Seed: *seed, Chunk: *chunk}
 	ctx := context.Background()
 	misses := 0
@@ -149,7 +147,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		simCfg := sim.Config{Policy: sim.Greedy, Workers: *simWork}
+		simCfg := sim.Config{Policy: sim.Greedy}
 		taskOf := ctrl.TaskOf()
 		rows, err := sc.Actuals(*horizon, taskOf)
 		if err != nil {
@@ -305,8 +303,8 @@ type replayReport struct {
 
 // runReplay re-runs a recorded observation stream through the static and
 // adaptive arms. The whole report is a pure function of the recording and
-// the chunk size — worker counts cannot change a byte of it.
-func runReplay(path string, chunk, simWork, workers int, cache bool, out string, stdout io.Writer) error {
+// the chunk size — the pool width cannot change a byte of it.
+func runReplay(path string, chunk int, cache bool, out string, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -324,7 +322,7 @@ func runReplay(path string, chunk, simWork, workers int, cache bool, out string,
 	if cache {
 		memo = grid.NewMemo()
 	}
-	runner := grid.New(workers, memo)
+	runner := grid.New(0, memo)
 	ctx := context.Background()
 	ctrl, err := feedback.NewController(ctx, set, feedback.Options{Runner: runner})
 	if err != nil {
@@ -333,7 +331,7 @@ func runReplay(path string, chunk, simWork, workers int, cache bool, out string,
 	if got, want := len(ctrl.TaskOf()), s.Instances; got != want {
 		return fmt.Errorf("replay: plan has %d instances per hyper-period, recording has %d", got, want)
 	}
-	simCfg := sim.Config{Policy: sim.Greedy, Workers: simWork}
+	simCfg := sim.Config{Policy: sim.Greedy}
 	horizon := len(s.Rows)
 	rep := &replayReport{Source: path, Tasks: set.N(), Horizon: horizon, Chunk: chunk}
 

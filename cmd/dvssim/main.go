@@ -52,7 +52,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		dist    = fs.String("dist", "paper", "workload distribution: paper, uniform, bimodal, acec, wcec")
 		subCap  = fs.Int("subcap", 0, "max sub-instances per instance (0 = unlimited)")
 		starts  = fs.Int("starts", 1, "solver multi-start count (>1 runs parallel starts)")
-		simWork = fs.Int("simworkers", 0, "parallel hyper-period simulation workers (0 = GOMAXPROCS; results are identical for any value)")
 		rtTrace = fs.Bool("trace", false, "export one hyper-period's runtime execution for the ACS schedule (observed vs predicted cycles per job, CSV + Gantt)")
 	)
 	if err := cliutil.ParseFlags(fs, args); err != nil {
@@ -82,11 +81,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	acs, wcs := res.Cores[0].ACS, res.Cores[0].WCS
 
-	workers := *simWork
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cfg := sim.Config{Policy: pol, Hyperperiods: *reps, Seed: *seed, Dist: d, Workers: workers}
+	cfg := sim.Config{Policy: pol, Hyperperiods: *reps, Seed: *seed, Dist: d, Workers: runtime.GOMAXPROCS(0)}
 	imp, ra, rb, err := sim.Compare(acs, wcs, cfg)
 	if err != nil {
 		return err

@@ -45,9 +45,7 @@ func run(args []string, stdout io.Writer) error {
 		sets       = fs.Int("sets", 20, "random task sets per configuration cell (paper: 100)")
 		reps       = fs.Int("reps", 200, "hyper-periods simulated per task set (paper: 1000)")
 		seed       = fs.Uint64("seed", 2005, "master seed")
-		workers    = fs.Int("workers", 0, "grid worker-pool width (0 = GOMAXPROCS; results identical for any value)")
 		starts     = fs.Int("starts", 0, "solver multi-start count per schedule build (0/1 = single)")
-		simWork    = fs.Int("simworkers", 0, "parallel hyper-period simulation workers per sim run (0 = GOMAXPROCS; results identical for any value; harnesses whose per-set grid jobs already saturate the pool — fig6a and the random-set ablations — pin their inner sims serial and ignore this)")
 		cache      = fs.Bool("cache", true, "memoize schedule solves across experiments (results identical either way)")
 		csvDir     = fs.String("csv", "", "directory to write CSV results into")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the regeneration to this file")
@@ -72,11 +70,11 @@ func run(args []string, stdout io.Writer) error {
 	if *cache {
 		memo = grid.NewMemo()
 	}
-	g := grid.New(*workers, memo)
+	g := grid.New(0, memo)
 	common := experiments.Common{
 		Sets: *sets, Reps: *reps, Seed: *seed,
-		Workers: *workers, Starts: *starts, SimWorkers: *simWork,
-		Grid: g,
+		Starts: *starts,
+		Grid:   g,
 	}
 	want := func(name string) bool { return *only == "all" || *only == name }
 	wroteAny := false

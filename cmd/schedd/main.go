@@ -76,10 +76,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	fs := flag.NewFlagSet("schedd", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", ":8372", "listen address")
-		workers     = fs.Int("workers", 0, "grid worker-pool width (0 = GOMAXPROCS; responses identical for any value)")
 		cacheMB     = fs.Int64("cachemb", 256, "memo cache cap in MiB: schedules and comparisons (LRU eviction; <0 = unbounded)")
 		starts      = fs.Int("starts", 0, "default solver multi-start count (0/1 = single)")
-		simWorkers  = fs.Int("simworkers", 0, "simulation workers per compare (0 = GOMAXPROCS; responses identical for any value)")
 		simReps     = fs.Int("hyperperiods", 200, "default hyper-periods per compare simulation")
 		maxTasks    = fs.Int("maxtasks", 64, "admission limit on tasks per request")
 		storeDir    = fs.String("store-dir", "", "persistent store directory: solved schedules, submitted requests and session checkpoints survive restarts (empty = memory only)")
@@ -106,10 +104,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		memoBytes = -1
 	}
 	opts := server.Options{
-		Workers:         *workers,
 		MemoBytes:       memoBytes,
 		Starts:          *starts,
-		SimWorkers:      *simWorkers,
 		SimHyperperiods: *simReps,
 		MaxTasks:        *maxTasks,
 		MaxInflight:     *inflight,
@@ -259,8 +255,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "schedd listening on %s (cache %d MiB, workers %d)\n",
-		ln.Addr(), *cacheMB, *workers)
+	fmt.Fprintf(stdout, "schedd listening on %s (cache %d MiB)\n", ln.Addr(), *cacheMB)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

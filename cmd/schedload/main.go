@@ -185,7 +185,6 @@ func run(args []string, stdout io.Writer) error {
 		ratio     = fs.Float64("ratio", 0.5, "BCEC/WCEC ratio of generated sets")
 		util      = fs.Float64("util", 0.7, "worst-case utilisation of generated sets (per core with -cores)")
 		cores     = fs.Int("cores", 0, "submit partitioned requests onto this many cores (0/1 = single-core; sets are generated at util×cores total utilisation)")
-		workers   = fs.Int("workers", 0, "in-process server: grid worker-pool width")
 		cacheMB   = fs.Int64("cachemb", 256, "in-process server: cache cap in MiB (<0 = unbounded)")
 		storeDir  = fs.String("store-dir", "", "in-process server: persistent store directory (see schedd -store-dir)")
 		restart   = fs.Bool("restart", false, "measure warm-restart solve avoidance: fire the stream cold, stop the in-process server, reopen the same store, replay the identical stream (in-process only; -store-dir defaults to a temp dir)")
@@ -251,7 +250,7 @@ func run(args []string, stdout io.Writer) error {
 		memoBytes = -1
 	}
 	launch := func() (string, func() error, error) {
-		opts := server.Options{Workers: *workers, MemoBytes: memoBytes, Faults: reg}
+		opts := server.Options{MemoBytes: memoBytes, Faults: reg}
 		var disk *store.Disk
 		if *storeDir != "" {
 			sopts := store.Options{}
@@ -303,7 +302,7 @@ func run(args []string, stdout io.Writer) error {
 	var fh *fleetHarness
 	if *fleetN > 0 {
 		var err error
-		fh, err = launchFleet(*fleetN, *replicas, *scheddBin, server.Options{Workers: *workers, MemoBytes: memoBytes})
+		fh, err = launchFleet(*fleetN, *replicas, *scheddBin, server.Options{MemoBytes: memoBytes})
 		if err != nil {
 			return err
 		}

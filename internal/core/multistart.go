@@ -10,9 +10,9 @@ import (
 
 // solveMultiStart runs Config.Starts independent coordinate-descent solves
 // and returns the one with the best optimised objective. Start 0 reproduces
-// the single-start solve exactly (cfg's InitBlend plus the WCS warm start
-// when supplied); every further start replaces the warm start with an
-// InitBlend drawn from its own RNG stream, exploring different basins of the
+// the single-start solve exactly (the default blend plus the WCS warm start
+// when supplied); every further start replaces the warm start with a blend
+// drawn from its own RNG stream, exploring different basins of the
 // non-convex reduced NLP.
 //
 // Determinism contract: the per-start blends are drawn by splitting a master
@@ -40,7 +40,7 @@ func solveMultiStart(plan *preempt.Schedule, c Config) (*Schedule, error) {
 		ci.StartWorkers = 0
 		if i > 0 {
 			ci.WarmStart = nil
-			ci.InitBlend = rng.Uniform(0.05, 0.95)
+			ci.initBlend = rng.Uniform(0.05, 0.95)
 		}
 		cfgs[i] = ci
 	}

@@ -61,8 +61,8 @@ func requireSameSchedule(t *testing.T, what string, a, b *Schedule) {
 // TestRetargetMatchesBuild: a WCS retargeted to its own set, or to one that
 // differs only in ACEC and BCEC, is the WCS a build of that set returns, and
 // ACS warm-started from either is the same schedule. The golden helper's sets
-// cover ratios 0.1, 0.5 and 0.9; multi-start, the Alpha model, Fig. 6(b)'s
-// piece cap and NoSplitOpt (which skips the YDS seed) take a few sets each.
+// cover ratios 0.1, 0.5 and 0.9; multi-start, the Alpha model (which skips
+// the YDS seed) and Fig. 6(b)'s piece cap take a few sets each.
 // The grid memo serves every WCS this way (grid.Runner.BuildScheduleContext).
 func TestRetargetMatchesBuild(t *testing.T) {
 	alpha, err := power.NewAlpha(0.2, 0.3, 1.5, 0.7, 4.0)
@@ -79,7 +79,6 @@ func TestRetargetMatchesBuild(t *testing.T) {
 		{"starts", Config{Starts: 3}, func(i, _ int) bool { return i >= 1 && i <= 3 }},
 		{"alpha", Config{Model: alpha, MaxSweeps: 1}, func(i, pieces int) bool { return pieces <= 16 && i < 20 }},
 		{"subcap 12", Config{Preempt: preempt.Options{MaxSubsPerInstance: 12}}, func(i, _ int) bool { return i < 4 }},
-		{"no split opt", Config{NoSplitOpt: true}, func(i, _ int) bool { return i < 3 }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			ran := 0

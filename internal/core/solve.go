@@ -23,16 +23,6 @@ type Config struct {
 	// Tol is the relative objective-improvement convergence threshold per
 	// sweep (default 1e-6).
 	Tol float64
-	// NoSplitOpt disables the worst-case workload split optimisation between
-	// adjacent pieces of an instance (§3.2's R̂ assignment), which both
-	// objectives otherwise run (used by ablations).
-	NoSplitOpt bool
-	// InitBlend places the initial end-times between the earliest feasible
-	// (0) and latest feasible (1) positions; default 0.7.
-	InitBlend float64
-	// LineTolMs is the golden-section interval tolerance on end-times in ms
-	// (default 1e-4).
-	LineTolMs float64
 	// Preempt tunes the fully-preemptive expansion (sub-instance cap, EDF).
 	Preempt preempt.Options
 	// WarmStart, when non-nil, supplies a second starting point: the
@@ -51,10 +41,11 @@ type Config struct {
 	// all solver iterations, so the objective is a fixed function).
 	ScenarioSeed uint64
 	// Starts, when greater than 1, runs that many independent solver starts
-	// and keeps the best result: start 0 uses InitBlend (and WarmStart, when
-	// set); every further start draws its blend from a deterministic RNG
-	// stream derived from StartSeed. Results are bit-identical for a given
-	// (Starts, StartSeed) regardless of StartWorkers.
+	// and keeps the best result: start 0 uses the default blend of 0.7 (and
+	// WarmStart, when set); every further start draws its blend from a
+	// deterministic RNG stream derived from StartSeed. Results are
+	// bit-identical for a given (Starts, StartSeed) regardless of
+	// StartWorkers.
 	Starts int
 	// StartWorkers bounds the worker pool the multi-start driver fans starts
 	// across (default min(Starts, GOMAXPROCS)). It affects wall-clock time
@@ -63,6 +54,10 @@ type Config struct {
 	// StartSeed seeds the per-start blend jitter streams (default 2005).
 	StartSeed uint64
 
+	// initBlend places the initial end-times between the earliest feasible
+	// (0) and latest feasible (1) positions; default 0.7. Only
+	// solveMultiStart sets it, for its starts after the first.
+	initBlend float64
 	// ctx, when non-nil, lets a long solve abort early: the sweep loop
 	// checks it between coordinate-descent sweeps and returns ctx's error.
 	// It is set only through BuildContext (callers cannot reach it), scopes
@@ -82,11 +77,8 @@ func (c *Config) withDefaults() Config {
 	if out.Tol <= 0 {
 		out.Tol = 1e-6
 	}
-	if out.InitBlend <= 0 || out.InitBlend > 1 {
-		out.InitBlend = 0.7
-	}
-	if out.LineTolMs <= 0 {
-		out.LineTolMs = 1e-4
+	if out.initBlend == 0 {
+		out.initBlend = 0.7
 	}
 	if out.StartSeed == 0 {
 		out.StartSeed = 2005
@@ -95,8 +87,7 @@ func (c *Config) withDefaults() Config {
 }
 
 // Canonical returns the config with every defaulted field resolved to the
-// value the solver actually uses (Model, MaxSweeps, Tol, InitBlend,
-// LineTolMs and StartSeed).
+// value the solver actually uses (Model, MaxSweeps, Tol and StartSeed).
 // Two configs with equal Canonical forms solve identically; the grid memo
 // hashes the canonical form so a zero config and an explicitly-defaulted one
 // share a cache key.
@@ -173,17 +164,16 @@ func newSchedule(plan *preempt.Schedule, c Config) *Schedule {
 
 // solveSeeded returns the worst-case-optimal schedule when it can prove it
 // found one, and nil otherwise. It applies to a WorstCase build without a
-// warm start, with split optimisation on, on the SimpleInverse model and
-// with one Ceff for every task. There a piece costs Ceff·max(Vmin, K·s)²
-// per cycle at speed s, a convex function, so no feasible schedule beats
-// the YDS energy of the plan's instances. The seed replays the plan's
-// priority order with every instance at its YDS speed (ydsSeed); when that
-// replay is valid and the descent from it ends within 1e-12 relative of the
-// YDS energy, the result is the optimum. Anything else returns nil, and the
-// caller runs the usual solve, unchanged. The error is ctx's, from a solve
-// cancelled during the descent.
+// warm start, on the SimpleInverse model and with one Ceff for every task.
+// There a piece costs Ceff·max(Vmin, K·s)² per cycle at speed s, a convex
+// function, so no feasible schedule beats the YDS energy of the plan's
+// instances. The seed replays the plan's priority order with every instance
+// at its YDS speed (ydsSeed); when that replay is valid and the descent from
+// it ends within 1e-12 relative of the YDS energy, the result is the optimum.
+// Anything else returns nil, and the caller runs the usual solve, unchanged.
+// The error is ctx's, from a solve cancelled during the descent.
 func solveSeeded(plan *preempt.Schedule, c Config) (*Schedule, error) {
-	if c.Objective != WorstCase || c.WarmStart != nil || c.NoSplitOpt {
+	if c.Objective != WorstCase || c.WarmStart != nil {
 		return nil, nil
 	}
 	if _, ok := c.Model.(*power.SimpleInverse); !ok {
@@ -374,7 +364,7 @@ func (s *Schedule) proportionalSplits() {
 // initialize produces a feasible starting point (vmaxStart: the check
 // Feasible makes, failing with the same *InfeasibleError), then places
 // end-times between the earliest (all-Vmax ASAP) and latest (ALAP) feasible
-// positions by cfg.InitBlend.
+// positions by the config's blend.
 func (s *Schedule) initialize(c Config, ws *workspace) error {
 	plan := s.Plan
 	eMin, err := s.vmaxStart(ws.eMin)
@@ -391,7 +381,7 @@ func (s *Schedule) initialize(c Config, ws *workspace) error {
 			return fmt.Errorf("core: infeasible at sub %d: ASAP end %g exceeds ALAP end %g",
 				pos, eMin[pos], eMax[pos])
 		}
-		s.End[pos] = eMin[pos] + c.InitBlend*(max(eMax[pos], eMin[pos])-eMin[pos])
+		s.End[pos] = eMin[pos] + c.initBlend*(max(eMax[pos], eMin[pos])-eMin[pos])
 	}
 	// The blended ends satisfy deadlines but may violate the forward chain
 	// (each pos's blend is independent); one forward repair pass restores
@@ -493,14 +483,11 @@ func (s *Schedule) optimize(c Config, ws *workspace) (float64, error) {
 		// caps are released from the back — which is exactly what the
 		// backward pass does.
 		s.sweepEnds(c, sc, ws, sweep%2 == 1)
-		// Both objectives optimise splits unless an ablation turns them
-		// off: the paper's WCS baseline is the worst-case-*optimal* static
-		// schedule, which fixes how WCEC distributes across preemption
-		// segments; leaving WCS with naive proportional splits would hand
-		// ACS a phantom advantage.
-		if !c.NoSplitOpt {
-			s.sweepSplits(c, sc, ws)
-		}
+		// Both objectives optimise splits: the paper's WCS baseline is the
+		// worst-case-*optimal* static schedule, which fixes how WCEC
+		// distributes across preemption segments; leaving WCS with naive
+		// proportional splits would hand ACS a phantom advantage.
+		s.sweepSplits(c, sc, ws)
 		s.sweepPush(c, sc, ws)
 		obj = ws.ev.full()
 		s.Sweeps = sweep + 1
@@ -511,6 +498,9 @@ func (s *Schedule) optimize(c Config, ws *workspace) (float64, error) {
 	}
 	return obj, nil
 }
+
+// lineTolMs is the golden-section interval tolerance on end-times, in ms.
+const lineTolMs = 1e-4
 
 // sweepEnds optimises each end-time in turn by golden-section search over
 // its feasible interval, caching the recursion prefixes (one per load
@@ -571,14 +561,14 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 		}
 		lo := max(prevAlive[pos], su.Release) + s.WCWork[pos]*tcMax
 		hi := min(su.Deadline, nextCap[pos+1])
-		if hi > lo+c.LineTolMs {
+		if hi > lo+lineTolMs {
 			orig := s.End[pos]
 			eval := func(e float64) float64 {
 				s.End[pos] = e
 				return ev.energyFrom(pos, pos+1)
 			}
 			origF := eval(orig)
-			best, bestF := opt.GoldenMin(eval, lo, hi, c.LineTolMs, 200)
+			best, bestF := opt.GoldenMin(eval, lo, hi, lineTolMs, 200)
 			// Keep the original if the search found no strict improvement
 			// (GoldenMin may return an endpoint with equal value). The
 			// objective is a pure function of the end-time, so the values
@@ -798,7 +788,7 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 		}
 		lo := s.chainLo(prevAlive, pos, tcMax)
 		hi := su.Deadline
-		if hi > lo+c.LineTolMs {
+		if hi > lo+lineTolMs {
 			copy(saved[pos:], s.End[pos:])
 			settled := s.settledAfter(pos, tcMax)
 			// lastMod tracks the end of the most recent trial's ripple — the
@@ -814,7 +804,7 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 				return ev.energyFrom(pos, lastMod+1)
 			}
 			base := eval(saved[pos])
-			best, bestF := opt.GoldenMin(eval, lo, hi, c.LineTolMs, 200)
+			best, bestF := opt.GoldenMin(eval, lo, hi, lineTolMs, 200)
 			if bestF < base-1e-15 && !math.IsInf(bestF, 1) {
 				if math.IsInf(eval(best), 1) { // re-apply; defensive
 					restore()

@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/opt"
+	"repro/internal/partition"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -150,7 +153,7 @@ func SubInstanceCapAblation(c Common, ratio float64, caps []int) ([]CapCell, err
 	return grid.Collect(g, len(caps), func(i int) CapCell {
 		pre := core.Config{}
 		pre.Preempt.MaxSubsPerInstance = caps[i]
-		imp, subs, err := compareOnSet(g, set, cc, cc.Seed, pre)
+		imp, subs, err := compareOnSet(g, set, cc, cc.Seed, pre, runtime.GOMAXPROCS(0))
 		if err != nil {
 			// Aggressive merging can make the worst case unschedulable at
 			// Vmax; report the cell rather than aborting the sweep.
@@ -402,9 +405,8 @@ type CrossCheckResult struct {
 	YDSLower  float64
 }
 
-// SolverCrossCheck runs E9 on a random small set (n tasks). Its two
-// identical WCS builds (warm-start source and baseline) collapse to one
-// solve through the grid memo.
+// SolverCrossCheck runs E9 on a random small set (n tasks), whose WCS and
+// warm-started ACS come from one one-core partition.Solve.
 func SolverCrossCheck(c Common, n int) (*CrossCheckResult, error) {
 	cc := c.withDefaults()
 	g := cc.Grid
@@ -415,17 +417,14 @@ func SolverCrossCheck(c Common, n int) (*CrossCheckResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	wcsWarm, err := g.BuildSchedule(set, core.Config{Objective: core.WorstCase, Model: cc.Model})
-	if err != nil {
-		return nil, err
-	}
-	acs, err := g.BuildSchedule(set, core.Config{
-		Objective: core.AverageCase, Model: cc.Model, WarmStart: wcsWarm,
+	res, err := partition.Solve(context.Background(), g, set, partition.Config{
+		Cores: 1, Solver: core.Config{Objective: core.AverageCase, Model: cc.Model},
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &CrossCheckResult{Subs: len(acs.Plan.Subs), CD: acs.Energy}
+	acs, wcs := res.Cores[0].ACS, res.Cores[0].WCS
+	out := &CrossCheckResult{Subs: len(acs.Plan.Subs), CD: acs.Energy, WCSEnergy: wcs.Energy}
 
 	nm := core.CloneSchedule(acs)
 	if out.NM, err = core.NewNLP(nm).SolveNelderMead(opt.NelderMeadOptions{
@@ -444,11 +443,6 @@ func SolverCrossCheck(c Common, n int) (*CrossCheckResult, error) {
 	}
 	out.Penalty, out.PenaltyViolation = obj, viol
 
-	wcs, err := g.BuildSchedule(set, core.Config{Objective: core.WorstCase, Model: cc.Model})
-	if err != nil {
-		return nil, err
-	}
-	out.WCSEnergy = wcs.Energy
 	jobs, err := yds.FromTaskSet(set)
 	if err != nil {
 		return nil, err

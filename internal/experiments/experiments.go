@@ -17,7 +17,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -44,26 +43,17 @@ type Common struct {
 	Seed uint64
 	// Utilization is the worst-case utilisation target (paper: 0.7).
 	Utilization float64
-	// Workers bounds the grid pool the harness drains its jobs through
-	// (default GOMAXPROCS). Ignored when Grid is set — the runner's own
-	// width wins. Results never depend on it.
-	Workers int
-	// SimWorkers bounds parallel hyper-period simulation inside each sim
-	// run (default GOMAXPROCS; results are bit-identical for any value).
-	// Harnesses whose per-set jobs already saturate the grid pool pin it
-	// to 1 for their inner runs.
-	SimWorkers int
 	// Starts is the solver multi-start count per schedule build (0 or 1 =
 	// single start). Starts run sequentially inside each task-set worker —
 	// the sweep is already saturated by per-set parallelism — and results
-	// stay bit-reproducible for a fixed seed regardless of Workers.
+	// stay bit-reproducible for a fixed seed regardless of the pool width.
 	Starts int
 	// Model overrides the processor model (default power.DefaultModel()).
 	Model power.Model
 	// Grid, when set, supplies the shared execution engine: the worker
 	// pool every harness drains its jobs through and the content-addressed
 	// memo that shares WCS/ACS solves across harnesses. nil gives the
-	// harness a private runner (Workers wide, caching enabled) — correct
+	// harness a private runner (GOMAXPROCS wide, caching enabled) — correct
 	// but without cross-harness sharing; cmd/experiments passes one runner
 	// to every experiment of a regeneration.
 	Grid *grid.Runner
@@ -80,17 +70,11 @@ func (c *Common) withDefaults() Common {
 	if out.Utilization <= 0 {
 		out.Utilization = 0.7
 	}
-	if out.Workers <= 0 {
-		out.Workers = runtime.GOMAXPROCS(0)
-	}
-	if out.SimWorkers <= 0 {
-		out.SimWorkers = runtime.GOMAXPROCS(0)
-	}
 	if out.Model == nil {
 		out.Model = power.DefaultModel()
 	}
 	if out.Grid == nil {
-		out.Grid = grid.New(out.Workers, grid.NewMemo())
+		out.Grid = grid.New(0, grid.NewMemo())
 	}
 	return out
 }
@@ -160,9 +144,10 @@ func solvePair(g *grid.Runner, set *task.Set, c Common, pre core.Config) (acs, w
 }
 
 // compareOnSet builds ACS and WCS for one task set and simulates both under
-// identical stochastic workloads, returning the Fig. 6 improvement
-// percentage and the sub-instance count. Solves go through the grid memo.
-func compareOnSet(g *grid.Runner, set *task.Set, c Common, seed uint64, pre core.Config) (impPct float64, subs int, err error) {
+// identical stochastic workloads on simWorkers goroutines each, returning
+// the Fig. 6 improvement percentage and the sub-instance count. Solves go
+// through the grid memo.
+func compareOnSet(g *grid.Runner, set *task.Set, c Common, seed uint64, pre core.Config, simWorkers int) (impPct float64, subs int, err error) {
 	acs, wcs, err := solvePair(g, set, c, pre)
 	if err != nil {
 		return 0, 0, err
@@ -179,7 +164,7 @@ func compareOnSet(g *grid.Runner, set *task.Set, c Common, seed uint64, pre core
 		Policy:       sim.Greedy,
 		Hyperperiods: c.Reps,
 		Seed:         seed,
-		Workers:      c.SimWorkers,
+		Workers:      simWorkers,
 	})
 	if err != nil {
 		return 0, 0, err

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/sim"
 )
 
@@ -12,7 +13,7 @@ import (
 // cmd/experiments regenerates the real numbers.
 
 func tinyCommon() Common {
-	return Common{Sets: 2, Reps: 10, Seed: 77, Workers: 2}
+	return Common{Sets: 2, Reps: 10, Seed: 77, Grid: grid.New(2, grid.NewMemo())}
 }
 
 func TestFig6aShapeAndRendering(t *testing.T) {
@@ -48,7 +49,7 @@ func TestFig6aShapeAndRendering(t *testing.T) {
 func TestFig6aDeterministic(t *testing.T) {
 	run := func() float64 {
 		cells, err := Fig6a(Fig6aConfig{
-			Common:     Common{Sets: 2, Reps: 5, Seed: 5, Workers: 4},
+			Common:     Common{Sets: 2, Reps: 5, Seed: 5, Grid: grid.New(4, grid.NewMemo())},
 			TaskCounts: []int{3},
 			Ratios:     []float64{0.5},
 		})

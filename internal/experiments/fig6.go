@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -39,11 +40,6 @@ func Fig6a(cfg Fig6aConfig) ([]Cell, error) {
 		ratios = []float64{0.1, 0.5, 0.9}
 	}
 
-	// The flat job pool already saturates the host; keep each inner
-	// simulation serial (results are identical either way).
-	cSet := c
-	cSet.SimWorkers = 1
-
 	type setRes struct {
 		imp  float64
 		subs int
@@ -60,7 +56,9 @@ func Fig6a(cfg Fig6aConfig) ([]Cell, error) {
 			results[j] = setRes{err: err}
 			return
 		}
-		imp, subs, err := compareOnSet(g, set, cSet, rng.Uint64(), core.Config{})
+		// The flat job pool already saturates the host; keep each inner
+		// simulation serial (results are identical either way).
+		imp, subs, err := compareOnSet(g, set, c, rng.Uint64(), core.Config{}, 1)
 		results[j] = setRes{imp: imp, subs: subs, err: err}
 	})
 
@@ -164,7 +162,7 @@ func Fig6b(cfg Fig6bConfig) ([]AppCell, error) {
 				Policy:       sim.Greedy,
 				Hyperperiods: c.Reps,
 				Seed:         seed,
-				Workers:      c.SimWorkers,
+				Workers:      runtime.GOMAXPROCS(0),
 			})
 			if err != nil {
 				return AppCell{}, err

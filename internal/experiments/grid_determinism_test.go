@@ -101,6 +101,15 @@ func TestCrossHarnessSolveSharing(t *testing.T) {
 		t.Errorf("ablations hit the memo %d times, want > %d",
 			final.ScheduleHits, after6a.ScheduleHits)
 	}
+
+	// E10 at the same cell shares the WCS and the point-ACEC ACS of every
+	// set: the K=2 ACS is its only new solve per set.
+	if _, err := WeightedObjectiveAblation(c, 3, 0.1, []int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := memo.Stats().ScheduleMisses - final.ScheduleMisses; got != int64(c.Sets) {
+		t.Errorf("E10 solved %d schedules, want %d (one per set)", got, c.Sets)
+	}
 }
 
 // TestFig6bSeedsVaryByRatio pins the PR 3 seed-derivation fix: two ratios of

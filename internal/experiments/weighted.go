@@ -51,40 +51,30 @@ func WeightedObjectiveAblation(c Common, n int, ratio float64, scenarioCounts []
 		if err != nil {
 			return setRes{}, err
 		}
-		wcsCfg := core.Config{Objective: core.WorstCase, Model: cc.Model,
-			Starts: cc.Starts, StartWorkers: 1}
-		wcs, err := g.BuildSchedule(set, wcsCfg)
-		if err != nil {
-			return setRes{}, err
-		}
 		simSeed := rng.Uint64()
 		// Scenario streams must be independent of the set-generation prefix
 		// (rng is mid-stream here) and *identical* between the solve and the
 		// ExpectedEnergy prediction: the solver ORs ScenarioSeed with 1, so
 		// pre-set that bit and pass the same value to both.
 		scenSeed := rng.Uint64() | 1
-		wcsPlan, err := sim.Compile(wcs)
-		if err != nil {
-			return setRes{}, err
-		}
-		base, err := wcsPlan.Run(sim.Config{Policy: sim.Greedy, Hyperperiods: cc.Reps, Seed: simSeed})
-		if err != nil {
-			return setRes{}, err
-		}
 
 		res := setRes{imp: make([]float64, len(scenarioCounts)), gap: make([]float64, len(scenarioCounts))}
+		var base *sim.Result
 		for ci, k := range scenarioCounts {
-			acs, err := g.BuildSchedule(set, core.Config{
-				Objective:    core.AverageCase,
-				Model:        cc.Model,
-				WarmStart:    wcs,
-				Scenarios:    k,
-				ScenarioSeed: scenSeed,
-				Starts:       cc.Starts,
-				StartWorkers: 1,
-			})
+			// A WCS never reads the scenario fields, so every count shares
+			// one WCS.
+			acs, wcs, err := solvePair(g, set, cc, core.Config{Scenarios: k, ScenarioSeed: scenSeed})
 			if err != nil {
 				return setRes{}, err
+			}
+			if ci == 0 {
+				wcsPlan, err := sim.Compile(wcs)
+				if err != nil {
+					return setRes{}, err
+				}
+				if base, err = wcsPlan.Run(sim.Config{Policy: sim.Greedy, Hyperperiods: cc.Reps, Seed: simSeed}); err != nil {
+					return setRes{}, err
+				}
 			}
 			acsPlan, err := sim.Compile(acs)
 			if err != nil {

@@ -36,15 +36,16 @@ type Options struct {
 	// 12): re-solving from the detection window alone would fit mostly
 	// pre-drift data.
 	Relearn int
-	// MinCount is the minimum number of fresh observations a task needs for
-	// its estimated mean to replace its ACEC in a re-solve (default 8).
-	MinCount int64
 	// OnResolve, when set, is called with the wall-clock duration of every
 	// solve pipeline (WCS lookup + warm ACS + compile), including the initial
 	// solve. Purely observational — it must not mutate the controller and
 	// has no effect on results.
 	OnResolve func(d time.Duration)
 }
+
+// minCount is the minimum number of fresh observations a task needs for its
+// estimated mean to replace its ACEC in a re-solve.
+const minCount = 8
 
 func (o Options) withDefaults() Options {
 	if o.Runner == nil {
@@ -56,9 +57,6 @@ func (o Options) withDefaults() Options {
 	o.Drift = o.Drift.withDefaults()
 	if o.Relearn <= 0 {
 		o.Relearn = 12
-	}
-	if o.MinCount <= 0 {
-		o.MinCount = 8
 	}
 	return o
 }
@@ -308,7 +306,7 @@ func (c *Controller) ObserveChunk(ctx context.Context, actuals [][]float64) (Dec
 			}
 			c.relearnLeft--
 			if c.relearnLeft <= 0 {
-				adapted, err := c.relearn.AdaptedSet(c.opts.MinCount)
+				adapted, err := c.relearn.AdaptedSet(minCount)
 				if err != nil {
 					return d, fmt.Errorf("feedback: adapted model: %w", err)
 				}

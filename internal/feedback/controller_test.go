@@ -57,7 +57,7 @@ func TestClosedLoopDeterminism(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		if got := runLoop(t, set, workload.ModeSwitch, grid.NewMemo(), workers); !reflect.DeepEqual(got, ref) {
-			t.Errorf("SimWorkers=%d loop differs from serial:\n%+v\nvs\n%+v", workers, got, ref)
+			t.Errorf("%d sim workers: loop differs from serial:\n%+v\nvs\n%+v", workers, got, ref)
 		}
 	}
 	// Cache off entirely, and a shared warm cache, both reproduce the bytes.

@@ -27,8 +27,7 @@ import (
 // fixed-bin histogram over the task's [BCEC, WCEC] support. Memory is
 // constant (the bin count is fixed at construction); updates are pure float
 // folds of the observation order, so two estimators fed the same sequence
-// are bit-identical; and estimators over equal supports merge associatively
-// block-by-block (Chan et al.'s parallel variance combination).
+// are bit-identical.
 type TaskEstimator struct {
 	lo, hi float64
 	count  int64
@@ -132,41 +131,6 @@ func (e *TaskEstimator) Quantile(p float64) float64 {
 	return e.hi
 }
 
-// Merge folds o's observations into e as one block (Chan et al.): the result
-// is a deterministic function of the two summaries and is exact for count,
-// min/max, histogram and mean/m2 up to float association. Supports and bin
-// counts must match.
-func (e *TaskEstimator) Merge(o *TaskEstimator) error {
-	if e.lo != o.lo || e.hi != o.hi || len(e.bins) != len(o.bins) {
-		return fmt.Errorf("feedback: merging estimators with different supports or resolutions")
-	}
-	if o.count == 0 {
-		return nil
-	}
-	if e.count == 0 {
-		*e = TaskEstimator{lo: e.lo, hi: e.hi, count: o.count, mean: o.mean,
-			m2: o.m2, min: o.min, max: o.max, bins: e.bins}
-		copy(e.bins, o.bins)
-		return nil
-	}
-	na, nb := float64(e.count), float64(o.count)
-	d := o.mean - e.mean
-	n := na + nb
-	e.mean += d * nb / n
-	e.m2 += o.m2 + d*d*na*nb/n
-	e.count += o.count
-	if o.min < e.min {
-		e.min = o.min
-	}
-	if o.max > e.max {
-		e.max = o.max
-	}
-	for b := range e.bins {
-		e.bins[b] += o.bins[b]
-	}
-	return nil
-}
-
 // Reset drops every observation, keeping support and resolution.
 func (e *TaskEstimator) Reset() {
 	e.count, e.mean, e.m2, e.min, e.max = 0, 0, 0, 0, 0
@@ -220,19 +184,6 @@ func (se *SetEstimator) ObserveInstances(taskOf []int, actual []float64) error {
 			return fmt.Errorf("feedback: instance %d names task %d of %d", i, t, len(se.tasks))
 		}
 		se.tasks[t].Observe(actual[i])
-	}
-	return nil
-}
-
-// Merge folds o's per-task estimators into se block-by-block.
-func (se *SetEstimator) Merge(o *SetEstimator) error {
-	if len(se.tasks) != len(o.tasks) {
-		return fmt.Errorf("feedback: merging estimators over different task counts")
-	}
-	for i := range se.tasks {
-		if err := se.tasks[i].Merge(o.tasks[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package feedback
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/stats"
@@ -70,59 +69,8 @@ func TestTaskEstimatorMoments(t *testing.T) {
 	if e.Quantile(0) < 0 || e.Quantile(1) > 10 {
 		t.Error("quantiles escaped the support")
 	}
-}
-
-// TestTaskEstimatorMerge: merging block summaries reproduces the single-pass
-// fold — counts, extremes and histogram exactly, moments to float tolerance.
-func TestTaskEstimatorMerge(t *testing.T) {
-	mk := func() *TaskEstimator {
-		e, err := NewTaskEstimator(2, 8, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	whole, a, b := mk(), mk(), mk()
-	rng := stats.NewRNG(3)
-	for i := 0; i < 300; i++ {
-		x := rng.TruncNormal(5, 1, 2, 8)
-		whole.Observe(x)
-		if i < 130 {
-			a.Observe(x)
-		} else {
-			b.Observe(x)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != whole.Count() || a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Error("merge broke count/min/max")
-	}
-	if !reflect.DeepEqual(a.Histogram(), whole.Histogram()) {
-		t.Error("merge broke the histogram")
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-9 || math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-		t.Errorf("merge moments (%g, %g) differ from single-pass (%g, %g)",
-			a.Mean(), a.Variance(), whole.Mean(), whole.Variance())
-	}
-	// Merging into an empty estimator copies; mismatched shapes are refused.
-	empty := mk()
-	if err := empty.Merge(whole); err != nil {
-		t.Fatal(err)
-	}
-	if empty.Count() != whole.Count() || empty.Mean() != whole.Mean() {
-		t.Error("merge into empty did not copy")
-	}
-	other, err := NewTaskEstimator(0, 8, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := whole.Merge(other); err == nil {
-		t.Error("mismatched supports merged")
-	}
-	whole.Reset()
-	if whole.Count() != 0 || whole.Mean() != 0 {
+	e.Reset()
+	if e.Count() != 0 || e.Mean() != 0 {
 		t.Error("reset left state behind")
 	}
 }

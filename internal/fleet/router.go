@@ -61,10 +61,9 @@ type Options struct {
 	// asking the next replica (default 50ms).
 	HedgeDelay time.Duration
 	// Retry paces the passes over the replica set when every member failed
-	// or shed (retry.Policy zero-value defaults), and RetrySeed seeds the
-	// jitter stream.
-	Retry     retry.Policy
-	RetrySeed uint64
+	// or shed (retry.Policy zero-value defaults); its jitter stream is
+	// seeded with 0.
+	Retry retry.Policy
 	// Starts and MaxTasks are the fingerprint defaults and MUST match the
 	// peers' server Options — routing keys on the same canonicalization the
 	// peers fingerprint with.
@@ -90,7 +89,7 @@ func NewRouter(opts Options) *Router {
 		ring:     opts.Ring,
 		topo:     opts.Topology,
 		policy:   opts.Retry,
-		rng:      stats.NewRNG(opts.RetrySeed),
+		rng:      stats.NewRNG(0),
 		counters: make(map[string]*peerCounters),
 	}
 	for _, name := range opts.Ring.Peers() {

@@ -136,8 +136,6 @@ func TestScheduleKeyContract(t *testing.T) {
 	explicit.Model = power.DefaultModel()
 	explicit.MaxSweeps = 100
 	explicit.Tol = 1e-6
-	explicit.InitBlend = 0.7
-	explicit.LineTolMs = 1e-4
 	explicit.StartSeed = 2005
 	if k1, _ := ScheduleKey(set, explicit); k1 != k0 {
 		t.Error("explicitly-defaulted config keys apart from the zero config")
@@ -156,18 +154,27 @@ func TestScheduleKeyContract(t *testing.T) {
 		}
 	}
 
+	// A WCS never reads the scenario fields, so they are dormant on a
+	// WorstCase config under both keys.
+	for name, key := range map[string]func(*task.Set, core.Config) (Key, bool){
+		"ScheduleKey": ScheduleKey, "wcsKey": wcsKey,
+	} {
+		plain, _ := key(set, core.Config{Objective: core.WorstCase})
+		scen, _ := key(set, core.Config{Objective: core.WorstCase, Scenarios: 5, ScenarioSeed: 99})
+		if scen != plain {
+			t.Errorf("%s: scenario fields split a WorstCase key", name)
+		}
+	}
+
 	// Result-relevant fields split keys.
 	diff := map[string]core.Config{
-		"Objective":  {Objective: core.WorstCase},
-		"MaxSweeps":  {Objective: core.AverageCase, MaxSweeps: 7},
-		"Tol":        {Objective: core.AverageCase, Tol: 1e-3},
-		"NoSplitOpt": {Objective: core.AverageCase, NoSplitOpt: true},
-		"InitBlend":  {Objective: core.AverageCase, InitBlend: 0.3},
-		"LineTolMs":  {Objective: core.AverageCase, LineTolMs: 1e-2},
-		"Preempt":    {Objective: core.AverageCase, Preempt: preempt.Options{MaxSubsPerInstance: 2}},
-		"Scenarios":  {Objective: core.AverageCase, Scenarios: 5},
-		"Starts":     {Objective: core.AverageCase, Starts: 3},
-		"StartSeed":  {Objective: core.AverageCase, Starts: 3, StartSeed: 77},
+		"Objective": {Objective: core.WorstCase},
+		"MaxSweeps": {Objective: core.AverageCase, MaxSweeps: 7},
+		"Tol":       {Objective: core.AverageCase, Tol: 1e-3},
+		"Preempt":   {Objective: core.AverageCase, Preempt: preempt.Options{MaxSubsPerInstance: 2}},
+		"Scenarios": {Objective: core.AverageCase, Scenarios: 5},
+		"Starts":    {Objective: core.AverageCase, Starts: 3},
+		"StartSeed": {Objective: core.AverageCase, Starts: 3, StartSeed: 77},
 	}
 	seen := map[Key]string{k0: "base"}
 	for name, cfg := range diff {
@@ -337,10 +344,11 @@ func TestConfigFieldsGuard(t *testing.T) {
 	want := map[string][]string{
 		// ctx is excluded from ScheduleKey by design: it scopes the work
 		// (cancellation), never the result, and cancelled builds are not
-		// cached at all.
+		// cached at all. initBlend is set only on solveMultiStart's
+		// per-start configs, which never reach a key.
 		"core.Config": {"Model", "Objective", "MaxSweeps", "Tol",
-			"NoSplitOpt", "InitBlend", "LineTolMs", "Preempt", "WarmStart",
-			"Scenarios", "ScenarioSeed", "Starts", "StartWorkers", "StartSeed", "ctx"},
+			"Preempt", "WarmStart", "Scenarios", "ScenarioSeed", "Starts",
+			"StartWorkers", "StartSeed", "initBlend", "ctx"},
 		"preempt.Options": {"MaxSubsPerInstance", "EDF"},
 		"task.Task":       {"Name", "Period", "WCEC", "ACEC", "BCEC", "Ceff"},
 		// sim.Config is guarded for CompareKey, which memoizes simulated

@@ -164,11 +164,11 @@ func (h *hasher) schedule(s *core.Schedule) bool {
 // ScheduleKey returns the content address of core.Build(set, cfg) — the
 // cache-key contract DESIGN.md §6 documents. The key covers the task-set
 // fingerprint, the model identity, and exactly the core.Config fields a
-// solve is a function of: Objective, MaxSweeps, Tol, NoSplitOpt, InitBlend,
-// LineTolMs, Preempt (MaxSubsPerInstance, EDF), Scenarios, ScenarioSeed,
-// Starts, StartSeed (dormant values — a non-positive MaxSubsPerInstance,
-// ScenarioSeed without Scenarios, StartSeed without multi-start — are
-// zeroed so they cannot split keys),
+// solve is a function of: Objective, MaxSweeps, Tol, Preempt
+// (MaxSubsPerInstance, EDF), Scenarios, ScenarioSeed, Starts, StartSeed
+// (dormant values — a non-positive MaxSubsPerInstance, scenario fields
+// without Scenarios or on a WorstCase build, StartSeed without multi-start —
+// are zeroed so they cannot split keys),
 // and the WarmStart schedule's full content. Excluded by
 // design: StartWorkers (wall-clock only, never the result — pinned by the
 // solver's determinism contract). Defaulted fields are resolved through
@@ -231,17 +231,20 @@ func (h *hasher) config(c core.Config) bool {
 	h.u64(uint64(c.Objective))
 	h.i64(int64(c.MaxSweeps))
 	h.f64(c.Tol)
-	h.flag(c.NoSplitOpt)
-	h.f64(c.InitBlend)
-	h.f64(c.LineTolMs)
+	// Three retired fields (a split-optimisation switch, the initial blend
+	// and the line-search tolerance) keep their old default bytes, so that
+	// no key moves.
+	h.flag(false)
+	h.f64(0.7)
+	h.f64(1e-4)
 	// The expansion caps pieces only for a positive cap; every other value
 	// is uncapped and hashes as 0, so a negative cap cannot split keys.
 	h.i64(int64(max(c.Preempt.MaxSubsPerInstance, 0)))
 	h.flag(c.Preempt.EDF)
-	// Scenario draws only exist when Scenarios > 0; a dormant ScenarioSeed
-	// must not split keys.
+	// Scenario draws only exist when Scenarios > 0, and a WCS never reads
+	// them; dormant scenario fields must not split keys.
 	scenarios, scenarioSeed := c.Scenarios, c.ScenarioSeed
-	if scenarios <= 0 {
+	if scenarios <= 0 || c.Objective == core.WorstCase {
 		scenarios, scenarioSeed = 0, 0
 	}
 	h.i64(int64(scenarios))

@@ -17,12 +17,6 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatalf("nil counter value = %d", c.Value())
 	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatalf("nil gauge value = %v", g.Value())
-	}
 	var h *Histogram
 	h.Observe(1)
 	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
@@ -83,11 +77,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 	c := r.Counter("app_requests_total", "Requests served.", L("endpoint", "submit"))
 	r.Counter("app_requests_total", "Requests served.", L("endpoint", "get"))
 	r.CounterFunc("app_derived_total", "Derived.", func() int64 { return 7 })
-	g := r.Gauge("app_inflight", "In-flight requests.")
-	r.GaugeFunc("app_temp", "", func() float64 { return 2.5 })
+	r.GaugeFunc("app_inflight", "In-flight requests.", func() float64 { return 2 })
 	h := r.Histogram("app_latency_seconds", "Latency.", LatencyBuckets(), L("stage", "solve"))
 	c.Add(3)
-	g.Set(2)
 	h.Observe(0.003)
 	h.Observe(0.2)
 
@@ -110,6 +102,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	if v, ok := SampleValue(fams, "app_derived_total"); !ok || v != 7 {
 		t.Fatalf("app_derived_total = %v (%v), want 7", v, ok)
+	}
+	if v, ok := SampleValue(fams, "app_inflight"); !ok || v != 2 {
+		t.Fatalf("app_inflight = %v (%v), want 2", v, ok)
 	}
 	if v, ok := SampleValue(fams, "app_latency_seconds_count", L("stage", "solve")); !ok || v != 2 {
 		t.Fatalf("histogram count = %v (%v), want 2", v, ok)
@@ -210,33 +205,22 @@ func TestRegistryPanics(t *testing.T) {
 	r.Counter("ok_total", "")
 	expectPanic("invalid name", func() { r.Counter("bad name", "") })
 	expectPanic("invalid label", func() { r.Counter("a_total", "", L("__r", "x")) })
-	expectPanic("kind conflict", func() { r.Gauge("ok_total", "") })
+	expectPanic("kind conflict", func() { r.GaugeFunc("ok_total", "", func() float64 { return 0 }) })
 	expectPanic("duplicate labels", func() { r.Counter("ok_total", "") })
 	expectPanic("unsorted bounds", func() { r.Histogram("h", "", []float64{2, 1}) })
 	expectPanic("empty bounds", func() { r.Histogram("h", "", nil) })
-}
-
-// spansOf returns a copy of the spans t recorded.
-func spansOf(t *Trace) []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
 }
 
 func TestTracePropagation(t *testing.T) {
 	if NewTraceID() == NewTraceID() {
 		t.Fatal("trace IDs collide")
 	}
-	var mu sync.Mutex
-	sunk := map[string]float64{}
-	tr := NewTrace("abc-1", func(stage string, s float64) {
-		mu.Lock()
-		sunk[stage] = s
-		mu.Unlock()
-	})
+	type span struct {
+		stage   string
+		seconds float64
+	}
+	var spans []span
+	tr := NewTrace(func(stage string, s float64) { spans = append(spans, span{stage, s}) })
 	ctx := ContextWithTrace(context.Background(), tr)
 	if TraceFrom(ctx) != tr {
 		t.Fatal("trace not recovered from context")
@@ -245,18 +229,12 @@ func TestTracePropagation(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	done()
 	RecordSpan(ctx, "sim", time.Now().Add(-2*time.Millisecond))
-	spans := spansOf(tr)
-	if len(spans) != 2 || spans[0].Stage != "solve" || spans[1].Stage != "sim" {
+	if len(spans) != 2 || spans[0].stage != "solve" || spans[1].stage != "sim" {
 		t.Fatalf("spans = %+v", spans)
 	}
-	if spans[0].Seconds <= 0 || spans[1].Seconds <= 0 {
+	if spans[0].seconds <= 0 || spans[1].seconds <= 0 {
 		t.Fatalf("non-positive span timings: %+v", spans)
 	}
-	mu.Lock()
-	if len(sunk) != 2 {
-		t.Fatalf("sink saw %d stages, want 2", len(sunk))
-	}
-	mu.Unlock()
 
 	// No trace attached: everything is a cheap no-op.
 	bg := context.Background()
@@ -268,20 +246,11 @@ func TestTracePropagation(t *testing.T) {
 	RecordSpan(nil, "x", time.Now()) //lint:ignore SA1012 nil ctx must be tolerated
 	var nilTrace *Trace
 	nilTrace.Record("x", 1)
-	if spansOf(nilTrace) != nil {
-		t.Fatal("nil trace has spans")
-	}
 	if ContextWithTrace(bg, nil) != bg {
 		t.Fatal("attaching nil trace should return ctx unchanged")
 	}
-
-	// Span list is bounded; the sink still sees everything.
-	big := NewTrace("big", nil)
-	for i := 0; i < maxSpans+10; i++ {
-		big.Record("s", 0.001)
-	}
-	if got := len(spansOf(big)); got != maxSpans {
-		t.Fatalf("span list = %d, want bounded at %d", got, maxSpans)
+	if len(spans) != 2 {
+		t.Fatalf("spans without a trace reached the sink: %+v", spans)
 	}
 }
 
@@ -289,7 +258,6 @@ func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
 	h := r.Histogram("h_seconds", "", LatencyBuckets())
-	g := r.Gauge("g", "")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -298,12 +266,11 @@ func TestConcurrentObserve(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				h.Observe(0.001 * float64(j%7))
-				g.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 || h.Count() != 8000 || g.Value() != 8000 {
-		t.Fatalf("lost updates: c=%d h=%d g=%v", c.Value(), h.Count(), g.Value())
+	if c.Value() != 8000 || h.Count() != 8000 {
+		t.Fatalf("lost updates: c=%d h=%d", c.Value(), h.Count())
 	}
 }

@@ -1,9 +1,9 @@
 // Package obs is the zero-dependency observability kit: an atomic metrics
 // registry with Prometheus text-format exposition (DESIGN.md §13) and
 // lightweight request tracing. The hot path is allocation-free — counters
-// and gauges are single atomics, histograms are fixed-bucket atomic
-// arrays — and every mutating method is nil-safe so optional
-// instrumentation needs no branching at call sites.
+// are single atomics, histograms are fixed-bucket atomic arrays, and gauges
+// are read from a function at scrape time — and every mutating method is
+// nil-safe so optional instrumentation needs no branching at call sites.
 //
 // The standing contract: nothing in this package may influence response
 // bytes. Metrics and traces observe the request path; they never feed
@@ -74,40 +74,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable float. The zero value is usable; a nil *Gauge is a
-// no-op.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds d (CAS loop; safe for concurrent adders).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram is a fixed-bucket histogram with inclusive upper bounds
@@ -199,7 +165,6 @@ type row struct {
 	labels    []Label
 	counter   *Counter
 	counterFn func() int64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
 }
@@ -239,13 +204,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // fn must be monotone non-decreasing and safe for concurrent calls.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
 	r.register(name, help, kindCounter, labels, &row{counterFn: fn})
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, kindGauge, labels, &row{gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time.
@@ -347,11 +305,7 @@ func writeRow(bw *bufio.Writer, name string, kind metricKind, rw *row) {
 		}
 		writeSample(bw, name, rw.labels, nil, float64(v))
 	case kindGauge:
-		v := rw.gauge.Value()
-		if rw.gaugeFn != nil {
-			v = rw.gaugeFn()
-		}
-		writeSample(bw, name, rw.labels, nil, v)
+		writeSample(bw, name, rw.labels, nil, rw.gaugeFn())
 	case kindHistogram:
 		h := rw.hist
 		uppers, cum := h.snapshot()

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -36,48 +35,26 @@ func NewTraceID() string {
 	return traceBase + "-" + strconv.FormatUint(traceSeq.Add(1), 16)
 }
 
-// Span is one recorded stage timing within a trace.
-type Span struct {
-	Stage   string
-	Seconds float64
-}
-
-// maxSpans bounds a trace's span list so a pathological request cannot
-// grow memory without bound; the sink still sees every span.
-const maxSpans = 64
-
-// Trace carries a request's ID and its recorded span timings. A nil
-// *Trace is a no-op for every method, so instrumented code paths need no
-// "is tracing on" branches.
+// Trace carries a request's span sink through its context. A nil *Trace is
+// a no-op for every method, so instrumented code paths need no "is tracing
+// on" branches.
 type Trace struct {
-	ID   string
 	sink func(stage string, seconds float64)
-
-	mu    sync.Mutex
-	spans []Span
 }
 
-// NewTrace returns a trace with the given ID. sink, if non-nil, is
-// invoked synchronously for every recorded span (the server points it at
-// its per-stage latency histograms); it must be safe for concurrent
-// calls.
-func NewTrace(id string, sink func(stage string, seconds float64)) *Trace {
-	return &Trace{ID: id, sink: sink}
+// NewTrace returns a trace whose spans go to sink, which is invoked
+// synchronously for every recorded span (the server points it at its
+// per-stage latency histograms); it must be safe for concurrent calls.
+func NewTrace(sink func(stage string, seconds float64)) *Trace {
+	return &Trace{sink: sink}
 }
 
-// Record appends one span and feeds the sink.
+// Record feeds one span to the sink.
 func (t *Trace) Record(stage string, seconds float64) {
 	if t == nil {
 		return
 	}
-	if t.sink != nil {
-		t.sink(stage, seconds)
-	}
-	t.mu.Lock()
-	if len(t.spans) < maxSpans {
-		t.spans = append(t.spans, Span{Stage: stage, Seconds: seconds})
-	}
-	t.mu.Unlock()
+	t.sink(stage, seconds)
 }
 
 type traceKey struct{}

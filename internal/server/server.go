@@ -71,9 +71,6 @@ import (
 // Options configures a Server. The zero value selects sensible daemon
 // defaults.
 type Options struct {
-	// Workers is the grid worker-pool width (0 = GOMAXPROCS). Responses
-	// never depend on it.
-	Workers int
 	// MemoBytes caps the shared schedule and comparison cache (estimated
 	// resident bytes, LRU eviction). 0 selects the 256 MiB default;
 	// negative means unbounded (not recommended for a resident daemon).
@@ -84,9 +81,6 @@ type Options struct {
 	// SimHyperperiods is the default hyper-period count for /v1/compare
 	// (default 200).
 	SimHyperperiods int
-	// SimWorkers shards each comparison simulation (0 = GOMAXPROCS;
-	// results are bit-identical for any value).
-	SimWorkers int
 	// MaxTasks bounds the admission check: task sets larger than this are
 	// rejected before any solving (default 64).
 	MaxTasks int
@@ -242,7 +236,7 @@ func New(opts Options) *Server {
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:     o,
-		runner:   grid.New(o.Workers, memo),
+		runner:   grid.New(0, memo),
 		memo:     memo,
 		base:     base,
 		cancel:   cancel,
@@ -302,7 +296,7 @@ func (s *Server) Handler() http.Handler {
 			tid = obs.NewTraceID()
 		}
 		cw.Header().Set(obs.TraceHeader, tid)
-		tr := obs.NewTrace(tid, s.m.observeStage)
+		tr := obs.NewTrace(s.m.observeStage)
 		r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
 		s.mux.ServeHTTP(cw, r)
 	})
@@ -776,7 +770,6 @@ func (s *Server) buildCompareResponse(ctx context.Context, cr *canonicalRequest,
 		Policy:       sim.Greedy,
 		Hyperperiods: hyperperiods,
 		Seed:         seed,
-		Workers:      s.opts.SimWorkers,
 		Ctx:          ctx,
 	}
 	c, err := s.runner.Compare(ctx, fp, cfg, func() (*grid.Comparison, error) {

@@ -265,10 +265,8 @@ func TestCompareEndpoint(t *testing.T) {
 
 	// Each simulation dimension keys its own compare-memo entry: a new
 	// variant is one miss, its repeat a hit with the same bytes. The bytes
-	// also match an evicting server (every entry dropped as it lands) and
-	// servers simulating on 1 and 4 workers.
-	_, evicting := newTestServer(t, Options{SimHyperperiods: 20, MemoBytes: 1, SimWorkers: 1})
-	_, wide := newTestServer(t, Options{SimHyperperiods: 20, SimWorkers: 4})
+	// also match an evicting server (every entry dropped as it lands).
+	_, evicting := newTestServer(t, Options{SimHyperperiods: 20, MemoBytes: 1})
 	for i, v := range []string{
 		body, // already simulated above
 		strings.TrimSuffix(body, "}") + `,"seed":7}`,
@@ -290,10 +288,8 @@ func TestCompareEndpoint(t *testing.T) {
 		if again != first {
 			t.Errorf("variant %d: memo hit changed bytes:\n%s\nvs\n%s", i, again, first)
 		}
-		for name, url := range map[string]string{"evicting": evicting.URL, "4-worker": wide.URL} {
-			if _, other := post(t, url+"/v1/compare", v); other != first {
-				t.Errorf("variant %d: %s server disagrees:\n%s\nvs\n%s", i, name, other, first)
-			}
+		if _, other := post(t, evicting.URL+"/v1/compare", v); other != first {
+			t.Errorf("variant %d: evicting server disagrees:\n%s\nvs\n%s", i, other, first)
 		}
 	}
 

@@ -190,16 +190,8 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Choice returns a uniformly chosen element of xs. It panics on an empty
+// ChoiceInt returns a uniformly chosen element of xs. It panics on an empty
 // slice (programmer error).
-func (r *RNG) Choice(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Choice of empty slice")
-	}
-	return xs[r.Intn(len(xs))]
-}
-
-// ChoiceInt returns a uniformly chosen element of xs.
 func (r *RNG) ChoiceInt(xs []int64) int64 {
 	if len(xs) == 0 {
 		panic("stats: ChoiceInt of empty slice")

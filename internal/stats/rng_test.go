@@ -202,14 +202,14 @@ func TestSplitIndependence(t *testing.T) {
 
 func TestChoiceDistribution(t *testing.T) {
 	r := NewRNG(41)
-	xs := []float64{1, 2, 3}
-	counts := map[float64]int{}
+	xs := []int64{1, 2, 3}
+	counts := map[int64]int{}
 	for i := 0; i < 9000; i++ {
-		counts[r.Choice(xs)]++
+		counts[r.ChoiceInt(xs)]++
 	}
 	for _, x := range xs {
 		if counts[x] < 2500 || counts[x] > 3500 {
-			t.Errorf("Choice(%g) count %d far from uniform 3000", x, counts[x])
+			t.Errorf("ChoiceInt(%d) count %d far from uniform 3000", x, counts[x])
 		}
 	}
 }
