@@ -148,8 +148,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		simCfg := sim.Config{Policy: sim.Greedy}
-		taskOf := ctrl.TaskOf()
-		rows, err := sc.Actuals(*horizon, taskOf)
+		rows, err := sc.Actuals(*horizon, ctrl.TaskOf())
 		if err != nil {
 			return err
 		}
@@ -159,29 +158,16 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 
-		// Static arm: the initial plan over the whole stream, chunked
-		// exactly like the adaptive loop so the energies compare exactly.
-		sr := scenarioReport{Scenario: kind.String(), Horizon: *horizon}
-		staticPlan := ctrl.Plan()
-		for lo := 0; lo < *horizon; lo += *chunk {
-			r, err := staticPlan.RunActuals(simCfg, rows[lo:min(lo+*chunk, *horizon)])
-			if err != nil {
-				return err
-			}
-			sr.StaticEnergy += r.Energy
-			sr.DeadlineMisses += r.DeadlineMisses
-		}
-
-		// Adaptive arm: the full closed loop.
-		lr, err := feedback.RunClosedLoop(ctx, ctrl, sc, *horizon, *chunk, simCfg)
+		static, armMisses, lr, err := runArms(ctx, ctrl, rows, *chunk, simCfg)
 		if err != nil {
 			return err
 		}
-		sr.AdaptiveEnergy = lr.Energy
-		sr.Resolves = lr.Resolves
-		sr.Drifts = lr.Drifts
-		sr.SwapHyperperiod = lr.SwapHyperperiods
-		sr.DeadlineMisses += lr.DeadlineMisses
+		sr := scenarioReport{
+			Scenario: kind.String(), Horizon: *horizon,
+			StaticEnergy: static, AdaptiveEnergy: lr.Energy,
+			Resolves: lr.Resolves, Drifts: lr.Drifts, SwapHyperperiod: lr.SwapHyperperiods,
+			DeadlineMisses: armMisses,
+		}
 
 		// Oracle arm: clairvoyant re-solve whenever the true regime mean
 		// moved since the last solve (checked at chunk boundaries, the same
@@ -222,6 +208,28 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%d deadline misses observed — a schedule is invalid", misses)
 	}
 	return nil
+}
+
+// runArms executes the static and adaptive arms over rows and returns the
+// static energy, both arms' deadline misses and the adaptive loop's result.
+// The static arm runs the controller's initial plan over the whole stream,
+// chunked exactly like the adaptive loop so the energies compare exactly;
+// the adaptive arm is the full closed loop over the same rows.
+func runArms(ctx context.Context, ctrl *feedback.Controller, rows [][]float64, chunk int,
+	simCfg sim.Config) (static float64, misses int, lr *feedback.LoopResult, err error) {
+	staticPlan := ctrl.Plan()
+	for lo := 0; lo < len(rows); lo += chunk {
+		r, err := staticPlan.RunActuals(simCfg, rows[lo:min(lo+chunk, len(rows))])
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		static += r.Energy
+		misses += r.DeadlineMisses
+	}
+	if lr, err = feedback.RunReplay(ctx, ctrl, rows, chunk, simCfg); err != nil {
+		return 0, 0, nil, err
+	}
+	return static, misses + lr.DeadlineMisses, lr, nil
 }
 
 // runOracle executes the clairvoyant arm: at every chunk boundary it knows
@@ -331,28 +339,16 @@ func runReplay(path string, chunk int, cache bool, out string, stdout io.Writer)
 	if got, want := len(ctrl.TaskOf()), s.Instances; got != want {
 		return fmt.Errorf("replay: plan has %d instances per hyper-period, recording has %d", got, want)
 	}
-	simCfg := sim.Config{Policy: sim.Greedy}
-	horizon := len(s.Rows)
-	rep := &replayReport{Source: path, Tasks: set.N(), Horizon: horizon, Chunk: chunk}
-
-	staticPlan := ctrl.Plan()
-	for lo := 0; lo < horizon; lo += chunk {
-		r, err := staticPlan.RunActuals(simCfg, s.Rows[lo:min(lo+chunk, horizon)])
-		if err != nil {
-			return err
-		}
-		rep.StaticEnergy += r.Energy
-		rep.DeadlineMisses += r.DeadlineMisses
-	}
-	lr, err := feedback.RunReplay(ctx, ctrl, s.Rows, chunk, simCfg)
+	static, misses, lr, err := runArms(ctx, ctrl, s.Rows, chunk, sim.Config{Policy: sim.Greedy})
 	if err != nil {
 		return err
 	}
-	rep.AdaptiveEnergy = lr.Energy
-	rep.Resolves = lr.Resolves
-	rep.Drifts = lr.Drifts
-	rep.SwapHyperperiod = lr.SwapHyperperiods
-	rep.DeadlineMisses += lr.DeadlineMisses
+	rep := &replayReport{
+		Source: path, Tasks: set.N(), Horizon: len(s.Rows), Chunk: chunk,
+		StaticEnergy: static, AdaptiveEnergy: lr.Energy,
+		Resolves: lr.Resolves, Drifts: lr.Drifts, SwapHyperperiod: lr.SwapHyperperiods,
+		DeadlineMisses: misses,
+	}
 	if rep.StaticEnergy > 0 {
 		rep.AdaptivePct = 100 * (rep.StaticEnergy - rep.AdaptiveEnergy) / rep.StaticEnergy
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -108,6 +109,42 @@ func TestRunWritesArtefact(t *testing.T) {
 	}
 	if string(b) != out.String() {
 		t.Error("artefact differs from stdout")
+	}
+}
+
+// TestRecordReplayMatchesRun: -record writes a scenario's observation
+// stream, and -replay of that trace at the same chunk reproduces the
+// generated run's static and adaptive arms exactly.
+func TestRecordReplayMatchesRun(t *testing.T) {
+	dir := t.TempDir()
+	var out strings.Builder
+	if err := run(smallArgs("-scenarios", "modeswitch", "-record", dir), &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var rep report
+	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Scenarios) != 1 {
+		t.Fatalf("%d scenario reports, want 1", len(rep.Scenarios))
+	}
+	want := rep.Scenarios[0]
+	if want.Resolves == 0 {
+		t.Fatal("the recorded scenario never re-solved: the comparison would be vacuous")
+	}
+
+	out.Reset()
+	if err := run([]string{"-replay", filepath.Join(dir, "modeswitch.trace"), "-chunk", "10"}, &out); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	var got replayReport
+	if err := json.Unmarshal([]byte(out.String()), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Horizon != want.Horizon || got.StaticEnergy != want.StaticEnergy ||
+		got.AdaptiveEnergy != want.AdaptiveEnergy || got.Resolves != want.Resolves ||
+		got.Drifts != want.Drifts || !reflect.DeepEqual(got.SwapHyperperiod, want.SwapHyperperiod) {
+		t.Errorf("replay differs from the generated run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -40,15 +40,38 @@ const (
 )
 
 // Decoder resource bounds: a blob is rejected before any expensive work if
-// it implies more than this. The instance bound caps preempt.BuildWith's
-// quadratic preemption-point scan on adversarial inputs; real paper-scale
-// sets stay orders of magnitude below it.
+// it implies more than this. The instance bound (CheckInstances) caps
+// preempt.BuildWith's quadratic preemption-point scan on adversarial inputs;
+// real paper-scale sets stay orders of magnitude below it.
 const (
 	codecMaxTasks     = 1024
 	codecMaxNameLen   = 256
 	codecMaxInstances = 4096
 	codecMaxLevels    = 4096
 )
+
+// CheckInstances fails when set's hyper-period holds more than 4096 task
+// instances, counting Σ H/Pᵢ without expanding anything. Expanding a set
+// (set.Instances, the preemptive plan) costs memory and time in that count,
+// which a few incommensurate periods drive past 10⁸, so every set that
+// arrives from outside the process passes this check first: a decoded
+// schedule here, and the server's submit bodies, stored requests and
+// session checkpoints.
+func CheckInstances(set *task.Set) error {
+	h, err := set.Hyperperiod()
+	if err != nil {
+		return err
+	}
+	var instances int64
+	for i := range set.Tasks {
+		n := h / set.Tasks[i].Period
+		if n > codecMaxInstances-instances {
+			return fmt.Errorf("hyper-period expands to more than %d instances", codecMaxInstances)
+		}
+		instances += n
+	}
+	return nil
+}
 
 // encoder accumulates the canonical byte encoding.
 type encoder struct{ buf []byte }
@@ -366,18 +389,9 @@ func DecodeSchedule(data []byte) (*Schedule, error) {
 		return nil, fmt.Errorf("core: decode: %w", err)
 	}
 	// Bound the expansion before running it: the preemption-point scan is
-	// quadratic in the instance count, and this is the one place untrusted
-	// bytes choose that count.
-	h, err := set.Hyperperiod()
-	if err != nil {
+	// quadratic in the instance count, and untrusted bytes choose that count.
+	if err := CheckInstances(set); err != nil {
 		return nil, fmt.Errorf("core: decode: %w", err)
-	}
-	var instances int64
-	for i := range set.Tasks {
-		instances += h / set.Tasks[i].Period
-		if instances > codecMaxInstances {
-			return nil, fmt.Errorf("core: decode: expansion exceeds %d instances", codecMaxInstances)
-		}
 	}
 	plan, err := preempt.BuildWith(set, preempt.Options{MaxSubsPerInstance: int(maxSubs), EDF: edf})
 	if err != nil {

@@ -194,3 +194,29 @@ func FuzzDecodeSchedule(f *testing.F) {
 		}
 	})
 }
+
+// TestCheckInstances pins the plan-size bound at its edge: periods 1 and
+// 4095 expand to exactly 4096 instances per hyper-period and pass, periods
+// 1 and 4096 to 4097 and fail, as do the primes 2971 and 2999 (5,970).
+func TestCheckInstances(t *testing.T) {
+	for _, c := range []struct {
+		periods []int64
+		ok      bool
+	}{
+		{[]int64{1, 4095}, true},
+		{[]int64{1, 4096}, false},
+		{[]int64{2971, 2999}, false},
+	} {
+		var tasks []task.Task
+		for i, p := range c.periods {
+			tasks = append(tasks, task.Task{Name: string(rune('a' + i)), Period: p, WCEC: 1, ACEC: 1, BCEC: 1, Ceff: 1})
+		}
+		set, err := task.NewSet(tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.CheckInstances(set); (err == nil) != c.ok {
+			t.Errorf("periods %v: CheckInstances = %v, want ok %v", c.periods, err, c.ok)
+		}
+	}
+}

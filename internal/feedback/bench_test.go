@@ -34,7 +34,11 @@ func BenchmarkClosedLoop(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lr, err := RunClosedLoop(context.Background(), ctrl, sc, 320, 10, sim.Config{Policy: sim.Greedy})
+		rows, err := sc.Actuals(320, ctrl.TaskOf())
+		if err != nil {
+			b.Fatal(err)
+		}
+		lr, err := RunReplay(context.Background(), ctrl, rows, 10, sim.Config{Policy: sim.Greedy})
 		if err != nil {
 			b.Fatal(err)
 		}

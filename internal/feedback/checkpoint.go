@@ -20,15 +20,14 @@ import (
 // re-solve points, same response bytes.
 
 // TaskEstimatorState is the serialisable state of one TaskEstimator.
+// Snapshots written before the estimator lost its histogram also carry
+// "lo", "hi" and "bins"; decoding ignores them.
 type TaskEstimatorState struct {
-	Lo    float64 `json:"lo"`
-	Hi    float64 `json:"hi"`
 	Count int64   `json:"count"`
 	Mean  float64 `json:"mean"`
 	M2    float64 `json:"m2"`
 	Min   float64 `json:"min"`
 	Max   float64 `json:"max"`
-	Bins  []int64 `json:"bins"`
 }
 
 // PageHinkleyState is the serialisable state of the drift detector.
@@ -55,26 +54,18 @@ type ControllerState struct {
 	Relearn []TaskEstimatorState `json:"relearn"`
 	Drift   PageHinkleyState     `json:"drift"`
 
-	State         int     `json:"state"`
-	RelearnLeft   int     `json:"relearn_left"`
-	Observed      int64   `json:"observed"`
-	Resolves      int64   `json:"resolves"`
-	DriftsFired   int64   `json:"drifts_fired"`
-	ResolveAt     []int64 `json:"resolve_at"`
-	LastStatistic float64 `json:"last_statistic"`
-}
-
-func estimatorState(e *TaskEstimator) TaskEstimatorState {
-	return TaskEstimatorState{
-		Lo: e.lo, Hi: e.hi, Count: e.count, Mean: e.mean, M2: e.m2,
-		Min: e.min, Max: e.max, Bins: append([]int64(nil), e.bins...),
-	}
+	State       int     `json:"state"`
+	RelearnLeft int     `json:"relearn_left"`
+	Observed    int64   `json:"observed"`
+	Resolves    int64   `json:"resolves"`
+	DriftsFired int64   `json:"drifts_fired"`
+	ResolveAt   []int64 `json:"resolve_at"`
 }
 
 func setEstimatorState(se *SetEstimator) []TaskEstimatorState {
 	out := make([]TaskEstimatorState, len(se.tasks))
 	for i, e := range se.tasks {
-		out[i] = estimatorState(e)
+		out[i] = TaskEstimatorState{Count: e.count, Mean: e.mean, M2: e.m2, Min: e.min, Max: e.max}
 	}
 	return out
 }
@@ -85,44 +76,34 @@ func setEstimatorState(se *SetEstimator) []TaskEstimatorState {
 // serialised with ObserveChunk.
 func (c *Controller) Snapshot() *ControllerState {
 	return &ControllerState{
-		Base:          append([]task.Task(nil), c.base.Tasks...),
-		Model:         append([]task.Task(nil), c.model.Tasks...),
-		Life:          setEstimatorState(c.life),
-		Relearn:       setEstimatorState(c.relearn),
-		Drift:         PageHinkleyState{N: c.ph.n, Mean: c.ph.mean, Up: c.ph.up, Down: c.ph.down},
-		State:         int(c.state),
-		RelearnLeft:   c.relearnLeft,
-		Observed:      c.observed,
-		Resolves:      c.resolves,
-		DriftsFired:   c.driftsFired,
-		ResolveAt:     append([]int64(nil), c.resolveAt...),
-		LastStatistic: c.lastStatistic,
+		Base:        append([]task.Task(nil), c.base.Tasks...),
+		Model:       append([]task.Task(nil), c.model.Tasks...),
+		Life:        setEstimatorState(c.life),
+		Relearn:     setEstimatorState(c.relearn),
+		Drift:       PageHinkleyState{N: c.ph.n, Mean: c.ph.mean, Up: c.ph.up, Down: c.ph.down},
+		State:       int(c.state),
+		RelearnLeft: c.relearnLeft,
+		Observed:    c.observed,
+		Resolves:    c.resolves,
+		DriftsFired: c.driftsFired,
+		ResolveAt:   append([]int64(nil), c.resolveAt...),
 	}
 }
 
 // restoreSetEstimator rebuilds a SetEstimator over set from snapshotted
-// per-task states, validating shape (one state per task, non-empty support,
-// at least one bin) so a corrupted snapshot fails loudly instead of folding
-// observations into garbage.
+// per-task states, validating shape (one state per task, no negative count)
+// so a corrupted snapshot fails loudly instead of folding observations into
+// garbage.
 func restoreSetEstimator(set *task.Set, states []TaskEstimatorState) (*SetEstimator, error) {
 	if len(states) != set.N() {
 		return nil, fmt.Errorf("feedback: snapshot has %d estimators for %d tasks", len(states), set.N())
 	}
-	se := &SetEstimator{set: set, tasks: make([]*TaskEstimator, len(states))}
+	se := NewSetEstimator(set)
 	for i, st := range states {
-		if !(st.Hi > st.Lo) {
-			return nil, fmt.Errorf("feedback: snapshot estimator %d has empty support [%g, %g]", i, st.Lo, st.Hi)
-		}
-		if len(st.Bins) < 1 {
-			return nil, fmt.Errorf("feedback: snapshot estimator %d has no bins", i)
-		}
 		if st.Count < 0 {
 			return nil, fmt.Errorf("feedback: snapshot estimator %d has negative count", i)
 		}
-		se.tasks[i] = &TaskEstimator{
-			lo: st.Lo, hi: st.Hi, count: st.Count, mean: st.Mean, m2: st.M2,
-			min: st.Min, max: st.Max, bins: append([]int64(nil), st.Bins...),
-		}
+		se.tasks[i] = TaskEstimator{count: st.Count, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max}
 	}
 	return se, nil
 }
@@ -183,7 +164,6 @@ func RestoreController(ctx context.Context, st *ControllerState, opts Options) (
 	c.driftsFired = st.DriftsFired
 	c.resolveAt = append([]int64(nil), st.ResolveAt...)
 	c.relearnLeft = st.RelearnLeft
-	c.lastStatistic = st.LastStatistic
 	c.taskOf = make([]int, len(c.acs.Plan.Instances))
 	for i := range c.taskOf {
 		c.taskOf[i] = c.acs.Plan.Instances[i].TaskIndex

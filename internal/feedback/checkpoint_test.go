@@ -124,8 +124,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		"unknown state":       func(st *ControllerState) { st.State = 7 },
 		"negative observed":   func(st *ControllerState) { st.Observed = -1 },
 		"missing estimator":   func(st *ControllerState) { st.Life = st.Life[1:] },
-		"empty support":       func(st *ControllerState) { st.Relearn[0].Hi = st.Relearn[0].Lo },
-		"no bins":             func(st *ControllerState) { st.Life[0].Bins = nil },
+		"negative count":      func(st *ControllerState) { st.Relearn[0].Count = -1 },
 		"empty base set":      func(st *ControllerState) { st.Base = nil },
 		"model task mismatch": func(st *ControllerState) { st.Model = st.Model[1:] },
 		"invalid model task":  func(st *ControllerState) { st.Model[0].WCEC = -1 },

@@ -27,8 +27,6 @@ type Options struct {
 	// the serving layer's own pipeline, so the same bytes); every other
 	// field passes through to each re-solve unchanged.
 	Solver core.Config
-	// Bins is the estimator histogram resolution (default 32).
-	Bins int
 	// Drift parameterises the Page–Hinkley detector.
 	Drift DriftConfig
 	// Relearn is the number of hyper-periods of fresh observation collected
@@ -50,9 +48,6 @@ const minCount = 8
 func (o Options) withDefaults() Options {
 	if o.Runner == nil {
 		o.Runner = grid.New(1, nil)
-	}
-	if o.Bins <= 0 {
-		o.Bins = 32
 	}
 	o.Drift = o.Drift.withDefaults()
 	if o.Relearn <= 0 {
@@ -128,13 +123,12 @@ type Controller struct {
 	predSum     float64 // Σ model ACEC over instances: the statistic denominator
 	predSigma   float64 // predicted per-hyper-period σ of the work ratio
 
-	state         State
-	relearnLeft   int
-	observed      int64
-	resolves      int64
-	driftsFired   int64
-	resolveAt     []int64 // observation indices at which re-solves completed
-	lastStatistic float64
+	state       State
+	relearnLeft int
+	observed    int64
+	resolves    int64
+	driftsFired int64
+	resolveAt   []int64 // observation indices at which re-solves completed
 }
 
 // NewController solves the stated model (WCS, then ACS warm-started from it)
@@ -147,14 +141,9 @@ func NewController(ctx context.Context, set *task.Set, opts Options) (*Controlle
 	if err := o.Drift.validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{opts: o, base: set, state: Tracking}
+	c := &Controller{opts: o, base: set, state: Tracking,
+		life: NewSetEstimator(set), relearn: NewSetEstimator(set)}
 	var err error
-	if c.life, err = NewSetEstimator(set, o.Bins); err != nil {
-		return nil, err
-	}
-	if c.relearn, err = NewSetEstimator(set, o.Bins); err != nil {
-		return nil, err
-	}
 	if c.ph, err = NewPageHinkley(o.Drift); err != nil {
 		return nil, err
 	}
@@ -256,10 +245,6 @@ func (c *Controller) State() State { return c.state }
 // Lifetime returns the never-reset per-task estimators (for reporting).
 func (c *Controller) Lifetime() *SetEstimator { return c.life }
 
-// LastStatistic returns the last standardized observed-vs-predicted work
-// statistic fed to the drift detector.
-func (c *Controller) LastStatistic() float64 { return c.lastStatistic }
-
 // ObserveChunk folds a chunk of consecutive hyper-periods (each row one
 // hyper-period's per-instance actual cycles, plan order) and returns what
 // happened. The fold is strictly sequential in hyper-period order — chunking
@@ -288,7 +273,6 @@ func (c *Controller) ObserveChunk(ctx context.Context, actuals [][]float64) (Dec
 			sum += x
 		}
 		z := (sum/c.predSum - 1) / c.predSigma
-		c.lastStatistic = z
 		c.observed++
 
 		switch c.state {

@@ -36,7 +36,11 @@ func runLoop(t *testing.T, set *task.Set, kind workload.ScenarioKind, memo *grid
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr, err := RunClosedLoop(context.Background(), ctrl, sc, 240, 10,
+	rows, err := sc.Actuals(240, ctrl.TaskOf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, err := RunReplay(context.Background(), ctrl, rows, 10,
 		sim.Config{Policy: sim.Greedy, Workers: simWorkers})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +103,7 @@ func TestClosedLoopStationaryMatchesStatic(t *testing.T) {
 		}
 		staticEnergy += r.Energy
 	}
-	lr, err := RunClosedLoop(context.Background(), ctrl, sc, 240, 10, sim.Config{Policy: sim.Greedy})
+	lr, err := RunReplay(context.Background(), ctrl, rows, 10, sim.Config{Policy: sim.Greedy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +145,7 @@ func TestClosedLoopAdaptiveBeatsStatic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lr, err := RunClosedLoop(context.Background(), ctrl, sc, 240, 10, sim.Config{Policy: sim.Greedy})
+		lr, err := RunReplay(context.Background(), ctrl, rows, 10, sim.Config{Policy: sim.Greedy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +201,6 @@ func TestObserveChunkingTransparent(t *testing.T) {
 		Resolves     int64
 		Drifts       int64
 		LifeMean     []float64
-		LastStat     float64
 		ObservedHyps int64
 	}
 	observe := func(ctrl *Controller, chunk int) trace {
@@ -215,7 +218,6 @@ func TestObserveChunkingTransparent(t *testing.T) {
 			Fingerprint:  ctrl.Fingerprint(),
 			Resolves:     ctrl.Resolves(),
 			Drifts:       ctrl.DriftsFired(),
-			LastStat:     ctrl.LastStatistic(),
 			ObservedHyps: ctrl.Observed(),
 		}
 		for i := 0; i < set.N(); i++ {
@@ -301,7 +303,7 @@ func TestControllerValidation(t *testing.T) {
 	if got := Tracking.String() + Relearning.String(); got != "trackingrelearning" {
 		t.Errorf("state names: %q", got)
 	}
-	if _, err := RunClosedLoop(context.Background(), ctrl, nil, 0, 1, sim.Config{}); err == nil {
-		t.Error("non-positive horizon accepted")
+	if _, err := RunReplay(context.Background(), ctrl, nil, 1, sim.Config{}); err == nil {
+		t.Error("empty observation stream accepted")
 	}
 }

@@ -94,9 +94,6 @@ func (d *PageHinkley) Add(x float64) bool {
 	return d.up > d.cfg.Lambda || d.down > d.cfg.Lambda
 }
 
-// Samples returns the number of inputs folded since the last Reset.
-func (d *PageHinkley) Samples() int64 { return d.n }
-
 // Reset clears all state (running mean and both accumulators).
 func (d *PageHinkley) Reset() {
 	d.n, d.mean, d.up, d.down = 0, 0, 0, 0

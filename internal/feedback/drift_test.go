@@ -87,7 +87,7 @@ func TestPageHinkleyMinSamples(t *testing.T) {
 		t.Error("did not fire once MinSamples reached")
 	}
 	d.Reset()
-	if d.Samples() != 0 {
+	if d.n != 0 {
 		t.Error("reset kept samples")
 	}
 	if d.up != 0 || d.down != 0 {

@@ -1,10 +1,10 @@
 // Package feedback closes the loop between the online runtime and the
-// offline solver (DESIGN.md §8): bounded-memory streaming estimators learn
-// each task's observed execution-cycle distribution from per-job
-// observations, a deterministic drift detector decides when the learned
-// distribution has diverged from the one the current schedule was solved
-// against, and an adaptation controller rebuilds the task set's average-case
-// model and re-solves it with the serving layer's own pipeline (a one-core
+// offline solver (DESIGN.md §8): constant-memory streaming estimators learn
+// each task's observed execution-cycle moments from per-job observations, a
+// deterministic drift detector decides when the observed work has diverged
+// from what the model the current schedule was solved against predicts,
+// and an adaptation controller rebuilds the task set's average-case model
+// and re-solves it with the serving layer's own pipeline (a one-core
 // partition.Solve: the shared WCS, then a warm-started ACS), hot-swapping
 // the compiled plan at a hyper-period boundary.
 //
@@ -22,38 +22,20 @@ import (
 	"repro/internal/task"
 )
 
-// TaskEstimator is a bounded-memory streaming estimator of one task's actual
-// execution cycles: online mean/variance (Welford), observed min/max, and a
-// fixed-bin histogram over the task's [BCEC, WCEC] support. Memory is
-// constant (the bin count is fixed at construction); updates are pure float
-// folds of the observation order, so two estimators fed the same sequence
-// are bit-identical.
+// TaskEstimator is a constant-memory streaming estimator of one task's
+// actual execution cycles: online mean/variance (Welford) and observed
+// min/max. Updates are pure float folds of the observation order, so two
+// estimators fed the same sequence are bit-identical. The zero value is
+// ready to use.
 type TaskEstimator struct {
-	lo, hi float64
-	count  int64
-	mean   float64
-	m2     float64 // Σ (x − mean)²: Welford's running sum of squared deviations
-	min    float64
-	max    float64
-	bins   []int64
-}
-
-// NewTaskEstimator returns an estimator over the support [lo, hi] with the
-// given histogram resolution (bins ≥ 1).
-func NewTaskEstimator(lo, hi float64, bins int) (*TaskEstimator, error) {
-	if !(hi > lo) {
-		return nil, fmt.Errorf("feedback: estimator support [%g, %g] is empty", lo, hi)
-	}
-	if bins < 1 {
-		return nil, fmt.Errorf("feedback: estimator needs at least one bin, got %d", bins)
-	}
-	return &TaskEstimator{lo: lo, hi: hi, bins: make([]int64, bins)}, nil
+	count int64
+	mean  float64
+	m2    float64 // Σ (x − mean)²: Welford's running sum of squared deviations
+	min   float64
+	max   float64
 }
 
 // Observe folds one execution-cycle observation into the estimator.
-// Observations are clamped into the support for binning (the generators
-// guarantee the support, but a defensive clamp keeps the histogram total
-// equal to the count under any input).
 func (e *TaskEstimator) Observe(x float64) {
 	e.count++
 	d := x - e.mean
@@ -65,14 +47,6 @@ func (e *TaskEstimator) Observe(x float64) {
 	if e.count == 1 || x > e.max {
 		e.max = x
 	}
-	b := int(float64(len(e.bins)) * (x - e.lo) / (e.hi - e.lo))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(e.bins) {
-		b = len(e.bins) - 1
-	}
-	e.bins[b]++
 }
 
 // Count returns the number of observations folded in.
@@ -96,81 +70,23 @@ func (e *TaskEstimator) Std() float64 { return math.Sqrt(e.Variance()) }
 func (e *TaskEstimator) Min() float64 { return e.min }
 func (e *TaskEstimator) Max() float64 { return e.max }
 
-// Histogram returns a copy of the bin counts.
-func (e *TaskEstimator) Histogram() []int64 {
-	return append([]int64(nil), e.bins...)
-}
-
-// Quantile returns the p-quantile estimated from the histogram (linear
-// interpolation within the selected bin). It returns the support midpoint
-// before any observation.
-func (e *TaskEstimator) Quantile(p float64) float64 {
-	if e.count == 0 {
-		return 0.5 * (e.lo + e.hi)
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	target := p * float64(e.count)
-	var cum float64
-	width := (e.hi - e.lo) / float64(len(e.bins))
-	for b, n := range e.bins {
-		next := cum + float64(n)
-		if next >= target && n > 0 {
-			frac := 0.0
-			if n > 0 {
-				frac = (target - cum) / float64(n)
-			}
-			return e.lo + (float64(b)+frac)*width
-		}
-		cum = next
-	}
-	return e.hi
-}
-
-// Reset drops every observation, keeping support and resolution.
-func (e *TaskEstimator) Reset() {
-	e.count, e.mean, e.m2, e.min, e.max = 0, 0, 0, 0, 0
-	for b := range e.bins {
-		e.bins[b] = 0
-	}
-}
+// Reset drops every observation.
+func (e *TaskEstimator) Reset() { *e = TaskEstimator{} }
 
 // SetEstimator aggregates one TaskEstimator per task of a set, fed from
 // per-instance observation rows in plan order.
 type SetEstimator struct {
 	set   *task.Set
-	tasks []*TaskEstimator
+	tasks []TaskEstimator
 }
 
-// NewSetEstimator builds estimators over each task's [BCEC, WCEC] support.
-// Tasks whose BCEC equals WCEC (no variation possible) get a degenerate
-// ±0.5% support around the common value so binning stays well-defined.
-func NewSetEstimator(set *task.Set, bins int) (*SetEstimator, error) {
-	if set == nil || set.N() == 0 {
-		return nil, fmt.Errorf("feedback: estimator needs a non-empty task set")
-	}
-	se := &SetEstimator{set: set, tasks: make([]*TaskEstimator, set.N())}
-	for i := range se.tasks {
-		t := &set.Tasks[i]
-		lo, hi := t.BCEC, t.WCEC
-		if !(hi > lo) {
-			lo, hi = 0.995*t.WCEC, 1.005*t.WCEC
-		}
-		e, err := NewTaskEstimator(lo, hi, bins)
-		if err != nil {
-			return nil, fmt.Errorf("feedback: task %q: %w", t.Name, err)
-		}
-		se.tasks[i] = e
-	}
-	return se, nil
+// NewSetEstimator returns one empty estimator per task of set.
+func NewSetEstimator(set *task.Set) *SetEstimator {
+	return &SetEstimator{set: set, tasks: make([]TaskEstimator, set.N())}
 }
 
 // Task returns task i's estimator.
-func (se *SetEstimator) Task(i int) *TaskEstimator { return se.tasks[i] }
+func (se *SetEstimator) Task(i int) *TaskEstimator { return &se.tasks[i] }
 
 // ObserveInstances folds one hyper-period's per-instance observations:
 // taskOf[i] is the owning task of instance i (the preemptive plan's
@@ -190,8 +106,8 @@ func (se *SetEstimator) ObserveInstances(taskOf []int, actual []float64) error {
 
 // Reset drops all observations.
 func (se *SetEstimator) Reset() {
-	for _, e := range se.tasks {
-		e.Reset()
+	for i := range se.tasks {
+		se.tasks[i].Reset()
 	}
 }
 
@@ -202,7 +118,7 @@ func (se *SetEstimator) Reset() {
 func (se *SetEstimator) AdaptedSet(minCount int64) (*task.Set, error) {
 	ts := append([]task.Task(nil), se.set.Tasks...)
 	for i := range ts {
-		e := se.tasks[i]
+		e := &se.tasks[i]
 		if e.count < minCount {
 			continue
 		}

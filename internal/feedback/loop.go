@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // LoopResult aggregates a closed-loop run. Fields are summed in chunk order
@@ -18,12 +17,6 @@ type LoopResult struct {
 	// valid schedules — adaptation never touches WCEC, so worst-case
 	// feasibility is preserved by construction).
 	DeadlineMisses int
-	// Switches counts voltage transitions (within chunks; the transition
-	// across a chunk boundary is uncounted exactly as the one across any
-	// hyper-period boundary is).
-	Switches int
-	// BusyTime is total executing time in ms.
-	BusyTime float64
 	// Resolves is the number of adaptation re-solves the run triggered.
 	Resolves int64
 	// Drifts is the number of detector firings.
@@ -38,64 +31,48 @@ type LoopResult struct {
 	Fingerprints []string
 }
 
-// RunClosedLoop drives the full feedback cycle over a nonstationary
-// scenario: execute a chunk of hyper-periods on the controller's current
-// compiled plan, feed the chunk's per-job observations back, and swap any
-// re-solved plan in at the next chunk boundary (always a hyper-period
-// boundary). The scenario owns the workload stream — it is a pure function
-// of (seed, hyper-period), so the stream never depends on which plan
-// executed it — and every stage (generation, execution fan-in, observation
-// fold, drift decisions, re-solve points) is deterministic, making the
-// returned LoopResult byte-identical across sim worker counts and cache
-// states for a fixed configuration.
+// RunReplay drives the full feedback cycle over an observation stream:
+// rows is one per-instance actual-cycles row per hyper-period, in plan
+// order — a generated scenario's Actuals, or a recording in the
+// trace.Stream format captured by schedd's observe sink or adaptsim
+// -record. For each chunk of the stream (chunk <= 0 selects 10
+// hyper-periods) it executes the rows on the controller's current compiled
+// plan, feeds the same rows back as observations, and swaps any re-solved
+// plan in at the next chunk boundary (always a hyper-period boundary). The
+// horizon is len(rows). The rows own the workload, so the stream never
+// depends on which plan executed it, and the controller's fold, the drift
+// detector and every re-solve are deterministic: the same stream
+// reproduces the same energies, swap points and fingerprints bit-for-bit
+// on any sim worker count and cache state — which is what lets a
+// checked-in corpus pin adaptive-vs-static gains as regressions.
 //
-// simCfg's Policy, Overhead, Workers and Ctx apply to execution; Seed, Dist
-// and Hyperperiods are ignored (the scenario replaces them). ctx bounds
+// simCfg's Policy, Overhead, Workers and Ctx apply to execution; Seed,
+// Dist and Hyperperiods are ignored (the rows replace them). ctx bounds
 // re-solves.
-func RunClosedLoop(ctx context.Context, ctrl *Controller, sc *workload.Scenario, horizon, chunk int, simCfg sim.Config) (*LoopResult, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("feedback: horizon must be positive, got %d", horizon)
+func RunReplay(ctx context.Context, ctrl *Controller, rows [][]float64, chunk int, simCfg sim.Config) (*LoopResult, error) {
+	horizon := len(rows)
+	if horizon == 0 {
+		return nil, fmt.Errorf("feedback: replay needs a non-empty observation stream")
 	}
-	taskOf := ctrl.TaskOf()
-	var rows [][]float64
-	return driveLoop(ctx, ctrl, horizon, chunk, simCfg, func(lo, hi int) ([][]float64, error) {
-		rows = rows[:0]
-		for h := lo; h < hi; h++ {
-			row := make([]float64, len(taskOf))
-			if err := sc.FillActuals(h, taskOf, row); err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
+	width := len(ctrl.TaskOf())
+	for i, row := range rows {
+		if len(row) != width {
+			return nil, fmt.Errorf("feedback: replay row %d has %d instances, want %d", i, len(row), width)
 		}
-		return rows, nil
-	})
-}
-
-// driveLoop is the cycle RunClosedLoop and RunReplay share. For each chunk
-// [lo, hi) of the horizon (chunk <= 0 selects 10 hyper-periods) it executes
-// rowsOf(lo, hi) on the controller's current plan, feeds the same rows back
-// as observations, and records any re-solved plan that enters execution at
-// hi.
-func driveLoop(ctx context.Context, ctrl *Controller, horizon, chunk int, simCfg sim.Config, rowsOf func(lo, hi int) ([][]float64, error)) (*LoopResult, error) {
+	}
 	if chunk <= 0 {
 		chunk = 10
 	}
 	out := &LoopResult{Fingerprints: []string{ctrl.Fingerprint()}}
 	for lo := 0; lo < horizon; lo += chunk {
 		hi := min(lo+chunk, horizon)
-		rows, err := rowsOf(lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ctrl.Plan().RunActuals(simCfg, rows)
+		res, err := ctrl.Plan().RunActuals(simCfg, rows[lo:hi])
 		if err != nil {
 			return nil, err
 		}
 		out.Energy += res.Energy
 		out.DeadlineMisses += res.DeadlineMisses
-		out.Switches += res.Switches
-		out.BusyTime += res.BusyTime
-		d, err := ctrl.ObserveChunk(ctx, rows)
+		d, err := ctrl.ObserveChunk(ctx, rows[lo:hi])
 		if err != nil {
 			return nil, err
 		}

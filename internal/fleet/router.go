@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -165,6 +166,9 @@ func (r *Router) handleScheduleGet(w http.ResponseWriter, req *http.Request) {
 // request: a body without a session_id gets one injected (router allocation
 // order, "f1", "f2", …), because the id is the ring key — it must exist
 // prior to routing, and it must not depend on which peer serves the create.
+// The body is decoded as strictly as a peer decodes it: re-marshalling drops
+// unknown fields, so a body a peer would refuse is forwarded unchanged
+// under its raw-body hash, and the owner answers its own 400.
 func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	body, ok := readBody(w, req)
 	if !ok {
@@ -172,7 +176,9 @@ func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	}
 	key := "raw-" + strconv.FormatUint(hash64(string(body)), 16)
 	var sr server.SessionRequest
-	if json.Unmarshal(body, &sr) == nil && len(sr.Tasks) > 0 {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&sr) == nil && len(sr.Tasks) > 0 {
 		if sr.SessionID == "" {
 			sr.SessionID = fmt.Sprintf("f%d", r.sessionSeq.Add(1))
 			rewritten, err := json.Marshal(&sr)

@@ -518,3 +518,27 @@ func TestRouterSessionIDInjection(t *testing.T) {
 		t.Fatalf("status by injected id: %d %s", code, resp)
 	}
 }
+
+// TestRouterSessionCreateUnknownField: a create body a peer refuses is
+// refused through the router too, with the peer's own bytes. Without a
+// session_id the router injects one, and re-marshalling the body must not
+// drop the unknown field that makes a single node answer 400.
+func TestRouterSessionCreateUnknownField(t *testing.T) {
+	leakcheck.Check(t)
+	refSrv := server.New(server.Options{})
+	refTS := httptest.NewServer(refSrv.Handler())
+	t.Cleanup(func() { refTS.Close(); refSrv.Close() })
+	f := newTestFleet(t, []string{"p0", "p1"}, testFleetOptions{})
+	body, _ := fleetSessionRows(t, 6, "", 0)
+	for _, field := range []string{"bnis", "bins"} {
+		bad := `{"` + field + `":3,` + body[1:]
+		wantCode, want, _ := doReq(t, http.MethodPost, refTS.URL+"/v1/sessions", bad)
+		if wantCode != http.StatusBadRequest {
+			t.Fatalf("%s: single node answered %d %s, want 400", field, wantCode, want)
+		}
+		code, got, _ := doReq(t, http.MethodPost, f.rts.URL+"/v1/sessions", bad)
+		if code != wantCode || got != want {
+			t.Errorf("%s through the router: %d %s, want the single node's %d %s", field, code, got, wantCode, want)
+		}
+	}
+}

@@ -58,12 +58,6 @@ func New(workers int, memo *Memo) *Runner {
 	return &Runner{workers: workers, memo: memo}
 }
 
-// Workers returns the pool width.
-func (r *Runner) Workers() int { return r.workers }
-
-// Memo returns the memo store, or nil when caching is disabled.
-func (r *Runner) Memo() *Memo { return r.memo }
-
 // ForEach runs fn(i) for every i in [0, n) on the runner's pool: Workers
 // long-lived goroutines pull indices from a channel until it drains. fn must
 // communicate results through index-addressed storage (one slot per job).

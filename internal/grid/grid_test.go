@@ -78,7 +78,8 @@ func TestCollectOrdersResultsByIndex(t *testing.T) {
 }
 
 func TestCollectErrFailsFast(t *testing.T) {
-	r := New(2, nil)
+	const workers = 2
+	r := New(workers, nil)
 	var started atomic.Int32
 	running := make(chan struct{})
 	_, err := CollectErr(r, 1000, func(i int) (int, error) {
@@ -102,7 +103,7 @@ func TestCollectErrFailsFast(t *testing.T) {
 	// takes another index, so each worker starts at most one of them. (With
 	// one failing job the other worker could still drain every index while
 	// the failing one stalls between its job's return and that record.)
-	if n, most := started.Load(), int32(3+r.Workers()); n > most {
+	if n, most := started.Load(), int32(3+workers); n > most {
 		t.Errorf("%d jobs started despite failures from job 3 on, want at most %d", n, most)
 	}
 
@@ -318,13 +319,10 @@ func TestCompareKeyContract(t *testing.T) {
 		}
 		seen[k] = name
 	}
-	withDist, withObserver := base, base
+	withDist := base
 	withDist.Dist = sim.UniformDist
-	withObserver.Observer = func(int, []float64) {}
-	for name, cfg := range map[string]sim.Config{"Dist": withDist, "Observer": withObserver} {
-		if _, ok := CompareKey(fp, cfg); ok {
-			t.Errorf("a config with %s hashed as cacheable", name)
-		}
+	if _, ok := CompareKey(fp, withDist); ok {
+		t.Error("a config with Dist hashed as cacheable")
 	}
 }
 
@@ -353,9 +351,8 @@ func TestConfigFieldsGuard(t *testing.T) {
 		"task.Task":       {"Name", "Period", "WCEC", "ACEC", "BCEC", "Ceff"},
 		// sim.Config is guarded for CompareKey, which memoizes simulated
 		// comparisons: it hashes Policy, Hyperperiods, Seed and the three
-		// Overhead fields; a Dist or an Observer makes the config
-		// uncacheable (function values have no canonical encoding, and a
-		// hit would skip the observer); Workers/Ctx are wall-clock scoped
+		// Overhead fields; a Dist makes the config uncacheable (function
+		// values have no canonical encoding); Workers/Ctx are wall-clock scoped
 		// and stay out (results are bit-identical for any worker count);
 		// reference is test-only. A new field must join the key or be
 		// shown not to change a Result. The guard also covers an indirect
@@ -365,7 +362,7 @@ func TestConfigFieldsGuard(t *testing.T) {
 		// inputs would have to be routed into the task set or core.Config
 		// — never smuggled through simulation state.
 		"sim.Config": {"Policy", "Hyperperiods", "Seed", "Overhead", "Dist",
-			"Workers", "Ctx", "Observer", "reference"},
+			"Workers", "Ctx", "reference"},
 	}
 	types := map[string]reflect.Type{
 		"core.Config":     reflect.TypeOf(core.Config{}),

@@ -267,11 +267,10 @@ func (h *hasher) config(c core.Config) bool {
 // 0 runs like the engine's default of 100 but keys apart, a lost hit and
 // never a wrong one), Seed, and the three Overhead fields. Excluded by
 // design: Workers (results are bit-identical for any worker count) and Ctx
-// (it scopes the work, never the result). ok is false when cfg sets Dist or
-// Observer: a function value has no canonical encoding, and a hit would skip
-// the observer's calls, so such runs bypass the memo.
+// (it scopes the work, never the result). ok is false when cfg sets Dist: a
+// function value has no canonical encoding, so such runs bypass the memo.
 func CompareKey(fingerprint string, cfg sim.Config) (Key, bool) {
-	if cfg.Dist != nil || cfg.Observer != nil {
+	if cfg.Dist != nil {
 		return Key{}, false
 	}
 	h := newHasher()

@@ -75,9 +75,6 @@ func NewMemoOn(store Store) *Memo {
 	}
 }
 
-// Store returns the residency backend.
-func (m *Memo) Store() Store { return m.store }
-
 // schedule returns the cached schedule for key, building it exactly once
 // while resident. ctx is the *requester's* context: a waiter that receives a
 // cancellation error from a build some other caller's context tore down

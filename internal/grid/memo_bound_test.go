@@ -64,8 +64,8 @@ func TestBoundedMemoEvictionIdentity(t *testing.T) {
 
 	nocache := build(New(1, nil))
 	unbounded := build(New(1, NewMemo()))
-	evicting := New(1, NewBoundedMemo(1)) // cap below any entry: every build evicts
-	evicted := build(evicting)
+	bounded := NewBoundedMemo(1) // cap below any entry: every build evicts
+	evicted := build(New(1, bounded))
 
 	if !reflect.DeepEqual(nocache, unbounded) {
 		t.Error("unbounded memo changed results vs no cache")
@@ -73,7 +73,7 @@ func TestBoundedMemoEvictionIdentity(t *testing.T) {
 	if !reflect.DeepEqual(nocache, evicted) {
 		t.Error("evicting memo changed results vs no cache")
 	}
-	st := evicting.Memo().Stats()
+	st := bounded.Stats()
 	if st.Evictions == 0 {
 		t.Error("cap of 1 byte produced no evictions")
 	}

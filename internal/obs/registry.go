@@ -140,17 +140,6 @@ func (h *Histogram) snapshot() (uppers, cum []float64) {
 	return uppers, cum
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// within the owning bucket, the usual Prometheus histogram_quantile
-// estimate. Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	uppers, cum := h.snapshot()
-	return BucketQuantile(q, uppers, cum)
-}
-
 // LatencyBuckets returns the default latency bucket bounds, exponential
 // from 100µs to 60s. Callers may modify the returned slice.
 func LatencyBuckets() []float64 {

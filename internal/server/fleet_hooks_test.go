@@ -302,6 +302,19 @@ func TestDamagedSessionCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A set whose hyper-period holds far more than core.CheckInstances
+	// allows: refused before a restore solve expands it.
+	var big sessionCheckpoint
+	if err := json.Unmarshal(victim, &big); err != nil {
+		t.Fatal(err)
+	}
+	for _, tasks := range [][]task.Task{big.Controller.Base, big.Controller.Model} {
+		tasks[0].Period, tasks[1].Period = 2971, 2999
+	}
+	oversized, err := json.Marshal(&big)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	paths := []struct {
 		name string
@@ -357,6 +370,7 @@ func TestDamagedSessionCheckpoint(t *testing.T) {
 		{"id-mismatched", other, false},
 		{"negative-observed", negative, true},
 		{"wcec-moved", wcecMoved, true},
+		{"oversized", oversized, false},
 	} {
 		for _, p := range paths {
 			t.Run(d.name+"/"+p.name, func(t *testing.T) {

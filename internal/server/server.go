@@ -218,6 +218,10 @@ type Server struct {
 	// (see metrics.go).
 	m           *serverMetrics
 	ckptLogOnce sync.Once
+
+	// trace is every request's span sink: it feeds m's per-stage latency
+	// histograms and holds no per-request state, so one serves them all.
+	trace *obs.Trace
 }
 
 // New constructs a Server with its own bounded memo and grid runner (or, when
@@ -245,6 +249,7 @@ func New(opts Options) *Server {
 		sessions: make(map[string]*serverSession),
 		m:        newServerMetrics(),
 	}
+	s.trace = obs.NewTrace(s.m.observeStage)
 	// A store backend with an observer hook (store.Tiered) gains per-tier
 	// latency histograms.
 	if so, ok := o.Store.(interface {
@@ -271,10 +276,11 @@ func New(opts Options) *Server {
 // Handler returns the service's HTTP handler: the mux wrapped in panic
 // isolation — a panic in a handler or in the solve pipeline it runs costs
 // its request a 500 and bumps a counter; it never kills the daemon — plus
-// the observability middleware: a per-request trace (the inbound X-Trace-Id
-// is honoured, otherwise one is minted; it is echoed on the response) whose
-// spans feed the per-stage latency histograms, and an end-to-end
-// request-latency observation. Traces travel in context values and headers
+// the observability middleware: a per-request trace ID (the inbound
+// X-Trace-Id is honoured, otherwise one is minted; it is echoed on the
+// response), the server's span sink in the request context, feeding the
+// per-stage latency histograms, and an end-to-end request-latency
+// observation. Traces travel in context values and headers
 // only, never in bodies, so the byte-determinism contract is untouched.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -296,8 +302,7 @@ func (s *Server) Handler() http.Handler {
 			tid = obs.NewTraceID()
 		}
 		cw.Header().Set(obs.TraceHeader, tid)
-		tr := obs.NewTrace(s.m.observeStage)
-		r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
+		r = r.WithContext(obs.ContextWithTrace(r.Context(), s.trace))
 		s.mux.ServeHTTP(cw, r)
 	})
 }
@@ -581,6 +586,9 @@ func canonicalizeSubmit(req *SubmitRequest, defaultStarts, maxTasks int) (*canon
 			"admission: %d tasks exceeds the limit of %d", len(req.Tasks), maxTasks)
 	}
 	set, err := task.NewSet(req.Tasks)
+	if err == nil {
+		err = core.CheckInstances(set)
+	}
 	if err != nil {
 		return nil, errorf(http.StatusUnprocessableEntity, "admission: %v", err)
 	}
@@ -912,7 +920,7 @@ func (s *Server) lookup(fp string) *canonicalRequest {
 		return nil
 	}
 	set, err := task.NewSet(sr.Tasks)
-	if err != nil {
+	if err != nil || core.CheckInstances(set) != nil {
 		return nil
 	}
 	cr = &canonicalRequest{set: set, starts: sr.Starts, subCap: sr.SubCap, cores: sr.Cores}

@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/store"
+	"repro/internal/task"
 )
 
 // smallBody returns a tiny feasible two-task submit body; i perturbs the
@@ -183,6 +186,53 @@ func TestSubmitRejections(t *testing.T) {
 				t.Errorf("%s (round %d): body %q, want %q", tc.name, round, body, tc.want)
 			}
 		}
+	}
+}
+
+// TestPlanSizeBound: a set whose hyper-period holds more instances than
+// core.CheckInstances allows is refused wherever it enters the server — a
+// submit, compare or session body answers 422 and a stored request reads as
+// absent — before anything expands it: no schedule build is attempted.
+// Periods 2971 and 2999 are prime, so one hyper-period holds 5,970
+// instances.
+func TestPlanSizeBound(t *testing.T) {
+	blobs := store.NewMemBlobs()
+	s, ts := newTestServer(t, Options{Checkpoints: blobs})
+	const oversized = `{"tasks":[` +
+		`{"name":"a","period_ms":2971,"wcec":1,"acec":1,"bcec":1,"ceff":1},` +
+		`{"name":"b","period_ms":2999,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}`
+	const want = `{"error":"admission: hyper-period expands to more than 4096 instances"}` + "\n"
+	for _, path := range []string{"/v1/schedules", "/v1/compare", "/v1/sessions"} {
+		if code, body := post(t, ts.URL+path, oversized); code != http.StatusUnprocessableEntity || body != want {
+			t.Errorf("%s: %d %q, want 422 %q", path, code, body, want)
+		}
+	}
+
+	// A request blob for the same set under its own fingerprint, as a
+	// peer could replicate it.
+	var req SubmitRequest
+	if err := json.Unmarshal([]byte(oversized), &req); err != nil {
+		t.Fatal(err)
+	}
+	set, err := task.NewSet(req.Tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := &canonicalRequest{set: set, objective: core.AverageCase, starts: 1}
+	fp, e := cr.fingerprint()
+	if e != nil {
+		t.Fatal(e)
+	}
+	blob, err := json.Marshal(&storedRequest{Tasks: set.Tasks, Objective: "acs", Starts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs.PutBlob("request-"+fp, blob)
+	if code, body := get(t, ts.URL+"/v1/schedules/"+fp); code != http.StatusNotFound {
+		t.Errorf("GET of an oversized stored request: %d %s, want 404", code, body)
+	}
+	if st := s.memo.Stats(); st.ScheduleMisses != 0 {
+		t.Errorf("%d schedule builds for refused sets, want 0", st.ScheduleMisses)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/feedback"
+	"repro/internal/task"
 )
 
 // Feedback sessions (DESIGN.md §8): a session is a stateful closed loop over
@@ -44,7 +45,6 @@ type serverSession struct {
 	ctrl *feedback.Controller
 
 	starts, subCap           int
-	bins                     int
 	driftDelta, driftLambda  float64
 	minSamples, relearnEvery int
 
@@ -66,7 +66,6 @@ func (s *Server) sessionOptions(sess *serverSession) feedback.Options {
 	opts := feedback.Options{
 		Runner: s.runner,
 		Solver: cr.config().Solver,
-		Bins:   sess.bins,
 		Drift: feedback.DriftConfig{
 			Delta: sess.driftDelta, Lambda: sess.driftLambda, MinSamples: sess.minSamples,
 		},
@@ -84,11 +83,12 @@ func (s *Server) sessionOptions(sess *serverSession) feedback.Options {
 
 // sessionCheckpoint is the persisted form of one session: the creation knobs
 // plus the controller's complete fold state (feedback.ControllerState).
+// Checkpoints written before the estimator histogram was retired also carry
+// "bins"; decoding ignores it.
 type sessionCheckpoint struct {
 	ID          string                    `json:"id"`
 	Starts      int                       `json:"starts"`
 	SubCap      int                       `json:"subcap"`
-	Bins        int                       `json:"bins"`
 	DriftDelta  float64                   `json:"drift_delta"`
 	DriftLambda float64                   `json:"drift_lambda"`
 	MinSamples  int                       `json:"min_samples"`
@@ -124,7 +124,7 @@ func (s *Server) checkpointSession(sess *serverSession) {
 		return
 	}
 	blob, err := json.Marshal(&sessionCheckpoint{
-		ID: sess.id, Starts: sess.starts, SubCap: sess.subCap, Bins: sess.bins,
+		ID: sess.id, Starts: sess.starts, SubCap: sess.subCap,
 		DriftDelta: sess.driftDelta, DriftLambda: sess.driftLambda,
 		MinSamples: sess.minSamples, Relearn: sess.relearnEvery,
 		Controller: sess.ctrl.Snapshot(),
@@ -185,11 +185,16 @@ func (s *Server) RestoreSessions(ctx context.Context) (int, error) {
 var errDamagedCheckpoint = errors.New("server: damaged session checkpoint")
 
 // decodeSessionCheckpoint parses blob as session id's checkpoint, failing
-// with errDamagedCheckpoint. It checks the framing only; the controller
-// state is validated by feedback.RestoreController.
+// with errDamagedCheckpoint. It checks the framing and that the base set's
+// hyper-period stays within core.CheckInstances, so no restore solve
+// expands an oversized set; the rest of the controller state is validated
+// by feedback.RestoreController.
 func decodeSessionCheckpoint(id string, blob []byte) (*sessionCheckpoint, error) {
 	var cp sessionCheckpoint
 	if json.Unmarshal(blob, &cp) != nil || cp.Controller == nil || cp.ID == "" || cp.ID != id {
+		return nil, errDamagedCheckpoint
+	}
+	if base, err := task.NewSet(cp.Controller.Base); err == nil && core.CheckInstances(base) != nil {
 		return nil, errDamagedCheckpoint
 	}
 	return &cp, nil
@@ -206,7 +211,7 @@ func (s *Server) restoreSession(ctx context.Context, id string, blob []byte) (*s
 		return nil, err
 	}
 	sess := &serverSession{
-		id: id, starts: cp.Starts, subCap: cp.SubCap, bins: cp.Bins,
+		id: id, starts: cp.Starts, subCap: cp.SubCap,
 		driftDelta: cp.DriftDelta, driftLambda: cp.DriftLambda,
 		minSamples: cp.MinSamples, relearnEvery: cp.Relearn,
 		lastAt: cp.LastAt, lastResp: cp.LastResp,
@@ -251,8 +256,6 @@ type SessionRequest struct {
 	// is otherwise a pure function of the body, so a lost-ack retry that
 	// lands on a replica re-creates the same session byte-identically.
 	SessionID string `json:"session_id,omitempty"`
-	// Bins is the estimator histogram resolution per task.
-	Bins int `json:"bins,omitempty"`
 	// DriftDelta and DriftLambda parameterise the Page–Hinkley detector in
 	// standardized units; MinSamples is its warm-up length.
 	DriftDelta  float64 `json:"drift_delta,omitempty"`
@@ -411,7 +414,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := &serverSession{
-		starts: cr.starts, subCap: cr.subCap, bins: req.Bins,
+		starts: cr.starts, subCap: cr.subCap,
 		driftDelta: req.DriftDelta, driftLambda: req.DriftLambda,
 		minSamples: req.MinSamples, relearnEvery: req.Relearn,
 	}

@@ -249,6 +249,11 @@ func TestSessionRejections(t *testing.T) {
 	if code, resp := post(t, ts.URL+"/v1/sessions", `{"tasks":[]}`); code != http.StatusUnprocessableEntity {
 		t.Errorf("empty set: %d %s", code, resp)
 	}
+	// "bins" sized an estimator histogram that no longer exists; like any
+	// unknown field it is refused.
+	if code, resp := post(t, ts.URL+"/v1/sessions", `{"bins":32,`+body[1:]); code != http.StatusBadRequest {
+		t.Errorf("bins field: %d %s", code, resp)
+	}
 	if code, resp := post(t, ts.URL+"/v1/sessions",
 		strings.Replace(body, `{"tasks":`, `{"objective":"wcs","tasks":`, 1)); code != http.StatusUnprocessableEntity {
 		t.Errorf("wcs objective: %d %s", code, resp)

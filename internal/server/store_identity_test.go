@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/task"
 	"repro/internal/workload"
 )
 
@@ -429,5 +431,103 @@ func TestParentLayoutStoreRestores(t *testing.T) {
 	_, want := post(t, ts.URL+"/v1/sessions/old/observe", next)
 	if code, got := post(t, url+"/v1/sessions/old/observe", next); code != http.StatusOK || got != want {
 		t.Errorf("observe on the restored session: %d %s, want %s", code, got, want)
+	}
+}
+
+// parentShapeCheckpoint adds to a session checkpoint the fields checkpoints
+// carried before the estimator histogram and the last drift statistic were
+// retired: the top-level "bins", each estimator's "lo", "hi" and "bins" (its
+// support [BCEC, WCEC] and 32 bin counts), and the controller's
+// "last_statistic".
+func parentShapeCheckpoint(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	raw := func(v any) json.RawMessage {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var cp, ctrl map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(cp["controller"], &ctrl); err != nil {
+		t.Fatal(err)
+	}
+	var base []task.Task
+	if err := json.Unmarshal(ctrl["base"], &base); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"life", "relearn"} {
+		var ests []map[string]json.RawMessage
+		if err := json.Unmarshal(ctrl[field], &ests); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range ests {
+			var count int64
+			if err := json.Unmarshal(e["count"], &count); err != nil {
+				t.Fatal(err)
+			}
+			bins := make([]int64, 32)
+			bins[0] = count
+			e["lo"], e["hi"], e["bins"] = raw(base[i].BCEC), raw(base[i].WCEC), raw(bins)
+		}
+		ctrl[field] = raw(ests)
+	}
+	ctrl["last_statistic"] = raw(-0.37)
+	cp["controller"] = raw(ctrl)
+	cp["bins"] = raw(32)
+	return raw(cp)
+}
+
+// TestParentCheckpointRestores: a session checkpoint in the shape written
+// before the histogram and the last drift statistic were retired restores
+// (encoding/json ignores the fields that went), and the restored session
+// answers its next observes, across a re-solve, and its status GET with the
+// bytes of a session that was never interrupted.
+func TestParentCheckpointRestores(t *testing.T) {
+	blobs := store.NewMemBlobs()
+	_, ref := newTestServer(t, Options{Checkpoints: blobs})
+	body, rows := sessionRows(t, 4, "dev", 160)
+	if code, resp := post(t, ref.URL+"/v1/sessions", body); code != http.StatusOK {
+		t.Fatalf("create: %d %s", code, resp)
+	}
+	if code, resp := post(t, ref.URL+"/v1/sessions/dev/observe", observeAtBody(t, rows[:40], 0)); code != http.StatusOK {
+		t.Fatalf("observe: %d %s", code, resp)
+	}
+	blob, _, _ := blobs.GetBlob("session-dev")
+	old := parentShapeCheckpoint(t, blob)
+	for _, field := range []string{`"bins":32`, `"lo":`, `"hi":`, `"last_statistic":`} {
+		if !strings.Contains(string(old), field) {
+			t.Fatalf("parent-shape checkpoint lacks %s", field)
+		}
+	}
+
+	oldBlobs := store.NewMemBlobs()
+	oldBlobs.PutBlob("session-dev", old)
+	s, ts := newTestServer(t, Options{Checkpoints: oldBlobs})
+	if n, err := s.RestoreSessions(context.Background()); n != 1 || err != nil {
+		t.Fatalf("restored %d sessions (%v), want 1", n, err)
+	}
+	if n := checkpointErrs(t, ts.URL); n != 0 {
+		t.Fatalf("%d checkpoint errors restoring a parent-shape checkpoint", n)
+	}
+	resolved := false
+	for lo := 40; lo < len(rows); lo += 20 {
+		next := observeAtBody(t, rows[lo:lo+20], int64(lo))
+		_, want := post(t, ref.URL+"/v1/sessions/dev/observe", next)
+		code, got := post(t, ts.URL+"/v1/sessions/dev/observe", next)
+		if code != http.StatusOK || got != want {
+			t.Fatalf("observe at %d on the restored session: %d %s, want %s", lo, code, got, want)
+		}
+		resolved = resolved || strings.Contains(got, `"resolved":true`)
+	}
+	if !resolved {
+		t.Error("no re-solve after the restore: the continuation would not reach the restored model")
+	}
+	_, want := get(t, ref.URL+"/v1/sessions/dev")
+	if code, got := get(t, ts.URL+"/v1/sessions/dev"); code != http.StatusOK || got != want {
+		t.Errorf("status of the restored session: %d %s, want %s", code, got, want)
 	}
 }

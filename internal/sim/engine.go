@@ -38,12 +38,8 @@ func (p *CompiledPlan) newWorkspace() *runWorkspace {
 	}
 }
 
-// runBlock simulates hyper-periods [lo, hi) into perH. When obs is non-nil
-// (an Observer is installed) each hyper-period's draws are copied into its
-// index-addressed slot, after drawing and before dispatch, so capture can
-// never perturb the workload stream.
-func (p *CompiledPlan) runBlock(cfg *Config, dist Distribution, seeds []uint64, perH []hyperResult, obs []float64, lo, hi int, ws *runWorkspace) {
-	n := len(p.bcec)
+// runBlock simulates hyper-periods [lo, hi) into perH.
+func (p *CompiledPlan) runBlock(cfg *Config, dist Distribution, seeds []uint64, perH []hyperResult, lo, hi int, ws *runWorkspace) {
 	for h := lo; h < hi; h++ {
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 			return // Run surfaces the error after fan-in
@@ -51,9 +47,6 @@ func (p *CompiledPlan) runBlock(cfg *Config, dist Distribution, seeds []uint64, 
 		ws.rng.Reset(seeds[h])
 		for idx := range ws.actual {
 			ws.actual[idx] = dist(&ws.rng, p.bcec[idx], p.acec[idx], p.wcec[idx])
-		}
-		if obs != nil {
-			copy(obs[h*n:(h+1)*n], ws.actual)
 		}
 		perH[h] = p.runOne(cfg, ws.actual, ws.remaining)
 	}
@@ -101,14 +94,9 @@ func (p *CompiledPlan) Run(cfg Config) (*Result, error) {
 		seeds[i] = master.SplitSeed()
 	}
 
-	var obs []float64
-	if cfg.Observer != nil {
-		obs = make([]float64, h*len(p.bcec))
-	}
-
 	perH := make([]hyperResult, h)
 	if workers == 1 {
-		p.runBlock(&cfg, dist, seeds, perH, obs, 0, h, p.newWorkspace())
+		p.runBlock(&cfg, dist, seeds, perH, 0, h, p.newWorkspace())
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -119,7 +107,7 @@ func (p *CompiledPlan) Run(cfg Config) (*Result, error) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				p.runBlock(&cfg, dist, seeds, perH, obs, lo, hi, p.newWorkspace())
+				p.runBlock(&cfg, dist, seeds, perH, lo, hi, p.newWorkspace())
 			}(lo, hi)
 		}
 		wg.Wait()
@@ -130,13 +118,6 @@ func (p *CompiledPlan) Run(cfg Config) (*Result, error) {
 	if cfg.Ctx != nil {
 		if err := cfg.Ctx.Err(); err != nil {
 			return nil, err
-		}
-	}
-
-	if cfg.Observer != nil {
-		n := len(p.bcec)
-		for i := 0; i < h; i++ {
-			cfg.Observer(i, obs[i*n:(i+1)*n])
 		}
 	}
 	return fold(perH), nil
@@ -174,9 +155,9 @@ func fold(perH []hyperResult) *Result {
 // executed on different plans changes nothing about the workloads, and each
 // chunk's Result is bit-identical for any Workers value exactly as Run's is.
 //
-// Config.Hyperperiods, Seed and Dist are ignored; Policy, Overhead, Workers,
-// Ctx and Observer apply as in Run. Every actuals[h] must have length
-// Instances() and is read, never written.
+// Config.Hyperperiods, Seed and Dist are ignored; Policy, Overhead, Workers
+// and Ctx apply as in Run. Every actuals[h] must have length Instances() and
+// is read, never written.
 func (p *CompiledPlan) RunActuals(cfg Config, actuals [][]float64) (*Result, error) {
 	switch cfg.Policy {
 	case Greedy, Static, NoDVS:
@@ -221,11 +202,6 @@ func (p *CompiledPlan) RunActuals(cfg Config, actuals [][]float64) (*Result, err
 	if cfg.Ctx != nil {
 		if err := cfg.Ctx.Err(); err != nil {
 			return nil, err
-		}
-	}
-	if cfg.Observer != nil {
-		for i := 0; i < h; i++ {
-			cfg.Observer(i, actuals[i])
 		}
 	}
 	return fold(perH), nil

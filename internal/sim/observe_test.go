@@ -4,66 +4,30 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/stats"
 )
 
-// TestObserverOrderAndNonPerturbation pins the observation hook's contract:
-// the callback sees every hyper-period exactly once, in order, with draws
-// identical for any worker count, and installing it never changes the
-// simulation result.
-func TestObserverOrderAndNonPerturbation(t *testing.T) {
-	acs, _ := buildPair(t, 1, 4, 0.3)
-	p, err := Compile(acs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Config{Policy: Greedy, Hyperperiods: 30, Seed: 11}
-	plain, err := p.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var ref [][]float64
-	for _, workers := range []int{1, 2, 8} {
-		cfg := base
-		cfg.Workers = workers
-		var got [][]float64
-		next := 0
-		cfg.Observer = func(h int, actual []float64) {
-			if h != next {
-				t.Fatalf("Workers=%d: observed hyper-period %d, want %d", workers, h, next)
-			}
-			next++
-			got = append(got, append([]float64(nil), actual...))
-		}
-		r, err := p.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r, plain) {
-			t.Errorf("Workers=%d: observing changed the result", workers)
-		}
-		if len(got) != base.Hyperperiods {
-			t.Fatalf("Workers=%d: observed %d hyper-periods, want %d", workers, len(got), base.Hyperperiods)
-		}
-		if ref == nil {
-			ref = got
-		} else if !reflect.DeepEqual(got, ref) {
-			t.Errorf("Workers=%d: observation stream differs from Workers=1", workers)
-		}
-		for h, row := range got {
-			for i, x := range row {
-				if x < p.bcec[i]-1e-9 || x > p.wcec[i]+1e-9 {
-					t.Fatalf("hyper-period %d instance %d draw %g outside [%g, %g]",
-						h, i, x, p.bcec[i], p.wcec[i])
-				}
-			}
+// drawActuals draws the workloads Run draws for seed under PaperDist: one
+// RNG stream per hyper-period, split from the seed in hyper-period order,
+// and one draw per instance in plan order.
+func drawActuals(p *CompiledPlan, seed uint64, hyperperiods int) [][]float64 {
+	master := stats.NewRNG(seed)
+	rows := make([][]float64, hyperperiods)
+	for h := range rows {
+		var rng stats.RNG
+		rng.Reset(master.SplitSeed())
+		rows[h] = make([]float64, len(p.bcec))
+		for i := range rows[h] {
+			rows[h][i] = PaperDist(&rng, p.bcec[i], p.acec[i], p.wcec[i])
 		}
 	}
+	return rows
 }
 
-// TestRunActualsMatchesRun replays the draws captured by the Observer through
-// RunActuals and requires a bit-identical Result under every policy: the
-// external-workload path and the drawing path share one dispatcher.
+// TestRunActualsMatchesRun replays Run's own draws through RunActuals and
+// requires a bit-identical Result under every policy: the external-workload
+// path and the drawing path share one dispatcher.
 func TestRunActualsMatchesRun(t *testing.T) {
 	acs, _ := buildPair(t, 2, 4, 0.5)
 	p, err := Compile(acs)
@@ -72,10 +36,7 @@ func TestRunActualsMatchesRun(t *testing.T) {
 	}
 	for _, policy := range []SlackPolicy{Greedy, Static, NoDVS} {
 		cfg := Config{Policy: policy, Hyperperiods: 25, Seed: 7}
-		var rows [][]float64
-		cfg.Observer = func(h int, actual []float64) {
-			rows = append(rows, append([]float64(nil), actual...))
-		}
+		rows := drawActuals(p, cfg.Seed, cfg.Hyperperiods)
 		want, err := p.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -103,10 +64,7 @@ func TestRunActualsChunking(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Policy: Greedy, Hyperperiods: 24, Seed: 5}
-	var rows [][]float64
-	cfg.Observer = func(h int, actual []float64) {
-		rows = append(rows, append([]float64(nil), actual...))
-	}
+	rows := drawActuals(p, cfg.Seed, cfg.Hyperperiods)
 	whole, err := p.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

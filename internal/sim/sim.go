@@ -92,17 +92,6 @@ type Config struct {
 	// error instead of a Result. A run that completes is bit-identical to
 	// one without a context.
 	Ctx context.Context
-	// Observer, when non-nil, receives every hyper-period's per-instance
-	// workload draws — the per-job observation hook the feedback subsystem
-	// (internal/feedback) learns execution distributions from. Workers
-	// record draws into an index-addressed buffer and the callback runs
-	// serially, in hyper-period order, on the Run caller's goroutine after
-	// the fan-in, so observation order — and therefore every estimator fed
-	// from it — is identical for any Workers value. The slice is only valid
-	// during the call and must not be retained; Observer is never invoked
-	// for a run that returns an error. Observing never perturbs the draws:
-	// a run with an Observer is bit-identical to one without.
-	Observer func(hyperperiod int, actual []float64)
 
 	// reference forces the generic per-piece power.Model path for every
 	// policy, bypassing the compiled precomputations and the SimpleInverse
