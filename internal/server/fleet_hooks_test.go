@@ -268,6 +268,9 @@ func TestSessionTakeoverAndRefresh(t *testing.T) {
 // session, takeover answers 404, and refresh keeps the resident fold, so the
 // observe's position check answers 409. Refresh does not restore the
 // negative count, which is not ahead of its fold, and so counts nothing.
+// A fourth path repeats: boot and three requests meet one damaged blob and
+// count it once, a different damaged blob counts once more, and a valid
+// checkpoint then restores the session.
 func TestDamagedSessionCheckpoint(t *testing.T) {
 	// Valid checkpoints to damage, from a donor server.
 	donorBlobs := store.NewMemBlobs()
@@ -357,6 +360,42 @@ func TestDamagedSessionCheckpoint(t *testing.T) {
 				t.Errorf("resident fold at %d after a damaged refresh, want 10", n)
 			}
 			return code, checkpointErrs(t, ts.URL) - before
+		}},
+		{"repeat", http.StatusNotFound, func(t *testing.T, damaged []byte) (int, int64) {
+			// Boot, two status reads and an observe all meet one damaged
+			// blob, which is decoded and counted once.
+			blobs := store.NewMemBlobs()
+			blobs.PutBlob("session-victim", damaged)
+			s, ts := newTestServer(t, Options{Checkpoints: blobs})
+			if n, err := s.RestoreSessions(context.Background()); n != 0 || err != nil {
+				t.Fatalf("boot restore: %d sessions, %v", n, err)
+			}
+			status := func() int { code, _ := get(t, ts.URL+"/v1/sessions/victim"); return code }
+			observe := func() int {
+				code, _ := post(t, ts.URL+"/v1/sessions/victim/observe", observeAtBody(t, rows[:10], 0))
+				return code
+			}
+			answer := http.StatusNotFound
+			for _, send := range []func() int{status, status, observe} {
+				if code := send(); code != http.StatusNotFound {
+					answer = code
+				}
+			}
+			errs := checkpointErrs(t, ts.URL)
+			// Another damaged blob is decoded afresh and counted once more.
+			blobs.PutBlob("session-victim", victim[:len(victim)/3])
+			if code := status(); code != http.StatusNotFound {
+				t.Errorf("status on a replaced damaged blob: %d, want 404", code)
+			}
+			if n := checkpointErrs(t, ts.URL); n != errs+1 {
+				t.Errorf("%d checkpoint errors after a second damaged blob, want %d", n, errs+1)
+			}
+			// A valid checkpoint then restores the session.
+			blobs.PutBlob("session-victim", victim)
+			if code := status(); code != http.StatusOK {
+				t.Errorf("status on a valid checkpoint: %d, want 200", code)
+			}
+			return answer, errs
 		}},
 	}
 	for _, d := range []struct {

@@ -46,6 +46,7 @@ type serverMetrics struct {
 	shed, degraded, panics      *obs.Counter
 	restored, checkpointErrs    *obs.Counter
 	driftsFired, feedbackSolves *obs.Counter
+	storedHits                  *obs.Counter
 
 	stages   map[string]*obs.Histogram
 	requests map[string]*obs.Histogram
@@ -76,6 +77,7 @@ func newServerMetrics() *serverMetrics {
 	m.checkpointErrs = reg.Counter("schedd_checkpoint_errors_total", "Failed checkpoint/request-blob writes (serving continued).")
 	m.driftsFired = reg.Counter("schedd_feedback_drifts_total", "Page-Hinkley drift detector firings across all sessions.")
 	m.feedbackSolves = reg.Counter("schedd_feedback_resolves_total", "Adaptation re-solves completed across all sessions.")
+	m.storedHits = reg.Counter("schedd_stored_body_hits_total", "Submits and GETs answered with a stored response body, without the pipeline.")
 
 	for _, st := range stageNames {
 		m.stages[st] = reg.Histogram("schedd_stage_seconds", "Per-stage latency from request-trace spans.", obs.LatencyBuckets(), obs.L("stage", st))
@@ -151,6 +153,12 @@ func (s *Server) registerDerived() {
 	reg.GaugeFunc("schedd_stored_requests", "Canonical requests retained for GET /v1/schedules/{fp}.", func() float64 {
 		s.mu.Lock()
 		n := len(s.requests)
+		s.mu.Unlock()
+		return float64(n)
+	})
+	reg.GaugeFunc("schedd_stored_body_bytes", "Total length of the response bodies stored requests hold.", func() float64 {
+		s.mu.Lock()
+		n := s.bodyBytes
 		s.mu.Unlock()
 		return float64(n)
 	})

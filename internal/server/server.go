@@ -47,6 +47,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,7 +87,8 @@ type Options struct {
 	MaxTasks int
 	// StoreLimit bounds how many canonical requests are retained for
 	// GET /v1/schedules/{fp} (default 4096, FIFO eviction; an evicted
-	// fingerprint answers 404 until resubmitted).
+	// fingerprint answers 404 until resubmitted, and the response body a
+	// repeat stored on it goes with it).
 	StoreLimit int
 	// SessionLimit bounds resident feedback sessions (default 64); creation
 	// beyond it answers 503 until sessions free up (sessions live for the
@@ -207,8 +209,16 @@ type Server struct {
 	mu         sync.Mutex
 	requests   map[string]*canonicalRequest // fingerprint → canonical submit content
 	fifo       []string                     // insertion order for StoreLimit eviction
+	bodyBytes  int64                        // total length of the bodies requests hold
 	sessions   map[string]*serverSession    // id → resident feedback session
 	sessionSeq int64
+	// damaged maps a session id to the SHA-256 of its checkpoint blob that
+	// last failed to restore, so a request meeting the same blob again
+	// answers 404 without decoding or counting it a second time.
+	damaged map[string][sha256.Size]byte
+
+	// bodyCap bounds bodyBytes: maxStoredBodyBytes, lowered by tests.
+	bodyCap int64
 
 	// restoreMu serialises lazy session takeover (sessionOrRestore): one
 	// restore solve per missing session, not one per racing request.
@@ -247,6 +257,8 @@ func New(opts Options) *Server {
 		admit:    make(chan struct{}, o.MaxInflight),
 		requests: make(map[string]*canonicalRequest),
 		sessions: make(map[string]*serverSession),
+		damaged:  make(map[string][sha256.Size]byte),
+		bodyCap:  maxStoredBodyBytes,
 		m:        newServerMetrics(),
 	}
 	s.trace = obs.NewTrace(s.m.observeStage)
@@ -434,6 +446,11 @@ type canonicalRequest struct {
 	// "cores":1 normalizes to 0 at canonicalization so it aliases the
 	// single-core request exactly — same fingerprint, same bytes.
 	cores int
+	// body, once a repeat has stored it, is this fingerprint's encoded
+	// non-degraded 200 response; every later submit and GET of the
+	// fingerprint is answered with it (Server.serveSchedule). Read and
+	// written under Server.mu.
+	body []byte
 }
 
 // SubmitRequest is the POST /v1/schedules body.
@@ -861,28 +878,52 @@ type storedRequest struct {
 	Cores     int         `json:"cores,omitempty"`
 }
 
-// cache stores cr for later GETs, evicting the oldest stored request beyond
-// StoreLimit. It reports whether fp is new.
-func (s *Server) cache(fp string, cr *canonicalRequest) bool {
+// maxStoredBodyBytes caps the total length of the response bodies stored
+// requests hold (Server.bodyCap). StoreLimit alone would allow gigabytes: a
+// 64-task body can run to hundreds of KB. Past the cap the pipeline answers.
+const maxStoredBodyBytes = 32 << 20
+
+// cache stores cr for later GETs, evicting the oldest stored request, and
+// the body it holds, beyond StoreLimit. A fingerprint already stored is a
+// repeat: cache then changes nothing and returns the stored request's body,
+// nil until a repeat has stored one.
+func (s *Server) cache(fp string, cr *canonicalRequest) (body []byte, repeat bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.requests[fp]; ok {
-		return false
+	if held, ok := s.requests[fp]; ok {
+		return held.body, true
 	}
 	s.requests[fp] = cr
 	s.fifo = append(s.fifo, fp)
 	for len(s.fifo) > s.opts.StoreLimit {
+		s.bodyBytes -= int64(len(s.requests[s.fifo[0]].body))
 		delete(s.requests, s.fifo[0])
 		s.fifo = s.fifo[1:]
 	}
-	return true
+	return nil, false
+}
+
+// storeBody keeps body, fingerprint fp's encoded non-degraded 200, on fp's
+// stored request. It keeps nothing when fp has been evicted since, already
+// holds a body, or body would take the total past bodyCap.
+func (s *Server) storeBody(fp string, body []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cr := s.requests[fp]
+	if cr == nil || cr.body != nil || s.bodyBytes+int64(len(body)) > s.bodyCap {
+		return
+	}
+	cr.body = body
+	s.bodyBytes += int64(len(body))
 }
 
 // remember caches cr and mirrors a newly-seen request into the checkpoint
-// store so GET /v1/schedules/{fp} survives a restart.
-func (s *Server) remember(fp string, cr *canonicalRequest) {
-	if !s.cache(fp, cr) || s.opts.Checkpoints == nil {
-		return
+// store so GET /v1/schedules/{fp} survives a restart. It returns cache's
+// body and repeat.
+func (s *Server) remember(fp string, cr *canonicalRequest) (body []byte, repeat bool) {
+	body, repeat = s.cache(fp, cr)
+	if repeat || s.opts.Checkpoints == nil {
+		return body, repeat
 	}
 	obj := "acs"
 	if cr.objective == core.WorstCase {
@@ -898,30 +939,34 @@ func (s *Server) remember(fp string, cr *canonicalRequest) {
 	if err != nil {
 		s.noteCheckpointErr(err)
 	}
+	return nil, false
 }
 
-// lookup resolves a fingerprint to its canonical request, falling back to
-// the checkpoint store after a restart (or FIFO eviction). A recovered blob
-// is trusted only if its recomputed fingerprint matches the name it was
-// stored under — the same content-address check the cache key provides.
-func (s *Server) lookup(fp string) *canonicalRequest {
+// lookup resolves a fingerprint to its canonical request and the body it
+// holds, falling back to the checkpoint store after a restart (or FIFO
+// eviction). A recovered blob is trusted only if its recomputed fingerprint
+// matches the name it was stored under — the same content-address check
+// the cache key provides.
+func (s *Server) lookup(fp string) (cr *canonicalRequest, body []byte) {
 	s.mu.Lock()
-	cr := s.requests[fp]
+	if cr = s.requests[fp]; cr != nil {
+		body = cr.body
+	}
 	s.mu.Unlock()
 	if cr != nil || s.opts.Checkpoints == nil {
-		return cr
+		return cr, body
 	}
 	blob, ok, err := s.opts.Checkpoints.GetBlob("request-" + fp)
 	if err != nil || !ok {
-		return nil
+		return nil, nil
 	}
 	var sr storedRequest
 	if json.Unmarshal(blob, &sr) != nil {
-		return nil
+		return nil, nil
 	}
 	set, err := task.NewSet(sr.Tasks)
 	if err != nil || core.CheckInstances(set) != nil {
-		return nil
+		return nil, nil
 	}
 	cr = &canonicalRequest{set: set, starts: sr.Starts, subCap: sr.SubCap, cores: sr.Cores}
 	switch sr.Objective {
@@ -930,16 +975,16 @@ func (s *Server) lookup(fp string) *canonicalRequest {
 	case "wcs":
 		cr.objective = core.WorstCase
 	default:
-		return nil
+		return nil, nil
 	}
 	if got, e := cr.fingerprint(); e != nil || got != fp {
-		return nil // rotted or tampered blob: treat as absent
+		return nil, nil // rotted or tampered blob: treat as absent
 	}
 	// Re-cache only: the blob was just read, and writing it back would be a
 	// synchronous push to every replica in a fleet, or a checkpoint error on
 	// a failing disk, on a read path.
 	s.cache(fp, cr)
-	return cr
+	return cr, nil
 }
 
 // maxRequestBody caps every JSON request body decode reads.
@@ -963,16 +1008,26 @@ func decodeJSON(body io.Reader, into any) *apiError {
 
 // writeJSON renders v deterministically: json.Marshal of a fixed struct
 // shape plus a trailing newline. (Maps never appear in response types —
-// their iteration order would break the byte contract.)
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// their iteration order would break the byte contract.) It returns the
+// bytes written, or nil when v does not encode and the answer is a 500.
+func writeJSON(w http.ResponseWriter, status int, v any) []byte {
 	buf, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
-		return
+		return nil
 	}
+	buf = append(buf, '\n')
+	writeBody(w, status, buf)
+	return buf
+}
+
+// writeBody writes an encoded JSON response, which ends in a newline. It is
+// the one writer of encoded bodies: writeJSON's, a stored schedule body
+// and an observe batch's, so none of them can drift from the others.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(buf, '\n'))
+	w.Write(body)
 }
 
 // writeResult maps a pipeline result (response value or *apiError) onto the
@@ -1027,8 +1082,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeResult(w, e)
 		return
 	}
-	s.remember(fp, cr)
-	writeResult(w, s.buildScheduleResponse(ctx, cr, fp))
+	body, repeat := s.remember(fp, cr)
+	if body != nil {
+		s.writeStored(w, body)
+		return
+	}
+	s.serveSchedule(ctx, w, cr, fp, repeat)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -1046,15 +1105,45 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	fp := r.PathValue("fp")
-	cr := s.lookup(fp)
-	if cr == nil {
+	cr, body := s.lookup(fp)
+	switch {
+	case body != nil:
+		s.writeStored(w, body)
+	case cr == nil:
 		writeResult(w, errorf(http.StatusNotFound, "unknown fingerprint %q", fp))
+	default:
+		// Recompute through the same pipeline as submit: with the memo warm
+		// it is a cache hit, after eviction or a restart a rebuild —
+		// byte-identical either way, so GET returns exactly the bytes submit
+		// did. A GET names a fingerprint a submit stored, so it is a repeat.
+		s.serveSchedule(ctx, w, cr, fp, true)
+	}
+}
+
+// serveSchedule answers a submit or GET of fingerprint fp through the
+// pipeline. On a repeat it stores a non-degraded 200's bytes on fp's stored
+// request, so every later submit and GET of fp is answered with them
+// (writeStored). A one-shot submit stores nothing, so distinct sets cost no
+// memory; a degraded response depends on the solve budget's timing, and an
+// error is no schedule, so neither is stored.
+func (s *Server) serveSchedule(ctx context.Context, w http.ResponseWriter, cr *canonicalRequest, fp string, repeat bool) {
+	v := s.buildScheduleResponse(ctx, cr, fp)
+	resp, ok := v.(*ScheduleResponse)
+	if !ok || !repeat || resp.Degraded {
+		writeResult(w, v)
 		return
 	}
-	// Recompute through the same pipeline as submit: with the memo warm it
-	// is a cache hit, after eviction it is a rebuild — byte-identical either
-	// way, so GET returns exactly the bytes submit did.
-	writeResult(w, s.buildScheduleResponse(ctx, cr, fp))
+	if body := writeJSON(w, http.StatusOK, resp); body != nil {
+		s.storeBody(fp, body)
+	}
+}
+
+// writeStored answers a repeat with its stored body: the pipeline's own
+// bytes, written with no memo lookup, key hashing, baseline walk or
+// encoding, and so with no solve spans either.
+func (s *Server) writeStored(w http.ResponseWriter, body []byte) {
+	s.m.storedHits.Inc()
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {

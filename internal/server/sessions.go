@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -165,12 +166,13 @@ func (s *Server) RestoreSessions(ctx context.Context) (int, error) {
 			s.m.checkpointErrs.Inc()
 			continue
 		}
-		sess, err := s.restoreSession(ctx, strings.TrimPrefix(name, "session-"), blob)
+		id := strings.TrimPrefix(name, "session-")
+		sess, err := s.restoreSession(ctx, id, blob)
 		if err != nil {
 			if !errors.Is(err, errDamagedCheckpoint) && ctx != nil && ctx.Err() != nil {
 				return restored, err // canceled boot, not a bad checkpoint
 			}
-			s.m.checkpointErrs.Inc()
+			s.noteDamaged(id, sha256.Sum256(blob))
 			continue
 		}
 		if s.adoptSession(sess) {
@@ -224,6 +226,16 @@ func (s *Server) restoreSession(ctx context.Context, id string, blob []byte) (*s
 	return sess, nil
 }
 
+// noteDamaged counts a session checkpoint that failed to restore and records
+// its digest: a later request that reads the same blob answers 404 without
+// decoding or counting it again, while a replaced blob is decoded afresh.
+func (s *Server) noteDamaged(id string, digest [sha256.Size]byte) {
+	s.mu.Lock()
+	s.damaged[id] = digest
+	s.mu.Unlock()
+	s.m.checkpointErrs.Inc()
+}
+
 // adoptSession makes a restored session resident and resumes the session-id
 // sequence past its id. It reports false, leaving the session out, when the
 // session limit is reached.
@@ -232,6 +244,7 @@ func (s *Server) adoptSession(sess *serverSession) bool {
 	fmt.Sscanf(sess.id, "s%d", &seq)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	delete(s.damaged, sess.id) // its checkpoint restored
 	if len(s.sessions) >= s.opts.SessionLimit {
 		return false
 	}
@@ -459,6 +472,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.sessions[sess.id] = sess
+	delete(s.damaged, sess.id) // the checkpoint below replaces a damaged one
 	s.mu.Unlock()
 	resp.SessionID = sess.id
 	// First checkpoint: the session survives a restart even before its first
@@ -501,8 +515,10 @@ func validSessionID(id string) bool {
 // its routed traffic after the owner died, restores the controller from the
 // freshest replicated checkpoint, and continues the observation stream
 // byte-identically. restoreMu makes racing requests pay for one restore
-// solve, not one each. (nil, nil) means no such session anywhere — the
-// caller answers 404.
+// solve, not one each. A checkpoint that cannot be restored is counted once:
+// every request still reads the blob, since a replica may have replaced it,
+// but one whose digest noteDamaged recorded answers at once. (nil, nil)
+// means no such session anywhere — the caller answers 404.
 func (s *Server) sessionOrRestore(ctx context.Context, id string) (*serverSession, *apiError) {
 	if sess := s.session(id); sess != nil {
 		return sess, nil
@@ -519,12 +535,19 @@ func (s *Server) sessionOrRestore(ctx context.Context, id string) (*serverSessio
 	if err != nil || !ok {
 		return nil, nil
 	}
+	digest := sha256.Sum256(blob)
+	s.mu.Lock()
+	known, damaged := s.damaged[id]
+	s.mu.Unlock()
+	if damaged && known == digest {
+		return nil, nil
+	}
 	sess, err := s.restoreSession(ctx, id, blob)
 	if err != nil {
 		if !errors.Is(err, errDamagedCheckpoint) && ctx != nil && ctx.Err() != nil {
 			return nil, errorf(http.StatusServiceUnavailable, "session restore canceled")
 		}
-		s.m.checkpointErrs.Inc()
+		s.noteDamaged(id, digest)
 		return nil, nil
 	}
 	if !s.adoptSession(sess) {
@@ -617,9 +640,7 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 			// Exact retry of the last acked batch (its ack was lost in
 			// flight): replay the stored response bytes instead of
 			// re-folding — byte-identical to the lost original.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			w.Write(sess.lastResp)
+			writeBody(w, http.StatusOK, sess.lastResp)
 			return
 		}
 		if at != sess.ctrl.Observed() {
@@ -670,9 +691,7 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 	sess.lastAt = prev
 	sess.lastResp = buf
 	s.checkpointSession(sess)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf)
+	writeBody(w, http.StatusOK, buf)
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
