@@ -356,6 +356,31 @@ func TestPartitionFingerprint(t *testing.T) {
 	}
 }
 
+// TestPartitionFingerprintPinned pins literal partition fingerprints: a
+// moving config (E11's two improvement rounds, whose fingerprint hashes the
+// move seed and candidate bound) and a config with the loop off. A served
+// "cores" fingerprint is the second kind, so a change to either hash moves
+// every stored partitioned request.
+func TestPartitionFingerprintPinned(t *testing.T) {
+	set := genSet(t, 2, 6, 2)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"moves2", Config{Cores: 2, Mode: WorstFit, Moves: 2, Solver: solverCfg()}, "07683cd352d4825ef6cb292bf49f72612759527249b850eaa0f4c93c460759f7"},
+		{"moves0", Config{Cores: 2, Solver: solverCfg()}, "dd55451d2daa252a20c83d6a3f43186c7c7da79d73b6aefca62647d4a5b3d437"},
+	} {
+		got, ok := Fingerprint(set, tc.cfg)
+		if !ok {
+			t.Fatalf("%s: config not encodable", tc.name)
+		}
+		if got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestPartitionOneCoreFingerprint pins the one-core rule for fingerprints:
 // one core packs nothing, so the fingerprint is the single-core schedule
 // key, and the packing mode and move knobs cannot split it.

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -81,6 +84,44 @@ func TestScenarioDeterminismAndChunkIndependence(t *testing.T) {
 		}
 		if reflect.DeepEqual(a, c) {
 			t.Errorf("%v: different seeds produced identical streams", kind)
+		}
+	}
+}
+
+// TestScenarioActualsPinned pins the bytes of each kind's stream: a SHA-256
+// over the float64 bits (little-endian, row by row) of 120 hyper-periods at
+// seed 7, with regimes short enough (CI's adaptsim lengths) that the mode
+// switch and the drift reach their alternate mean inside the window. Session
+// replays and every adaptive-experiment table are built from these draws, so
+// a change to a regime constant or to the draw order moves them.
+func TestScenarioActualsPinned(t *testing.T) {
+	set := scenarioSet(t)
+	taskOf := taskOfInstances(t, set)
+	want := map[ScenarioKind]string{
+		Stationary:   "bb069fe6e3fde95b1c23d97afe05fec1b22edcb45f8ff5a5b011b9294fc056ca",
+		ModeSwitch:   "093e618e2ef3d031ac94d9c9b5b81eb0003a27079f2cce65b162ba922c4ee744",
+		DriftingMean: "c17040e633c21ccdd3c393bf7022e4b9bd6ed91751715c836420da26f2ac5966",
+		BurstyTail:   "cf129526ab47c358ede6c61058eadcb75eb0eec1eeae3e1b89774e2f44412844",
+	}
+	for _, kind := range []ScenarioKind{Stationary, ModeSwitch, DriftingMean, BurstyTail} {
+		sc, err := NewScenario(set, ScenarioConfig{Kind: kind, Seed: 7, SwitchEvery: 40, DriftOver: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := sc.Actuals(120, taskOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, row := range rows {
+			for _, x := range row {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+				h.Write(buf[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[kind] {
+			t.Errorf("%v: actuals hash %s, want %s", kind, got, want[kind])
 		}
 	}
 }
