@@ -161,9 +161,10 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 			names = append(names, name)
 		}
 		ring = fleet.NewRing(names, *vnodes)
-		// Per-peer timeout matches the HTTP server's WriteTimeout below: a
-		// long solve is legitimate; a dead peer refuses connections fast.
-		topo = fleet.NewTopology(urls, fleet.TopologyOptions{PeerTimeout: 2 * time.Minute})
+		// The per-peer timeout (2 min) matches the HTTP server's
+		// WriteTimeout below: a long solve is legitimate; a dead peer
+		// refuses connections fast.
+		topo = fleet.NewTopology(urls)
 		defer topo.Close()
 		if blobLocal == nil {
 			blobLocal = store.NewMemBlobs()

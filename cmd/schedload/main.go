@@ -639,9 +639,10 @@ func launchFleet(n, replicas int, bin string, sopts server.Options) (*fleetHarne
 	}
 
 	ring := fleet.NewRing(names, fleet.DefaultVnodes)
-	// Per-peer timeout matches the serving layer's WriteTimeout: a long solve
-	// is legitimate; a dead peer fails fast by refusing the connection.
-	topo := fleet.NewTopology(nil, fleet.TopologyOptions{PeerTimeout: 2 * time.Minute})
+	// The per-peer timeout (2 min) matches the serving layer's WriteTimeout:
+	// a long solve is legitimate; a dead peer fails fast by refusing the
+	// connection.
+	topo := fleet.NewTopology(nil)
 	type peerProc struct {
 		srv   *server.Server
 		hs    *http.Server

@@ -81,13 +81,6 @@ func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
 func (e *encoder) f64(v float64) {
 	e.u64(math.Float64bits(v))
 }
-func (e *encoder) flag(v bool) {
-	var b uint64
-	if v {
-		b = 1
-	}
-	e.u64(b)
-}
 func (e *encoder) str(s string) {
 	e.u64(uint64(len(s)))
 	e.buf = append(e.buf, s...)
@@ -130,14 +123,6 @@ func (d *decoder) i64() int64   { return int64(d.u64()) }
 func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
 // flag reads a canonical boolean: exactly 0 or 1.
-func (d *decoder) flag() bool {
-	v := d.u64()
-	if v > 1 {
-		d.fail("non-canonical boolean %d", v)
-	}
-	return v == 1
-}
-
 func (d *decoder) str(maxLen int) string {
 	n := d.u64()
 	if d.err != nil {
@@ -234,7 +219,7 @@ func EncodeSchedule(s *Schedule) ([]byte, error) {
 		return nil, err
 	}
 	e.i64(int64(s.Plan.Opts.MaxSubsPerInstance))
-	e.flag(s.Plan.Opts.EDF)
+	e.u64(0) // the plan-order flag: 0 is rate-monotonic, the only order
 	e.u64(uint64(s.Objective))
 	e.f64(s.Energy)
 	e.i64(int64(s.Sweeps))
@@ -370,7 +355,9 @@ func DecodeSchedule(data []byte) (*Schedule, error) {
 	if d.err == nil && (maxSubs < 0 || maxSubs > math.MaxInt32) {
 		d.fail("sub-instance cap %d implausible", maxSubs)
 	}
-	edf := d.flag()
+	if order := d.u64(); d.err == nil && order != 0 {
+		d.fail("plan-order flag %d: only the rate-monotonic order (0) is decoded", order)
+	}
 	obj := d.u64()
 	if d.err == nil && obj > uint64(WorstCase) {
 		d.fail("unknown objective %d", obj)
@@ -393,7 +380,7 @@ func DecodeSchedule(data []byte) (*Schedule, error) {
 	if err := CheckInstances(set); err != nil {
 		return nil, fmt.Errorf("core: decode: %w", err)
 	}
-	plan, err := preempt.BuildWith(set, preempt.Options{MaxSubsPerInstance: int(maxSubs), EDF: edf})
+	plan, err := preempt.BuildWith(set, preempt.Options{MaxSubsPerInstance: int(maxSubs)})
 	if err != nil {
 		return nil, fmt.Errorf("core: decode: %w", err)
 	}

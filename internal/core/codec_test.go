@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -114,6 +116,21 @@ func TestCodecRejectsDamage(t *testing.T) {
 	}
 	if _, err := core.DecodeSchedule(append(append([]byte{}, blob...), 0)); err == nil {
 		t.Fatal("trailing byte decoded without error")
+	}
+	// The plan-order flag is the word before the objective and the energy.
+	// Every record carries 0 (rate-monotonic); a record with the retired EDF
+	// order's 1 must not decode into the RM plan.
+	var tail [16]byte
+	binary.LittleEndian.PutUint64(tail[:8], uint64(s.Objective))
+	binary.LittleEndian.PutUint64(tail[8:], math.Float64bits(s.Energy))
+	at := bytes.Index(blob, tail[:]) - 8
+	if at < 0 || !bytes.Equal(blob[at:at+8], make([]byte, 8)) {
+		t.Fatal("plan-order flag not found before the objective")
+	}
+	edf := append([]byte{}, blob...)
+	edf[at] = 1
+	if _, err := core.DecodeSchedule(edf); err == nil {
+		t.Fatal("a record with the plan-order flag set decoded without error")
 	}
 	flips := 0
 	for i := range blob {

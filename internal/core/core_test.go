@@ -422,20 +422,6 @@ func TestNLPPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEDFPlanSolves: the EDF expansion variant also solves and verifies.
-func TestEDFPlanSolves(t *testing.T) {
-	set := feasibleRandom(t, 29, 4, 0.3)
-	cfg := Config{Objective: AverageCase}
-	cfg.Preempt.EDF = true
-	s, err := Build(set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Verify(1e-6); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPropertySolvedSchedulesValid is the big property test: random
 // feasible sets at random ratios solve, verify, conserve workload, and meet
 // worst-case deadlines.

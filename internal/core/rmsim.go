@@ -7,14 +7,14 @@ import (
 )
 
 // rmVmaxSplits computes the worst-case workload split each instance's pieces
-// receive under an exact preemptive fixed-priority (or EDF, per the plan's
-// options) execution at maximum speed: the work an instance executes inside
-// segment k of its window becomes piece k's worst-case budget R̂.
+// receive under an exact preemptive rate-monotonic execution at maximum
+// speed: the work an instance executes inside segment k of its window
+// becomes piece k's worst-case budget R̂.
 //
 // These splits are the canonical feasible starting point: the ASAP chain of
 // the fully-preemptive total order replays this execution exactly, so the
 // chain meets every deadline if and only if the task set is schedulable at
-// Vmax under the chosen priority rule. (Proportional splits — workload
+// Vmax under rate-monotonic priorities. (Proportional splits — workload
 // spread evenly over the window — can be infeasible even for schedulable
 // sets, because they leave work in segments that higher-priority load fully
 // occupies.)
@@ -171,16 +171,10 @@ func (s *Schedule) rmTimeline() (edges []float64, order []int, remaining []float
 		s.WCWork[pos] = 0
 	}
 
-	// Ready instances ordered by the plan's priority rule; ties resolve by
-	// task index then release, matching preempt's total order.
+	// Ready instances in rate-monotonic order; ties resolve by task index
+	// then release, matching preempt's total order.
 	higher := func(a, b int) bool {
 		ia, ib := plan.Instances[a], plan.Instances[b]
-		if plan.Opts.EDF {
-			if ia.Deadline != ib.Deadline {
-				return ia.Deadline < ib.Deadline
-			}
-			return ia.TaskIndex < ib.TaskIndex
-		}
 		pa := plan.Set.Tasks[ia.TaskIndex].Period
 		pb := plan.Set.Tasks[ib.TaskIndex].Period
 		if pa != pb {

@@ -23,7 +23,7 @@ type Config struct {
 	// Tol is the relative objective-improvement convergence threshold per
 	// sweep (default 1e-6).
 	Tol float64
-	// Preempt tunes the fully-preemptive expansion (sub-instance cap, EDF).
+	// Preempt tunes the fully-preemptive expansion (the sub-instance cap).
 	Preempt preempt.Options
 	// WarmStart, when non-nil, supplies a second starting point: the
 	// solver also runs from that schedule's (End, WCWork) and keeps the

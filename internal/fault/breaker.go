@@ -34,12 +34,22 @@ func (s BreakerState) String() string {
 	}
 }
 
-// Breaker is a consecutive-failure circuit breaker: Threshold consecutive
-// recorded failures trip it open; after Cooldown it half-opens and lets
-// probes through; one probe success re-closes it, one probe failure re-opens
-// it (restarting the cooldown). It has no background goroutine — state
-// transitions happen lazily inside Allow/Record against the injected clock —
-// so a Breaker can never leak and tests drive it with a fake clock.
+// A Breaker trips after BreakerThreshold consecutive failures and rests the
+// dependency for BreakerCooldown before it lets a probe through. Every
+// breaker runs these two: the disk tier's (store.Tiered) and each fleet
+// peer's (fleet.Topology).
+const (
+	BreakerThreshold = 5
+	BreakerCooldown  = 5 * time.Second
+)
+
+// Breaker is a consecutive-failure circuit breaker: BreakerThreshold
+// consecutive recorded failures trip it open; after BreakerCooldown it
+// half-opens and lets probes through; one probe success re-closes it, one
+// probe failure re-opens it (restarting the cooldown). It has no background
+// goroutine — state transitions happen lazily inside Allow/Record against
+// the injected clock — so a Breaker can never leak and tests drive it with a
+// fake clock.
 //
 // The intended callsite shape (store.Tiered) is:
 //
@@ -50,9 +60,7 @@ func (s BreakerState) String() string {
 // miss that never reads the device) record nothing: only real evidence moves
 // the breaker.
 type Breaker struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
+	now func() time.Time
 
 	mu          sync.Mutex
 	state       BreakerState
@@ -62,19 +70,11 @@ type Breaker struct {
 	recloses    int64
 }
 
-// NewBreaker returns a closed breaker. threshold <= 0 defaults to 5
-// consecutive failures; cooldown <= 0 defaults to 5s.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold <= 0 {
-		threshold = 5
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
-}
+// NewBreaker returns a closed breaker on the real clock.
+func NewBreaker() *Breaker { return &Breaker{now: time.Now} }
 
-// SetClock swaps the breaker's time source — test hook; call before use.
+// SetClock swaps the breaker's time source — test hook; call before use. A
+// test that needs a shorter cooldown runs a faster clock.
 func (b *Breaker) SetClock(now func() time.Time) { b.now = now }
 
 // Allow reports whether the guarded dependency may be used right now,
@@ -86,7 +86,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.now().Sub(b.openedAt) >= b.cooldown {
+		if b.now().Sub(b.openedAt) >= BreakerCooldown {
 			b.state = BreakerHalfOpen
 			return true
 		}
@@ -110,7 +110,7 @@ func (b *Breaker) Record(err error) {
 		return
 	}
 	b.consecutive++
-	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.consecutive >= b.threshold) {
+	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.consecutive >= BreakerThreshold) {
 		b.state = BreakerOpen
 		b.openedAt = b.now()
 		b.trips++
@@ -126,7 +126,7 @@ func (b *Breaker) Record(err error) {
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cooldown {
+	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= BreakerCooldown {
 		b.state = BreakerHalfOpen
 	}
 	return b.state

@@ -168,32 +168,35 @@ func TestInjectFSErrAndTorn(t *testing.T) {
 // clock, plus the half-open failure re-trip.
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBreaker(3, time.Second)
+	b := NewBreaker()
 	b.SetClock(func() time.Time { return now })
 
 	if !b.Allow() || b.State() != BreakerClosed {
 		t.Fatal("new breaker not closed")
 	}
 	fail := errors.New("disk gone")
-	b.Record(fail)
-	b.Record(fail)
+	for i := 1; i < BreakerThreshold; i++ {
+		b.Record(fail)
+	}
 	if b.State() != BreakerClosed {
 		t.Fatal("tripped below threshold")
 	}
 	b.Record(nil)
-	b.Record(fail)
-	b.Record(fail)
+	for i := 1; i < BreakerThreshold; i++ {
+		b.Record(fail)
+	}
 	if b.State() != BreakerClosed {
 		t.Fatal("success did not reset the consecutive count")
 	}
 	b.Record(fail)
 	if b.State() != BreakerOpen || b.Trips() != 1 {
-		t.Fatalf("state=%v trips=%d after 3 consecutive failures", b.State(), b.Trips())
+		t.Fatalf("state=%v trips=%d after %d consecutive failures", b.State(), b.Trips(), BreakerThreshold)
 	}
+	now = now.Add(BreakerCooldown - time.Nanosecond)
 	if b.Allow() {
 		t.Fatal("open breaker allowed an op before cooldown")
 	}
-	now = now.Add(time.Second)
+	now = now.Add(time.Nanosecond)
 	if !b.Allow() || b.State() != BreakerHalfOpen {
 		t.Fatal("cooldown elapsed but breaker did not half-open")
 	}
@@ -201,7 +204,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != BreakerOpen || b.Trips() != 2 {
 		t.Fatal("half-open failure did not re-trip")
 	}
-	now = now.Add(time.Second)
+	now = now.Add(BreakerCooldown)
 	if !b.Allow() {
 		t.Fatal("second half-open probe refused")
 	}

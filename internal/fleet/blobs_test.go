@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
@@ -19,7 +18,7 @@ func TestBlobMetrics(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close() // the address stops answering
-	topo := NewTopology(map[string]string{"b": deadURL}, TopologyOptions{PeerTimeout: 5 * time.Second})
+	topo := NewTopology(map[string]string{"b": deadURL})
 	defer topo.Close()
 	repl := NewReplicatedBlobs(ReplicatedBlobsOptions{
 		Local: store.NewMemBlobs(), Self: "a", Ring: NewRing([]string{"a", "b"}, 64), Topo: topo, Replicas: 2,

@@ -31,11 +31,15 @@ import (
 // else is a peer's bytes relayed verbatim, and every peer answers every
 // request identically, so routing choices are invisible in response bytes.
 type Router struct {
-	opts   Options
-	ring   *Ring
-	topo   *Topology
-	policy retry.Policy
-	mux    *http.ServeMux
+	opts Options
+	ring *Ring
+	topo *Topology
+	mux  *http.ServeMux
+
+	// hedgeWait is hedgeDelay and sleep is time.Sleep; tests shorten the
+	// one and skip the other.
+	hedgeWait time.Duration
+	sleep     func(time.Duration)
 
 	rngMu sync.Mutex
 	rng   *stats.RNG
@@ -58,40 +62,37 @@ type Options struct {
 	// Replicas is the ownership factor R (default 2): a request may be
 	// served by any of its key's first R ring owners.
 	Replicas int
-	// HedgeDelay is how long a hedged read waits on the owner before also
-	// asking the next replica (default 50ms).
-	HedgeDelay time.Duration
-	// Retry paces the passes over the replica set when every member failed
-	// or shed (retry.Policy zero-value defaults); its jitter stream is
-	// seeded with 0.
-	Retry retry.Policy
 	// Starts and MaxTasks are the fingerprint defaults and MUST match the
 	// peers' server Options — routing keys on the same canonicalization the
 	// peers fingerprint with.
 	Starts   int
 	MaxTasks int
-	// Sleep is the between-pass pause hook (nil = time.Sleep); tests swap
-	// it to keep chaos runs fast.
-	Sleep func(time.Duration)
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
+
+// hedgeDelay is how long a hedged read waits on the owner before also
+// asking the next replica.
+const hedgeDelay = 50 * time.Millisecond
+
+// routeRetry paces the passes over a key's replica set when every member
+// failed or shed: the retry package's default schedule, its jitter stream
+// seeded with 0.
+var routeRetry = retry.Policy{MaxAttempts: 5, Base: 5 * time.Millisecond, Max: 2 * time.Second}
 
 // NewRouter builds the front end over an existing ring and topology.
 func NewRouter(opts Options) *Router {
 	if opts.Replicas <= 0 {
 		opts.Replicas = 2
 	}
-	if opts.HedgeDelay <= 0 {
-		opts.HedgeDelay = 50 * time.Millisecond
-	}
 	r := &Router{
-		opts:     opts,
-		ring:     opts.Ring,
-		topo:     opts.Topology,
-		policy:   opts.Retry,
-		rng:      stats.NewRNG(0),
-		counters: make(map[string]*peerCounters),
+		opts:      opts,
+		ring:      opts.Ring,
+		topo:      opts.Topology,
+		hedgeWait: hedgeDelay,
+		sleep:     time.Sleep,
+		rng:       stats.NewRNG(0),
+		counters:  make(map[string]*peerCounters),
 	}
 	for _, name := range opts.Ring.Peers() {
 		r.counters[name] = &peerCounters{}
@@ -115,14 +116,6 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // Close drops the topology's idle peer connections. Call when done with a
 // router whose topology is not otherwise owned.
 func (r *Router) Close() { r.topo.Close() }
-
-func (r *Router) sleep(d time.Duration) {
-	if r.opts.Sleep != nil {
-		r.opts.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
 
 // readBody drains the request body under the same cap the peers decode with.
 func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
@@ -227,11 +220,6 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request, key, path strin
 		return
 	}
 	ctx := req.Context()
-	p := r.policy
-	maxPasses := p.MaxAttempts
-	if maxPasses <= 0 {
-		maxPasses = 5
-	}
 	var last *peerResult
 	var retryAfter time.Duration
 	for pass := 1; ; pass++ {
@@ -253,11 +241,11 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request, key, path strin
 				retryAfter = time.Duration(secs) * time.Second
 			}
 		}
-		if pass >= maxPasses || ctx.Err() != nil {
+		if pass >= routeRetry.MaxAttempts || ctx.Err() != nil {
 			break
 		}
 		r.rngMu.Lock()
-		d := p.Delay(pass, retryAfter, r.rng)
+		d := routeRetry.Delay(pass, retryAfter, r.rng)
 		r.rngMu.Unlock()
 		r.sleep(d)
 	}
@@ -302,7 +290,7 @@ func (r *Router) trySequential(ctx context.Context, owners []string, method, pat
 }
 
 // tryHedged races the replica set for an immutable read: the owner is asked
-// first, and each HedgeDelay without an answer (or any failed answer) adds
+// first, and each hedgeDelay without an answer (or any failed answer) adds
 // the next replica to the race. First non-503 answer wins; stragglers are
 // canceled. The results channel is buffered to the launch count and every
 // goroutine's only blocking op is the breaker-recorded HTTP call under the
@@ -340,7 +328,7 @@ func (r *Router) tryHedged(ctx context.Context, owners []string, method, path st
 		}()
 	}
 	launch()
-	timer := time.NewTimer(r.opts.HedgeDelay)
+	timer := time.NewTimer(r.hedgeWait)
 	defer timer.Stop()
 	var last *peerResult
 	lastIdx := -1
@@ -364,7 +352,7 @@ func (r *Router) tryHedged(ctx context.Context, owners []string, method, path st
 		case <-timer.C:
 			if launched < len(allowed) {
 				launch()
-				timer.Reset(r.opts.HedgeDelay)
+				timer.Reset(r.hedgeWait)
 			}
 		case <-ctx.Done():
 			return last, lastIdx

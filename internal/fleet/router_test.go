@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
-	"repro/internal/retry"
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -59,23 +58,20 @@ func newTestFleet(t *testing.T, names []string, opts testFleetOptions) *testFlee
 	f := &testFleet{
 		t:     t,
 		ring:  NewRing(names, 64),
-		topo:  NewTopology(nil, TopologyOptions{PeerTimeout: 5 * time.Second}),
+		topo:  NewTopology(nil),
 		peers: make(map[string]*testPeer),
 		wrap:  opts.wrap,
 	}
 	for _, name := range names {
 		f.startPeer(name, store.NewMemBlobs())
 	}
-	f.router = NewRouter(Options{
-		Ring:     f.ring,
-		Topology: f.topo,
-		Replicas: 2,
-		// Fast retries so dead-fleet tests do not stall: real pauses are the
-		// policy's business, pinned in internal/retry.
-		Retry:      retry.Policy{MaxAttempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
-		HedgeDelay: opts.hedgeDelay,
-		Sleep:      func(time.Duration) {},
-	})
+	f.router = NewRouter(Options{Ring: f.ring, Topology: f.topo, Replicas: 2})
+	// No pauses between passes, so dead-fleet tests do not stall: real
+	// pauses are the policy's business, pinned in internal/retry.
+	f.router.sleep = func(time.Duration) {}
+	if opts.hedgeDelay > 0 {
+		f.router.hedgeWait = opts.hedgeDelay
+	}
 	reg := obs.NewRegistry()
 	f.router.RegisterMetrics(reg)
 	front := http.NewServeMux()

@@ -23,8 +23,9 @@ type Topology struct {
 	mu    sync.Mutex
 	peers map[string]*peerState
 
-	client  *http.Client
-	timeout time.Duration
+	// client carries all peer traffic; the Topology owns it, so Close can
+	// drop its idle connections.
+	client *http.Client
 }
 
 type peerState struct {
@@ -32,37 +33,21 @@ type peerState struct {
 	breaker *fault.Breaker
 }
 
-// TopologyOptions configures NewTopology. Zero values select defaults.
-type TopologyOptions struct {
-	// BreakerThreshold and BreakerCooldown parameterise each peer's circuit
-	// breaker (fault.NewBreaker defaults: 5 failures, 5s cooldown).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// PeerTimeout bounds every request to a peer (default 2s).
-	PeerTimeout time.Duration
-	// Client is the HTTP client used for all peer traffic (default: a
-	// dedicated client, so Close can drop its idle connections).
-	Client *http.Client
-}
+// peerTimeout bounds every request to a peer. It matches the serving
+// layer's WriteTimeout: a long solve is legitimate, and a dead peer fails
+// fast by refusing the connection.
+const peerTimeout = 2 * time.Minute
 
 // NewTopology builds the peer table. urls maps peer name → base URL
 // ("http://host:port"); peers absent from urls start unreachable until
-// SetURL names them.
-func NewTopology(urls map[string]string, opts TopologyOptions) *Topology {
-	if opts.PeerTimeout <= 0 {
-		opts.PeerTimeout = 2 * time.Second
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{}}
-	}
+// SetURL names them. Each peer gets its own fault.Breaker.
+func NewTopology(urls map[string]string) *Topology {
 	t := &Topology{
-		peers:   make(map[string]*peerState, len(urls)),
-		client:  client,
-		timeout: opts.PeerTimeout,
+		peers:  make(map[string]*peerState, len(urls)),
+		client: &http.Client{Transport: &http.Transport{}},
 	}
 	for name, url := range urls {
-		ps := &peerState{breaker: fault.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)}
+		ps := &peerState{breaker: fault.NewBreaker()}
 		ps.url.Store(url)
 		t.peers[name] = ps
 	}
@@ -75,7 +60,7 @@ func (t *Topology) SetURL(name, url string) {
 	t.mu.Lock()
 	ps := t.peers[name]
 	if ps == nil {
-		ps = &peerState{breaker: fault.NewBreaker(0, 0)}
+		ps = &peerState{breaker: fault.NewBreaker()}
 		t.peers[name] = ps
 	}
 	t.mu.Unlock()
@@ -96,8 +81,8 @@ func (t *Topology) peer(name string) *peerState {
 	return t.peers[name]
 }
 
-// Close releases the topology's idle peer connections (only when the client
-// was Topology-owned). Goroutine hygiene for leakcheck-guarded tests.
+// Close releases the topology's idle peer connections. Goroutine hygiene for
+// leakcheck-guarded tests.
 func (t *Topology) Close() {
 	t.client.CloseIdleConnections()
 }
@@ -109,7 +94,7 @@ type peerResult struct {
 	header http.Header
 }
 
-// do sends one request to the named peer under the topology timeout and
+// do sends one request to the named peer under peerTimeout and
 // records the transport outcome on its breaker (an HTTP answer of any status
 // is breaker success — the peer is alive; only transport-level failures are
 // evidence of death). Callers must have checked Allow.
@@ -128,7 +113,7 @@ func (t *Topology) do(ctx context.Context, name, method, path string, body []byt
 		ps.breaker.Record(err)
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, t.timeout)
+	ctx, cancel := context.WithTimeout(ctx, peerTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {

@@ -347,7 +347,7 @@ func TestConfigFieldsGuard(t *testing.T) {
 		"core.Config": {"Model", "Objective", "MaxSweeps", "Tol",
 			"Preempt", "WarmStart", "Scenarios", "ScenarioSeed", "Starts",
 			"StartWorkers", "StartSeed", "initBlend", "ctx"},
-		"preempt.Options": {"MaxSubsPerInstance", "EDF"},
+		"preempt.Options": {"MaxSubsPerInstance"},
 		"task.Task":       {"Name", "Period", "WCEC", "ACEC", "BCEC", "Ceff"},
 		// sim.Config is guarded for CompareKey, which memoizes simulated
 		// comparisons: it hashes Policy, Hyperperiods, Seed and the three

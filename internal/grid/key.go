@@ -165,7 +165,7 @@ func (h *hasher) schedule(s *core.Schedule) bool {
 // cache-key contract DESIGN.md §6 documents. The key covers the task-set
 // fingerprint, the model identity, and exactly the core.Config fields a
 // solve is a function of: Objective, MaxSweeps, Tol, Preempt
-// (MaxSubsPerInstance, EDF), Scenarios, ScenarioSeed, Starts, StartSeed
+// (MaxSubsPerInstance), Scenarios, ScenarioSeed, Starts, StartSeed
 // (dormant values — a non-positive MaxSubsPerInstance, scenario fields
 // without Scenarios or on a WorstCase build, StartSeed without multi-start —
 // are zeroed so they cannot split keys),
@@ -240,7 +240,9 @@ func (h *hasher) config(c core.Config) bool {
 	// The expansion caps pieces only for a positive cap; every other value
 	// is uncapped and hashes as 0, so a negative cap cannot split keys.
 	h.i64(int64(max(c.Preempt.MaxSubsPerInstance, 0)))
-	h.flag(c.Preempt.EDF)
+	// The retired EDF plan order keeps its false byte too: every plan is
+	// rate-monotonic.
+	h.flag(false)
 	// Scenario draws only exist when Scenarios > 0, and a WCS never reads
 	// them; dormant scenario fields must not split keys.
 	scenarios, scenarioSeed := c.Scenarios, c.ScenarioSeed

@@ -69,16 +69,11 @@ type Config struct {
 	// Mode selects the packing heuristic (default FirstFitDecreasing).
 	Mode Mode
 	// Moves bounds the cross-core improvement rounds: each round evaluates
-	// a deterministic candidate set of task migrations and pairwise swaps
-	// against the global energy objective and greedily applies the best
-	// strictly-improving one. 0 disables the loop.
+	// a deterministic candidate set of at most moveCandidates task
+	// migrations and pairwise swaps against the global energy objective
+	// and greedily applies the best strictly-improving one. 0 disables the
+	// loop.
 	Moves int
-	// MoveSeed seeds the per-round candidate sampling (default 2005).
-	MoveSeed uint64
-	// Candidates bounds the moves evaluated per round; when the full
-	// enumeration is larger, a seeded sample of this size is drawn
-	// (default 24). Negative means evaluate every candidate.
-	Candidates int
 	// Solver is the per-core solver configuration. Its Objective selects
 	// what each core serves: AverageCase runs WCS then warm-started ACS per
 	// core, WorstCase runs WCS only. WarmStart must be nil (the driver
@@ -96,16 +91,14 @@ type Config struct {
 	budgetFor func(coreIdx int) time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	out := c
-	if out.MoveSeed == 0 {
-		out.MoveSeed = 2005
-	}
-	if out.Candidates == 0 {
-		out.Candidates = 24
-	}
-	return out
-}
+// The improvement loop's candidate bound: a round whose enumeration holds
+// more than moveCandidates moves evaluates a sample of that many, drawn from
+// an RNG seeded with moveSeed and the round number. Fingerprint hashes both
+// for a config with Moves > 0.
+const (
+	moveSeed       = 2005
+	moveCandidates = 24
+)
 
 // Assignment maps each core to the sorted original indices (into
 // set.Tasks) of the tasks placed on it. It is a partition: every task index
@@ -251,7 +244,7 @@ func utilization(t *task.Task, tcMax float64) float64 {
 // onto the first core — in cfg.Mode's preference order — whose subset stays
 // feasible. It fails if some task fits no core.
 func Admit(set *task.Set, cfg Config) (Assignment, error) {
-	asg, _, err := admit(set, cfg.withDefaults(), nil)
+	asg, _, err := admit(set, cfg, nil)
 	return asg, err
 }
 
@@ -468,8 +461,7 @@ func totalEnergy(cores []CoreSolve) float64 {
 // One core packs nothing: the whole set is core 0, its WCS build is the
 // admission test, and a failed build comes back as a *BuildError around
 // the build's own error (a *core.InfeasibleError for an unschedulable set).
-func Solve(ctx context.Context, r *grid.Runner, set *task.Set, cfg Config) (*Result, error) {
-	c := cfg.withDefaults()
+func Solve(ctx context.Context, r *grid.Runner, set *task.Set, c Config) (*Result, error) {
 	if c.Solver.WarmStart != nil {
 		return nil, fmt.Errorf("partition: Solver.WarmStart must be nil (the driver manages warm starts)")
 	}
@@ -662,9 +654,9 @@ func improve(ctx context.Context, r *grid.Runner, set *task.Set, c Config, res *
 	cEval.budgetFor = nil
 	for round := 0; round < c.Moves; round++ {
 		cands := enumerateMoves(res.Assignment, home)
-		if c.Candidates > 0 && len(cands) > c.Candidates {
-			rng := stats.NewRNG(c.MoveSeed + 0x9e3779b97f4a7c15*uint64(round+1))
-			cands = sampleMoves(cands, c.Candidates, rng)
+		if len(cands) > moveCandidates {
+			rng := stats.NewRNG(moveSeed + 0x9e3779b97f4a7c15*uint64(round+1))
+			cands = sampleMoves(cands, moveCandidates, rng)
 		}
 		evals := grid.Collect(r, len(cands), func(i int) moveEval {
 			return evalMove(ctx, r, set, cEval, res, cands[i])
@@ -703,13 +695,12 @@ func improve(ctx context.Context, r *grid.Runner, set *task.Set, c Config, res *
 // key of (set, Solver) — task-set content, model identity, every solver
 // field a solve is a function of — extended with the partition knobs.
 // ACSBudget (and the test-only budget hook) are load policy, not problem
-// content, and are excluded, mirroring the server's SolveBudget. Dormant
-// move knobs (MoveSeed, Candidates when Moves == 0) hash as zero so
-// configs that cannot diverge share a fingerprint. One core has no knobs
-// to add: its fingerprint is the single-core key itself. ok=false mirrors
-// grid.ScheduleKey: the config is not canonically encodable.
-func Fingerprint(set *task.Set, cfg Config) (string, bool) {
-	c := cfg.withDefaults()
+// content, and are excluded, mirroring the server's SolveBudget. A config
+// with Moves > 0 also hashes the sampling constants (moveSeed and
+// moveCandidates); with the loop off they hash as zero. One core has no
+// knobs to add: its fingerprint is the single-core key itself. ok=false
+// mirrors grid.ScheduleKey: the config is not canonically encodable.
+func Fingerprint(set *task.Set, c Config) (string, bool) {
 	solver := c.Solver
 	solver.WarmStart = nil
 	key, ok := grid.ScheduleKey(set, solver)
@@ -731,8 +722,8 @@ func Fingerprint(set *task.Set, cfg Config) (string, bool) {
 	wr(uint64(c.Mode))
 	wr(uint64(c.Moves))
 	if c.Moves > 0 {
-		wr(c.MoveSeed)
-		wr(uint64(int64(c.Candidates)))
+		wr(moveSeed)
+		wr(moveCandidates)
 	} else {
 		wr(0)
 		wr(0)

@@ -183,10 +183,18 @@ func TestPartitionSolveSharing(t *testing.T) {
 
 // TestPartitionMoveDeterminism pins the standing determinism contract for
 // the improvement loop: identical assignments, energies, accepted-move
-// counts, and encoded schedules for any worker count, cache on or off.
+// counts, and encoded schedules for any worker count, cache on or off. The
+// set enumerates more than moveCandidates moves, so each round samples.
 func TestPartitionMoveDeterminism(t *testing.T) {
-	set := genSet(t, 7, 6, 2)
-	cfg := Config{Cores: 2, Mode: WorstFit, Moves: 2, Candidates: 6, Solver: solverCfg()}
+	set := genSet(t, 7, 8, 4)
+	cfg := Config{Cores: 4, Mode: WorstFit, Moves: 2, Solver: solverCfg()}
+	asg, err := Admit(set, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(enumerateMoves(asg, asg.homes(set.N()))); n <= moveCandidates {
+		t.Fatalf("%d candidate moves: the first round would not sample", n)
+	}
 
 	type outcome struct {
 		asg      Assignment
@@ -341,13 +349,6 @@ func TestPartitionFingerprint(t *testing.T) {
 	wf.Mode = WorstFit
 	if fp(wf) == ref {
 		t.Error("packing mode must change the fingerprint")
-	}
-	// Dormant move knobs (Moves == 0) must not leak into the fingerprint.
-	seeded := base
-	seeded.MoveSeed = 99
-	seeded.Candidates = 7
-	if fp(seeded) != ref {
-		t.Error("MoveSeed/Candidates with Moves=0 must be dormant")
 	}
 	moving := base
 	moving.Moves = 2

@@ -58,9 +58,8 @@ type Schedule struct {
 	ByInstance [][]int
 	// Hyperperiod is the schedule horizon in ms.
 	Hyperperiod float64
-	// Opts records the options the schedule was built with (priority rule,
-	// sub-instance cap), so downstream consumers can replay the same
-	// priority ordering.
+	// Opts records the options the schedule was built with (the
+	// sub-instance cap), so a decoded schedule rebuilds the same plan.
 	Opts Options
 }
 
@@ -72,11 +71,6 @@ type Options struct {
 	// order. The E6 ablation sweeps this cap; the paper's experiments bound
 	// task sets at one thousand sub-instances in total.
 	MaxSubsPerInstance int
-
-	// EDF orders priorities by absolute instance deadline instead of RM
-	// task priority. The paper uses RM; EDF is provided as an extension and
-	// for cross-checking against the YDS lower bound.
-	EDF bool
 }
 
 // Build expands set into its fully-preemptive schedule with default options.
@@ -104,7 +98,7 @@ func BuildWith(set *task.Set, opts Options) (*Schedule, error) {
 	}
 
 	for idx, in := range instances {
-		cuts := preemptionPoints(set, instances, idx, opts)
+		cuts := preemptionPoints(set, instances, idx)
 		bounds := append([]float64{in.Release}, cuts...)
 		bounds = append(bounds, in.Deadline)
 		if opts.MaxSubsPerInstance > 0 {
@@ -124,7 +118,7 @@ func BuildWith(set *task.Set, opts Options) (*Schedule, error) {
 		}
 	}
 
-	s.sortTotalOrder(opts)
+	s.sortTotalOrder()
 	for pos, su := range s.Subs {
 		s.ByInstance[su.InstanceIndex] = append(s.ByInstance[su.InstanceIndex], pos)
 	}
@@ -141,7 +135,7 @@ func BuildWith(set *task.Set, opts Options) (*Schedule, error) {
 // preemptionPoints returns the strictly-interior release times of
 // higher-priority work within the window of instance idx, ascending and
 // deduplicated.
-func preemptionPoints(set *task.Set, instances []task.Instance, idx int, opts Options) []float64 {
+func preemptionPoints(set *task.Set, instances []task.Instance, idx int) []float64 {
 	in := instances[idx]
 	seen := map[float64]bool{}
 	var cuts []float64
@@ -152,7 +146,7 @@ func preemptionPoints(set *task.Set, instances []task.Instance, idx int, opts Op
 		if other.Release <= in.Release || other.Release >= in.Deadline {
 			continue
 		}
-		if !higherPriority(set, instances, jdx, idx, opts) {
+		if !higherPriority(set, instances, jdx, idx) {
 			continue
 		}
 		if !seen[other.Release] {
@@ -164,15 +158,10 @@ func preemptionPoints(set *task.Set, instances []task.Instance, idx int, opts Op
 	return cuts
 }
 
-// higherPriority reports whether instance a strictly outranks instance b.
-func higherPriority(set *task.Set, instances []task.Instance, a, b int, opts Options) bool {
+// higherPriority reports whether instance a strictly outranks instance b
+// under rate-monotonic priorities.
+func higherPriority(set *task.Set, instances []task.Instance, a, b int) bool {
 	ia, ib := instances[a], instances[b]
-	if opts.EDF {
-		if ia.Deadline != ib.Deadline {
-			return ia.Deadline < ib.Deadline
-		}
-		return ia.TaskIndex < ib.TaskIndex
-	}
 	pa := set.Tasks[ia.TaskIndex].Period
 	pb := set.Tasks[ib.TaskIndex].Period
 	if pa != pb {
@@ -212,7 +201,7 @@ func capSegments(bounds []float64, maxSegs int) []float64 {
 // sortTotalOrder arranges Subs into the fully-preemptive total order:
 // ascending segment start; at equal starts, higher priority first; pieces of
 // one instance keep ascending segment order by construction.
-func (s *Schedule) sortTotalOrder(opts Options) {
+func (s *Schedule) sortTotalOrder() {
 	sort.SliceStable(s.Subs, func(i, j int) bool {
 		a, b := s.Subs[i], s.Subs[j]
 		if a.SegStart != b.SegStart {
@@ -222,12 +211,6 @@ func (s *Schedule) sortTotalOrder(opts Options) {
 			return a.SegStart < b.SegStart // equal; keep stable order
 		}
 		// Priority comparison mirrors higherPriority but on sub-instances.
-		if opts.EDF {
-			if a.Deadline != b.Deadline {
-				return a.Deadline < b.Deadline
-			}
-			return a.TaskIndex < b.TaskIndex
-		}
 		pa := s.Set.Tasks[a.TaskIndex].Period
 		pb := s.Set.Tasks[b.TaskIndex].Period
 		if pa != pb {

@@ -127,23 +127,6 @@ func TestSubInstanceCap(t *testing.T) {
 	}
 }
 
-func TestEDFOrdering(t *testing.T) {
-	set := mustSet(t, mkTask("a", 20), mkTask("b", 30))
-	s, err := BuildWith(set, Options{EDF: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// At time 0, EDF runs the earlier deadline (a, d=20) first — same as
-	// RM here — but b's instance [30,60) must preempt a's [40,60)? No:
-	// b#1 deadline 60 vs a#2 deadline 60: tie broken by task index.
-	if s.Subs[0].TaskIndex != 0 {
-		t.Error("EDF first piece is not the earliest deadline")
-	}
-}
-
 func TestBuildRejectsNil(t *testing.T) {
 	if _, err := Build(nil); err == nil {
 		t.Error("nil set accepted")

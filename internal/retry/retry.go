@@ -100,13 +100,13 @@ type Result struct {
 }
 
 // HTTPClient retries POSTs through an http.Client under a Policy. The zero
-// value is not usable; fill Client (and optionally Policy/Sleep).
+// value is not usable; fill Client (and optionally Policy).
 type HTTPClient struct {
 	Client *http.Client
 	Policy Policy
-	// Sleep is the pause hook (nil = time.Sleep); tests swap it to pin the
+	// sleep is the pause hook (nil = time.Sleep); tests swap it to pin the
 	// delay sequence without waiting it out.
-	Sleep func(time.Duration)
+	sleep func(time.Duration)
 }
 
 // maxRetryAfter clamps the server's hint: a peer (or a fronting proxy
@@ -154,7 +154,7 @@ func retryAfterOf(h http.Header) time.Duration {
 // a non-nil error means every attempt failed at the transport level.
 func (c *HTTPClient) Post(ctx context.Context, url, contentType string, body []byte, rng *stats.RNG) (*Result, error) {
 	p := c.Policy.withDefaults()
-	sleep := c.Sleep
+	sleep := c.sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}

@@ -92,7 +92,7 @@ func TestPostRetriesShedsThenSucceeds(t *testing.T) {
 	c := &HTTPClient{
 		Client: ts.Client(),
 		Policy: Policy{MaxAttempts: 5, Base: time.Millisecond, Max: 10 * time.Millisecond},
-		Sleep:  func(d time.Duration) { pauses = append(pauses, d) },
+		sleep:  func(d time.Duration) { pauses = append(pauses, d) },
 	}
 	res, err := c.Post(context.Background(), ts.URL, "application/json", []byte(`{}`), stats.NewRNG(1))
 	if err != nil {
@@ -130,7 +130,7 @@ func TestPostExhaustsOnPersistentShed(t *testing.T) {
 	c := &HTTPClient{
 		Client: ts.Client(),
 		Policy: Policy{MaxAttempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
-		Sleep:  func(time.Duration) {},
+		sleep:  func(time.Duration) {},
 	}
 	res, err := c.Post(context.Background(), ts.URL, "application/json", nil, stats.NewRNG(1))
 	if err != nil {
@@ -153,7 +153,7 @@ func TestPostTerminalStatusDoesNotRetry(t *testing.T) {
 		w.WriteHeader(http.StatusUnprocessableEntity)
 	}))
 	defer ts.Close()
-	c := &HTTPClient{Client: ts.Client(), Sleep: func(time.Duration) {}}
+	c := &HTTPClient{Client: ts.Client(), sleep: func(time.Duration) {}}
 	res, err := c.Post(context.Background(), ts.URL, "application/json", nil, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestPostTransportFailureRetries(t *testing.T) {
 	c := &HTTPClient{
 		Client: &http.Client{Timeout: time.Second},
 		Policy: Policy{MaxAttempts: 3, Base: time.Microsecond, Max: time.Millisecond},
-		Sleep:  func(time.Duration) { pauses++ },
+		sleep:  func(time.Duration) { pauses++ },
 	}
 	_, err := c.Post(context.Background(), ts.URL, "application/json", nil, stats.NewRNG(1))
 	if err == nil {

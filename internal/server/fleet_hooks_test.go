@@ -426,6 +426,77 @@ func TestDamagedSessionCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRefreshCountsDamageOnce: a stale resident session whose replicated
+// checkpoint is damaged meets it on every observe whose position is ahead of
+// its fold. Each such observe answers 409, and the blob is counted once
+// however often it is met: one that does not parse, and one that parses but
+// that feedback.RestoreController refuses. A valid checkpoint put afterwards
+// refreshes the session, which then answers what an uninterrupted daemon
+// answers.
+func TestRefreshCountsDamageOnce(t *testing.T) {
+	// A donor folds 20 hyper-periods, so its checkpoint is ahead of a
+	// resident fold of 10, then answers the next batch for reference.
+	donorBlobs := store.NewMemBlobs()
+	_, donor := newTestServer(t, Options{Checkpoints: donorBlobs})
+	body, rows := sessionRows(t, 4, "victim", 30)
+	if code, resp := post(t, donor.URL+"/v1/sessions", body); code != http.StatusOK {
+		t.Fatalf("donor create: %d %s", code, resp)
+	}
+	for at := 0; at < 20; at += 10 {
+		if code, resp := post(t, donor.URL+"/v1/sessions/victim/observe", observeAtBody(t, rows[at:at+10], int64(at))); code != http.StatusOK {
+			t.Fatalf("donor observe at %d: %d %s", at, code, resp)
+		}
+	}
+	ahead, _, _ := donorBlobs.GetBlob("session-victim")
+	_, want := post(t, donor.URL+"/v1/sessions/victim/observe", observeAtBody(t, rows[20:30], 20))
+	var cp sessionCheckpoint
+	if err := json.Unmarshal(ahead, &cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Controller.Model[0].WCEC *= 1.5
+	refused, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, d := range []struct {
+		name string
+		blob []byte
+	}{{"truncated", ahead[:len(ahead)/2]}, {"refused", refused}} {
+		t.Run(d.name, func(t *testing.T) {
+			blobs := store.NewMemBlobs()
+			s, ts := newTestServer(t, Options{Checkpoints: blobs})
+			obs := ts.URL + "/v1/sessions/victim/observe"
+			if code, resp := post(t, ts.URL+"/v1/sessions", body); code != http.StatusOK {
+				t.Fatalf("create: %d %s", code, resp)
+			}
+			if code, resp := post(t, obs, observeAtBody(t, rows[:10], 0)); code != http.StatusOK {
+				t.Fatalf("observe: %d %s", code, resp)
+			}
+			before := checkpointErrs(t, ts.URL)
+			blobs.PutBlob("session-victim", d.blob)
+			for i := 1; i <= 3; i++ {
+				if code, resp := post(t, obs, observeAtBody(t, rows[20:30], 20)); code != http.StatusConflict {
+					t.Fatalf("observe %d on a damaged checkpoint: %d %s, want 409", i, code, resp)
+				}
+				if n := checkpointErrs(t, ts.URL) - before; n != 1 {
+					t.Errorf("after observe %d: %d checkpoint errors, want 1", i, n)
+				}
+			}
+			if n := s.session("victim").ctrl.Observed(); n != 10 {
+				t.Errorf("resident fold at %d after damaged refreshes, want 10", n)
+			}
+			blobs.PutBlob("session-victim", ahead)
+			if code, got := post(t, obs, observeAtBody(t, rows[20:30], 20)); code != http.StatusOK || got != want {
+				t.Fatalf("observe after a valid checkpoint: %d\n got %s\nwant %s", code, got, want)
+			}
+			if n := checkpointErrs(t, ts.URL) - before; n != 1 {
+				t.Errorf("%d checkpoint errors after the refresh, want 1", n)
+			}
+		})
+	}
+}
+
 // checkpointErrs reads schedd_checkpoint_errors_total from base's /metrics.
 func checkpointErrs(t *testing.T, base string) int64 {
 	t.Helper()

@@ -59,9 +59,11 @@ func TestChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := store.NewTieredWith(grid.NewMemStore(0), disk, store.TieredOptions{
-		BreakerThreshold: 3, BreakerCooldown: 50 * time.Millisecond,
-	})
+	tiered := store.NewTiered(grid.NewMemStore(0), disk)
+	// The breaker's clock runs 100× real time, so its cooldown rests the
+	// disk for 50 ms.
+	start := time.Now()
+	tiered.Breaker().SetClock(func() time.Time { return start.Add(100 * time.Since(start)) })
 	s := New(Options{
 		Store: tiered, Checkpoints: tiered, Faults: reg,
 		MaxInflight: 8, QueueWait: 5 * time.Millisecond,
@@ -383,7 +385,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 // default — session slots free on a human timescale).
 func TestSessionLimit503RetryAfter(t *testing.T) {
 	leakcheck.Check(t)
-	_, ts := newTestServer(t, Options{SessionLimit: 1})
+	_, ts := newTestServer(t, Options{}, func(s *Server) { s.sessionCap = 1 })
 	body, _ := sessionBody(t, 3)
 	if code, resp := post(t, ts.URL+"/v1/sessions", body); code != http.StatusOK {
 		t.Fatalf("first session: %d %s", code, resp)

@@ -85,18 +85,6 @@ type Options struct {
 	// MaxTasks bounds the admission check: task sets larger than this are
 	// rejected before any solving (default 64).
 	MaxTasks int
-	// StoreLimit bounds how many canonical requests are retained for
-	// GET /v1/schedules/{fp} (default 4096, FIFO eviction; an evicted
-	// fingerprint answers 404 until resubmitted, and the response body a
-	// repeat stored on it goes with it).
-	StoreLimit int
-	// SessionLimit bounds resident feedback sessions (default 64); creation
-	// beyond it answers 503 until sessions free up (sessions live for the
-	// daemon's lifetime — there is deliberately no implicit eviction of a
-	// stateful learning loop).
-	SessionLimit int
-	// MaxObserveBatch bounds hyper-periods per observe call (default 4096).
-	MaxObserveBatch int
 	// Store, when non-nil, supplies the residency backend for the shared
 	// memo cache instead of the MemoBytes-bounded in-memory default —
 	// typically a store.Tiered (memory over the crash-safe disk log), which
@@ -173,15 +161,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxTasks <= 0 {
 		o.MaxTasks = 64
 	}
-	if o.StoreLimit <= 0 {
-		o.StoreLimit = 4096
-	}
-	if o.SessionLimit <= 0 {
-		o.SessionLimit = 64
-	}
-	if o.MaxObserveBatch <= 0 {
-		o.MaxObserveBatch = 4096
-	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
 	}
@@ -190,6 +169,23 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// The server's fixed bounds. Each is copied into an unexported Server field
+// at New, so in-package tests can lower it.
+const (
+	// storeLimit bounds how many canonical requests are retained for
+	// GET /v1/schedules/{fp} (FIFO eviction; an evicted fingerprint answers
+	// 404 until resubmitted, and the response body a repeat stored on it
+	// goes with it).
+	storeLimit = 4096
+	// sessionLimit bounds resident feedback sessions; creation beyond it
+	// answers 503 until sessions free up (sessions live for the daemon's
+	// lifetime — there is deliberately no implicit eviction of a stateful
+	// learning loop).
+	sessionLimit = 64
+	// maxObserveBatch bounds hyper-periods per observe call.
+	maxObserveBatch = 4096
+)
 
 // Server is the scheduling service. Construct with New, serve Handler, and
 // Close when done (it cancels in-flight solves).
@@ -208,17 +204,22 @@ type Server struct {
 
 	mu         sync.Mutex
 	requests   map[string]*canonicalRequest // fingerprint → canonical submit content
-	fifo       []string                     // insertion order for StoreLimit eviction
+	fifo       []string                     // insertion order for storeLimit eviction
 	bodyBytes  int64                        // total length of the bodies requests hold
 	sessions   map[string]*serverSession    // id → resident feedback session
 	sessionSeq int64
 	// damaged maps a session id to the SHA-256 of its checkpoint blob that
-	// last failed to restore, so a request meeting the same blob again
-	// answers 404 without decoding or counting it a second time.
+	// last failed to restore, so a takeover or refresh meeting the same
+	// blob again skips it without decoding or counting it a second time.
 	damaged map[string][sha256.Size]byte
 
-	// bodyCap bounds bodyBytes: maxStoredBodyBytes, lowered by tests.
-	bodyCap int64
+	// bodyCap bounds bodyBytes: maxStoredBodyBytes, lowered by tests, as
+	// are storeCap (storeLimit), sessionCap (sessionLimit) and batchCap
+	// (maxObserveBatch).
+	bodyCap    int64
+	storeCap   int
+	sessionCap int
+	batchCap   int
 
 	// restoreMu serialises lazy session takeover (sessionOrRestore): one
 	// restore solve per missing session, not one per racing request.
@@ -249,17 +250,20 @@ func New(opts Options) *Server {
 	}
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:     o,
-		runner:   grid.New(0, memo),
-		memo:     memo,
-		base:     base,
-		cancel:   cancel,
-		admit:    make(chan struct{}, o.MaxInflight),
-		requests: make(map[string]*canonicalRequest),
-		sessions: make(map[string]*serverSession),
-		damaged:  make(map[string][sha256.Size]byte),
-		bodyCap:  maxStoredBodyBytes,
-		m:        newServerMetrics(),
+		opts:       o,
+		runner:     grid.New(0, memo),
+		memo:       memo,
+		base:       base,
+		cancel:     cancel,
+		admit:      make(chan struct{}, o.MaxInflight),
+		requests:   make(map[string]*canonicalRequest),
+		sessions:   make(map[string]*serverSession),
+		damaged:    make(map[string][sha256.Size]byte),
+		bodyCap:    maxStoredBodyBytes,
+		storeCap:   storeLimit,
+		sessionCap: sessionLimit,
+		batchCap:   maxObserveBatch,
+		m:          newServerMetrics(),
 	}
 	s.trace = obs.NewTrace(s.m.observeStage)
 	// A store backend with an observer hook (store.Tiered) gains per-tier
@@ -879,12 +883,12 @@ type storedRequest struct {
 }
 
 // maxStoredBodyBytes caps the total length of the response bodies stored
-// requests hold (Server.bodyCap). StoreLimit alone would allow gigabytes: a
+// requests hold (Server.bodyCap). storeLimit alone would allow gigabytes: a
 // 64-task body can run to hundreds of KB. Past the cap the pipeline answers.
 const maxStoredBodyBytes = 32 << 20
 
 // cache stores cr for later GETs, evicting the oldest stored request, and
-// the body it holds, beyond StoreLimit. A fingerprint already stored is a
+// the body it holds, beyond storeLimit. A fingerprint already stored is a
 // repeat: cache then changes nothing and returns the stored request's body,
 // nil until a repeat has stored one.
 func (s *Server) cache(fp string, cr *canonicalRequest) (body []byte, repeat bool) {
@@ -895,7 +899,7 @@ func (s *Server) cache(fp string, cr *canonicalRequest) (body []byte, repeat boo
 	}
 	s.requests[fp] = cr
 	s.fifo = append(s.fifo, fp)
-	for len(s.fifo) > s.opts.StoreLimit {
+	for len(s.fifo) > s.storeCap {
 		s.bodyBytes -= int64(len(s.requests[s.fifo[0]].body))
 		delete(s.requests, s.fifo[0])
 		s.fifo = s.fifo[1:]

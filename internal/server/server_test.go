@@ -25,9 +25,12 @@ func smallBody(i int) string {
 		3+0.25*float64(i))
 }
 
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, opts Options, lower ...func(*Server)) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(opts)
+	for _, f := range lower {
+		f(s) // lowers an unexported bound before the server takes a request
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -439,7 +442,7 @@ func TestStatsExposesEvictionCounters(t *testing.T) {
 // TestStoreLimitEviction: the request store forgets the oldest fingerprints,
 // which then 404 on GET until resubmitted.
 func TestStoreLimitEviction(t *testing.T) {
-	_, ts := newTestServer(t, Options{StoreLimit: 2})
+	_, ts := newTestServer(t, Options{}, func(s *Server) { s.storeCap = 2 })
 	var fps []string
 	for i := 0; i < 3; i++ {
 		_, body := post(t, ts.URL+"/v1/schedules", smallBody(i))

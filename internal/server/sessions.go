@@ -169,7 +169,7 @@ func (s *Server) RestoreSessions(ctx context.Context) (int, error) {
 		id := strings.TrimPrefix(name, "session-")
 		sess, err := s.restoreSession(ctx, id, blob)
 		if err != nil {
-			if !errors.Is(err, errDamagedCheckpoint) && ctx != nil && ctx.Err() != nil {
+			if restoreCanceled(ctx, err) {
 				return restored, err // canceled boot, not a bad checkpoint
 			}
 			s.noteDamaged(id, sha256.Sum256(blob))
@@ -226,14 +226,30 @@ func (s *Server) restoreSession(ctx context.Context, id string, blob []byte) (*s
 	return sess, nil
 }
 
+// restoreCanceled reports whether a failed restore failed because ctx ended
+// rather than because its checkpoint is damaged; only the latter is noted.
+func restoreCanceled(ctx context.Context, err error) bool {
+	return !errors.Is(err, errDamagedCheckpoint) && ctx != nil && ctx.Err() != nil
+}
+
 // noteDamaged counts a session checkpoint that failed to restore and records
-// its digest: a later request that reads the same blob answers 404 without
-// decoding or counting it again, while a replaced blob is decoded afresh.
+// its digest: a later request that reads the same blob skips it without
+// decoding or counting it again (knownDamaged), while a replaced blob is
+// decoded afresh.
 func (s *Server) noteDamaged(id string, digest [sha256.Size]byte) {
 	s.mu.Lock()
 	s.damaged[id] = digest
 	s.mu.Unlock()
 	s.m.checkpointErrs.Inc()
+}
+
+// knownDamaged reports whether digest is the checkpoint of session id that
+// noteDamaged last recorded.
+func (s *Server) knownDamaged(id string, digest [sha256.Size]byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	known, ok := s.damaged[id]
+	return ok && known == digest
 }
 
 // adoptSession makes a restored session resident and resumes the session-id
@@ -245,7 +261,7 @@ func (s *Server) adoptSession(sess *serverSession) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.damaged, sess.id) // its checkpoint restored
-	if len(s.sessions) >= s.opts.SessionLimit {
+	if len(s.sessions) >= s.sessionCap {
 		return false
 	}
 	s.sessions[sess.id] = sess
@@ -372,7 +388,7 @@ func sessionSchedule(ctrl *feedback.Controller) SessionSchedule {
 // human timescale (sessions live for the daemon's lifetime), so its
 // Retry-After is longer than the overload default.
 func (s *Server) sessionLimitError() *apiError {
-	e := errorf(http.StatusServiceUnavailable, "session limit (%d) reached", s.opts.SessionLimit)
+	e := errorf(http.StatusServiceUnavailable, "session limit (%d) reached", s.sessionCap)
 	e.retryAfter = 5
 	return e
 }
@@ -420,7 +436,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	full := len(s.sessions) >= s.opts.SessionLimit
+	full := len(s.sessions) >= s.sessionCap
 	s.mu.Unlock()
 	if full {
 		writeResult(w, s.sessionLimitError())
@@ -451,7 +467,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// fast-path reject, and concurrent creates could otherwise race past it
 	// (the solve above runs unlocked). A loser here wasted one solve —
 	// which the memo retains — but the bound holds.
-	if len(s.sessions) >= s.opts.SessionLimit {
+	if len(s.sessions) >= s.sessionCap {
 		s.mu.Unlock()
 		writeResult(w, s.sessionLimitError())
 		return
@@ -536,15 +552,12 @@ func (s *Server) sessionOrRestore(ctx context.Context, id string) (*serverSessio
 		return nil, nil
 	}
 	digest := sha256.Sum256(blob)
-	s.mu.Lock()
-	known, damaged := s.damaged[id]
-	s.mu.Unlock()
-	if damaged && known == digest {
+	if s.knownDamaged(id, digest) {
 		return nil, nil
 	}
 	sess, err := s.restoreSession(ctx, id, blob)
 	if err != nil {
-		if !errors.Is(err, errDamagedCheckpoint) && ctx != nil && ctx.Err() != nil {
+		if restoreCanceled(ctx, err) {
 			return nil, errorf(http.StatusServiceUnavailable, "session restore canceled")
 		}
 		s.noteDamaged(id, digest)
@@ -563,7 +576,9 @@ func (s *Server) sessionOrRestore(ctx context.Context, id string) (*serverSessio
 // revived owner heals itself when a client's `at` proves its resident state
 // stale (its replicas advanced the session while it was down). Failures
 // leave the session untouched; the caller's position check then answers a
-// deterministic 409 and the client retries elsewhere.
+// deterministic 409 and the client retries elsewhere. A damaged checkpoint
+// is counted once, as boot restore and takeover count it: its digest is
+// noted, and a later refresh that reads the same blob skips it.
 func (s *Server) refreshSessionLocked(ctx context.Context, sess *serverSession) {
 	if s.opts.Checkpoints == nil {
 		return
@@ -572,9 +587,13 @@ func (s *Server) refreshSessionLocked(ctx context.Context, sess *serverSession) 
 	if err != nil || !ok {
 		return
 	}
+	digest := sha256.Sum256(blob)
+	if s.knownDamaged(sess.id, digest) {
+		return
+	}
 	cp, err := decodeSessionCheckpoint(sess.id, blob)
 	if err != nil {
-		s.m.checkpointErrs.Inc()
+		s.noteDamaged(sess.id, digest)
 		return
 	}
 	if cp.Controller.Observed <= sess.ctrl.Observed() {
@@ -582,6 +601,9 @@ func (s *Server) refreshSessionLocked(ctx context.Context, sess *serverSession) 
 	}
 	fresh, err := s.restoreSession(ctx, sess.id, blob)
 	if err != nil {
+		if !restoreCanceled(ctx, err) {
+			s.noteDamaged(sess.id, digest)
+		}
 		return
 	}
 	sess.ctrl, sess.lastAt, sess.lastResp = fresh.ctrl, fresh.lastAt, fresh.lastResp
@@ -620,10 +642,10 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 		writeResult(w, errorf(http.StatusUnprocessableEntity, "observe: no hyper-periods"))
 		return
 	}
-	if len(req.Hyperperiods) > s.opts.MaxObserveBatch {
+	if len(req.Hyperperiods) > s.batchCap {
 		writeResult(w, errorf(http.StatusUnprocessableEntity,
 			"observe: %d hyper-periods exceeds the batch limit of %d",
-			len(req.Hyperperiods), s.opts.MaxObserveBatch))
+			len(req.Hyperperiods), s.batchCap))
 		return
 	}
 	sess.mu.Lock()

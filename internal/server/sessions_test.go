@@ -243,7 +243,7 @@ func TestSessionFingerprintMatchesSubmit(t *testing.T) {
 }
 
 func TestSessionRejections(t *testing.T) {
-	_, ts := newTestServer(t, Options{SessionLimit: 1, MaxObserveBatch: 4})
+	_, ts := newTestServer(t, Options{}, func(s *Server) { s.sessionCap, s.batchCap = 1, 4 })
 	body, set := sessionBody(t, 3)
 
 	if code, resp := post(t, ts.URL+"/v1/sessions", `{"tasks":[]}`); code != http.StatusUnprocessableEntity {

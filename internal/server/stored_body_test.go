@@ -154,7 +154,7 @@ func TestStoredBodyIdentity(t *testing.T) {
 	})
 
 	t.Run("eviction", func(t *testing.T) {
-		s, ts := newTestServer(t, Options{StoreLimit: 1})
+		s, ts := newTestServer(t, Options{}, func(s *Server) { s.storeCap = 1 })
 		first, fp := submitFP(t, ts.URL, smallBody(0))
 		post(t, ts.URL+"/v1/schedules", smallBody(0))
 		if n := metric(t, ts.URL, "schedd_stored_body_bytes"); n != float64(len(first)) {
@@ -168,7 +168,7 @@ func TestStoredBodyIdentity(t *testing.T) {
 		_, held := s.requests[fp]
 		s.mu.Unlock()
 		if held {
-			t.Fatal("StoreLimit 1 kept the evicted request")
+			t.Fatal("a store cap of 1 kept the evicted request")
 		}
 		hits := metric(t, ts.URL, "schedd_stored_body_hits_total")
 		if _, again := post(t, ts.URL+"/v1/schedules", smallBody(0)); again != first {

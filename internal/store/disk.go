@@ -58,12 +58,13 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// maxSegmentBytes rolls the active segment once it reaches this size
+// (Disk.segmentBytes). Only the active segment is ever appended to;
+// completed segments are immutable.
+const maxSegmentBytes = 64 << 20
+
 // Options configures a Disk store.
 type Options struct {
-	// SegmentBytes rolls the active segment once it exceeds this size
-	// (default 64 MiB). Only the active segment is ever appended to;
-	// completed segments are immutable.
-	SegmentBytes int64
 	// Sync fsyncs after every append, and makes every PutBlob durable
 	// before it returns: one fsync of the slot file it wrote, plus one of
 	// blobs/ when the put created that file (a name's first two puts). Off
@@ -80,9 +81,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
-	}
 	if o.FS == nil {
 		o.FS = fault.OS()
 	}
@@ -105,6 +103,8 @@ type Disk struct {
 	dir  string
 	opts Options
 	fs   fault.FS
+	// segmentBytes is maxSegmentBytes, lowered by tests.
+	segmentBytes int64
 
 	mu      sync.Mutex
 	index   map[grid.Key]entryLoc
@@ -143,12 +143,13 @@ func Open(dir string, opts Options) (*Disk, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	d := &Disk{
-		dir:      dir,
-		opts:     opts,
-		fs:       opts.FS,
-		index:    make(map[grid.Key]entryLoc),
-		files:    make(map[int]fault.File),
-		blobSeed: maphash.MakeSeed(),
+		dir:          dir,
+		opts:         opts,
+		fs:           opts.FS,
+		segmentBytes: maxSegmentBytes,
+		index:        make(map[grid.Key]entryLoc),
+		files:        make(map[int]fault.File),
+		blobSeed:     maphash.MakeSeed(),
 	}
 	names, err := opts.FS.ReadDir(dir)
 	if err != nil {
@@ -352,7 +353,7 @@ func (d *Disk) TryPutSchedule(key grid.Key, s *core.Schedule, err error) error {
 	if _, dup := d.index[key]; dup {
 		return nil // content-addressed: the resident record is equal
 	}
-	if d.size >= d.opts.SegmentBytes {
+	if d.size >= d.segmentBytes {
 		if err := d.openSegment(d.active+1, true); err != nil {
 			d.writeErrs.Add(1)
 			return err

@@ -217,7 +217,8 @@ func TestDiskCrashRecovery(t *testing.T) {
 func TestDiskSegmentRollAndMidLogTear(t *testing.T) {
 	dir := t.TempDir()
 	entries := solveN(t, 6)
-	d := mustOpen(t, dir, Options{SegmentBytes: 1}) // roll after every record
+	d := mustOpen(t, dir, Options{})
+	d.segmentBytes = 1 // roll after every record
 	for _, e := range entries {
 		d.PutSchedule(e.key, e.s, nil)
 	}
@@ -230,7 +231,7 @@ func TestDiskSegmentRollAndMidLogTear(t *testing.T) {
 	}
 	sort.Strings(segs)
 
-	d2 := mustOpen(t, dir, Options{SegmentBytes: 1})
+	d2 := mustOpen(t, dir, Options{})
 	if st := d2.Stats(); st.RecoveredEntries != int64(len(entries)) {
 		t.Fatalf("multi-segment recovery: want %d entries, got %d", len(entries), st.RecoveredEntries)
 	}
@@ -247,7 +248,8 @@ func TestDiskSegmentRollAndMidLogTear(t *testing.T) {
 	if err := os.WriteFile(segs[mid], []byte{1, 2, 3}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d3 := mustOpen(t, dir, Options{SegmentBytes: 1})
+	d3 := mustOpen(t, dir, Options{})
+	d3.segmentBytes = 1
 	st := d3.Stats()
 	if st.TornRecordsDropped != 1 {
 		t.Fatalf("want 1 truncation event, got %d", st.TornRecordsDropped)

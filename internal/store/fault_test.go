@@ -99,11 +99,10 @@ func TestDiskReadErrorDegradesToMiss(t *testing.T) {
 // it and tiered residency resumes.
 func TestTieredBreakerDegradeAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	entries := solveN(t, 8)
+	const trip = fault.BreakerThreshold
+	entries := solveN(t, trip+5)
 	d, reg := faultyOpen(t, dir, 13)
-	tiered := NewTieredWith(grid.NewMemStore(0), d, TieredOptions{
-		BreakerThreshold: 3, BreakerCooldown: time.Second,
-	})
+	tiered := NewTiered(grid.NewMemStore(0), d)
 	now := time.Unix(0, 0)
 	tiered.Breaker().SetClock(func() time.Time { return now })
 
@@ -113,17 +112,17 @@ func TestTieredBreakerDegradeAndRecover(t *testing.T) {
 		t.Fatalf("healthy stats = %+v", st)
 	}
 
-	// Persistent write failure: three distinct puts trip the breaker. Every
-	// put still lands in memory — no request-visible failure.
+	// Persistent write failure: BreakerThreshold distinct puts trip the
+	// breaker. Every put still lands in memory — no request-visible failure.
 	reg.Arm("fs.write", fault.Spec{Prob: 1, Err: true})
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= trip; i++ {
 		tiered.PutSchedule(entries[i].key, entries[i].s, nil)
 	}
 	st := tiered.Stats()
 	if st.BreakerState != "open" || !st.MemDegraded || st.BreakerTrips != 1 {
-		t.Fatalf("after 3 failures: %+v", st)
+		t.Fatalf("after %d failures: %+v", trip, st)
 	}
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= trip; i++ {
 		if _, _, ok := tiered.GetSchedule(entries[i].key); !ok {
 			t.Fatalf("memory tier lost entry %d during degradation", i)
 		}
@@ -132,11 +131,11 @@ func TestTieredBreakerDegradeAndRecover(t *testing.T) {
 	// While open: disk is never consulted (a faulted read would panic the
 	// counters otherwise) and further puts are memory-only, not scored.
 	reg.Arm("fs.read", fault.Spec{Prob: 1, Err: true})
-	tiered.PutSchedule(entries[4].key, entries[4].s, nil)
-	if _, _, ok := tiered.GetSchedule(entries[5].key); ok {
+	tiered.PutSchedule(entries[trip+1].key, entries[trip+1].s, nil)
+	if _, _, ok := tiered.GetSchedule(entries[trip+2].key); ok {
 		t.Fatal("absent key reported resident while degraded")
 	}
-	if got := tiered.Stats(); got.DiskWriteErrs != 3 || got.DiskReadErrs != 0 {
+	if got := tiered.Stats(); got.DiskWriteErrs != trip || got.DiskReadErrs != 0 {
 		t.Fatalf("degraded mode still touched the disk: %+v", got)
 	}
 
@@ -151,8 +150,8 @@ func TestTieredBreakerDegradeAndRecover(t *testing.T) {
 	// Faults clear, cooldown elapses: the next disk operation is the reopen
 	// probe and re-closes the breaker.
 	reg.DisarmAll()
-	now = now.Add(time.Second)
-	tiered.PutSchedule(entries[6].key, entries[6].s, nil)
+	now = now.Add(fault.BreakerCooldown)
+	tiered.PutSchedule(entries[trip+3].key, entries[trip+3].s, nil)
 	st = tiered.Stats()
 	if st.BreakerState != "closed" || st.MemDegraded || st.BreakerRecloses != 1 {
 		t.Fatalf("after recovery: %+v", st)
@@ -170,13 +169,13 @@ func TestTieredBreakerDegradeAndRecover(t *testing.T) {
 
 	// A half-open probe that fails re-trips immediately.
 	reg.Arm("fs.write", fault.Spec{Prob: 1, Err: true})
-	for i := 0; i < 3; i++ {
-		tiered.PutSchedule(entries[7].key, entries[7].s, nil)
+	for i := 0; i < trip; i++ {
+		tiered.PutSchedule(entries[trip+4].key, entries[trip+4].s, nil)
 	}
 	if got := tiered.Stats(); got.BreakerState != "open" || got.BreakerTrips != 2 {
 		t.Fatalf("re-trip failed: %+v", got)
 	}
-	now = now.Add(time.Second)
+	now = now.Add(fault.BreakerCooldown)
 	if err := tiered.PutBlob("cp2", []byte("y")); err == nil {
 		t.Fatal("half-open probe against a still-dead disk succeeded")
 	}

@@ -50,30 +50,11 @@ type Tiered struct {
 	observe func(tier, op string, seconds float64)
 }
 
-// TieredOptions tunes the degradation policy. The zero value selects the
-// defaults.
-type TieredOptions struct {
-	// BreakerThreshold is the consecutive disk-failure count that trips the
-	// store into memory-only mode (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long the disk is rested before a reopen probe
-	// (default 5s).
-	BreakerCooldown time.Duration
-}
-
-// NewTiered returns mem layered over disk with the default degradation
-// policy.
+// NewTiered returns mem layered over disk. Its breaker trips into
+// memory-only mode after fault.BreakerThreshold consecutive disk failures
+// and rests the disk for fault.BreakerCooldown before a reopen probe.
 func NewTiered(mem grid.Store, disk *Disk) *Tiered {
-	return NewTieredWith(mem, disk, TieredOptions{})
-}
-
-// NewTieredWith returns mem layered over disk with an explicit policy.
-func NewTieredWith(mem grid.Store, disk *Disk, opts TieredOptions) *Tiered {
-	return &Tiered{
-		mem:     mem,
-		disk:    disk,
-		breaker: fault.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
-	}
+	return &Tiered{mem: mem, disk: disk, breaker: fault.NewBreaker()}
 }
 
 // Breaker exposes the disk circuit breaker (tests drive its clock).

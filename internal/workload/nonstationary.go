@@ -27,21 +27,54 @@ type ScenarioKind int
 
 const (
 	// Stationary draws every hyper-period from the stated model (mean at
-	// BaseFrac of the support) — the control arm: an adaptive controller
+	// baseFrac of the support) — the control arm: an adaptive controller
 	// must not pay for adaptivity here.
 	Stationary ScenarioKind = iota
-	// ModeSwitch alternates the workload mean between BaseFrac and AltFrac
+	// ModeSwitch alternates the workload mean between baseFrac and altFrac
 	// every SwitchEvery hyper-periods — an application flipping between
 	// operating modes (k4.0s-style criticality-mode behaviour).
 	ModeSwitch
-	// DriftingMean moves the mean linearly from BaseFrac to AltFrac over
+	// DriftingMean moves the mean linearly from baseFrac to altFrac over
 	// DriftOver hyper-periods, then holds — slow environmental drift.
 	DriftingMean
-	// BurstyTail runs at BaseFrac but enters AltFrac bursts (BurstLen
-	// hyper-periods, started with probability BurstProb per hyper-period)
-	// and salts every draw with a TailProb chance of a near-WCEC outlier —
+	// BurstyTail runs at baseFrac but enters altFrac bursts (burstLen
+	// hyper-periods, started with probability burstProb per hyper-period)
+	// and salts every draw with a tailProb chance of a near-WCEC outlier —
 	// heavy-tailed load with correlated heavy episodes.
 	BurstyTail
+)
+
+// The regime constants every scenario runs. Means are fractions of each
+// task's [BCEC, WCEC] support: frac f places task t's mean at
+// BCEC_t + f·(WCEC_t − BCEC_t), so one scenario drives every task of a
+// heterogeneous set coherently.
+const (
+	// baseFrac is the initial/regime-A mean fraction: the stated ACEC of
+	// sets built by Random/WithRatio, so Stationary matches the solved model
+	// exactly.
+	baseFrac = 0.5
+	// altFrac is the regime-B / drift-target / burst mean fraction: the
+	// workload runs heavier than the stated model. Heavier regimes are where
+	// adaptation pays most: a schedule whose end-times were tuned for a
+	// light average forces late pieces to high voltages when work runs long
+	// (energy is convex in speed), while lighter-than-modelled regimes are
+	// largely recovered at runtime by greedy reclamation anyway.
+	altFrac = 0.85
+	// burstProb is the per-hyper-period probability a BurstyTail burst
+	// begins, and burstLen its length in hyper-periods.
+	burstProb = 0.03
+	burstLen  = 10
+	// tailProb is the BurstyTail per-draw probability of a near-WCEC
+	// outlier outside bursts.
+	tailProb = 0.02
+	// sigmaFrac is the per-draw standard deviation as a fraction of the
+	// support span (the paper's §4 choice). Near the support edges σ is
+	// capped at a third of the distance to the nearer edge, so the ±3σ
+	// window always fits inside [BCEC, WCEC] — the same property the
+	// paper's midpoint-mean choice has — and truncation never biases the
+	// realised mean away from the regime mean (which MeanFrac reports as
+	// ground truth).
+	sigmaFrac = 1.0 / 6
 )
 
 // String names the scenario kind.
@@ -76,97 +109,33 @@ func ParseScenarioKind(s string) (ScenarioKind, error) {
 	}
 }
 
-// ScenarioConfig parameterises a nonstationary scenario. Means are expressed
-// as fractions of each task's [BCEC, WCEC] support: frac f places task t's
-// mean at BCEC_t + f·(WCEC_t − BCEC_t), so one config drives every task of a
-// heterogeneous set coherently.
+// ScenarioConfig parameterises a nonstationary scenario; the regime means
+// and burst shape are the constants above.
 type ScenarioConfig struct {
 	// Kind selects the family.
 	Kind ScenarioKind
 	// Seed derives every hyper-period's draw stream. Equal seeds give
 	// byte-identical streams.
 	Seed uint64
-	// BaseFrac is the initial/regime-A mean fraction (default 0.5 — the
-	// stated ACEC of sets built by Random/WithRatio, so Stationary matches
-	// the solved model exactly).
-	BaseFrac float64
-	// AltFrac is the regime-B / drift-target / burst mean fraction
-	// (default 0.85 — the workload runs heavier than the stated model).
-	// Heavier regimes are where adaptation pays most: a schedule whose
-	// end-times were tuned for a light average forces late pieces to high
-	// voltages when work runs long (energy is convex in speed), while
-	// lighter-than-modelled regimes are largely recovered at runtime by
-	// greedy reclamation anyway.
-	AltFrac float64
 	// SwitchEvery is the ModeSwitch regime length in hyper-periods
 	// (default 120).
 	SwitchEvery int
 	// DriftOver is the DriftingMean transition length in hyper-periods
 	// (default 240).
 	DriftOver int
-	// BurstProb is the per-hyper-period probability a BurstyTail burst
-	// begins (default 0.03; negative requests exactly zero — no bursts).
-	BurstProb float64
-	// BurstLen is the BurstyTail burst length in hyper-periods (default 10).
-	BurstLen int
-	// TailProb is the BurstyTail per-draw probability of a near-WCEC
-	// outlier outside bursts (default 0.02; negative requests exactly
-	// zero — no outliers).
-	TailProb float64
-	// SigmaFrac is the per-draw standard deviation as a fraction of the
-	// support span (default 1/6, the paper's §4 choice). Near the support
-	// edges σ is capped at a third of the distance to the nearer edge, so
-	// the ±3σ window always fits inside [BCEC, WCEC] — the same property
-	// the paper's midpoint-mean choice has — and truncation never biases
-	// the realised mean away from the regime mean (which MeanFrac reports
-	// as ground truth).
-	SigmaFrac float64
 }
 
 func (c ScenarioConfig) withDefaults() (ScenarioConfig, error) {
-	if c.BaseFrac == 0 {
-		c.BaseFrac = 0.5
-	}
-	if c.AltFrac == 0 {
-		c.AltFrac = 0.85
-	}
 	if c.SwitchEvery <= 0 {
 		c.SwitchEvery = 120
 	}
 	if c.DriftOver <= 0 {
 		c.DriftOver = 240
 	}
-	if c.BurstProb == 0 {
-		c.BurstProb = 0.03
-	} else if c.BurstProb < 0 {
-		c.BurstProb = 0
-	}
-	if c.BurstLen <= 0 {
-		c.BurstLen = 10
-	}
-	if c.TailProb == 0 {
-		c.TailProb = 0.02
-	} else if c.TailProb < 0 {
-		c.TailProb = 0
-	}
-	if c.SigmaFrac == 0 {
-		c.SigmaFrac = 1.0 / 6
-	}
 	switch c.Kind {
 	case Stationary, ModeSwitch, DriftingMean, BurstyTail:
 	default:
 		return c, fmt.Errorf("workload: unknown scenario kind %v", c.Kind)
-	}
-	for _, f := range []float64{c.BaseFrac, c.AltFrac} {
-		if f < 0 || f > 1 {
-			return c, fmt.Errorf("workload: scenario mean fraction %g outside [0,1]", f)
-		}
-	}
-	if c.BurstProb < 0 || c.BurstProb > 1 || c.TailProb < 0 || c.TailProb > 1 {
-		return c, fmt.Errorf("workload: scenario probabilities must lie in [0,1]")
-	}
-	if c.SigmaFrac < 0 {
-		return c, fmt.Errorf("workload: SigmaFrac must be non-negative, got %g", c.SigmaFrac)
 	}
 	return c, nil
 }
@@ -189,12 +158,6 @@ func NewScenario(set *task.Set, cfg ScenarioConfig) (*Scenario, error) {
 	return &Scenario{set: set, cfg: c}, nil
 }
 
-// Config returns the resolved configuration (defaults applied).
-func (s *Scenario) Config() ScenarioConfig { return s.cfg }
-
-// Set returns the task set the scenario draws for.
-func (s *Scenario) Set() *task.Set { return s.set }
-
 // hyperSeed derives the dedicated seed of hyper-period h's draw stream: a
 // two-round SplitMix64 mix of (Seed, h, purpose), so streams of adjacent
 // hyper-periods — and the burst-decision stream — never overlap.
@@ -204,16 +167,16 @@ func (s *Scenario) hyperSeed(h int, purpose uint64) uint64 {
 }
 
 // burstActive reports whether a BurstyTail burst covers hyper-period h:
-// a burst started at any h₀ ∈ (h−BurstLen, h] — a pure function of h, so
+// a burst started at any h₀ ∈ (h−burstLen, h] — a pure function of h, so
 // burst episodes are identical however the horizon is chunked.
 func (s *Scenario) burstActive(h int) bool {
-	for h0 := h - s.cfg.BurstLen + 1; h0 <= h; h0++ {
+	for h0 := h - burstLen + 1; h0 <= h; h0++ {
 		if h0 < 0 {
 			continue
 		}
 		r := stats.RNG{}
 		r.Reset(s.hyperSeed(h0, 2))
-		if r.Float64() < s.cfg.BurstProb {
+		if r.Float64() < burstProb {
 			return true
 		}
 	}
@@ -228,22 +191,22 @@ func (s *Scenario) MeanFrac(h int) float64 {
 	switch c.Kind {
 	case ModeSwitch:
 		if (h/c.SwitchEvery)%2 == 1 {
-			return c.AltFrac
+			return altFrac
 		}
-		return c.BaseFrac
+		return baseFrac
 	case DriftingMean:
 		if h >= c.DriftOver {
-			return c.AltFrac
+			return altFrac
 		}
 		t := float64(h) / float64(c.DriftOver)
-		return c.BaseFrac + t*(c.AltFrac-c.BaseFrac)
+		return baseFrac + t*(altFrac-baseFrac)
 	case BurstyTail:
 		if s.burstActive(h) {
-			return c.AltFrac
+			return altFrac
 		}
-		return c.BaseFrac
+		return baseFrac
 	default: // Stationary
-		return c.BaseFrac
+		return baseFrac
 	}
 }
 
@@ -258,7 +221,6 @@ func (s *Scenario) FillActuals(h int, taskOf []int, buf []float64) error {
 	if len(taskOf) != len(buf) {
 		return fmt.Errorf("workload: %d instances but %d buffer slots", len(taskOf), len(buf))
 	}
-	c := &s.cfg
 	frac := s.MeanFrac(h)
 	var rng stats.RNG
 	rng.Reset(s.hyperSeed(h, 1))
@@ -269,13 +231,13 @@ func (s *Scenario) FillActuals(h int, taskOf []int, buf []float64) error {
 		tk := &s.set.Tasks[t]
 		span := tk.WCEC - tk.BCEC
 		mean := tk.BCEC + frac*span
-		if c.Kind == BurstyTail && rng.Float64() < c.TailProb {
+		if s.cfg.Kind == BurstyTail && rng.Float64() < tailProb {
 			// Heavy-tail outlier: a near-worst-case release.
 			mean = tk.BCEC + 0.95*span
 		}
 		// Cap σ so ±3σ fits the support: truncation then never biases the
-		// realised mean off the regime mean (see SigmaFrac).
-		sigma := c.SigmaFrac * span
+		// realised mean off the regime mean (see sigmaFrac).
+		sigma := sigmaFrac * span
 		if lim := (mean - tk.BCEC) / 3; sigma > lim {
 			sigma = lim
 		}

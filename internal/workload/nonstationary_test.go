@@ -176,10 +176,10 @@ func TestScenarioRegimeStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ms.MeanFrac(0) != 0.5 || ms.MeanFrac(49) != 0.5 {
-		t.Error("modeswitch regime A should sit at BaseFrac")
+		t.Error("modeswitch regime A should sit at baseFrac")
 	}
 	if ms.MeanFrac(50) != 0.85 || ms.MeanFrac(99) != 0.85 {
-		t.Error("modeswitch regime B should sit at AltFrac")
+		t.Error("modeswitch regime B should sit at altFrac")
 	}
 	if ms.MeanFrac(100) != 0.5 {
 		t.Error("modeswitch should return to regime A")
@@ -196,7 +196,7 @@ func TestScenarioRegimeStructure(t *testing.T) {
 	for h := 1; h <= 100; h++ {
 		f := dr.MeanFrac(h)
 		if f < prev {
-			t.Fatalf("drift toward a higher AltFrac fell at h=%d", h)
+			t.Fatalf("drift toward a higher altFrac fell at h=%d", h)
 		}
 		prev = f
 	}
@@ -204,7 +204,7 @@ func TestScenarioRegimeStructure(t *testing.T) {
 		t.Errorf("drift endpoint %g, want 0.85", got)
 	}
 	if dr.MeanFrac(500) != 0.85 {
-		t.Error("drift should hold AltFrac after DriftOver")
+		t.Error("drift should hold altFrac after DriftOver")
 	}
 
 	// Empirical regime means track the ground truth (σ/√n puts 0.02 of the
@@ -236,7 +236,7 @@ func TestScenarioRegimeStructure(t *testing.T) {
 // shows up as near-WCEC draws outside bursts.
 func TestScenarioBurstyTail(t *testing.T) {
 	set := scenarioSet(t)
-	sc, err := NewScenario(set, ScenarioConfig{Kind: BurstyTail, Seed: 9, BurstProb: 0.05, BurstLen: 8})
+	sc, err := NewScenario(set, ScenarioConfig{Kind: BurstyTail, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestScenarioBurstyTail(t *testing.T) {
 		}
 	}
 	if burst == 0 {
-		t.Fatal("no burst hyper-periods in 400 — BurstProb broken")
+		t.Fatal("no burst hyper-periods in 400 — burstProb broken")
 	}
 	if burst == horizon {
 		t.Fatal("every hyper-period in a burst")
@@ -259,9 +259,6 @@ func TestScenarioValidation(t *testing.T) {
 	set := scenarioSet(t)
 	if _, err := NewScenario(nil, ScenarioConfig{}); err == nil {
 		t.Error("nil set accepted")
-	}
-	if _, err := NewScenario(set, ScenarioConfig{BaseFrac: 1.5}); err == nil {
-		t.Error("out-of-range BaseFrac accepted")
 	}
 	if _, err := NewScenario(set, ScenarioConfig{Kind: ScenarioKind(99)}); err == nil {
 		t.Error("unknown kind accepted")
