@@ -2,12 +2,16 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/grid"
@@ -529,5 +533,67 @@ func TestParentCheckpointRestores(t *testing.T) {
 	_, want := get(t, ref.URL+"/v1/sessions/dev")
 	if code, got := get(t, ts.URL+"/v1/sessions/dev"); code != http.StatusOK || got != want {
 		t.Errorf("status of the restored session: %d %s, want %s", code, got, want)
+	}
+}
+
+// recordingBlobs is an in-memory BlobStore that keeps every session
+// checkpoint it is handed, in write order.
+type recordingBlobs struct {
+	*store.MemBlobs
+	mu    sync.Mutex
+	saved [][]byte
+}
+
+func (r *recordingBlobs) PutBlob(name string, data []byte) error {
+	if strings.HasPrefix(name, "session-") {
+		r.mu.Lock()
+		r.saved = append(r.saved, append([]byte(nil), data...))
+		r.mu.Unlock()
+	}
+	return r.MemBlobs.PutBlob(name, data)
+}
+
+// TestSessionCheckpointBytesPinned pins the bytes of every session
+// checkpoint one fixed history writes: a create with non-default drift
+// knobs and two starts, observes that drift and re-solve, and an exact
+// retry of the last batch, which replays its bytes and writes nothing. A
+// change that moves a checkpoint byte fails here; one that means to re-pins
+// the digest and says why. Solver output is pinned for amd64 floating point.
+func TestSessionCheckpointBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("solver output is pinned for amd64 floating point")
+	}
+	blobs := &recordingBlobs{MemBlobs: store.NewMemBlobs()}
+	_, ts := newTestServer(t, Options{Checkpoints: blobs})
+	body, rows := sessionRows(t, 4, "pin", 120)
+	body = strings.TrimSuffix(body, "}") +
+		`,"starts":2,"drift_delta":0.5,"drift_lambda":6,"min_samples":8,"relearn":10}`
+	if code, resp := post(t, ts.URL+"/v1/sessions", body); code != http.StatusOK {
+		t.Fatalf("create: %d %s", code, resp)
+	}
+	var last string
+	resolved := false
+	for at := 0; at < len(rows); at += 15 {
+		code, resp := post(t, ts.URL+"/v1/sessions/pin/observe", observeAtBody(t, rows[at:at+15], int64(at)))
+		if code != http.StatusOK {
+			t.Fatalf("observe at %d: %d %s", at, code, resp)
+		}
+		resolved = resolved || strings.Contains(resp, `"resolved":true`)
+		last = resp
+	}
+	if !resolved {
+		t.Fatal("the history never re-solved")
+	}
+	at := len(rows) - 15
+	if code, resp := post(t, ts.URL+"/v1/sessions/pin/observe", observeAtBody(t, rows[at:], int64(at))); code != http.StatusOK || resp != last {
+		t.Fatalf("exact retry: %d %s, want %s", code, resp, last)
+	}
+	h := sha256.New()
+	for _, b := range blobs.saved {
+		h.Write(b)
+	}
+	const want = "288a29c36e90cc4e5b59452b162a21a1cbedd2081db53867c57e87c1d4a11388"
+	if n, got := len(blobs.saved), hex.EncodeToString(h.Sum(nil)); n != 9 || got != want {
+		t.Errorf("%d checkpoints with digest %s, want 9 with %s", n, got, want)
 	}
 }

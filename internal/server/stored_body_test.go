@@ -344,6 +344,62 @@ func TestStoredBodyAllocs(t *testing.T) {
 	}
 }
 
+// TestObserveAllocs pins the allocations of a cheap observe through the
+// handler, with a fresh request and recorder each time: one hyper-period at
+// the model's ACEC, so nothing drifts, folded and checkpointed into an
+// in-memory blob store. The session has folded 100 hyper-periods first, so
+// every measured response counts three digits. The count is go1.24's, pinned
+// exactly; a race build only bounds it, as in TestStoredBodyAllocs. A
+// change that moves it re-pins it and says why.
+func TestObserveAllocs(t *testing.T) {
+	s := New(Options{Checkpoints: store.NewMemBlobs()})
+	defer s.Close()
+	h := s.Handler()
+	serve := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rec
+	}
+	body, set := sessionBody(t, 4)
+	if rec := serve("/v1/sessions", body); rec.Code != http.StatusOK {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	ins, err := set.Instances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, len(ins))
+	for i := range ins {
+		row[i] = set.Tasks[ins[i].TaskIndex].ACEC
+	}
+	obs := "/v1/sessions/s1/observe"
+	if rec := serve(obs, observeBody(t, slices.Repeat([][]float64{row}, 100))); rec.Code != http.StatusOK {
+		t.Fatalf("pre-fold: %d %s", rec.Code, rec.Body)
+	}
+	one := observeBody(t, [][]float64{row})
+
+	const runs, allocs, raceMax = 100, 50, 61
+	var last *httptest.ResponseRecorder
+	var reads [3]float64
+	for i := range reads {
+		reads[i] = testing.AllocsPerRun(runs, func() { last = serve(obs, one) })
+	}
+	slices.Sort(reads[:])
+	got := reads[1]
+	if last.Code != http.StatusOK || !strings.Contains(last.Body.String(), `"drift":false,"resolved":false`) {
+		t.Fatalf("last observe: %d %s, want a 200 without drift", last.Code, last.Body)
+	}
+	if n := s.session("s1").ctrl.Observed(); n != 100+int64(len(reads)*(runs+1)) {
+		t.Fatalf("session folded %d hyper-periods, want %d", n, 100+len(reads)*(runs+1))
+	}
+	switch {
+	case raceEnabled && got > raceMax:
+		t.Errorf("%g allocations per observe in a race build, want at most %d", got, raceMax)
+	case !raceEnabled && got != allocs:
+		t.Errorf("%g allocations per observe, want %d", got, allocs)
+	}
+}
+
 // fuzzCostly reports whether a submit body asks for a solve too slow for a
 // fuzz smoke run: more than 2 starts, or a set of more than 64 instances per
 // hyper-period. Such bodies take the same handler path with a longer solve,
