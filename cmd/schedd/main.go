@@ -98,6 +98,12 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
+	if *starts > server.MaxStarts {
+		return fmt.Errorf("-starts %d exceeds the limit of %d", *starts, server.MaxStarts)
+	}
+	if *simReps > server.MaxSimHyperperiods {
+		return fmt.Errorf("-hyperperiods %d exceeds the limit of %d", *simReps, server.MaxSimHyperperiods)
+	}
 
 	memoBytes := *cacheMB << 20
 	if *cacheMB < 0 {

@@ -67,13 +67,19 @@ func TestRunServeAndShutdown(t *testing.T) {
 
 // TestRunFlagErrors: bad invocations fail without binding a listener.
 func TestRunFlagErrors(t *testing.T) {
+	// Canceled up front: were a check missing, run would serve and return
+	// nil at once instead of blocking.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, args := range [][]string{
 		{"-no-such-flag"},
 		{"-addr", "127.0.0.1:0", "trailing"},
 		{"-addr", "999.999.999.999:99999"},
+		{"-addr", "127.0.0.1:0", "-starts", "17"},
+		{"-addr", "127.0.0.1:0", "-hyperperiods", "10001"},
 	} {
 		var out strings.Builder
-		if err := run(context.Background(), args, &out, nil); err == nil {
+		if err := run(ctx, args, &out, nil); err == nil {
 			t.Errorf("args %v: expected an error", args)
 		}
 	}

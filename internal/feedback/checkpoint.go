@@ -100,8 +100,10 @@ func restoreSetEstimator(set *task.Set, states []TaskEstimatorState) (*SetEstima
 	}
 	se := NewSetEstimator(set)
 	for i, st := range states {
-		if st.Count < 0 {
-			return nil, fmt.Errorf("feedback: snapshot estimator %d has negative count", i)
+		// Welford's sum of squared deviations never goes negative; a
+		// negative one would report a NaN standard deviation.
+		if st.Count < 0 || st.M2 < 0 {
+			return nil, fmt.Errorf("feedback: snapshot estimator %d has a negative count or M2", i)
 		}
 		se.tasks[i] = TaskEstimator{count: st.Count, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max}
 	}

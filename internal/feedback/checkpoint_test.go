@@ -125,6 +125,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		"negative observed":   func(st *ControllerState) { st.Observed = -1 },
 		"missing estimator":   func(st *ControllerState) { st.Life = st.Life[1:] },
 		"negative count":      func(st *ControllerState) { st.Relearn[0].Count = -1 },
+		"negative m2":         func(st *ControllerState) { st.Life[0].M2 = -1 },
 		"empty base set":      func(st *ControllerState) { st.Base = nil },
 		"model task mismatch": func(st *ControllerState) { st.Model = st.Model[1:] },
 		"invalid model task":  func(st *ControllerState) { st.Model[0].WCEC = -1 },

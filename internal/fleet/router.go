@@ -119,9 +119,9 @@ func (r *Router) Close() { r.topo.Close() }
 
 // readBody drains the request body under the same cap the peers decode with.
 func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 4<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, server.MaxRequestBody))
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err), 0)
+		server.WriteError(w, http.StatusBadRequest, "reading request: %v", err)
 		return nil, false
 	}
 	return body, true
@@ -215,7 +215,7 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request, key, path strin
 	w.Header().Set(obs.TraceHeader, tid)
 	owners := r.ring.Owners(key, r.opts.Replicas)
 	if len(owners) == 0 {
-		writeJSONError(w, http.StatusServiceUnavailable, "fleet: no peers configured", r.retryAfterSecs())
+		server.WriteError(w, http.StatusServiceUnavailable, "fleet: no peers configured")
 		r.fleet503s.Add(1)
 		return
 	}
@@ -255,12 +255,12 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request, key, path strin
 		writePeerResult(w, last)
 		return
 	}
-	// Fleet-originated 503: every replica dead or breaker-tripped. Carries
-	// Retry-After like every other 503 in the system — breakers half-open
-	// after their cooldown, so the condition clears.
+	// Fleet-originated 503: every replica dead or breaker-tripped. It
+	// carries Retry-After: 1 like every other 503 in the system — breakers
+	// half-open after their cooldown, so the condition clears.
 	r.fleet503s.Add(1)
-	writeJSONError(w, http.StatusServiceUnavailable,
-		fmt.Sprintf("fleet: no replica of %d reachable for this key", len(owners)), r.retryAfterSecs())
+	server.WriteError(w, http.StatusServiceUnavailable,
+		"fleet: no replica of %d reachable for this key", len(owners))
 }
 
 // trySequential walks the replica set in ownership order: first healthy
@@ -375,13 +375,6 @@ func (r *Router) noteServed(peer string, idx int, session bool) {
 	}
 }
 
-// retryAfterSecs is the Retry-After for fleet-originated 503s. The
-// condition clears when a breaker half-opens or a peer revives, so 1s — the
-// system-wide 503 default — is the honest hint.
-func (r *Router) retryAfterSecs() int {
-	return 1
-}
-
 // writePeerResult relays a peer's answer verbatim: status, body bytes, and
 // the headers the contract cares about. A relayed 503 always carries
 // Retry-After, even if the peer's somehow did not.
@@ -398,23 +391,6 @@ func writePeerResult(w http.ResponseWriter, res *peerResult) {
 	}
 	w.WriteHeader(res.status)
 	w.Write(res.body)
-}
-
-// writeJSONError is the router's own error shape — the same {"error": ...}
-// the peers emit, so clients parse one shape everywhere.
-func writeJSONError(w http.ResponseWriter, status int, msg string, retryAfterSecs int) {
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusServiceUnavailable {
-		if retryAfterSecs <= 0 {
-			retryAfterSecs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
-	}
-	w.WriteHeader(status)
-	buf, _ := json.Marshal(struct {
-		Error string `json:"error"`
-	}{msg})
-	w.Write(append(buf, '\n'))
 }
 
 // RegisterMetrics bridges the router's routing counters into a metric

@@ -327,11 +327,12 @@ func TestFleet503RetryAfter(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("dead fleet answered %d %s, want 503", code, body)
 	}
-	if ra := hdr.Get("Retry-After"); ra == "" {
-		t.Error("fleet-originated 503 is missing Retry-After")
+	if ra := hdr.Get("Retry-After"); ra != "1" {
+		t.Errorf("fleet-originated 503 carries Retry-After %q, want 1", ra)
 	}
-	if !strings.Contains(body, `"error"`) {
-		t.Errorf("fleet 503 body %q is not the standard error shape", body)
+	// The server's error shape, byte for byte.
+	if want := `{"error":"fleet: no replica of 2 reachable for this key"}` + "\n"; body != want || hdr.Get("Content-Type") != "application/json" {
+		t.Errorf("fleet 503 body %q (%s), want %q (application/json)", body, hdr.Get("Content-Type"), want)
 	}
 	if f.metric("schedd_fleet_503s_total") == 0 {
 		t.Error("fleet-originated 503 not counted on /metrics")

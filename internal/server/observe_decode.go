@@ -19,7 +19,7 @@ import (
 // are what decode alone gives.
 func decodeObserve(r *http.Request, req *ObserveRequest) *apiError {
 	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), presizeLimit)+bytes.MinRead))
-	_, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxRequestBody))
+	_, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, MaxRequestBody))
 	data := buf.Bytes()
 	if err == nil {
 		if fast, ok := parseObserve(data); ok {

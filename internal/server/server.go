@@ -46,6 +46,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -55,6 +56,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -274,11 +276,11 @@ func New(opts Options) *Server {
 		so.SetObserver(s.m.observeTier)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/schedules", s.handleSubmit)
-	mux.HandleFunc("GET /v1/schedules/{fp}", s.handleGet)
-	mux.HandleFunc("POST /v1/compare", s.handleCompare)
-	mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
-	mux.HandleFunc("POST /v1/sessions/{id}/observe", s.handleSessionObserve)
+	mux.HandleFunc("POST /v1/schedules", s.admitted(s.m.submits, s.handleSubmit))
+	mux.HandleFunc("GET /v1/schedules/{fp}", s.admitted(s.m.gets, s.handleGet))
+	mux.HandleFunc("POST /v1/compare", s.admitted(s.m.compares, s.handleCompare))
+	mux.HandleFunc("POST /v1/sessions", s.admitted(s.m.sessionCreates, s.handleSessionCreate))
+	mux.HandleFunc("POST /v1/sessions/{id}/observe", s.admitted(s.m.observes, s.handleSessionObserve))
 	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionGet)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", s.m.reg)
@@ -417,6 +419,29 @@ func (s *Server) acquire(ctx context.Context) (func(), *apiError) {
 		s.m.shed.Inc()
 		return nil, errorf(http.StatusServiceUnavailable,
 			"overloaded: %d requests in flight and the admission queue wait expired", s.opts.MaxInflight)
+	}
+}
+
+// admitted is the prologue of every solving endpoint (submit, GET, compare,
+// session create and observe), built once in New: it counts the request on
+// requests, derives its context (requestContext), claims an admission seat
+// (acquire), runs h, and releases both when h returns or panics.
+func (s *Server) admitted(requests *obs.Counter, h func(context.Context, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
+		ctx, cancel, e := s.requestContext(r)
+		if e != nil {
+			writeResult(w, e)
+			return
+		}
+		defer cancel()
+		release, e := s.acquire(ctx)
+		if e != nil {
+			writeResult(w, e)
+			return
+		}
+		defer release()
+		h(ctx, w, r)
 	}
 }
 
@@ -578,23 +603,31 @@ type CompareResponse struct {
 	WCS            PolicyResult `json:"wcs"`
 }
 
-// canonicalize validates a submit body into its canonical form. All
-// admission rejections happen here or in the WCS build's all-Vmax check
-// (core.InfeasibleError, mapped by solveError) — both before any
-// optimisation sweep runs.
-func (s *Server) canonicalize(req *SubmitRequest) (*canonicalRequest, *apiError) {
-	return canonicalizeSubmit(req, s.opts.Starts, s.opts.MaxTasks)
-}
-
 // maxCores bounds the partitioned pipeline's per-request fan-out: each core
 // is a separate WCS+ACS solve through the shared runner, so the bound plays
 // the same admission role MaxTasks does for set size.
 const maxCores = 16
 
-// canonicalizeSubmit is canonicalization as a pure function of the body and
-// the server defaults it is resolved against — factored out so the fleet
-// router computes the same fingerprint the peers do without holding a
-// *Server. maxTasks <= 0 selects the Options default.
+// MaxStarts bounds a request's resolved multi-start count: the solver sets
+// up a configuration, a result and a goroutine per start before its first
+// solve. It is twice the largest count any command or study runs, and
+// schedd refuses a larger -starts default.
+const MaxStarts = 16
+
+// MaxSimHyperperiods bounds a comparison's resolved horizon: a simulation
+// allocates its per-hyper-period seeds and results before it runs, for both
+// plans at once. It is ten times the paper's 1,000, and schedd refuses a
+// larger -hyperperiods default.
+const MaxSimHyperperiods = 10000
+
+// canonicalizeSubmit validates a request into its canonical form under the
+// server defaults it is resolved against. It is the one door a canonical
+// request enters through: a submit, compare or session body, a stored
+// request blob and a session checkpoint's base set and knobs all pass it,
+// and the fleet router computes the peers' fingerprint with it. All
+// admission rejections happen here or in the WCS build's all-Vmax check
+// (core.InfeasibleError, mapped by solveError), both before any
+// optimisation sweep runs. maxTasks <= 0 selects the Options default.
 func canonicalizeSubmit(req *SubmitRequest, defaultStarts, maxTasks int) (*canonicalRequest, *apiError) {
 	if maxTasks <= 0 {
 		maxTasks = 64
@@ -616,6 +649,10 @@ func canonicalizeSubmit(req *SubmitRequest, defaultStarts, maxTasks int) (*canon
 	cr := &canonicalRequest{set: set, starts: req.Starts, subCap: req.SubCap, cores: req.Cores}
 	if cr.starts <= 0 {
 		cr.starts = defaultStarts
+	}
+	if cr.starts > MaxStarts {
+		return nil, errorf(http.StatusUnprocessableEntity,
+			"admission: starts must lie in [0, %d], got %d", MaxStarts, cr.starts)
 	}
 	if cr.cores < 0 || cr.cores > maxCores {
 		return nil, errorf(http.StatusUnprocessableEntity,
@@ -871,17 +908,6 @@ func solveError(stage string, err error) *apiError {
 	return e
 }
 
-// storedRequest is the persisted form of a canonical request: the canonical
-// (rate-monotonic, named) task set plus the defaulted solver knobs, so a
-// restart rebuilds the exact canonicalRequest without re-applying defaults.
-type storedRequest struct {
-	Tasks     []task.Task `json:"tasks"`
-	Objective string      `json:"objective"`
-	Starts    int         `json:"starts"`
-	SubCap    int         `json:"subcap"`
-	Cores     int         `json:"cores,omitempty"`
-}
-
 // maxStoredBodyBytes caps the total length of the response bodies stored
 // requests hold (Server.bodyCap). storeLimit alone would allow gigabytes: a
 // 64-task body can run to hundreds of KB. Past the cap the pipeline answers.
@@ -922,20 +948,18 @@ func (s *Server) storeBody(fp string, body []byte) {
 }
 
 // remember caches cr and mirrors a newly-seen request into the checkpoint
-// store so GET /v1/schedules/{fp} survives a restart. It returns cache's
-// body and repeat.
+// store so GET /v1/schedules/{fp} survives a restart. The blob is the
+// request as a body: the canonical (rate-monotonic, named) task set, the
+// objective spelled out and the resolved knobs. It returns cache's body and
+// repeat.
 func (s *Server) remember(fp string, cr *canonicalRequest) (body []byte, repeat bool) {
 	body, repeat = s.cache(fp, cr)
 	if repeat || s.opts.Checkpoints == nil {
 		return body, repeat
 	}
-	obj := "acs"
-	if cr.objective == core.WorstCase {
-		obj = "wcs"
-	}
-	blob, err := json.Marshal(&storedRequest{
-		Tasks: cr.set.Tasks, Objective: obj, Starts: cr.starts, SubCap: cr.subCap,
-		Cores: cr.cores,
+	blob, err := json.Marshal(&SubmitRequest{
+		Tasks: cr.set.Tasks, Objective: strings.ToLower(cr.objective.String()),
+		Starts: cr.starts, SubCap: cr.subCap, Cores: cr.cores,
 	})
 	if err == nil {
 		err = s.opts.Checkpoints.PutBlob("request-"+fp, blob)
@@ -948,9 +972,11 @@ func (s *Server) remember(fp string, cr *canonicalRequest) (body []byte, repeat 
 
 // lookup resolves a fingerprint to its canonical request and the body it
 // holds, falling back to the checkpoint store after a restart (or FIFO
-// eviction). A recovered blob is trusted only if its recomputed fingerprint
-// matches the name it was stored under — the same content-address check
-// the cache key provides.
+// eviction). A recovered blob passes the body door, canonicalizeSubmit, with
+// no default starts (it holds its request's resolved ones), so it is
+// accepted exactly when its body would be, and is trusted only if its
+// recomputed fingerprint matches the name it was stored under — the same
+// content-address check the cache key provides.
 func (s *Server) lookup(fp string) (cr *canonicalRequest, body []byte) {
 	s.mu.Lock()
 	if cr = s.requests[fp]; cr != nil {
@@ -964,21 +990,12 @@ func (s *Server) lookup(fp string) (cr *canonicalRequest, body []byte) {
 	if err != nil || !ok {
 		return nil, nil
 	}
-	var sr storedRequest
-	if json.Unmarshal(blob, &sr) != nil {
+	var req SubmitRequest
+	if decodeJSON(bytes.NewReader(blob), &req) != nil {
 		return nil, nil
 	}
-	set, err := task.NewSet(sr.Tasks)
-	if err != nil || core.CheckInstances(set) != nil {
-		return nil, nil
-	}
-	cr = &canonicalRequest{set: set, starts: sr.Starts, subCap: sr.SubCap, cores: sr.Cores}
-	switch sr.Objective {
-	case "acs":
-		cr.objective = core.AverageCase
-	case "wcs":
-		cr.objective = core.WorstCase
-	default:
+	cr, e := canonicalizeSubmit(&req, 0, s.opts.MaxTasks)
+	if e != nil {
 		return nil, nil
 	}
 	if got, e := cr.fingerprint(); e != nil || got != fp {
@@ -991,13 +1008,14 @@ func (s *Server) lookup(fp string) (cr *canonicalRequest, body []byte) {
 	return cr, nil
 }
 
-// maxRequestBody caps every JSON request body decode reads.
-const maxRequestBody = 4 << 20
+// MaxRequestBody caps every request body the server decodes and the fleet
+// router forwards.
+const MaxRequestBody = 4 << 20
 
 // decode reads a JSON body strictly: unknown fields are rejected so that a
 // mistyped request cannot silently alias a different canonical form.
 func decode(r *http.Request, into any) *apiError {
-	return decodeJSON(http.MaxBytesReader(nil, r.Body, maxRequestBody), into)
+	return decodeJSON(http.MaxBytesReader(nil, r.Body, MaxRequestBody), into)
 }
 
 // decodeJSON is decode's encoding/json path over an already limited reader.
@@ -1056,27 +1074,21 @@ func writeResult(w http.ResponseWriter, v any) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.m.submits.Inc()
+// WriteError answers status with the server's error body, {"error":msg}
+// and a newline, and Retry-After: 1 on a 503: the shape every error the
+// server and the fleet router originate shares.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	writeResult(w, errorf(status, format, args...))
+}
+
+func (s *Server) handleSubmit(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	s.failpoint("handler.panic")
-	ctx, cancel, e := s.requestContext(r)
-	if e != nil {
-		writeResult(w, e)
-		return
-	}
-	defer cancel()
-	release, e := s.acquire(ctx)
-	if e != nil {
-		writeResult(w, e)
-		return
-	}
-	defer release()
 	var req SubmitRequest
 	if e := decode(r, &req); e != nil {
 		writeResult(w, e)
 		return
 	}
-	cr, e := s.canonicalize(&req)
+	cr, e := canonicalizeSubmit(&req, s.opts.Starts, s.opts.MaxTasks)
 	if e != nil {
 		writeResult(w, e)
 		return
@@ -1094,20 +1106,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.serveSchedule(ctx, w, cr, fp, repeat)
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.m.gets.Inc()
-	ctx, cancel, e := s.requestContext(r)
-	if e != nil {
-		writeResult(w, e)
-		return
-	}
-	defer cancel()
-	release, e := s.acquire(ctx)
-	if e != nil {
-		writeResult(w, e)
-		return
-	}
-	defer release()
+func (s *Server) handleGet(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	cr, body := s.lookup(fp)
 	switch {
@@ -1150,20 +1149,7 @@ func (s *Server) writeStored(w http.ResponseWriter, body []byte) {
 	writeBody(w, http.StatusOK, body)
 }
 
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	s.m.compares.Inc()
-	ctx, cancel, e := s.requestContext(r)
-	if e != nil {
-		writeResult(w, e)
-		return
-	}
-	defer cancel()
-	release, e := s.acquire(ctx)
-	if e != nil {
-		writeResult(w, e)
-		return
-	}
-	defer release()
+func (s *Server) handleCompare(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	var req CompareRequest
 	if e := decode(r, &req); e != nil {
 		writeResult(w, e)
@@ -1176,7 +1162,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			"compare solves both objectives; omit the objective field (got %q)", req.Objective))
 		return
 	}
-	cr, e := s.canonicalize(&req.SubmitRequest)
+	cr, e := canonicalizeSubmit(&req.SubmitRequest, s.opts.Starts, s.opts.MaxTasks)
 	if e != nil {
 		writeResult(w, e)
 		return
@@ -1197,6 +1183,11 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	h := req.Hyperperiods
 	if h <= 0 {
 		h = s.opts.SimHyperperiods
+	}
+	if h > MaxSimHyperperiods {
+		writeResult(w, errorf(http.StatusUnprocessableEntity,
+			"admission: hyperperiods must lie in [0, %d], got %d", MaxSimHyperperiods, h))
+		return
 	}
 	seed := req.Seed
 	if seed == 0 {

@@ -228,7 +228,7 @@ func TestPlanSizeBound(t *testing.T) {
 	if e != nil {
 		t.Fatal(e)
 	}
-	blob, err := json.Marshal(&storedRequest{Tasks: set.Tasks, Objective: "acs", Starts: 1})
+	blob, err := json.Marshal(&SubmitRequest{Tasks: set.Tasks, Objective: "acs", Starts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +238,94 @@ func TestPlanSizeBound(t *testing.T) {
 	}
 	if st := s.memo.Stats(); st.ScheduleMisses != 0 {
 		t.Errorf("%d schedule builds for refused sets, want 0", st.ScheduleMisses)
+	}
+}
+
+// TestStartsBound: a resolved start count above MaxStarts is refused
+// wherever a request enters the server, before the solver sets up a single
+// start. A submit, compare or session body answers 422, a request blob
+// carrying it under its own fingerprint reads as absent, and a session
+// checkpoint carrying it restores nothing and counts one checkpoint error.
+// MaxStarts itself still solves.
+func TestStartsBound(t *testing.T) {
+	// A donor server writes the checkpoint to damage.
+	donorBlobs := store.NewMemBlobs()
+	_, donor := newTestServer(t, Options{Checkpoints: donorBlobs})
+	sessBody, _ := sessionRows(t, 4, "many", 0)
+	if code, resp := post(t, donor.URL+"/v1/sessions", sessBody); code != http.StatusOK {
+		t.Fatalf("donor create: %d %s", code, resp)
+	}
+
+	blobs := store.NewMemBlobs()
+	s, ts := newTestServer(t, Options{Checkpoints: blobs})
+	const want = `{"error":"admission: starts must lie in [0, 16], got 17"}` + "\n"
+	withStarts := func(body string, n int) string {
+		return strings.TrimSuffix(body, "}") + fmt.Sprintf(`,"starts":%d}`, n)
+	}
+	for _, path := range []string{"/v1/schedules", "/v1/compare", "/v1/sessions"} {
+		if code, body := post(t, ts.URL+path, withStarts(smallBody(0), 17)); code != http.StatusUnprocessableEntity || body != want {
+			t.Errorf("%s: %d %q, want 422 %q", path, code, body, want)
+		}
+	}
+
+	var req SubmitRequest
+	if err := json.Unmarshal([]byte(smallBody(0)), &req); err != nil {
+		t.Fatal(err)
+	}
+	set, err := task.NewSet(req.Tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, e := (&canonicalRequest{set: set, objective: core.AverageCase, starts: 17}).fingerprint()
+	if e != nil {
+		t.Fatal(e)
+	}
+	blob, err := json.Marshal(&SubmitRequest{Tasks: set.Tasks, Objective: "acs", Starts: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs.PutBlob("request-"+fp, blob)
+	if code, body := get(t, ts.URL+"/v1/schedules/"+fp); code != http.StatusNotFound {
+		t.Errorf("GET of a stored request with 17 starts: %d %s, want 404", code, body)
+	}
+
+	ckpt, _, _ := donorBlobs.GetBlob("session-many")
+	var cp sessionCheckpoint
+	if err := json.Unmarshal(ckpt, &cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Starts = 17
+	if ckpt, err = json.Marshal(&cp); err != nil {
+		t.Fatal(err)
+	}
+	blobs.PutBlob("session-many", ckpt)
+	if n, err := s.RestoreSessions(context.Background()); n != 0 || err != nil {
+		t.Errorf("restored %d sessions (%v) from a checkpoint with 17 starts, want 0", n, err)
+	}
+	if n := metric(t, ts.URL, "schedd_checkpoint_errors_total"); n != 1 {
+		t.Errorf("%g checkpoint errors, want 1", n)
+	}
+	if st := s.memo.Stats(); st.ScheduleMisses != 0 {
+		t.Errorf("%d schedule builds for refused start counts, want 0", st.ScheduleMisses)
+	}
+
+	if code, body := post(t, ts.URL+"/v1/schedules", withStarts(smallBody(0), MaxStarts)); code != http.StatusOK {
+		t.Errorf("submit with %d starts: %d %s, want 200", MaxStarts, code, body)
+	}
+}
+
+// TestCompareHyperperiodsBound: a comparison asking for more than
+// MaxSimHyperperiods hyper-periods answers 422 before any solve or
+// simulation.
+func TestCompareHyperperiodsBound(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	body := strings.TrimSuffix(smallBody(0), "}") + `,"hyperperiods":10001}`
+	const want = `{"error":"admission: hyperperiods must lie in [0, 10000], got 10001"}` + "\n"
+	if code, got := post(t, ts.URL+"/v1/compare", body); code != http.StatusUnprocessableEntity || got != want {
+		t.Errorf("compare: %d %q, want 422 %q", code, got, want)
+	}
+	if st := s.memo.Stats(); st.ScheduleMisses != 0 || st.CompareMisses != 0 {
+		t.Errorf("%d schedule and %d compare misses for a refused horizon, want 0 and 0", st.ScheduleMisses, st.CompareMisses)
 	}
 }
 

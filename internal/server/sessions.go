@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -13,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/feedback"
-	"repro/internal/task"
 )
 
 // Feedback sessions (DESIGN.md §8): a session is a stateful closed loop over
@@ -36,18 +34,27 @@ import (
 // mode-switching workload that returns to a learned regime re-solves as a
 // cache hit.
 
-// serverSession is one resident closed loop. The creation knobs ride along
-// because they are configuration, not controller state: a checkpoint stores
-// them next to the controller snapshot so a restart can rebuild the exact
-// feedback.Options the session was created with.
+// sessionKnobs are a session's creation knobs: its resolved starts and
+// subcap and the feedback knobs of its create body. They are configuration,
+// not controller state, so a checkpoint stores them next to the controller
+// snapshot and a restart rebuilds the exact feedback.Options the session
+// was created with. Create, checkpoint and restore each copy them as one
+// value.
+type sessionKnobs struct {
+	Starts      int     `json:"starts"`
+	SubCap      int     `json:"subcap"`
+	DriftDelta  float64 `json:"drift_delta"`
+	DriftLambda float64 `json:"drift_lambda"`
+	MinSamples  int     `json:"min_samples"`
+	Relearn     int     `json:"relearn"`
+}
+
+// serverSession is one resident closed loop.
 type serverSession struct {
 	mu   sync.Mutex
 	id   string
 	ctrl *feedback.Controller
-
-	starts, subCap           int
-	driftDelta, driftLambda  float64
-	minSamples, relearnEvery int
+	sessionKnobs
 
 	// lastAt/lastResp are the observe-idempotency window (DESIGN.md §11):
 	// the stream position the last acked observe batch started at and the
@@ -59,18 +66,18 @@ type serverSession struct {
 	lastResp []byte
 }
 
-// sessionOptions rebuilds the feedback options for this session's knobs —
-// the single definition both create and restore flow through, so a restored
+// sessionOptions rebuilds the feedback options for a session's knobs — the
+// single definition both create and restore flow through, so a restored
 // controller solves under byte-identical configuration.
-func (s *Server) sessionOptions(sess *serverSession) feedback.Options {
-	cr := &canonicalRequest{objective: core.AverageCase, starts: sess.starts, subCap: sess.subCap}
+func (s *Server) sessionOptions(k sessionKnobs) feedback.Options {
+	cr := &canonicalRequest{objective: core.AverageCase, starts: k.Starts, subCap: k.SubCap}
 	opts := feedback.Options{
 		Runner: s.runner,
 		Solver: cr.config().Solver,
 		Drift: feedback.DriftConfig{
-			Delta: sess.driftDelta, Lambda: sess.driftLambda, MinSamples: sess.minSamples,
+			Delta: k.DriftDelta, Lambda: k.DriftLambda, MinSamples: k.MinSamples,
 		},
-		Relearn: sess.relearnEvery,
+		Relearn: k.Relearn,
 	}
 	// Feed every solve-pipeline run into the feedback_resolve stage
 	// histogram. Adaptation *counters* come from controller deltas around
@@ -87,14 +94,9 @@ func (s *Server) sessionOptions(sess *serverSession) feedback.Options {
 // Checkpoints written before the estimator histogram was retired also carry
 // "bins"; decoding ignores it.
 type sessionCheckpoint struct {
-	ID          string                    `json:"id"`
-	Starts      int                       `json:"starts"`
-	SubCap      int                       `json:"subcap"`
-	DriftDelta  float64                   `json:"drift_delta"`
-	DriftLambda float64                   `json:"drift_lambda"`
-	MinSamples  int                       `json:"min_samples"`
-	Relearn     int                       `json:"relearn"`
-	Controller  *feedback.ControllerState `json:"controller"`
+	ID string `json:"id"`
+	sessionKnobs
+	Controller *feedback.ControllerState `json:"controller"`
 	// LastAt/LastResp persist the observe-idempotency window, so a replica
 	// restoring this checkpoint can replay the last acked batch's exact
 	// bytes to a retrying client.
@@ -125,11 +127,8 @@ func (s *Server) checkpointSession(sess *serverSession) {
 		return
 	}
 	blob, err := json.Marshal(&sessionCheckpoint{
-		ID: sess.id, Starts: sess.starts, SubCap: sess.subCap,
-		DriftDelta: sess.driftDelta, DriftLambda: sess.driftLambda,
-		MinSamples: sess.minSamples, Relearn: sess.relearnEvery,
-		Controller: sess.ctrl.Snapshot(),
-		LastAt:     sess.lastAt, LastResp: sess.lastResp,
+		ID: sess.id, sessionKnobs: sess.sessionKnobs, Controller: sess.ctrl.Snapshot(),
+		LastAt: sess.lastAt, LastResp: sess.lastResp,
 	})
 	if err == nil {
 		err = s.opts.Checkpoints.PutBlob("session-"+sess.id, blob)
@@ -158,84 +157,75 @@ func (s *Server) RestoreSessions(ctx context.Context) (int, error) {
 	}
 	restored := 0
 	for _, name := range names {
-		if !strings.HasPrefix(name, "session-") {
+		id, ok := strings.CutPrefix(name, "session-")
+		if !ok {
 			continue
 		}
-		blob, ok, err := s.opts.Checkpoints.GetBlob(name)
-		if err != nil || !ok {
-			s.m.checkpointErrs.Inc()
-			continue
-		}
-		id := strings.TrimPrefix(name, "session-")
-		sess, err := s.restoreSession(ctx, id, blob)
+		sess, found, err := s.readCheckpoint(ctx, id, nil)
 		if err != nil {
-			if restoreCanceled(ctx, err) {
-				return restored, err // canceled boot, not a bad checkpoint
-			}
-			s.noteDamaged(id, sha256.Sum256(blob))
-			continue
+			return restored, err // canceled boot, not a bad checkpoint
 		}
-		if s.adoptSession(sess) {
+		if !found {
+			s.m.checkpointErrs.Inc() // listed, but unreadable
+		}
+		if sess != nil && s.adoptSession(sess) {
 			restored++
 		}
 	}
 	return restored, nil
 }
 
-// errDamagedCheckpoint reports a session checkpoint blob that does not parse
-// or that names another session.
-var errDamagedCheckpoint = errors.New("server: damaged session checkpoint")
-
-// decodeSessionCheckpoint parses blob as session id's checkpoint, failing
-// with errDamagedCheckpoint. It checks the framing and that the base set's
-// hyper-period stays within core.CheckInstances, so no restore solve
-// expands an oversized set; the rest of the controller state is validated
-// by feedback.RestoreController.
-func decodeSessionCheckpoint(id string, blob []byte) (*sessionCheckpoint, error) {
+// readCheckpoint is the one reader of session checkpoints, for boot
+// restore, lazy takeover and stale-owner refresh alike. It reads session
+// id's blob (found reports that it could), skips a blob whose digest
+// noteDamaged recorded, and decodes it once. The checkpoint must name id and
+// pass the body door, canonicalizeSubmit, with its base set, starts and
+// subcap, so no restore solve expands a set or a start count a create body
+// could not ask for. A refresh passes its resident session, and a
+// checkpoint not ahead of that session's fold is then skipped before any
+// restore solve. The session is rebuilt from the creation knobs, the
+// idempotency window and a controller restored through
+// feedback.RestoreController. Every refusal is noted as damage, unless ctx
+// ended first: then err is set and nothing is noted.
+func (s *Server) readCheckpoint(ctx context.Context, id string, resident *serverSession) (sess *serverSession, found bool, err error) {
+	if s.opts.Checkpoints == nil {
+		return nil, false, nil
+	}
+	blob, ok, err := s.opts.Checkpoints.GetBlob("session-" + id)
+	if err != nil || !ok {
+		return nil, false, nil
+	}
+	digest := sha256.Sum256(blob)
+	if s.knownDamaged(id, digest) {
+		return nil, true, nil
+	}
 	var cp sessionCheckpoint
 	if json.Unmarshal(blob, &cp) != nil || cp.Controller == nil || cp.ID == "" || cp.ID != id {
-		return nil, errDamagedCheckpoint
+		s.noteDamaged(id, digest)
+		return nil, true, nil
 	}
-	if base, err := task.NewSet(cp.Controller.Base); err == nil && core.CheckInstances(base) != nil {
-		return nil, errDamagedCheckpoint
+	base := SubmitRequest{Tasks: cp.Controller.Base, Starts: cp.Starts, SubCap: cp.SubCap}
+	if _, e := canonicalizeSubmit(&base, 0, s.opts.MaxTasks); e != nil {
+		s.noteDamaged(id, digest)
+		return nil, true, nil
 	}
-	return &cp, nil
-}
-
-// restoreSession rebuilds session id from its checkpoint blob, for boot
-// restore, lazy takeover and stale-owner refresh alike: the creation knobs,
-// the idempotency window and a controller restored through
-// feedback.RestoreController. It returns a session or an error, never
-// neither; the caller owns the accounting of every failure.
-func (s *Server) restoreSession(ctx context.Context, id string, blob []byte) (*serverSession, error) {
-	cp, err := decodeSessionCheckpoint(id, blob)
-	if err != nil {
-		return nil, err
+	if resident != nil && cp.Controller.Observed <= resident.ctrl.Observed() {
+		return nil, true, nil // not ahead of the resident fold: no restore solve
 	}
-	sess := &serverSession{
-		id: id, starts: cp.Starts, subCap: cp.SubCap,
-		driftDelta: cp.DriftDelta, driftLambda: cp.DriftLambda,
-		minSamples: cp.MinSamples, relearnEvery: cp.Relearn,
-		lastAt: cp.LastAt, lastResp: cp.LastResp,
+	sess = &serverSession{id: id, sessionKnobs: cp.sessionKnobs, lastAt: cp.LastAt, lastResp: cp.LastResp}
+	if sess.ctrl, err = feedback.RestoreController(ctx, cp.Controller, s.sessionOptions(cp.sessionKnobs)); err != nil {
+		if ctx.Err() != nil {
+			return nil, true, err
+		}
+		s.noteDamaged(id, digest)
+		return nil, true, nil
 	}
-	ctrl, err := feedback.RestoreController(ctx, cp.Controller, s.sessionOptions(sess))
-	if err != nil {
-		return nil, err
-	}
-	sess.ctrl = ctrl
-	return sess, nil
-}
-
-// restoreCanceled reports whether a failed restore failed because ctx ended
-// rather than because its checkpoint is damaged; only the latter is noted.
-func restoreCanceled(ctx context.Context, err error) bool {
-	return !errors.Is(err, errDamagedCheckpoint) && ctx != nil && ctx.Err() != nil
+	return sess, true, nil
 }
 
 // noteDamaged counts a session checkpoint that failed to restore and records
-// its digest: a later request that reads the same blob skips it without
-// decoding or counting it again (knownDamaged), while a replaced blob is
-// decoded afresh.
+// its digest: a later read of the same blob skips it without decoding or
+// counting it again (knownDamaged), while a replaced blob is decoded afresh.
 func (s *Server) noteDamaged(id string, digest [sha256.Size]byte) {
 	s.mu.Lock()
 	s.damaged[id] = digest
@@ -393,26 +383,13 @@ func (s *Server) sessionLimitError() *apiError {
 	return e
 }
 
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.m.sessionCreates.Inc()
-	ctx, cancel, e := s.requestContext(r)
-	if e != nil {
-		writeResult(w, e)
-		return
-	}
-	defer cancel()
-	release, e := s.acquire(ctx)
-	if e != nil {
-		writeResult(w, e)
-		return
-	}
-	defer release()
+func (s *Server) handleSessionCreate(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
 	if e := decode(r, &req); e != nil {
 		writeResult(w, e)
 		return
 	}
-	cr, e := s.canonicalize(&req.SubmitRequest)
+	cr, e := canonicalizeSubmit(&req.SubmitRequest, s.opts.Starts, s.opts.MaxTasks)
 	if e != nil {
 		writeResult(w, e)
 		return
@@ -442,12 +419,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeResult(w, s.sessionLimitError())
 		return
 	}
-	sess := &serverSession{
-		starts: cr.starts, subCap: cr.subCap,
-		driftDelta: req.DriftDelta, driftLambda: req.DriftLambda,
-		minSamples: req.MinSamples, relearnEvery: req.Relearn,
-	}
-	ctrl, err := feedback.NewController(ctx, cr.set, s.sessionOptions(sess))
+	sess := &serverSession{sessionKnobs: sessionKnobs{
+		Starts: cr.starts, SubCap: cr.subCap,
+		DriftDelta: req.DriftDelta, DriftLambda: req.DriftLambda,
+		MinSamples: req.MinSamples, Relearn: req.Relearn,
+	}}
+	ctrl, err := feedback.NewController(ctx, cr.set, s.sessionOptions(sess.sessionKnobs))
 	if err != nil {
 		writeResult(w, solveError("session synthesis", err))
 		return
@@ -531,10 +508,10 @@ func validSessionID(id string) bool {
 // its routed traffic after the owner died, restores the controller from the
 // freshest replicated checkpoint, and continues the observation stream
 // byte-identically. restoreMu makes racing requests pay for one restore
-// solve, not one each. A checkpoint that cannot be restored is counted once:
-// every request still reads the blob, since a replica may have replaced it,
-// but one whose digest noteDamaged recorded answers at once. (nil, nil)
-// means no such session anywhere — the caller answers 404.
+// solve, not one each. A checkpoint that cannot be restored is counted once
+// (readCheckpoint): every request still reads the blob, since a replica may
+// have replaced it. (nil, nil) means no such session anywhere — the caller
+// answers 404.
 func (s *Server) sessionOrRestore(ctx context.Context, id string) (*serverSession, *apiError) {
 	if sess := s.session(id); sess != nil {
 		return sess, nil
@@ -547,23 +524,13 @@ func (s *Server) sessionOrRestore(ctx context.Context, id string) (*serverSessio
 	if sess := s.session(id); sess != nil { // raced: another request restored it
 		return sess, nil
 	}
-	blob, ok, err := s.opts.Checkpoints.GetBlob("session-" + id)
-	if err != nil || !ok {
+	sess, _, err := s.readCheckpoint(ctx, id, nil)
+	switch {
+	case err != nil:
+		return nil, errorf(http.StatusServiceUnavailable, "session restore canceled")
+	case sess == nil:
 		return nil, nil
-	}
-	digest := sha256.Sum256(blob)
-	if s.knownDamaged(id, digest) {
-		return nil, nil
-	}
-	sess, err := s.restoreSession(ctx, id, blob)
-	if err != nil {
-		if restoreCanceled(ctx, err) {
-			return nil, errorf(http.StatusServiceUnavailable, "session restore canceled")
-		}
-		s.noteDamaged(id, digest)
-		return nil, nil
-	}
-	if !s.adoptSession(sess) {
+	case !s.adoptSession(sess):
 		return nil, s.sessionLimitError()
 	}
 	return sess, nil
@@ -577,53 +544,15 @@ func (s *Server) sessionOrRestore(ctx context.Context, id string) (*serverSessio
 // stale (its replicas advanced the session while it was down). Failures
 // leave the session untouched; the caller's position check then answers a
 // deterministic 409 and the client retries elsewhere. A damaged checkpoint
-// is counted once, as boot restore and takeover count it: its digest is
-// noted, and a later refresh that reads the same blob skips it.
+// is counted once, as boot restore and takeover count it (readCheckpoint).
 func (s *Server) refreshSessionLocked(ctx context.Context, sess *serverSession) {
-	if s.opts.Checkpoints == nil {
-		return
+	if fresh, _, _ := s.readCheckpoint(ctx, sess.id, sess); fresh != nil {
+		sess.ctrl, sess.lastAt, sess.lastResp = fresh.ctrl, fresh.lastAt, fresh.lastResp
+		s.m.restored.Inc()
 	}
-	blob, ok, err := s.opts.Checkpoints.GetBlob("session-" + sess.id)
-	if err != nil || !ok {
-		return
-	}
-	digest := sha256.Sum256(blob)
-	if s.knownDamaged(sess.id, digest) {
-		return
-	}
-	cp, err := decodeSessionCheckpoint(sess.id, blob)
-	if err != nil {
-		s.noteDamaged(sess.id, digest)
-		return
-	}
-	if cp.Controller.Observed <= sess.ctrl.Observed() {
-		return // not ahead of the resident fold: no restore solve
-	}
-	fresh, err := s.restoreSession(ctx, sess.id, blob)
-	if err != nil {
-		if !restoreCanceled(ctx, err) {
-			s.noteDamaged(sess.id, digest)
-		}
-		return
-	}
-	sess.ctrl, sess.lastAt, sess.lastResp = fresh.ctrl, fresh.lastAt, fresh.lastResp
-	s.m.restored.Inc()
 }
 
-func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
-	s.m.observes.Inc()
-	ctx, cancel, e := s.requestContext(r)
-	if e != nil {
-		writeResult(w, e)
-		return
-	}
-	defer cancel()
-	release, e := s.acquire(ctx)
-	if e != nil {
-		writeResult(w, e)
-		return
-	}
-	defer release()
+func (s *Server) handleSessionObserve(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	sess, e := s.sessionOrRestore(ctx, r.PathValue("id"))
 	if e != nil {
 		writeResult(w, e)

@@ -401,18 +401,24 @@ func TestObserveAllocs(t *testing.T) {
 }
 
 // fuzzCostly reports whether a submit body asks for a solve too slow for a
-// fuzz smoke run: more than 2 starts, or a set of more than 64 instances per
-// hyper-period. Such bodies take the same handler path with a longer solve,
-// so skipping them only keeps the smoke fast.
+// fuzz smoke run (costlySolve). Such bodies take the same handler path with
+// a longer solve, so skipping them only keeps the smoke fast.
 func fuzzCostly(body []byte) bool {
 	var req SubmitRequest
 	if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
 		return false
 	}
-	if req.Starts > 2 {
+	return costlySolve(req.Starts, req.Tasks)
+}
+
+// costlySolve reports whether solving tasks at starts is too slow for a
+// fuzz smoke run: more than 2 starts, or a set of more than 64 instances per
+// hyper-period.
+func costlySolve(starts int, tasks []task.Task) bool {
+	if starts > 2 {
 		return true
 	}
-	set, err := task.NewSet(req.Tasks)
+	set, err := task.NewSet(tasks)
 	if err != nil {
 		return false
 	}
