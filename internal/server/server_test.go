@@ -268,11 +268,7 @@ func TestStartsBound(t *testing.T) {
 		}
 	}
 
-	var req SubmitRequest
-	if err := json.Unmarshal([]byte(smallBody(0)), &req); err != nil {
-		t.Fatal(err)
-	}
-	set, err := task.NewSet(req.Tasks)
+	set, err := task.NewSet(mustSubmit(t, smallBody(0)).Tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
