@@ -8,12 +8,12 @@
 //	schedd -addr :8372 -cachemb 64 -inflight 64 -starts 4
 //	schedd -addr :8371 -peers "p0=http://h0:8371,p1=http://h1:8371" -self p0
 //
-// With -peers/-self the daemon joins a fleet (internal/fleet, DESIGN.md §11):
-// it serves as one consistent-hash peer AND as a fleet front end — requests
-// arriving from clients are routed to the key's owner (possibly itself, or a
-// replica on failure), requests already routed by a peer are served locally,
-// and session checkpoints and schedule records replicate to the key's R ring
-// owners so any replica can take over a dead owner's sessions.
+// With -peers/-self the daemon joins a fleet as a fleet.Peer (internal/fleet,
+// DESIGN.md §11): requests arriving from clients are routed to the key's
+// owner (possibly itself, or a replica on failure), requests already routed
+// by a peer are served locally, and session checkpoints and schedule records
+// replicate to the key's R ring owners so any replica can take over a dead
+// owner's sessions. A client may enter the fleet through any peer.
 //
 // Endpoints:
 //
@@ -127,7 +127,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		defer rec.Close()
 		opts.ObserveSink = rec.observe
 	}
-	var blobLocal server.BlobStore
 	if *storeDir != "" {
 		disk, err := store.Open(*storeDir, store.Options{Sync: *storeSync})
 		if err != nil {
@@ -143,48 +142,34 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		tiered := store.NewTiered(grid.NewMemStore(memoBytes), disk)
 		opts.Store = tiered
 		opts.Checkpoints = tiered
-		blobLocal = tiered
 	}
 
-	// Fleet mode (DESIGN.md §11): this daemon becomes one peer of a
-	// consistent-hash fleet. Its checkpoint writes replicate to the ring
-	// owners, it serves the peer-replication endpoints, and its public
-	// surface becomes the fleet router — locally-owned requests short-circuit
-	// back to this very server via the forwarded-marker header.
-	var ring *fleet.Ring
-	var topo *fleet.Topology
-	var repl *fleet.ReplicatedBlobs
+	// Fleet mode (DESIGN.md §11): this daemon becomes one fleet.Peer. Its
+	// checkpoint writes replicate to the ring owners, it serves the
+	// peer-replication endpoints, and it routes every client request to
+	// its key's owner, itself included.
+	var srv *server.Server
+	var handler http.Handler
+	var urls map[string]string
 	if *peersFlag != "" {
-		urls, err := parseFleetPeers(*peersFlag)
-		if err != nil {
+		var err error
+		if urls, err = parseFleetPeers(*peersFlag); err != nil {
 			return err
 		}
 		if _, ok := urls[*selfFlag]; !ok {
 			return fmt.Errorf("-self %q is not a name in -peers", *selfFlag)
 		}
-		names := make([]string, 0, len(urls))
-		for name := range urls {
-			names = append(names, name)
-		}
-		ring = fleet.NewRing(names, *vnodes)
-		// The per-peer timeout (2 min) matches the HTTP server's
-		// WriteTimeout below: a long solve is legitimate; a dead peer
-		// refuses connections fast.
-		topo = fleet.NewTopology(urls)
-		defer topo.Close()
-		if blobLocal == nil {
-			blobLocal = store.NewMemBlobs()
-		}
-		repl = fleet.NewReplicatedBlobs(fleet.ReplicatedBlobsOptions{
-			Local: blobLocal, Self: *selfFlag, Ring: ring, Topo: topo,
-			Replicas: *replicas, Logf: log.Printf,
+		peer := fleet.NewPeer(fleet.Options{
+			Server: opts, Self: *selfFlag, Peers: urls, Vnodes: *vnodes, Replicas: *replicas,
 		})
-		opts.Checkpoints = repl
-		opts.InternalBlobs = blobLocal
+		defer peer.Close()
+		srv, handler = peer.Server, peer
 	} else if *selfFlag != "" {
 		return fmt.Errorf("-self requires -peers")
+	} else {
+		srv = server.New(opts)
+		handler = srv.Handler()
 	}
-	srv := server.New(opts)
 	defer srv.Close()
 
 	if *storeDir != "" || *peersFlag != "" {
@@ -196,33 +181,9 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 			fmt.Fprintf(stdout, "schedd store %s: restored %d sessions\n", *storeDir, restored)
 		}
 	}
-
-	handler := srv.Handler()
-	if topo != nil {
-		router := fleet.NewRouter(fleet.Options{
-			Ring: ring, Topology: topo, Replicas: *replicas,
-			Starts: *starts, MaxTasks: *maxTasks, Logf: log.Printf,
-		})
-		// One /metrics scrape per peer covers both surfaces: the fleet
-		// router's routing counters and the replication counters register
-		// into the local server's registry.
-		router.RegisterMetrics(srv.Metrics())
-		repl.RegisterMetrics(srv.Metrics())
-		local := srv.Handler()
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// Already-routed traffic, peer replication, and metrics scrapes
-			// go straight to the local server (each peer reports its own
-			// registry — scraping is per-instance, never forwarded);
-			// everything else enters through the fleet router.
-			if r.Header.Get("X-Fleet-Forwarded") != "" || strings.HasPrefix(r.URL.Path, "/v1/internal/") ||
-				r.URL.Path == "/metrics" {
-				local.ServeHTTP(w, r)
-				return
-			}
-			router.ServeHTTP(w, r)
-		})
+	if *peersFlag != "" {
 		fmt.Fprintf(stdout, "schedd fleet: self=%s peers=%d replicas=%d vnodes=%d\n",
-			*selfFlag, len(ring.Peers()), *replicas, *vnodes)
+			*selfFlag, len(urls), *replicas, *vnodes)
 	}
 
 	// The pprof listener is a separate loopback-only server: profiling
@@ -267,16 +228,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		ready <- ln.Addr().String()
 	}
 
-	// WriteTimeout bounds the whole handler (headers read → response written):
-	// it must dominate any legitimate solve, so it is generous — a stuck
-	// handler is reaped, a slow solve is not. IdleTimeout reaps abandoned
-	// keep-alive connections.
-	hs := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
+	hs := server.HTTPServer(handler)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	select {

@@ -179,7 +179,7 @@ func TestFleetModeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same fingerprint reads back byte-identically through a different
-	// front end: routing is invisible in response bytes.
+	// entry peer: routing is invisible in response bytes.
 	resp, err = http.Get("http://" + addrs[2] + "/v1/schedules/" + sub.Fingerprint)
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +190,8 @@ func TestFleetModeSmoke(t *testing.T) {
 		t.Fatalf("get via p2: %d %s", resp.StatusCode, viaOther)
 	}
 
-	// The front end's routing counters and the replication counters are
-	// series on the peer's own /metrics.
+	// The peer's routing counters and its replication counters are series
+	// on its own /metrics.
 	fams := scrape(t, "http://"+addrs[0])
 	if obs.FindFamily(fams, "schedd_fleet_forwards_total") == nil {
 		t.Error("fleet peer /metrics carries no routing counters")

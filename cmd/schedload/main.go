@@ -35,13 +35,13 @@
 // failures legitimately drop persists.
 //
 // With -fleet N the run targets an N-peer fleet (internal/fleet, DESIGN.md
-// §11) instead of a single server: in-process peers behind an in-process
-// router, or — with -schedd PATH — real schedd processes in -peers/-self
-// fleet mode, entered through peer 0. -killpeer I hard-kills peer I after a
-// third of the stream; the retry client and the surviving replicas must
-// absorb the rest with zero failed requests, and the determinism audit spans
-// the kill. The report gains a "fleet" section with the failover and
-// transport-error counts the fleet front end's /metrics reports.
+// §11) instead of a single server: fleet.Peer members in this process, or —
+// with -schedd PATH — real schedd processes in -peers/-self fleet mode,
+// entered through peer 0 either way. -killpeer I (not 0) hard-kills peer I
+// after a third of the stream; the retry client and the surviving replicas
+// must absorb the rest with zero failed requests, and the determinism audit
+// spans the kill. The report gains a "fleet" section with the failover and
+// transport-error counts peer 0's /metrics reports.
 //
 // Usage:
 //
@@ -144,8 +144,8 @@ type metricsReport struct {
 }
 
 // fleetReport describes a -fleet run: the topology, which peer (if any) was
-// killed mid-stream, and the router's failovers and transport errors summed
-// over peers, from the front end's end-of-run /metrics scrape.
+// killed mid-stream, and peer 0's routed failovers and transport errors
+// summed over peers, from its end-of-run /metrics scrape.
 type fleetReport struct {
 	Peers      int     `json:"peers"`
 	Replicas   int     `json:"replicas"`
@@ -190,9 +190,9 @@ func run(args []string, stdout io.Writer) error {
 		restart   = fs.Bool("restart", false, "measure warm-restart solve avoidance: fire the stream cold, stop the in-process server, reopen the same store, replay the identical stream (in-process only; -store-dir defaults to a temp dir)")
 		faults    = fs.String("faults", "", "fault-injection spec for the in-process server (comma-separated point=mode, e.g. \"fs.write=torn:0.5:0.3,fs.sync=err:0.2\")")
 		faultSeed = fs.Uint64("faultseed", 1, "seed for the fault registry's deterministic fire decisions and the client's retry jitter")
-		fleetN    = fs.Int("fleet", 0, "run an N-peer fleet (internal/fleet) instead of a single server: in-process peers behind an in-process router, or OS processes with -schedd")
+		fleetN    = fs.Int("fleet", 0, "run an N-peer fleet (internal/fleet) instead of a single server, entered through peer 0: in-process peers, or OS processes with -schedd")
 		scheddBin = fs.String("schedd", "", "with -fleet: path to a schedd binary; each peer becomes a real -peers/-self fleet daemon process and the stream enters through peer 0")
-		killPeer  = fs.Int("killpeer", -1, "with -fleet: kill this peer index (it stays dead) after a third of the stream — the surviving replicas must absorb the rest")
+		killPeer  = fs.Int("killpeer", -1, "with -fleet: kill this peer index, not the entry peer 0 (it stays dead), after a third of the stream — the surviving replicas must absorb the rest")
 		replicas  = fs.Int("replicas", 2, "with -fleet: replication factor R")
 	)
 	if err := cliutil.ParseFlags(fs, args); err != nil {
@@ -217,8 +217,8 @@ func run(args []string, stdout io.Writer) error {
 		if *killPeer >= *fleetN {
 			return fmt.Errorf("-killpeer %d is outside the %d-peer fleet", *killPeer, *fleetN)
 		}
-		if *scheddBin != "" && *killPeer == 0 {
-			return fmt.Errorf("-killpeer 0 would kill the fleet entry point in -schedd mode")
+		if *killPeer == 0 {
+			return fmt.Errorf("-killpeer 0 would kill the fleet entry point")
 		}
 	} else if *scheddBin != "" || *killPeer >= 0 {
 		return fmt.Errorf("-schedd and -killpeer require -fleet")
@@ -276,12 +276,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 			return "", nil, err
 		}
-		hs := &http.Server{
-			Handler:           srv.Handler(),
-			ReadHeaderTimeout: 10 * time.Second,
-			WriteTimeout:      2 * time.Minute,
-			IdleTimeout:       2 * time.Minute,
-		}
+		hs := server.HTTPServer(srv.Handler())
 		go hs.Serve(ln)
 		stop := func() error {
 			// Every request has been answered when stop runs. Shutdown
@@ -306,7 +301,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer fh.stopAll()
+		defer fh.stop()
 		base = fh.base
 	} else if base == "" {
 		var err error
@@ -441,7 +436,7 @@ func run(args []string, stdout io.Writer) error {
 	rep.LatencyMs.P99 = measured.percentile(0.99)
 	rep.LatencyMs.Max = measured.percentile(1)
 	// End-of-run /metrics scrape (DESIGN.md §13) of whatever the stream
-	// entered through: the server, or the fleet front end. It must parse as
+	// entered through: the server, or fleet peer 0. It must parse as
 	// strict exposition format. Against the clean in-process server the
 	// submit counter must equal exactly what this client sent: the initial
 	// stream plus every retry (the server counts shed requests too — both
@@ -452,7 +447,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if fh != nil {
 		if obs.FindFamily(fams, "schedd_fleet_failovers_total") == nil {
-			return fmt.Errorf("the fleet front end's /metrics carries no routing counters")
+			return fmt.Errorf("the entry peer's /metrics carries no routing counters")
 		}
 		rep.Fleet = &fleetReport{
 			Peers: *fleetN, Replicas: *replicas,
@@ -613,22 +608,18 @@ func mergePhases(a, b phaseResult) phaseResult {
 	return out
 }
 
-// fleetHarness is a running fleet under test: a base URL the stream enters
-// through, a hard-kill switch for one peer, and full teardown.
+// fleetHarness is a running fleet: the base URL of peer 0, which the stream
+// enters through, a hard-kill switch for one other peer, and full teardown.
 type fleetHarness struct {
-	base   string
-	killFn func(int) error
-	stopFn func()
+	base string
+	kill func(int) error
+	stop func()
 }
 
-func (f *fleetHarness) kill(i int) error { return f.killFn(i) }
-func (f *fleetHarness) stopAll()         { f.stopFn() }
-
-// launchFleet boots an n-peer fleet. With bin == "" the peers are in-process
-// servers behind an in-process fleet router (the wiring pinned by
-// TestFleetChaos); with bin set, each peer is a real schedd process in
-// -peers/-self fleet mode and the stream enters through peer 0's front end —
-// the multi-process smoke CI runs.
+// launchFleet boots an n-peer fleet. With bin == "" the peers are
+// fleet.NewPeer members in this process; with bin set, each peer is a real
+// schedd process in -peers/-self fleet mode — the multi-process smoke CI
+// runs. Either way the stream enters through peer 0.
 func launchFleet(n, replicas int, bin string, sopts server.Options) (*fleetHarness, error) {
 	names := make([]string, n)
 	for i := range names {
@@ -638,89 +629,52 @@ func launchFleet(n, replicas int, bin string, sopts server.Options) (*fleetHarne
 		return launchFleetProcs(names, replicas, bin)
 	}
 
-	ring := fleet.NewRing(names, fleet.DefaultVnodes)
-	// The per-peer timeout (2 min) matches the serving layer's WriteTimeout:
-	// a long solve is legitimate; a dead peer fails fast by refusing the
-	// connection.
-	topo := fleet.NewTopology(nil)
-	type peerProc struct {
-		srv   *server.Server
-		hs    *http.Server
-		alive bool
-	}
-	peers := make([]*peerProc, 0, n)
-	cleanup := func() {
-		for _, p := range peers {
-			if p.alive {
-				p.hs.Close()
-				p.srv.Close()
-			}
-		}
-		topo.Close()
-	}
+	// Every peer needs the whole peer table at boot, so every listener is
+	// bound first.
+	lns := make([]net.Listener, 0, n)
+	urls := make(map[string]string, n)
 	for _, name := range names {
-		blobs := store.NewMemBlobs()
-		po := sopts
-		repl := fleet.NewReplicatedBlobs(fleet.ReplicatedBlobsOptions{
-			Local: blobs, Self: name, Ring: ring, Topo: topo, Replicas: replicas,
-		})
-		po.Checkpoints = repl
-		po.InternalBlobs = blobs
-		srv := server.New(po)
-		repl.RegisterMetrics(srv.Metrics())
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			srv.Close()
-			cleanup()
+			for _, l := range lns {
+				l.Close()
+			}
 			return nil, err
 		}
-		hs := &http.Server{
-			Handler:           srv.Handler(),
-			ReadHeaderTimeout: 10 * time.Second,
-			WriteTimeout:      2 * time.Minute,
-			IdleTimeout:       2 * time.Minute,
-		}
-		go hs.Serve(ln)
-		topo.SetURL(name, "http://"+ln.Addr().String())
-		peers = append(peers, &peerProc{srv: srv, hs: hs, alive: true})
+		lns = append(lns, ln)
+		urls[name] = "http://" + ln.Addr().String()
 	}
-	router := fleet.NewRouter(fleet.Options{Ring: ring, Topology: topo, Replicas: replicas})
-	// The front end serves the router's counters on /metrics, as a schedd
-	// fleet peer does.
-	reg := obs.NewRegistry()
-	router.RegisterMetrics(reg)
-	front := http.NewServeMux()
-	front.Handle("GET /metrics", reg)
-	front.Handle("/", router)
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		cleanup()
-		return nil, err
+	peers := make([]*fleet.Peer, n)
+	servers := make([]*http.Server, n)
+	alive := make([]bool, n)
+	for i, name := range names {
+		peers[i] = fleet.NewPeer(fleet.Options{Server: sopts, Self: name, Peers: urls, Replicas: replicas})
+		servers[i] = server.HTTPServer(peers[i])
+		go servers[i].Serve(lns[i])
+		alive[i] = true
 	}
-	rhs := &http.Server{Handler: front, ReadHeaderTimeout: 10 * time.Second,
-		WriteTimeout: 2 * time.Minute, IdleTimeout: 2 * time.Minute}
-	go rhs.Serve(rln)
+	// kill stops a peer hard: in-flight connections die too.
+	kill := func(i int) error {
+		alive[i] = false
+		peers[i].Close()
+		return servers[i].Close()
+	}
 	return &fleetHarness{
-		base: "http://" + rln.Addr().String(),
-		killFn: func(i int) error {
-			if i < 0 || i >= len(peers) {
-				return fmt.Errorf("no peer %d in a %d-peer fleet", i, len(peers))
+		base: urls[names[0]],
+		kill: kill,
+		stop: func() {
+			for i := range peers {
+				if alive[i] {
+					kill(i) // not Shutdown: see launch's stop in run
+				}
 			}
-			p := peers[i]
-			p.alive = false
-			p.srv.Close()
-			return p.hs.Close() // hard stop: in-flight connections die too
-		},
-		stopFn: func() {
-			rhs.Close() // not Shutdown: see launch's stop in run
-			cleanup()
 		},
 	}, nil
 }
 
 // launchFleetProcs runs each peer as a schedd OS process. The whole peer
 // table is pre-assigned ephemeral ports, because every daemon needs it at
-// boot; readiness is its front end answering /v1/healthz.
+// boot; readiness is its router answering /v1/healthz.
 func launchFleetProcs(names []string, replicas int, bin string) (*fleetHarness, error) {
 	addrs := make([]string, len(names))
 	for i := range addrs {
@@ -780,10 +734,7 @@ func launchFleetProcs(names []string, replicas int, bin string) (*fleetHarness, 
 	probe.CloseIdleConnections()
 	return &fleetHarness{
 		base: "http://" + addrs[0],
-		killFn: func(i int) error {
-			if i < 0 || i >= len(procs) {
-				return fmt.Errorf("no peer %d in a %d-peer fleet", i, len(procs))
-			}
+		kill: func(i int) error {
 			alive[i] = false
 			if err := procs[i].Process.Kill(); err != nil {
 				return err
@@ -791,7 +742,7 @@ func launchFleetProcs(names []string, replicas int, bin string) (*fleetHarness, 
 			procs[i].Wait() // reap; a killed process "fails" by design
 			return nil
 		},
-		stopFn: stopAll,
+		stop: stopAll,
 	}, nil
 }
 

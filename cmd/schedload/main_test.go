@@ -213,7 +213,7 @@ func TestRunFaultsFlagErrors(t *testing.T) {
 // TestRunFleetInProcess: a -fleet run with a peer killed mid-stream finishes
 // with zero errors and zero determinism mismatches — the replicas absorbed
 // the dead peer's keys byte-identically — and the report carries the fleet
-// section with the router's counters, scraped from the front end's /metrics.
+// section with the router's counters, scraped from entry peer 0's /metrics.
 func TestRunFleetInProcess(t *testing.T) {
 	leakcheck.Check(t)
 	var out strings.Builder
@@ -249,6 +249,7 @@ func TestRunFleetFlagErrors(t *testing.T) {
 		{"-fleet", "3", "-addr", "http://localhost:1"},
 		{"-fleet", "3", "-store-dir", "/tmp/x"},
 		{"-fleet", "2", "-killpeer", "2"},
+		{"-fleet", "3", "-killpeer", "0"},
 		{"-fleet", "2", "-schedd", "/bin/true", "-killpeer", "0"},
 		{"-killpeer", "1"},
 		{"-schedd", "/bin/true"},

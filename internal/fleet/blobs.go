@@ -10,13 +10,14 @@ import (
 	"repro/internal/server"
 )
 
-// ReplicatedBlobs is a server.BlobStore that replicates writes to the key's
-// ring peers: a session checkpoint or schedule record put on one peer lands
-// on all R owners of its key, so a replica can restore the session (or the
-// record) after the owner dies. Wiring: each peer's server gets a
-// ReplicatedBlobs as Options.Checkpoints, while Options.InternalBlobs stays
-// the underlying local store — pushed blobs are stored locally by the
-// receiving peer, never re-pushed (no replication loops).
+// replicatedBlobs is a peer's checkpoint store: a server.BlobStore that
+// replicates writes to the key's ring owners, so a session checkpoint or
+// schedule record put on one peer lands on all R owners of its key, and a
+// replica can restore the session (or the record) after the owner dies.
+// NewPeer gives the peer's server a replicatedBlobs as Options.Checkpoints
+// and the underlying local store as Options.InternalBlobs — pushed blobs are
+// stored locally by the receiving peer, never re-pushed (no replication
+// loops).
 //
 // Consistency model: pushes are synchronous but best-effort — a put returns
 // once the local write succeeded, whatever the peers said (a dead replica
@@ -27,43 +28,17 @@ import (
 // server's refresh-on-gap path) and a replica take over at the last acked
 // observation. Schedule-record blobs are immutable (content-addressed), so
 // any copy is the right copy.
-type ReplicatedBlobs struct {
-	local    server.BlobStore
+type replicatedBlobs struct {
+	local server.BlobStore
+	// self is this peer's ring name: pushes skip it (the local write already
+	// happened) and remote reads skip it (the local read already missed).
 	self     string
 	ring     *Ring
-	topo     *Topology
+	topo     *topology
 	replicas int
 	logf     func(format string, args ...any)
 
 	pushes, pushErrs, remoteGets atomic.Int64
-}
-
-// ReplicatedBlobsOptions wires a ReplicatedBlobs.
-type ReplicatedBlobsOptions struct {
-	// Local is this peer's own blob store (disk-backed or store.MemBlobs).
-	Local server.BlobStore
-	// Self is this peer's ring name: pushes skip it (the local write already
-	// happened) and remote reads skip it (the local read already missed).
-	Self string
-	// Ring and Topology are the shared fleet view.
-	Ring *Ring
-	Topo *Topology
-	// Replicas is the ownership factor R (default 2): every blob lives on
-	// the first R ring owners of its key.
-	Replicas int
-	// Logf, when non-nil, receives push-failure log lines.
-	Logf func(format string, args ...any)
-}
-
-// NewReplicatedBlobs builds the replication layer for one peer.
-func NewReplicatedBlobs(opts ReplicatedBlobsOptions) *ReplicatedBlobs {
-	if opts.Replicas <= 0 {
-		opts.Replicas = 2
-	}
-	return &ReplicatedBlobs{
-		local: opts.Local, self: opts.Self, ring: opts.Ring, topo: opts.Topo,
-		replicas: opts.Replicas, logf: opts.Logf,
-	}
 }
 
 // keyOfBlob maps a blob name to its ring key: session blobs route by session
@@ -83,7 +58,7 @@ func keyOfBlob(name string) string {
 // PutBlob writes locally, then pushes to the key's other ring owners.
 // Returns the local write's error only: replication is redundancy, not a
 // durability gate.
-func (b *ReplicatedBlobs) PutBlob(name string, data []byte) error {
+func (b *replicatedBlobs) PutBlob(name string, data []byte) error {
 	if err := b.local.PutBlob(name, data); err != nil {
 		return err
 	}
@@ -91,8 +66,7 @@ func (b *ReplicatedBlobs) PutBlob(name string, data []byte) error {
 		if peer == b.self {
 			continue
 		}
-		br := b.topo.Breaker(peer)
-		if br == nil || !br.Allow() {
+		if !b.topo.breaker(peer).Allow() {
 			continue
 		}
 		b.pushes.Add(1)
@@ -124,7 +98,7 @@ func (e *pushError) Error() string {
 // freshest copy (highest observation count), immutable request records take
 // the first copy found. A remote copy that wins is written back locally, so
 // the next read is local.
-func (b *ReplicatedBlobs) GetBlob(name string) ([]byte, bool, error) {
+func (b *replicatedBlobs) GetBlob(name string) ([]byte, bool, error) {
 	data, ok, err := b.local.GetBlob(name)
 	if err != nil {
 		return nil, false, err
@@ -143,8 +117,7 @@ func (b *ReplicatedBlobs) GetBlob(name string) ([]byte, bool, error) {
 		if peer == b.self {
 			continue
 		}
-		br := b.topo.Breaker(peer)
-		if br == nil || !br.Allow() {
+		if !b.topo.breaker(peer).Allow() {
 			continue
 		}
 		b.remoteGets.Add(1)
@@ -177,14 +150,14 @@ func (b *ReplicatedBlobs) GetBlob(name string) ([]byte, bool, error) {
 
 // ListBlobs lists the local store only: boot-time RestoreSessions restores
 // what this peer owns; everything else arrives lazily via routed traffic.
-func (b *ReplicatedBlobs) ListBlobs() ([]string, error) {
+func (b *replicatedBlobs) ListBlobs() ([]string, error) {
 	return b.local.ListBlobs()
 }
 
-// RegisterMetrics bridges the replication counters into a metric registry
-// (the co-located server's, so a peer losing redundancy shows on its own
-// /metrics) as scrape-time reads of the atomics.
-func (b *ReplicatedBlobs) RegisterMetrics(reg *obs.Registry) {
+// registerMetrics bridges the replication counters into the peer's
+// registry, so a peer losing redundancy shows on its own /metrics, as
+// scrape-time reads of the atomics.
+func (b *replicatedBlobs) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("schedd_fleet_blob_pushes_total", "Blob pushes to the key's other ring owners.", b.pushes.Load)
 	reg.CounterFunc("schedd_fleet_blob_push_errors_total", "Blob pushes that failed (the replica lacks that write).", b.pushErrs.Load)
 	reg.CounterFunc("schedd_fleet_blob_remote_gets_total", "Blob reads sent to the key's other ring owners.", b.remoteGets.Load)

@@ -8,35 +8,29 @@ import (
 
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
-// TestBlobMetrics: the replication counters are series on the registry they
-// are registered into, so a push to a dead replica shows on /metrics.
+// TestBlobMetrics: the replication counters are series on the peer's
+// /metrics, so a push to a dead replica shows there.
 func TestBlobMetrics(t *testing.T) {
 	leakcheck.Check(t)
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close() // the address stops answering
-	topo := NewTopology(map[string]string{"b": deadURL})
-	defer topo.Close()
-	repl := NewReplicatedBlobs(ReplicatedBlobsOptions{
-		Local: store.NewMemBlobs(), Self: "a", Ring: NewRing([]string{"a", "b"}, 64), Topo: topo, Replicas: 2,
-	})
-	reg := obs.NewRegistry()
-	repl.RegisterMetrics(reg)
+	p := NewPeer(Options{Self: "a", Peers: map[string]string{"a": "", "b": deadURL}, Replicas: 2})
+	defer p.Close()
 
 	// With two peers and R = 2, "b" owns every key: each put pushes to it
 	// and each local miss asks it.
-	if err := repl.PutBlob("request-x", []byte("{}")); err != nil {
+	if err := p.repl.PutBlob("request-x", []byte("{}")); err != nil {
 		t.Fatalf("a failed push must not fail the put: %v", err)
 	}
-	if _, ok, err := repl.GetBlob("request-y"); ok || err != nil {
+	if _, ok, err := p.repl.GetBlob("request-y"); ok || err != nil {
 		t.Fatalf("get of an absent blob: ok=%v err=%v", ok, err)
 	}
 
 	rec := httptest.NewRecorder()
-	reg.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	fams, err := obs.ParseExposition(strings.NewReader(rec.Body.String()))
 	if err != nil {
 		t.Fatal(err)

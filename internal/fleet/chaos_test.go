@@ -42,6 +42,7 @@ func TestFleetChaos(t *testing.T) {
 	}
 
 	// "s1" is pinned to owner p1 (TestRingOwnershipPinned) — the kill target.
+	// Every request enters through p0, outside its replica set.
 	const id = "s1"
 	sessionBody, rows := fleetSessionRows(t, 4, id, 60)
 	if code, resp, _ := doReq(t, http.MethodPost, refTS.URL+"/v1/sessions", sessionBody); code != http.StatusOK {
@@ -58,11 +59,12 @@ func TestFleetChaos(t *testing.T) {
 	}
 
 	f := newTestFleet(t, []string{"p0", "p1", "p2"}, testFleetOptions{})
-	if code, resp, _ := doReq(t, http.MethodPost, f.rts.URL+"/v1/sessions", sessionBody); code != http.StatusOK {
+	entry := f.url("p0")
+	if code, resp, _ := doReq(t, http.MethodPost, entry+"/v1/sessions", sessionBody); code != http.StatusOK {
 		t.Fatalf("fleet session create: %d %s", code, resp)
 	}
 
-	// Concurrent submit load through the router for the whole run, via the
+	// Concurrent submit load through p0 for the whole run, via the
 	// shared retry client — the same client schedload ships.
 	const (
 		workers     = 4
@@ -88,7 +90,7 @@ func TestFleetChaos(t *testing.T) {
 			rng := stats.NewRNG(uint64(100 + w))
 			for i := 0; i < perWorker; i++ {
 				idx := (w*perWorker + i) % uniqueBodies
-				res, err := client.Post(context.Background(), f.rts.URL+"/v1/schedules", "application/json", []byte(submitBody(idx)), rng)
+				res, err := client.Post(context.Background(), entry+"/v1/schedules", "application/json", []byte(submitBody(idx)), rng)
 				slot := w*perWorker + i
 				if err != nil {
 					outcomes[slot] = outcome{status: -1, body: err.Error(), idx: idx}
@@ -107,7 +109,7 @@ func TestFleetChaos(t *testing.T) {
 	observe := func(i int) {
 		t.Helper()
 		at := i * batch
-		code, resp, _ := doReq(t, http.MethodPost, f.rts.URL+"/v1/sessions/"+id+"/observe", observeAt(t, rows[at:at+batch], int64(at)))
+		code, resp, _ := doReq(t, http.MethodPost, entry+"/v1/sessions/"+id+"/observe", observeAt(t, rows[at:at+batch], int64(at)))
 		if code != http.StatusOK {
 			t.Fatalf("chaos observe batch %d: %d %s", i, code, resp)
 		}
@@ -158,15 +160,15 @@ func TestFleetChaos(t *testing.T) {
 	}
 	t.Logf("chaos: %d submits ok, %d shed", oks, sheds)
 
-	takeovers := f.metric("schedd_fleet_takeovers_total")
+	takeovers := f.metric("p0", "schedd_fleet_takeovers_total")
 	if takeovers == 0 {
 		t.Error("the session owner died mid-stream and the stream continued, but no takeover was counted")
 	}
 	t.Logf("chaos: takeovers=%g failovers=%g fleet503s=%g", takeovers,
-		f.metric("schedd_fleet_failovers_total"), f.metric("schedd_fleet_503s_total"))
+		f.metric("p0", "schedd_fleet_failovers_total"), f.metric("p0", "schedd_fleet_503s_total"))
 
 	// The healed fleet agrees with the reference on the final position.
-	code, resp, _ := doReq(t, http.MethodGet, f.rts.URL+"/v1/sessions/"+id, "")
+	code, resp, _ := doReq(t, http.MethodGet, entry+"/v1/sessions/"+id, "")
 	if code != http.StatusOK {
 		t.Fatalf("final status: %d %s", code, resp)
 	}

@@ -1,10 +1,11 @@
 // Package fleet runs N schedd instances as one logical service (DESIGN.md
-// §11): a consistent-hash ring maps schedule fingerprints and session ids to
-// an owner plus R-1 replicas, a front-end Router forwards requests with
+// §11). Each instance is a Peer: a consistent-hash ring maps schedule
+// fingerprints and session ids to an owner plus R-1 replicas; every peer's
+// router forwards the requests clients send it to their owners, with
 // per-peer timeouts, circuit breakers, seeded-jitter retries and hedged
-// reads, and ReplicatedBlobs pushes session checkpoints and schedule records
-// to the ring replicas so a surviving peer can take over a dead owner's
-// sessions mid-stream.
+// reads; and every peer pushes its session checkpoints and schedule records
+// to the ring replicas, so a surviving peer can take over a dead owner's
+// sessions mid-stream. A client may enter through any peer.
 //
 // The fleet inherits the byte-determinism contract the serving layer has
 // carried since DESIGN.md §7: every response is a pure function of the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -18,23 +17,26 @@ import (
 	"repro/internal/stats"
 )
 
-// Router is the fleet front end: an http.Handler that maps each request to
+// router is a peer's routing half: its mux maps each client request to
 // its ring key (schedule fingerprint or session id), forwards it to the
 // key's owner, and walks the replicas on failure — breaker-gated, with
 // seeded-jitter retry passes between full walks and hedged reads for
 // content-addressed GETs. It serves the same API surface as one schedd, so
 // clients cannot tell a fleet from a node; its per-peer routing counters
-// are metric series (RegisterMetrics).
+// are series in the peer's registry.
 //
 // Determinism: the router never builds a response body of its own except
 // the fleet-originated 503 (every replica dead or shedding) — everything
 // else is a peer's bytes relayed verbatim, and every peer answers every
 // request identically, so routing choices are invisible in response bytes.
-type Router struct {
-	opts Options
-	ring *Ring
-	topo *Topology
-	mux  *http.ServeMux
+type router struct {
+	ring     *Ring
+	topo     *topology
+	replicas int
+	// starts and maxTasks are the peer's server defaults, so the router
+	// keys a submit by the fingerprint the serving peer answers with.
+	starts, maxTasks int
+	mux              *http.ServeMux
 
 	// hedgeWait is hedgeDelay and sleep is time.Sleep; tests shorten the
 	// one and skip the other.
@@ -44,31 +46,12 @@ type Router struct {
 	rngMu sync.Mutex
 	rng   *stats.RNG
 
-	sessionSeq atomic.Int64
-	fleet503s  atomic.Int64
-	counters   map[string]*peerCounters
+	fleet503s atomic.Int64
+	counters  map[string]*peerCounters
 }
 
 type peerCounters struct {
 	forwards, hedges, failovers, takeovers, errors atomic.Int64
-}
-
-// Options configures a Router. Ring and Topology are required and are
-// typically shared with each peer's ReplicatedBlobs, so routing and
-// replication agree on ownership and on peer health.
-type Options struct {
-	Ring     *Ring
-	Topology *Topology
-	// Replicas is the ownership factor R (default 2): a request may be
-	// served by any of its key's first R ring owners.
-	Replicas int
-	// Starts and MaxTasks are the fingerprint defaults and MUST match the
-	// peers' server Options — routing keys on the same canonicalization the
-	// peers fingerprint with.
-	Starts   int
-	MaxTasks int
-	// Logf, when non-nil, receives operational log lines.
-	Logf func(format string, args ...any)
 }
 
 // hedgeDelay is how long a hedged read waits on the owner before also
@@ -80,21 +63,19 @@ const hedgeDelay = 50 * time.Millisecond
 // seeded with 0.
 var routeRetry = retry.Policy{MaxAttempts: 5, Base: 5 * time.Millisecond, Max: 2 * time.Second}
 
-// NewRouter builds the front end over an existing ring and topology.
-func NewRouter(opts Options) *Router {
-	if opts.Replicas <= 0 {
-		opts.Replicas = 2
-	}
-	r := &Router{
-		opts:      opts,
-		ring:      opts.Ring,
-		topo:      opts.Topology,
+func newRouter(ring *Ring, topo *topology, replicas, starts, maxTasks int) *router {
+	r := &router{
+		ring:      ring,
+		topo:      topo,
+		replicas:  replicas,
+		starts:    starts,
+		maxTasks:  maxTasks,
 		hedgeWait: hedgeDelay,
 		sleep:     time.Sleep,
 		rng:       stats.NewRNG(0),
 		counters:  make(map[string]*peerCounters),
 	}
-	for _, name := range opts.Ring.Peers() {
+	for _, name := range ring.Peers() {
 		r.counters[name] = &peerCounters{}
 	}
 	mux := http.NewServeMux()
@@ -108,14 +89,6 @@ func NewRouter(opts Options) *Router {
 	r.mux = mux
 	return r
 }
-
-func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	r.mux.ServeHTTP(w, req)
-}
-
-// Close drops the topology's idle peer connections. Call when done with a
-// router whose topology is not otherwise owned.
-func (r *Router) Close() { r.topo.Close() }
 
 // readBody drains the request body under the same cap the peers decode with.
 func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
@@ -133,7 +106,7 @@ func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 // solve and its replicated record. Bodies that do not canonicalize draw the
 // same deterministic 4xx from every peer; they are keyed by a raw-body hash
 // just to pick one.
-func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
+func (r *router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	body, ok := readBody(w, req)
 	if !ok {
 		return
@@ -143,26 +116,30 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	// Lenient decode for keying only — the peer's strict decode is the
 	// arbiter of validity, and invalid bodies answer identically everywhere.
 	if json.Unmarshal(body, &sr) == nil {
-		if fp, fok := server.SubmitFingerprint(&sr, r.opts.Starts, r.opts.MaxTasks); fok {
+		if fp, fok := server.SubmitFingerprint(&sr, r.starts, r.maxTasks); fok {
 			key = fp
 		}
 	}
 	r.route(w, req, key, req.URL.Path, body, false, false)
 }
 
-func (r *Router) handleScheduleGet(w http.ResponseWriter, req *http.Request) {
+func (r *router) handleScheduleGet(w http.ResponseWriter, req *http.Request) {
 	fp := req.PathValue("fp")
 	r.route(w, req, fp, "/v1/schedules/"+fp, nil, true, false)
 }
 
 // handleSessionCreate fixes the session's identity before any peer sees the
-// request: a body without a session_id gets one injected (router allocation
-// order, "f1", "f2", …), because the id is the ring key — it must exist
-// prior to routing, and it must not depend on which peer serves the create.
+// request: a body without a session_id gets one injected, because the id is
+// the ring key — it must exist prior to routing, and it must not depend on
+// which peer serves the create. The injected id is "f" and a trace id
+// (obs.NewTraceID: a random per-process base, a dash and a sequence
+// number), so ids injected by different entry peers, or by one peer before
+// and after a restart, never meet on a replica that holds another
+// session's checkpoint under the same id.
 // The body is decoded as strictly as a peer decodes it: re-marshalling drops
 // unknown fields, so a body a peer would refuse is forwarded unchanged
 // under its raw-body hash, and the owner answers its own 400.
-func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
+func (r *router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	body, ok := readBody(w, req)
 	if !ok {
 		return
@@ -173,7 +150,7 @@ func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	dec.DisallowUnknownFields()
 	if dec.Decode(&sr) == nil && len(sr.Tasks) > 0 {
 		if sr.SessionID == "" {
-			sr.SessionID = fmt.Sprintf("f%d", r.sessionSeq.Add(1))
+			sr.SessionID = "f" + obs.NewTraceID()
 			rewritten, err := json.Marshal(&sr)
 			if err == nil {
 				body = rewritten
@@ -184,7 +161,7 @@ func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	r.route(w, req, key, "/v1/sessions", body, false, true)
 }
 
-func (r *Router) handleSessionPath(w http.ResponseWriter, req *http.Request) {
+func (r *router) handleSessionPath(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	path := "/v1/sessions/" + id
 	var body []byte
@@ -203,7 +180,7 @@ func (r *Router) handleSessionPath(w http.ResponseWriter, req *http.Request) {
 // seeded backoff policy when every member failed or shed, and relay the
 // winning peer's bytes verbatim. session marks the session-stateful paths,
 // whose non-owner serves count as takeovers rather than failovers.
-func (r *Router) route(w http.ResponseWriter, req *http.Request, key, path string, body []byte, hedge, session bool) {
+func (r *router) route(w http.ResponseWriter, req *http.Request, key, path string, body []byte, hedge, session bool) {
 	// One trace identity per request, fixed before the first hop: honour a
 	// caller-supplied X-Trace-Id, mint one otherwise, echo it, and forward
 	// it with every peer attempt — owner, hedge, and failover alike — so a
@@ -213,7 +190,7 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request, key, path strin
 		tid = obs.NewTraceID()
 	}
 	w.Header().Set(obs.TraceHeader, tid)
-	owners := r.ring.Owners(key, r.opts.Replicas)
+	owners := r.ring.Owners(key, r.replicas)
 	if len(owners) == 0 {
 		server.WriteError(w, http.StatusServiceUnavailable, "fleet: no peers configured")
 		r.fleet503s.Add(1)
@@ -266,13 +243,12 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request, key, path strin
 // trySequential walks the replica set in ownership order: first healthy
 // peer with a non-503 answer wins. 503s are remembered (the last one is
 // relayed if the whole pass fails); transport errors feed the breaker via
-// Topology.do and move on.
-func (r *Router) trySequential(ctx context.Context, owners []string, method, path string, body []byte, traceID string) (*peerResult, int) {
+// topology.do and move on.
+func (r *router) trySequential(ctx context.Context, owners []string, method, path string, body []byte, traceID string) (*peerResult, int) {
 	var last *peerResult
 	lastIdx := -1
 	for i, peer := range owners {
-		br := r.topo.Breaker(peer)
-		if br == nil || !br.Allow() {
+		if !r.topo.breaker(peer).Allow() {
 			continue
 		}
 		res, err := r.topo.do(ctx, peer, method, path, body, traceID)
@@ -296,10 +272,10 @@ func (r *Router) trySequential(ctx context.Context, owners []string, method, pat
 // goroutine's only blocking op is the breaker-recorded HTTP call under the
 // canceled-on-return context, so no goroutine outlives the call
 // (leakcheck-pinned by TestHedgedReadNoLeak).
-func (r *Router) tryHedged(ctx context.Context, owners []string, method, path string, body []byte, traceID string) (*peerResult, int) {
+func (r *router) tryHedged(ctx context.Context, owners []string, method, path string, body []byte, traceID string) (*peerResult, int) {
 	allowed := make([]int, 0, len(owners))
 	for i, peer := range owners {
-		if br := r.topo.Breaker(peer); br != nil && br.Allow() {
+		if r.topo.breaker(peer).Allow() {
 			allowed = append(allowed, i)
 		}
 	}
@@ -363,7 +339,7 @@ func (r *Router) tryHedged(ctx context.Context, owners []string, method, path st
 // noteServed books a successful forward: a non-owner serve is a failover
 // (or, on the session-stateful paths, a takeover — a replica answering for
 // a session it did not create).
-func (r *Router) noteServed(peer string, idx int, session bool) {
+func (r *router) noteServed(peer string, idx int, session bool) {
 	c := r.counters[peer]
 	c.forwards.Add(1)
 	if idx > 0 {
@@ -393,11 +369,10 @@ func writePeerResult(w http.ResponseWriter, res *peerResult) {
 	w.Write(res.body)
 }
 
-// RegisterMetrics bridges the router's routing counters into a metric
-// registry (typically the co-located server's, so one /metrics scrape
-// covers both the solver and the fleet front end) as scrape-time reads of
-// the router's atomics and each peer's breaker.
-func (r *Router) RegisterMetrics(reg *obs.Registry) {
+// registerMetrics bridges the router's routing counters into the peer's
+// registry, so one /metrics scrape covers both the server and its routing,
+// as scrape-time reads of the router's atomics and each peer's breaker.
+func (r *router) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("schedd_fleet_503s_total", "Fleet-originated 503s (every replica dead or shedding).", r.fleet503s.Load)
 	for _, name := range r.ring.Peers() {
 		c := r.counters[name]
@@ -407,7 +382,7 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 		reg.CounterFunc("schedd_fleet_failovers_total", "Non-owner serves by this peer (stateless paths).", c.failovers.Load, peer)
 		reg.CounterFunc("schedd_fleet_takeovers_total", "Non-owner serves on session paths (replica continuing a dead owner's stream).", c.takeovers.Load, peer)
 		reg.CounterFunc("schedd_fleet_errors_total", "Transport-level failures talking to this peer.", c.errors.Load, peer)
-		br := r.topo.Breaker(name)
+		br := r.topo.breaker(name)
 		reg.GaugeFunc("schedd_fleet_peer_state", "Peer circuit-breaker position: 0 closed, 1 open, 2 half-open.", func() float64 {
 			return float64(br.State())
 		}, peer)
@@ -416,7 +391,7 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	}
 }
 
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
+func (r *router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte(`{"status":"ok"}` + "\n"))

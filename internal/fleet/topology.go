@@ -3,28 +3,25 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
-// Topology is the live view of the fleet's peers: where each one currently
-// listens (URLs are swappable — a restarted peer comes back on a new port)
-// and how healthy it looks (one fault.Breaker per peer, shared by the
-// router's forwards and ReplicatedBlobs' pushes, so evidence from either
-// path trips the other's traffic away from a dead peer).
-type Topology struct {
-	mu    sync.Mutex
+// topology is one peer's live view of the fleet: where each peer listens
+// and how healthy it looks (one fault.Breaker per peer, shared by this
+// peer's routed forwards and its replication pushes, so evidence from either
+// path trips the other's traffic away from a dead peer). Its peer table is
+// fixed at construction; only a peer's URL may change, as when a test
+// revives a peer on a new address.
+type topology struct {
 	peers map[string]*peerState
-
-	// client carries all peer traffic; the Topology owns it, so Close can
-	// drop its idle connections.
+	// client carries all peer traffic; Peer.Close drops its idle
+	// connections.
 	client *http.Client
 }
 
@@ -33,16 +30,16 @@ type peerState struct {
 	breaker *fault.Breaker
 }
 
-// peerTimeout bounds every request to a peer. It matches the serving
-// layer's WriteTimeout: a long solve is legitimate, and a dead peer fails
+// peerTimeout bounds every request to a peer: the serving listener's
+// WriteTimeout, because a long solve is legitimate, and a dead peer fails
 // fast by refusing the connection.
-const peerTimeout = 2 * time.Minute
+var peerTimeout = server.HTTPServer(nil).WriteTimeout
 
-// NewTopology builds the peer table. urls maps peer name → base URL
-// ("http://host:port"); peers absent from urls start unreachable until
-// SetURL names them. Each peer gets its own fault.Breaker.
-func NewTopology(urls map[string]string) *Topology {
-	t := &Topology{
+// newTopology builds the peer table from urls, peer name → base URL
+// ("http://host:port"); a peer with an empty URL is unreachable. Each peer
+// gets its own fault.Breaker.
+func newTopology(urls map[string]string) *topology {
+	t := &topology{
 		peers:  make(map[string]*peerState, len(urls)),
 		client: &http.Client{Transport: &http.Transport{}},
 	}
@@ -54,38 +51,8 @@ func NewTopology(urls map[string]string) *Topology {
 	return t
 }
 
-// SetURL repoints a peer — the restart path: a revived peer listens on a new
-// address, and traffic follows without rebuilding the ring.
-func (t *Topology) SetURL(name, url string) {
-	t.mu.Lock()
-	ps := t.peers[name]
-	if ps == nil {
-		ps = &peerState{breaker: fault.NewBreaker()}
-		t.peers[name] = ps
-	}
-	t.mu.Unlock()
-	ps.url.Store(url)
-}
-
-// Breaker returns the peer's circuit breaker (nil for unknown peers).
-func (t *Topology) Breaker(name string) *fault.Breaker {
-	if ps := t.peer(name); ps != nil {
-		return ps.breaker
-	}
-	return nil
-}
-
-func (t *Topology) peer(name string) *peerState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.peers[name]
-}
-
-// Close releases the topology's idle peer connections. Goroutine hygiene for
-// leakcheck-guarded tests.
-func (t *Topology) Close() {
-	t.client.CloseIdleConnections()
-}
+// breaker returns the named peer's circuit breaker.
+func (t *topology) breaker(name string) *fault.Breaker { return t.peers[name].breaker }
 
 // peerResult is one peer's complete HTTP answer.
 type peerResult struct {
@@ -94,25 +61,21 @@ type peerResult struct {
 	header http.Header
 }
 
-// do sends one request to the named peer under peerTimeout and
-// records the transport outcome on its breaker (an HTTP answer of any status
-// is breaker success — the peer is alive; only transport-level failures are
-// evidence of death). Callers must have checked Allow.
-// do forwards one request to a peer. traceID, when non-empty, rides along
-// as the X-Trace-Id header so a request keeps one identity across every
-// hop of the fleet (purely observational — peers never read it into any
-// response byte).
-func (t *Topology) do(ctx context.Context, name, method, path string, body []byte, traceID string) (*peerResult, error) {
-	ps := t.peer(name)
-	if ps == nil {
-		return nil, fmt.Errorf("fleet: unknown peer %q", name)
-	}
+// forwardedHeader marks a request a peer's router has already routed: the
+// receiving peer serves it on its own server instead of routing it again
+// (Peer.ServeHTTP), so a request makes at most one fleet hop.
+const forwardedHeader = "X-Fleet-Forwarded"
+
+// do sends one request to the named peer under peerTimeout, marked with
+// forwardedHeader, and records the transport outcome on its breaker (an
+// HTTP answer of any status is breaker success — the peer is alive; only
+// transport-level failures are evidence of death). Callers must have
+// checked Allow. traceID, when non-empty, rides along as the X-Trace-Id
+// header so a request keeps one identity across every hop of the fleet
+// (purely observational — peers never read it into any response byte).
+func (t *topology) do(ctx context.Context, name, method, path string, body []byte, traceID string) (*peerResult, error) {
+	ps := t.peers[name]
 	base, _ := ps.url.Load().(string)
-	if base == "" {
-		err := fmt.Errorf("fleet: peer %q has no address", name)
-		ps.breaker.Record(err)
-		return nil, err
-	}
 	ctx, cancel := context.WithTimeout(ctx, peerTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -126,9 +89,7 @@ func (t *Topology) do(ctx context.Context, name, method, path string, body []byt
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	// Marks the request as already routed: a peer in -fleet mode serves it
-	// locally instead of re-forwarding (loop prevention).
-	req.Header.Set("X-Fleet-Forwarded", "1")
+	req.Header.Set(forwardedHeader, "1")
 	if traceID != "" {
 		req.Header.Set(obs.TraceHeader, traceID)
 	}

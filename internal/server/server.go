@@ -325,6 +325,20 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
+// HTTPServer returns the http.Server a daemon serves h on. WriteTimeout
+// bounds the whole handler (headers read → response written): it must
+// dominate any legitimate solve, so it is generous — a stuck handler is
+// reaped, a slow solve is not — and a fleet peer waits on another peer for
+// as long. IdleTimeout reaps abandoned keep-alive connections.
+func HTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // committedWriter records whether a response has started, so the panic
 // recovery path knows if a 500 can still be written.
 type committedWriter struct {
