@@ -81,7 +81,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		simReps     = fs.Int("hyperperiods", 200, "default hyper-periods per compare simulation")
 		maxTasks    = fs.Int("maxtasks", 64, "admission limit on tasks per request")
 		storeDir    = fs.String("store-dir", "", "persistent store directory: solved schedules, submitted requests and session checkpoints survive restarts (empty = memory only)")
-		storeSync   = fs.Bool("store-sync", false, "fsync every log append and every blob write (request bodies, session checkpoints)")
+		storeSync   = fs.Bool("store-sync", false, "fsync every schedule record and blob write (request bodies, session checkpoints)")
 		inflight    = fs.Int("inflight", 256, "max concurrently admitted solving requests (overload beyond it queues, then sheds 503 + Retry-After)")
 		queueWait   = fs.Duration("queuewait", 100*time.Millisecond, "how long an over-limit request may queue for a seat before being shed")
 		solveBudget = fs.Duration("solvebudget", 0, "per-request ACS refinement budget; past it the request is answered with the WCS fallback marked degraded (0 = unlimited)")
@@ -134,7 +134,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		}
 		defer disk.Close()
 		// Tiered residency: the LRU memory tier keeps its -cachemb bound, the
-		// disk log underneath makes solves durable. Warm restarts repopulate
+		// disk records underneath make solves durable. Warm restarts repopulate
 		// the hot tier on demand (disk hits promote). Checkpoints flow through
 		// the tier too, so the circuit breaker (DESIGN.md §10) sits between
 		// the daemon and the device on every durable path: a dying disk

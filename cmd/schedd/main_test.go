@@ -220,7 +220,7 @@ func TestFleetModeSmoke(t *testing.T) {
 // TestWarmRestartServesFromStore is the daemon-level warm-restart smoke: a
 // schedule submitted before a full stop/boot cycle on the same -store-dir is
 // fetchable afterwards by fingerprint alone, byte-identically, served from
-// the recovered disk log rather than a re-solve.
+// the disk store rather than a re-solve.
 func TestWarmRestartServesFromStore(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-addr", "127.0.0.1:0", "-store-dir", dir}
@@ -263,10 +263,8 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	if n, _ := obs.SampleValue(fams, "schedd_memo_misses_total", obs.L("kind", "schedule")); n != 0 {
 		t.Errorf("warm restart re-solved %g schedules, want 0", n)
 	}
-	diskHits, _ := obs.SampleValue(fams, "schedd_store_tier_hits_total", obs.L("tier", "disk"))
-	recovered, _ := obs.SampleValue(fams, "schedd_store_recovered_entries")
-	if diskHits == 0 || recovered == 0 {
-		t.Errorf("warm restart did not serve from the recovered log: %g disk hits, %g recovered entries", diskHits, recovered)
+	if diskHits, _ := obs.SampleValue(fams, "schedd_store_tier_hits_total", obs.L("tier", "disk")); diskHits == 0 {
+		t.Error("warm restart did not serve from the disk store: 0 disk hits")
 	}
 }
 

@@ -164,8 +164,6 @@ type restartReport struct {
 	WarmScheduleMisses int64   `json:"warm_schedule_misses"`
 	WarmMemHits        int64   `json:"warm_mem_hits"`
 	WarmDiskHits       int64   `json:"warm_disk_hits"`
-	RecoveredEntries   int64   `json:"recovered_entries"`
-	TornRecordsDropped int64   `json:"torn_records_dropped"`
 	SolveAvoidancePct  float64 `json:"solve_avoidance_pct"`
 	ColdDurationMs     float64 `json:"cold_duration_ms"`
 	WarmDurationMs     float64 `json:"warm_duration_ms"`
@@ -827,8 +825,6 @@ func newRestartReport(coldFams, warmFams []obs.Family, cold, warm phaseResult) *
 		WarmScheduleMisses: int64(sample(warmFams, "schedd_memo_misses_total", schedule)),
 		WarmMemHits:        int64(sample(warmFams, "schedd_store_tier_hits_total", obs.L("tier", "mem"))),
 		WarmDiskHits:       int64(sample(warmFams, "schedd_store_tier_hits_total", obs.L("tier", "disk"))),
-		RecoveredEntries:   int64(sample(warmFams, "schedd_store_recovered_entries")),
-		TornRecordsDropped: int64(sample(warmFams, "schedd_store_torn_records_dropped")),
 		ColdDurationMs:     float64(cold.elapsed.Nanoseconds()) / 1e6,
 		WarmDurationMs:     float64(warm.elapsed.Nanoseconds()) / 1e6,
 		ColdP50Ms:          cold.percentile(0.50),

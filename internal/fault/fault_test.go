@@ -142,10 +142,6 @@ func TestInjectFSErrAndTorn(t *testing.T) {
 		t.Fatalf("disarmed write failed: %v", err)
 	}
 	reg.Arm("fs.read", Spec{Prob: 1, Err: true})
-	buf := make([]byte, 10)
-	if _, err := f.ReadAt(buf, 0); !errors.Is(err, ErrInjected) {
-		t.Fatalf("read err = %v, want ErrInjected", err)
-	}
 	if _, err := ifs.ReadFile(path); !errors.Is(err, ErrInjected) {
 		t.Fatal("ReadFile not intercepted")
 	}

@@ -17,13 +17,11 @@ type FS interface {
 	Remove(name string) error
 }
 
-// File is the open-file surface the store uses.
+// File is the open-file surface the store uses: it reads whole files with
+// FS.ReadFile, so an open file is only written, synced and closed.
 type File interface {
-	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
 	Sync() error
-	Truncate(size int64) error
-	Stat() (os.FileInfo, error)
 	Close() error
 }
 
@@ -44,17 +42,17 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 // operation:
 //
 //	fs.open    OpenFile
-//	fs.read    ReadAt, ReadFile, ReadDir
+//	fs.read    ReadFile, ReadDir
 //	fs.write   WriteAt (Spec.Torn persists a prefix first)
 //	fs.sync    Sync
 //
 // A fired point imposes its latency, then (for Err points) fails the
 // operation with ErrInjected. A torn WriteAt persists the configured prefix
-// through the inner file before failing, modelling a crash mid-append or in
-// the middle of overwriting a blob's slot file. Truncate, Close, Stat,
-// MkdirAll and Remove pass through unwrapped: the store's failure handling
-// for them is exercised via the open/read/write points, and injecting into
-// cleanup paths only makes chaos runs leave debris behind.
+// through the inner file before failing, modelling a crash in the middle of
+// overwriting a slot file. Close, MkdirAll and Remove pass through
+// unwrapped: the store's failure handling for them is exercised via the
+// open/read/write points, and injecting into cleanup paths only makes chaos
+// runs leave debris behind.
 func Inject(inner FS, reg *Registry) FS {
 	return &injectFS{inner: inner, reg: reg}
 }
@@ -110,20 +108,13 @@ type injectFile struct {
 	fs    *injectFS
 }
 
-func (f *injectFile) ReadAt(p []byte, off int64) (int, error) {
-	if out := f.fs.eval("fs.read"); out.Err != nil {
-		return 0, out.Err
-	}
-	return f.inner.ReadAt(p, off)
-}
-
 func (f *injectFile) WriteAt(p []byte, off int64) (int, error) {
 	if out := f.fs.eval("fs.write"); out.Err != nil {
 		n := 0
 		if torn := int(out.Torn * float64(len(p))); torn > 0 {
 			// A torn write: the prefix reaches the platter, the rest never
-			// does, and the caller sees a failure — exactly the shape the
-			// store's recovery scan must truncate away.
+			// does, and the caller sees a failure — exactly the shape a slot
+			// record's CRC must refuse.
 			n, _ = f.inner.WriteAt(p[:torn], off)
 		}
 		return n, out.Err
@@ -138,6 +129,4 @@ func (f *injectFile) Sync() error {
 	return f.inner.Sync()
 }
 
-func (f *injectFile) Truncate(size int64) error  { return f.inner.Truncate(size) }
-func (f *injectFile) Stat() (os.FileInfo, error) { return f.inner.Stat() }
-func (f *injectFile) Close() error               { return f.inner.Close() }
+func (f *injectFile) Close() error { return f.inner.Close() }

@@ -216,6 +216,9 @@ func (c *Controller) Schedule() *core.Schedule { return c.acs }
 // Model returns the task set the current schedule was solved against.
 func (c *Controller) Model() *task.Set { return c.model }
 
+// Base returns the stated task set the controller started from.
+func (c *Controller) Base() *task.Set { return c.base }
+
 // Fingerprint returns the current schedule's content address.
 func (c *Controller) Fingerprint() string { return c.fingerprint }
 

@@ -12,8 +12,9 @@ import (
 
 // replicatedBlobs is a peer's checkpoint store: a server.BlobStore that
 // replicates writes to the key's ring owners, so a session checkpoint or
-// schedule record put on one peer lands on all R owners of its key, and a
-// replica can restore the session (or the record) after the owner dies.
+// request record put on one peer lands on all R owners of its key, and a
+// replica can restore the session (or answer a GET of the request) after
+// the owner dies.
 // NewPeer gives the peer's server a replicatedBlobs as Options.Checkpoints
 // and the underlying local store as Options.InternalBlobs — pushed blobs are
 // stored locally by the receiving peer, never re-pushed (no replication
@@ -26,8 +27,8 @@ import (
 // reachable owner and the one with the highest observation count is
 // returned, which is what lets a revived stale owner heal itself (the
 // server's refresh-on-gap path) and a replica take over at the last acked
-// observation. Schedule-record blobs are immutable (content-addressed), so
-// any copy is the right copy.
+// observation. Request records are immutable (content-addressed), so any
+// copy is the right copy.
 type replicatedBlobs struct {
 	local server.BlobStore
 	// self is this peer's ring name: pushes skip it (the local write already

@@ -39,7 +39,6 @@ type Peer struct {
 	topo   *topology
 	router *router
 	repl   *replicatedBlobs
-	local  http.Handler
 }
 
 // NewPeer builds a fleet member. Its router fingerprints with the server's
@@ -67,10 +66,11 @@ func NewPeer(opts Options) *Peer {
 	sopts.Checkpoints = repl
 	sopts.InternalBlobs = local
 	srv := server.New(sopts)
+	topo.self, topo.local = opts.Self, srv.Handler()
 	r := newRouter(ring, topo, opts.Replicas, sopts.Starts, sopts.MaxTasks)
 	r.registerMetrics(srv.Metrics())
 	repl.registerMetrics(srv.Metrics())
-	return &Peer{Server: srv, topo: topo, router: r, repl: repl, local: srv.Handler()}
+	return &Peer{Server: srv, topo: topo, router: r, repl: repl}
 }
 
 // ServeHTTP serves three kinds of request on the peer's own server: those
@@ -80,7 +80,7 @@ func NewPeer(opts Options) *Peer {
 func (p *Peer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(forwardedHeader) != "" || strings.HasPrefix(r.URL.Path, "/v1/internal/") ||
 		r.URL.Path == "/metrics" {
-		p.local.ServeHTTP(w, r)
+		p.topo.local.ServeHTTP(w, r)
 		return
 	}
 	p.router.mux.ServeHTTP(w, r)

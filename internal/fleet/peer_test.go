@@ -3,7 +3,9 @@ package fleet
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -127,5 +129,57 @@ func TestFleetRoutesWithServerStarts(t *testing.T) {
 	}
 	if n, _ := obs.SampleValue(f.scrape("p0"), "schedd_fleet_forwards_total", obs.L("peer", owner)); n != 1 {
 		t.Errorf("p0 forwarded %g submits to the owner %s, want 1", n, owner)
+	}
+}
+
+// TestFleetServesOwnKeysInProcess: a peer serves the requests its router
+// sends to itself through its own server's handler, dialing nothing. With
+// p0's own peer-table entry on an address that refuses connections, submits
+// and GETs of keys p0 owns, entered through p0, answer a single node's
+// bytes with no transport error or failover counted on p0. Before, each
+// such request took a loopback HTTP hop to p0's own listener.
+func TestFleetServesOwnKeysInProcess(t *testing.T) {
+	leakcheck.Check(t)
+	f := newTestFleet(t, []string{"p0", "p1", "p2"}, testFleetOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := "http://" + ln.Addr().String()
+	ln.Close()
+	f.peers["p0"].peer.topo.peers["p0"].url.Store(refused)
+
+	refSrv := server.New(server.Options{})
+	refTS := httptest.NewServer(refSrv.Handler())
+	t.Cleanup(func() { refTS.Close(); refSrv.Close() })
+	requests := 0
+	for i, owned := 0, 0; owned < 3; i++ {
+		body := submitBody(i)
+		fp := fingerprintOf(t, body, 0)
+		if f.ring.Owners(fp, 1)[0] != "p0" {
+			continue
+		}
+		owned++
+		_, want, _ := doReq(t, http.MethodPost, refTS.URL+"/v1/schedules", body)
+		for _, req := range [][2]string{{http.MethodPost, "/v1/schedules"}, {http.MethodGet, "/v1/schedules/" + fp}} {
+			reqBody := body
+			if req[0] == http.MethodGet {
+				reqBody = ""
+			}
+			code, got, _ := doReq(t, req[0], f.url("p0")+req[1], reqBody)
+			if code != http.StatusOK || got != want {
+				t.Fatalf("%s %s through p0: %d %s, want the single node's %s", req[0], req[1], code, got, want)
+			}
+			requests++
+		}
+	}
+	self := obs.L("peer", "p0")
+	fams := f.scrape("p0")
+	for name, want := range map[string]float64{
+		"schedd_fleet_forwards_total": float64(requests), "schedd_fleet_errors_total": 0, "schedd_fleet_failovers_total": 0,
+	} {
+		if n, _ := obs.SampleValue(fams, name, self); n != want {
+			t.Errorf("%s{peer=p0} on p0 = %g, want %g", name, n, want)
+		}
 	}
 }

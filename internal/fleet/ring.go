@@ -3,7 +3,7 @@
 // fingerprints and session ids to an owner plus R-1 replicas; every peer's
 // router forwards the requests clients send it to their owners, with
 // per-peer timeouts, circuit breakers, seeded-jitter retries and hedged
-// reads; and every peer pushes its session checkpoints and schedule records
+// reads; and every peer pushes its session checkpoints and request records
 // to the ring replicas, so a surviving peer can take over a dead owner's
 // sessions mid-stream. A client may enter through any peer.
 //

@@ -587,6 +587,41 @@ func TestRouterSessionIDInjection(t *testing.T) {
 	}
 }
 
+// TestRouterSessionCreateKeepsCheckpointedSession: a create never replaces
+// a session that a replica holds only as a checkpoint. A client creates x1
+// through the peer outside its replica set and observes once; the owner
+// dies. A create of x1 with another set, through the same peer, reaches the
+// replica: before, it answered 200 and overwrote the checkpoint, and the
+// first client's next observe answered 409. A retry of the first create
+// answers its original bytes.
+func TestRouterSessionCreateKeepsCheckpointedSession(t *testing.T) {
+	leakcheck.Check(t)
+	const id = "x1"
+	f := newTestFleet(t, []string{"p0", "p1", "p2"}, testFleetOptions{})
+	owners := f.ring.Owners(id, 3)
+	entry := f.url(owners[2])
+	body, rows := fleetSessionRows(t, 4, id, 20)
+	code, created, _ := doReq(t, http.MethodPost, entry+"/v1/sessions", body)
+	if code != http.StatusOK {
+		t.Fatalf("create: %d %s", code, created)
+	}
+	if code, resp, _ := doReq(t, http.MethodPost, entry+"/v1/sessions/"+id+"/observe", observeAt(t, rows[:10], 0)); code != http.StatusOK {
+		t.Fatalf("first observe: %d %s", code, resp)
+	}
+	f.kill(owners[0])
+
+	other, _ := fleetSessionRows(t, 5, id, 0)
+	if code, resp, _ := doReq(t, http.MethodPost, entry+"/v1/sessions", other); code != http.StatusConflict {
+		t.Fatalf("create of another set under x1: %d %s, want 409", code, resp)
+	}
+	if code, resp, _ := doReq(t, http.MethodPost, entry+"/v1/sessions", body); code != http.StatusOK || resp != created {
+		t.Fatalf("retried create: %d %s, want 200 with the original bytes", code, resp)
+	}
+	if code, resp, _ := doReq(t, http.MethodPost, entry+"/v1/sessions/"+id+"/observe", observeAt(t, rows[10:], 10)); code != http.StatusOK {
+		t.Fatalf("the first client's next observe: %d %s, want 200", code, resp)
+	}
+}
+
 // TestRouterSessionCreateUnknownField: a create body a peer refuses is
 // refused through the router too, with the peer's own bytes. Without a
 // session_id the router injects one, and re-marshalling the body must not

@@ -23,6 +23,11 @@ type topology struct {
 	// client carries all peer traffic; Peer.Close drops its idle
 	// connections.
 	client *http.Client
+	// self is this peer's name, and local its own server's handler, which
+	// serves the requests this peer sends itself in process (NewPeer sets
+	// both).
+	self  string
+	local http.Handler
 }
 
 type peerState struct {
@@ -73,6 +78,8 @@ const forwardedHeader = "X-Fleet-Forwarded"
 // checked Allow. traceID, when non-empty, rides along as the X-Trace-Id
 // header so a request keeps one identity across every hop of the fleet
 // (purely observational — peers never read it into any response byte).
+// A request to this peer itself is served by its own server's handler into
+// an in-memory answer, with no connection dialed.
 func (t *topology) do(ctx context.Context, name, method, path string, body []byte, traceID string) (*peerResult, error) {
 	ps := t.peers[name]
 	base, _ := ps.url.Load().(string)
@@ -93,6 +100,15 @@ func (t *topology) do(ctx context.Context, name, method, path string, body []byt
 	if traceID != "" {
 		req.Header.Set(obs.TraceHeader, traceID)
 	}
+	if name == t.self {
+		a := &answer{header: make(http.Header)}
+		t.local.ServeHTTP(a, req)
+		ps.breaker.Record(nil)
+		if a.status == 0 {
+			a.status = http.StatusOK
+		}
+		return &peerResult{status: a.status, body: a.body.Bytes(), header: a.header}, nil
+	}
 	resp, err := t.client.Do(req)
 	if err != nil {
 		ps.breaker.Record(err)
@@ -106,4 +122,25 @@ func (t *topology) do(ctx context.Context, name, method, path string, body []byt
 	}
 	ps.breaker.Record(nil)
 	return &peerResult{status: resp.StatusCode, body: b, header: resp.Header}, nil
+}
+
+// answer is an in-memory http.ResponseWriter: the answer a peer's server
+// gives a request the peer sends itself.
+type answer struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (a *answer) Header() http.Header { return a.header }
+
+func (a *answer) WriteHeader(status int) {
+	if a.status == 0 {
+		a.status = status
+	}
+}
+
+func (a *answer) Write(p []byte) (int, error) {
+	a.WriteHeader(http.StatusOK)
+	return a.body.Write(p)
 }

@@ -208,14 +208,6 @@ type Stats struct {
 	// that answered (a disk hit repopulates the memory tier on the way out).
 	MemHits  int64 `json:"mem_hits"`
 	DiskHits int64 `json:"disk_hits"`
-	// DiskEntries/DiskBytes describe the disk tier's resident log.
-	DiskEntries int64 `json:"disk_entries"`
-	DiskBytes   int64 `json:"disk_bytes"`
-	// RecoveredEntries counts records indexed by the recovery scan when the
-	// disk tier opened; TornRecordsDropped counts the truncations that scan
-	// performed (a torn tail record and everything after it is dropped).
-	RecoveredEntries   int64 `json:"recovered_entries"`
-	TornRecordsDropped int64 `json:"torn_records_dropped"`
 	// Disk-health and degraded-mode accounting (DESIGN.md §10; zero for
 	// purely in-memory backends). DiskReadErrs/DiskWriteErrs count failed
 	// device operations; BreakerState is the tiered backend's circuit

@@ -57,9 +57,15 @@ func sessionRows(t *testing.T, seed uint64, id string, n int) (string, [][]float
 	return body, rows
 }
 
+// TestSessionCustomID: a create names its session, and a create never
+// replaces a session under its id. The same creation answers the original
+// create's bytes, on the server holding the session and on one that holds
+// only its checkpoint, so a lost-ack retry gets the same answer on every
+// peer; another creation answers 409.
 func TestSessionCustomID(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	body, _ := sessionRows(t, 3, "fleet-a1", 0)
+	blobs := store.NewMemBlobs()
+	_, ts := newTestServer(t, Options{Checkpoints: blobs})
+	body, rows := sessionRows(t, 3, "fleet-a1", 10)
 
 	code, resp := post(t, ts.URL+"/v1/sessions", body)
 	if code != http.StatusOK {
@@ -73,10 +79,28 @@ func TestSessionCustomID(t *testing.T) {
 		t.Fatalf("created id %q, want the requested fleet-a1", created.SessionID)
 	}
 
-	// Same id again: the session is resident, so a second create conflicts.
-	code, resp = post(t, ts.URL+"/v1/sessions", body)
-	if code != http.StatusConflict {
-		t.Fatalf("duplicate create: %d %s, want 409", code, resp)
+	if code, observed := post(t, ts.URL+"/v1/sessions/fleet-a1/observe", observeAtBody(t, rows, 0)); code != http.StatusOK {
+		t.Fatalf("observe: %d %s", code, observed)
+	}
+
+	// Same id and body again, on this server and on a replica that holds
+	// only the checkpoint: the original create's bytes, the session kept.
+	other, _ := sessionBody(t, 4)
+	other = `{"session_id":"fleet-a1",` + other[1:]
+	_, replica := newTestServer(t, Options{Checkpoints: blobs})
+	for _, url := range []string{ts.URL, replica.URL} {
+		if code, again := post(t, url+"/v1/sessions", body); code != http.StatusOK || again != resp {
+			t.Fatalf("retried create: %d %s, want 200 with the original bytes %s", code, again, resp)
+		}
+		// Another set under the same id conflicts.
+		if code, conflict := post(t, url+"/v1/sessions", other); code != http.StatusConflict {
+			t.Fatalf("create of another set under a taken id: %d %s, want 409", code, conflict)
+		}
+		code, status := get(t, url+"/v1/sessions/fleet-a1")
+		var st SessionStatusResponse
+		if err := json.Unmarshal([]byte(status), &st); code != http.StatusOK || err != nil || st.Observed != 10 {
+			t.Fatalf("status after the creates: %d %s, want the session at 10 hyper-periods", code, status)
+		}
 	}
 
 	// Malformed ids are rejected before any solving.

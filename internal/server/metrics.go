@@ -173,10 +173,6 @@ func (s *Server) registerDerived() {
 	reg.GaugeFunc("schedd_memo_bytes_cap", "Configured byte cap of the memory tier (0 = unbounded).", func() float64 { return float64(memo.Stats().BytesCap) })
 	reg.CounterFunc("schedd_store_tier_hits_total", "Schedule hits split by the tier that answered.", func() int64 { return memo.Stats().MemHits }, obs.L("tier", "mem"))
 	reg.CounterFunc("schedd_store_tier_hits_total", "Schedule hits split by the tier that answered.", func() int64 { return memo.Stats().DiskHits }, obs.L("tier", "disk"))
-	reg.GaugeFunc("schedd_store_disk_entries", "Entries resident in the disk log.", func() float64 { return float64(memo.Stats().DiskEntries) })
-	reg.GaugeFunc("schedd_store_disk_bytes", "Bytes resident in the disk log.", func() float64 { return float64(memo.Stats().DiskBytes) })
-	reg.GaugeFunc("schedd_store_recovered_entries", "Records indexed by the recovery scan at disk open.", func() float64 { return float64(memo.Stats().RecoveredEntries) })
-	reg.GaugeFunc("schedd_store_torn_records_dropped", "Torn tail records dropped by the recovery scan.", func() float64 { return float64(memo.Stats().TornRecordsDropped) })
 	reg.CounterFunc("schedd_store_disk_errors_total", "Failed disk device operations, by op.", func() int64 { return memo.Stats().DiskReadErrs }, obs.L("op", "read"))
 	reg.CounterFunc("schedd_store_disk_errors_total", "Failed disk device operations, by op.", func() int64 { return memo.Stats().DiskWriteErrs }, obs.L("op", "write"))
 	reg.GaugeFunc("schedd_store_breaker_state", "Disk circuit breaker position: 0 closed, 1 open, 2 half-open.", func() float64 { return breakerStateNum(memo.Stats().BreakerState) })

@@ -89,7 +89,7 @@ type Options struct {
 	MaxTasks int
 	// Store, when non-nil, supplies the residency backend for the shared
 	// memo cache instead of the MemoBytes-bounded in-memory default —
-	// typically a store.Tiered (memory over the crash-safe disk log), which
+	// typically a store.Tiered (memory over the crash-safe disk store), which
 	// makes solves survive restarts. The byte-determinism contract makes the
 	// swap invisible: every backend yields identical response bytes
 	// (TestStoreBackendIdentity).
@@ -120,7 +120,7 @@ type Options struct {
 	SolveBudget time.Duration
 	// InternalBlobs, when non-nil, exposes the peer-replication endpoints
 	// PUT/GET /v1/internal/blobs/{name} over this store — the door fleet
-	// peers push replicated checkpoints and schedule records through
+	// peers push replicated checkpoints and request records through
 	// (DESIGN.md §11). It is typically the same underlying store Checkpoints
 	// wraps, minus the replication layer (a peer receiving a pushed blob
 	// stores it locally; re-pushing it would loop). Nil (the default) answers
@@ -1211,7 +1211,7 @@ func (s *Server) handleCompare(ctx context.Context, w http.ResponseWriter, r *ht
 }
 
 // handleBlobPut is the peer-replication write door: a fleet peer pushing a
-// replicated blob (session checkpoint or schedule record) stores it in this
+// replicated blob (session checkpoint or request record) stores it in this
 // instance's local blob store. Deliberately outside the admission semaphore —
 // replication must not be shed by client load — and outside the determinism
 // contract (it is peer plumbing, not a client API). 404 when the instance is

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -271,9 +272,12 @@ type SessionRequest struct {
 	// session already holds): 1–64 characters of
 	// [A-Za-z0-9._-]. The fleet router injects one so a session's identity —
 	// and therefore its ring position — is fixed before any peer sees the
-	// request; a create whose id is already resident answers 409. Creation
-	// is otherwise a pure function of the body, so a lost-ack retry that
-	// lands on a replica re-creates the same session byte-identically.
+	// request. A create never replaces a session that exists under its id,
+	// resident or checkpointed: the same creation (the same canonical task
+	// set and knobs) answers 200 with the create's own bytes and leaves the
+	// session as it is, and any other creation answers 409. Creation is a
+	// pure function of the body, so a lost-ack retry answers the same bytes
+	// on every peer, the owner or a replica.
 	SessionID string `json:"session_id,omitempty"`
 	// DriftDelta and DriftLambda parameterise the Page–Hinkley detector in
 	// standardized units; MinSamples is its warm-up length.
@@ -407,15 +411,25 @@ func (s *Server) handleSessionCreate(ctx context.Context, w http.ResponseWriter,
 			"admission: sessions are single-core; omit the cores field (got %d)", cr.cores))
 		return
 	}
-	if req.SessionID != "" && !validSessionID(req.SessionID) {
-		writeResult(w, errorf(http.StatusUnprocessableEntity,
-			"admission: session_id must be 1-64 characters of [A-Za-z0-9._-]"))
-		return
+	var existing *serverSession
+	if req.SessionID != "" {
+		if !validSessionID(req.SessionID) {
+			writeResult(w, errorf(http.StatusUnprocessableEntity,
+				"admission: session_id must be 1-64 characters of [A-Za-z0-9._-]"))
+			return
+		}
+		// A session that is not resident may still exist as a checkpoint,
+		// replicated from a dead owner: adopt it as a takeover would, so the
+		// create below meets it instead of overwriting its checkpoint.
+		if existing, e = s.sessionOrRestore(ctx, req.SessionID); e != nil {
+			writeResult(w, e)
+			return
+		}
 	}
 	s.mu.Lock()
 	full := len(s.sessions) >= s.sessionCap
 	s.mu.Unlock()
-	if full {
+	if full && existing == nil {
 		writeResult(w, s.sessionLimitError())
 		return
 	}
@@ -440,6 +454,21 @@ func (s *Server) handleSessionCreate(ctx context.Context, w http.ResponseWriter,
 		Schedule:  sessionSchedule(ctrl),
 	}
 	s.mu.Lock()
+	if cur := s.sessions[req.SessionID]; req.SessionID != "" && cur != nil {
+		s.mu.Unlock()
+		// The id is taken: answer the create's own bytes if it is the
+		// session's own creation, and never replace the session.
+		cur.mu.Lock()
+		same := cur.sessionKnobs == sess.sessionKnobs && slices.Equal(cur.ctrl.Base().Tasks, cr.set.Tasks)
+		cur.mu.Unlock()
+		if !same {
+			writeResult(w, errorf(http.StatusConflict, "session %q already exists", req.SessionID))
+			return
+		}
+		resp.SessionID = cur.id
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
 	// Re-check the limit at insertion: the pre-solve check is only a
 	// fast-path reject, and concurrent creates could otherwise race past it
 	// (the solve above runs unlocked). A loser here wasted one solve —
@@ -450,11 +479,6 @@ func (s *Server) handleSessionCreate(ctx context.Context, w http.ResponseWriter,
 		return
 	}
 	if req.SessionID != "" {
-		if _, exists := s.sessions[req.SessionID]; exists {
-			s.mu.Unlock()
-			writeResult(w, errorf(http.StatusConflict, "session %q already exists", req.SessionID))
-			return
-		}
 		sess.id = req.SessionID
 	} else {
 		// Skip ids a caller already named: allocation never replaces a

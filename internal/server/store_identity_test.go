@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -114,7 +115,7 @@ func TestStoreBackendIdentity(t *testing.T) {
 // tiered daemon stopped mid-run — mid-adaptive-session, between a drift
 // firing and its re-solve — and restarted on the same store directory must
 // answer every subsequent request byte-identically to a daemon that never
-// restarted: schedule GETs without resubmission (request blobs + disk log),
+// restarted: schedule GETs without resubmission (request blobs + schedule records),
 // and the resumed session's observes and status (controller checkpoints).
 func TestStoreRestartIdentity(t *testing.T) {
 	body, set := sessionBody(t, 1)
@@ -276,9 +277,6 @@ func TestStoreRestartIdentity(t *testing.T) {
 	if sampleOr(t, fams, "schedd_store_tier_hits_total", obs.L("tier", "disk")) == 0 {
 		t.Error("restarted daemon never hit the disk tier — warm restart did not engage")
 	}
-	if sampleOr(t, fams, "schedd_store_recovered_entries") == 0 {
-		t.Error("metrics report no recovered entries after restart")
-	}
 }
 
 // TestGetAfterRestartOnlyReadsRequestBlob: a GET that recovers its request
@@ -328,6 +326,73 @@ func bootOnDir(t *testing.T, dir string) (url string, restored int) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts.URL, n
+}
+
+// TestScheduleRecordsNotBlobs: schedule records are not blobs under any
+// name. A peer that serves the blob door over its disk store lists none of
+// them, and a PUT of another set's schedule under a record's key, its
+// schedule-prefixed name or a path into schedules/ does not change the bytes
+// a GET answers after a restart, which reads every schedule from its record.
+func TestScheduleRecordsNotBlobs(t *testing.T) {
+	dir := t.TempDir()
+	d1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1 := store.NewTiered(grid.NewMemStore(0), d1)
+	_, ts1 := newTestServer(t, Options{Store: t1, Checkpoints: t1, InternalBlobs: t1})
+	var fps, want []string
+	for i := 0; i < 2; i++ {
+		code, body := post(t, ts1.URL+"/v1/schedules", smallBody(i))
+		var sr ScheduleResponse
+		if err := json.Unmarshal([]byte(body), &sr); code != http.StatusOK || err != nil {
+			t.Fatalf("submit %d: %d %s", i, code, body)
+		}
+		fps, want = append(fps, sr.Fingerprint), append(want, body)
+	}
+	files, err := os.ReadDir(filepath.Join(dir, "schedules"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no schedule records on disk: %v", err)
+	}
+	names, err := d1.ListBlobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if !strings.HasPrefix(name, "request-") {
+			t.Errorf("ListBlobs lists %q, which is not a request blob", name)
+		}
+	}
+	// The bytes of every record go under each name that could reach one.
+	var planted []byte
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(dir, "schedules", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		planted = append(planted, data...)
+	}
+	for _, f := range files {
+		key, _, _ := strings.Cut(f.Name(), "~")
+		for _, name := range []string{key, "schedule-" + key, "schedules", url.PathEscape("../schedules/" + f.Name())} {
+			if code, resp := putBlob(t, ts1.URL, name, planted); code != http.StatusOK && code != http.StatusUnprocessableEntity {
+				t.Fatalf("PUT blob %s: %d %s", name, code, resp)
+			}
+		}
+	}
+	ts1.Close()
+	d1.Close()
+
+	ts2, _ := bootOnDir(t, dir)
+	for i, fp := range fps {
+		if code, got := get(t, ts2+"/v1/schedules/"+fp); code != http.StatusOK || got != want[i] {
+			t.Fatalf("GET %s after the PUTs: %d %s, want the submit's bytes %s", fp, code, got, want[i])
+		}
+	}
+	fams := scrape(t, ts2)
+	if n := sampleOr(t, fams, "schedd_memo_misses_total", obs.L("kind", "schedule")); n != 0 {
+		t.Errorf("the GETs re-solved %g schedules; want every one read from its record", n)
+	}
 }
 
 // TestTmpSuffixedSessionSurvivesRestart: session ids may contain '.', so

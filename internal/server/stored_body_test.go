@@ -502,3 +502,68 @@ func FuzzSubmitBody(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCompareBody drives raw compare bodies through the handler of one
+// server. The answer is 200, 400 or 422, never a 500 (a panic answers 500
+// through the middleware); every answer repeats byte for byte; a 200 shows
+// zero deadline misses for both schedules, and its fingerprint is the one a
+// submit of the same task fields answers with. Bodies with a costly solve
+// (costlySolve) or a simulation of more than 50 hyper-periods are skipped.
+func FuzzCompareBody(f *testing.F) {
+	for i := 0; i < 3; i++ {
+		f.Add([]byte(smallBody(i)))
+	}
+	f.Add([]byte(strings.TrimSuffix(smallBody(0), "}") + `,"hyperperiods":7,"seed":3}`))
+	f.Add([]byte(strings.TrimSuffix(smallBody(1), "}") + `,"cores":2}`))
+	f.Add([]byte(strings.TrimSuffix(smallBody(2), "}") + `,"objective":"wcs"}`))
+	f.Add([]byte(strings.TrimSuffix(smallBody(3), "}") + `,"hyperperiods":-1,"starts":2,"subcap":3}`))
+	f.Add([]byte(strings.TrimSuffix(smallBody(0), "}") + `,"hyperperiods":10001}`))
+	f.Add([]byte(smallBody(3)[:50]))
+	f.Add([]byte(`{"tasks":[{"name":"a","period_ms":10,"wcec":30,"acec":2,"bcec":1,"ceff":1}]}`))
+	f.Add([]byte(`{"tasks":[]}`))
+
+	s := New(Options{MaxTasks: 3, SimHyperperiods: 20})
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	serve := func(path string, body []byte) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req CompareRequest
+		decoded := json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil
+		simulated := req.Hyperperiods > 50 && req.Hyperperiods <= MaxSimHyperperiods
+		if decoded && (costlySolve(req.Starts, req.Tasks) || simulated) {
+			t.Skip("simulation too slow for the smoke run")
+		}
+		code, first := serve("/v1/compare", body)
+		switch code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("status %d: %s", code, first)
+		}
+		if code2, again := serve("/v1/compare", body); code2 != code || again != first {
+			t.Fatalf("repeated %d answered %d %q, want %q", code, code2, again, first)
+		}
+		if code != http.StatusOK {
+			return
+		}
+		var cr CompareResponse
+		if err := json.Unmarshal([]byte(first), &cr); err != nil || !decoded {
+			t.Fatalf("200 body does not parse (%v) or its request did not decode: %s", err, first)
+		}
+		if cr.ACS.DeadlineMisses != 0 || cr.WCS.DeadlineMisses != 0 {
+			t.Fatalf("deadline misses under greedy reclamation: %s", first)
+		}
+		sub, err := json.Marshal(&req.SubmitRequest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr ScheduleResponse
+		code, submitted := serve("/v1/schedules", sub)
+		if code != http.StatusOK || json.Unmarshal([]byte(submitted), &sr) != nil || sr.Fingerprint != cr.Fingerprint {
+			t.Fatalf("submit of the same fields: %d %s, want fingerprint %s", code, submitted, cr.Fingerprint)
+		}
+	})
+}

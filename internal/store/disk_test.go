@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -79,87 +82,65 @@ func wantResident(t *testing.T, d *Disk, e solvedEntry) {
 	}
 }
 
-// TestDiskPutGetAcrossReopen: entries survive a clean close/reopen with the
-// recovery counters reporting a clean scan.
+// TestDiskPutGetAcrossReopen: entries survive a clean close/reopen, each as
+// one slot file named by its key, and a put after Close writes nothing.
 func TestDiskPutGetAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	entries := solveN(t, 4)
+	entries := solveN(t, 5)
 
 	d := mustOpen(t, dir, Options{})
-	for _, e := range entries {
+	for _, e := range entries[:4] {
 		d.PutSchedule(e.key, e.s, nil)
 	}
-	for _, e := range entries {
+	for _, e := range entries[:4] {
 		wantResident(t, d, e)
-	}
-	// Duplicate puts must not grow the log.
-	before := d.Stats()
-	for _, e := range entries {
-		d.PutSchedule(e.key, e.s, nil)
-	}
-	if after := d.Stats(); after.DiskBytes != before.DiskBytes || after.DiskEntries != before.DiskEntries {
-		t.Fatal("duplicate puts grew the log")
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := d.TryPutSchedule(entries[4].key, entries[4].s, nil); err != nil {
+		t.Fatalf("put after Close: %v", err)
+	}
+	files, err := os.ReadDir(filepath.Join(dir, schedulesDir))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("want 4 slot files, one per put before Close; got %v (err %v)", files, err)
+	}
 
 	d2 := mustOpen(t, dir, Options{})
-	st := d2.Stats()
-	if st.RecoveredEntries != int64(len(entries)) {
-		t.Fatalf("want %d recovered entries, got %d", len(entries), st.RecoveredEntries)
-	}
-	if st.TornRecordsDropped != 0 {
-		t.Fatalf("clean log reported %d truncations", st.TornRecordsDropped)
-	}
-	for _, e := range entries {
+	for _, e := range entries[:4] {
 		wantResident(t, d2, e)
 	}
-	if got := d2.Stats(); got.DiskHits != int64(len(entries)) {
-		t.Fatalf("want %d disk hits, got %d", len(entries), got.DiskHits)
+	if _, _, ok := d2.GetSchedule(entries[4].key); ok {
+		t.Fatal("the put after Close landed")
+	}
+	if got := d2.Stats(); got.DiskHits != 4 {
+		t.Fatalf("want 4 disk hits, got %d", got.DiskHits)
 	}
 }
 
-// corrupt applies damage to the single segment file of dir.
-func corrupt(t *testing.T, dir string, damage func(data []byte) []byte) {
-	t.Helper()
-	path := filepath.Join(dir, "seg-000000.log")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, damage(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDiskCrashRecovery is the torn-tail contract: after any of the crash
-// shapes below hits the end of the log, reopening recovers every undamaged
-// record, reports the truncation, and the store accepts new puts that then
-// survive the next clean reopen.
+// TestDiskCrashRecovery is the torn-record contract: whatever shape of
+// damage one schedule's record takes — a crash mid-write, a bit flip, a
+// framed record that does not decode, another key's record under its name
+// — a reopened store still serves every other record, the damaged one
+// reads as a miss, never as a wrong schedule, and a put of it again writes
+// a record that survives the next clean reopen. Bytes past a record are
+// what a longer earlier record left behind, so garbage appended to one
+// leaves it resident.
 func TestDiskCrashRecovery(t *testing.T) {
 	entries := solveN(t, 5)
-	last := entries[len(entries)-1]
-	prefix := entries[:len(entries)-1]
-
+	last, other := entries[len(entries)-1], entries[0]
 	cases := []struct {
-		name   string
-		damage func(data []byte) []byte
+		name     string
+		damage   func(rec []byte) []byte
+		resident bool
 	}{
-		{"truncated mid-record", func(data []byte) []byte {
-			return data[:len(data)-len(last.blob)/2]
-		}},
-		{"payload bit flip", func(data []byte) []byte {
-			data[len(data)-1] ^= 0xff
-			return data
-		}},
-		{"header bit flip", func(data []byte) []byte {
-			data[len(data)-len(last.blob)-headerSize] ^= 0xff
-			return data
-		}},
-		{"garbage appended", func(data []byte) []byte {
-			return append(data, []byte("not a record")...)
-		}},
+		{"truncated mid-record", func(rec []byte) []byte { return rec[:len(rec)-len(last.blob)/2] }, false},
+		{"payload bit flip", func(rec []byte) []byte { rec[len(rec)-1] ^= 0xff; return rec }, false},
+		{"header bit flip", func(rec []byte) []byte { rec[5] ^= 0xff; return rec }, false},
+		{"garbage appended", func(rec []byte) []byte { return append(rec, "not a record"...) }, true},
+		{"undecodable payload", func([]byte) []byte { return slotRecord(1, append(last.key[:], "not a schedule"...)) }, false},
+		{"no key prefix", func([]byte) []byte { return slotRecord(1, last.blob) }, false},
+		{"another key's record", func([]byte) []byte { return slotRecord(1, append(other.key[:], other.blob...)) }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,107 +152,151 @@ func TestDiskCrashRecovery(t *testing.T) {
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
-			corrupt(t, dir, tc.damage)
-
-			wantRecovered := int64(len(prefix))
-			if tc.name == "garbage appended" {
-				wantRecovered = int64(len(entries)) // all records intact, only the tail is torn
-			}
-			d2 := mustOpen(t, dir, Options{})
-			st := d2.Stats()
-			if st.RecoveredEntries != wantRecovered {
-				t.Fatalf("want %d recovered entries, got %d", wantRecovered, st.RecoveredEntries)
-			}
-			if st.TornRecordsDropped != 1 {
-				t.Fatalf("want 1 truncation event, got %d", st.TornRecordsDropped)
-			}
-			for _, e := range prefix {
-				wantResident(t, d2, e)
-			}
-			if wantRecovered == int64(len(prefix)) {
-				if _, _, ok := d2.GetSchedule(last.key); ok {
-					t.Fatal("damaged record still resident")
-				}
-			}
-			// The log is append-clean again: the damaged entry can be re-put
-			// and everything survives the next reopen.
-			d2.PutSchedule(last.key, last.s, nil)
-			wantResident(t, d2, last)
-			if err := d2.Close(); err != nil {
+			path := filepath.Join(dir, schedulesDir, last.key.String()+"~0")
+			if err := os.WriteFile(path, tc.damage(mustRead(t, path)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			d3 := mustOpen(t, dir, Options{})
-			if st := d3.Stats(); st.RecoveredEntries != int64(len(entries)) || st.TornRecordsDropped != 0 {
-				t.Fatalf("post-repair reopen: recovered %d, torn %d", st.RecoveredEntries, st.TornRecordsDropped)
+			d = mustOpen(t, dir, Options{})
+			for _, e := range entries[:len(entries)-1] {
+				wantResident(t, d, e)
 			}
+			if s, _, ok, ioErr := d.TryGetSchedule(last.key); ok != tc.resident || ioErr != nil {
+				t.Fatalf("damaged record: ok=%v ioErr=%v, want ok=%v and no device error", ok, ioErr, tc.resident)
+			} else if ok {
+				wantResident(t, d, last)
+			} else if s != nil {
+				t.Fatal("a miss returned a schedule")
+			}
+			d.PutSchedule(last.key, last.s, nil)
+			wantResident(t, d, last)
+			if st := d.Stats(); st.DiskReadErrs != 0 || st.DiskWriteErrs != 0 {
+				t.Fatalf("damage counted as device errors: %+v", st)
+			}
+			d = reopen(t, d, dir)
 			for _, e := range entries {
-				wantResident(t, d3, e)
+				wantResident(t, d, e)
 			}
 		})
 	}
 }
 
-// TestDiskSegmentRollAndMidLogTear: tiny segments force a multi-segment log;
-// recovery walks all of them, and a tear in a middle segment drops every
-// later segment (they postdate the torn record) while keeping the prefix.
-func TestDiskSegmentRollAndMidLogTear(t *testing.T) {
+// TestScheduleConcurrentPutGet: writers and readers race on one key. Every
+// get misses or answers the schedule in full, and the key ends with exactly
+// one record: the first put wrote it and every other put found it there.
+func TestScheduleConcurrentPutGet(t *testing.T) {
 	dir := t.TempDir()
-	entries := solveN(t, 6)
 	d := mustOpen(t, dir, Options{})
-	d.segmentBytes = 1 // roll after every record
+	e := solveN(t, 1)[0]
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if g%2 == 0 {
+					if err := d.TryPutSchedule(e.key, e.s, nil); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				s, _, ok, ioErr := d.TryGetSchedule(e.key)
+				if ioErr != nil {
+					t.Error(ioErr)
+					return
+				}
+				if !ok {
+					continue
+				}
+				if got, err := core.EncodeSchedule(s); err != nil || !bytes.Equal(got, e.blob) {
+					t.Error("a concurrent get answered a different schedule")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	wantResident(t, d, e)
+	seq, _, ok := parseSlot(mustRead(t, filepath.Join(dir, schedulesDir, e.key.String()+"~0")))
+	if !ok || seq != 1 {
+		t.Fatalf("slot ~0 holds seq %d (valid %v), want the one record of seq 1", seq, ok)
+	}
+	if _, err := os.Stat(filepath.Join(dir, schedulesDir, e.key.String()+"~1")); !os.IsNotExist(err) {
+		t.Fatalf("a second put wrote slot ~1: stat err = %v", err)
+	}
+}
+
+// TestSegmentLogDirectory: a directory an older binary wrote holds its
+// schedules in seg-*.log files. Open reads and removes none of them, every
+// key misses once and is put again as a slot record, the log stays byte for
+// byte as it was, and the older binary's blobs read as before.
+func TestSegmentLogDirectory(t *testing.T) {
+	dir := t.TempDir()
+	entries := solveN(t, 2)
+	// One record in the older log's framing: magic, kind, key, length,
+	// CRC-32C over kind ‖ key ‖ length ‖ payload, payload.
+	e := entries[0]
+	rec := binary.LittleEndian.AppendUint32(nil, 0x53435244)
+	rec = append(append(rec, 1), e.key[:]...)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(e.blob)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(append(rec[4:41:41], e.blob...), crcTable))
+	rec = append(rec, e.blob...)
+	seg := filepath.Join(dir, "seg-000000.log")
+	if err := os.WriteFile(seg, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, blobsDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, blobsDir, "session-s1~0"), slotRecord(1, []byte("checkpoint")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d := mustOpen(t, dir, Options{})
+	for _, e := range entries {
+		if _, _, ok := d.GetSchedule(e.key); ok {
+			t.Fatal("a key hit before any put: the log was read")
+		}
+		d.PutSchedule(e.key, e.s, nil)
+	}
+	wantBlob(t, d, "session-s1", "checkpoint")
+	wantList(t, d, "session-s1")
+	d = reopen(t, d, dir)
+	for _, e := range entries {
+		wantResident(t, d, e)
+	}
+	if got := mustRead(t, seg); !bytes.Equal(got, rec) {
+		t.Fatal("the older log changed")
+	}
+}
+
+// TestSchedulesAreNotBlobs: a schedule record is not a blob under any name.
+// Listings show only blobs, and a blob named as a schedule's key neither
+// reads that record nor changes what the key answers.
+func TestSchedulesAreNotBlobs(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, Options{})
+	entries := solveN(t, 2)
 	for _, e := range entries {
 		d.PutSchedule(e.key, e.s, nil)
 	}
-	if err := d.Close(); err != nil {
+	if err := d.PutBlob("session-s1", []byte("checkpoint")); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if len(segs) < 3 {
-		t.Fatalf("want >= 3 segments, got %d", len(segs))
-	}
-	sort.Strings(segs)
-
-	d2 := mustOpen(t, dir, Options{})
-	if st := d2.Stats(); st.RecoveredEntries != int64(len(entries)) {
-		t.Fatalf("multi-segment recovery: want %d entries, got %d", len(entries), st.RecoveredEntries)
-	}
-	for _, e := range entries {
-		wantResident(t, d2, e)
-	}
-	if err := d2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the middle segment: its own valid prefix (nothing) plus every
-	// earlier segment survive; later segments are dropped.
-	mid := len(segs) / 2
-	if err := os.WriteFile(segs[mid], []byte{1, 2, 3}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d3 := mustOpen(t, dir, Options{})
-	d3.segmentBytes = 1
-	st := d3.Stats()
-	if st.TornRecordsDropped != 1 {
-		t.Fatalf("want 1 truncation event, got %d", st.TornRecordsDropped)
-	}
-	if st.RecoveredEntries != int64(mid) {
-		t.Fatalf("want %d surviving entries before the tear, got %d", mid, st.RecoveredEntries)
-	}
-	for _, e := range entries[:mid] {
-		wantResident(t, d3, e)
-	}
-	for _, seg := range segs[mid+1:] {
-		if _, err := os.Stat(seg); !os.IsNotExist(err) {
-			t.Fatalf("segment %s postdating the tear was not dropped", seg)
+	wantList(t, d, "session-s1")
+	planted := append(entries[1].key[:], entries[1].blob...)
+	for _, name := range []string{entries[0].key.String(), "schedule-" + entries[0].key.String()} {
+		wantBlob(t, d, name, "")
+		if err := d.PutBlob(name, planted); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Appends continue cleanly after the tear.
-	for _, e := range entries[mid:] {
-		d3.PutSchedule(e.key, e.s, nil)
+	for _, name := range []string{"../" + schedulesDir + "/" + entries[0].key.String(), entries[0].key.String() + "~0"} {
+		if err := d.PutBlob(name, planted); !errors.Is(err, ErrBadBlobName) {
+			t.Fatalf("PutBlob(%q) = %v, want ErrBadBlobName", name, err)
+		}
 	}
-	for _, e := range entries {
-		wantResident(t, d3, e)
-	}
+	wantResident(t, reopen(t, d, dir), entries[0])
 }
 
 // TestTieredPromotion: a disk hit repopulates the memory tier, so the second
@@ -311,9 +336,6 @@ func TestTieredPromotion(t *testing.T) {
 	if st.MemHits != int64(len(entries)) || st.DiskHits != int64(len(entries)) {
 		t.Fatalf("second pass: want %d mem / %d disk hits, got %d / %d",
 			len(entries), len(entries), st.MemHits, st.DiskHits)
-	}
-	if st.RecoveredEntries != int64(len(entries)) {
-		t.Fatalf("tiered stats lost recovery counters: %+v", st)
 	}
 }
 
@@ -380,4 +402,74 @@ func TestBlobs(t *testing.T) {
 	if !reflect.DeepEqual(names, []string{"session-s1", "session-s2"}) {
 		t.Fatalf("list: %v", names)
 	}
+}
+
+// BenchmarkScheduleRecord prices the disk tier's schedule operations with
+// Options.Sync off, on a 4-task schedule, encoding and decoding included:
+// a put of a new key, a miss, a hit, and an Open of a directory that holds
+// 1,000 records.
+func BenchmarkScheduleRecord(b *testing.B) {
+	set, err := task.NewSet([]task.Task{
+		{Name: "a", Period: 10, WCEC: 3, ACEC: 2, BCEC: 1, Ceff: 1},
+		{Name: "b", Period: 20, WCEC: 5, ACEC: 3, BCEC: 2, Ceff: 1},
+		{Name: "c", Period: 40, WCEC: 6, ACEC: 4, BCEC: 2, Ceff: 1},
+		{Name: "d", Period: 40, WCEC: 4, ACEC: 2, BCEC: 1, Ceff: 1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{Objective: core.AverageCase}
+	s, err := core.Build(set, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, _ := grid.ScheduleKey(set, cfg)
+	key := func(i int) grid.Key {
+		k := base
+		binary.LittleEndian.PutUint64(k[:], uint64(i))
+		return k
+	}
+	open := func(b *testing.B, dir string) *Disk {
+		d, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d
+	}
+	b.Run("put", func(b *testing.B) {
+		d := open(b, b.TempDir())
+		for i := 0; b.Loop(); i++ {
+			if err := d.TryPutSchedule(key(i), s, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		d := open(b, b.TempDir())
+		for b.Loop() {
+			if _, _, ok, _ := d.TryGetSchedule(base); ok {
+				b.Fatal("hit")
+			}
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		d := open(b, b.TempDir())
+		d.PutSchedule(base, s, nil)
+		for b.Loop() {
+			if _, _, ok, _ := d.TryGetSchedule(base); !ok {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("open-1000", func(b *testing.B) {
+		dir := b.TempDir()
+		d := open(b, dir)
+		for i := 0; i < 1000; i++ {
+			d.PutSchedule(key(i), s, nil)
+		}
+		d.Close()
+		for b.Loop() {
+			open(b, dir).Close()
+		}
+	})
 }

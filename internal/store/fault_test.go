@@ -19,9 +19,10 @@ func faultyOpen(t *testing.T, dir string, seed uint64) (*Disk, *fault.Registry) 
 	return d, reg
 }
 
-// TestDiskTornWriteRecovery: a torn append fails the put, later appends
-// overwrite the debris, and the recovery scan serves exactly the undamaged
-// prefix — every record whose put succeeded, nothing else.
+// TestDiskTornWriteRecovery: a put torn mid-record fails, counts a write error
+// and leaves no slot file, since it created the file; later puts are
+// unaffected, and a reopened store serves exactly the records whose puts
+// succeeded.
 func TestDiskTornWriteRecovery(t *testing.T) {
 	dir := t.TempDir()
 	entries := solveN(t, 4)
@@ -34,15 +35,16 @@ func TestDiskTornWriteRecovery(t *testing.T) {
 	if err := d.TryPutSchedule(entries[1].key, entries[1].s, nil); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("torn put err = %v, want ErrInjected", err)
 	}
+	if _, err := os.Stat(filepath.Join(dir, schedulesDir, entries[1].key.String()+"~0")); !os.IsNotExist(err) {
+		t.Fatalf("torn put left its slot file: stat err = %v", err)
+	}
 	reg.Disarm("fs.write")
 	if err := d.TryPutSchedule(entries[2].key, entries[2].s, nil); err != nil {
-		t.Fatalf("append after torn debris failed: %v", err)
+		t.Fatalf("put after a torn one failed: %v", err)
 	}
-	// Tear the final append too, so debris survives at the very tail — the
-	// shape only the next Open's scan can clean up.
 	reg.Arm("fs.write", fault.Spec{Prob: 1, Err: true, Torn: 0.6})
 	if err := d.TryPutSchedule(entries[3].key, entries[3].s, nil); err == nil {
-		t.Fatal("tail torn put reported success")
+		t.Fatal("torn put reported success")
 	}
 	if st := d.Stats(); st.DiskWriteErrs != 2 {
 		t.Fatalf("write errs = %d, want 2", st.DiskWriteErrs)
@@ -51,22 +53,45 @@ func TestDiskTornWriteRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen on a clean filesystem: the recovery scan must index the two
-	// successful records and truncate the torn tail.
 	d2 := mustOpen(t, dir, Options{})
-	st := d2.Stats()
-	if st.RecoveredEntries != 2 {
-		t.Fatalf("recovered %d entries, want 2", st.RecoveredEntries)
-	}
-	if st.TornRecordsDropped != 1 {
-		t.Fatalf("torn truncations = %d, want 1", st.TornRecordsDropped)
-	}
 	wantResident(t, d2, entries[0])
 	wantResident(t, d2, entries[2])
 	for _, i := range []int{1, 3} {
 		if _, _, ok := d2.GetSchedule(entries[i].key); ok {
-			t.Fatalf("torn entry %d resident after recovery", i)
+			t.Fatalf("torn entry %d resident after reopen", i)
 		}
+	}
+}
+
+// TestPutScheduleSync: under Options.Sync a new schedule record fsyncs its
+// slot file and schedules/, two syncs; without Sync a put never syncs. A
+// put of a key that already holds a valid record writes and syncs nothing.
+func TestPutScheduleSync(t *testing.T) {
+	e := solveN(t, 1)[0]
+	for _, sync := range []bool{false, true} {
+		reg := fault.NewRegistry(16)
+		reg.Arm("fs.write", fault.Spec{}) // never fires; counts the calls
+		reg.Arm("fs.sync", fault.Spec{})
+		d := mustOpen(t, t.TempDir(), Options{Sync: sync, FS: fault.Inject(fault.OS(), reg)})
+		if err := d.TryPutSchedule(e.key, e.s, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if sync {
+			want = 2
+		}
+		snap := reg.Snapshot()
+		if snap["fs.write"].Calls != 1 || snap["fs.sync"].Calls != want {
+			t.Errorf("sync=%v: a new record made %d writes and %d syncs, want 1 and %d",
+				sync, snap["fs.write"].Calls, snap["fs.sync"].Calls, want)
+		}
+		if err := d.TryPutSchedule(e.key, e.s, nil); err != nil {
+			t.Fatal(err)
+		}
+		if again := reg.Snapshot(); again["fs.write"].Calls != 1 || again["fs.sync"].Calls != want {
+			t.Errorf("sync=%v: a duplicate put wrote or synced", sync)
+		}
+		wantResident(t, d, e)
 	}
 }
 
@@ -106,9 +131,15 @@ func TestTieredBreakerDegradeAndRecover(t *testing.T) {
 	now := time.Unix(0, 0)
 	tiered.Breaker().SetClock(func() time.Time { return now })
 
+	// onDisk reports whether the disk tier holds entry i.
+	onDisk := func(i int) bool {
+		_, _, ok := d.GetSchedule(entries[i].key)
+		return ok
+	}
+
 	// Healthy: writes land in both tiers.
 	tiered.PutSchedule(entries[0].key, entries[0].s, nil)
-	if st := tiered.Stats(); st.DiskEntries != 1 || st.BreakerState != "closed" {
+	if st := tiered.Stats(); !onDisk(0) || st.BreakerState != "closed" {
 		t.Fatalf("healthy stats = %+v", st)
 	}
 
@@ -156,9 +187,12 @@ func TestTieredBreakerDegradeAndRecover(t *testing.T) {
 	if st.BreakerState != "closed" || st.MemDegraded || st.BreakerRecloses != 1 {
 		t.Fatalf("after recovery: %+v", st)
 	}
-	// Full tiered residency resumed: the post-recovery entry is durable.
-	if st.DiskEntries != 2 {
-		t.Fatalf("disk entries = %d, want 2 (pre-fault + post-recovery)", st.DiskEntries)
+	// Full tiered residency resumed: the post-recovery entry is durable, and
+	// nothing put while the disk failed or the breaker was open is.
+	for i := range entries {
+		if want := i == 0 || i == trip+3; onDisk(i) != want {
+			t.Fatalf("entry %d on disk = %v, want %v", i, !want, want)
+		}
 	}
 	if err := tiered.PutBlob("cp", []byte("x")); err != nil {
 		t.Fatalf("recovered PutBlob failed: %v", err)

@@ -15,27 +15,29 @@ import (
 // best-effort-persistence failure: count it, keep serving.
 var ErrDegraded = errors.New("store: disk degraded, serving memory-only")
 
-// Tiered composes a fast volatile tier over the durable disk log: reads
-// probe memory first and fall through to disk, promoting what they find so
-// the hot set re-forms in memory after a restart without any explicit
-// warm-up pass (warm restarts repopulate on demand). Writes land in both
-// tiers — memory for the next request, disk for the next process.
+// Tiered composes a fast volatile tier over the durable disk records:
+// reads probe memory first and fall through to disk, promoting what they
+// find so the hot set re-forms in memory after a restart without any
+// explicit warm-up pass (warm restarts repopulate on demand). Writes land in
+// both tiers — memory for the next request, disk for the next process.
 //
-// Comparisons live in the memory tier only: the disk log persists schedules
-// and comparisons are rebuilt from them, so a lookup that misses memory is
-// an honest miss. Cached failures likewise stay memory-only (the disk
-// backend skips them), preserving the contract that losing any tier changes
-// hit rates, never results.
+// Comparisons live in the memory tier only: the disk persists schedules and
+// comparisons are rebuilt from them, so a lookup that misses memory is an
+// honest miss. Cached failures likewise stay memory-only (the disk backend
+// skips them), preserving the contract that losing any tier changes hit
+// rates, never results.
 //
 // Graceful degradation (DESIGN.md §10): every disk operation flows through a
-// circuit breaker. Persistent device failures trip it open, and the store
-// degrades to memory-only residency — reads stop probing the disk, writes
-// stop appending, blob puts fail fast — so a dying disk costs hit rate and
-// durability, never a failed request. After the cooldown the breaker
-// half-opens and the next disk operation doubles as the reopen probe: one
-// success re-closes the breaker and full tiered residency resumes. The
-// transition is visible in Stats (BreakerState, MemDegraded) and therefore
-// on the server's /metrics.
+// circuit breaker. Only device evidence is scored: a hit, a put, a failed
+// read or write. A clean miss — a key with no valid record — is not
+// evidence either way. Persistent device failures trip the breaker open,
+// and the store degrades to memory-only residency — reads stop probing the
+// disk, schedule puts stop writing, blob puts fail fast — so a dying disk
+// costs hit rate and durability, never a failed request. After the cooldown
+// the breaker half-opens and the next disk operation doubles as the reopen
+// probe: one success re-closes the breaker and full tiered residency
+// resumes. The transition is visible in Stats (BreakerState, MemDegraded)
+// and therefore on the server's /metrics.
 type Tiered struct {
 	mem     grid.Store
 	disk    *Disk
@@ -97,8 +99,8 @@ func (t *Tiered) GetSchedule(key grid.Key) (*core.Schedule, error, bool) {
 		return nil, nil, false
 	}
 	if !ok {
-		// Index miss: the device was never consulted, so there is no health
-		// evidence to record either way.
+		// A clean miss: no valid record, which says nothing about the
+		// device's health either way.
 		return nil, nil, false
 	}
 	t.breaker.Record(nil)
@@ -110,8 +112,8 @@ func (t *Tiered) GetSchedule(key grid.Key) (*core.Schedule, error, bool) {
 }
 
 // PutSchedule implements grid.Store: both tiers (the disk tier itself skips
-// failures and unencodable schedules), with the disk append gated and
-// scored by the breaker.
+// failures and unencodable schedules), with the disk write gated and scored
+// by the breaker.
 func (t *Tiered) PutSchedule(key grid.Key, s *core.Schedule, err error) {
 	memDone := t.timeOp("mem", "put")
 	t.mem.PutSchedule(key, s, err)
@@ -182,19 +184,15 @@ func (t *Tiered) ListBlobs() ([]string, error) {
 }
 
 // Stats implements grid.Store: the memory tier's residency accounting merged
-// with the disk tier's occupancy/recovery/health counters, the per-tier hit
-// split owned here, and the breaker's position.
+// with the disk tier's health counters, the per-tier hit split owned here,
+// and the breaker's position.
 func (t *Tiered) Stats() grid.Stats {
 	st := t.mem.Stats()
 	dst := t.disk.Stats()
 	st.MemHits = t.memHits.Load()
 	st.DiskHits = t.diskHits.Load()
-	st.DiskEntries = dst.DiskEntries
-	st.DiskBytes = dst.DiskBytes
 	st.DiskReadErrs = dst.DiskReadErrs
 	st.DiskWriteErrs = dst.DiskWriteErrs
-	st.RecoveredEntries = dst.RecoveredEntries
-	st.TornRecordsDropped = dst.TornRecordsDropped
 	state := t.breaker.State()
 	st.BreakerState = state.String()
 	st.BreakerTrips = t.breaker.Trips()
