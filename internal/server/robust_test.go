@@ -29,9 +29,9 @@ import (
 //   - every non-degraded 200 is byte-identical to the fault-free run,
 //   - persistent disk failure trips the breaker into memory-only serving,
 //     and the breaker re-closes once faults clear,
-//   - the store directory reopens cleanly afterward and serves the undamaged
-//     prefix: a fresh daemon over the recovered store reproduces the
-//     fault-free bytes for the whole request set.
+//   - the store directory reopens cleanly afterward and serves its intact
+//     records: a fresh daemon over it reproduces the fault-free bytes for
+//     the whole request set.
 func TestChaos(t *testing.T) {
 	leakcheck.Check(t)
 	const nBodies = 10
@@ -216,7 +216,7 @@ func TestChaos(t *testing.T) {
 	// before the "crash".
 	reg.Arm("fs.write", fault.Spec{Prob: 1, Err: true, Torn: 0.5})
 	if code, resp := post(t, ts.URL+"/v1/schedules", smallBody(60)); code != http.StatusOK {
-		t.Fatalf("submit with torn tail: %d %s", code, resp)
+		t.Fatalf("submit with a torn record: %d %s", code, resp)
 	}
 	reg.DisarmAll()
 
