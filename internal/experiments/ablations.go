@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -20,12 +21,12 @@ import (
 
 // The random-set ablations (E5, E7, E8, E10) all sweep the same kind of
 // coordinate — the i-th random task set of an (N, ratio) cell — and differ
-// only in what they run on the solved schedules. Each drains its set loop
-// through the grid pool (one job per set, results folded in set order) and
-// derives its sets via randomCellSet, so the four harnesses and the matching
-// Fig. 6(a) cell all resolve to the *same* WCS/ACS solves in the grid memo.
-// (Before PR 3 each harness salted its seeds differently and re-ran the
-// whole generate→WCS→ACS pipeline from scratch; absolute ablation values
+// only in what they run on the solved schedules. Each is a one-cell sweep
+// (one job per set, results folded in set order) whose sets come from
+// randomCellSet, so the four harnesses and the matching Fig. 6(a) cell all
+// resolve to the *same* WCS/ACS solves in the grid memo. (Before PR 3 each
+// harness salted its seeds differently and re-ran the whole
+// generate→WCS→ACS pipeline from scratch; absolute ablation values
 // therefore differ from PR 2, while every invariant the tests pin —
 // orderings, normalisations — is seed-independent.)
 
@@ -55,40 +56,30 @@ func SlackPolicyAblation(c Common, n int, ratio float64) ([]SlackCell, error) {
 		}
 	}
 
-	g := cc.Grid
-	results, err := grid.CollectErr(g, cc.Sets, func(i int) ([]float64, error) {
-		set, rng, err := randomCellSet(cc, n, ratio, i)
+	results, errs := sweep(cc, 1, func(_, i int) ([]float64, error) {
+		p, seed, err := cellPair(cc, n, ratio, i)
 		if err != nil {
 			return nil, err
 		}
-		acs, wcs, err := solvePair(g, set, cc, core.Config{})
-		if err != nil {
-			return nil, err
-		}
-		simSeed := rng.Uint64()
-		acsPlan, err := sim.Compile(acs)
-		if err != nil {
-			return nil, err
-		}
-		wcsPlan, err := sim.Compile(wcs)
-		if err != nil {
-			return nil, err
-		}
-
 		// NoDVS energy is policy-invariant across schedules up to workload
 		// draws; use the WCS schedule's run as the normaliser. The grid pool
 		// is already saturated by per-set jobs, so inner sims stay serial.
-		base, err := wcsPlan.Run(sim.Config{Policy: sim.NoDVS, Hyperperiods: cc.Reps, Seed: simSeed})
+		run := func(plan *sim.CompiledPlan, pol sim.SlackPolicy) (*sim.Result, error) {
+			sc := cc.greedy(seed)
+			sc.Policy = pol
+			return plan.Run(sc)
+		}
+		base, err := run(p.wcsPlan, sim.NoDVS)
 		if err != nil {
 			return nil, err
 		}
 		rel := make([]float64, len(cells))
 		for ci := range cells {
-			p := acsPlan
+			plan := p.acsPlan
 			if cells[ci].Schedule == "WCS" {
-				p = wcsPlan
+				plan = p.wcsPlan
 			}
-			r, err := p.Run(sim.Config{Policy: cells[ci].Policy, Hyperperiods: cc.Reps, Seed: simSeed})
+			r, err := run(plan, cells[ci].Policy)
 			if err != nil {
 				return nil, err
 			}
@@ -96,7 +87,7 @@ func SlackPolicyAblation(c Common, n int, ratio float64) ([]SlackCell, error) {
 		}
 		return rel, nil
 	})
-	if err != nil {
+	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
 
@@ -145,21 +136,26 @@ func SubInstanceCapAblation(c Common, ratio float64, caps []int) ([]CapCell, err
 	if len(caps) == 0 {
 		caps = []int{2, 4, 8, 16, 0} // 0 = the full fully-preemptive expansion
 	}
-	set, err := workload.GAP(ratio, cc.Utilization, cc.Model)
+	set, err := workload.GAP(ratio, utilization, nil)
 	if err != nil {
 		return nil, err
 	}
-	g := cc.Grid
-	return grid.Collect(g, len(caps), func(i int) CapCell {
+	return grid.Collect(cc.Grid, len(caps), func(i int) CapCell {
 		pre := core.Config{}
 		pre.Preempt.MaxSubsPerInstance = caps[i]
-		imp, subs, err := compareOnSet(g, set, cc, cc.Seed, pre, runtime.GOMAXPROCS(0))
+		p, err := solvePair(cc, set, pre)
+		var imp float64
+		if err == nil {
+			sc := cc.greedy(cc.Seed)
+			sc.Workers = runtime.GOMAXPROCS(0)
+			imp, _, _, err = sim.ComparePlans(p.acsPlan, p.wcsPlan, sc)
+		}
 		if err != nil {
 			// Aggressive merging can make the worst case unschedulable at
 			// Vmax; report the cell rather than aborting the sweep.
 			return CapCell{Cap: caps[i], Infeasible: true}
 		}
-		return CapCell{Cap: caps[i], Subs: subs, Improvement: imp}
+		return CapCell{Cap: caps[i], Subs: len(p.acs.Plan.Subs), Improvement: imp}
 	}), nil
 }
 
@@ -216,30 +212,16 @@ func TransitionOverheadAblation(c Common, n int, ratio float64, overheads []sim.
 		imp    []float64 // per overhead point
 		missed []bool
 	}
-	g := cc.Grid
-	results, err := grid.CollectErr(g, cc.Sets, func(i int) (setRes, error) {
-		set, rng, err := randomCellSet(cc, n, ratio, i)
+	results, errs := sweep(cc, 1, func(_, i int) (setRes, error) {
+		p, seed, err := cellPair(cc, n, ratio, i)
 		if err != nil {
 			return setRes{}, err
 		}
-		acs, wcs, err := solvePair(g, set, cc, core.Config{})
-		if err != nil {
-			return setRes{}, err
-		}
-		acsPlan, err := sim.Compile(acs)
-		if err != nil {
-			return setRes{}, err
-		}
-		wcsPlan, err := sim.Compile(wcs)
-		if err != nil {
-			return setRes{}, err
-		}
-		simSeed := rng.Uint64()
 		res := setRes{imp: make([]float64, len(overheads)), missed: make([]bool, len(overheads))}
+		sc := cc.greedy(seed)
 		for oi, ov := range overheads {
-			imp, ra, rb, err := sim.ComparePlans(acsPlan, wcsPlan, sim.Config{
-				Policy: sim.Greedy, Hyperperiods: cc.Reps, Seed: simSeed, Overhead: ov,
-			})
+			sc.Overhead = ov
+			imp, ra, rb, err := sim.ComparePlans(p.acsPlan, p.wcsPlan, sc)
 			if err != nil {
 				return setRes{}, err
 			}
@@ -248,7 +230,7 @@ func TransitionOverheadAblation(c Common, n int, ratio float64, overheads []sim.
 		}
 		return res, nil
 	})
-	if err != nil {
+	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
 
@@ -302,61 +284,42 @@ func DiscreteLevelAblation(c Common, n int, ratio float64, levelCounts []int) ([
 		cells[li] = LevelCell{Levels: l}
 	}
 
-	g := cc.Grid
-	results, err := grid.CollectErr(g, cc.Sets, func(i int) ([]float64, error) {
-		set, rng, err := randomCellSet(cc, n, ratio, i)
+	m := power.DefaultModel()
+	results, errs := sweep(cc, 1, func(_, i int) ([]float64, error) {
+		p, seed, err := cellPair(cc, n, ratio, i)
 		if err != nil {
 			return nil, err
 		}
-		acs, wcs, err := solvePair(g, set, cc, core.Config{})
-		if err != nil {
-			return nil, err
-		}
-		simSeed := rng.Uint64()
 		imps := make([]float64, len(levelCounts))
 		for li, l := range levelCounts {
-			var imp float64
 			if l == 0 {
 				// Continuous: run the compiled plans directly.
-				acsPlan, err := sim.Compile(acs)
-				if err != nil {
+				if imps[li], _, _, err = sim.ComparePlans(p.acsPlan, p.wcsPlan, cc.greedy(seed)); err != nil {
 					return nil, err
 				}
-				wcsPlan, err := sim.Compile(wcs)
-				if err != nil {
-					return nil, err
-				}
-				if imp, _, _, err = sim.ComparePlans(acsPlan, wcsPlan, sim.Config{
-					Policy: sim.Greedy, Hyperperiods: cc.Reps, Seed: simSeed,
-				}); err != nil {
-					return nil, err
-				}
-			} else {
-				levels, err := power.UniformLevels(cc.Model, l)
-				if err != nil {
-					return nil, err
-				}
-				dm, err := power.NewDiscrete(cc.Model, levels)
-				if err != nil {
-					return nil, err
-				}
-				// Swap the runtime model; static End/WCWork stay as solved.
-				// The cached schedules are shared, so clone before mutating.
-				a2 := core.CloneSchedule(acs)
-				a2.Model = dm
-				b2 := core.CloneSchedule(wcs)
-				b2.Model = dm
-				if imp, _, _, err = sim.Compare(a2, b2, sim.Config{
-					Policy: sim.Greedy, Hyperperiods: cc.Reps, Seed: simSeed,
-				}); err != nil {
-					return nil, err
-				}
+				continue
 			}
-			imps[li] = imp
+			levels, err := power.UniformLevels(m, l)
+			if err != nil {
+				return nil, err
+			}
+			dm, err := power.NewDiscrete(m, levels)
+			if err != nil {
+				return nil, err
+			}
+			// Swap the runtime model; static End/WCWork stay as solved.
+			// The cached schedules are shared, so clone before mutating.
+			a2 := core.CloneSchedule(p.acs)
+			a2.Model = dm
+			b2 := core.CloneSchedule(p.wcs)
+			b2.Model = dm
+			if imps[li], _, _, err = sim.Compare(a2, b2, cc.greedy(seed)); err != nil {
+				return nil, err
+			}
 		}
 		return imps, nil
 	})
-	if err != nil {
+	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
 
@@ -409,16 +372,15 @@ type CrossCheckResult struct {
 // warm-started ACS come from one one-core partition.Solve.
 func SolverCrossCheck(c Common, n int) (*CrossCheckResult, error) {
 	cc := c.withDefaults()
-	g := cc.Grid
 	rng := stats.NewRNG(cc.Seed + 4242)
 	set, err := workload.RandomFeasible(rng, workload.RandomConfig{
-		N: n, Ratio: 0.5, Utilization: cc.Utilization, Model: cc.Model,
-	}, 50, feasibleFilter(cc.Model))
+		N: n, Ratio: 0.5, Utilization: utilization,
+	}, 50, feasible)
 	if err != nil {
 		return nil, err
 	}
-	res, err := partition.Solve(context.Background(), g, set, partition.Config{
-		Cores: 1, Solver: core.Config{Objective: core.AverageCase, Model: cc.Model},
+	res, err := partition.Solve(context.Background(), cc.Grid, set, partition.Config{
+		Cores: 1, Solver: core.Config{Objective: core.AverageCase},
 	})
 	if err != nil {
 		return nil, err
@@ -451,7 +413,7 @@ func SolverCrossCheck(c Common, n int) (*CrossCheckResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if out.YDSLower, err = ys.Energy(cc.Model); err != nil {
+	if out.YDSLower, err = ys.Energy(power.DefaultModel()); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -23,14 +23,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/partition"
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/task"
 	"repro/internal/workload"
 )
 
-// Common holds knobs shared by the sweep experiments.
+// Common holds knobs shared by the sweep experiments. Every harness draws
+// its sets at the paper's worst-case utilisation (utilization, 0.7) and
+// solves and simulates them on power.DefaultModel().
 type Common struct {
 	// Sets is the number of random task sets per configuration cell
 	// (paper: 100; default 20 to keep a full regeneration under a few
@@ -41,15 +42,11 @@ type Common struct {
 	Reps int
 	// Seed is the experiment master seed.
 	Seed uint64
-	// Utilization is the worst-case utilisation target (paper: 0.7).
-	Utilization float64
 	// Starts is the solver multi-start count per schedule build (0 or 1 =
 	// single start). Starts run sequentially inside each task-set worker —
 	// the sweep is already saturated by per-set parallelism — and results
 	// stay bit-reproducible for a fixed seed regardless of the pool width.
 	Starts int
-	// Model overrides the processor model (default power.DefaultModel()).
-	Model power.Model
 	// Grid, when set, supplies the shared execution engine: the worker
 	// pool every harness drains its jobs through and the content-addressed
 	// memo that shares WCS/ACS solves across harnesses. nil gives the
@@ -59,6 +56,10 @@ type Common struct {
 	Grid *grid.Runner
 }
 
+// utilization is the worst-case utilisation target of every generated set
+// (the paper's 0.7).
+const utilization = 0.7
+
 func (c *Common) withDefaults() Common {
 	out := *c
 	if out.Sets <= 0 {
@@ -67,16 +68,16 @@ func (c *Common) withDefaults() Common {
 	if out.Reps <= 0 {
 		out.Reps = 200
 	}
-	if out.Utilization <= 0 {
-		out.Utilization = 0.7
-	}
-	if out.Model == nil {
-		out.Model = power.DefaultModel()
-	}
 	if out.Grid == nil {
 		out.Grid = grid.New(0, grid.NewMemo())
 	}
 	return out
+}
+
+// greedy is the simulation every comparison runs: c.Reps hyper-periods
+// under the paper's greedy slack reclamation, drawn from seed.
+func (c Common) greedy(seed uint64) sim.Config {
+	return sim.Config{Policy: sim.Greedy, Hyperperiods: c.Reps, Seed: seed}
 }
 
 // Cell is one aggregated point of a sweep: the distribution of ACS-over-WCS
@@ -90,6 +91,22 @@ type Cell struct {
 	MeanSubs float64
 	// Failures counts task sets that could not be generated or solved.
 	Failures int
+}
+
+// sweep is the one job loop of every harness that sweeps random sets: it
+// runs fn on each (cell, set) coordinate — cells × c.Sets jobs drained
+// through the grid pool, so a slow cell's tail overlaps the next cell's work
+// — and returns each job's result and error at index cell*c.Sets+set.
+// Harnesses fold them in that order, so their output is bit-identical for
+// any pool width. Fig. 6(a) and E11 count a cell's failed sets; the
+// ablations return the lowest-indexed error.
+func sweep[T any](c Common, cells int, fn func(cell, set int) (T, error)) ([]T, []error) {
+	errs := make([]error, cells*c.Sets)
+	res := grid.Collect(c.Grid, len(errs), func(j int) (r T) {
+		r, errs[j] = fn(j/c.Sets, j%c.Sets)
+		return r
+	})
+	return res, errs
 }
 
 // cellMaster derives the master seed of an (n, ratio) sweep cell.
@@ -111,65 +128,58 @@ func setSeed(master uint64, i int) uint64 {
 func randomCellSet(c Common, n int, ratio float64, i int) (*task.Set, *stats.RNG, error) {
 	rng := stats.NewRNG(setSeed(cellMaster(c.Seed, n, ratio), i))
 	set, err := workload.RandomFeasible(rng, workload.RandomConfig{
-		N:           n,
-		Ratio:       ratio,
-		Utilization: c.Utilization,
-		Model:       c.Model,
-	}, 50, feasibleFilter(c.Model))
+		N: n, Ratio: ratio, Utilization: utilization,
+	}, 50, feasible)
 	if err != nil {
 		return nil, nil, err
 	}
 	return set, rng, nil
 }
 
-// solvePair builds the WCS baseline and the warm-started ACS schedule for
-// one task set — the pipeline every comparison harness uses — as a one-core
-// partition.Solve through the grid runner. Warm-starting ACS from the WCS
-// solution guarantees ACS can never converge to a point worse (on its own
-// objective) than the baseline it is compared against. Identical (set,
-// config, model) pipelines across harnesses resolve to one solve via the
-// memo, and sets that differ only in ACEC and BCEC share one WCS; the
-// returned schedules are shared and must be treated as immutable.
-func solvePair(g *grid.Runner, set *task.Set, c Common, pre core.Config) (acs, wcs *core.Schedule, err error) {
+// pair is one task set's solved and compiled ACS and WCS schedules. The
+// schedules may be shared through the memo: treat them as immutable.
+type pair struct {
+	acs, wcs         *core.Schedule
+	acsPlan, wcsPlan *sim.CompiledPlan
+}
+
+// solvePair is the one solve step of every comparison harness: the WCS
+// baseline, then ACS warm-started from it, as a one-core partition.Solve
+// through the grid runner, both compiled for the simulator. Warm-starting
+// ACS from the WCS solution guarantees ACS can never converge to a point
+// worse (on its own objective) than the baseline it is compared against.
+// Identical (set, config) pipelines across harnesses resolve to one solve
+// via the memo, and sets that differ only in ACEC and BCEC share one WCS.
+func solvePair(c Common, set *task.Set, pre core.Config) (p pair, err error) {
 	solver := pre
-	solver.Model = c.Model
 	solver.Objective = core.AverageCase
 	solver.Starts = c.Starts
 	solver.StartWorkers = 1 // the grid pool already saturates the host
-	res, err := partition.Solve(context.Background(), g, set, partition.Config{Cores: 1, Solver: solver})
+	res, err := partition.Solve(context.Background(), c.Grid, set, partition.Config{Cores: 1, Solver: solver})
 	if err != nil {
-		return nil, nil, err
+		return pair{}, err
 	}
-	return res.Cores[0].ACS, res.Cores[0].WCS, nil
+	p.acs, p.wcs = res.Cores[0].ACS, res.Cores[0].WCS
+	if p.acsPlan, err = sim.Compile(p.acs); err != nil {
+		return pair{}, err
+	}
+	if p.wcsPlan, err = sim.Compile(p.wcs); err != nil {
+		return pair{}, err
+	}
+	return p, nil
 }
 
-// compareOnSet builds ACS and WCS for one task set and simulates both under
-// identical stochastic workloads on simWorkers goroutines each, returning
-// the Fig. 6 improvement percentage and the sub-instance count. Solves go
-// through the grid memo.
-func compareOnSet(g *grid.Runner, set *task.Set, c Common, seed uint64, pre core.Config, simWorkers int) (impPct float64, subs int, err error) {
-	acs, wcs, err := solvePair(g, set, c, pre)
+// cellPair draws the i-th random set of an (n, ratio) cell, solves its pair
+// under the default solver config and draws the set's simulation seed: the
+// job of Fig. 6(a) and of the E5, E7 and E8 ablations, which therefore share
+// every solve at a common cell.
+func cellPair(c Common, n int, ratio float64, i int) (pair, uint64, error) {
+	set, rng, err := randomCellSet(c, n, ratio, i)
 	if err != nil {
-		return 0, 0, err
+		return pair{}, 0, err
 	}
-	acsPlan, err := sim.Compile(acs)
-	if err != nil {
-		return 0, 0, err
-	}
-	wcsPlan, err := sim.Compile(wcs)
-	if err != nil {
-		return 0, 0, err
-	}
-	imp, _, _, err := sim.ComparePlans(acsPlan, wcsPlan, sim.Config{
-		Policy:       sim.Greedy,
-		Hyperperiods: c.Reps,
-		Seed:         seed,
-		Workers:      simWorkers,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return imp, len(acs.Plan.Subs), nil
+	p, err := solvePair(c, set, core.Config{})
+	return p, rng.Uint64(), err
 }
 
 // Table renders cells as an aligned text table, one row per N, one column
@@ -232,9 +242,5 @@ func CSV(cells []Cell) string {
 	return b.String()
 }
 
-// feasibleFilter adapts core.Feasible for workload.RandomFeasible.
-func feasibleFilter(m power.Model) func(*task.Set) bool {
-	return func(s *task.Set) bool {
-		return core.Feasible(s, core.Config{Model: m}) == nil
-	}
-}
+// feasible adapts core.Feasible for workload.RandomFeasible.
+func feasible(s *task.Set) bool { return core.Feasible(s, core.Config{}) == nil }

@@ -22,13 +22,8 @@ type Fig6aConfig struct {
 }
 
 // Fig6a reproduces Fig. 6(a): the percentage energy improvement of ACS over
-// WCS as a function of task count, one series per BCEC/WCEC ratio.
-//
-// The whole sweep — every (N, ratio, set) coordinate — is flattened into one
-// job list drained by the grid pool, so a slow cell's tail overlaps the next
-// cell's work instead of idling the host behind a per-cell barrier. Per-set
-// results land in index-addressed slots and are folded per cell in set
-// order, keeping the figure bit-identical for any worker count.
+// WCS as a function of task count, one series per BCEC/WCEC ratio. Every
+// (N, ratio, set) coordinate is one job of the sweep.
 func Fig6a(cfg Fig6aConfig) ([]Cell, error) {
 	c := cfg.Common.withDefaults()
 	counts := cfg.TaskCounts
@@ -43,40 +38,35 @@ func Fig6a(cfg Fig6aConfig) ([]Cell, error) {
 	type setRes struct {
 		imp  float64
 		subs int
-		err  error
 	}
-	nCells := len(counts) * len(ratios)
-	results := make([]setRes, nCells*c.Sets)
-	g := c.Grid
-	g.ForEach(len(results), func(j int) {
-		ci, i := j/c.Sets, j%c.Sets
-		n, ratio := counts[ci/len(ratios)], ratios[ci%len(ratios)]
-		set, rng, err := randomCellSet(c, n, ratio, i)
+	results, errs := sweep(c, len(counts)*len(ratios), func(ci, i int) (setRes, error) {
+		p, seed, err := cellPair(c, counts[ci/len(ratios)], ratios[ci%len(ratios)], i)
 		if err != nil {
-			results[j] = setRes{err: err}
-			return
+			return setRes{}, err
 		}
 		// The flat job pool already saturates the host; keep each inner
 		// simulation serial (results are identical either way).
-		imp, subs, err := compareOnSet(g, set, c, rng.Uint64(), core.Config{}, 1)
-		results[j] = setRes{imp: imp, subs: subs, err: err}
+		imp, _, _, err := sim.ComparePlans(p.acsPlan, p.wcsPlan, c.greedy(seed))
+		return setRes{imp: imp, subs: len(p.acs.Plan.Subs)}, err
 	})
 
-	cells := make([]Cell, 0, nCells)
-	for ci := 0; ci < nCells; ci++ {
-		cell := Cell{N: counts[ci/len(ratios)], Ratio: ratios[ci%len(ratios)]}
-		var subs []int
-		for i := 0; i < c.Sets; i++ {
-			r := &results[ci*c.Sets+i]
-			if r.err != nil {
-				cell.Failures++
-				continue
-			}
-			cell.Improvement.Add(r.imp)
-			subs = append(subs, r.subs)
+	cells := make([]Cell, len(counts)*len(ratios))
+	for ci := range cells {
+		cells[ci].N, cells[ci].Ratio = counts[ci/len(ratios)], ratios[ci%len(ratios)]
+	}
+	for j, r := range results {
+		cell := &cells[j/c.Sets]
+		if errs[j] != nil {
+			cell.Failures++
+			continue
 		}
-		cell.MeanSubs = meanInts(subs)
-		cells = append(cells, cell)
+		cell.Improvement.Add(r.imp)
+		cell.MeanSubs += float64(r.subs)
+	}
+	for ci := range cells {
+		if n := cells[ci].Improvement.N(); n > 0 {
+			cells[ci].MeanSubs /= float64(n)
+		}
 	}
 	return cells, nil
 }
@@ -88,11 +78,12 @@ type Fig6bConfig struct {
 	Ratios []float64
 	// Apps defaults to {"CNC", "GAP"}.
 	Apps []string
-	// MaxSubsPerInstance caps preemption granularity for the larger sets
-	// (GAP). 0 means unlimited; the default 12 keeps GAP's NLP tractable
-	// while staying inside the paper's ≈1000-sub-instance budget.
-	MaxSubsPerInstance int
 }
+
+// appSubCap caps Fig. 6(b)'s preemption granularity at 12 sub-instances per
+// instance: it keeps GAP's NLP tractable while staying inside the paper's
+// ≈1000-sub-instance budget.
+const appSubCap = 12
 
 // AppCell is one Fig. 6(b) point.
 type AppCell struct {
@@ -124,46 +115,26 @@ func Fig6b(cfg Fig6bConfig) ([]AppCell, error) {
 	if len(apps) == 0 {
 		apps = []string{"CNC", "GAP"}
 	}
-	subCap := cfg.MaxSubsPerInstance
-	if subCap == 0 {
-		subCap = 12
-	}
-	seedReps := c.Sets
-	if seedReps > 10 {
-		seedReps = 10
-	}
+	seedReps := min(c.Sets, 10)
 
-	g := c.Grid
-	return grid.CollectErr(g, len(apps)*len(ratios), func(j int) (AppCell, error) {
+	return grid.CollectErr(c.Grid, len(apps)*len(ratios), func(j int) (AppCell, error) {
 		app, ratio := apps[j/len(ratios)], ratios[j%len(ratios)]
-		set, err := makeApp(app, ratio, c)
+		set, err := makeApp(app, ratio)
 		if err != nil {
 			return AppCell{}, err
 		}
 		pre := core.Config{}
-		pre.Preempt.MaxSubsPerInstance = subCap
-		acs, wcs, err := solvePair(g, set, c, pre)
+		pre.Preempt.MaxSubsPerInstance = appSubCap
+		p, err := solvePair(c, set, pre)
 		if err != nil {
 			return AppCell{}, fmt.Errorf("%s ratio %g: %w", app, ratio, err)
 		}
-		acsPlan, err := sim.Compile(acs)
-		if err != nil {
-			return AppCell{}, err
-		}
-		wcsPlan, err := sim.Compile(wcs)
-		if err != nil {
-			return AppCell{}, err
-		}
 
-		cell := AppCell{App: app, Ratio: ratio, Subs: len(acs.Plan.Subs)}
+		cell := AppCell{App: app, Ratio: ratio, Subs: len(p.acs.Plan.Subs)}
 		for k := 0; k < seedReps; k++ {
-			seed := setSeed(c.Seed+stats.SeedFromApp(app, ratio), k)
-			imp, _, _, err := sim.ComparePlans(acsPlan, wcsPlan, sim.Config{
-				Policy:       sim.Greedy,
-				Hyperperiods: c.Reps,
-				Seed:         seed,
-				Workers:      runtime.GOMAXPROCS(0),
-			})
+			sc := c.greedy(setSeed(c.Seed+stats.SeedFromApp(app, ratio), k))
+			sc.Workers = runtime.GOMAXPROCS(0)
+			imp, _, _, err := sim.ComparePlans(p.acsPlan, p.wcsPlan, sc)
 			if err != nil {
 				return AppCell{}, err
 			}
@@ -194,26 +165,15 @@ func AppCSV(cells []AppCell) string {
 	return s
 }
 
-func makeApp(app string, ratio float64, c Common) (*task.Set, error) {
+func makeApp(app string, ratio float64) (*task.Set, error) {
 	switch app {
 	case "CNC":
-		return workload.CNC(ratio, c.Utilization, c.Model)
+		return workload.CNC(ratio, utilization, nil)
 	case "GAP":
-		return workload.GAP(ratio, c.Utilization, c.Model)
+		return workload.GAP(ratio, utilization, nil)
 	case "GAPExact":
-		return workload.GAPExact(ratio, c.Utilization, c.Model)
+		return workload.GAPExact(ratio, utilization, nil)
 	default:
 		return nil, fmt.Errorf("experiments: unknown application %q", app)
 	}
-}
-
-func meanInts(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return float64(t) / float64(len(xs))
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/grid"
 	"repro/internal/partition"
 	"repro/internal/stats"
 	"repro/internal/task"
@@ -20,10 +19,9 @@ type PartitionSweepConfig struct {
 	// Cores is the core-count axis (default {1, 2, 4}).
 	Cores []int
 	// N is the task count per set (default 8; total utilisation scales
-	// with the core count, the per-core target stays Common.Utilization).
+	// with the core count, the per-core target stays utilization). Every
+	// set has BCEC/WCEC 0.5 (partitionRatio), the paper's middle series.
 	N int
-	// Ratio is BCEC/WCEC (default 0.5, the paper's middle series).
-	Ratio float64
 	// Modes are the packing heuristics to ablate (default FFD, worst-fit).
 	Modes []partition.Mode
 	// Moves is the cross-core improvement-loop round budget (default 2;
@@ -47,30 +45,22 @@ type PartitionCell struct {
 	Failures int
 }
 
-// partitionSetSeed derives the i-th set seed of a core-count cell. The seed
-// is shared across packing modes, so FFD and worst-fit score the identical
-// sets and — via the grid memo — share every per-core solve their packings
-// have in common.
-func partitionSetSeed(c Common, cores, n int, ratio float64, i int) uint64 {
-	master := c.Seed ^ stats.SeedFromString(fmt.Sprintf("partition|%d|%d|%g", cores, n, ratio))
-	return setSeed(master, i)
-}
+// partitionRatio is E11's BCEC/WCEC ratio.
+const partitionRatio = 0.5
 
 // partitionCellSet draws the i-th set of a core-count cell: admissible
 // under every swept packing mode, so each mode solves the same population.
+// Its seed is shared across packing modes, so FFD and worst-fit score the
+// identical sets and — via the grid memo — share every per-core solve their
+// packings have in common.
 func partitionCellSet(c Common, cfg PartitionSweepConfig, cores, i int) (*task.Set, error) {
-	rng := stats.NewRNG(partitionSetSeed(c, cores, cfg.N, cfg.Ratio, i))
+	cell := fmt.Sprintf("partition|%d|%d|%g", cores, cfg.N, partitionRatio)
+	rng := stats.NewRNG(setSeed(c.Seed^stats.SeedFromString(cell), i))
 	return workload.RandomFeasible(rng, workload.RandomConfig{
-		N:           cfg.N,
-		Ratio:       cfg.Ratio,
-		Utilization: c.Utilization,
-		Model:       c.Model,
-		Cores:       cores,
+		N: cfg.N, Ratio: partitionRatio, Utilization: utilization, Cores: cores,
 	}, 50, func(s *task.Set) bool {
 		for _, mode := range cfg.Modes {
-			pcfg := partition.Config{Cores: cores, Mode: mode}
-			pcfg.Solver.Model = c.Model
-			if _, err := partition.Admit(s, pcfg); err != nil {
+			if _, err := partition.Admit(s, partition.Config{Cores: cores, Mode: mode}); err != nil {
 				return false
 			}
 		}
@@ -78,11 +68,11 @@ func partitionCellSet(c Common, cfg PartitionSweepConfig, cores, i int) (*task.S
 	})
 }
 
-// PartitionSweep runs E11. Jobs are flattened to (cell, set) coordinates
-// and drained through the grid pool; each job's per-core solves fan out
-// through the same runner (nested ForEach), so the memo shares subsets
-// across modes, move evaluations, and repartitions. Results are
-// bit-identical for any worker count, cache on or off.
+// PartitionSweep runs E11. Each (cores, mode, set) coordinate is one job of
+// the sweep; each job's per-core solves fan out through the same runner
+// (nested ForEach), so the memo shares subsets across modes, move
+// evaluations, and repartitions. Results are bit-identical for any worker
+// count, cache on or off.
 func PartitionSweep(cfg PartitionSweepConfig) ([]PartitionCell, error) {
 	c := cfg.Common.withDefaults()
 	if len(cfg.Cores) == 0 {
@@ -91,66 +81,36 @@ func PartitionSweep(cfg PartitionSweepConfig) ([]PartitionCell, error) {
 	if cfg.N <= 0 {
 		cfg.N = 8
 	}
-	if cfg.Ratio == 0 {
-		cfg.Ratio = 0.5
-	}
 	if len(cfg.Modes) == 0 {
 		cfg.Modes = []partition.Mode{partition.FirstFitDecreasing, partition.WorstFit}
 	}
 	if cfg.Moves == 0 {
 		cfg.Moves = 2
 	}
-
-	type coord struct {
-		cell int // index into cells
-		set  int
-	}
-	type cellDef struct {
-		cores int
-		mode  partition.Mode
-	}
-	var defs []cellDef
-	for _, m := range cfg.Cores {
-		for _, mode := range cfg.Modes {
-			defs = append(defs, cellDef{cores: m, mode: mode})
-		}
-	}
-	var coords []coord
-	for ci := range defs {
-		for si := 0; si < c.Sets; si++ {
-			coords = append(coords, coord{cell: ci, set: si})
-		}
-	}
+	modes := len(cfg.Modes)
 
 	type out struct {
 		imp, energy float64
 		moves       int
-		failed      bool
 	}
-	results := grid.Collect(c.Grid, len(coords), func(i int) out {
-		co := coords[i]
-		def := defs[co.cell]
-		set, err := partitionCellSet(c, cfg, def.cores, co.set)
+	results, errs := sweep(c, len(cfg.Cores)*modes, func(ci, i int) (out, error) {
+		cores := cfg.Cores[ci/modes]
+		set, err := partitionCellSet(c, cfg, cores, i)
 		if err != nil {
-			return out{failed: true}
+			return out{}, err
 		}
-		pcfg := partition.Config{
-			Cores: def.cores,
-			Mode:  def.mode,
-			Moves: cfg.Moves,
-		}
-		pcfg.Solver.Model = c.Model
+		pcfg := partition.Config{Cores: cores, Mode: cfg.Modes[ci%modes], Moves: cfg.Moves}
 		pcfg.Solver.Starts = c.Starts
 		pcfg.Solver.StartWorkers = 1
 		res, err := partition.Solve(context.Background(), c.Grid, set, pcfg)
 		if err != nil {
-			return out{failed: true}
+			return out{}, err
 		}
 		wcsAvg := 0.0
 		for j := range res.Cores {
 			e, err := res.Cores[j].WCSAtAverage()
 			if err != nil {
-				return out{failed: true}
+				return out{}, err
 			}
 			wcsAvg += e
 		}
@@ -158,16 +118,16 @@ func PartitionSweep(cfg PartitionSweepConfig) ([]PartitionCell, error) {
 		if wcsAvg > 0 {
 			imp = 100 * (wcsAvg - res.Energy) / wcsAvg
 		}
-		return out{imp: imp, energy: res.Energy, moves: res.AcceptedMoves}
+		return out{imp: imp, energy: res.Energy, moves: res.AcceptedMoves}, nil
 	})
 
-	cells := make([]PartitionCell, len(defs))
-	for i, def := range defs {
-		cells[i] = PartitionCell{Cores: def.cores, Mode: def.mode.String()}
+	cells := make([]PartitionCell, len(cfg.Cores)*modes)
+	for ci := range cells {
+		cells[ci].Cores, cells[ci].Mode = cfg.Cores[ci/modes], cfg.Modes[ci%modes].String()
 	}
-	for i, r := range results {
-		cell := &cells[coords[i].cell]
-		if r.failed {
+	for j, r := range results {
+		cell := &cells[j/c.Sets]
+		if errs[j] != nil {
 			cell.Failures++
 			continue
 		}

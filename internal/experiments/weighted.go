@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -30,7 +31,7 @@ type WeightedCell struct {
 // that the average workload is "a good enough approximation" of the expected
 // energy: if the claim holds, the scenario objectives should improve little
 // over point-ACEC while predicting the realised energy more accurately.
-// Sets are grid jobs; the WCS baseline and the K=0 ACS build are the same
+// Sets are sweep jobs; the WCS baseline and the K=0 ACS build are the same
 // memo entries the other harnesses at this (N, ratio) cell use.
 func WeightedObjectiveAblation(c Common, n int, ratio float64, scenarioCounts []int) ([]WeightedCell, error) {
 	cc := c.withDefaults()
@@ -45,8 +46,7 @@ func WeightedObjectiveAblation(c Common, n int, ratio float64, scenarioCounts []
 	type setRes struct {
 		imp, gap []float64 // per scenario count
 	}
-	g := cc.Grid
-	results, err := grid.CollectErr(g, cc.Sets, func(i int) (setRes, error) {
+	results, errs := sweep(cc, 1, func(_, i int) (setRes, error) {
 		set, rng, err := randomCellSet(cc, n, ratio, i)
 		if err != nil {
 			return setRes{}, err
@@ -63,45 +63,33 @@ func WeightedObjectiveAblation(c Common, n int, ratio float64, scenarioCounts []
 		for ci, k := range scenarioCounts {
 			// A WCS never reads the scenario fields, so every count shares
 			// one WCS.
-			acs, wcs, err := solvePair(g, set, cc, core.Config{Scenarios: k, ScenarioSeed: scenSeed})
+			p, err := solvePair(cc, set, core.Config{Scenarios: k, ScenarioSeed: scenSeed})
 			if err != nil {
 				return setRes{}, err
 			}
 			if ci == 0 {
-				wcsPlan, err := sim.Compile(wcs)
-				if err != nil {
-					return setRes{}, err
-				}
-				if base, err = wcsPlan.Run(sim.Config{Policy: sim.Greedy, Hyperperiods: cc.Reps, Seed: simSeed}); err != nil {
+				if base, err = p.wcsPlan.Run(cc.greedy(simSeed)); err != nil {
 					return setRes{}, err
 				}
 			}
-			acsPlan, err := sim.Compile(acs)
-			if err != nil {
-				return setRes{}, err
-			}
-			r, err := acsPlan.Run(sim.Config{Policy: sim.Greedy, Hyperperiods: cc.Reps, Seed: simSeed})
+			r, err := p.acsPlan.Run(cc.greedy(simSeed))
 			if err != nil {
 				return setRes{}, err
 			}
 			res.imp[ci] = 100 * (base.Energy - r.Energy) / base.Energy
 
 			realised := r.Energy / float64(cc.Reps)
-			predicted := acs.Energy // point objective
+			predicted := p.acs.Energy // point objective
 			if k > 0 {
-				if predicted, err = acs.ExpectedEnergy(k, scenSeed); err != nil {
+				if predicted, err = p.acs.ExpectedEnergy(k, scenSeed); err != nil {
 					return setRes{}, err
 				}
 			}
-			gap := predicted - realised
-			if gap < 0 {
-				gap = -gap
-			}
-			res.gap[ci] = 100 * gap / realised
+			res.gap[ci] = 100 * math.Abs(predicted-realised) / realised
 		}
 		return res, nil
 	})
-	if err != nil {
+	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
 

@@ -10,108 +10,113 @@ import (
 // The deterministic parallel hyper-period engine.
 //
 // A simulation of H hyper-periods is a sequence of H independent experiments:
-// each draws its own workload vector and replays the compiled plan from time
-// zero (the dispatcher state — current time, last voltage — resets at every
-// hyper-period boundary, as in the serial engine this replaces). That
-// independence is what the engine exploits: hyper-periods are sharded into
-// contiguous blocks across Config.Workers goroutines.
+// each takes its own workload vector (drawn by Run, supplied by the caller of
+// RunActuals) and replays the compiled plan from time zero (the dispatcher
+// state — current time, last voltage — resets at every hyper-period
+// boundary). That independence is what the engine exploits: one fan-out
+// shards the hyper-periods into contiguous blocks across Config.Workers
+// goroutines for both entry points.
 //
 // Determinism contract (see DESIGN.md §5): the workload stream of every
-// hyper-period is drawn from its own stats.RNG stream, whose seed is split
+// drawn hyper-period comes from its own stats.RNG stream, whose seed is split
 // from the master seed in hyper-period order *before* any work is dispatched;
 // per-hyper-period results land in an index-addressed slice; and the fan-in
 // folds them into Result in hyper-period order. Energy sums, the
 // PerHyperperiod summary accumulation order, switch counts — every field of
 // Result is therefore bit-identical for any Workers value, including 1.
 
-// runWorkspace holds one worker's mutable state. Buffers are allocated once
-// per worker per run; the per-hyper-period loop itself never allocates.
-type runWorkspace struct {
-	rng               stats.RNG
-	actual, remaining []float64
-}
-
-func (p *CompiledPlan) newWorkspace() *runWorkspace {
-	return &runWorkspace{
-		actual:    make([]float64, len(p.bcec)),
-		remaining: make([]float64, len(p.bcec)),
-	}
-}
-
-// runBlock simulates hyper-periods [lo, hi) into perH.
-func (p *CompiledPlan) runBlock(cfg *Config, dist Distribution, seeds []uint64, perH []hyperResult, lo, hi int, ws *runWorkspace) {
-	for h := lo; h < hi; h++ {
-		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-			return // Run surfaces the error after fan-in
-		}
-		ws.rng.Reset(seeds[h])
-		for idx := range ws.actual {
-			ws.actual[idx] = dist(&ws.rng, p.bcec[idx], p.acec[idx], p.wcec[idx])
-		}
-		perH[h] = p.runOne(cfg, ws.actual, ws.remaining)
-	}
-}
-
-// runActualsBlock replays hyper-periods [lo, hi) under caller-supplied
-// workload vectors instead of drawn ones.
-func (p *CompiledPlan) runActualsBlock(cfg *Config, actuals [][]float64, perH []hyperResult, lo, hi int, ws *runWorkspace) {
-	for h := lo; h < hi; h++ {
-		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-			return
-		}
-		perH[h] = p.runOne(cfg, actuals[h], ws.remaining)
-	}
-}
-
 // Run simulates the compiled plan under cfg and returns aggregate statistics.
 // It may be called concurrently from multiple goroutines.
 func (p *CompiledPlan) Run(cfg Config) (*Result, error) {
+	if cfg.Hyperperiods <= 0 {
+		cfg.Hyperperiods = 100
+	}
+	return p.run(cfg, cfg.Hyperperiods, nil)
+}
+
+// RunActuals replays the compiled plan over len(actuals) hyper-periods whose
+// per-instance workloads are supplied by the caller instead of drawn from
+// Config.Dist — the execution entry point of the feedback subsystem's closed
+// loop, where an external (possibly nonstationary) scenario owns the workload
+// stream and the plan under execution is hot-swapped at hyper-period
+// boundaries: because the stream is external, splitting a horizon into chunks
+// executed on different plans changes nothing about the workloads, and each
+// chunk's Result is bit-identical for any Workers value exactly as Run's is.
+//
+// Config.Hyperperiods, Seed and Dist are ignored; Policy, Overhead, Workers
+// and Ctx apply as in Run. Every actuals[h] must have length Instances() and
+// is read, never written.
+func (p *CompiledPlan) RunActuals(cfg Config, actuals [][]float64) (*Result, error) {
+	return p.run(cfg, len(actuals), actuals)
+}
+
+// run is the one fan-out behind Run and RunActuals. It checks the policy
+// before anything else, then simulates h hyper-periods: hyper-period i
+// executes actuals[i], or, when actuals is nil (Run; an empty RunActuals
+// horizon has returned by then), a fresh draw from cfg.Dist under its own
+// RNG stream. The hyper-periods are sharded into contiguous blocks across
+// cfg.Workers goroutines, each with its own scratch buffers, so the
+// per-hyper-period loop never allocates; results land in an index-addressed
+// slice that fold aggregates in hyper-period order.
+func (p *CompiledPlan) run(cfg Config, h int, actuals [][]float64) (*Result, error) {
 	switch cfg.Policy {
 	case Greedy, Static, NoDVS:
 	default:
 		return nil, fmt.Errorf("sim: unknown slack policy %v", cfg.Policy)
 	}
-	if cfg.Hyperperiods <= 0 {
-		cfg.Hyperperiods = 100
+	if h == 0 {
+		return &Result{}, nil
+	}
+	n := len(p.bcec)
+	for i, row := range actuals {
+		if len(row) != n {
+			return nil, fmt.Errorf("sim: actuals[%d] has %d workloads, want %d instances", i, len(row), n)
+		}
+	}
+	var seeds []uint64
+	if actuals == nil {
+		// One RNG stream per hyper-period, split in index order before
+		// dispatch.
+		master := stats.NewRNG(cfg.Seed)
+		seeds = make([]uint64, h)
+		for i := range seeds {
+			seeds[i] = master.SplitSeed()
+		}
 	}
 	dist := cfg.Dist
 	if dist == nil {
 		dist = PaperDist
 	}
-	h := cfg.Hyperperiods
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > h {
-		workers = h
-	}
-
-	// One RNG stream per hyper-period, split in index order before dispatch.
-	master := stats.NewRNG(cfg.Seed)
-	seeds := make([]uint64, h)
-	for i := range seeds {
-		seeds[i] = master.SplitSeed()
-	}
-
 	perH := make([]hyperResult, h)
-	if workers == 1 {
-		p.runBlock(&cfg, dist, seeds, perH, 0, h, p.newWorkspace())
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*h/workers, (w+1)*h/workers
-			if lo == hi {
+	block := func(lo, hi int) {
+		var rng stats.RNG
+		drawn, remaining := make([]float64, n), make([]float64, n)
+		for i := lo; i < hi; i++ {
+			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+				return // surfaced after the fan-in
+			}
+			if actuals != nil {
+				perH[i] = p.runOne(&cfg, actuals[i], remaining)
 				continue
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				p.runBlock(&cfg, dist, seeds, perH, lo, hi, p.newWorkspace())
-			}(lo, hi)
+			rng.Reset(seeds[i])
+			for j := range drawn {
+				drawn[j] = dist(&rng, p.bcec[j], p.acec[j], p.wcec[j])
+			}
+			perH[i] = p.runOne(&cfg, drawn, remaining)
 		}
-		wg.Wait()
 	}
+	workers := min(max(cfg.Workers, 1), h)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			block(lo, hi)
+		}(w*h/workers, (w+1)*h/workers)
+	}
+	block(0, h/workers)
+	wg.Wait()
 
 	// Cancellation is authoritative: a canceled run returns the context's
 	// error rather than a partial, timing-dependent aggregate.
@@ -124,7 +129,7 @@ func (p *CompiledPlan) Run(cfg Config) (*Result, error) {
 }
 
 // fold aggregates per-hyper-period results in hyper-period order, exactly as
-// the serial loop would — the in-order fan-in shared by Run and RunActuals.
+// a serial loop would.
 func fold(perH []hyperResult) *Result {
 	res := &Result{}
 	var voltWeighted float64
@@ -144,67 +149,6 @@ func fold(perH []hyperResult) *Result {
 		res.MeanVoltage = voltWeighted / res.BusyTime
 	}
 	return res
-}
-
-// RunActuals replays the compiled plan over len(actuals) hyper-periods whose
-// per-instance workloads are supplied by the caller instead of drawn from
-// Config.Dist — the execution entry point of the feedback subsystem's closed
-// loop, where an external (possibly nonstationary) scenario owns the workload
-// stream and the plan under execution is hot-swapped at hyper-period
-// boundaries: because the stream is external, splitting a horizon into chunks
-// executed on different plans changes nothing about the workloads, and each
-// chunk's Result is bit-identical for any Workers value exactly as Run's is.
-//
-// Config.Hyperperiods, Seed and Dist are ignored; Policy, Overhead, Workers
-// and Ctx apply as in Run. Every actuals[h] must have length Instances() and
-// is read, never written.
-func (p *CompiledPlan) RunActuals(cfg Config, actuals [][]float64) (*Result, error) {
-	switch cfg.Policy {
-	case Greedy, Static, NoDVS:
-	default:
-		return nil, fmt.Errorf("sim: unknown slack policy %v", cfg.Policy)
-	}
-	h := len(actuals)
-	if h == 0 {
-		return &Result{}, nil
-	}
-	n := len(p.bcec)
-	for i, row := range actuals {
-		if len(row) != n {
-			return nil, fmt.Errorf("sim: actuals[%d] has %d workloads, want %d instances", i, len(row), n)
-		}
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > h {
-		workers = h
-	}
-	perH := make([]hyperResult, h)
-	if workers == 1 {
-		p.runActualsBlock(&cfg, actuals, perH, 0, h, p.newWorkspace())
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*h/workers, (w+1)*h/workers
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				p.runActualsBlock(&cfg, actuals, perH, lo, hi, p.newWorkspace())
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return fold(perH), nil
 }
 
 // ComparePlans runs two compiled plans under identical workload draws (same
