@@ -17,7 +17,8 @@ import (
 // feedback loop can be replayed offline against exactly the workload a
 // live session (or an adaptsim run) saw. The format is line-oriented
 // JSON so a recorder can append hyper-periods as they arrive and a
-// truncated file still yields its complete prefix:
+// truncated file, even one cut inside its last row, still yields its
+// complete prefix:
 //
 //	{"v":1,"instances":W,"tasks":[...]}   header: version, row width, task set
 //	[c0,c1,...,cW-1]                      one row per hyper-period, in order
@@ -125,10 +126,20 @@ func WriteStream(w io.Writer, s *Stream) error {
 
 // ReadStream parses a recorded stream, validating the version, the row
 // widths, and that every observed cycle count is finite and
-// non-negative.
+// non-negative. A last line with no newline that does not parse is the
+// torn tail a crash inside Append leaves: ReadStream returns the rows
+// before it. A torn header and every other malformed line are errors.
 func ReadStream(r io.Reader) (*Stream, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// unterminated reports that the token just scanned ended at EOF, not
+	// at a newline.
+	unterminated := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		unterminated = tok != nil && data[adv-1] != '\n'
+		return adv, tok, err
+	})
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("trace: reading stream: %w", err)
@@ -154,6 +165,9 @@ func ReadStream(r io.Reader) (*Stream, error) {
 		}
 		var row []float64
 		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			if unterminated {
+				break // the torn tail
+			}
 			return nil, fmt.Errorf("trace: stream line %d: %w", line, err)
 		}
 		if len(row) != hdr.Instances {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,17 +107,104 @@ func TestStreamTruncatedTail(t *testing.T) {
 	}
 }
 
-func TestStreamRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"bad header":     "nope\n",
-		"wrong version":  `{"v":2,"instances":1,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n",
-		"no tasks":       `{"v":1,"instances":1,"tasks":[]}` + "\n",
-		"zero width":     `{"v":1,"instances":0,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n",
-		"width mismatch": `{"v":1,"instances":2,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n[1]\n",
-		"negative cycle": `{"v":1,"instances":1,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n[-1]\n",
+// TestStreamTornTail cuts a recording at every byte: a cut inside a row,
+// the tail a crash inside Append leaves, yields the rows before it.
+func TestStreamTornTail(t *testing.T) {
+	data := tornStream(t)
+	full, err := ReadStream(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, in := range cases {
+	for cut := range len(data) + 1 {
+		checkCut(t, data, full, cut)
+	}
+	s, err := ReadStream(bytes.NewReader(data[:len(data)-6]))
+	if err != nil {
+		t.Fatalf("cut inside the last row: %v", err)
+	}
+	if len(s.Rows) != 2 {
+		t.Fatalf("cut inside the last row: %d rows, want 2", len(s.Rows))
+	}
+}
+
+// tornStream is a three-row recording whose last line is "[3.75,1e-7]\n":
+// cutting its last six bytes leaves the torn row "[3.75,".
+func tornStream(t testing.TB) []byte {
+	var buf bytes.Buffer
+	rows := [][]float64{{1, 2.5}, {3, 4}, {3.75, 1e-7}}
+	if err := WriteStream(&buf, &Stream{Tasks: streamSet().Tasks, Instances: 2, Rows: rows}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkCut reads data[:cut], where data is a newline-terminated stream that
+// ReadStream reads as full. The read may fail only when the cut leaves the
+// header line incomplete; otherwise its rows must be a prefix of full's
+// that holds every row whose newline the cut keeps.
+func checkCut(t *testing.T, data []byte, full *Stream, cut int) {
+	t.Helper()
+	header := bytes.IndexByte(data, '\n')
+	got, err := ReadStream(bytes.NewReader(data[:cut]))
+	if err != nil {
+		if cut > header {
+			t.Fatalf("cut at %d of %d, past the header line: %v", cut, len(data), err)
+		}
+		return
+	}
+	kept, end := 0, header+1 // complete row lines before the cut
+	for _, line := range bytes.SplitAfter(data[end:], []byte("\n")) {
+		if end += len(line); end > cut {
+			break
+		}
+		if len(bytes.TrimRight(line, "\r\n")) > 0 {
+			kept++
+		}
+	}
+	if len(got.Rows) < kept || len(got.Rows) > len(full.Rows) ||
+		!slices.EqualFunc(got.Rows, full.Rows[:len(got.Rows)], slices.Equal) {
+		t.Fatalf("cut at %d of %d: rows %v, want a prefix of %v with at least %d rows",
+			cut, len(data), got.Rows, full.Rows, kept)
+	}
+}
+
+// FuzzReadStream feeds ReadStream arbitrary bytes, which must never panic,
+// and cuts every stream it reads whole (a newline-terminated one) at a
+// fuzzed offset, which checkCut judges. The first seed is the torn tail:
+// tornStream cut inside its last row.
+func FuzzReadStream(f *testing.F) {
+	data := tornStream(f)
+	f.Add(data, len(data)-6)
+	f.Add(data, len(data))
+	f.Add(data, bytes.IndexByte(data, '\n')-1) // a torn header
+	for _, in := range malformedStreams {
+		f.Add([]byte(in), len(in)/2)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut int) {
+		full, err := ReadStream(bytes.NewReader(data))
+		if err != nil || len(data) == 0 || data[len(data)-1] != '\n' {
+			return
+		}
+		if cut < 0 || cut > len(data) {
+			cut = len(data) / 2
+		}
+		checkCut(t, data, full, cut)
+	})
+}
+
+// malformedStreams are streams ReadStream must refuse.
+var malformedStreams = map[string]string{
+	"empty":          "",
+	"bad header":     "nope\n",
+	"wrong version":  `{"v":2,"instances":1,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n",
+	"no tasks":       `{"v":1,"instances":1,"tasks":[]}` + "\n",
+	"zero width":     `{"v":1,"instances":0,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n",
+	"width mismatch": `{"v":1,"instances":2,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n[1]\n",
+	"negative cycle": `{"v":1,"instances":1,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n[-1]\n",
+}
+
+func TestStreamRejectsMalformed(t *testing.T) {
+	for name, in := range malformedStreams {
 		if _, err := ReadStream(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted malformed stream", name)
 		}
