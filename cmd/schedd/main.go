@@ -51,9 +51,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/cliutil"
@@ -66,7 +68,13 @@ import (
 )
 
 func main() {
-	cliutil.Exit("schedd", run(context.Background(), os.Args[1:], os.Stdout, nil))
+	// SIGTERM or an interrupt cancels run's context: the daemon stops
+	// accepting, cancels in-flight solves, drains their handlers for up to
+	// 5 s and closes its store before it exits.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdout, nil)
+	stop()
+	cliutil.Exit("schedd", err)
 }
 
 // run parses flags, binds the listener, and serves until ctx is canceled.

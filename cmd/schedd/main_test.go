@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -15,6 +18,57 @@ import (
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
+
+// TestMain runs this test binary as schedd itself when SCHEDD_AS_MAIN is
+// set, with the command line's arguments: TestSigtermDrains re-executes it
+// that way to signal a real daemon process.
+func TestMain(m *testing.M) {
+	if os.Getenv("SCHEDD_AS_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestSigtermDrains signals a daemon process: after its listening line,
+// SIGTERM must end it through run's shutdown path (stop serving, cancel
+// in-flight solves, drain, close the store) with exit status 0, not kill it
+// by the signal.
+func TestSigtermDrains(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-store-dir", t.TempDir())
+	cmd.Env = append(os.Environ(), "SCHEDD_AS_MAIN=1")
+	cmd.Stderr = os.Stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	signaled := false
+	done := make(chan error, 1)
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			if !signaled && strings.HasPrefix(sc.Text(), "schedd listening on") {
+				signaled = cmd.Process.Signal(syscall.SIGTERM) == nil
+			}
+		}
+		done <- cmd.Wait()
+	}()
+	select {
+	case err := <-done:
+		if !signaled {
+			t.Fatalf("daemon exited (%v) before it was signaled", err)
+		}
+		if err != nil {
+			t.Fatalf("daemon after SIGTERM: %v, want exit status 0", err)
+		}
+	case <-time.After(30 * time.Second):
+		cmd.Process.Kill()
+		t.Fatal("daemon neither listened nor exited within 30 s")
+	}
+}
 
 // TestRunServeAndShutdown boots the daemon on an ephemeral port, drives one
 // request through real HTTP, and shuts it down through context cancellation.
