@@ -197,7 +197,7 @@ func TestMoreSweepsNeverWorse(t *testing.T) {
 	set := feasibleRandom(t, 16, 5, 0.1)
 	prev := math.Inf(1)
 	for _, sweeps := range []int{2, 10, 40} {
-		s, err := Build(set, Config{Objective: AverageCase, MaxSweeps: sweeps, Tol: 1e-12})
+		s, err := Build(set, Config{Objective: AverageCase, MaxSweeps: sweeps, tol: 1e-12})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,11 +18,10 @@ type Config struct {
 	Model power.Model
 	// Objective selects ACS (AverageCase) or WCS (WorstCase).
 	Objective Objective
-	// MaxSweeps bounds coordinate-descent sweeps (default 100).
+	// MaxSweeps bounds coordinate-descent sweeps (default 100). A descent
+	// also stops once a sweep improves the objective by no more than 1e-6
+	// relative.
 	MaxSweeps int
-	// Tol is the relative objective-improvement convergence threshold per
-	// sweep (default 1e-6).
-	Tol float64
 	// Preempt tunes the fully-preemptive expansion (the sub-instance cap).
 	Preempt preempt.Options
 	// WarmStart, when non-nil, supplies a second starting point: the
@@ -58,6 +57,10 @@ type Config struct {
 	// (0) and latest feasible (1) positions; default 0.7. Only
 	// solveMultiStart sets it, for its starts after the first.
 	initBlend float64
+	// tol is the relative objective-improvement threshold below which a
+	// sweep ends the descent; default 1e-6, the value every solve runs. Only
+	// in-package tests lower it.
+	tol float64
 	// ctx, when non-nil, lets a long solve abort early: the sweep loop
 	// checks it between coordinate-descent sweeps and returns ctx's error.
 	// It is set only through BuildContext (callers cannot reach it), scopes
@@ -74,8 +77,8 @@ func (c *Config) withDefaults() Config {
 	if out.MaxSweeps <= 0 {
 		out.MaxSweeps = 100
 	}
-	if out.Tol <= 0 {
-		out.Tol = 1e-6
+	if out.tol <= 0 {
+		out.tol = 1e-6
 	}
 	if out.initBlend == 0 {
 		out.initBlend = 0.7
@@ -87,7 +90,7 @@ func (c *Config) withDefaults() Config {
 }
 
 // Canonical returns the config with every defaulted field resolved to the
-// value the solver actually uses (Model, MaxSweeps, Tol and StartSeed).
+// value the solver actually uses (Model, MaxSweeps and StartSeed).
 // Two configs with equal Canonical forms solve identically; the grid memo
 // hashes the canonical form so a zero config and an explicitly-defaulted one
 // share a cache key.
@@ -491,7 +494,7 @@ func (s *Schedule) optimize(c Config, ws *workspace) (float64, error) {
 		s.sweepPush(c, sc, ws)
 		obj = ws.ev.full()
 		s.Sweeps = sweep + 1
-		if prevObj-obj <= c.Tol*max(prevObj, 1e-12) && sweep >= 2 {
+		if prevObj-obj <= c.tol*max(prevObj, 1e-12) && sweep >= 2 {
 			break
 		}
 		prevObj = obj

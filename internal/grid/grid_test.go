@@ -136,7 +136,6 @@ func TestScheduleKeyContract(t *testing.T) {
 	explicit := base
 	explicit.Model = power.DefaultModel()
 	explicit.MaxSweeps = 100
-	explicit.Tol = 1e-6
 	explicit.StartSeed = 2005
 	if k1, _ := ScheduleKey(set, explicit); k1 != k0 {
 		t.Error("explicitly-defaulted config keys apart from the zero config")
@@ -171,7 +170,6 @@ func TestScheduleKeyContract(t *testing.T) {
 	diff := map[string]core.Config{
 		"Objective": {Objective: core.WorstCase},
 		"MaxSweeps": {Objective: core.AverageCase, MaxSweeps: 7},
-		"Tol":       {Objective: core.AverageCase, Tol: 1e-3},
 		"Preempt":   {Objective: core.AverageCase, Preempt: preempt.Options{MaxSubsPerInstance: 2}},
 		"Scenarios": {Objective: core.AverageCase, Scenarios: 5},
 		"Starts":    {Objective: core.AverageCase, Starts: 3},
@@ -343,10 +341,11 @@ func TestConfigFieldsGuard(t *testing.T) {
 		// ctx is excluded from ScheduleKey by design: it scopes the work
 		// (cancellation), never the result, and cancelled builds are not
 		// cached at all. initBlend is set only on solveMultiStart's
-		// per-start configs, which never reach a key.
-		"core.Config": {"Model", "Objective", "MaxSweeps", "Tol",
+		// per-start configs, which never reach a key, and tol only by core's
+		// own tests; the key writes its constant 1e-6.
+		"core.Config": {"Model", "Objective", "MaxSweeps",
 			"Preempt", "WarmStart", "Scenarios", "ScenarioSeed", "Starts",
-			"StartWorkers", "StartSeed", "initBlend", "ctx"},
+			"StartWorkers", "StartSeed", "initBlend", "tol", "ctx"},
 		"preempt.Options": {"MaxSubsPerInstance"},
 		"task.Task":       {"Name", "Period", "WCEC", "ACEC", "BCEC", "Ceff"},
 		// sim.Config is guarded for CompareKey, which memoizes simulated
@@ -404,7 +403,7 @@ func TestMemoScheduleHitAndMiss(t *testing.T) {
 	}
 
 	other := cfg
-	other.Tol = 1e-3
+	other.MaxSweeps = 7
 	s3, err := r.BuildSchedule(set, other)
 	if err != nil {
 		t.Fatal(err)

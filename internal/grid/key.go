@@ -164,7 +164,7 @@ func (h *hasher) schedule(s *core.Schedule) bool {
 // ScheduleKey returns the content address of core.Build(set, cfg) — the
 // cache-key contract DESIGN.md §6 documents. The key covers the task-set
 // fingerprint, the model identity, and exactly the core.Config fields a
-// solve is a function of: Objective, MaxSweeps, Tol, Preempt
+// solve is a function of: Objective, MaxSweeps, Preempt
 // (MaxSubsPerInstance), Scenarios, ScenarioSeed, Starts, StartSeed
 // (dormant values — a non-positive MaxSubsPerInstance, scenario fields
 // without Scenarios or on a WorstCase build, StartSeed without multi-start —
@@ -230,10 +230,10 @@ func (h *hasher) config(c core.Config) bool {
 	}
 	h.u64(uint64(c.Objective))
 	h.i64(int64(c.MaxSweeps))
-	h.f64(c.Tol)
-	// Three retired fields (a split-optimisation switch, the initial blend
-	// and the line-search tolerance) keep their old default bytes, so that
-	// no key moves.
+	// Four retired fields (the sweep tolerance, a split-optimisation
+	// switch, the initial blend and the line-search tolerance) keep their
+	// old default bytes, so that no key moves.
+	h.f64(1e-6)
 	h.flag(false)
 	h.f64(0.7)
 	h.f64(1e-4)
