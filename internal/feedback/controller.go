@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/task"
@@ -34,11 +34,6 @@ type Options struct {
 	// 12): re-solving from the detection window alone would fit mostly
 	// pre-drift data.
 	Relearn int
-	// OnResolve, when set, is called with the wall-clock duration of every
-	// solve pipeline (WCS lookup + warm ACS + compile), including the initial
-	// solve. Purely observational — it must not mutate the controller and
-	// has no effect on results.
-	OnResolve func(d time.Duration)
 }
 
 // minCount is the minimum number of fresh observations a task needs for its
@@ -164,12 +159,11 @@ func NewController(ctx context.Context, set *task.Set, opts Options) (*Controlle
 // /v1/schedules submit runs: WCS, then ACS warm-started from it.
 // Adaptation moves only ACEC, so on a memoized runner every re-solve's WCS
 // is the one the first solve built, retargeted to model (grid's worst-case
-// key), and only the ACS is new. The fingerprint is that submit's.
+// key), and only the ACS is new. The fingerprint is that submit's. The
+// whole step (solve and compile), the initial solve and a restore's
+// included, is the feedback_resolve span of ctx's trace.
 func (c *Controller) resolve(ctx context.Context, model *task.Set) error {
-	if c.opts.OnResolve != nil {
-		t0 := time.Now()
-		defer func() { c.opts.OnResolve(time.Since(t0)) }()
-	}
+	defer obs.StartSpan(ctx, "feedback_resolve")()
 	solver := c.opts.Solver
 	solver.Objective = core.AverageCase
 	solver.WarmStart = nil

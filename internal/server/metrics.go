@@ -14,8 +14,8 @@ import (
 // time — storage stays where it is, the registry is a view.
 
 // stageNames enumerates the per-stage latency histograms
-// (schedd_stage_seconds{stage=...}) fed by request-trace spans and the
-// feedback controller's OnResolve hook.
+// (schedd_stage_seconds{stage=...}) fed by trace spans: a request's, and a
+// boot restore's (RestoreSessions).
 var stageNames = []string{
 	"admission_wait",
 	"solve_wcs",

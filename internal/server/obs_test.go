@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -113,6 +115,42 @@ func mixedWorkload(t *testing.T, ts string) {
 		if code, resp := post(t, ts+"/v1/sessions/"+created.SessionID+"/observe", observeBody(t, rows[lo:lo+10])); code != http.StatusOK {
 			t.Fatalf("observe at %d: %d %s", lo, code, resp)
 		}
+	}
+}
+
+// TestFeedbackResolveStage: the feedback_resolve stage times every solve a
+// session's controller runs, each a span of the request or boot restore
+// that ran it: the create, each re-solve, and a restore on another server.
+func TestFeedbackResolveStage(t *testing.T) {
+	blobs := store.NewMemBlobs()
+	_, ts := newTestServer(t, Options{Checkpoints: blobs})
+	stage := obs.L("stage", "feedback_resolve")
+	body, rows := sessionRows(t, 4, "dev", 160)
+	if code, resp := post(t, ts.URL+"/v1/sessions", body); code != http.StatusOK {
+		t.Fatalf("create: %d %s", code, resp)
+	}
+	if n := metric(t, ts.URL, "schedd_stage_seconds_count", stage); n != 1 {
+		t.Errorf("%v feedback_resolve spans after the create, want 1", n)
+	}
+	for lo := 0; lo < len(rows); lo += 20 {
+		if code, resp := post(t, ts.URL+"/v1/sessions/dev/observe", observeAtBody(t, rows[lo:lo+20], int64(lo))); code != http.StatusOK {
+			t.Fatalf("observe at %d: %d %s", lo, code, resp)
+		}
+	}
+	resolves := metric(t, ts.URL, "schedd_feedback_resolves_total")
+	if resolves == 0 {
+		t.Fatal("the stream re-solved nothing")
+	}
+	if n := metric(t, ts.URL, "schedd_stage_seconds_count", stage); n != 1+resolves {
+		t.Errorf("%v feedback_resolve spans, want %v: the create and %v re-solves", n, 1+resolves, resolves)
+	}
+
+	s2, ts2 := newTestServer(t, Options{Checkpoints: blobs})
+	if n, err := s2.RestoreSessions(context.Background()); n != 1 || err != nil {
+		t.Fatalf("restored %d sessions (%v), want 1", n, err)
+	}
+	if n := metric(t, ts2.URL, "schedd_stage_seconds_count", stage); n != 1 {
+		t.Errorf("%v feedback_resolve spans after a boot restore, want 1", n)
 	}
 }
 

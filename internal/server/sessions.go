@@ -9,10 +9,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/feedback"
+	"repro/internal/obs"
 )
 
 // Feedback sessions (DESIGN.md §8): a session is a stateful closed loop over
@@ -80,13 +80,6 @@ func (s *Server) sessionOptions(k sessionKnobs) feedback.Options {
 		},
 		Relearn: k.Relearn,
 	}
-	// Feed every solve-pipeline run into the feedback_resolve stage
-	// histogram. Adaptation *counters* come from controller deltas around
-	// ObserveChunk instead, so the initial session-create solve is timed
-	// here but never counted as an adaptation.
-	opts.OnResolve = func(d time.Duration) {
-		s.m.observeStage("feedback_resolve", d.Seconds())
-	}
 	return opts
 }
 
@@ -147,11 +140,13 @@ func (s *Server) checkpointSession(sess *serverSession) {
 // uninterrupted daemon would have answered. The session-id sequence resumes
 // past the highest restored id. Corrupt checkpoints are skipped and counted
 // as checkpoint errors; the session limit is enforced. ctx bounds the
-// restore solves.
+// restore solves, which carry the server's trace, so each is a
+// feedback_resolve span as a request's solve is.
 func (s *Server) RestoreSessions(ctx context.Context) (int, error) {
 	if s.opts.Checkpoints == nil {
 		return 0, nil
 	}
+	ctx = obs.ContextWithTrace(ctx, s.trace)
 	names, err := s.opts.Checkpoints.ListBlobs()
 	if err != nil {
 		return 0, fmt.Errorf("server: listing checkpoints: %w", err)
