@@ -201,6 +201,11 @@ var malformedStreams = map[string]string{
 	"zero width":     `{"v":1,"instances":0,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n",
 	"width mismatch": `{"v":1,"instances":2,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n[1]\n",
 	"negative cycle": `{"v":1,"instances":1,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n[-1]\n",
+	// A row that does not parse is a torn tail only when it is the last
+	// line and has no newline.
+	"unparsable row":      `{"v":1,"instances":1,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n[1\n",
+	"unparsable mid row":  `{"v":1,"instances":1,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n[1\n[2]",
+	"torn width mismatch": `{"v":1,"instances":2,"tasks":[{"name":"a","period_ms":10,"wcec":1,"acec":1,"bcec":1,"ceff":1}]}` + "\n[1]",
 }
 
 func TestStreamRejectsMalformed(t *testing.T) {
