@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -53,5 +54,40 @@ func BenchmarkSolvePair(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
+// TestSolvePairAllocs pins the allocations of a cold submit's solver work
+// on golden set 2 (16 pieces): a WCS Build, then the ACS warm-started from
+// it. The ACS solves over the WCS's plan; expanding its own took 53 more
+// (203). The count is go1.24's median of three readings, pinned exactly. A
+// race build read the same count, but only bounds it, as the server's
+// allocation pins do. A change that moves the count re-pins it and says why.
+func TestSolvePairAllocs(t *testing.T) {
+	const allocs, raceMax float64 = 150, 150
+	set := goldenSets(t)[2]
+	var err error
+	var reads [3]float64
+	for i := range reads {
+		reads[i] = testing.AllocsPerRun(20, func() {
+			var wcs *Schedule
+			if wcs, err = Build(set, Config{Objective: WorstCase}); err == nil {
+				_, err = Build(set, Config{Objective: AverageCase, WarmStart: wcs})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(reads[:])
+	got := reads[1]
+	switch {
+	case raceEnabled && got > raceMax:
+		t.Errorf("%g allocations per WCS/ACS pair in a race build, want at most %g", got, raceMax)
+	case !raceEnabled && got != allocs:
+		t.Errorf("%g allocations per WCS/ACS pair, want %g", got, allocs)
 	}
 }

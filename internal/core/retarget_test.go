@@ -161,3 +161,100 @@ func TestRetargetRefuses(t *testing.T) {
 		}
 	}
 }
+
+// sharesPlan reports whether a and b hold the same Subs, Instances and
+// ByInstance backing arrays.
+func sharesPlan(a, b *preempt.Schedule) bool {
+	return &a.Subs[0] == &b.Subs[0] && &a.Instances[0] == &b.Instances[0] &&
+		&a.ByInstance[0] == &b.ByInstance[0]
+}
+
+// TestWarmStartSharesPlan: an ACS warm-started from a WCS of a set with the
+// same worst-case fields, expanded under the same piece cap, solves over the
+// WCS's plan. It holds the plan's Subs, Instances and ByInstance, bound to
+// its own set, and encodes to the bytes Solve gives over a fresh expansion,
+// with and without a cap that merges pieces. A warm start with another WCEC
+// or another cap lends nothing: the build expands its own plan.
+func TestWarmStartSharesPlan(t *testing.T) {
+	sets := goldenSets(t)[:4]
+	wcsOf := func(set *task.Set, subcap int) *Schedule {
+		t.Helper()
+		wcs, err := Build(set, Config{Objective: WorstCase, Preempt: preempt.Options{MaxSubsPerInstance: subcap}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wcs
+	}
+	// solveFresh is the build over a fresh expansion, the schedule the
+	// shared plan must reproduce.
+	solveFresh := func(set *task.Set, cfg Config) *Schedule {
+		t.Helper()
+		plan, err := preempt.BuildWith(set, cfg.Preempt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Solve(plan, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	merged := 0
+	for _, subcap := range []int{0, 3} {
+		for i, base := range sets {
+			wcs := wcsOf(base, subcap)
+			if full, err := preempt.Build(base); err != nil {
+				t.Fatal(err)
+			} else if len(full.Subs) > len(wcs.Plan.Subs) {
+				merged++
+			}
+			for k, variant := range append(averageVariants(t, base), base) {
+				warm, ok := wcs.Retarget(variant)
+				if !ok {
+					t.Fatalf("set %d variant %d: Retarget refused an ACEC/BCEC move", i, k)
+				}
+				cfg := Config{Objective: AverageCase, WarmStart: warm, Preempt: preempt.Options{MaxSubsPerInstance: subcap}}
+				acs, err := Build(variant, cfg)
+				if err != nil {
+					t.Fatalf("cap %d set %d variant %d: ACS: %v", subcap, i, k, err)
+				}
+				if acs.Plan.Set != variant || !sharesPlan(acs.Plan, wcs.Plan) {
+					t.Errorf("cap %d set %d variant %d: the ACS does not solve over its warm start's plan", subcap, i, k)
+				}
+				requireSameSchedule(t, "shared-plan ACS", acs, solveFresh(variant, cfg))
+			}
+		}
+	}
+	if merged == 0 {
+		t.Fatal("the piece cap merges no plan's pieces; the capped case covers nothing")
+	}
+
+	base := sets[0]
+	ts := append([]task.Task(nil), base.Tasks...)
+	ts[0].WCEC *= 0.9
+	ts[0].ACEC = min(ts[0].ACEC, ts[0].WCEC)
+	ts[0].BCEC = min(ts[0].BCEC, ts[0].WCEC)
+	lighter, err := task.NewSet(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		warm   *Schedule
+		subcap int
+	}{
+		{"another WCEC", wcsOf(lighter, 0), 0},
+		{"a capped warm start", wcsOf(base, 3), 0},
+		{"an uncapped warm start", wcsOf(base, 0), 3},
+	} {
+		cfg := Config{Objective: AverageCase, WarmStart: c.warm, Preempt: preempt.Options{MaxSubsPerInstance: c.subcap}}
+		acs, err := Build(base, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if sharesPlan(acs.Plan, c.warm.Plan) {
+			t.Errorf("%s: the ACS solves over the warm start's plan", c.name)
+		}
+		requireSameSchedule(t, c.name, acs, solveFresh(base, cfg))
+	}
+}

@@ -28,7 +28,9 @@ type Config struct {
 	// solver also runs from that schedule's (End, WCWork) and keeps the
 	// better result. Passing the solved WCS schedule when building ACS
 	// guarantees ACS never lands in a local optimum worse than the WCS
-	// solution (which is always feasible for the ACS program).
+	// solution (which is always feasible for the ACS program). Build also
+	// solves over the warm start's plan when that plan is set's expansion
+	// (see Build), so the result shares it; treat both as immutable.
 	WarmStart *Schedule
 	// Scenarios, when positive and the objective is AverageCase, switches
 	// the objective from the single ACEC trajectory to the mean energy over
@@ -111,7 +113,19 @@ func (e *InfeasibleError) Unwrap() error { return e.Err }
 // voltage schedule for cfg's objective. It fails with an *InfeasibleError if
 // the task set cannot meet its deadlines even at the maximum voltage (the
 // feasibility precondition of the whole approach).
+//
+// A warm start whose plan was expanded with cfg.Preempt from a set with the
+// same worst-case fields (task.SameWorstCase) lends Build that plan: the
+// expansion reads nothing else, so Build solves over a shallow copy with Set
+// swapped, the copy Retarget makes, and the result shares the warm start's
+// Subs, Instances and ByInstance. Every other build expands set itself.
 func Build(set *task.Set, cfg Config) (*Schedule, error) {
+	if w := cfg.WarmStart; w != nil && w.Plan != nil && w.Plan.Set != nil && set != nil &&
+		w.Plan.Opts == cfg.Preempt && task.SameWorstCase(w.Plan.Set, set) {
+		plan := *w.Plan
+		plan.Set = set
+		return Solve(&plan, cfg)
+	}
 	plan, err := preempt.BuildWith(set, cfg.Preempt)
 	if err != nil {
 		return nil, &InfeasibleError{Err: err}

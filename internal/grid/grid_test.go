@@ -455,6 +455,16 @@ func TestMemoScheduleSingleflight(t *testing.T) {
 	}
 }
 
+// encodeSchedule is core.EncodeSchedule for a schedule that must encode.
+func encodeSchedule(t *testing.T, s *core.Schedule) []byte {
+	t.Helper()
+	b, err := core.EncodeSchedule(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestWorstCaseKeySharesWCS: WorstCase builds of sets that differ only in
 // ACEC and BCEC share one memo entry. A hit built for other ACEC comes back
 // retargeted, byte-equal to a direct build of the caller's set and as good a
@@ -462,14 +472,6 @@ func TestMemoScheduleSingleflight(t *testing.T) {
 // schedule itself; an infeasible set's cached error answers its variants
 // with a direct build's text; and concurrent variants meet on one build.
 func TestWorstCaseKeySharesWCS(t *testing.T) {
-	encode := func(s *core.Schedule) []byte {
-		t.Helper()
-		b, err := core.EncodeSchedule(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	wcsCfg := core.Config{Objective: core.WorstCase}
 	base := testSet(t)
 	variant := withRatio(t, base, 0.9)
@@ -490,7 +492,7 @@ func TestWorstCaseKeySharesWCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Plan.Set != variant || !bytes.Equal(encode(got), encode(want)) {
+	if got.Plan.Set != variant || !bytes.Equal(encodeSchedule(t, got), encodeSchedule(t, want)) {
 		t.Error("the variant's hit is not its own direct build")
 	}
 	acsCfg := core.Config{Objective: core.AverageCase, WarmStart: got}
@@ -503,7 +505,7 @@ func TestWorstCaseKeySharesWCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encode(fromGot), encode(fromWant)) {
+	if !bytes.Equal(encodeSchedule(t, fromGot), encodeSchedule(t, fromWant)) {
 		t.Error("ACS warm-started from the hit differs from one warm-started from a direct build")
 	}
 
@@ -547,7 +549,7 @@ func TestWorstCaseKeySharesWCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wants[i] = encode(w)
+		wants[i] = encodeSchedule(t, w)
 	}
 	memo = NewMemo()
 	r = New(1, memo)
@@ -562,11 +564,58 @@ func TestWorstCaseKeySharesWCS(t *testing.T) {
 	}
 	wg.Wait()
 	for i, s := range gots {
-		if s == nil || !bytes.Equal(encode(s), wants[i]) {
+		if s == nil || !bytes.Equal(encodeSchedule(t, s), wants[i]) {
 			t.Errorf("concurrent variant %d is not its direct build", i)
 		}
 	}
 	if st := memo.Stats(); st.ScheduleMisses != 1 {
 		t.Errorf("%d concurrent ACEC variants built %d times, want once", len(variants), st.ScheduleMisses)
+	}
+}
+
+// TestConcurrentACSSharesWCSPlan: ACS builds of ACEC variants, run at once
+// through one memo and each warm-started from the one cached WCS
+// retargeted to its set, solve over that WCS's plan: each holds the same
+// Subs, Instances and ByInstance backing arrays, bound to its own set, and
+// encodes to the bytes of a memo-less build of the same pair.
+func TestConcurrentACSSharesWCSPlan(t *testing.T) {
+	wcsCfg := core.Config{Objective: core.WorstCase}
+	base := testSet(t)
+	r := New(4, NewMemo())
+	cached, err := r.BuildSchedule(base, wcsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := make([]*task.Set, 8)
+	for i := range variants {
+		variants[i] = withRatio(t, base, 0.1*float64(i+1))
+	}
+	gots, err := CollectErr(r, len(variants), func(i int) (*core.Schedule, error) {
+		wcs, err := r.BuildSchedule(variants[i], wcsCfg)
+		if err != nil {
+			return nil, err
+		}
+		return r.BuildSchedule(variants[i], core.Config{Objective: core.AverageCase, WarmStart: wcs})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range gots {
+		p, c := got.Plan, cached.Plan
+		if p.Set != variants[i] || &p.Subs[0] != &c.Subs[0] || &p.Instances[0] != &c.Instances[0] ||
+			&p.ByInstance[0] != &c.ByInstance[0] {
+			t.Errorf("variant %d: the ACS does not solve over the cached WCS's plan", i)
+		}
+		wcs, err := core.Build(variants[i], wcsCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Build(variants[i], core.Config{Objective: core.AverageCase, WarmStart: wcs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeSchedule(t, got), encodeSchedule(t, want)) {
+			t.Errorf("variant %d: the ACS differs from a memo-less build", i)
+		}
 	}
 }

@@ -191,7 +191,10 @@ func (m *MemStore) Stats() Stats {
 // scheduleBytes estimates the resident cost of a cached schedule: the solved
 // vectors, the derived average workloads, and the preemptive plan it pins
 // (sub-instances, instances, per-instance position lists). The estimate is
-// for eviction accounting only — it need not be exact, just proportional.
+// for eviction accounting only — it need not be exact, just proportional. A
+// plan two entries share (an ACS warm-started from its WCS solves over the
+// WCS's plan, core.Build) is charged to each: an over-estimate, so the cap
+// still bounds what is resident.
 func scheduleBytes(s *core.Schedule) int64 {
 	const entryOverhead = 512 // entry, map slot, LRU seat, struct headers
 	if s == nil || s.Plan == nil {

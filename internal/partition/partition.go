@@ -348,7 +348,8 @@ type coreOut struct {
 
 // solveCore solves one core's subset: WCS (never budgeted — it is the
 // degraded-mode floor), then ACS warm-started from WCS under the core's
-// budget when the objective is AverageCase. A core holding every task
+// budget when the objective is AverageCase; the ACS solves over the WCS's
+// plan (core.Build), so the pair pins one. A core holding every task
 // solves the set itself.
 func solveCore(ctx context.Context, r *grid.Runner, set *task.Set, idxs []int, coreIdx int, c Config) coreOut {
 	cs := CoreSolve{Core: coreIdx, TaskIdx: append([]int(nil), idxs...)}
