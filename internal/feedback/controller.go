@@ -249,16 +249,26 @@ func (c *Controller) Lifetime() *SetEstimator { return c.life }
 // estimator states, the same drift points, and the same re-solve points.
 // ctx bounds any re-solves the chunk triggers.
 //
-// Malformed batches are rejected *before* anything is folded, so a 4xx-style
-// error never leaves the controller's state partially advanced and a client
-// may retry the corrected batch without double-counting. A re-solve failure
-// (cancellation) can still surface mid-batch; the rows preceding it remain
-// folded — resume from Observed(), do not replay the batch.
+// Malformed batches (a row of the wrong width, or an instance observed
+// below 0 or above its task's WCEC) are rejected *before* anything is
+// folded, so a 4xx-style error never leaves the controller's state partially
+// advanced and a client may retry the corrected batch without
+// double-counting. A re-solve failure (cancellation) can still surface
+// mid-batch; the rows preceding it remain folded — resume from Observed(),
+// do not replay the batch.
 func (c *Controller) ObserveChunk(ctx context.Context, actuals [][]float64) (Decision, error) {
 	d := Decision{Fingerprint: c.fingerprint, State: c.state}
 	for i, row := range actuals {
 		if len(row) != len(c.taskOf) {
 			return d, fmt.Errorf("feedback: observation %d has %d instances, want %d", i, len(row), len(c.taskOf))
+		}
+		// An instance runs at most its task's WCEC cycles. A value past it
+		// (1e308) would overflow the Welford m2 or the drift statistic to
+		// Inf or NaN, which no checkpoint can encode.
+		for j, x := range row {
+			if wcec := c.base.Tasks[c.taskOf[j]].WCEC; !(x >= 0 && x <= wcec) {
+				return d, fmt.Errorf("feedback: observation %d instance %d ran %g cycles, outside [0, WCEC %g]", i, j, x, wcec)
+			}
 		}
 	}
 	for _, row := range actuals {

@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -293,6 +294,21 @@ func TestControllerValidation(t *testing.T) {
 	}
 	if _, err := ctrl.ObserveChunk(context.Background(), [][]float64{make([]float64, len(ctrl.TaskOf())+2)}); err == nil {
 		t.Error("wrong-width observation accepted")
+	}
+	// A value outside [0, WCEC] in a later row refuses the whole batch
+	// before its first row is folded.
+	valid := make([]float64, len(ctrl.TaskOf()))
+	last := set.Tasks[ctrl.TaskOf()[len(valid)-1]].WCEC
+	for _, x := range []float64{-1, math.Nextafter(last, math.Inf(1)), 1e200, math.NaN()} {
+		bad := append([]float64(nil), valid...)
+		bad[len(bad)-1] = x
+		if _, err := ctrl.ObserveChunk(context.Background(), [][]float64{valid, bad}); err == nil || ctrl.Observed() != 0 {
+			t.Errorf("an observation of %g cycles accepted (%d hyper-periods folded)", x, ctrl.Observed())
+		}
+	}
+	valid[len(valid)-1] = last
+	if _, err := ctrl.ObserveChunk(context.Background(), [][]float64{valid}); err != nil {
+		t.Errorf("observations of 0 and WCEC cycles refused: %v", err)
 	}
 	if ctrl.Fingerprint() == "" {
 		t.Error("default-model schedule has no fingerprint")

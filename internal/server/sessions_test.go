@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/task"
 	"repro/internal/workload"
 )
@@ -243,7 +246,7 @@ func TestSessionFingerprintMatchesSubmit(t *testing.T) {
 }
 
 func TestSessionRejections(t *testing.T) {
-	_, ts := newTestServer(t, Options{}, func(s *Server) { s.sessionCap, s.batchCap = 1, 4 })
+	srv, ts := newTestServer(t, Options{Checkpoints: store.NewMemBlobs()}, func(s *Server) { s.sessionCap, s.batchCap = 1, 4 })
 	body, set := sessionBody(t, 3)
 
 	if code, resp := post(t, ts.URL+"/v1/sessions", `{"tasks":[]}`); code != http.StatusUnprocessableEntity {
@@ -322,6 +325,26 @@ func TestSessionRejections(t *testing.T) {
 			t.Errorf("%s: %d %q, want %d %q", e.name, code, resp, e.code, e.resp+"\n")
 		}
 	}
+
+	// One instance observed outside [0, WCEC] refuses its batch before the
+	// batch's first row is folded: 1e200 cycles would fold to an infinite
+	// m2, which neither a checkpoint nor a status GET can encode.
+	for _, x := range []float64{1e200, -1} {
+		bad := append([]float64(nil), row...)
+		bad[0] = x
+		if code, resp := post(t, obs, observeBody(t, [][]float64{row, bad})); code != http.StatusUnprocessableEntity ||
+			!strings.Contains(resp, "outside [0, WCEC") {
+			t.Errorf("an observation of %g cycles: %d %s", x, code, resp)
+		}
+	}
+	code, resp = get(t, ts.URL+"/v1/sessions/"+created.SessionID)
+	var status SessionStatusResponse
+	if code != http.StatusOK || json.Unmarshal([]byte(resp), &status) != nil || status.Observed != 6 {
+		t.Errorf("status after the refused observes: %d %s, want 200 at 6 hyper-periods", code, resp)
+	}
+	if n := srv.m.checkpointErrs.Value(); n != 0 {
+		t.Errorf("%d checkpoint errors, want 0", n)
+	}
 }
 
 // observeEdge is an observe body whose shape the decode fast path declines,
@@ -360,4 +383,80 @@ func observeEdges(row string) []observeEdge {
 			rejected("json: cannot unmarshal number 1.5 into Go struct field ObserveRequest.at of type int64")},
 		{"null at", `{"hyperperiods":[` + row + `],"at":null}`, http.StatusOK, folded(6)},
 	}
+}
+
+// FuzzObserveBody sends a raw observe body twice to session fz of a fresh
+// server over an in-memory checkpoint store. Every answer is 200, 400, 409
+// or 422, never a 500 or a panic; after each, the session's status answers
+// 200 and no checkpoint error has been counted; and a second fresh server
+// answers the same requests with the same bytes. Every solve goes through
+// one shared memo, and the batch limit is lowered to 16 hyper-periods so a
+// long body costs a 422, not a run of re-solves.
+func FuzzObserveBody(f *testing.F) {
+	set, err := task.NewSet(mustSubmit(f, smallBody(0)).Tasks)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ins, err := set.Instances()
+	if err != nil {
+		f.Fatal(err)
+	}
+	// batch renders n hyper-periods at the stated ACEC, edit applied to
+	// the last, with the given suffix after the list.
+	batch := func(n int, edit func(row []float64), suffix string) []byte {
+		rows := make([][]float64, n)
+		for i := range rows {
+			for _, in := range ins {
+				rows[i] = append(rows[i], set.Tasks[in.TaskIndex].ACEC)
+			}
+		}
+		edit(rows[n-1])
+		b, err := json.Marshal(ObserveRequest{Hyperperiods: rows})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append(b[:len(b)-1], suffix+"}"...)
+	}
+	same := func([]float64) {}
+	f.Add(batch(3, same, ""))
+	f.Add(batch(6, func(row []float64) { row[0] = set.Tasks[ins[0].TaskIndex].WCEC }, `,"at":0`))
+	f.Add(batch(1, same, `,"at":5`))
+	f.Add([]byte(`{"hyperperiods":[[1,2]]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"hyperperiods":[]}`))
+	f.Add(batch(2, func(row []float64) { row[0] = 1e200 }, ""))
+	f.Add(batch(2, func(row []float64) { row[1] = -1 }, ""))
+
+	create := []byte(`{"session_id":"fz","min_samples":4,"relearn":4,` + smallBody(0)[1:])
+	memo := grid.NewMemStore(0)
+	run := func(t *testing.T, body []byte) []string {
+		s := New(Options{MaxTasks: 3, Store: memo, Checkpoints: store.NewMemBlobs()})
+		defer s.Close()
+		s.batchCap = 16
+		h := s.Handler()
+		if code, resp := serveOn(h, "POST", "/v1/sessions", create); code != http.StatusOK {
+			t.Fatalf("create: %d %s", code, resp)
+		}
+		var answers []string
+		for range 2 {
+			code, resp := serveOn(h, "POST", "/v1/sessions/fz/observe", body)
+			switch code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusUnprocessableEntity:
+			default:
+				t.Fatalf("observe: %d %s", code, resp)
+			}
+			statusCode, status := serveOn(h, "GET", "/v1/sessions/fz", nil)
+			if n := s.m.checkpointErrs.Value(); statusCode != http.StatusOK || n != 0 {
+				t.Fatalf("after observe answered %d %s: status %d %s, %d checkpoint errors", code, resp, statusCode, status, n)
+			}
+			answers = append(answers, fmt.Sprint(code, " ", resp), status)
+		}
+		return answers
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		first := run(t, body)
+		if again := run(t, body); !slices.Equal(again, first) {
+			t.Fatalf("a fresh server answered %q, want %q", again, first)
+		}
+	})
 }
