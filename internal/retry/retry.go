@@ -18,6 +18,7 @@ package retry
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -122,16 +123,22 @@ var now = time.Now
 // integer-seconds delay the serving layer emits, and the HTTP-date form any
 // fronting proxy may rewrite it to. Absent or unparsable headers — and
 // negative or already-past values — mean "no hint" (0); absurd values clamp
-// to maxRetryAfter.
+// to maxRetryAfter, integers too large for an int among them. The seconds
+// are clamped before they become a Duration: 9223372037 s or more would
+// overflow it.
 func retryAfterOf(h http.Header) time.Duration {
 	v := h.Get("Retry-After")
 	if v == "" {
 		return 0
 	}
 	var d time.Duration
-	if secs, err := strconv.Atoi(v); err == nil {
+	// Atoi saturates an out-of-range integer at its sign's bound.
+	if secs, err := strconv.Atoi(v); err == nil || errors.Is(err, strconv.ErrRange) {
 		if secs < 0 {
 			return 0
+		}
+		if secs >= int(maxRetryAfter/time.Second) {
+			return maxRetryAfter
 		}
 		d = time.Duration(secs) * time.Second
 	} else if t, err := http.ParseTime(v); err == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -209,6 +210,12 @@ func TestRetryAfterForms(t *testing.T) {
 		{"zero_seconds", "0", 0},
 		{"negative_seconds", "-5", 0},
 		{"absurd_seconds", "86400", maxRetryAfter},
+		// Seconds whose Duration overflows int64 nanoseconds.
+		{"overflowing_seconds", "9223372037", maxRetryAfter},
+		{"wrapping_seconds", "18446744074", maxRetryAfter},
+		{"max_int_seconds", "9223372036854775807", maxRetryAfter},
+		{"past_max_int_seconds", "99999999999999999999", maxRetryAfter},
+		{"past_min_int_seconds", "-99999999999999999999", 0},
 		{"http_date", fixed.Add(30 * time.Second).Format(http.TimeFormat), 30 * time.Second},
 		{"http_date_past", fixed.Add(-time.Minute).Format(http.TimeFormat), 0},
 		{"http_date_absurd", fixed.Add(24 * time.Hour).Format(http.TimeFormat), maxRetryAfter},
@@ -219,4 +226,36 @@ func TestRetryAfterForms(t *testing.T) {
 			t.Errorf("%s: retryAfterOf(%q) = %v, want %v", tc.name, tc.value, got, tc.want)
 		}
 	}
+}
+
+// FuzzRetryAfter: any header value gives a delay in [0, maxRetryAfter], and
+// the delay-seconds form (ASCII digits only) of 300 or more gives exactly
+// maxRetryAfter, however many digits it has. now is pinned for the
+// HTTP-date form.
+func FuzzRetryAfter(f *testing.F) {
+	fixed := time.Date(2026, time.August, 8, 12, 0, 0, 0, time.UTC)
+	for _, v := range []string{"", "3", "0", "-5", "299", "300", "86400", "9223372037", "18446744074",
+		"9223372036854775807", "99999999999999999999", "+7", " 7", "soon",
+		fixed.Add(30 * time.Second).Format(http.TimeFormat),
+		fixed.Add(-time.Minute).Format(http.TimeFormat),
+		fixed.Add(24 * time.Hour).Format(http.TimeFormat),
+		fixed.AddDate(-300, 0, 0).Format(http.TimeFormat),
+	} {
+		f.Add(v)
+	}
+	now = func() time.Time { return fixed }
+	f.Cleanup(func() { now = time.Now })
+	f.Fuzz(func(t *testing.T, v string) {
+		h := http.Header{}
+		h["Retry-After"] = []string{v}
+		got := retryAfterOf(h)
+		if got < 0 || got > maxRetryAfter {
+			t.Fatalf("retryAfterOf(%q) = %v, outside [0, %v]", v, got, maxRetryAfter)
+		}
+		digits := strings.TrimLeft(v, "0")
+		if v != "" && strings.Trim(v, "0123456789") == "" &&
+			(len(digits) > 3 || len(digits) == 3 && digits >= "300") && got != maxRetryAfter {
+			t.Fatalf("retryAfterOf(%q) = %v, want %v", v, got, maxRetryAfter)
+		}
+	})
 }
