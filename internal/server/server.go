@@ -961,20 +961,27 @@ func (s *Server) storeBody(fp string, body []byte) {
 	s.bodyBytes += int64(len(body))
 }
 
+// blob renders cr as its stored request blob: the request as a body, with
+// the canonical (rate-monotonic, named) task set, the objective spelled out
+// and the resolved knobs. lookup reads it back through the body door with
+// no default starts, which gives cr's fingerprint and fields again
+// (FuzzSubmitBody checks this for every body the door accepts).
+func (cr *canonicalRequest) blob() ([]byte, error) {
+	return json.Marshal(&SubmitRequest{
+		Tasks: cr.set.Tasks, Objective: strings.ToLower(cr.objective.String()),
+		Starts: cr.starts, SubCap: cr.subCap, Cores: cr.cores,
+	})
+}
+
 // remember caches cr and mirrors a newly-seen request into the checkpoint
-// store so GET /v1/schedules/{fp} survives a restart. The blob is the
-// request as a body: the canonical (rate-monotonic, named) task set, the
-// objective spelled out and the resolved knobs. It returns cache's body and
-// repeat.
+// store as its blob, so GET /v1/schedules/{fp} survives a restart. It
+// returns cache's body and repeat.
 func (s *Server) remember(fp string, cr *canonicalRequest) (body []byte, repeat bool) {
 	body, repeat = s.cache(fp, cr)
 	if repeat || s.opts.Checkpoints == nil {
 		return body, repeat
 	}
-	blob, err := json.Marshal(&SubmitRequest{
-		Tasks: cr.set.Tasks, Objective: strings.ToLower(cr.objective.String()),
-		Starts: cr.starts, SubCap: cr.subCap, Cores: cr.cores,
-	})
+	blob, err := cr.blob()
 	if err == nil {
 		err = s.opts.Checkpoints.PutBlob("request-"+fp, blob)
 	}

@@ -440,10 +440,13 @@ func costlySolve(starts int, tasks []task.Task) bool {
 // the middleware); a 4xx repeats byte for byte; and a 200 is also the answer
 // to a second and a third submit of the same bytes and to a GET of its
 // fingerprint, the third submit answered with the body the second stored.
+// Every body the door accepts, whatever its solve answers, round-trips
+// through its request blob (checkBlobRoundTrip).
 func FuzzSubmitBody(f *testing.F) {
 	for i := 0; i < 4; i++ {
 		f.Add([]byte(smallBody(i)))
 	}
+	f.Add([]byte(strings.TrimSuffix(smallBody(0), "}") + `,"objective":"acs","starts":2,"subcap":3,"cores":1}`))
 	f.Add([]byte(strings.TrimSuffix(smallBody(0), "}") + `,"cores":2}`))
 	f.Add([]byte(strings.TrimSuffix(smallBody(1), "}") + `,"objective":"wcs"}`))
 	f.Add([]byte(strings.TrimSuffix(smallBody(2), "}") + `,"nope":1}`))
@@ -461,6 +464,7 @@ func FuzzSubmitBody(f *testing.F) {
 		return rec.Code, rec.Body.String()
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkBlobRoundTrip(t, body, s.opts.Starts, s.opts.MaxTasks)
 		if fuzzCostly(body) {
 			t.Skip("solve too slow for the smoke run")
 		}
@@ -501,6 +505,46 @@ func FuzzSubmitBody(f *testing.F) {
 			t.Fatalf("GET: %d %s, want %s", code, fetched, first)
 		}
 	})
+}
+
+// checkBlobRoundTrip: when the body door (decodeJSON, then
+// canonicalizeSubmit under the given defaults) accepts body, its request
+// blob decodes through decodeJSON and canonicalizes again, with no default
+// starts, to the same fingerprint and the same canonical fields. lookup
+// relies on this to answer a GET after an eviction or a restart.
+func checkBlobRoundTrip(t *testing.T, body []byte, defaultStarts, maxTasks int) {
+	t.Helper()
+	var req SubmitRequest
+	if decodeJSON(bytes.NewReader(body), &req) != nil {
+		return
+	}
+	cr, e := canonicalizeSubmit(&req, defaultStarts, maxTasks)
+	if e != nil {
+		return
+	}
+	fp, e := cr.fingerprint()
+	if e != nil {
+		t.Fatalf("an accepted body has no fingerprint: %v", e)
+	}
+	blob, err := cr.blob()
+	if err != nil {
+		t.Fatalf("blob: %v", err)
+	}
+	var again SubmitRequest
+	if e := decodeJSON(bytes.NewReader(blob), &again); e != nil {
+		t.Fatalf("blob %s does not decode: %v", blob, e)
+	}
+	cr2, e := canonicalizeSubmit(&again, 0, maxTasks)
+	if e != nil {
+		t.Fatalf("blob %s is refused: %v", blob, e)
+	}
+	if fp2, e := cr2.fingerprint(); e != nil || fp2 != fp {
+		t.Fatalf("blob %s fingerprints %s, want %s", blob, fp2, fp)
+	}
+	if !slices.Equal(cr2.set.Tasks, cr.set.Tasks) || cr2.objective != cr.objective ||
+		cr2.starts != cr.starts || cr2.subCap != cr.subCap || cr2.cores != cr.cores {
+		t.Fatalf("blob %s canonicalizes to %+v, want %+v", blob, *cr2, *cr)
+	}
 }
 
 // FuzzCompareBody drives raw compare bodies through the handler of one
